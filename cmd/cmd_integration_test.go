@@ -606,42 +606,24 @@ var lintSeeds = []struct {
 func TestLintSeededViolations(t *testing.T) {
 	for _, seed := range lintSeeds {
 		t.Run(seed.rule, func(t *testing.T) {
-			root := t.TempDir()
-			for rel, src := range seed.files {
-				full := filepath.Join(root, filepath.FromSlash(rel))
-				if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cmd := exec.Command(filepath.Join(binDir, "mcfslint"), "-C", root, "./...")
-			out, err := cmd.CombinedOutput()
-			if err == nil {
+			out, code := lintExit(t, nil, "-C", writeTree(t, seed.files), "./...")
+			if code == 0 {
 				t.Fatalf("mcfslint exited 0 on a seeded %s violation:\n%s", seed.rule, out)
 			}
-			if _, ok := err.(*exec.ExitError); !ok {
-				t.Fatalf("mcfslint did not run: %v\n%s", err, out)
-			}
 			diag := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(seed.path) + `:\d+: ` + regexp.QuoteMeta(seed.rule) + `: .+$`)
-			if !diag.Match(out) {
+			if !diag.MatchString(out) {
 				t.Fatalf("no %q diagnostic in file:line: rule: message form:\n%s", seed.rule, out)
 			}
 		})
 	}
 }
 
-// TestLintTypedFlagGate: the typed-only rules are silent with
-// -typed=false — the escape hatch trades their findings for a load that
-// never type-checks.
-func TestLintTypedFlagGate(t *testing.T) {
-	seed := lintSeeds[len(lintSeeds)-1]
-	if seed.rule != "shared-instance-mutation" {
-		t.Fatal("seed table changed; update the index")
-	}
+// writeTree writes files (slash-separated module-relative path →
+// source) into a fresh scratch directory and returns its path.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
 	root := t.TempDir()
-	for rel, src := range seed.files {
+	for rel, src := range files {
 		full := filepath.Join(root, filepath.FromSlash(rel))
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 			t.Fatal(err)
@@ -650,9 +632,55 @@ func TestLintTypedFlagGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := run(t, "mcfslint", "-C", root, "-typed=false", "./...")
-	if strings.Contains(out, "shared-instance-mutation") {
-		t.Fatalf("typed-only rule fired under -typed=false:\n%s", out)
+	return root
+}
+
+// lintExit runs mcfslint with args under env and returns its combined
+// output and exit status.
+func lintExit(t *testing.T, env []string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(binDir, "mcfslint"), args...)
+	cmd.Env = env
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		return string(out), 0
+	}
+	ee, ok := err.(*exec.ExitError)
+	if !ok {
+		t.Fatalf("mcfslint did not run: %v\n%s", err, out)
+	}
+	return string(out), ee.ExitCode()
+}
+
+// TestLintTypedFlagGate: mcfslint has one type-checked engine and no
+// -typed flag, so a script passing -typed=false gets a usage error
+// (exit 2) instead of a run it believes is untyped.
+func TestLintTypedFlagGate(t *testing.T) {
+	out, code := lintExit(t, nil, "-C", "..", "-typed=false", "./...")
+	if code != 2 || !strings.Contains(out, "flag provided but not defined: -typed") {
+		t.Fatalf("mcfslint -typed=false: exit %d, want a usage error (exit 2):\n%s", code, out)
+	}
+}
+
+// TestLintTypeErrorsFailClosed: a tree that does not type-check exits 2
+// and lists its type errors — the rules cannot see code the checker
+// could not type, so reporting 0 findings would vouch for code nobody
+// analyzed — and nothing is cached for it.
+func TestLintTypeErrorsFailClosed(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/core/seed.go": "package core\n\nvar x int = \"s\"\n",
+	})
+	cacheHome := t.TempDir()
+	out, code := lintExit(t, append(os.Environ(), "XDG_CACHE_HOME="+cacheHome), "-C", root, "./...")
+	if code != 2 || !strings.Contains(out, "internal/core/seed.go:3:") || !strings.Contains(out, "cannot use") {
+		t.Fatalf("exit %d, want 2 with the type error listed:\n%s", code, out)
+	}
+	cached, err := filepath.Glob(filepath.Join(cacheHome, "mcfslint", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cached) != 0 {
+		t.Fatalf("a tree with type errors left cache entries: %v", cached)
 	}
 }
 
@@ -693,16 +721,11 @@ func TestLintEmptyMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pattern := range []string{"./empty", "./..."} {
-		cmd := exec.Command(filepath.Join(binDir, "mcfslint"), "-C", root, pattern)
-		out, err := cmd.CombinedOutput()
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("pattern %s: expected an exit error, got %v:\n%s", pattern, err, out)
-		}
-		if code := ee.ExitCode(); code != 2 {
+		out, code := lintExit(t, nil, "-C", root, pattern)
+		if code != 2 {
 			t.Fatalf("pattern %s: exit %d, want 2:\n%s", pattern, code, out)
 		}
-		if !strings.Contains(string(out), "no Go packages match") {
+		if !strings.Contains(out, "no Go packages match") {
 			t.Fatalf("pattern %s: missing the empty-match diagnostic:\n%s", pattern, out)
 		}
 	}
@@ -724,17 +747,7 @@ func TestLintCacheRoundTrip(t *testing.T) {
 	// Isolate the cache from the developer's real one.
 	env := append(os.Environ(), "XDG_CACHE_HOME="+t.TempDir())
 	lintRun := func(args ...string) (string, int) {
-		cmd := exec.Command(filepath.Join(binDir, "mcfslint"), append([]string{"-C", root}, args...)...)
-		cmd.Env = env
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return string(out), 0
-		}
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("mcfslint did not run: %v\n%s", err, out)
-		}
-		return string(out), ee.ExitCode()
+		return lintExit(t, env, append([]string{"-C", root}, args...)...)
 	}
 	diag := regexp.MustCompile(`(?m)^internal/solver/seed\.go:\d+: ctx-checkpoint: .+$`)
 

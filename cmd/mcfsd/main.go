@@ -181,6 +181,11 @@ func main() {
 		engine.Close()
 		fatal(err)
 	}
+	// Catch signals before announcing the address: a client that reads
+	// the line and sends SIGTERM at once must get a clean shutdown, not
+	// the default action of dying on the signal.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("mcfsd: listening on http://%s (objective %d, %d customers)\n",
 		ln.Addr(), engine.Objective(), engine.View().Customers())
 
@@ -188,8 +193,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigs:
 		fmt.Printf("mcfsd: %s, shutting down\n", sig)

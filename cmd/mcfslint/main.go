@@ -6,23 +6,21 @@
 //	mcfslint ./...
 //	mcfslint -json ./...          # machine-readable findings
 //	mcfslint -rules closecheck ./cmd/...
-//	mcfslint -typed=false ./...   # syntactic-only escape hatch
 //	mcfslint -list                # print the rule catalogue
 //
-// By default the tree is type-checked (stdlib go/types; in-module
-// imports resolved from source, the standard library from GOROOT/src)
-// and rules use resolved objects and static types. -typed=false skips
-// type-checking and runs the original syntactic heuristics — faster,
-// and the only mode that works on a tree that doesn't type-check.
-// Typed-only rules (ctx-propagation, shared-instance-mutation) are
-// silent in that mode.
+// The tree is type-checked (stdlib go/types; in-module imports resolved
+// from source, the standard library from GOROOT/src) and rules use
+// resolved objects and static types. A tree that does not type-check is
+// rejected with its type errors listed: the rules cannot see code the
+// checker could not type, so a partial analysis would pass it unseen.
 //
 // Findings print one per line as "file:line: rule: message" on stdout;
 // a summary with the analyzer's own runtime goes to stderr, followed
 // by per-rule timing lines and a machine-readable "total_ms N" line
 // with -timing (CI records the summary so a slow rule is noticed).
-// Exit status is 1 when there are findings, 2 on usage or parse errors
-// (including a pattern that matches no Go packages), 0 on a clean tree.
+// Exit status is 1 when there are findings, 2 on usage, parse, or type
+// errors (including a pattern that matches no Go packages), 0 on a clean
+// tree.
 //
 // Results are cached under os.UserCacheDir()/mcfslint, keyed on the
 // binary, the toolchain, the run configuration, and the module's full
@@ -49,7 +47,6 @@ func main() {
 		rulesFlag = flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 		chdir     = flag.String("C", ".", "module root to resolve package patterns against")
 		list      = flag.Bool("list", false, "list the rules and exit")
-		typed     = flag.Bool("typed", true, "type-check the tree so rules can use go/types info")
 		timing    = flag.Bool("timing", false, "print per-rule wall-clock timings to stderr")
 		nocache   = flag.Bool("nocache", false, "skip the result cache and re-analyze from scratch")
 	)
@@ -80,10 +77,6 @@ func main() {
 	}
 
 	start := time.Now()
-	mode := "typed"
-	if !*typed {
-		mode = "syntactic"
-	}
 
 	// The result cache replays an unchanged tree without loading or
 	// analyzing anything. The key covers every input that can change
@@ -103,7 +96,6 @@ func main() {
 				key, err := lint.CacheKey(*chdir,
 					"exe "+exe,
 					"go "+runtime.Version(),
-					"mode "+mode,
 					"rules "+strings.Join(ruleNames, ","),
 					"patterns "+strings.Join(flag.Args(), " "))
 				if err == nil {
@@ -115,9 +107,9 @@ func main() {
 	}
 	if cacheKey != "" {
 		if e, ok := lint.CacheGet(cacheDir, cacheKey); ok {
-			emit(e.TypeErrors, e.Findings, *jsonOut)
-			fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (%s, cache hit)\n",
-				len(e.Findings), e.Files, len(rules), time.Since(start).Round(time.Millisecond), mode)
+			emit(e.Findings, *jsonOut)
+			fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (cache hit)\n",
+				len(e.Findings), e.Files, len(rules), time.Since(start).Round(time.Millisecond))
 			if *timing {
 				fmt.Fprintf(os.Stderr, "mcfslint: total_ms %d\n", time.Since(start).Milliseconds())
 			}
@@ -128,27 +120,19 @@ func main() {
 		}
 	}
 
-	load := lint.Load
-	if *typed {
-		load = lint.LoadTyped
-	}
-	pkgs, err := load(*chdir, flag.Args()...)
+	pkgs, err := lint.Load(*chdir, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcfslint:", err)
 		os.Exit(2)
 	}
 	loadElapsed := time.Since(start)
-	var typeErrors []string
-	for _, p := range pkgs {
-		typeErrors = append(typeErrors, p.TypeErrors...)
-	}
 	findings, ruleTimes := lint.RunTimed(pkgs, rules)
 	if findings == nil {
 		findings = []lint.Finding{}
 	}
 	elapsed := time.Since(start)
 
-	emit(typeErrors, findings, *jsonOut)
+	emit(findings, *jsonOut)
 
 	files := 0
 	for _, p := range pkgs {
@@ -157,14 +141,10 @@ func main() {
 	if cacheKey != "" {
 		// Best effort: a failed store costs the next run a re-analysis,
 		// nothing else.
-		_ = lint.CachePut(cacheDir, cacheKey, &lint.CacheEntry{
-			Findings:   findings,
-			TypeErrors: typeErrors,
-			Files:      files,
-		})
+		_ = lint.CachePut(cacheDir, cacheKey, &lint.CacheEntry{Findings: findings, Files: files})
 	}
-	fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (%s, load %s, %s)\n",
-		len(findings), files, len(rules), elapsed.Round(time.Millisecond), mode, loadElapsed.Round(time.Millisecond), cacheStatus)
+	fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (load %s, %s)\n",
+		len(findings), files, len(rules), elapsed.Round(time.Millisecond), loadElapsed.Round(time.Millisecond), cacheStatus)
 	if *timing {
 		for _, rt := range ruleTimes {
 			fmt.Fprintf(os.Stderr, "mcfslint: rule %-26s %s\n", rt.Rule, rt.Elapsed.Round(10*time.Microsecond))
@@ -176,12 +156,9 @@ func main() {
 	}
 }
 
-// emit prints the run's stderr type-error echo and its findings, from a
-// live run and a cache replay alike.
-func emit(typeErrors []string, findings []lint.Finding, jsonOut bool) {
-	for _, msg := range typeErrors {
-		fmt.Fprintf(os.Stderr, "mcfslint: type error (rules fall back to syntax where affected): %s\n", msg)
-	}
+// emit prints the run's findings, from a live run and a cache replay
+// alike.
+func emit(findings []lint.Finding, jsonOut bool) {
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -208,14 +208,17 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 			_, _, err := g.MultiSourceDijkstraCtx(ctx, sources)
 			return err
 		}},
-		{name("DijkstraWithin"), func(b *testing.B) {
+		{name("DijkstraWithinScratch"), func(b *testing.B) {
 			b.ReportAllocs()
+			sc := g.NewScratch()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.DijkstraWithin(inst.Customers[i%len(inst.Customers)], radius)
+				if err := g.DijkstraWithinScratchCtx(context.Background(), inst.Customers[i%len(inst.Customers)], radius, sc); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}, func(ctx context.Context) error {
-			_, err := g.DijkstraWithinCtx(ctx, inst.Customers[0], radius)
-			return err
+			return g.DijkstraWithinScratchCtx(ctx, inst.Customers[0], radius, g.NewScratch())
 		}},
 		// NNSearcher has no context-taking variant: its incremental pulls
 		// are driven by the caller, so there is no probe (and no counters).

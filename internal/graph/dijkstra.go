@@ -59,109 +59,6 @@ func (g *Graph) DijkstraCtx(ctx context.Context, src int32) ([]int64, error) {
 	return dist, nil
 }
 
-// DijkstraWithin computes shortest-path distances from src to all nodes
-// within the given radius (inclusive), returned as a sparse map. A
-// negative radius means unbounded. It is the workhorse of the BRNN
-// baseline, whose search radius shrinks as facilities are placed.
-func (g *Graph) DijkstraWithin(src int32, radius int64) map[int32]int64 {
-	dist, _ := g.DijkstraWithinCtx(context.Background(), src, radius)
-	return dist
-}
-
-// DijkstraWithinCtx is DijkstraWithin with cooperative cancellation
-// (polled every checkEvery heap pops); on cancellation it returns nil
-// and ctx.Err().
-func (g *Graph) DijkstraWithinCtx(ctx context.Context, src int32, radius int64) (map[int32]int64, error) {
-	dist := map[int32]int64{src: 0}
-	h := g.newSparseQueue()
-	h.Push(src, 0)
-	pops, relax := 0, 0
-	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
-	}
-	for h.Len() > 0 {
-		if pops++; pops&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, d := h.PopMin()
-		if d > dist[v] {
-			continue
-		}
-		for i := g.off[v]; i < g.off[v+1]; i++ {
-			u, nd := g.dst[i], d+g.w[i]
-			if radius >= 0 && nd > radius {
-				continue
-			}
-			if old, ok := dist[u]; !ok || nd < old {
-				dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
-			}
-		}
-	}
-	return dist, nil
-}
-
-// DijkstraToTargets computes shortest-path distances from src to each
-// target node, stopping as soon as all targets are settled. The result
-// maps target node to distance (Inf if unreachable).
-func (g *Graph) DijkstraToTargets(src int32, targets []int32) map[int32]int64 {
-	out, _ := g.DijkstraToTargetsCtx(context.Background(), src, targets)
-	return out
-}
-
-// DijkstraToTargetsCtx is DijkstraToTargets with cooperative
-// cancellation (polled every checkEvery heap pops); on cancellation it
-// returns nil and ctx.Err().
-func (g *Graph) DijkstraToTargetsCtx(ctx context.Context, src int32, targets []int32) (map[int32]int64, error) {
-	want := make(map[int32]bool, len(targets))
-	for _, t := range targets {
-		want[t] = true
-	}
-	out := make(map[int32]int64, len(targets))
-	remaining := len(want)
-	dist := map[int32]int64{src: 0}
-	h := g.newSparseQueue()
-	h.Push(src, 0)
-	pops, relax := 0, 0
-	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
-	}
-	for h.Len() > 0 && remaining > 0 {
-		if pops++; pops&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, d := h.PopMin()
-		if d > dist[v] {
-			continue
-		}
-		if want[v] {
-			if _, seen := out[v]; !seen {
-				out[v] = d
-				remaining--
-			}
-		}
-		for i := g.off[v]; i < g.off[v+1]; i++ {
-			u, nd := g.dst[i], d+g.w[i]
-			if old, ok := dist[u]; !ok || nd < old {
-				dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
-			}
-		}
-	}
-	for _, t := range targets {
-		if _, ok := out[t]; !ok {
-			out[t] = Inf
-		}
-	}
-	return out, nil
-}
-
 // MultiSourceDijkstra computes, for every node, the distance to its
 // nearest source and that source's index in sources. Nodes unreachable
 // from all sources get distance Inf and owner -1. It implements network

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -208,25 +209,32 @@ func TestDijkstraDisconnected(t *testing.T) {
 
 func TestDijkstraWithinRadius(t *testing.T) {
 	g := line(t, 10)
-	got := g.DijkstraWithin(0, 3)
-	if len(got) != 4 {
-		t.Fatalf("DijkstraWithin returned %d nodes, want 4: %v", len(got), got)
+	sc := g.NewScratch()
+	if err := g.DijkstraWithinScratchCtx(context.Background(), 0, 3, sc); err != nil {
+		t.Fatal(err)
 	}
-	for v, d := range got {
+	if sc.Visited() != 4 {
+		t.Fatalf("radius 3 reached %d nodes, want 4", sc.Visited())
+	}
+	sc.Each(func(v int32, d int64) bool {
 		if d != int64(v) {
 			t.Fatalf("dist[%d] = %d", v, d)
 		}
-	}
+		return true
+	})
 	// Unbounded matches full Dijkstra.
-	all := g.DijkstraWithin(0, -1)
+	if err := g.DijkstraWithinScratchCtx(context.Background(), 0, -1, sc); err != nil {
+		t.Fatal(err)
+	}
 	full := g.Dijkstra(0)
-	for v, d := range all {
+	sc.Each(func(v int32, d int64) bool {
 		if full[v] != d {
 			t.Fatalf("unbounded within: dist[%d] = %d, want %d", v, d, full[v])
 		}
-	}
-	if len(all) != 10 {
-		t.Fatalf("unbounded within visited %d nodes", len(all))
+		return true
+	})
+	if sc.Visited() != 10 {
+		t.Fatalf("unbounded within visited %d nodes", sc.Visited())
 	}
 }
 
@@ -234,11 +242,14 @@ func TestDijkstraToTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomGraph(rng, 50, 80, 20)
 	full := g.Dijkstra(3)
-	targets := []int32{7, 11, 49, 3}
-	got := g.DijkstraToTargets(3, targets)
-	for _, tg := range targets {
-		if got[tg] != full[tg] {
-			t.Fatalf("target %d: got %d, want %d", tg, got[tg], full[tg])
+	targets := []int32{7, 11, 49, 3} // unsorted, and the source itself
+	got := make([]int64, len(targets))
+	if err := g.DijkstraToTargetsScratchCtx(context.Background(), 3, targets, got, g.NewScratch()); err != nil {
+		t.Fatal(err)
+	}
+	for i, tg := range targets {
+		if got[i] != full[tg] {
+			t.Fatalf("target %d: got %d, want %d", tg, got[i], full[tg])
 		}
 	}
 }
@@ -247,8 +258,11 @@ func TestDijkstraToTargetsUnreachable(t *testing.T) {
 	b := NewBuilder(3, false)
 	b.AddEdge(0, 1, 1)
 	g, _ := b.Build()
-	got := g.DijkstraToTargets(0, []int32{1, 2})
-	if got[1] != 1 || got[2] != Inf {
+	got := make([]int64, 2)
+	if err := g.DijkstraToTargetsScratchCtx(context.Background(), 0, []int32{1, 2}, got, g.NewScratch()); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 1 || got[1] != Inf {
 		t.Fatalf("got %v", got)
 	}
 }

@@ -72,22 +72,6 @@ func (g *Graph) newDenseQueue() pq.Monotone {
 	return pq.NewDense(g.N())
 }
 
-// newSparseQueue returns the frontier queue for localized searches
-// (sparse distance maps): the bucket queue needs no per-id state so the
-// same heuristic applies, with SparseHeap as the fallback.
-func (g *Graph) newSparseQueue() pq.Monotone {
-	switch CurrentQueueMode() {
-	case QueueHeap:
-		return pq.NewSparse()
-	case QueueBucket:
-		return pq.NewBucket(g.maxW)
-	}
-	if g.bucketOK() {
-		return pq.NewBucket(g.maxW)
-	}
-	return pq.NewSparse()
-}
-
 // newIncrementalQueue returns the frontier queue for incremental
 // searches that advance a few pops at a time and may stop early
 // (NNSearcher). The bucket queue loses there even when bucketOK holds:

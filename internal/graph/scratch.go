@@ -84,13 +84,13 @@ func (sc *SearchScratch) Each(fn func(v int32, d int64) bool) {
 	}
 }
 
-// DijkstraWithinScratchCtx is DijkstraWithinCtx storing its result in sc
-// instead of a freshly allocated map: after a nil-error return,
-// sc.Dist/sc.Each expose the distances from src to every node within
-// radius (negative radius = unbounded). The result set and values are
-// identical to DijkstraWithinCtx's map; only the container differs. On
-// cancellation it returns ctx.Err() and sc holds a partial search that
-// must not be read.
+// DijkstraWithinScratchCtx computes shortest-path distances from src to
+// every node within radius (inclusive; negative radius = unbounded),
+// storing them in sc: after a nil-error return, sc.Dist/sc.Each expose
+// the reached nodes. It is the workhorse of the BRNN baseline, whose
+// search radius shrinks as facilities are placed. ctx is polled every
+// checkEvery heap pops; on cancellation it returns ctx.Err() and sc
+// holds a partial search that must not be read.
 func (g *Graph) DijkstraWithinScratchCtx(ctx context.Context, src int32, radius int64, sc *SearchScratch) error {
 	sc.begin()
 	sc.dist[src], sc.stamp[src] = 0, sc.epoch
@@ -132,11 +132,12 @@ func (g *Graph) DijkstraWithinScratchCtx(ctx context.Context, src int32, radius 
 	return nil
 }
 
-// DijkstraToTargetsScratchCtx is DijkstraToTargetsCtx without the per-
-// call map allocations: it fills out[i] with the shortest-path distance
-// from src to targets[i] (Inf when unreachable) and stops as soon as
-// every distinct target is settled. len(out) must equal len(targets).
-// On cancellation it returns ctx.Err() and out must not be read.
+// DijkstraToTargetsScratchCtx fills out[i] with the shortest-path
+// distance from src to targets[i] (Inf when unreachable), using sc for
+// its search state, and stops as soon as every distinct target is
+// settled. len(out) must equal len(targets). ctx is polled every
+// checkEvery heap pops; on cancellation it returns ctx.Err() and out
+// must not be read.
 func (g *Graph) DijkstraToTargetsScratchCtx(ctx context.Context, src int32, targets []int32, out []int64, sc *SearchScratch) error {
 	sc.begin()
 	remaining := 0

@@ -15,11 +15,11 @@ import (
 // but not the other, a deadline layered twice), which is precisely the
 // class of bug a wrapper pair invites.
 //
-// With type information the wrapper shape is verified semantically: the
-// callee must resolve to the package-level *Ctx sibling (a local
-// variable shadowing it no longer passes) and the first argument must
-// resolve to the real context.Background (a local helper named
-// `context.Background` behind a renamed import no longer does).
+// The wrapper shape is verified semantically: the callee must resolve
+// to the package-level *Ctx sibling (a local variable shadowing it does
+// not pass) and the first argument must resolve to the real
+// context.Background (a local helper named `context.Background` behind
+// a renamed import does not).
 //
 // The rule's second half guards the Algorithm registry: algorithms.go is
 // the root package's single binding between public algorithm names and
@@ -99,10 +99,9 @@ var registrySolverPkgs = map[string]func(name string) bool{
 }
 
 // checkRegistryBypass reports root-package selector references into the
-// guarded internal solver packages outside algorithms.go. With type
-// information the package qualifier is resolved through the import path
-// (robust against renamed imports); without it the check is by the
-// conventional package spelling.
+// guarded internal solver packages outside algorithms.go. The package
+// qualifier is resolved to its import path, so a renamed import does not
+// hide the bypass.
 func checkRegistryBypass(pkg *Package, report ReportFunc) {
 	for _, f := range pkg.Files {
 		if f.Test || f.Path == registryFile {
@@ -117,11 +116,11 @@ func checkRegistryBypass(pkg *Package, report ReportFunc) {
 			if !ok {
 				return true
 			}
-			pkgPath, ok := importedPath(pkg, f, x)
+			pn, ok := pkg.ObjectOf(x).(*types.PkgName)
 			if !ok {
 				return true
 			}
-			guarded, ok := registrySolverPkgs[pkgPath]
+			guarded, ok := registrySolverPkgs[pn.Imported().Path()]
 			if !ok || !guarded(sel.Sel.Name) {
 				return true
 			}
@@ -131,33 +130,6 @@ func checkRegistryBypass(pkg *Package, report ReportFunc) {
 			return true
 		})
 	}
-}
-
-// importedPath resolves a package-qualifier identifier to its import
-// path: by type information when available, else by matching the file's
-// imports against the conventional package name.
-func importedPath(pkg *Package, f *File, x *ast.Ident) (string, bool) {
-	if pkg.Typed() {
-		pn, ok := pkg.ObjectOf(x).(*types.PkgName)
-		if !ok {
-			return "", false
-		}
-		return pn.Imported().Path(), true
-	}
-	for _, imp := range f.AST.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == x.Name {
-			return path, true
-		}
-	}
-	return "", false
 }
 
 // hasParityPrefix reports whether name belongs to a covered family.
@@ -171,10 +143,9 @@ func hasParityPrefix(name string) bool {
 }
 
 // delegatesToCtx reports whether fd's body is exactly
-// `return want(context.Background(), ...)`. With type information the
-// callee must resolve to the package-level sibling and the first
-// argument to the real context.Background; without it the check is by
-// spelling.
+// `return want(context.Background(), ...)`, with the callee resolving to
+// the package-level sibling and the first argument to the real
+// context.Background.
 func delegatesToCtx(pkg *Package, fd *ast.FuncDecl, want string) bool {
 	if fd.Body == nil || len(fd.Body.List) != 1 {
 		return false
@@ -191,24 +162,9 @@ func delegatesToCtx(pkg *Package, fd *ast.FuncDecl, want string) bool {
 	if !ok || fun.Name != want {
 		return false
 	}
-	if pkg.Typed() {
-		if obj := pkg.ObjectOf(fun); obj != nil {
-			if f, ok := obj.(*types.Func); !ok || f.Pkg() != pkg.Types || f.Parent() != pkg.Types.Scope() {
-				return false
-			}
-		}
+	if f, ok := pkg.ObjectOf(fun).(*types.Func); !ok || f.Pkg() != pkg.Types || f.Parent() != pkg.Types.Scope() {
+		return false
 	}
 	bg, ok := call.Args[0].(*ast.CallExpr)
-	if !ok || len(bg.Args) != 0 {
-		return false
-	}
-	if pkg.Typed() {
-		return pkg.isPkgFunc(bg, "context", "Background")
-	}
-	sel, ok := bg.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Background" {
-		return false
-	}
-	x, ok := sel.X.(*ast.Ident)
-	return ok && x.Name == "context"
+	return ok && len(bg.Args) == 0 && pkg.isPkgFunc(bg, "context", "Background")
 }

@@ -14,13 +14,14 @@ import (
 
 // Result caching.
 //
-// Type-checking dominates a typed mcfslint run, and the inputs that can
+// Type-checking dominates an mcfslint run, and the inputs that can
 // change its outcome are few and hashable: the module's Go sources,
-// go.mod, the linter binary itself, and the run configuration (mode,
-// rule subset, patterns). CacheKey folds all of them into one run-level
-// key; CacheGet/CachePut persist the run's findings and type errors
-// under that key so an unchanged tree replays in milliseconds instead
-// of re-type-checking.
+// go.mod, the linter binary itself, and the run configuration (rule
+// subset, patterns). CacheKey folds all of them into one run-level key;
+// CacheGet/CachePut persist the run's findings under that key so an
+// unchanged tree replays in milliseconds instead of re-type-checking.
+// A tree with type errors never reaches the cache: the command rejects
+// it before analyzing anything.
 //
 // The key deliberately hashes the whole module, not just the files the
 // patterns match: typed loading follows in-module imports transitively,
@@ -36,9 +37,6 @@ type CacheEntry struct {
 	// Findings is the run's finding list, in report order. Never nil
 	// once stored (an empty run stores an empty slice).
 	Findings []Finding `json:"findings"`
-	// TypeErrors is the flattened, package-ordered type-error list the
-	// command echoes to stderr before the findings.
-	TypeErrors []string `json:"type_errors"`
 	// Files is the number of files the original run loaded, for the
 	// summary line.
 	Files int `json:"files"`
@@ -60,7 +58,7 @@ func CacheDir() (string, error) {
 
 // CacheKey hashes everything that can change a run's outcome: the extra
 // strings (caller-supplied configuration — binary hash, toolchain
-// version, mode, rule names, patterns), go.mod, and the path and
+// version, rule names, patterns), go.mod, and the path and
 // content of every Go file in the module, walked with the same skip
 // rules Load uses (testdata, vendor, dot- and underscore-prefixed
 // names). The walk is deterministic, so identical trees produce

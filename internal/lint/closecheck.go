@@ -13,14 +13,12 @@ import (
 // closes that are deliberately unchecked must say so with
 // //lint:ignore closecheck <reason>.
 //
-// With type information the rule tracks what an expression *is* rather
-// than how it was produced: any identifier whose static type is
-// *os.File counts (parameters, struct fields' pointees, helper
-// returns), and so does an identifier of any type that was assigned a
-// value of static type *os.File — which follows the file through
-// interface conversions (`var c io.Closer = f; c.Close()`) that the
-// syntactic os.Open/Create/OpenFile pattern could never see. Without
-// type info the rule falls back to the syntactic evidence.
+// The rule tracks what an expression *is* rather than how it was
+// produced: any identifier whose static type is *os.File counts
+// (parameters, struct fields' pointees, helper returns), and so does an
+// identifier of any type that was assigned a value of static type
+// *os.File — which follows the file through interface conversions
+// (`var c io.Closer = f; c.Close()`).
 type CloseCheck struct{}
 
 // Name implements Rule.
@@ -48,16 +46,10 @@ func (CloseCheck) Check(pkg *Package, report ReportFunc) {
 	}
 }
 
-// fileEvidence reports whether an expression verifiably yields an
-// *os.File: by its static type when the package is typed, by the
-// os.Open/os.Create/os.OpenFile call pattern otherwise. For calls the
-// first result of a multi-value return is what gets bound.
+// fileEvidence reports whether an expression's static type is *os.File.
+// For calls the first result of a multi-value return is what gets bound.
 func fileEvidence(pkg *Package, e ast.Expr) bool {
-	if pkg.Typed() {
-		return isOSFileType(firstResultType(pkg.TypeOf(e)))
-	}
-	call, ok := e.(*ast.CallExpr)
-	return ok && isOSOpenCall(call)
+	return isOSFileType(firstResultType(pkg.TypeOf(e)))
 }
 
 // checkCloseFunc scans one function (and, recursively, its closures —
@@ -70,8 +62,7 @@ func checkCloseFunc(pkg *Package, f *File, ft *ast.FuncType, body *ast.BlockStmt
 	}
 	if ft.Params != nil {
 		for _, field := range ft.Params.List {
-			typed := pkg.Typed() && len(field.Names) > 0 && isOSFileType(pkg.TypeOf(field.Names[0]))
-			if typed || isOSFilePtr(field.Type) {
+			if len(field.Names) > 0 && isOSFileType(pkg.TypeOf(field.Names[0])) {
 				for _, name := range field.Names {
 					files[name.Name] = true
 				}
@@ -132,8 +123,8 @@ func checkCloseFunc(pkg *Package, f *File, ft *ast.FuncType, body *ast.BlockStmt
 }
 
 // discardedClose reports whether e is `name.Close()` on an expression
-// that holds a file: a tracked identifier, or (typed) any expression
-// whose static type is *os.File — a field, a map entry, a call result.
+// that holds a file: a tracked identifier, or any expression whose
+// static type is *os.File — a field, a map entry, a call result.
 func discardedClose(pkg *Package, e ast.Expr, files map[string]bool) (string, bool) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
@@ -146,7 +137,7 @@ func discardedClose(pkg *Package, e ast.Expr, files map[string]bool) (string, bo
 	if id, ok := sel.X.(*ast.Ident); ok && files[id.Name] {
 		return id.Name, true
 	}
-	if pkg.Typed() && isOSFileType(pkg.TypeOf(sel.X)) {
+	if isOSFileType(pkg.TypeOf(sel.X)) {
 		return exprString(sel.X), true
 	}
 	return "", false
@@ -165,24 +156,4 @@ func exprString(e ast.Expr) string {
 		return exprString(e.X) + "[...]"
 	}
 	return "expression"
-}
-
-// isOSOpenCall recognizes os.Open, os.Create and os.OpenFile — the
-// syntactic fallback evidence.
-func isOSOpenCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	return isPkgSel(sel, "os", "Open") || isPkgSel(sel, "os", "Create") || isPkgSel(sel, "os", "OpenFile")
-}
-
-// isOSFilePtr recognizes the *os.File type expression syntactically.
-func isOSFilePtr(t ast.Expr) bool {
-	star, ok := t.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := star.X.(*ast.SelectorExpr)
-	return ok && isPkgSel(sel, "os", "File")
 }

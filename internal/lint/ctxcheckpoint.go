@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -14,14 +15,13 @@ import (
 // range loops are exempt: the contract is "no unbounded work between
 // checkpoints", not "a poll on every iteration of everything".
 //
-// With type information the context parameter is recognized by what it
-// is, not what it is spelled as: named types and aliases of
-// context.Context, and interface parameters that embed it, all count —
-// a context smuggled behind `type reqCtx context.Context` can no longer
-// hide a poll-free loop. Body references are resolved to the actual
-// parameter objects, so an unrelated identifier that happens to share
-// the parameter's name no longer passes as a poll. Without type info
-// the rule falls back to the syntactic heuristics.
+// The context parameter is recognized by its type, not its spelling:
+// named types and aliases of context.Context, and interface parameters
+// that embed it, all count — a context smuggled behind
+// `type reqCtx context.Context` cannot hide a poll-free loop. Body
+// references are resolved to the actual parameter objects, so an
+// unrelated identifier that happens to share the parameter's name does
+// not pass as a poll.
 //
 // Two refinements keep the rule honest on real solver code without
 // suppressions. A local built by a *Ctx-suffixed helper from an
@@ -63,34 +63,19 @@ func (CtxCheckpoint) Check(pkg *Package, report ReportFunc) {
 		}
 		for _, decl := range f.AST.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkCtxFunc(pkg, f, fd.Type, fd.Body, ctxScope{}, report)
+				checkCtxFunc(pkg, f, fd.Type, fd.Body, nil, report)
 			}
 		}
 	}
 }
 
-// ctxScope is the set of context parameters visible in a function: the
-// resolved objects (typed mode) and the parameter names (fallback, and
-// the only evidence when type info is absent).
-type ctxScope struct {
-	objs  []types.Object
-	names []string
-}
-
-func (s ctxScope) empty() bool { return len(s.objs) == 0 && len(s.names) == 0 }
-
-// checkCtxFunc walks one function body with the context parameters
+// checkCtxFunc walks one function body with the context objects
 // visible in its scope (the enclosing functions' plus its own — a
 // closure may checkpoint through a captured context).
-func checkCtxFunc(pkg *Package, f *File, ft *ast.FuncType, body *ast.BlockStmt, outer ctxScope, report ReportFunc) {
-	scope := ctxScope{
-		objs:  append(append([]types.Object(nil), outer.objs...), ctxParamObjs(pkg, ft)...),
-		names: append(append([]string(nil), outer.names...), ctxParamNames(pkg, ft)...),
-	}
-	if !scope.empty() {
-		carriers := ctxCarriers(pkg, body, scope)
-		scope.objs = append(scope.objs, carriers.objs...)
-		scope.names = append(scope.names, carriers.names...)
+func checkCtxFunc(pkg *Package, f *File, ft *ast.FuncType, body *ast.BlockStmt, outer []types.Object, report ReportFunc) {
+	scope := append(append([]types.Object(nil), outer...), ctxParamObjs(pkg, ft)...)
+	if len(scope) > 0 {
+		scope = append(scope, ctxCarriers(pkg, body, scope)...)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -98,7 +83,7 @@ func checkCtxFunc(pkg *Package, f *File, ft *ast.FuncType, body *ast.BlockStmt, 
 			checkCtxFunc(pkg, f, n.Type, n.Body, scope, report)
 			return false
 		case *ast.ForStmt:
-			if !scope.empty() && n.Init == nil && n.Post == nil && !isBoundedScan(n) && !mentionsCtx(pkg, n.Body, scope) {
+			if len(scope) > 0 && n.Init == nil && n.Post == nil && !isBoundedScan(n) && !mentionsCtx(pkg, n.Body, scope) {
 				report(f, n.Pos(),
 					"while-style loop in a context-taking function never polls the context; add a ctx.Err() checkpoint or delegate to a Ctx helper (see DESIGN.md §9)")
 			}
@@ -114,8 +99,8 @@ func checkCtxFunc(pkg *Package, f *File, ft *ast.FuncType, body *ast.BlockStmt, 
 // loop polls the context through it (graph.NewNNSearcherCtx is the
 // canonical case). Collection is flow-insensitive and one level deep: a
 // carrier does not beget further carriers.
-func ctxCarriers(pkg *Package, body *ast.BlockStmt, scope ctxScope) ctxScope {
-	var out ctxScope
+func ctxCarriers(pkg *Package, body *ast.BlockStmt, scope []types.Object) []types.Object {
+	var out []types.Object
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
@@ -131,9 +116,7 @@ func ctxCarriers(pkg *Package, body *ast.BlockStmt, scope ctxScope) ctxScope {
 				continue
 			}
 			if obj := pkg.ObjectOf(id); obj != nil {
-				out.objs = append(out.objs, obj)
-			} else {
-				out.names = append(out.names, id.Name)
+				out = append(out, obj)
 			}
 		}
 		return true
@@ -145,7 +128,7 @@ func ctxCarriers(pkg *Package, body *ast.BlockStmt, scope ctxScope) ctxScope {
 // with one of the in-scope contexts among its arguments. The argument
 // requirement is the precision: a Ctx helper handed context.Background()
 // carries no cancellation worth crediting.
-func isCtxHelperCall(pkg *Package, call *ast.CallExpr, scope ctxScope) bool {
+func isCtxHelperCall(pkg *Package, call *ast.CallExpr, scope []types.Object) bool {
 	var name string
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
@@ -166,30 +149,13 @@ func isCtxHelperCall(pkg *Package, call *ast.CallExpr, scope ctxScope) bool {
 	return false
 }
 
-// refsCtx reports whether e references one of the in-scope contexts —
-// by object identity in typed mode, by name otherwise.
-func refsCtx(pkg *Package, e ast.Expr, scope ctxScope) bool {
+// refsCtx reports whether e references one of the in-scope contexts,
+// by object identity.
+func refsCtx(pkg *Package, e ast.Expr, scope []types.Object) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if obj := pkg.ObjectOf(id); obj != nil {
-			for _, want := range scope.objs {
-				if obj == want {
-					found = true
-				}
-			}
-			return !found
-		}
-		for _, name := range scope.names {
-			if id.Name == name {
-				found = true
-			}
+		if id, ok := n.(*ast.Ident); ok && slices.Contains(scope, pkg.ObjectOf(id)) {
+			found = true
 		}
 		return !found
 	})
@@ -240,11 +206,11 @@ func isBoundedScan(n *ast.ForStmt) bool {
 	return tested && callFree
 }
 
-// ctxParamObjs resolves ft's context-typed parameters to their objects.
-// It requires type information and recognizes context.Context behind
-// aliases, named types, and embedding interfaces (isContextType).
+// ctxParamObjs resolves ft's context-typed parameters to their objects,
+// recognizing context.Context behind aliases, named types, and
+// embedding interfaces (isContextType).
 func ctxParamObjs(pkg *Package, ft *ast.FuncType) []types.Object {
-	if !pkg.Typed() || ft == nil || ft.Params == nil {
+	if ft == nil || ft.Params == nil {
 		return nil
 	}
 	var objs []types.Object
@@ -259,39 +225,10 @@ func ctxParamObjs(pkg *Package, ft *ast.FuncType) []types.Object {
 	return objs
 }
 
-// ctxParamNames returns the names of ft's syntactically evident
-// context.Context parameters — the fallback evidence when no type
-// information is available.
-func ctxParamNames(pkg *Package, ft *ast.FuncType) []string {
-	if pkg.Typed() {
-		return nil // the resolved objects are strictly better evidence
-	}
-	if ft == nil || ft.Params == nil {
-		return nil
-	}
-	var names []string
-	for _, field := range ft.Params.List {
-		sel, ok := field.Type.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Context" {
-			continue
-		}
-		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "context" {
-			continue
-		}
-		for _, name := range field.Names {
-			if name.Name != "_" {
-				names = append(names, name.Name)
-			}
-		}
-	}
-	return names
-}
-
 // mentionsCtx reports whether body references one of the in-scope
-// context parameters or calls a *Ctx-suffixed helper (which by the
-// module's naming convention takes and polls a context itself). In
-// typed mode a reference must resolve to the actual parameter object.
-func mentionsCtx(pkg *Package, body *ast.BlockStmt, scope ctxScope) bool {
+// context objects or calls a *Ctx-suffixed helper (which by the
+// module's naming convention takes and polls a context itself).
+func mentionsCtx(pkg *Package, body *ast.BlockStmt, scope []types.Object) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -301,25 +238,10 @@ func mentionsCtx(pkg *Package, body *ast.BlockStmt, scope ctxScope) bool {
 		if !ok {
 			return true
 		}
-		if strings.HasSuffix(id.Name, "Ctx") && id.Name != "Ctx" {
+		if (strings.HasSuffix(id.Name, "Ctx") && id.Name != "Ctx") || slices.Contains(scope, pkg.ObjectOf(id)) {
 			found = true
-			return false
 		}
-		if obj := pkg.ObjectOf(id); obj != nil {
-			for _, want := range scope.objs {
-				if obj == want {
-					found = true
-					return false
-				}
-			}
-		}
-		for _, name := range scope.names {
-			if id.Name == name {
-				found = true
-				return false
-			}
-		}
-		return true
+		return !found
 	})
 	return found
 }

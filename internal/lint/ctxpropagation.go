@@ -18,9 +18,6 @@ import (
 // convenience wrappers, which take no context at all. Deliberate
 // detachment (a goroutine outliving the request) must say so with
 // //lint:ignore ctx-propagation <reason>.
-//
-// The rule is typed: without type information it stays silent rather
-// than flagging by spelling.
 type CtxPropagation struct{}
 
 // Name implements Rule.
@@ -33,9 +30,6 @@ func (CtxPropagation) Doc() string {
 
 // Check implements Rule.
 func (CtxPropagation) Check(pkg *Package, report ReportFunc) {
-	if !pkg.Typed() {
-		return
-	}
 	for _, f := range pkg.Files {
 		if f.Test {
 			continue

@@ -17,13 +17,11 @@ import (
 // order, so the result ordering would differ run to run; iterate a
 // sorted key slice instead).
 //
-// With type information the map rule fires on *any* expression whose
-// static type is a map — named map types, maps behind struct fields
-// from other packages, map-returning methods — where the syntactic
-// version could only recognize package-local declarations it had
-// indexed. time.Now and the rand functions are resolved through the
-// checker, so an import renamed to `clock` no longer hides a call.
-// Without type info the rule falls back to the syntactic index.
+// The map rule fires on *any* expression whose static type is a map —
+// named map types, maps behind struct fields from other packages,
+// map-returning methods. time.Now and the rand functions are resolved
+// through the checker, so an import renamed to `clock` does not hide a
+// call.
 type Determinism struct{}
 
 // Name implements Rule.
@@ -71,7 +69,6 @@ func (Determinism) Check(pkg *Package, report ReportFunc) {
 		return
 	}
 	banTimeNow := !timeNowExempt[pkg.Dir]
-	idx := indexPackageMaps(pkg)
 	for _, f := range pkg.Files {
 		if f.Test {
 			continue
@@ -93,147 +90,42 @@ func (Determinism) Check(pkg *Package, report ReportFunc) {
 		})
 		for _, decl := range f.AST.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkMapRanges(pkg, f, fd, idx, report)
+				checkMapRanges(pkg, f, fd, report)
 			}
 		}
 	}
 }
 
-// isTimeNow recognizes the time.Now selector, by resolved object when
-// type info is available (robust to import renaming), syntactically
-// otherwise.
+// isTimeNow recognizes the time.Now selector by its resolved object
+// (robust to import renaming).
 func isTimeNow(pkg *Package, sel *ast.SelectorExpr) bool {
-	if pkg.Typed() {
-		obj := pkg.ObjectOf(sel.Sel)
-		return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "Now"
-	}
-	return isPkgSel(sel, "time", "Now")
+	obj := pkg.ObjectOf(sel.Sel)
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "Now"
 }
 
 // globalRandCall recognizes calls to the shared-source math/rand
-// package functions (never the methods of a seeded *rand.Rand, which
-// share the same names — the typed path distinguishes them by the
-// resolved object's package scope, the syntactic path by the receiver
-// identifier being the package name).
+// package functions — never the methods of a seeded *rand.Rand, which
+// share the same names but resolve to methods, not package functions.
 func globalRandCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !globalRandFuncs[sel.Sel.Name] {
 		return "", false
 	}
-	if pkg.Typed() {
-		obj := pkg.ObjectOf(sel.Sel)
-		if f, ok := obj.(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "math/rand" &&
-			f.Type().(*types.Signature).Recv() == nil {
-			return f.Name(), true
-		}
-		return "", false
-	}
-	if x, ok := sel.X.(*ast.Ident); ok && x.Name == "rand" {
-		return sel.Sel.Name, true
+	f, ok := pkg.ObjectOf(sel.Sel).(*types.Func)
+	if ok && f.Pkg() != nil && f.Pkg().Path() == "math/rand" && f.Type().(*types.Signature).Recv() == nil {
+		return f.Name(), true
 	}
 	return "", false
 }
 
-// pkgMapIndex is the package-local knowledge used to recognize
-// map-typed expressions without type information: struct fields, named
-// function/method results, and package-level variables of map type.
-type pkgMapIndex struct {
-	fields map[string]bool // struct field names declared with a map type
-	funcs  map[string]bool // funcs/methods whose first result is a map
-	vars   map[string]bool // package-level vars of map type
-}
-
-// indexPackageMaps scans every file of the package (tests included —
-// a helper defined in a test file can flow into scope decisions). The
-// index is only consulted when no type information is available.
-func indexPackageMaps(pkg *Package) pkgMapIndex {
-	idx := pkgMapIndex{
-		fields: make(map[string]bool),
-		funcs:  make(map[string]bool),
-		vars:   make(map[string]bool),
-	}
-	if pkg.Typed() {
-		return idx
-	}
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Type.Results != nil && len(d.Type.Results.List) > 0 {
-					if isMapType(d.Type.Results.List[0].Type) {
-						idx.funcs[d.Name.Name] = true
-					}
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if st, ok := s.Type.(*ast.StructType); ok {
-							for _, field := range st.Fields.List {
-								if isMapType(field.Type) {
-									for _, name := range field.Names {
-										idx.fields[name.Name] = true
-									}
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						if isMapType(s.Type) {
-							for _, name := range s.Names {
-								idx.vars[name.Name] = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return idx
-}
-
 // checkMapRanges reports order-sensitive map iterations inside fd.
-func checkMapRanges(pkg *Package, f *File, fd *ast.FuncDecl, idx pkgMapIndex, report ReportFunc) {
-	local := make(map[string]bool)
-	if !pkg.Typed() {
-		addParams := func(ft *ast.FuncType) {
-			for _, field := range ft.Params.List {
-				if isMapType(field.Type) {
-					for _, name := range field.Names {
-						local[name.Name] = true
-					}
-				}
-			}
-		}
-		addParams(fd.Type)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				addParams(n.Type)
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i, rhs := range n.Rhs {
-						if id, ok := n.Lhs[i].(*ast.Ident); ok && isMapExprLiteral(rhs) {
-							local[id.Name] = true
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				if isMapType(n.Type) {
-					for _, name := range n.Names {
-						local[name.Name] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-
+func checkMapRanges(pkg *Package, f *File, fd *ast.FuncDecl, report ReportFunc) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		if isMapExpr(pkg, rng.X, local, idx) && hasOrderSensitiveEffect(rng.Body) && !sortedAfter(fd.Body, rng) {
+		if isMapExpr(pkg, rng.X) && hasOrderSensitiveEffect(rng.Body) && !sortedAfter(fd.Body, rng) {
 			report(f, rng.Pos(),
 				"iterating a map while appending or writing output is order-nondeterministic; range over a sorted key slice (or sort what you collected before using it)")
 		}
@@ -265,49 +157,15 @@ func sortedAfter(body *ast.BlockStmt, rng *ast.RangeStmt) bool {
 	return found
 }
 
-// isMapExprLiteral recognizes the two in-function ways a map value is
-// born: make(map[...]...) and a map composite literal.
-func isMapExprLiteral(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && len(e.Args) > 0 {
-			return isMapType(e.Args[0])
-		}
-	case *ast.CompositeLit:
-		return isMapType(e.Type)
+// isMapExpr reports whether e's static type has a map underlying —
+// including named map types and cross-package fields.
+func isMapExpr(pkg *Package, e ast.Expr) bool {
+	t := pkg.TypeOf(e)
+	if t == nil {
+		return false
 	}
-	return false
-}
-
-// isMapExpr reports whether e is a map. With type information this is
-// exact — any expression whose static type has a map underlying,
-// including named map types and cross-package fields. Without it, the
-// package-local evidence: a tracked local/param/package var, a field
-// declared with map type anywhere in the package, or a call to a
-// map-returning package function.
-func isMapExpr(pkg *Package, e ast.Expr, local map[string]bool, idx pkgMapIndex) bool {
-	if pkg.Typed() {
-		t := pkg.TypeOf(e)
-		if t == nil {
-			return false
-		}
-		_, ok := types.Unalias(t).Underlying().(*types.Map)
-		return ok
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		return local[e.Name] || idx.vars[e.Name]
-	case *ast.SelectorExpr:
-		return idx.fields[e.Sel.Name]
-	case *ast.CallExpr:
-		switch fun := e.Fun.(type) {
-		case *ast.Ident:
-			return idx.funcs[fun.Name]
-		case *ast.SelectorExpr:
-			return idx.funcs[fun.Sel.Name]
-		}
-	}
-	return false
+	_, ok := types.Unalias(t).Underlying().(*types.Map)
+	return ok
 }
 
 // hasOrderSensitiveEffect reports whether body appends to a slice or
@@ -335,10 +193,4 @@ func hasOrderSensitiveEffect(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// isMapType reports whether the type expression is a map type.
-func isMapType(t ast.Expr) bool {
-	_, ok := t.(*ast.MapType)
-	return ok
 }

@@ -7,13 +7,12 @@
 //
 // The engine is deliberately stdlib-only (go/parser, go/ast, go/token,
 // go/types, go/importer; no x/tools dependency, matching the module's
-// stdlib-only rule). LoadTyped attaches full go/types information —
-// in-module imports resolved from source, stdlib from GOROOT/src — and
-// every rule prefers resolved objects and static types over spelling
-// when that info is present; with plain Load each rule falls back to
-// its original syntactic heuristics, so the engine still works on
-// fixture trees and broken packages. Deliberate exceptions are
-// annotated in the tree with
+// stdlib-only rule). Load parses and type-checks the tree — in-module
+// imports resolved from source, stdlib from GOROOT/src — and rejects a
+// tree that does not type-check; the rules then judge resolved objects
+// and static types rather than spelling. Test files are parsed but not
+// type-checked (see typed.go). Deliberate exceptions are annotated in
+// the tree with
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
@@ -56,17 +55,14 @@ type File struct {
 
 // Package groups the files of one directory. Dir is the directory's
 // module-relative slash path ("." for the module root); rules use it to
-// decide whether they apply. Types/Info are populated by LoadTyped
-// (nil after a plain Load, or for test-only directories): rules use
-// them when present and fall back to their syntactic heuristics when
-// not, so the engine degrades instead of failing.
+// decide whether they apply. Types/Info hold the checker's view of the
+// non-test files; both are nil for a test-only directory such as cmd/.
 type Package struct {
 	Dir   string
 	Files []*File
 
-	Types      *types.Package
-	Info       *types.Info
-	TypeErrors []string // checker diagnostics; partial Info is kept
+	Types *types.Package
+	Info  *types.Info
 }
 
 // ReportFunc records a finding at pos in f; the engine fills in the

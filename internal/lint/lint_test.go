@@ -5,71 +5,25 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// loadFixture parses testdata/<name> as a single package and relabels
-// it with a virtual module-relative directory, so path-scoped rules see
-// the fixture as if it lived inside the module.
-func loadFixture(t *testing.T, name, virtualDir string) *Package {
+// loadFixture loads testdata/<name> — one package, or a multi-package
+// module with its own go.mod — and relabels each package per dirs
+// (fixture-relative dir → virtual module-relative dir), so path-scoped
+// rules see the fixture as if it lived inside the module. Load rejects
+// a fixture that does not type-check.
+func loadFixture(t *testing.T, name string, dirs map[string]string) []*Package {
 	t.Helper()
 	pkgs, err := Load(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: got %d packages, want 1", name, len(pkgs))
-	}
-	pkg := pkgs[0]
-	pkg.Dir = virtualDir
-	for _, f := range pkg.Files {
-		f.Path = path.Join(virtualDir, path.Base(f.Path))
-	}
-	return pkg
-}
-
-// loadFixtureTyped loads testdata/<name> through the typed loader —
-// the fixture may be a multi-package module with its own go.mod — and
-// relabels each package per dirs (fixture-relative dir → virtual
-// module-relative dir). Fixtures must type-check: a type error here is
-// a broken fixture, not a tolerated condition.
-func loadFixtureTyped(t *testing.T, name string, dirs map[string]string) []*Package {
-	t.Helper()
-	pkgs, err := LoadTyped(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("fixture %s: no packages", name)
-	}
 	for _, pkg := range pkgs {
-		for _, msg := range pkg.TypeErrors {
-			t.Errorf("fixture %s: type error: %s", name, msg)
-		}
-		if !pkg.Typed() {
+		if pkg.Types == nil {
 			t.Errorf("fixture %s: package %s carries no type info", name, pkg.Dir)
 		}
-		virtual, ok := dirs[pkg.Dir]
-		if !ok {
-			t.Fatalf("fixture %s: unexpected package dir %q", name, pkg.Dir)
-		}
-		pkg.Dir = virtual
-		for _, f := range pkg.Files {
-			f.Path = path.Join(virtual, path.Base(f.Path))
-		}
-	}
-	return pkgs
-}
-
-// loadFixtureSyntactic is the multi-package variant of loadFixture for
-// asserting the syntactic fallback's behavior on typed fixtures.
-func loadFixtureSyntactic(t *testing.T, name string, dirs map[string]string) []*Package {
-	t.Helper()
-	pkgs, err := Load(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
 		virtual, ok := dirs[pkg.Dir]
 		if !ok {
 			t.Fatalf("fixture %s: unexpected package dir %q", name, pkg.Dir)
@@ -109,14 +63,8 @@ func collectWants(t *testing.T, pkg *Package) map[wantKey]string {
 	return wants
 }
 
-// checkFixture runs the rules over the fixture and matches findings
+// checkFixtures runs the rules over the fixture and matches findings
 // against the want comments, both ways.
-func checkFixture(t *testing.T, pkg *Package, rules []Rule) {
-	t.Helper()
-	checkFixtures(t, []*Package{pkg}, rules)
-}
-
-// checkFixtures is checkFixture over a multi-package fixture.
 func checkFixtures(t *testing.T, pkgs []*Package, rules []Rule) {
 	t.Helper()
 	wants := make(map[wantKey]string)
@@ -147,44 +95,56 @@ func checkFixtures(t *testing.T, pkgs []*Package, rules []Rule) {
 }
 
 func TestCtxCheckpointRule(t *testing.T) {
-	pkg := loadFixture(t, "ctxcheckpoint", "internal/solver")
-	checkFixture(t, pkg, []Rule{CtxCheckpoint{}})
+	pkgs := loadFixture(t, "ctxcheckpoint", map[string]string{".": "internal/solver"})
+	checkFixtures(t, pkgs, []Rule{CtxCheckpoint{}})
 }
 
 func TestCtxCheckpointOutOfScope(t *testing.T) {
-	pkg := loadFixture(t, "ctxcheckpoint", "internal/render")
-	if got := Run([]*Package{pkg}, []Rule{CtxCheckpoint{}}); len(got) != 0 {
+	pkgs := loadFixture(t, "ctxcheckpoint", map[string]string{".": "internal/render"})
+	if got := Run(pkgs, []Rule{CtxCheckpoint{}}); len(got) != 0 {
 		t.Errorf("rule fired outside its package scope: %v", got)
 	}
 }
 
+// apiParityDirs maps the apiparity fixture module (module mcfs, with
+// stub internal/baseline and internal/core packages) into the tree.
+var apiParityDirs = map[string]string{
+	".":                 ".",
+	"internal/baseline": "internal/baseline",
+	"internal/core":     "internal/core",
+}
+
 func TestAPIParityRule(t *testing.T) {
-	pkg := loadFixture(t, "apiparity", ".")
-	checkFixture(t, pkg, []Rule{APIParity{}})
+	pkgs := loadFixture(t, "apiparity", apiParityDirs)
+	checkFixtures(t, pkgs, []Rule{APIParity{}})
 }
 
 func TestAPIParityOutOfScope(t *testing.T) {
-	pkg := loadFixture(t, "apiparity", "internal/core")
-	if got := Run([]*Package{pkg}, []Rule{APIParity{}}); len(got) != 0 {
+	pkgs := loadFixture(t, "apiparity", map[string]string{
+		".":                 "internal/solver",
+		"internal/baseline": "internal/baseline",
+		"internal/core":     "internal/core",
+	})
+	if got := Run(pkgs, []Rule{APIParity{}}); len(got) != 0 {
 		t.Errorf("rule fired outside the root package: %v", got)
 	}
 }
 
 func TestDeterminismRule(t *testing.T) {
-	pkg := loadFixture(t, "determinism", "internal/core")
-	checkFixture(t, pkg, []Rule{Determinism{}})
+	pkgs := loadFixture(t, "determinism", map[string]string{".": "internal/core"})
+	checkFixtures(t, pkgs, []Rule{Determinism{}})
 }
 
 func TestDeterminismBenchExemption(t *testing.T) {
-	pkg := loadFixture(t, "determinismbench", "internal/bench")
-	if got := Run([]*Package{pkg}, []Rule{Determinism{}}); len(got) != 0 {
+	pkgs := loadFixture(t, "determinismbench", map[string]string{".": "internal/bench"})
+	if got := Run(pkgs, []Rule{Determinism{}}); len(got) != 0 {
 		t.Errorf("time.Now flagged in internal/bench, which is exempt: %v", got)
 	}
 }
 
 func TestDeterminismObsExemption(t *testing.T) {
-	pkg := loadFixture(t, "determinismobs", "internal/obs")
-	if got := Run([]*Package{pkg}, []Rule{Determinism{}}); len(got) != 0 {
+	pkgs := loadFixture(t, "determinismobs", map[string]string{".": "internal/obs"})
+	if got := Run(pkgs, []Rule{Determinism{}}); len(got) != 0 {
 		t.Errorf("time.Now flagged in internal/obs, which is allowlisted: %v", got)
 	}
 }
@@ -192,33 +152,33 @@ func TestDeterminismObsExemption(t *testing.T) {
 func TestDeterminismObsScopeOnly(t *testing.T) {
 	// The same fixture relabeled as a solver package must be flagged:
 	// the exemption is the package allowlist, not the file contents.
-	pkg := loadFixture(t, "determinismobs", "internal/core")
-	got := Run([]*Package{pkg}, []Rule{Determinism{}})
+	pkgs := loadFixture(t, "determinismobs", map[string]string{".": "internal/core"})
+	got := Run(pkgs, []Rule{Determinism{}})
 	if len(got) != 1 || !strings.Contains(got[0].Message, "time.Now") {
 		t.Errorf("expected exactly one time.Now finding outside the allowlist, got %v", got)
 	}
 }
 
 func TestCloseCheckRule(t *testing.T) {
-	pkg := loadFixture(t, "closecheck", "cmd/fixture")
-	checkFixture(t, pkg, []Rule{CloseCheck{}})
+	pkgs := loadFixture(t, "closecheck", map[string]string{".": "cmd/fixture"})
+	checkFixtures(t, pkgs, []Rule{CloseCheck{}})
 }
 
 func TestCloseCheckOutOfScope(t *testing.T) {
-	pkg := loadFixture(t, "closecheck", "internal/data")
-	if got := Run([]*Package{pkg}, []Rule{CloseCheck{}}); len(got) != 0 {
+	pkgs := loadFixture(t, "closecheck", map[string]string{".": "internal/data"})
+	if got := Run(pkgs, []Rule{CloseCheck{}}); len(got) != 0 {
 		t.Errorf("rule fired outside cmd/: %v", got)
 	}
 }
 
 func TestNakedGoroutineRule(t *testing.T) {
-	pkg := loadFixture(t, "nakedgoroutine", "internal/util")
-	checkFixture(t, pkg, []Rule{NakedGoroutine{}})
+	pkgs := loadFixture(t, "nakedgoroutine", map[string]string{".": "internal/util"})
+	checkFixtures(t, pkgs, []Rule{NakedGoroutine{}})
 }
 
 func TestNakedGoroutineParallelExemption(t *testing.T) {
-	pkg := loadFixture(t, "parallelexempt", "internal/bench")
-	if got := Run([]*Package{pkg}, []Rule{NakedGoroutine{}}); len(got) != 0 {
+	pkgs := loadFixture(t, "parallelexempt", map[string]string{".": "internal/bench"})
+	if got := Run(pkgs, []Rule{NakedGoroutine{}}); len(got) != 0 {
 		t.Errorf("internal/bench/parallel.go must be exempt: %v", got)
 	}
 }
@@ -232,14 +192,14 @@ var sharedMutationDirs = map[string]string{
 }
 
 func TestSharedMutationRule(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "sharedmutation", sharedMutationDirs)
+	pkgs := loadFixture(t, "sharedmutation", sharedMutationDirs)
 	checkFixtures(t, pkgs, []Rule{SharedMutation{}})
 }
 
 // TestSharedMutationOutOfScope: the rule only concerns the bench
 // harness; the same code anywhere else is not in its jurisdiction.
 func TestSharedMutationOutOfScope(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "sharedmutation", map[string]string{
+	pkgs := loadFixture(t, "sharedmutation", map[string]string{
 		"bench": "internal/core",
 		"data":  "internal/data",
 		"graph": "internal/graph",
@@ -249,66 +209,28 @@ func TestSharedMutationOutOfScope(t *testing.T) {
 	}
 }
 
-// TestSharedMutationSilentWithoutTypes: the rule needs go/types info
-// and must stay silent, not guess, on a syntactic load.
-func TestSharedMutationSilentWithoutTypes(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "sharedmutation", sharedMutationDirs)
-	if got := Run(pkgs, []Rule{SharedMutation{}}); len(got) != 0 {
-		t.Errorf("typed-only rule fired without type info: %v", got)
-	}
-}
-
 func TestCtxPropagationRule(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "ctxpropagation", map[string]string{".": "internal/solver"})
+	pkgs := loadFixture(t, "ctxpropagation", map[string]string{".": "internal/solver"})
 	checkFixtures(t, pkgs, []Rule{CtxPropagation{}})
 }
 
-func TestCtxPropagationSilentWithoutTypes(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "ctxpropagation", map[string]string{".": "internal/solver"})
-	if got := Run(pkgs, []Rule{CtxPropagation{}}); len(got) != 0 {
-		t.Errorf("typed-only rule fired without type info: %v", got)
-	}
-}
-
-// The *typed fixtures hold violations only type information can see:
-// each has a want-comment test through the typed loader and a
-// zero-finding test through the syntactic one, documenting exactly what
-// the typed engine buys.
+// The *typed fixtures hold violations that only type information can
+// see: a context behind a named type, a map behind a named type from
+// another package, a file behind an io.Closer.
 
 func TestCtxCheckpointTyped(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "ctxcheckpointtyped", map[string]string{".": "internal/solver"})
+	pkgs := loadFixture(t, "ctxcheckpointtyped", map[string]string{".": "internal/solver"})
 	checkFixtures(t, pkgs, []Rule{CtxCheckpoint{}})
 }
 
-func TestCtxCheckpointTypedSyntacticMisses(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "ctxcheckpointtyped", map[string]string{".": "internal/solver"})
-	if got := Run(pkgs, []Rule{CtxCheckpoint{}}); len(got) != 0 {
-		t.Errorf("syntactic pass should not see these (they need type info): %v", got)
-	}
-}
-
 func TestDeterminismTyped(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "determinismtyped", map[string]string{".": "internal/core"})
+	pkgs := loadFixture(t, "determinismtyped", map[string]string{".": "internal/core"})
 	checkFixtures(t, pkgs, []Rule{Determinism{}})
 }
 
-func TestDeterminismTypedSyntacticMisses(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "determinismtyped", map[string]string{".": "internal/core"})
-	if got := Run(pkgs, []Rule{Determinism{}}); len(got) != 0 {
-		t.Errorf("syntactic pass should not see these (they need type info): %v", got)
-	}
-}
-
 func TestCloseCheckTyped(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "closechecktyped", map[string]string{".": "cmd/fixture"})
+	pkgs := loadFixture(t, "closechecktyped", map[string]string{".": "cmd/fixture"})
 	checkFixtures(t, pkgs, []Rule{CloseCheck{}})
-}
-
-func TestCloseCheckTypedSyntacticMisses(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "closechecktyped", map[string]string{".": "cmd/fixture"})
-	if got := Run(pkgs, []Rule{CloseCheck{}}); len(got) != 0 {
-		t.Errorf("syntactic pass should not see these (they need type info): %v", got)
-	}
 }
 
 // TestDirectiveHygiene covers the lint-directive pseudo-rule: stale,
@@ -316,8 +238,8 @@ func TestCloseCheckTypedSyntacticMisses(t *testing.T) {
 // are inline here because the directive itself occupies the line a want
 // comment would use.
 func TestDirectiveHygiene(t *testing.T) {
-	pkg := loadFixture(t, "directives", "internal/x")
-	got := Run([]*Package{pkg}, AllRules())
+	pkgs := loadFixture(t, "directives", map[string]string{".": "internal/x"})
+	got := Run(pkgs, AllRules())
 	want := []struct {
 		line int
 		frag string
@@ -341,8 +263,8 @@ func TestDirectiveHygiene(t *testing.T) {
 // stale directive from one whose rule was not executed, so the unused
 // check must stay quiet.
 func TestDirectiveUnusedSkippedOnPartialRun(t *testing.T) {
-	pkg := loadFixture(t, "nakedgoroutine", "internal/util")
-	for _, fd := range Run([]*Package{pkg}, []Rule{CtxCheckpoint{}}) {
+	pkgs := loadFixture(t, "nakedgoroutine", map[string]string{".": "internal/util"})
+	for _, fd := range Run(pkgs, []Rule{CtxCheckpoint{}}) {
 		if strings.Contains(fd.Message, "unused") {
 			t.Errorf("unused-directive finding on a partial run: %s", fd)
 		}
@@ -356,62 +278,63 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
+// module caches the one load of the real module that TestModuleClean
+// and TestModuleCleanTyped share; a type-checked load of every package
+// costs seconds, and the rules only read what it returns.
+var module struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// loadModule returns the real module as Load sees it from the module
+// root, loading it on first use.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("the typed load reads GOROOT/src; skip in -short")
+	}
+	module.once.Do(func() { module.pkgs, module.err = Load("../..") })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	if len(module.pkgs) < 15 {
+		t.Fatalf("loaded only %d packages from the module root; the loader is missing directories", len(module.pkgs))
+	}
+	return module.pkgs
+}
+
 // TestModuleClean is the gate the CI step relies on: the real module,
 // under every rule, has zero findings. Any new violation fails this
 // test before it fails CI.
 func TestModuleClean(t *testing.T) {
-	pkgs, err := Load("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 15 {
-		t.Fatalf("loaded only %d packages from the module root; the loader is missing directories", len(pkgs))
-	}
-	for _, fd := range Run(pkgs, AllRules()) {
+	for _, fd := range Run(loadModule(t), AllRules()) {
 		t.Errorf("module not lint-clean: %s", fd)
 	}
 }
 
-// TestModuleCleanTyped is the typed twin of TestModuleClean and the
-// gate CI actually runs: the real module type-checks without errors and
-// has zero findings under the full rule set with type info attached —
-// including the typed-only rules, which are silent in the syntactic
-// run above.
+// TestModuleCleanTyped: the real module type-checks — Load fails on any
+// type error — and every package with non-test files carries type info,
+// so no rule runs blind on production code.
 func TestModuleCleanTyped(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typed load reads GOROOT/src; skip in -short")
-	}
-	pkgs, err := LoadTyped("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 15 {
-		t.Fatalf("loaded only %d packages from the module root; the loader is missing directories", len(pkgs))
-	}
-	for _, pkg := range pkgs {
-		for _, msg := range pkg.TypeErrors {
-			t.Errorf("package %s: type error: %s", pkg.Dir, msg)
-		}
+	for _, pkg := range loadModule(t) {
 		hasNonTest := false
 		for _, f := range pkg.Files {
 			if !f.Test {
 				hasNonTest = true
 			}
 		}
-		if hasNonTest && !pkg.Typed() {
+		if hasNonTest && pkg.Types == nil {
 			t.Errorf("package %s has non-test files but no type info", pkg.Dir)
 		}
-	}
-	for _, fd := range Run(pkgs, AllRules()) {
-		t.Errorf("module not lint-clean under typed rules: %s", fd)
 	}
 }
 
 // TestRunTimed: the timing side channel accounts for every rule and
 // returns the same findings as Run.
 func TestRunTimed(t *testing.T) {
-	pkg := loadFixture(t, "nakedgoroutine", "internal/util")
-	findings, times := RunTimed([]*Package{pkg}, AllRules())
+	pkgs := loadFixture(t, "nakedgoroutine", map[string]string{".": "internal/util"})
+	findings, times := RunTimed(pkgs, AllRules())
 	if len(findings) == 0 {
 		t.Fatal("expected findings from the nakedgoroutine fixture")
 	}
@@ -433,23 +356,23 @@ func TestRunTimed(t *testing.T) {
 }
 
 // TestLoadPattern: non-recursive and prefixed patterns resolve against
-// the module root with module-relative paths.
+// the module root with module-relative paths. The two packages import
+// nothing, so the test pays for no type-checking beyond their own.
 func TestLoadPattern(t *testing.T) {
-	pkgs, err := Load("../..", "cmd/...")
+	pkgs, err := Load("../..", "./internal/hilbert", "internal/pq/...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatal("cmd/... matched nothing")
-	}
+	var dirs []string
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.Dir, "cmd") {
-			t.Errorf("pattern cmd/... loaded %s", p.Dir)
-		}
+		dirs = append(dirs, p.Dir)
 		for _, f := range p.Files {
-			if !strings.HasPrefix(f.Path, "cmd/") {
-				t.Errorf("file path %s not module-relative", f.Path)
+			if !strings.HasPrefix(f.Path, p.Dir+"/") {
+				t.Errorf("file path %s not module-relative under %s", f.Path, p.Dir)
 			}
 		}
+	}
+	if got := strings.Join(dirs, " "); got != "internal/hilbert internal/pq" {
+		t.Fatalf("loaded %q, want internal/hilbert and internal/pq", got)
 	}
 }

@@ -2,8 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,20 +13,49 @@ import (
 	"strings"
 )
 
-// Load resolves Go-style package patterns against root and parses every
-// matched file. A pattern is either a directory path ("./cmd/mcfscli",
-// ".") or a recursive prefix ("./...", "internal/..."). Paths in the
-// returned packages are module-relative to root. Directories named
-// testdata or vendor, and names starting with "." or "_", are skipped —
-// the same convention the go tool uses — which keeps this package's own
-// deliberately-violating fixtures out of a module-wide run.
+// Load resolves Go-style package patterns against root, parses every
+// matched file, and type-checks the packages (typed.go). A pattern is
+// either a directory path ("./cmd/mcfscli", ".") or a recursive prefix
+// ("./...", "internal/..."). Paths in the returned packages are
+// module-relative to root. Directories named testdata or vendor, and
+// names starting with "." or "_", are skipped — the same convention the
+// go tool uses — which keeps this package's own deliberately-violating
+// fixtures out of a module-wide run.
+//
+// A tree that does not type-check is an error, listing every checker
+// diagnostic: the rules read resolved objects and static types, so code
+// the checker could not type would be silently invisible to them.
 func Load(root string, patterns ...string) ([]*Package, error) {
-	return load(token.NewFileSet(), root, patterns...)
+	fset := token.NewFileSet()
+	pkgs, err := parsePatterns(fset, root, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	im := &moduleImporter{
+		fset:    fset,
+		root:    root,
+		module:  modulePath(root),
+		byDir:   make(map[string]*Package, len(pkgs)),
+		std:     importer.ForCompiler(fset, "source", nil),
+		checked: make(map[string]*types.Package),
+		pending: make(map[string]bool),
+	}
+	for _, p := range pkgs {
+		im.byDir[p.Dir] = p
+	}
+	for _, p := range pkgs {
+		im.typeCheck(p)
+	}
+	if len(im.errs) > 0 {
+		return nil, fmt.Errorf("lint: %d type error(s); the rules cannot see code the checker could not type:\n\t%s",
+			len(im.errs), strings.Join(im.errs, "\n\t"))
+	}
+	return pkgs, nil
 }
 
-// load is Load against a caller-owned FileSet (shared with the typed
-// layer so checker positions and parser positions agree).
-func load(fset *token.FileSet, root string, patterns ...string) ([]*Package, error) {
+// parsePatterns resolves the patterns and parses the matched packages
+// into fset, sorted by directory.
+func parsePatterns(fset *token.FileSet, root string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

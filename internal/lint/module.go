@@ -43,8 +43,8 @@ func newModule(pkgs []*Package) *Module {
 func (m *Module) PackageByDir(dir string) *Package { return m.byDir[dir] }
 
 // summaryFor returns the summary of the package with the given import
-// path, or nil when it was not part of the run (out-of-module, or the
-// run was syntactic).
+// path, or nil when it was not part of the run (out-of-module, or a
+// test-only package).
 func (m *Module) summaryFor(path string) *pkgSummary { return m.summaries[path] }
 
 // funcSummaryOf resolves the summary of the function or method obj
@@ -68,7 +68,7 @@ func (m *Module) typedInImportOrder() []*Package {
 	byPath := make(map[string]*Package)
 	var typed []*Package
 	for _, p := range m.Pkgs {
-		if p.Typed() && p.Types != nil {
+		if p.Types != nil {
 			typed = append(typed, p)
 			byPath[p.Types.Path()] = p
 		}
@@ -114,9 +114,6 @@ func (p *Package) fileAt(pos token.Pos) *File {
 // of the typed engine.
 func (p *Package) funcDecls() map[types.Object]*declSite {
 	decls := make(map[types.Object]*declSite)
-	if !p.Typed() {
-		return decls
-	}
 	for _, f := range p.Files {
 		if f.Test {
 			continue

@@ -14,11 +14,12 @@ import (
 // across function boundaries by pool.drain; every other fire-and-forget
 // goroutine is a leak or a race waiting for the next refactor.
 //
-// With type information a `.Wait()` call only counts as a join when its
-// receiver actually is a sync.WaitGroup — `limiter.Wait()` on some
-// unrelated type no longer launders a leaked goroutine — and ranging
-// over a channel counts as the receive it is. Without type info any
-// .Wait() call is accepted, as before.
+// A `.Wait()` call only counts as a join when its receiver actually is
+// a sync.WaitGroup — `limiter.Wait()` on some unrelated type does not
+// launder a leaked goroutine — and ranging over a channel counts as the
+// receive it is. Unlike every other rule, this one also scans test
+// files, which are never type-checked: there any .Wait() is accepted
+// (isWaitGroupWait).
 type NakedGoroutine struct{}
 
 // Name implements Rule.
@@ -59,8 +60,7 @@ func (NakedGoroutine) Check(pkg *Package, report ReportFunc) {
 }
 
 // hasJoin reports whether body contains a join point: a WaitGroup
-// Wait() call, a channel receive expression, or (typed) a range over a
-// channel.
+// Wait() call, a channel receive expression, or a range over a channel.
 func hasJoin(pkg *Package, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -77,11 +77,9 @@ func hasJoin(pkg *Package, body *ast.BlockStmt) bool {
 				found = true
 			}
 		case *ast.RangeStmt:
-			if pkg.Typed() {
-				if t := pkg.TypeOf(n.X); t != nil {
-					if _, ok := types.Unalias(t).Underlying().(*types.Chan); ok {
-						found = true
-					}
+			if t := pkg.TypeOf(n.X); t != nil {
+				if _, ok := types.Unalias(t).Underlying().(*types.Chan); ok {
+					found = true
 				}
 			}
 		}
@@ -91,17 +89,11 @@ func hasJoin(pkg *Package, body *ast.BlockStmt) bool {
 }
 
 // isWaitGroupWait reports whether sel is a Wait() whose receiver is a
-// sync.WaitGroup. Without type information every .Wait() is accepted —
-// the syntactic rule has no way to tell and must not regress.
+// sync.WaitGroup. A receiver without a type — code in a test file,
+// which the loader parses but never type-checks — is accepted as a
+// join: the rule cannot tell there, and flagging every test helper's
+// WaitGroup would bury the real findings.
 func isWaitGroupWait(pkg *Package, sel *ast.SelectorExpr) bool {
-	if !pkg.Typed() {
-		return true
-	}
 	t := pkg.TypeOf(sel.X)
-	if t == nil {
-		// The receiver didn't type-check (e.g. a dependency the loader
-		// couldn't resolve); keep the permissive syntactic answer.
-		return true
-	}
-	return isNamedType(t, true, "sync", "WaitGroup")
+	return t == nil || isNamedType(t, true, "sync", "WaitGroup")
 }

@@ -23,7 +23,6 @@ import (
 // strong update marks it owned, and filling its slices before return
 // is not a finding. A value copy of a view owns its scalar fields but
 // not the backing arrays (element writes through the copy still fire).
-// The rule is typed-only and stays silent without type information.
 type PublishedImmutability struct{}
 
 // Name implements Rule.
@@ -53,9 +52,6 @@ func isAtomicPointerLoad(pkg *Package, call *ast.CallExpr) bool {
 
 // Check implements Rule.
 func (PublishedImmutability) Check(pkg *Package, report ReportFunc) {
-	if !pkg.Typed() {
-		return
-	}
 	for _, f := range pkg.Files {
 		if f.Test {
 			continue

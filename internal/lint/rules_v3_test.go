@@ -11,17 +11,8 @@ var publishedImmutabilityDirs = map[string]string{
 }
 
 func TestPublishedImmutabilityRule(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "publishedimmutability", publishedImmutabilityDirs)
+	pkgs := loadFixture(t, "publishedimmutability", publishedImmutabilityDirs)
 	checkFixtures(t, pkgs, []Rule{PublishedImmutability{}})
-}
-
-// TestPublishedImmutabilitySilentWithoutTypes: the rule needs go/types
-// info and must stay silent, not guess, on a syntactic load.
-func TestPublishedImmutabilitySilentWithoutTypes(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "publishedimmutability", publishedImmutabilityDirs)
-	if got := Run(pkgs, []Rule{PublishedImmutability{}}); len(got) != 0 {
-		t.Errorf("typed-only rule fired without type info: %v", got)
-	}
 }
 
 var singleWriterDirs = map[string]string{
@@ -30,7 +21,7 @@ var singleWriterDirs = map[string]string{
 }
 
 func TestSingleWriterRule(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "singlewriter", singleWriterDirs)
+	pkgs := loadFixture(t, "singlewriter", singleWriterDirs)
 	checkFixtures(t, pkgs, []Rule{SingleWriter{}})
 }
 
@@ -39,14 +30,14 @@ func TestSingleWriterRule(t *testing.T) {
 // is two concurrent owners — the second launch is reported. The
 // read-only ticker goroutine alongside them stays accepted.
 func TestSingleWriterDoubleWriter(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "doublewriter", singleWriterDirs)
+	pkgs := loadFixture(t, "doublewriter", singleWriterDirs)
 	checkFixtures(t, pkgs, []Rule{SingleWriter{}})
 }
 
 // TestSingleWriterOutOfScope: the rule only concerns internal/serve;
 // the same code anywhere else is not in its jurisdiction.
 func TestSingleWriterOutOfScope(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "singlewriter", map[string]string{
+	pkgs := loadFixture(t, "singlewriter", map[string]string{
 		"dynamic": "internal/dynamic",
 		"serve":   "internal/other",
 	})
@@ -59,7 +50,7 @@ func TestSingleWriterOutOfScope(t *testing.T) {
 // run there are no summaries to classify mutating methods, and the
 // rule must stay silent rather than guess.
 func TestSingleWriterNeedsSummaries(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "singlewriter", singleWriterDirs)
+	pkgs := loadFixture(t, "singlewriter", singleWriterDirs)
 	var serveOnly []*Package
 	for _, p := range pkgs {
 		if p.Dir == "internal/serve" {
@@ -80,14 +71,14 @@ var sentinelParityDirs = map[string]string{
 }
 
 func TestSentinelParityRule(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "sentinelparity", sentinelParityDirs)
+	pkgs := loadFixture(t, "sentinelparity", sentinelParityDirs)
 	checkFixtures(t, pkgs, []Rule{SentinelParity{}})
 }
 
 // TestSentinelParityNeedsBothPackages: with either side of the pairing
 // missing from the run the rule cannot judge parity and stays silent.
 func TestSentinelParityNeedsBothPackages(t *testing.T) {
-	pkgs := loadFixtureTyped(t, "sentinelparity", sentinelParityDirs)
+	pkgs := loadFixture(t, "sentinelparity", sentinelParityDirs)
 	for _, keep := range []string{".", "internal/serve"} {
 		var partial []*Package
 		for _, p := range pkgs {

@@ -37,7 +37,7 @@ func (r SentinelParity) Check(pkg *Package, report ReportFunc) {
 func (SentinelParity) CheckModule(m *Module, report ReportFunc) {
 	root := m.PackageByDir(".")
 	serve := m.PackageByDir("internal/serve")
-	if root == nil || serve == nil || !root.Typed() || !serve.Typed() {
+	if root == nil || serve == nil || root.Types == nil || serve.Types == nil {
 		return
 	}
 

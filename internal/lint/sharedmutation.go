@@ -47,11 +47,10 @@ func (r SharedMutation) Check(pkg *Package, report ReportFunc) {
 	r.CheckModule(newModule([]*Package{pkg}), report)
 }
 
-// CheckModule implements ModuleRule. The rule needs type information;
-// without it (plain Load) it stays silent rather than guessing.
+// CheckModule implements ModuleRule.
 func (SharedMutation) CheckModule(m *Module, report ReportFunc) {
 	for _, pkg := range m.Pkgs {
-		if pkg.Dir != "internal/bench" || !pkg.Typed() {
+		if pkg.Dir != "internal/bench" {
 			continue
 		}
 		c := &sharedChecker{pkg: pkg, mod: m, report: report, analyzed: make(map[string]bool)}

@@ -27,8 +27,7 @@ import (
 // (summary.go): a method provably writing through its receiver —
 // directly or via a same-package callee, which is how Publish inherits
 // flush's writes — is mutating. Without a summary (the dynamic package
-// absent from the run, or an untyped load) the rule stays silent
-// rather than guessing.
+// absent from the run) the rule stays silent rather than guessing.
 type SingleWriter struct{}
 
 // Name implements Rule.
@@ -54,7 +53,7 @@ func reallocatorType(t types.Type) bool {
 // CheckModule implements ModuleRule.
 func (SingleWriter) CheckModule(m *Module, report ReportFunc) {
 	for _, pkg := range m.Pkgs {
-		if pkg.Dir != "internal/serve" || !pkg.Typed() {
+		if pkg.Dir != "internal/serve" {
 			continue
 		}
 		checkSingleWriter(m, pkg, report)

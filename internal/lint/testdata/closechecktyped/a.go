@@ -31,6 +31,13 @@ func viaHelper(path string) {
 	_ = f
 }
 
+type writer struct{ f *os.File }
+
+// A file behind a struct field is found by its static type alone.
+func viaField(w *writer) {
+	w.f.Close() // want "error from w.f.Close() is discarded"
+}
+
 func checked(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,6 +1,5 @@
 // Package fix exercises the typed sharpening of the determinism rule:
-// a map behind a named type is invisible to the syntactic index but
-// still iterates in random order.
+// a map behind a named type still iterates in random order.
 package fix
 
 import "sort"

@@ -34,3 +34,14 @@ func suppressed(work func()) {
 	//lint:ignore nakedgoroutine detached-by-design: fixture of the suppression syntax
 	go work()
 }
+
+// gate has a Wait method but is not a sync.WaitGroup, so calling it is
+// no join the rule can vouch for.
+type gate struct{ done chan struct{} }
+
+func (g gate) Wait() { <-g.done }
+
+func notAWaitGroup(g gate, work func()) {
+	go work() // want "without a visible join"
+	g.Wait()
+}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/token"
 	"go/types"
 	"os"
@@ -12,53 +11,23 @@ import (
 	"strings"
 )
 
-// This file is the typed layer of the engine: LoadTyped parses the same
-// packages as Load and then type-checks them with the stdlib go/types
-// checker, so rules can resolve what an expression actually *is*
-// (a context.Context behind a named interface, an *os.File behind an
-// io.Closer, a map behind a named type from another package) instead of
-// pattern-matching its spelling. The module's stdlib-only constraint
-// holds: imports are resolved by a module-aware importer that
-// type-checks in-module packages from the loaded sources and delegates
-// standard-library paths to go/importer's source importer (which reads
-// GOROOT/src — no compiled export data, no x/tools).
+// This file is the typed layer of the engine: Load type-checks the
+// parsed packages with the stdlib go/types checker, so rules can resolve
+// what an expression actually *is* (a context.Context behind a named
+// interface, an *os.File behind an io.Closer, a map behind a named type
+// from another package) instead of pattern-matching its spelling. The
+// module's stdlib-only constraint holds: imports are resolved by a
+// module-aware importer that type-checks in-module packages from the
+// loaded sources and delegates standard-library paths to go/importer's
+// source importer (which reads GOROOT/src — no compiled export data, no
+// x/tools).
 //
-// Test files are excluded from type-checking: rules only report in
-// non-test files, external _test packages would need a second checker
-// pass, and the fixture corpus stays small. A package whose only files
-// are tests (cmd/, with its integration test) simply carries no type
-// info; every rule falls back to its syntactic path there.
-
-// LoadTyped is Load followed by a best-effort type-check of every
-// loaded package. Type information is attached to the returned packages
-// (Package.Types / Package.Info); packages that fail to type-check keep
-// partial info and record their errors in Package.TypeErrors rather
-// than failing the load — the build gate, not the linter, owns
-// rejecting invalid Go. An I/O or parse failure still returns an error,
-// exactly as Load does.
-func LoadTyped(root string, patterns ...string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	pkgs, err := load(fset, root, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	im := &moduleImporter{
-		fset:    fset,
-		root:    root,
-		module:  modulePath(root),
-		byDir:   make(map[string]*Package, len(pkgs)),
-		std:     importer.ForCompiler(fset, "source", nil),
-		checked: make(map[string]*types.Package),
-		pending: make(map[string]bool),
-	}
-	for _, p := range pkgs {
-		im.byDir[p.Dir] = p
-	}
-	for _, p := range pkgs {
-		im.typeCheck(p)
-	}
-	return pkgs, nil
-}
+// Test files are parsed but never type-checked: external _test packages
+// would need a second checker pass, and every rule but nakedgoroutine
+// skips them. nakedgoroutine is the engine's one untyped path: in a
+// test file (or a test-only directory like cmd/, which carries no type
+// info at all) TypeOf and ObjectOf answer nil, and the rule accepts any
+// .Wait() as a join there (isWaitGroupWait).
 
 // modulePath extracts the module path from root/go.mod; it returns ""
 // when there is no go.mod (fixtures without in-module imports), which
@@ -90,6 +59,7 @@ type moduleImporter struct {
 	std     types.Importer
 	checked map[string]*types.Package // by import path
 	pending map[string]bool           // import-cycle guard
+	errs    []string                  // checker diagnostics, in check order
 }
 
 // Import implements types.Importer.
@@ -120,7 +90,7 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 	}
 	tp := im.typeCheck(pkg)
 	if tp == nil {
-		return nil, fmt.Errorf("lint: type-checking %q failed: %v", path, pkg.TypeErrors)
+		return nil, fmt.Errorf("lint: import %q has only test files under %s", path, dir)
 	}
 	return tp, nil
 }
@@ -151,10 +121,8 @@ func (im *moduleImporter) importPath(dir string) string {
 // typeCheck runs the go/types checker over pkg's non-test files,
 // memoized by import path. It returns nil when the package has no
 // non-test files (test-only directories like cmd/) — the package then
-// simply carries no type info. Checker errors are collected on the
-// package, and whatever partial info the checker produced is kept:
-// a missing type makes a rule fall back to syntax for that expression,
-// it does not disable the typed engine.
+// simply carries no type info. Checker diagnostics are collected in
+// im.errs, which Load turns into an error.
 func (im *moduleImporter) typeCheck(pkg *Package) *types.Package {
 	path := im.importPath(pkg.Dir)
 	if path == "" {
@@ -183,24 +151,18 @@ func (im *moduleImporter) typeCheck(pkg *Package) *types.Package {
 	}
 	conf := types.Config{
 		Importer: im,
-		Error: func(err error) {
-			pkg.TypeErrors = append(pkg.TypeErrors, err.Error())
-		},
+		Error:    func(err error) { im.errs = append(im.errs, err.Error()) },
 	}
-	tp, err := conf.Check(path, im.fset, files, info)
-	if err != nil && len(pkg.TypeErrors) == 0 {
-		pkg.TypeErrors = append(pkg.TypeErrors, err.Error())
-	}
+	// Every diagnostic reaches Error; Check's result is the first of them.
+	tp, _ := conf.Check(path, im.fset, files, info)
 	pkg.Types = tp
 	pkg.Info = info
 	im.checked[path] = tp
 	return tp
 }
 
-// Typed reports whether type information is attached to the package.
-func (p *Package) Typed() bool { return p.Info != nil }
-
-// TypeOf resolves the static type of e, or nil without type info.
+// TypeOf resolves the static type of e, or nil for an expression the
+// checker never saw (test files, test-only packages).
 func (p *Package) TypeOf(e ast.Expr) types.Type {
 	if p.Info == nil {
 		return nil
@@ -209,7 +171,8 @@ func (p *Package) TypeOf(e ast.Expr) types.Type {
 }
 
 // ObjectOf resolves the object an identifier denotes (use or def), or
-// nil without type info.
+// nil for an identifier the checker never saw (test files, test-only
+// packages).
 func (p *Package) ObjectOf(id *ast.Ident) types.Object {
 	if p.Info == nil {
 		return nil
