@@ -7,7 +7,7 @@
 //	mcfsperf -out BENCH_$(date -u +%Y%m%dT%H%M%SZ).json
 //
 // Compare mode diffs two such files and exits 1 when any shared
-// benchmark slowed down past the threshold:
+// benchmark slowed down past the threshold or changed a work counter:
 //
 //	mcfsperf -compare old.json new.json -threshold 1.15
 //
@@ -61,9 +61,9 @@ func run(out string, quick bool, seed int64, cities, queue string, compare bool,
 		report, regressions := bench.FormatPerfDeltas(deltas)
 		fmt.Print(report)
 		if regressions > 0 {
-			return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%", regressions, (threshold-1)*100)
+			return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% or changed work counters", regressions, (threshold-1)*100)
 		}
-		fmt.Printf("ok: %d shared benchmark(s) within the %.0f%% threshold\n", len(deltas), (threshold-1)*100)
+		fmt.Printf("ok: %d shared benchmark(s) within the %.0f%% threshold, counters unchanged\n", len(deltas), (threshold-1)*100)
 		return nil
 	}
 

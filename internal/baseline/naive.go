@@ -53,13 +53,10 @@ func NaiveCtx(ctx context.Context, inst *data.Instance, seed int64, opt core.Opt
 		for i := range demand {
 			demand[i] = 1
 		}
-		lastUsed := make([]int, l)
-		for j := range lastUsed {
-			lastUsed[j] = -1
-		}
+		cover := core.NewCoverer(ga, opt.TieBreak)
 		order := rng.Perm(m)
 		var covered bool
-		for iter := 1; ; iter++ {
+		for {
 			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 			for _, i := range order {
 				if err := ctx.Err(); err != nil {
@@ -68,10 +65,7 @@ func NaiveCtx(ctx context.Context, inst *data.Instance, seed int64, opt core.Opt
 				ga.satisfy(i, demand[i])
 			}
 			var deltaD []bool
-			selection, deltaD, covered = core.CheckCover(ga, k, lastUsed, opt.TieBreak)
-			for _, j := range selection {
-				lastUsed[j] = iter
-			}
+			selection, deltaD, covered = cover.Cover(k)
 			progress := false
 			for i := 0; i < m; i++ {
 				if deltaD[i] && demand[i] < l && !ga.exhausted[i] {
@@ -136,16 +130,27 @@ func newGreedyAssign(ctx context.Context, inst *data.Instance) *greedyAssign {
 func (ga *greedyAssign) M() int                  { return ga.inst.M() }
 func (ga *greedyAssign) L() int                  { return ga.inst.L() }
 func (ga *greedyAssign) AssignedCount(j int) int { return len(ga.assigned[j]) }
-func (ga *greedyAssign) Assigned(j int, fn func(int)) {
+func (ga *greedyAssign) Touched() []int32        { return ga.touched }
+
+func (ga *greedyAssign) CountUncovered(j int, covered []bool) int {
+	n := 0
 	for _, c := range ga.assigned[j] {
-		fn(c)
+		if !covered[c] {
+			n++
+		}
 	}
+	return n
 }
 
-func (ga *greedyAssign) Touched(fn func(int)) {
-	for _, j := range ga.touched {
-		fn(int(j))
+func (ga *greedyAssign) MarkCovered(j int, covered []bool) int {
+	n := 0
+	for _, c := range ga.assigned[j] {
+		if !covered[c] {
+			covered[c] = true
+			n++
+		}
 	}
+	return n
 }
 
 // satisfy greedily assigns customer i to its nearest facilities with

@@ -305,14 +305,26 @@ type PerfDelta struct {
 	Ratio      float64 // new/old wall time; > 1 is slower
 	OldAllocs  int64
 	NewAllocs  int64
-	Regression bool
+	Regression bool // ns/op grew past the threshold
+	// CounterChanges lists the work counters that differ, by name; only
+	// rows where both sides carry counters are compared.
+	CounterChanges []CounterChange
+}
+
+// CounterChange is one work counter whose value differs between two
+// runs of a benchmark. An absent counter counts as zero.
+type CounterChange struct {
+	Name     string
+	Old, New int64
 }
 
 // ComparePerf diffs two perf files over their shared benchmark names. A
 // benchmark regresses when its ns/op grew by more than threshold (e.g.
-// 1.15 = +15%); missing-on-either-side names are skipped (the suite may
-// gain benchmarks between PRs). Comparing quick and non-quick files is
-// an error — the instance sizes differ.
+// 1.15 = +15%). Work counters are deterministic, so they are compared
+// exactly: when both rows carry counters, every differing counter is
+// listed in CounterChanges. Missing-on-either-side names are skipped
+// (the suite may gain benchmarks between PRs). Comparing quick and
+// non-quick files is an error — the instance sizes differ.
 func ComparePerf(old, new *PerfFile, threshold float64) ([]PerfDelta, error) {
 	if threshold <= 1 {
 		return nil, fmt.Errorf("bench: compare threshold %v must exceed 1", threshold)
@@ -332,21 +344,46 @@ func ComparePerf(old, new *PerfFile, threshold float64) ([]PerfDelta, error) {
 		}
 		ratio := b.NsPerOp / p.NsPerOp
 		deltas = append(deltas, PerfDelta{
-			Name:       b.Name,
-			OldNs:      p.NsPerOp,
-			NewNs:      b.NsPerOp,
-			Ratio:      ratio,
-			OldAllocs:  p.AllocsPerOp,
-			NewAllocs:  b.AllocsPerOp,
-			Regression: ratio > threshold,
+			Name:           b.Name,
+			OldNs:          p.NsPerOp,
+			NewNs:          b.NsPerOp,
+			Ratio:          ratio,
+			OldAllocs:      p.AllocsPerOp,
+			NewAllocs:      b.AllocsPerOp,
+			Regression:     ratio > threshold,
+			CounterChanges: counterChanges(p.Counters, b.Counters),
 		})
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
 	return deltas, nil
 }
 
-// FormatPerfDeltas renders a comparison as an aligned text table and
-// reports the number of regressions.
+// counterChanges returns the counters whose values differ, sorted by
+// name, or nil when either side carries no counters (a schema v1 row,
+// or a benchmark without a probe).
+func counterChanges(old, new map[string]int64) []CounterChange {
+	if old == nil || new == nil {
+		return nil
+	}
+	var changes []CounterChange
+	for name, v := range new {
+		if old[name] != v {
+			changes = append(changes, CounterChange{Name: name, Old: old[name], New: v})
+		}
+	}
+	for name, v := range old {
+		if _, ok := new[name]; !ok {
+			changes = append(changes, CounterChange{Name: name, Old: v})
+		}
+	}
+	sort.Slice(changes, func(i, j int) bool { return changes[i].Name < changes[j].Name })
+	return changes
+}
+
+// FormatPerfDeltas renders a comparison as an aligned text table, with
+// one indented line per changed counter under its row, and reports the
+// number of regressions: rows slower than the threshold or with any
+// changed counter.
 func FormatPerfDeltas(deltas []PerfDelta) (string, int) {
 	var sb strings.Builder
 	regressions := 0
@@ -354,11 +391,19 @@ func FormatPerfDeltas(deltas []PerfDelta) (string, int) {
 	for _, d := range deltas {
 		mark := ""
 		if d.Regression {
-			mark = "  REGRESSION"
+			mark += "  REGRESSION"
+		}
+		if len(d.CounterChanges) > 0 {
+			mark += "  COUNTERS CHANGED"
+		}
+		if mark != "" {
 			regressions++
 		}
 		fmt.Fprintf(&sb, "%-36s %14.0f %14.0f %+7.1f%% %10d→%-6d%s\n",
 			d.Name, d.OldNs, d.NewNs, (d.Ratio-1)*100, d.OldAllocs, d.NewAllocs, mark)
+		for _, c := range d.CounterChanges {
+			fmt.Fprintf(&sb, "    counter %s: %d→%d\n", c.Name, c.Old, c.New)
+		}
 	}
 	return sb.String(), regressions
 }

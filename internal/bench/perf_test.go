@@ -3,6 +3,7 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -107,5 +108,54 @@ func TestComparePerfDeltas(t *testing.T) {
 	}
 	if strings.Contains(lines[1], "REGRESSION") || !strings.Contains(lines[2], "+30.0%") || !strings.HasSuffix(lines[2], "REGRESSION") {
 		t.Errorf("rows do not mark exactly the WMA regression:\n%s", table)
+	}
+}
+
+// TestComparePerfCounters: counters are compared exactly when both rows
+// carry them — a changed value, or a counter present on one side only,
+// is listed and makes FormatPerfDeltas count the row even when its
+// timing is within the threshold; a row without counters on either
+// side (schema v1, or no probe) is not compared.
+func TestComparePerfCounters(t *testing.T) {
+	old := perfFile(perfSchemaV1, false,
+		PerfBenchmark{Name: "A/aalborg", NsPerOp: 1000, Counters: map[string]int64{"pops": 7, "scans": 3}},
+		PerfBenchmark{Name: "B/aalborg", NsPerOp: 1000, Counters: map[string]int64{"pops": 7, "gone": 1}},
+		PerfBenchmark{Name: "C/aalborg", NsPerOp: 1000},
+		PerfBenchmark{Name: "D/aalborg", NsPerOp: 1000, Counters: map[string]int64{"pops": 7}},
+	)
+	cur := perfFile(PerfSchema, false,
+		PerfBenchmark{Name: "A/aalborg", NsPerOp: 500, Counters: map[string]int64{"pops": 7, "scans": 3}},
+		PerfBenchmark{Name: "B/aalborg", NsPerOp: 500, Counters: map[string]int64{"pops": 8, "new": 2}},
+		PerfBenchmark{Name: "C/aalborg", NsPerOp: 500, Counters: map[string]int64{"pops": 9}},
+		PerfBenchmark{Name: "D/aalborg", NsPerOp: 500},
+	)
+	deltas, err := ComparePerf(old, cur, 1.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != 4 {
+		t.Fatalf("deltas = %+v, want four rows", deltas)
+	}
+	want := []CounterChange{{Name: "gone", Old: 1}, {Name: "new", New: 2}, {Name: "pops", Old: 7, New: 8}}
+	if !reflect.DeepEqual(deltas[1].CounterChanges, want) {
+		t.Errorf("B counter changes = %+v, want %+v", deltas[1].CounterChanges, want)
+	}
+	for _, i := range []int{0, 2, 3} {
+		if d := deltas[i]; d.CounterChanges != nil || d.Regression {
+			t.Errorf("%s: %+v, want no counter change and no regression", d.Name, d)
+		}
+	}
+
+	table, regressions := FormatPerfDeltas(deltas)
+	if regressions != 1 {
+		t.Errorf("FormatPerfDeltas counted %d regressions, want 1:\n%s", regressions, table)
+	}
+	for _, line := range []string{"    counter gone: 1→0", "    counter new: 0→2", "    counter pops: 7→8"} {
+		if !strings.Contains(table, line+"\n") {
+			t.Errorf("table lacks %q:\n%s", line, table)
+		}
+	}
+	if !strings.Contains(table, "COUNTERS CHANGED") || strings.Contains(table, "REGRESSION") {
+		t.Errorf("table should flag B's counters and no timing regression:\n%s", table)
 	}
 }

@@ -213,19 +213,22 @@ func (mt *Matcher) markDone(v int32) {
 	mt.settled = append(mt.settled, v)
 }
 
+// flip is one arc of an augmenting path, recorded by augment before any
+// matched flag changes.
+type flip struct {
+	fac  int32 // facility index
+	idx  int32 // meaning depends on fwd: edges[cust] index or facMatch[fac] index
+	cust int32
+	fwd  bool
+}
+
 // augment flips matched flags along the shortest path ending at free
 // facility j with reduced length pathLen, then applies the standard
 // potential update p(v) += max(0, pathLen − dist(v)) to settled nodes
 // (Algorithm 2, lines 13–17).
 func (mt *Matcher) augment(j int, pathLen int64) {
 	l := mt.L()
-	type flip struct {
-		fac  int32 // facility index
-		idx  int32 // meaning depends on fwd: edges[cust] index or facMatch[fac] index
-		cust int32
-		fwd  bool
-	}
-	var flips []flip
+	flips := mt.flips[:0]
 	node := int32(j)
 	for {
 		par := mt.parent[node]
@@ -253,6 +256,7 @@ func (mt *Matcher) augment(j int, pathLen int64) {
 		}
 		fe := mt.facMatch[f.fac][f.idx]
 		mt.edges[fe.cust][fe.idx].matched = false
+		mt.matchCount[fe.cust]--
 		last := len(mt.facMatch[f.fac]) - 1
 		mt.facMatch[f.fac][f.idx] = mt.facMatch[f.fac][last]
 		mt.facMatch[f.fac] = mt.facMatch[f.fac][:last]
@@ -262,12 +266,14 @@ func (mt *Matcher) augment(j int, pathLen int64) {
 			continue
 		}
 		mt.edges[f.cust][f.idx].matched = true
+		mt.matchCount[f.cust]++
 		mt.facMatch[f.fac] = append(mt.facMatch[f.fac], facEdge{cust: f.cust, idx: f.idx})
 		if !mt.everMatched[f.fac] {
 			mt.everMatched[f.fac] = true
 			mt.touched = append(mt.touched, f.fac)
 		}
 	}
+	mt.flips = flips
 	mt.stats.Augmentations++
 
 	for _, v := range mt.settled {

@@ -61,6 +61,7 @@ type Matcher struct {
 
 	searchers  []*graph.NNSearcher
 	edges      [][]bedge
+	matchCount []int32 // per customer: matched edges in edges[i]
 	facMatch   [][]facEdge
 	facIdx     map[int32]int
 	pot        []int64
@@ -97,6 +98,7 @@ type Matcher struct {
 	settled []int32 // settle order of the last run
 	epoch   int32
 	heap    *pq.DenseHeap
+	flips   []flip // augment's path buffer
 
 	stats Stats
 }
@@ -118,13 +120,14 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 	}
 	n := m + l
 	mt := &Matcher{
-		g:         g,
-		custNodes: append([]int32(nil), custNodes...),
-		facs:      facs,
-		isCand:    isCand,
-		searchers: make([]*graph.NNSearcher, m),
-		edges:     make([][]bedge, m),
-		facMatch:  make([][]facEdge, l),
+		g:          g,
+		custNodes:  append([]int32(nil), custNodes...),
+		facs:       facs,
+		isCand:     isCand,
+		searchers:  make([]*graph.NNSearcher, m),
+		edges:      make([][]bedge, m),
+		matchCount: make([]int32, m),
+		facMatch:   make([][]facEdge, l),
 
 		everMatched: make([]bool, l),
 
@@ -148,6 +151,7 @@ func (mt *Matcher) AddCustomer(node int32) int {
 	mt.custNodes = append(mt.custNodes, node)
 	mt.searchers = append(mt.searchers, nil)
 	mt.edges = append(mt.edges, nil)
+	mt.matchCount = append(mt.matchCount, 0)
 	if need := mt.L() + len(mt.custNodes); need > len(mt.pot) {
 		grow := len(mt.pot) * 2
 		if grow < need {
@@ -187,29 +191,36 @@ func (mt *Matcher) M() int { return len(mt.custNodes) }
 // L returns the number of candidate facilities.
 func (mt *Matcher) L() int { return len(mt.facs) }
 
-// Load returns the number of customers currently matched to facility j.
-func (mt *Matcher) Load(j int) int { return len(mt.facMatch[j]) }
-
 // MatchCount returns the number of facilities customer i is matched to.
-func (mt *Matcher) MatchCount(i int) int {
-	count := 0
-	for _, e := range mt.edges[i] {
-		if e.matched {
-			count++
-		}
-	}
-	return count
-}
-
-// Assigned calls fn for each customer matched to facility j.
-func (mt *Matcher) Assigned(j int, fn func(cust int)) {
-	for _, fe := range mt.facMatch[j] {
-		fn(int(fe.cust))
-	}
-}
+func (mt *Matcher) MatchCount(i int) int { return int(mt.matchCount[i]) }
 
 // AssignedCount returns |σ_j|, the number of customers matched to j.
 func (mt *Matcher) AssignedCount(j int) int { return len(mt.facMatch[j]) }
+
+// CountUncovered returns how many customers matched to facility j are
+// not marked in covered (indexed by customer).
+func (mt *Matcher) CountUncovered(j int, covered []bool) int {
+	n := 0
+	for _, fe := range mt.facMatch[j] {
+		if !covered[fe.cust] {
+			n++
+		}
+	}
+	return n
+}
+
+// MarkCovered marks every customer matched to facility j in covered and
+// returns how many were not marked before.
+func (mt *Matcher) MarkCovered(j int, covered []bool) int {
+	n := 0
+	for _, fe := range mt.facMatch[j] {
+		if !covered[fe.cust] {
+			covered[fe.cust] = true
+			n++
+		}
+	}
+	return n
+}
 
 // Matches returns the facility indexes customer i is matched to along
 // with the corresponding original edge weights.
@@ -239,12 +250,8 @@ func (mt *Matcher) TotalMatchedCost() int64 {
 
 // Touched returns the facilities that have ever been matched to a
 // customer, in first-touch order. Facilities outside this list have
-// empty σ_j.
-func (mt *Matcher) Touched(fn func(j int)) {
-	for _, j := range mt.touched {
-		fn(int(j))
-	}
-}
+// empty σ_j. The list only grows; callers must not modify it.
+func (mt *Matcher) Touched() []int32 { return mt.touched }
 
 // Stats returns accumulated work counters.
 func (mt *Matcher) Stats() Stats { return mt.stats }

@@ -157,12 +157,15 @@ func randomNetwork(rng *rand.Rand, n int) *graph.Graph {
 func checkInvariants(t *testing.T, mt *Matcher) {
 	t.Helper()
 	for j := 0; j < mt.L(); j++ {
-		if mt.Load(j) > mt.facs[j].Capacity {
-			t.Fatalf("facility %d over capacity: %d > %d", j, mt.Load(j), mt.facs[j].Capacity)
+		if mt.AssignedCount(j) > mt.facs[j].Capacity {
+			t.Fatalf("facility %d over capacity: %d > %d", j, mt.AssignedCount(j), mt.facs[j].Capacity)
 		}
 	}
 	for i := 0; i < mt.M(); i++ {
 		facs, _ := mt.Matches(i)
+		if mt.MatchCount(i) != len(facs) {
+			t.Fatalf("customer %d: MatchCount %d, but matched to %v", i, mt.MatchCount(i), facs)
+		}
 		seen := map[int]bool{}
 		for _, f := range facs {
 			if seen[f] {
@@ -440,13 +443,21 @@ func TestAccessors(t *testing.T) {
 	}
 	mt.FindPair(0)
 	mt.FindPair(1)
-	if mt.Load(0) != 2 || mt.AssignedCount(0) != 2 {
-		t.Fatalf("Load=%d AssignedCount=%d, want 2,2", mt.Load(0), mt.AssignedCount(0))
+	if mt.AssignedCount(0) != 2 || mt.MatchCount(0) != 1 || mt.MatchCount(1) != 1 {
+		t.Fatalf("AssignedCount=%d MatchCount=%d,%d, want 2 and 1,1", mt.AssignedCount(0), mt.MatchCount(0), mt.MatchCount(1))
 	}
-	var got []int
-	mt.Assigned(0, func(c int) { got = append(got, c) })
-	if len(got) != 2 {
-		t.Fatalf("Assigned visited %v", got)
+	if touched := mt.Touched(); len(touched) != 1 || touched[0] != 0 {
+		t.Fatalf("Touched() = %v, want [0]", touched)
+	}
+	covered := []bool{false, true}
+	if n := mt.CountUncovered(0, covered); n != 1 {
+		t.Fatalf("CountUncovered with customer 1 covered = %d, want 1", n)
+	}
+	if n := mt.MarkCovered(0, covered); n != 1 || !covered[0] || !covered[1] {
+		t.Fatalf("MarkCovered = %d, covered %v; want 1 newly covered, all covered", n, covered)
+	}
+	if n := mt.CountUncovered(0, covered); n != 0 {
+		t.Fatalf("CountUncovered after MarkCovered = %d, want 0", n)
 	}
 	facsOf, weights := mt.Matches(0)
 	if len(facsOf) != 1 || facsOf[0] != 0 || weights[0] != 5 {

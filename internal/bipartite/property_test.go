@@ -69,7 +69,7 @@ func TestLoadsNeverExceedCapacity(t *testing.T) {
 		for step := 0; step < 3*m; step++ {
 			mt.FindPair(rng.Intn(m))
 			for j := 0; j < l; j++ {
-				if mt.Load(j) > facs[j].Capacity {
+				if mt.AssignedCount(j) > facs[j].Capacity {
 					return false
 				}
 			}

@@ -106,107 +106,6 @@ func TestSelectiveDemandComparable(t *testing.T) {
 	}
 }
 
-// --- unit tests for CheckCover -------------------------------------------
-
-// fakeCoverage is a hand-built assignment view.
-type fakeCoverage struct {
-	m      int
-	assign [][]int // per facility: assigned customers
-}
-
-func (f *fakeCoverage) M() int                  { return f.m }
-func (f *fakeCoverage) L() int                  { return len(f.assign) }
-func (f *fakeCoverage) AssignedCount(j int) int { return len(f.assign[j]) }
-func (f *fakeCoverage) Assigned(j int, fn func(int)) {
-	for _, c := range f.assign[j] {
-		fn(c)
-	}
-}
-
-func (f *fakeCoverage) Touched(fn func(int)) {
-	for j := range f.assign {
-		if len(f.assign[j]) > 0 {
-			fn(j)
-		}
-	}
-}
-
-func TestCheckCoverGreedyPicksByMarginalGain(t *testing.T) {
-	// f0 covers {0,1,2}; f1 covers {2,3}; f2 covers {3}.
-	// Greedy: f0 (gain 3), then f1 (marginal 1) ties with f2 (1) —
-	// LRU equal (-1), index order picks f1. Coverage complete.
-	view := &fakeCoverage{m: 4, assign: [][]int{{0, 1, 2}, {2, 3}, {3}}}
-	lastUsed := []int{-1, -1, -1}
-	sel, deltaD, covered := core.CheckCover(view, 2, lastUsed, core.TieLRU)
-	if !covered {
-		t.Fatal("coverage not detected")
-	}
-	if len(sel) != 2 || sel[0] != 0 || sel[1] != 1 {
-		t.Fatalf("selection = %v, want [0 1]", sel)
-	}
-	for i, d := range deltaD {
-		if d {
-			t.Fatalf("customer %d marked uncovered", i)
-		}
-	}
-}
-
-func TestCheckCoverStopsEarlyWhenCovered(t *testing.T) {
-	view := &fakeCoverage{m: 2, assign: [][]int{{0, 1}, {1}, {0}}}
-	sel, _, covered := core.CheckCover(view, 3, []int{-1, -1, -1}, core.TieLRU)
-	if !covered || len(sel) != 1 {
-		t.Fatalf("sel = %v covered = %v, want single facility", sel, covered)
-	}
-}
-
-func TestCheckCoverLRUTieBreak(t *testing.T) {
-	// Both facilities cover disjoint single customers; gain ties at 1.
-	// f1 was used less recently, so it must come first under core.TieLRU.
-	view := &fakeCoverage{m: 3, assign: [][]int{{0}, {1}}}
-	sel, _, covered := core.CheckCover(view, 1, []int{5, 2}, core.TieLRU)
-	if covered {
-		t.Fatal("customer 2 is unassigned; cannot be covered")
-	}
-	if len(sel) != 1 || sel[0] != 1 {
-		t.Fatalf("selection = %v, want [1] (least recently used)", sel)
-	}
-	// Arbitrary tie-break prefers the lower index.
-	sel, _, _ = core.CheckCover(view, 1, []int{5, 2}, core.TieArbitrary)
-	if sel[0] != 0 {
-		t.Fatalf("arbitrary tie-break selection = %v, want [0]", sel)
-	}
-}
-
-func TestCheckCoverUncoveredDelta(t *testing.T) {
-	view := &fakeCoverage{m: 3, assign: [][]int{{0}, {}, {}}}
-	sel, deltaD, covered := core.CheckCover(view, 2, []int{-1, -1, -1}, core.TieLRU)
-	if covered {
-		t.Fatal("covered with unassigned customers")
-	}
-	if len(sel) != 1 {
-		t.Fatalf("selection = %v (zero-gain facilities must not be selected)", sel)
-	}
-	want := []bool{false, true, true}
-	for i := range want {
-		if deltaD[i] != want[i] {
-			t.Fatalf("deltaD = %v, want %v", deltaD, want)
-		}
-	}
-}
-
-func TestCheckCoverSharedCustomersRecount(t *testing.T) {
-	// f0 and f1 both claim customers {0,1}; after selecting f0, f1's
-	// stale gain (2) must be lazily corrected to 0 and f1 skipped.
-	view := &fakeCoverage{m: 3, assign: [][]int{{0, 1}, {0, 1}, {2}}}
-	sel, _, covered := core.CheckCover(view, 2, []int{-1, -1, -1}, core.TieLRU)
-	if !covered {
-		t.Fatal("not covered")
-	}
-	if len(sel) != 2 || sel[0] != 0 || sel[1] != 2 {
-		t.Fatalf("selection = %v, want [0 2]", sel)
-	}
-}
-
 // --- unit tests for the special provisions --------------------------------
 
 func TestSelectGreedyFillsToK(t *testing.T) {

@@ -6,7 +6,7 @@
 //     assignments when beneficial (internal/bipartite);
 //   - a lazy-greedy SET COVER heuristic that selects the top-k facilities
 //     by marginal coverage gain, breaking ties by least-recent use
-//     (Algorithm 3, CheckCover);
+//     (Algorithm 3, CheckCover, run by a per-solve Coverer);
 //   - a selective demand-update rule that lets only uncovered customers
 //     explore more facilities (§IV-F);
 //   - two special provisions: greedy completion when coverage is achieved
@@ -42,7 +42,8 @@ const (
 	DemandAll
 )
 
-// TieBreak controls how equal-gain facilities are ordered in CheckCover.
+// TieBreak controls how equal-gain facilities are ordered by the
+// set-cover pass (Coverer).
 type TieBreak int
 
 const (
@@ -147,10 +148,7 @@ func explore(ctx context.Context, inst *data.Instance, opt Options) ([]int, erro
 		demand[i] = 1
 	}
 	exhausted := make([]bool, m) // FindPair permanently unsatisfiable
-	lastUsed := make([]int, l)
-	for j := range lastUsed {
-		lastUsed[j] = -1
-	}
+	cover := NewCoverer(mt, opt.TieBreak)
 
 	maxIter := opt.MaxIterations
 	if maxIter == 0 {
@@ -190,12 +188,9 @@ func explore(ctx context.Context, inst *data.Instance, opt Options) ([]int, erro
 		coverStart := time.Now()
 		coverPhase := rec.Phase("wma/cover")
 		var deltaD []bool
-		selection, deltaD, covered = CheckCover(mt, k, lastUsed, opt.TieBreak)
+		selection, deltaD, covered = cover.Cover(k)
 		coverPhase.End()
 		coverTime := time.Since(coverStart)
-		for _, j := range selection {
-			lastUsed[j] = iter
-		}
 
 		progress := false
 		coveredCount := 0

@@ -2,7 +2,8 @@ package pq
 
 // Heap is a plain (non-addressable) binary min-heap ordered by a
 // user-supplied less function. It backs the algorithm-specific queues
-// that do not need decrease-key, such as the set-cover facility heap.
+// that do not need decrease-key, such as the label heap of
+// graph.MultiSourceTwoNearest.
 type Heap[T any] struct {
 	items []T
 	less  func(a, b T) bool

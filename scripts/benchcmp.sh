@@ -1,7 +1,9 @@
 #!/bin/sh
 # Compares two BENCH_*.json files produced by scripts/bench.sh and exits
 # non-zero when any shared benchmark slowed down past the regression
-# threshold (DESIGN.md §11).
+# threshold or changed a work counter (DESIGN.md §11). Counters are
+# deterministic, so any difference counts: a change that legitimately
+# moves the work trajectory declares it and commits a new baseline.
 #
 # Usage:
 #   scripts/benchcmp.sh old.json new.json [threshold]

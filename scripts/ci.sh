@@ -73,6 +73,9 @@ echo "mcfsd smoke: /metrics exposition"
 smokedir=$(mktemp -d)
 go build -o "$smokedir" ./cmd/mcfsgen ./cmd/mcfsd
 "$smokedir/mcfsgen" -type uniform -n 400 -alpha 2.5 -m 20 -l 60 -cap 8 -k 6 -seed 7 -o "$smokedir/inst.mcfs"
+# Create the log before the daemon starts: the poll below reads it, and
+# awk cannot open a file the child's redirect has not created yet.
+: >"$smokedir/out.log"
 "$smokedir/mcfsd" -in "$smokedir/inst.mcfs" -addr 127.0.0.1:0 -quiet >"$smokedir/out.log" 2>&1 &
 mcfsd_pid=$!
 metrics_url=""
@@ -120,6 +123,7 @@ echo "mcfsd smoke: crash -> restore newest generation"
 crashdir=$(mktemp -d)
 go build -o "$crashdir" ./cmd/mcfsgen ./cmd/mcfsd
 "$crashdir/mcfsgen" -type uniform -n 400 -alpha 2.5 -m 20 -l 60 -cap 8 -k 6 -seed 11 -o "$crashdir/inst.mcfs"
+: >"$crashdir/out.log"
 "$crashdir/mcfsd" -in "$crashdir/inst.mcfs" -addr 127.0.0.1:0 -quiet \
 	-snapshot-every 50ms -snapshot-dir "$crashdir/snaps" >"$crashdir/out.log" 2>&1 &
 mcfsd_pid=$!
@@ -164,6 +168,7 @@ fi
 kill -9 "$mcfsd_pid"
 wait "$mcfsd_pid" 2>/dev/null || true
 printf '{torn' >"$crashdir/snaps/mcfsd-99999999.snap.json"
+: >"$crashdir/out2.log"
 "$crashdir/mcfsd" -in "$crashdir/inst.mcfs" -addr 127.0.0.1:0 -quiet \
 	-restore "$crashdir/snaps" >"$crashdir/out2.log" 2>&1 &
 mcfsd_pid=$!
