@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"mcfs/internal/bench"
-	"mcfs/internal/graph"
 )
 
 func main() {
@@ -30,18 +29,17 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced instances for CI smoke runs (not comparable to full runs)")
 		seed      = flag.Int64("seed", 1, "instance-generation seed")
 		cities    = flag.String("cities", "", "comma-separated city presets (default aalborg,copenhagen; quick: aalborg)")
-		queue     = flag.String("queue", "auto", "frontier queue override: auto, heap, or bucket (recorded as the file's variant)")
 		compare   = flag.Bool("compare", false, "compare two BENCH_*.json files given as arguments instead of running")
 		threshold = flag.Float64("threshold", 1.15, "compare: ns/op growth ratio beyond which a benchmark counts as regressed")
 	)
 	flag.Parse()
-	if err := run(*out, *quick, *seed, *cities, *queue, *compare, *threshold, flag.Args()); err != nil {
+	if err := run(*out, *quick, *seed, *cities, *compare, *threshold, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "mcfsperf:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, quick bool, seed int64, cities, queue string, compare bool, threshold float64, args []string) error {
+func run(out string, quick bool, seed int64, cities string, compare bool, threshold float64, args []string) error {
 	if compare {
 		if len(args) != 2 {
 			return fmt.Errorf("-compare needs exactly two files, got %d", len(args))
@@ -67,19 +65,7 @@ func run(out string, quick bool, seed int64, cities, queue string, compare bool,
 		return nil
 	}
 
-	variant := ""
-	switch queue {
-	case "auto", "":
-	case "heap":
-		graph.SetQueueMode(graph.QueueHeap)
-		variant = "heap"
-	case "bucket":
-		graph.SetQueueMode(graph.QueueBucket)
-		variant = "bucket"
-	default:
-		return fmt.Errorf("unknown -queue %q (want auto, heap, or bucket)", queue)
-	}
-	cfg := bench.PerfConfig{Quick: quick, Seed: seed, Variant: variant}
+	cfg := bench.PerfConfig{Quick: quick, Seed: seed}
 	if cities != "" {
 		cfg.Cities = strings.Split(cities, ",")
 	}

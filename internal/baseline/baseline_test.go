@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -26,10 +27,11 @@ type algo struct {
 }
 
 func allAlgos() []algo {
+	ctx := context.Background()
 	return []algo{
-		{"hilbert", func(in *data.Instance) (*data.Solution, error) { return Hilbert(in, core.Options{}) }},
-		{"brnn", func(in *data.Instance) (*data.Solution, error) { return BRNN(in, core.Options{}) }},
-		{"naive", func(in *data.Instance) (*data.Solution, error) { return Naive(in, 7, core.Options{}) }},
+		{"hilbert", func(in *data.Instance) (*data.Solution, error) { return HilbertCtx(ctx, in, core.Options{}) }},
+		{"brnn", func(in *data.Instance) (*data.Solution, error) { return BRNNCtx(ctx, in, core.Options{}) }},
+		{"naive", func(in *data.Instance) (*data.Solution, error) { return NaiveCtx(ctx, in, 7, core.Options{}) }},
 	}
 }
 
@@ -76,7 +78,7 @@ func TestBaselinesNeverBeatOptimal(t *testing.T) {
 			MaxCustomers: 7, MaxFacilities: 6,
 			MaxCapacity: 3, MaxWeight: 20,
 		})
-		opt, err := solver.Exhaustive(inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -138,7 +140,7 @@ func TestHilbertRequiresCoords(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 1}},
 		K:          1,
 	}
-	if _, err := Hilbert(inst, core.Options{}); !errors.Is(err, ErrNoCoords) {
+	if _, err := HilbertCtx(context.Background(), inst, core.Options{}); !errors.Is(err, ErrNoCoords) {
 		t.Fatalf("err = %v, want ErrNoCoords", err)
 	}
 }
@@ -164,7 +166,7 @@ func TestHilbertBucketsRespectCurveOrder(t *testing.T) {
 		inst.Customers = append(inst.Customers, int32(i))
 		inst.Facilities = append(inst.Facilities, data.Facility{Node: int32(i), Capacity: 6})
 	}
-	sol, err := Hilbert(inst, core.Options{})
+	sol, err := HilbertCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestBRNNFirstFacilityIsOneMedian(t *testing.T) {
 		},
 		K: 1,
 	}
-	sol, err := BRNN(inst, core.Options{})
+	sol, err := BRNNCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestBRNNSecondPickAttractsMost(t *testing.T) {
 		},
 		K: 2,
 	}
-	sol, err := BRNN(inst, core.Options{})
+	sol, err := BRNNCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +247,11 @@ func TestBRNNSecondPickAttractsMost(t *testing.T) {
 func TestNaiveDeterministicPerSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	inst := testutil.RandomInstance(rng, randomParams())
-	a, err := Naive(inst, 99, core.Options{})
+	a, err := NaiveCtx(context.Background(), inst, 99, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Naive(inst, 99, core.Options{})
+	b, err := NaiveCtx(context.Background(), inst, 99, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +267,11 @@ func TestNaiveNeverBetterThanWMAOnAverage(t *testing.T) {
 	var wmaSum, naiveSum int64
 	for trial := 0; trial < 20; trial++ {
 		inst := testutil.RandomInstance(rng, randomParams())
-		w, err := core.Solve(inst, core.Options{})
+		w, err := core.SolveCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		n, err := Naive(inst, int64(trial), core.Options{})
+		n, err := NaiveCtx(context.Background(), inst, int64(trial), core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -285,7 +287,7 @@ func TestUniformFirstValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	for trial := 0; trial < 15; trial++ {
 		inst := testutil.RandomInstance(rng, randomParams())
-		sol, err := core.SolveUniformFirst(inst, core.Options{})
+		sol, err := core.SolveUniformFirstCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -8,7 +8,7 @@ import (
 	"mcfs/internal/graph"
 )
 
-// BRNN implements the paper's Bichromatic-Reverse-Nearest-Neighbor
+// BRNNCtx implements the paper's Bichromatic-Reverse-Nearest-Neighbor
 // baseline (§III-A, §VII-A): facilities are placed one at a time; the
 // first minimizes the aggregate network distance to all customers
 // (1-median over candidates), and each subsequent one maximizes the
@@ -18,18 +18,12 @@ import (
 // Ties break toward the lower facility index. A final optimal bipartite
 // matching produces the assignment and objective, exactly as the paper's
 // implementation runs SIA after the selection.
-func BRNN(inst *data.Instance, opt core.Options) (*data.Solution, error) {
-	return BRNNCtx(context.Background(), inst, opt)
-}
-
-// BRNNCtx is BRNN with cooperative cancellation: every per-customer and
-// per-facility Dijkstra polls ctx, so even the expensive 1-median and
-// attraction-counting phases return promptly. On cancellation it returns
-// nil and ctx.Err(); an uncancelled run is byte-identical to BRNN.
+//
+// Every per-customer and per-facility Dijkstra polls ctx, so even the
+// expensive 1-median and attraction-counting phases return promptly. On
+// cancellation it returns nil and ctx.Err(); every uncancelled run is
+// byte-identical.
 func BRNNCtx(ctx context.Context, inst *data.Instance, opt core.Options) (*data.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}

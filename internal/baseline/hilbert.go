@@ -1,14 +1,14 @@
 // Package baseline implements the three scalable MCFS baselines of the
 // paper's evaluation (§VII-A):
 //
-//   - Hilbert: bucket customers along a Hilbert space-filling curve into
-//     k groups, snap each group's centroid to the nearest candidate
+//   - HilbertCtx: bucket customers along a Hilbert space-filling curve
+//     into k groups, snap each group's centroid to the nearest candidate
 //     facility, then build one optimal assignment;
-//   - BRNN: iteratively place facilities at the candidate node attracting
-//     the most customers (MaxSum over network nearest-location regions),
-//     then build one optimal assignment;
-//   - Naive: the WMA loop with the exact bipartite matching replaced by a
-//     greedy no-rewiring assignment ("WMA Naïve").
+//   - BRNNCtx: iteratively place facilities at the candidate node
+//     attracting the most customers (MaxSum over network
+//     nearest-location regions), then build one optimal assignment;
+//   - NaiveCtx: the WMA loop with the exact bipartite matching replaced
+//     by a greedy no-rewiring assignment ("WMA Naïve").
 //
 // All three return data.ErrInfeasible exactly when WMA does.
 package baseline
@@ -25,7 +25,7 @@ import (
 	"mcfs/internal/spatial"
 )
 
-// ErrNoCoords is returned by Hilbert when the network has no planar
+// ErrNoCoords is returned by HilbertCtx when the network has no planar
 // coordinates (the curve needs them).
 var ErrNoCoords = errors.New("baseline: Hilbert requires node coordinates")
 
@@ -33,25 +33,18 @@ var ErrNoCoords = errors.New("baseline: Hilbert requires node coordinates")
 // meaningful customer-separation scale.
 const hilbertOrder = 16
 
-// Hilbert implements the paper's first baseline (after [17]): split the
+// HilbertCtx implements the paper's first baseline (after [17]): split the
 // customers into k buckets of ⌈m/k⌉ consecutive points in Hilbert-curve
 // order and place a facility at the candidate node nearest each bucket's
 // centroid. Components are handled separately, each receiving a facility
 // budget proportional to its customer count (§VII-C); the final
 // customer→facility assignment is an optimal bipartite matching under
 // the true capacities, with a component-capacity repair pass first.
-func Hilbert(inst *data.Instance, opt core.Options) (*data.Solution, error) {
-	return HilbertCtx(context.Background(), inst, opt)
-}
-
-// HilbertCtx is Hilbert with cooperative cancellation, checked once per
-// component during bucketing and throughout the repair and final
-// matching phases. On cancellation it returns nil and ctx.Err(); an
-// uncancelled run is byte-identical to Hilbert.
+//
+// Cancellation is checked once per component during bucketing and
+// throughout the repair and final matching phases. On cancellation it
+// returns nil and ctx.Err(); every uncancelled run is byte-identical.
 func HilbertCtx(ctx context.Context, inst *data.Instance, opt core.Options) (*data.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}

@@ -10,25 +10,18 @@ import (
 	"mcfs/internal/graph"
 )
 
-// Naive implements "WMA Naïve" (§VII-A): the WMA main loop — demand
+// NaiveCtx implements "WMA Naïve" (§VII-A): the WMA main loop — demand
 // vector, set-cover selection, selective demand updates — but with the
 // exact bipartite matching replaced by a greedy procedure: in every
 // iteration customers are processed in a random order and each is
 // assigned to its closest d_i candidate facilities that still have spare
 // capacity, never rewiring previous assignments. The final assignment
 // over the selected set is greedy as well.
-func Naive(inst *data.Instance, seed int64, opt core.Options) (*data.Solution, error) {
-	return NaiveCtx(context.Background(), inst, seed, opt)
-}
-
-// NaiveCtx is Naive with cooperative cancellation, checked once per
-// customer per iteration and inside the per-customer network searches.
-// On cancellation it returns nil and ctx.Err(); an uncancelled run is
-// byte-identical to Naive at the same seed.
+//
+// Cancellation is checked once per customer per iteration and inside the
+// per-customer network searches. On cancellation it returns nil and
+// ctx.Err(); every uncancelled run at the same seed is byte-identical.
 func NaiveCtx(ctx context.Context, inst *data.Instance, seed int64, opt core.Options) (*data.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}

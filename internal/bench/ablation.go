@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -67,7 +68,13 @@ func runAblThreshold(cfg Config, emit func(Row)) error {
 			mt.SetExhaustive(exhaustive)
 			start := time.Now()
 			for i := 0; i < inst.M(); i++ {
-				mt.FindPair(i)
+				ok, err := mt.FindPairCtx(context.Background(), i)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					return fmt.Errorf("bench: AblThreshold: no augmenting path for customer %d", i)
+				}
 			}
 			elapsed := time.Since(start)
 			st := mt.Stats()
@@ -94,7 +101,9 @@ func runAblThreshold(cfg Config, emit func(Row)) error {
 		}
 		start := time.Now()
 		for _, s := range inst.Customers {
-			inst.G.Dijkstra(s)
+			if _, err := inst.G.DijkstraCtx(context.Background(), s); err != nil {
+				return err
+			}
 		}
 		emit(Row{
 			Exp: "AblThreshold", X: "dense-Gb", Algo: AlgoWMA, Objective: -1,
@@ -122,7 +131,7 @@ func runAblDemand(cfg Config, emit func(Row)) error {
 			iterations := 0
 			edges := 0
 			start := time.Now()
-			sol, err := core.Solve(inst, core.Options{
+			sol, err := core.SolveCtx(context.Background(), inst, core.Options{
 				Demand: policy,
 				Progress: func(s core.IterationStats) {
 					iterations = s.Iteration
@@ -161,7 +170,7 @@ func runAblTieBreak(cfg Config, emit func(Row)) error {
 				return err
 			}
 			start := time.Now()
-			sol, err := core.Solve(inst, core.Options{TieBreak: tie})
+			sol, err := core.SolveCtx(context.Background(), inst, core.Options{TieBreak: tie})
 			if err != nil {
 				return err
 			}
@@ -190,7 +199,7 @@ func runAblSwap(cfg Config, emit func(Row)) error {
 			return err
 		}
 		start := time.Now()
-		sol, err := core.Solve(inst, core.Options{})
+		sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -199,7 +208,7 @@ func runAblSwap(cfg Config, emit func(Row)) error {
 		// Bounded polish: each evaluated swap costs a full assignment solve,
 		// so the ablation caps the budget (the default 2·k budget is meant
 		// for small k).
-		polished, st, err := localsearch.Improve(inst, sol, localsearch.Options{MaxMoves: 8, CandidatesPerFacility: 3})
+		polished, st, err := localsearch.ImproveCtx(context.Background(), inst, sol, localsearch.Options{MaxMoves: 8, CandidatesPerFacility: 3})
 		if err != nil {
 			return err
 		}

@@ -48,9 +48,6 @@ type PerfConfig struct {
 	Quick bool
 	// Seed drives instance generation (same default as Config.Seed).
 	Seed int64
-	// Variant labels the measured configuration (e.g. "heap" when the
-	// queue override forces the binary heap); recorded in the file.
-	Variant string
 }
 
 // PerfBenchmark is one measured benchmark in a BENCH_*.json file.
@@ -74,7 +71,6 @@ type PerfFile struct {
 	GOOS       string          `json:"goos"`
 	GOARCH     string          `json:"goarch"`
 	NumCPU     int             `json:"num_cpu"`
-	Variant    string          `json:"variant,omitempty"`
 	Quick      bool            `json:"quick"`
 	Seed       int64           `json:"seed"`
 	Cities     []string        `json:"cities"`
@@ -85,14 +81,15 @@ type PerfFile struct {
 // filenames.
 func PerfStamp() string { return time.Now().UTC().Format("20060102T150405Z") }
 
-// perfCase is one registered benchmark body. probe, when set, runs the
-// operation once against a recorder-carrying context to collect the
-// work counters for the row; it is nil for operations with no
-// context-taking variant.
+// perfCase is one registered benchmark: op performs the measured
+// operation once on its i-th rotating input. The timed loop runs it
+// recorder-free under context.Background(); when probe is set, one more
+// run at i = 0 under a recorder-carrying context collects the row's
+// work counters (probe is unset for operations that record none).
 type perfCase struct {
 	name  string
-	fn    func(b *testing.B)
-	probe func(ctx context.Context) error
+	op    func(ctx context.Context, i int) error
+	probe bool
 }
 
 // RunPerf executes the suite and returns the populated file. Progress
@@ -119,7 +116,6 @@ func RunPerf(cfg PerfConfig, logf func(format string, args ...any)) (*PerfFile, 
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Variant:   cfg.Variant,
 		Quick:     cfg.Quick,
 		Seed:      cfg.Seed,
 		Cities:    cities,
@@ -131,7 +127,14 @@ func RunPerf(cfg PerfConfig, logf func(format string, args ...any)) (*PerfFile, 
 		}
 		for _, c := range cases {
 			logf("bench: %s", c.name)
-			r := testing.Benchmark(c.fn)
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := c.op(context.Background(), i); err != nil {
+						b.Fatalf("%s: %v", c.name, err)
+					}
+				}
+			})
 			pb := PerfBenchmark{
 				Name:        c.name,
 				Iterations:  r.N,
@@ -139,9 +142,9 @@ func RunPerf(cfg PerfConfig, logf func(format string, args ...any)) (*PerfFile, 
 				BytesPerOp:  r.AllocedBytesPerOp(),
 				AllocsPerOp: r.AllocsPerOp(),
 			}
-			if c.probe != nil {
+			if c.probe {
 				rec := obs.New()
-				if err := c.probe(obs.WithRecorder(context.Background(), rec)); err != nil {
+				if err := c.op(obs.WithRecorder(context.Background(), rec), 0); err != nil {
 					return nil, fmt.Errorf("bench: counter probe for %s: %w", c.name, err)
 				}
 				pb.Counters = nonzeroCounters(rec)
@@ -189,61 +192,32 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 	}
 	mask, _ := inst.CandidateMask()
 
+	customer := func(i int) int32 { return inst.Customers[i%len(inst.Customers)] }
+	sc := g.NewScratch()
 	cases := []perfCase{
-		{name("Dijkstra"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.Dijkstra(inst.Customers[i%len(inst.Customers)])
-			}
-		}, func(ctx context.Context) error {
-			_, err := g.DijkstraCtx(ctx, inst.Customers[0])
+		{name("Dijkstra"), func(ctx context.Context, i int) error {
+			_, err := g.DijkstraCtx(ctx, customer(i))
 			return err
-		}},
-		{name("MultiSourceDijkstra"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.MultiSourceDijkstra(sources)
-			}
-		}, func(ctx context.Context) error {
+		}, true},
+		{name("MultiSourceDijkstra"), func(ctx context.Context, _ int) error {
 			_, _, err := g.MultiSourceDijkstraCtx(ctx, sources)
 			return err
-		}},
-		{name("DijkstraWithinScratch"), func(b *testing.B) {
-			b.ReportAllocs()
-			sc := g.NewScratch()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := g.DijkstraWithinScratchCtx(context.Background(), inst.Customers[i%len(inst.Customers)], radius, sc); err != nil {
-					b.Fatal(err)
+		}, true},
+		// One scratch serves every run; each search resets it.
+		{name("DijkstraWithinScratch"), func(ctx context.Context, i int) error {
+			return g.DijkstraWithinScratchCtx(ctx, customer(i), radius, sc)
+		}, true},
+		// NNSearcher records no obs counters, so the row has no probe.
+		{name("NNSearcher"), func(ctx context.Context, i int) error {
+			s := graph.NewNNSearcherCtx(ctx, g, customer(i), mask)
+			for drained := 0; drained < 32; drained++ {
+				if _, _, ok := s.Next(); !ok {
+					break
 				}
 			}
-		}, func(ctx context.Context) error {
-			return g.DijkstraWithinScratchCtx(ctx, inst.Customers[0], radius, g.NewScratch())
-		}},
-		// NNSearcher has no context-taking variant: its incremental pulls
-		// are driven by the caller, so there is no probe (and no counters).
-		{name("NNSearcher"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := graph.NewNNSearcher(g, inst.Customers[i%len(inst.Customers)], mask)
-				for drained := 0; drained < 32; drained++ {
-					if _, _, ok := s.Next(); !ok {
-						break
-					}
-				}
-			}
-		}, nil},
-		{name("FindPair"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mt := bipartite.New(g, inst.Customers, inst.Facilities)
-				for cust := range inst.Customers {
-					if !mt.FindPair(cust) {
-						b.Fatalf("FindPair(%d) found no augmenting path", cust)
-					}
-				}
-			}
-		}, func(ctx context.Context) error {
+			return s.Err()
+		}, false},
+		{name("FindPair"), func(ctx context.Context, _ int) error {
 			mt := bipartite.New(g, inst.Customers, inst.Facilities)
 			for cust := range inst.Customers {
 				ok, err := mt.FindPairCtx(ctx, cust)
@@ -255,18 +229,11 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 				}
 			}
 			return nil
-		}},
-		{name("WMA"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := mcfs.AlgorithmWMA.Solve(context.Background(), inst, mcfs.WithSeed(cfg.Seed)); err != nil {
-					b.Fatalf("WMA solve: %v", err)
-				}
-			}
-		}, func(ctx context.Context) error {
+		}, true},
+		{name("WMA"), func(ctx context.Context, _ int) error {
 			_, _, err := mcfs.AlgorithmWMA.Solve(ctx, inst, mcfs.WithSeed(cfg.Seed))
 			return err
-		}},
+		}, true},
 	}
 	return cases, nil
 }

@@ -68,7 +68,7 @@ func runQuality(cfg Config, emit func(Row)) error {
 				}
 			}
 			start := time.Now()
-			opt, err := solver.Exhaustive(inst, 0)
+			opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 			if err != nil {
 				if errors.Is(err, data.ErrInfeasible) || errors.Is(err, solver.ErrTooLarge) {
 					return nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -113,7 +114,7 @@ func runF12b(cfg Config, emit func(Row)) error {
 		inst.K = inst.L() / 2
 	}
 	start := time.Now()
-	_, err = core.Solve(inst, core.Options{Progress: func(s core.IterationStats) {
+	_, err = core.SolveCtx(context.Background(), inst, core.Options{Progress: func(s core.IterationStats) {
 		// Wall-clock lives only in Runtime (one row per phase), never in
 		// the note, so -notimes keeps the row stream byte-comparable.
 		note := fmt.Sprintf("covered=%d edges=%d demand=%d", s.Covered, s.Edges, s.DemandTotal)

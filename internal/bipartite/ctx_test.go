@@ -3,6 +3,7 @@ package bipartite
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"mcfs/internal/data"
@@ -39,28 +40,31 @@ func TestFindPairCtxCancelledLeavesMatchingUntouched(t *testing.T) {
 	}
 }
 
+// TestFindPairCtxBackgroundMatchesFindPair: the checkpoints never alter
+// the search; a live cancellable ctx (non-nil Done) matches Background.
 func TestFindPairCtxBackgroundMatchesFindPair(t *testing.T) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	a, b := ctxTestMatcher(t), ctxTestMatcher(t)
 	for i := 0; i < 2; i++ {
-		want := a.FindPair(i)
-		got, err := b.FindPairCtx(context.Background(), i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, got := must(a.FindPairCtx(context.Background(), i)), must(b.FindPairCtx(live, i))
 		if got != want {
-			t.Fatalf("customer %d: FindPairCtx = %v, FindPair = %v", i, got, want)
+			t.Fatalf("customer %d: live ctx = %v, Background = %v", i, got, want)
 		}
 	}
 	for i := 0; i < 2; i++ {
 		af, aw := a.Matches(i)
 		bf, bw := b.Matches(i)
-		if len(af) != len(bf) {
-			t.Fatalf("customer %d: match counts differ", i)
-		}
-		for x := range af {
-			if af[x] != bf[x] || aw[x] != bw[x] {
-				t.Fatalf("customer %d: matches differ", i)
-			}
+		if !slices.Equal(af, bf) || !slices.Equal(aw, bw) {
+			t.Fatalf("customer %d: matches differ", i)
 		}
 	}
+}
+
+// must unwraps a call that cannot fail under an uncancelled context.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

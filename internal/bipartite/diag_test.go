@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestNegativeArcHandlingExercised(t *testing.T) {
 		}
 		mt := New(g, custNodes, facs)
 		for step := 0; step < 3*m; step++ {
-			mt.FindPair(rng.Intn(m))
+			must(mt.FindPairCtx(context.Background(), rng.Intn(m)))
 		}
 		checkInvariants(t, mt)
 		st := mt.Stats()

@@ -8,8 +8,8 @@ import (
 	"mcfs/internal/obs"
 )
 
-// FindPair implements Algorithm 2 of the paper: it matches customer i to
-// exactly one additional facility, rewiring earlier assignments along
+// FindPairCtx implements Algorithm 2 of the paper: it matches customer i
+// to exactly one additional facility, rewiring earlier assignments along
 // the augmenting path when beneficial, and materializing bipartite edges
 // only when the Theorem-1 threshold proves the current best path might
 // not be optimal over the complete bipartite graph.
@@ -17,23 +17,15 @@ import (
 // It returns false when no augmenting path from i exists even in the
 // complete graph (every reachable facility is full or unreachable); the
 // matching is left unchanged in that case.
-func (mt *Matcher) FindPair(i int) bool {
-	matched, _ := mt.FindPairCtx(context.Background(), i)
-	return matched
-}
-
-// FindPairCtx is FindPair with cooperative cancellation: ctx is checked
-// once per augmenting-path search (each retry of the inner shortest
-// path) and propagated into the per-customer network searchers, which
-// poll it during long expansions. On cancellation it returns ctx.Err()
-// with the matching unchanged by this call; the matcher must not be
-// used afterwards (an interrupted searcher cannot be resumed). The
-// checkpoints never alter the search, so an uncancelled run is
-// byte-identical to FindPair.
+//
+// ctx is checked once per augmenting-path search (each retry of the
+// inner shortest path) and propagated into the per-customer network
+// searchers, which poll it during long expansions. On cancellation it
+// returns ctx.Err() with the matching unchanged by this call; the
+// matcher must not be used afterwards (an interrupted searcher cannot be
+// resumed). The checkpoints never alter the search, so an uncancelled
+// run is byte-identical whatever its context.
 func (mt *Matcher) FindPairCtx(ctx context.Context, i int) (matched bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	mt.ctx = ctx
 	if rec := obs.From(ctx); rec != nil {
 		// Flush the matcher-stat deltas this call produces into the

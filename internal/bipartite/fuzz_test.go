@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -56,7 +57,7 @@ func FuzzMatcher(f *testing.F) {
 		lastFailed := -1
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < m; i++ {
-				if mt.FindPair(i) {
+				if must(mt.FindPairCtx(context.Background(), i)) {
 					demands[i]++
 				} else {
 					lastFailed = i

@@ -11,10 +11,10 @@
 //     bipartite graph while only the materialized part is inspected;
 //   - flow augmentation that rewires earlier assignments when beneficial.
 //
-// Each FindPair(i) call matches customer i to exactly one additional
-// facility (all bipartite edges have capacity one), as the paper
-// prescribes, and the running matching is always a minimum-cost flow of
-// its value over the complete bipartite graph.
+// Each FindPairCtx(ctx, i) call matches customer i to exactly one
+// additional facility (all bipartite edges have capacity one), as the
+// paper prescribes, and the running matching is always a minimum-cost
+// flow of its value over the complete bipartite graph.
 package bipartite
 
 import (
@@ -83,10 +83,11 @@ type Matcher struct {
 	exhaustive bool
 
 	// ctx is the cooperative-cancellation context of the current
-	// FindPairCtx call; nil means no cancellation. It is installed on the
-	// per-customer searchers so their resumed network Dijkstras poll it
-	// too. A matcher that has returned a context error is poisoned: the
-	// interrupted searcher state cannot be resumed correctly.
+	// FindPairCtx call (context.Background() before the first). It is
+	// installed on the per-customer searchers so their resumed network
+	// Dijkstras poll it too. A matcher that has returned a context error
+	// is poisoned: the interrupted searcher state cannot be resumed
+	// correctly.
 	ctx context.Context
 
 	// Scratch state for the inner shortest-path search, epoch-stamped so
@@ -120,6 +121,7 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 	}
 	n := m + l
 	mt := &Matcher{
+		ctx:        context.Background(),
 		g:          g,
 		custNodes:  append([]int32(nil), custNodes...),
 		facs:       facs,
@@ -144,8 +146,8 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 // AddCustomer appends a new, unmatched customer at the given network
 // node and returns its customer index. The scratch arrays grow
 // geometrically, so the amortized cost is O(1) plus the lazy searcher
-// initialization on the customer's first FindPair. Facilities occupy the
-// low node ids, so existing state is unaffected.
+// initialization on the customer's first FindPairCtx. Facilities occupy
+// the low node ids, so existing state is unaffected.
 func (mt *Matcher) AddCustomer(node int32) int {
 	i := len(mt.custNodes)
 	mt.custNodes = append(mt.custNodes, node)

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -125,7 +126,7 @@ func refMinCost(dist [][]int64, caps []int, demands []int) (int64, bool) {
 func denseDistances(g *graph.Graph, custNodes []int32, facs []data.Facility) [][]int64 {
 	dist := make([][]int64, len(custNodes))
 	for i, s := range custNodes {
-		full := g.Dijkstra(s)
+		full := must(g.DijkstraCtx(context.Background(), s))
 		row := make([]int64, len(facs))
 		for j, f := range facs {
 			row[j] = full[f.Node]
@@ -194,7 +195,8 @@ func TestFindPairSimplePath(t *testing.T) {
 	g, _ := b.Build()
 	facs := []data.Facility{{Node: 1, Capacity: 1}, {Node: 3, Capacity: 1}}
 	mt := New(g, []int32{0, 4}, facs)
-	if !mt.FindPair(0) || !mt.FindPair(1) {
+	ctx := context.Background()
+	if !must(mt.FindPairCtx(ctx, 0)) || !must(mt.FindPairCtx(ctx, 1)) {
 		t.Fatal("FindPair failed on feasible instance")
 	}
 	if mt.TotalMatchedCost() != 2 {
@@ -217,13 +219,13 @@ func TestFindPairRewires(t *testing.T) {
 	g, _ := b.Build()
 	facs := []data.Facility{{Node: 2, Capacity: 1}, {Node: 3, Capacity: 1}}
 	mt := New(g, []int32{0, 1}, facs)
-	if !mt.FindPair(0) {
+	if !must(mt.FindPairCtx(context.Background(), 0)) {
 		t.Fatal("FindPair(0) failed")
 	}
 	if mt.TotalMatchedCost() != 1 {
 		t.Fatalf("after first match cost = %d, want 1", mt.TotalMatchedCost())
 	}
-	if !mt.FindPair(1) {
+	if !must(mt.FindPairCtx(context.Background(), 1)) {
 		t.Fatal("FindPair(1) failed")
 	}
 	if mt.TotalMatchedCost() != 12 {
@@ -242,12 +244,12 @@ func TestFindPairInfeasibleLeavesStateUnchanged(t *testing.T) {
 	g, _ := b.Build()
 	facs := []data.Facility{{Node: 2, Capacity: 1}}
 	mt := New(g, []int32{0}, facs)
-	if !mt.FindPair(0) {
+	if !must(mt.FindPairCtx(context.Background(), 0)) {
 		t.Fatal("first FindPair should succeed")
 	}
 	cost := mt.TotalMatchedCost()
 	// Second unit for same customer: only facility already matched.
-	if mt.FindPair(0) {
+	if must(mt.FindPairCtx(context.Background(), 0)) {
 		t.Fatal("FindPair should fail when all facilities are used by customer")
 	}
 	if mt.TotalMatchedCost() != cost || mt.MatchCount(0) != 1 {
@@ -262,7 +264,7 @@ func TestFindPairDisconnected(t *testing.T) {
 	g, _ := b.Build()
 	facs := []data.Facility{{Node: 3, Capacity: 5}}
 	mt := New(g, []int32{0}, facs)
-	if mt.FindPair(0) {
+	if must(mt.FindPairCtx(context.Background(), 0)) {
 		t.Fatal("FindPair succeeded across disconnected components")
 	}
 }
@@ -273,7 +275,7 @@ func TestFindPairZeroCapacity(t *testing.T) {
 	g, _ := b.Build()
 	facs := []data.Facility{{Node: 1, Capacity: 0}}
 	mt := New(g, []int32{0}, facs)
-	if mt.FindPair(0) {
+	if must(mt.FindPairCtx(context.Background(), 0)) {
 		t.Fatal("FindPair used a zero-capacity facility")
 	}
 }
@@ -324,7 +326,7 @@ func runScenario(t *testing.T, rng *rand.Rand, exhaustive bool) {
 	rng.Shuffle(len(units), func(a, b int) { units[a], units[b] = units[b], units[a] })
 	achieved := make([]int, m)
 	for _, u := range units {
-		if mt.FindPair(u.cust) {
+		if must(mt.FindPairCtx(context.Background(), u.cust)) {
 			achieved[u.cust]++
 		}
 		checkInvariants(t, mt)
@@ -372,6 +374,7 @@ func TestMatcherOptimalRandomizedExhaustive(t *testing.T) {
 func TestExhaustiveAndEarlyStopAgree(t *testing.T) {
 	// Same instance, same FindPair sequence: costs must be identical.
 	rng := rand.New(rand.NewSource(44))
+	ctx := context.Background()
 	for trial := 0; trial < 25; trial++ {
 		n := 15 + rng.Intn(40)
 		g := randomNetwork(rng, n)
@@ -390,8 +393,7 @@ func TestExhaustiveAndEarlyStopAgree(t *testing.T) {
 		b.SetExhaustive(true)
 		for step := 0; step < m*2; step++ {
 			c := rng.Intn(m)
-			ra := a.FindPair(c)
-			rb := b.FindPair(c)
+			ra, rb := must(a.FindPairCtx(ctx, c)), must(b.FindPairCtx(ctx, c))
 			if ra != rb {
 				t.Fatalf("trial %d: early-stop FindPair=%v, exhaustive=%v", trial, ra, rb)
 			}
@@ -421,7 +423,7 @@ func TestLazyMaterializationPrunes(t *testing.T) {
 		facs = append(facs, data.Facility{Node: int32(v), Capacity: 1})
 	}
 	mt := New(g, []int32{0}, facs)
-	if !mt.FindPair(0) {
+	if !must(mt.FindPairCtx(context.Background(), 0)) {
 		t.Fatal("FindPair failed")
 	}
 	if got := mt.Stats().EdgesMaterialized; got > 3 {
@@ -441,8 +443,8 @@ func TestAccessors(t *testing.T) {
 	if mt.M() != 2 || mt.L() != 1 {
 		t.Fatalf("M=%d L=%d", mt.M(), mt.L())
 	}
-	mt.FindPair(0)
-	mt.FindPair(1)
+	must(mt.FindPairCtx(context.Background(), 0))
+	must(mt.FindPairCtx(context.Background(), 1))
 	if mt.AssignedCount(0) != 2 || mt.MatchCount(0) != 1 || mt.MatchCount(1) != 1 {
 		t.Fatalf("AssignedCount=%d MatchCount=%d,%d, want 2 and 1,1", mt.AssignedCount(0), mt.MatchCount(0), mt.MatchCount(1))
 	}

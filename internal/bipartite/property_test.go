@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func TestCostMonotoneOverAugmentations(t *testing.T) {
 			if before != prev {
 				return false // cost changed outside FindPair
 			}
-			mt.FindPair(c)
+			must(mt.FindPairCtx(context.Background(), c))
 			after := mt.TotalMatchedCost()
 			if after < before {
 				return false
@@ -67,7 +68,7 @@ func TestLoadsNeverExceedCapacity(t *testing.T) {
 		}
 		mt := New(g, custNodes, facs)
 		for step := 0; step < 3*m; step++ {
-			mt.FindPair(rng.Intn(m))
+			must(mt.FindPairCtx(context.Background(), rng.Intn(m)))
 			for j := 0; j < l; j++ {
 				if mt.AssignedCount(j) > facs[j].Capacity {
 					return false
@@ -105,7 +106,7 @@ func TestDeterministicReplay(t *testing.T) {
 		run := func() (int64, Stats) {
 			mt := New(g, custNodes, facs)
 			for _, c := range seq {
-				mt.FindPair(c)
+				must(mt.FindPairCtx(context.Background(), c))
 			}
 			return mt.TotalMatchedCost(), mt.Stats()
 		}

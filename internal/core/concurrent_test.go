@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -32,42 +33,42 @@ func TestSolvePathsConcurrent(t *testing.T) {
 	}
 	paths := []path{
 		{"wma", func() (int64, error) {
-			sol, err := core.Solve(inst, core.Options{})
+			sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 			if err != nil {
 				return 0, err
 			}
 			return sol.Objective, nil
 		}},
 		{"wma-uf", func() (int64, error) {
-			sol, err := core.SolveUniformFirst(inst, core.Options{})
+			sol, err := core.SolveUniformFirstCtx(context.Background(), inst, core.Options{})
 			if err != nil {
 				return 0, err
 			}
 			return sol.Objective, nil
 		}},
 		{"naive", func() (int64, error) {
-			sol, err := baseline.Naive(inst, 5, core.Options{})
+			sol, err := baseline.NaiveCtx(context.Background(), inst, 5, core.Options{})
 			if err != nil {
 				return 0, err
 			}
 			return sol.Objective, nil
 		}},
 		{"hilbert", func() (int64, error) {
-			sol, err := baseline.Hilbert(inst, core.Options{})
+			sol, err := baseline.HilbertCtx(context.Background(), inst, core.Options{})
 			if err != nil {
 				return 0, err
 			}
 			return sol.Objective, nil
 		}},
 		{"brnn", func() (int64, error) {
-			sol, err := baseline.BRNN(inst, core.Options{})
+			sol, err := baseline.BRNNCtx(context.Background(), inst, core.Options{})
 			if err != nil {
 				return 0, err
 			}
 			return sol.Objective, nil
 		}},
 		{"exact", func() (int64, error) {
-			res, err := solver.BranchAndBound(inst, solver.Options{TimeBudget: 30 * time.Second})
+			res, err := solver.BranchAndBoundCtx(context.Background(), inst, solver.Options{TimeBudget: 30 * time.Second})
 			if err != nil {
 				return 0, err
 			}
@@ -113,7 +114,7 @@ func TestSolvePathsConcurrent(t *testing.T) {
 	}
 
 	// The shared instance still verifies its own solutions afterwards.
-	sol, err := core.Solve(inst, core.Options{})
+	sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestEvalObjectiveConcurrent(t *testing.T) {
 		MinNodes: 40, MaxNodes: 80,
 		MaxCustomers: 15, MaxFacilities: 20, MaxCapacity: 3, MaxWeight: 20,
 	})
-	sol, err := core.Solve(inst, core.Options{})
+	sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mcfs/internal/data"
@@ -25,7 +26,7 @@ func TestSolveDirectedAsymmetric(t *testing.T) {
 		Facilities: []data.Facility{{Node: 2, Capacity: 1}},
 		K:          1,
 	}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSolveDirectedChoosesForwardCheapest(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 1}, {Node: 2, Capacity: 1}},
 		K:          1,
 	}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -97,14 +98,14 @@ func TestWMANeverBeatsExact(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomFeasibleInstance(t, rng)
-		wma, err := core.Solve(inst, core.Options{})
+		wma, err := core.SolveCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: WMA failed on a feasible instance: %v", seed, err)
 		}
 		if _, err := inst.CheckSolution(wma); err != nil {
 			t.Fatalf("seed %d: WMA solution does not verify: %v", seed, err)
 		}
-		exact, err := solver.Exhaustive(inst, 0)
+		exact, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("seed %d: exhaustive failed: %v", seed, err)
 		}
@@ -129,11 +130,11 @@ func TestRelabelInvariance(t *testing.T) {
 		perm := rng.Perm(inst.G.N())
 		rel := relabelInstance(t, inst, perm)
 
-		base, err := core.Solve(inst, core.Options{})
+		base, err := core.SolveCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: WMA failed: %v", seed, err)
 		}
-		relSol, err := core.Solve(rel, core.Options{})
+		relSol, err := core.SolveCtx(context.Background(), rel, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: WMA failed on relabeled instance: %v", seed, err)
 		}
@@ -145,11 +146,11 @@ func TestRelabelInvariance(t *testing.T) {
 				seed, base.Objective, relSol.Objective)
 		}
 
-		exBase, err := solver.Exhaustive(inst, 0)
+		exBase, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("seed %d: exhaustive failed: %v", seed, err)
 		}
-		exRel, err := solver.Exhaustive(rel, 0)
+		exRel, err := solver.ExhaustiveCtx(context.Background(), rel, 0)
 		if err != nil {
 			t.Fatalf("seed %d: exhaustive failed on relabeled instance: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"mcfs/internal/core"
@@ -40,11 +41,11 @@ func TestPaperWorkedExample(t *testing.T) {
 		K: 2,
 	}
 
-	opt, err := solver.Exhaustive(inst, 0)
+	opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := core.Solve(inst, core.Options{})
+	sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,12 @@ import (
 	"mcfs/internal/graph"
 )
 
-// SelectGreedy implements Algorithm 4: while fewer than k facilities are
-// selected, repeatedly locate the customer farthest from the current
+// SelectGreedyCtx implements Algorithm 4: while fewer than k facilities
+// are selected, repeatedly locate the customer farthest from the current
 // selection (network distance) and add the unselected candidate facility
 // nearest to it. This retains coverage and improves the cost objective.
-func SelectGreedy(inst *data.Instance, selection []int) []int {
-	sel, _ := SelectGreedyCtx(context.Background(), inst, selection)
-	return sel
-}
-
-// SelectGreedyCtx is SelectGreedy with cooperative cancellation: the
-// per-pick multi-source Dijkstra and nearest-candidate searches poll
-// ctx. On cancellation it returns nil and ctx.Err().
+// The per-pick multi-source Dijkstra and nearest-candidate searches poll
+// ctx; on cancellation it returns nil and ctx.Err().
 func SelectGreedyCtx(ctx context.Context, inst *data.Instance, selection []int) ([]int, error) {
 	k, l := inst.K, inst.L()
 	if k > l {
@@ -88,7 +82,7 @@ func SelectGreedyCtx(ctx context.Context, inst *data.Instance, selection []int) 
 	return selection, nil
 }
 
-// CoverComponents implements Algorithm 5: it revises the selection so
+// CoverComponentsCtx implements Algorithm 5: it revises the selection so
 // that every connected component of the network holds enough selected
 // capacity for its customers, swapping the lowest-capacity selected
 // facility of the most over-provisioned component for the
@@ -96,12 +90,8 @@ func SelectGreedyCtx(ctx context.Context, inst *data.Instance, selection []int) 
 // one. If the swap loop stalls, a deterministic rebuild (per-component
 // top-capacity facilities first) restores correctness; the instance is
 // known feasible at this point, so a covering selection always exists.
-func CoverComponents(inst *data.Instance, selection []int) ([]int, error) {
-	return CoverComponentsCtx(context.Background(), inst, selection)
-}
-
-// CoverComponentsCtx is CoverComponents with cooperative cancellation,
-// checked once per swap; on cancellation it returns nil and ctx.Err().
+// Cancellation is checked once per swap; on cancellation it returns nil
+// and ctx.Err().
 func CoverComponentsCtx(ctx context.Context, inst *data.Instance, selection []int) ([]int, error) {
 	comp, count := inst.G.Components()
 	custCount := make([]int, count)

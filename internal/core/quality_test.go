@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,11 +25,11 @@ func TestWMANearOptimal(t *testing.T) {
 			MaxCustomers: 8, MaxFacilities: 7,
 			MaxCapacity: 3, MaxWeight: 25,
 		})
-		opt, err := solver.Exhaustive(inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		sol, err := core.Solve(inst, core.Options{})
+		sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: wma: %v", trial, err)
 		}
@@ -64,11 +65,11 @@ func TestWMAOptimalWhenSelectionTrivial(t *testing.T) {
 			MaxCapacity: 3, MaxWeight: 25,
 		})
 		inst.K = inst.L()
-		opt, err := solver.Exhaustive(inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		sol, err := core.Solve(inst, core.Options{})
+		sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -90,11 +91,11 @@ func TestSelectiveDemandComparable(t *testing.T) {
 			MaxCustomers: 10, MaxFacilities: 8,
 			MaxCapacity: 3, MaxWeight: 25,
 		})
-		a, err := core.Solve(inst, core.Options{Demand: core.DemandSelective})
+		a, err := core.SolveCtx(context.Background(), inst, core.Options{Demand: core.DemandSelective})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		b, err := core.Solve(inst, core.Options{Demand: core.DemandAll})
+		b, err := core.SolveCtx(context.Background(), inst, core.Options{Demand: core.DemandAll})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -118,9 +119,9 @@ func TestSelectGreedyFillsToK(t *testing.T) {
 	for v := 0; v < 10; v += 2 {
 		inst.Facilities = append(inst.Facilities, data.Facility{Node: int32(v), Capacity: 2})
 	}
-	sel := core.SelectGreedy(inst, []int{0}) // facility at node 0 preselected
-	if len(sel) != 3 {
-		t.Fatalf("selection size %d, want 3", len(sel))
+	sel, err := core.SelectGreedyCtx(context.Background(), inst, []int{0}) // facility at node 0 preselected
+	if err != nil || len(sel) != 3 {
+		t.Fatalf("selection %v (err %v), want 3 facilities", sel, err)
 	}
 	seen := map[int]bool{}
 	for _, j := range sel {
@@ -144,9 +145,9 @@ func TestSelectGreedyFromEmpty(t *testing.T) {
 		Facilities: []data.Facility{{Node: 0, Capacity: 1}, {Node: 4, Capacity: 1}},
 		K:          1,
 	}
-	sel := core.SelectGreedy(inst, nil)
-	if len(sel) != 1 {
-		t.Fatalf("selection = %v", sel)
+	sel, err := core.SelectGreedyCtx(context.Background(), inst, nil)
+	if err != nil || len(sel) != 1 {
+		t.Fatalf("selection = %v (err %v)", sel, err)
 	}
 }
 
@@ -168,7 +169,7 @@ func TestCoverComponentsRepairsDeficit(t *testing.T) {
 		},
 		K: 2,
 	}
-	sel, err := core.CoverComponents(inst, []int{0, 1})
+	sel, err := core.CoverComponentsCtx(context.Background(), inst, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestCoverComponentsNoopWhenBalanced(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 2}, {Node: 2, Capacity: 2}},
 		K:          1,
 	}
-	sel, err := core.CoverComponents(inst, []int{0})
+	sel, err := core.CoverComponentsCtx(context.Background(), inst, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"mcfs/internal/data"
 )
 
-// SolveUniformFirst implements the paper's Uniform First (UF) strategy
+// SolveUniformFirstCtx implements the paper's Uniform First (UF) strategy
 // for nonuniform instances (§VII-F): first select facilities as if every
 // capacity equaled the (ceiling of the) average capacity — which may
 // expose better locations unbiased by capacity skew — then rebuild the
@@ -15,19 +15,12 @@ import (
 // bipartite matching step, repairing the selection per component if the
 // true capacities fall short. Falls back to the Direct strategy when the
 // uniformized instance is infeasible.
-func SolveUniformFirst(inst *data.Instance, opt Options) (*data.Solution, error) {
-	return SolveUniformFirstCtx(context.Background(), inst, opt)
-}
-
-// SolveUniformFirstCtx is SolveUniformFirst with cooperative
-// cancellation; the context is threaded through both the uniformized
-// and the true-capacity solve. On cancellation it returns nil and
-// ctx.Err() — never the Direct-strategy fallback, which is reserved for
-// genuine infeasibility of the uniformized instance.
+//
+// The context is threaded through both the uniformized and the
+// true-capacity solve. On cancellation it returns nil and ctx.Err() —
+// never the Direct-strategy fallback, which is reserved for genuine
+// infeasibility of the uniformized instance.
 func SolveUniformFirstCtx(ctx context.Context, inst *data.Instance, opt Options) (*data.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}

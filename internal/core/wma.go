@@ -83,25 +83,18 @@ type Options struct {
 // bound — which indicates a bug rather than a property of the input.
 var ErrIterationLimit = errors.New("wma: iteration limit exceeded")
 
-// Solve runs WMA on the instance and returns a feasible solution of
+// SolveCtx runs WMA on the instance and returns a feasible solution of
 // minimized (heuristic) total distance. It returns data.ErrInfeasible
 // when no feasible solution exists.
-func Solve(inst *data.Instance, opt Options) (*data.Solution, error) {
-	return SolveCtx(context.Background(), inst, opt)
-}
-
-// SolveCtx is Solve with cooperative cancellation: ctx is checked once
-// per WMA iteration, per augmenting-path search inside the matcher, and
-// every ~4096 heap pops of the underlying network searches. On
-// cancellation it returns nil and ctx.Err() — WMA holds no feasible
-// incumbent until its final assignment phase completes, so there is no
-// partial solution to salvage (unlike the exact solver's branch and
-// bound). The checkpoints never alter the algorithm, so an uncancelled
-// run produces output byte-identical to Solve.
+//
+// ctx is checked once per WMA iteration, per augmenting-path search
+// inside the matcher, and every ~4096 heap pops of the underlying
+// network searches. On cancellation it returns nil and ctx.Err() — WMA
+// holds no feasible incumbent until its final assignment phase
+// completes, so there is no partial solution to salvage (unlike the
+// exact solver's branch and bound). The checkpoints never alter the
+// algorithm, so every uncancelled run produces byte-identical output.
 func SolveCtx(ctx context.Context, inst *data.Instance, opt Options) (*data.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if p := obs.From(ctx).Phase("wma/solve"); p != nil {
 		defer p.End()
 	}
@@ -246,19 +239,13 @@ func explore(ctx context.Context, inst *data.Instance, opt Options) ([]int, erro
 	return selection, nil
 }
 
-// AssignToSelection implements the tail recursion of Algorithm 1: it
+// AssignToSelectionCtx implements the tail recursion of Algorithm 1: it
 // builds a single optimal (minimum-cost) assignment of all customers to
 // the given selected facilities, each customer matched exactly once, and
 // packages the solution. It is the optimal-assignment primitive shared
 // by WMA's final phase, the Hilbert and BRNN baselines, the exact
-// solver, and the Uniform-First strategy.
-func AssignToSelection(inst *data.Instance, selected []int, opt Options) (*data.Solution, error) {
-	return AssignToSelectionCtx(context.Background(), inst, selected, opt)
-}
-
-// AssignToSelectionCtx is AssignToSelection with cooperative
-// cancellation, checked per augmenting path; on cancellation it returns
-// nil and ctx.Err().
+// solver, and the Uniform-First strategy. Cancellation is checked per
+// augmenting path; on cancellation it returns nil and ctx.Err().
 func AssignToSelectionCtx(ctx context.Context, inst *data.Instance, selected []int, opt Options) (*data.Solution, error) {
 	if p := obs.From(ctx).Phase("wma/assign"); p != nil {
 		defer p.End()

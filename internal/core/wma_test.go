@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestSolveTiny(t *testing.T) {
 		},
 		K: 2,
 	}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSolveCapacityForcesSplit(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 1}, {Node: 3, Capacity: 1}, {Node: 0, Capacity: 1}},
 		K:          2,
 	}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSolveRewiringBeatsGreedy(t *testing.T) {
 		Facilities: []data.Facility{{Node: 2, Capacity: 1}, {Node: 3, Capacity: 1}, {Node: 4, Capacity: 1}},
 		K:          2,
 	}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSolveRewiringBeatsGreedy(t *testing.T) {
 func TestSolveEmptyCustomers(t *testing.T) {
 	g := pathGraph(t, 3)
 	inst := &data.Instance{G: g, Facilities: []data.Facility{{Node: 0, Capacity: 1}}, K: 1}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSolveInfeasible(t *testing.T) {
 		},
 	}
 	for i, inst := range cases {
-		if _, err := Solve(inst, Options{}); !errors.Is(err, data.ErrInfeasible) {
+		if _, err := SolveCtx(context.Background(), inst, Options{}); !errors.Is(err, data.ErrInfeasible) {
 			t.Fatalf("case %d: err = %v, want ErrInfeasible", i, err)
 		}
 	}
@@ -132,7 +133,7 @@ func TestSolveInfeasible(t *testing.T) {
 func TestSolveInvalidInstance(t *testing.T) {
 	g := pathGraph(t, 3)
 	inst := &data.Instance{G: g, Customers: []int32{9}, K: 1}
-	if _, err := Solve(inst, Options{}); err == nil {
+	if _, err := SolveCtx(context.Background(), inst, Options{}); err == nil {
 		t.Fatal("invalid instance accepted")
 	}
 }
@@ -145,7 +146,7 @@ func TestSolveKGreaterThanL(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 2}, {Node: 4, Capacity: 2}},
 		K:          10,
 	}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestSolveDisconnectedComponents(t *testing.T) {
 		},
 		K: 2,
 	}
-	sol, err := Solve(inst, Options{})
+	sol, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSolveValidOnRandomInstances(t *testing.T) {
 			MaxCustomers: 12, MaxFacilities: 10,
 			MaxCapacity: 4, MaxWeight: 25,
 		})
-		sol, err := Solve(inst, Options{})
+		sol, err := SolveCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v (m=%d l=%d k=%d)", trial, err, inst.M(), inst.L(), inst.K)
 		}
@@ -215,7 +216,7 @@ func TestSolveValidOnMultiComponentInstances(t *testing.T) {
 			MaxCapacity: 3, MaxWeight: 25,
 			Components: 1 + rng.Intn(3),
 		})
-		sol, err := Solve(inst, Options{})
+		sol, err := SolveCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -240,7 +241,7 @@ func TestSolveOptionVariantsValid(t *testing.T) {
 			MaxCapacity: 3, MaxWeight: 20,
 		})
 		for vi, opt := range variants {
-			sol, err := Solve(inst, opt)
+			sol, err := SolveCtx(context.Background(), inst, opt)
 			if err != nil {
 				t.Fatalf("trial %d variant %d: %v", trial, vi, err)
 			}
@@ -258,11 +259,11 @@ func TestSolveDeterministic(t *testing.T) {
 		MaxCustomers: 10, MaxFacilities: 8,
 		MaxCapacity: 3, MaxWeight: 20,
 	})
-	a, err := Solve(inst, Options{})
+	a, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(inst, Options{})
+	b, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestProgressCallback(t *testing.T) {
 		inst.Facilities = append(inst.Facilities, data.Facility{Node: int32(v), Capacity: 5})
 	}
 	var iters []IterationStats
-	_, err := Solve(inst, Options{Progress: func(s IterationStats) { iters = append(iters, s) }})
+	_, err := SolveCtx(context.Background(), inst, Options{Progress: func(s IterationStats) { iters = append(iters, s) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestAssignToSelectionOptimalVsBruteForce(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 2}, {Node: 5, Capacity: 1}},
 		K:          2,
 	}
-	sol, err := AssignToSelection(inst, []int{0, 1}, Options{})
+	sol, err := AssignToSelectionCtx(context.Background(), inst, []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestAssignToSelectionInfeasibleSubset(t *testing.T) {
 		Facilities: []data.Facility{{Node: 2, Capacity: 1}, {Node: 3, Capacity: 5}},
 		K:          1,
 	}
-	if _, err := AssignToSelection(inst, []int{0}, Options{}); !errors.Is(err, data.ErrInfeasible) {
+	if _, err := AssignToSelectionCtx(context.Background(), inst, []int{0}, Options{}); !errors.Is(err, data.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }

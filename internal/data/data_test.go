@@ -2,7 +2,9 @@ package data
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,6 +209,7 @@ func TestEvalObjectiveUnreachable(t *testing.T) {
 
 func TestRoundTripSerialization(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
 	for trial := 0; trial < 10; trial++ {
 		n := 5 + rng.Intn(40)
 		b := graph.NewBuilder(n, false)
@@ -274,12 +277,8 @@ func TestRoundTripSerialization(t *testing.T) {
 		}
 		// Shortest paths must agree (the graph is semantically identical).
 		src := int32(rng.Intn(n))
-		d1 := in.G.Dijkstra(src)
-		d2 := got.G.Dijkstra(src)
-		for v := range d1 {
-			if d1[v] != d2[v] {
-				t.Fatalf("distance mismatch after round trip at node %d", v)
-			}
+		if !slices.Equal(must(in.G.DijkstraCtx(ctx, src)), must(got.G.DijkstraCtx(ctx, src))) {
+			t.Fatal("distance mismatch after round trip")
 		}
 	}
 }

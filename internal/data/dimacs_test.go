@@ -2,11 +2,21 @@ package data
 
 import (
 	"bytes"
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"mcfs/internal/graph"
 )
+
+// must unwraps a call that cannot fail under an uncancelled context.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 const sampleGR = `c tiny road network
 p sp 4 6
@@ -37,7 +47,7 @@ func TestReadDIMACSUndirected(t *testing.T) {
 	if g.Directed() {
 		t.Fatal("undirected graph marked directed")
 	}
-	d := g.Dijkstra(0)
+	d := must(g.DijkstraCtx(context.Background(), 0))
 	if d[3] != 35 {
 		t.Fatalf("dist 1→4 = %d, want 35", d[3])
 	}
@@ -63,10 +73,10 @@ a 2 3 1
 	if !g.Directed() {
 		t.Fatal("directed graph not marked directed")
 	}
-	if d := g.Dijkstra(0); d[2] != 8 {
+	if d := must(g.DijkstraCtx(context.Background(), 0)); d[2] != 8 {
 		t.Fatalf("dist 1→3 = %d, want 8", d[2])
 	}
-	if d := g.Dijkstra(2); d[0] < graph.Inf {
+	if d := must(g.DijkstraCtx(context.Background(), 2)); d[0] < graph.Inf {
 		t.Fatalf("node 3 should not reach node 1, got %d", d[0])
 	}
 }
@@ -120,11 +130,7 @@ func TestDIMACSRoundTrip(t *testing.T) {
 	if back.N() != g.N() || back.M() != g.M() {
 		t.Fatalf("round trip changed sizes: %d/%d vs %d/%d", back.N(), back.M(), g.N(), g.M())
 	}
-	d1 := g.Dijkstra(0)
-	d2 := back.Dijkstra(0)
-	for v := range d1 {
-		if d1[v] != d2[v] {
-			t.Fatalf("distance changed at node %d", v)
-		}
+	if !slices.Equal(must(g.DijkstraCtx(context.Background(), 0)), must(back.DijkstraCtx(context.Background(), 0))) {
+		t.Fatal("round trip changed distances")
 	}
 }

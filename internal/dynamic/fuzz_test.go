@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"mcfs/internal/data"
@@ -47,7 +48,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	inst := fuzzInstance()
 
 	// A genuine snapshot of a churned reallocator, captured at seed time.
-	r, err := New(inst, Options{})
+	r, err := NewCtx(context.Background(), inst, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 
 		// Restore must either succeed with a state that verifies, or
 		// fail with an error — never panic, whatever the fields hold.
-		restored, err := Restore(inst, s, Options{})
+		restored, err := RestoreCtx(context.Background(), inst, s, Options{})
 		if err != nil {
 			return
 		}

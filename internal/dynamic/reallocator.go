@@ -78,19 +78,16 @@ type Reallocator struct {
 	stats         Stats
 }
 
-// New builds a Reallocator from an initial instance, performing one full
-// solve. The instance's customers become handles 0..m-1.
-func New(inst *data.Instance, opt Options) (*Reallocator, error) {
-	return NewCtx(context.Background(), inst, opt)
-}
-
-// NewCtx is New with cooperative cancellation. The context is retained
-// and governs the initial full solve and every subsequent operation on
-// the Reallocator (arrivals, rebuilds, drift-triggered re-selections);
-// rebind it with SetContext. When the context fires mid-operation the
-// method returns ctx.Err() and the running matching is marked stale, so
-// the next operation under a live context transparently rebuilds it —
-// the Reallocator itself stays usable.
+// NewCtx builds a Reallocator from an initial instance, performing one
+// full solve. The instance's customers become handles 0..m-1.
+//
+// The context is retained and governs the initial full solve and every
+// subsequent operation on the Reallocator (arrivals, rebuilds,
+// drift-triggered re-selections); rebind it with SetContext. When the
+// context fires mid-operation the method returns ctx.Err() and the
+// running matching is marked stale, so the next operation under a live
+// context transparently rebuilds it — the Reallocator itself stays
+// usable.
 func NewCtx(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator, error) {
 	r, err := skeleton(ctx, inst, opt)
 	if err != nil {
@@ -107,18 +104,12 @@ func NewCtx(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator
 	return r, nil
 }
 
-// Adopt builds a Reallocator around an externally computed facility
+// AdoptCtx builds a Reallocator around an externally computed facility
 // selection instead of running WMA: the instance's customers become
 // handles 0..m-1, the selection is installed as-is, and the optimal
 // assignment to it is built. This is how a serving process starts from
 // any registered algorithm's solution (or any custom strategy) and then
-// maintains it incrementally.
-func Adopt(inst *data.Instance, selected []int, opt Options) (*Reallocator, error) {
-	return AdoptCtx(context.Background(), inst, selected, opt)
-}
-
-// AdoptCtx is Adopt with cooperative cancellation; the context contract
-// matches NewCtx.
+// maintains it incrementally. The context contract matches NewCtx.
 func AdoptCtx(ctx context.Context, inst *data.Instance, selected []int, opt Options) (*Reallocator, error) {
 	r, err := skeleton(ctx, inst, opt)
 	if err != nil {
@@ -139,9 +130,6 @@ func AdoptCtx(ctx context.Context, inst *data.Instance, selected []int, opt Opti
 // skeleton validates the instance and builds an empty Reallocator with
 // no customers, no selection, and no matching.
 func skeleton(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func verify(t *testing.T, r *Reallocator) {
 		t.Fatalf("reallocator state invalid: %v", err)
 	}
 	// The incremental assignment must be optimal for the open selection.
-	want, err := core.AssignToSelection(inst, sol.Selected, core.Options{})
+	want, err := core.AssignToSelectionCtx(context.Background(), inst, sol.Selected, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func verify(t *testing.T, r *Reallocator) {
 
 func TestReallocatorInitialMatchesSolve(t *testing.T) {
 	inst := lineInstance(t)
-	r, err := New(inst, Options{})
+	r, err := NewCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.Solve(inst, core.Options{})
+	direct, err := core.SolveCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestReallocatorInitialMatchesSolve(t *testing.T) {
 
 func TestReallocatorArrivalsIncremental(t *testing.T) {
 	inst := lineInstance(t)
-	r, err := New(inst, Options{DriftFactor: 100}) // keep selection fixed
+	r, err := NewCtx(context.Background(), inst, Options{DriftFactor: 100}) // keep selection fixed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestReallocatorArrivalsIncremental(t *testing.T) {
 
 func TestReallocatorDepartures(t *testing.T) {
 	inst := lineInstance(t)
-	r, err := New(inst, Options{})
+	r, err := NewCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +131,9 @@ func TestReallocatorSaturationTriggersReselect(t *testing.T) {
 	// set saturates and a full re-solve must kick in, then until even the
 	// catalogue is exhausted.
 	inst := lineInstance(t)
-	inst.K = 2                                   // open capacity 4
-	r, err := New(inst, Options{DriftFactor: 0}) // only saturation can re-solve
+	inst.K = 2 // open capacity 4
+	// DriftFactor 0: only saturation can re-solve.
+	r, err := NewCtx(context.Background(), inst, Options{DriftFactor: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestReallocatorSaturationTriggersReselect(t *testing.T) {
 
 func TestReallocatorDriftTriggersReselect(t *testing.T) {
 	inst := lineInstance(t)
-	r, err := New(inst, Options{DriftFactor: 1.01})
+	r, err := NewCtx(context.Background(), inst, Options{DriftFactor: 1.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestReallocatorRandomChurn(t *testing.T) {
 		})
 		// Ample budget so churn stays feasible.
 		inst.K = inst.L()
-		r, err := New(inst, Options{})
+		r, err := NewCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -228,7 +230,7 @@ func TestReallocatorRandomChurn(t *testing.T) {
 
 func TestReallocatorRefresh(t *testing.T) {
 	inst := lineInstance(t)
-	r, err := New(inst, Options{})
+	r, err := NewCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestReallocatorRefresh(t *testing.T) {
 
 func TestReallocatorInvalidInputs(t *testing.T) {
 	inst := lineInstance(t)
-	r, err := New(inst, Options{})
+	r, err := NewCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +257,11 @@ func TestReallocatorInvalidInputs(t *testing.T) {
 		t.Fatal("out-of-range node accepted")
 	}
 	bad := &data.Instance{G: inst.G, Customers: []int32{99}, K: 1}
-	if _, err := New(bad, Options{}); err == nil {
+	if _, err := NewCtx(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("invalid instance accepted")
 	}
 	infeasible := &data.Instance{G: inst.G, Customers: []int32{0}, K: 0}
-	if _, err := New(infeasible, Options{}); !errors.Is(err, data.ErrInfeasible) {
+	if _, err := NewCtx(context.Background(), infeasible, Options{}); !errors.Is(err, data.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }

@@ -135,18 +135,13 @@ func (s *Snapshot) checkAgainst(inst *data.Instance) error {
 	return nil
 }
 
-// Restore is RestoreCtx with context.Background(); see NewCtx for the
-// context contract.
-func Restore(inst *data.Instance, s *Snapshot, opt Options) (*Reallocator, error) {
-	return RestoreCtx(context.Background(), inst, s, opt)
-}
-
 // RestoreCtx reconstructs a Reallocator from a snapshot taken against
 // an identical instance: the captured population keeps its handles, the
 // captured selection is reinstalled, and the optimal matching is
 // rebuilt — reproducing the snapshotted objective exactly (the
 // minimum-cost assignment to a fixed selection is unique in value). The
-// work counters resume from the captured Stats.
+// work counters resume from the captured Stats. See NewCtx for the
+// context contract.
 func RestoreCtx(ctx context.Context, inst *data.Instance, s *Snapshot, opt Options) (*Reallocator, error) {
 	if err := s.checkAgainst(inst); err != nil {
 		return nil, err

@@ -42,7 +42,7 @@ func churnInstance(t *testing.T) *data.Instance {
 func churnedReallocator(t *testing.T) (*data.Instance, *Reallocator) {
 	t.Helper()
 	inst := churnInstance(t)
-	r, err := New(inst, Options{})
+	r, err := NewCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := Restore(inst, read, Options{})
+	restored, err := RestoreCtx(context.Background(), inst, read, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := &data.Instance{G: inst.G, Customers: inst.Customers, Facilities: inst.Facilities, K: inst.K + 1}
-	if _, err := Restore(other, snap, Options{}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := RestoreCtx(context.Background(), other, snap, Options{}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("fingerprint mismatch accepted: %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestSnapshotFingerprintMismatchMessage(t *testing.T) {
 	}
 	snap.Nodes++
 	snap.K += 3
-	_, err = Restore(inst, snap, Options{})
+	_, err = RestoreCtx(context.Background(), inst, snap, Options{})
 	if err == nil {
 		t.Fatal("fingerprint mismatch accepted")
 	}
@@ -186,7 +186,7 @@ func TestSnapshotValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(snap)
-		if _, err := Restore(inst, snap, Options{}); err == nil {
+		if _, err := RestoreCtx(context.Background(), inst, snap, Options{}); err == nil {
 			t.Fatal("corrupted snapshot accepted")
 		}
 	}
@@ -249,7 +249,7 @@ func TestAdoptSelection(t *testing.T) {
 	// Adopt the current selection rotated through a fresh reallocator:
 	// any feasible selection must be installable.
 	sel := r.Selected()
-	adopted, err := Adopt(r.instance(), sel, Options{})
+	adopted, err := AdoptCtx(context.Background(), r.instance(), sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcfs/internal/graph"
@@ -55,12 +57,8 @@ func TestSyntheticDeterministic(t *testing.T) {
 	if a.N() != b.N() || a.M() != b.M() {
 		t.Fatalf("same seed, different graphs: %d/%d vs %d/%d", a.N(), a.M(), b.N(), b.M())
 	}
-	da := a.Dijkstra(0)
-	db := b.Dijkstra(0)
-	for v := range da {
-		if da[v] != db[v] {
-			t.Fatal("same seed, different distances")
-		}
+	if !sameDistances(a, b) {
+		t.Fatal("same seed, different distances")
 	}
 	c, err := Synthetic(SyntheticConfig{N: 500, Alpha: 1.5, Clusters: 10, Seed: 43})
 	if err != nil {
@@ -71,15 +69,11 @@ func TestSyntheticDeterministic(t *testing.T) {
 	}
 }
 
+// sameDistances compares the two graphs' distances from node 0.
 func sameDistances(a, b *graph.Graph) bool {
-	da := a.Dijkstra(0)
-	db := b.Dijkstra(0)
-	for v := range da {
-		if da[v] != db[v] {
-			return false
-		}
-	}
-	return true
+	da, aerr := a.DijkstraCtx(context.Background(), 0)
+	db, berr := b.DijkstraCtx(context.Background(), 0)
+	return aerr == nil && berr == nil && slices.Equal(da, db)
 }
 
 func TestSyntheticClusteredStructure(t *testing.T) {

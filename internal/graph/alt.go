@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -58,10 +59,17 @@ func NewALT(g *Graph, numLandmarks int, seed int64) (*ALT, error) {
 		heap:  pq.NewDense(n),
 	}
 	rng := rand.New(rand.NewSource(seed))
-	first := int32(rng.Intn(n))
-	a.landmarks = append(a.landmarks, first)
-	a.dist = append(a.dist, g.Dijkstra(first))
-	for len(a.landmarks) < numLandmarks {
+	next := int32(rng.Intn(n))
+	for {
+		d, err := g.DijkstraCtx(context.Background(), next)
+		if err != nil {
+			return nil, err
+		}
+		a.landmarks = append(a.landmarks, next)
+		a.dist = append(a.dist, d)
+		if len(a.landmarks) == numLandmarks {
+			break
+		}
 		// Farthest point from the current landmark set (finite distances
 		// only, so every landmark stays within reach of the first's
 		// component; unreachable components fall back to h = 0).
@@ -80,8 +88,7 @@ func NewALT(g *Graph, numLandmarks int, seed int64) (*ALT, error) {
 		if best < 0 || bestD == 0 {
 			break // graph exhausted (fewer distinct positions than requested)
 		}
-		a.landmarks = append(a.landmarks, best)
-		a.dist = append(a.dist, g.Dijkstra(best))
+		next = best
 	}
 	return a, nil
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestALTMatchesDijkstra(t *testing.T) {
 		for q := 0; q < 30; q++ {
 			s := int32(rng.Intn(n))
 			u := int32(rng.Intn(n))
-			want := g.Dijkstra(s)[u]
+			want := must(g.DijkstraCtx(context.Background(), s))[u]
 			if got := alt.Distance(s, u); got != want {
 				t.Fatalf("trial %d: ALT dist(%d,%d) = %d, want %d", trial, s, u, got, want)
 			}

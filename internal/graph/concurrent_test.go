@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestNNSearcherConcurrentConstruction(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := NewNNSearcher(g, src, isCand)
+			s := NewNNSearcherCtx(context.Background(), g, src, isCand)
 			res := drained{src: src}
 			for {
 				v, d, ok := s.Next()
@@ -49,7 +50,7 @@ func TestNNSearcherConcurrentConstruction(t *testing.T) {
 	wg.Wait()
 
 	for _, res := range results {
-		want := g.Dijkstra(res.src)
+		want := must(g.DijkstraCtx(context.Background(), res.src))
 		last := int64(-1)
 		for j, v := range res.nodes {
 			if !isCand[v] {
@@ -86,7 +87,7 @@ func TestALTCloneConcurrent(t *testing.T) {
 		for q := 0; q < perWorker; q++ {
 			s, u := int32(rng.Intn(n)), int32(rng.Intn(n))
 			queries[w] = append(queries[w], query{s, u})
-			want[w] = append(want[w], g.Dijkstra(s)[u])
+			want[w] = append(want[w], must(g.DijkstraCtx(context.Background(), s))[u])
 		}
 	}
 

@@ -22,6 +22,14 @@ func longLine(t *testing.T, n int) *Graph {
 	return g
 }
 
+// must unwraps a call that cannot fail under an uncancelled context.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func cancelledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -39,15 +47,15 @@ func TestDijkstraCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestDijkstraCtxUncancelledIdentical: the checkpoints never alter the
+// search; a live cancellable ctx (non-nil Done) matches Background.
 func TestDijkstraCtxUncancelledIdentical(t *testing.T) {
 	g := longLine(t, 2*checkEvery)
-	want := g.Dijkstra(0)
-	got, err := g.DijkstraCtx(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("DijkstraCtx differs from Dijkstra on an uncancelled run")
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	want := must(g.DijkstraCtx(context.Background(), 0))
+	if got := must(g.DijkstraCtx(live, 0)); !reflect.DeepEqual(got, want) {
+		t.Fatal("DijkstraCtx under a live cancellable context differs from a Background run")
 	}
 }
 

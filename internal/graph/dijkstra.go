@@ -14,17 +14,10 @@ import (
 // edge scans.
 const checkEvery = 4096
 
-// Dijkstra computes single-source shortest-path distances from src to all
-// nodes, returning a dense distance slice with Inf for unreachable nodes.
-func (g *Graph) Dijkstra(src int32) []int64 {
-	dist, _ := g.DijkstraCtx(context.Background(), src)
-	return dist
-}
-
-// DijkstraCtx is Dijkstra with cooperative cancellation: ctx is polled
-// every checkEvery heap pops, and on cancellation the search stops and
-// returns nil with ctx.Err(). An uncancelled run is identical to
-// Dijkstra.
+// DijkstraCtx computes single-source shortest-path distances from src to
+// all nodes, returning a dense distance slice with Inf for unreachable
+// nodes. ctx is polled every checkEvery heap pops; on cancellation the
+// search stops and returns nil with ctx.Err().
 func (g *Graph) DijkstraCtx(ctx context.Context, src int32) ([]int64, error) {
 	dist := make([]int64, g.N())
 	for i := range dist {
@@ -59,19 +52,12 @@ func (g *Graph) DijkstraCtx(ctx context.Context, src int32) ([]int64, error) {
 	return dist, nil
 }
 
-// MultiSourceDijkstra computes, for every node, the distance to its
+// MultiSourceDijkstraCtx computes, for every node, the distance to its
 // nearest source and that source's index in sources. Nodes unreachable
 // from all sources get distance Inf and owner -1. It implements network
 // Voronoi partitioning (ties go to the source settled first, i.e., the
-// lowest-distance one discovered earliest).
-func (g *Graph) MultiSourceDijkstra(sources []int32) (dist []int64, owner []int32) {
-	dist, owner, _ = g.MultiSourceDijkstraCtx(context.Background(), sources)
-	return dist, owner
-}
-
-// MultiSourceDijkstraCtx is MultiSourceDijkstra with cooperative
-// cancellation (polled every checkEvery heap pops); on cancellation it
-// returns nils and ctx.Err().
+// lowest-distance one discovered earliest). ctx is polled every
+// checkEvery heap pops; on cancellation it returns nils and ctx.Err().
 func (g *Graph) MultiSourceDijkstraCtx(ctx context.Context, sources []int32) (dist []int64, owner []int32, err error) {
 	n := g.N()
 	dist = make([]int64, n)

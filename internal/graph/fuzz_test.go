@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -72,7 +73,7 @@ func FuzzDijkstra(f *testing.F) {
 			g = randomGraph(rng, n, extra, maxW)
 		}
 		src := int32(rng.Intn(n))
-		got := g.Dijkstra(src)
+		got := must(g.DijkstraCtx(context.Background(), src))
 		want := bellmanFord(g, src)
 		if len(got) != len(want) {
 			t.Fatalf("Dijkstra returned %d distances for %d nodes", len(got), n)
@@ -85,10 +86,8 @@ func FuzzDijkstra(f *testing.F) {
 		}
 		// Both frontier-queue implementations must agree with the
 		// reference (and each other) on every fuzzed graph.
-		for mode, label := range map[QueueMode]string{QueueHeap: "heap", QueueBucket: "bucket"} {
-			prev := SetQueueMode(mode)
-			forced := g.Dijkstra(src)
-			SetQueueMode(prev)
+		for kind, label := range map[queueKind]string{queueHeap: "heap", queueBucket: "bucket"} {
+			forced := must(withQueue(g, kind).DijkstraCtx(context.Background(), src))
 			for v := range want {
 				if forced[v] != want[v] {
 					t.Fatalf("%s queue: dist[%d] = %d, want %d (n=%d src=%d maxW=%d seed=%d)",

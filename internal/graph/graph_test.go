@@ -150,11 +150,11 @@ func TestDirectedGraphOneWay(t *testing.T) {
 	if !g.Directed() {
 		t.Fatal("Directed() = false")
 	}
-	d := g.Dijkstra(0)
+	d := must(g.DijkstraCtx(context.Background(), 0))
 	if d[1] != 4 {
 		t.Fatalf("dist 0->1 = %d, want 4", d[1])
 	}
-	d = g.Dijkstra(1)
+	d = must(g.DijkstraCtx(context.Background(), 1))
 	if d[0] != Inf {
 		t.Fatalf("dist 1->0 = %d, want Inf", d[0])
 	}
@@ -173,7 +173,7 @@ func TestNeighborsEarlyStop(t *testing.T) {
 
 func TestDijkstraLine(t *testing.T) {
 	g := line(t, 5)
-	d := g.Dijkstra(0)
+	d := must(g.DijkstraCtx(context.Background(), 0))
 	for i := 0; i < 5; i++ {
 		if d[i] != int64(i) {
 			t.Fatalf("d[%d] = %d, want %d", i, d[i], i)
@@ -188,7 +188,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 		g := randomGraph(rng, n, rng.Intn(3*n), 50)
 		src := int32(rng.Intn(n))
 		want := bellmanFord(g, src)
-		got := g.Dijkstra(src)
+		got := must(g.DijkstraCtx(context.Background(), src))
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("trial %d: dist[%d] = %d, want %d", trial, v, got[v], want[v])
@@ -201,7 +201,7 @@ func TestDijkstraDisconnected(t *testing.T) {
 	b := NewBuilder(4, false)
 	b.AddEdge(0, 1, 1).AddEdge(2, 3, 1)
 	g, _ := b.Build()
-	d := g.Dijkstra(0)
+	d := must(g.DijkstraCtx(context.Background(), 0))
 	if d[2] != Inf || d[3] != Inf {
 		t.Fatalf("unreachable nodes have dist %d, %d", d[2], d[3])
 	}
@@ -226,7 +226,7 @@ func TestDijkstraWithinRadius(t *testing.T) {
 	if err := g.DijkstraWithinScratchCtx(context.Background(), 0, -1, sc); err != nil {
 		t.Fatal(err)
 	}
-	full := g.Dijkstra(0)
+	full := must(g.DijkstraCtx(context.Background(), 0))
 	sc.Each(func(v int32, d int64) bool {
 		if full[v] != d {
 			t.Fatalf("unbounded within: dist[%d] = %d, want %d", v, d, full[v])
@@ -241,7 +241,7 @@ func TestDijkstraWithinRadius(t *testing.T) {
 func TestDijkstraToTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomGraph(rng, 50, 80, 20)
-	full := g.Dijkstra(3)
+	full := must(g.DijkstraCtx(context.Background(), 3))
 	targets := []int32{7, 11, 49, 3} // unsorted, and the source itself
 	got := make([]int64, len(targets))
 	if err := g.DijkstraToTargetsScratchCtx(context.Background(), 3, targets, got, g.NewScratch()); err != nil {
@@ -271,11 +271,15 @@ func TestMultiSourceDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 80, 120, 30)
 	sources := []int32{5, 40, 77}
-	dist, owner := g.MultiSourceDijkstra(sources)
+	ctx := context.Background()
+	dist, owner, err := g.MultiSourceDijkstraCtx(ctx, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Reference: min over per-source Dijkstras.
 	per := make([][]int64, len(sources))
 	for i, s := range sources {
-		per[i] = g.Dijkstra(s)
+		per[i] = must(g.DijkstraCtx(ctx, s))
 	}
 	for v := 0; v < g.N(); v++ {
 		best := Inf
@@ -299,7 +303,10 @@ func TestMultiSourceDijkstra(t *testing.T) {
 
 func TestMultiSourceDuplicateSources(t *testing.T) {
 	g := line(t, 4)
-	dist, owner := g.MultiSourceDijkstra([]int32{2, 2})
+	dist, owner, err := g.MultiSourceDijkstraCtx(context.Background(), []int32{2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dist[2] != 0 || owner[2] != 0 {
 		t.Fatalf("duplicate source: dist=%d owner=%d", dist[2], owner[2])
 	}
@@ -319,7 +326,7 @@ func TestNNSearcherOrdering(t *testing.T) {
 			}
 		}
 		src := int32(rng.Intn(n))
-		full := g.Dijkstra(src)
+		full := must(g.DijkstraCtx(context.Background(), src))
 		type pair struct {
 			node int32
 			d    int64
@@ -332,7 +339,7 @@ func TestNNSearcherOrdering(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].d < want[j].d })
 
-		s := NewNNSearcher(g, src, isCand)
+		s := NewNNSearcherCtx(context.Background(), g, src, isCand)
 		var got []pair
 		for {
 			// PeekDist must equal the distance Next is about to return.
@@ -373,7 +380,7 @@ func TestNNSearcherOrdering(t *testing.T) {
 
 func TestNNSearcherNoCandidates(t *testing.T) {
 	g := line(t, 5)
-	s := NewNNSearcher(g, 0, make([]bool, 5))
+	s := NewNNSearcherCtx(context.Background(), g, 0, make([]bool, 5))
 	if _, _, ok := s.Next(); ok {
 		t.Fatal("Next returned candidate with empty candidate set")
 	}
@@ -385,7 +392,7 @@ func TestNNSearcherNoCandidates(t *testing.T) {
 func TestNNSearcherSourceIsCandidate(t *testing.T) {
 	g := line(t, 3)
 	isCand := []bool{true, false, true}
-	s := NewNNSearcher(g, 0, isCand)
+	s := NewNNSearcherCtx(context.Background(), g, 0, isCand)
 	node, d, ok := s.Next()
 	if !ok || node != 0 || d != 0 {
 		t.Fatalf("first = (%d,%d,%v), want (0,0,true)", node, d, ok)
@@ -458,7 +465,7 @@ func TestComponentsConsistentWithDijkstra(t *testing.T) {
 		if count != 2 {
 			t.Fatalf("count = %d, want 2", count)
 		}
-		d := g.Dijkstra(0)
+		d := must(g.DijkstraCtx(context.Background(), 0))
 		for v := 0; v < 2*n; v++ {
 			reachable := d[v] < Inf
 			sameComp := comp[v] == comp[0]
@@ -524,7 +531,7 @@ func BenchmarkDijkstraGrid(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(0)
+		must(g.DijkstraCtx(context.Background(), 0))
 	}
 }
 
@@ -543,7 +550,7 @@ func TestMultiSourceTwoNearest(t *testing.T) {
 		// Reference: full Dijkstra per source.
 		per := make([][]int64, ns)
 		for i, s := range sources {
-			per[i] = g.Dijkstra(s)
+			per[i] = must(g.DijkstraCtx(context.Background(), s))
 		}
 		for v := 0; v < n; v++ {
 			// Expected two best distinct sources.

@@ -26,10 +26,10 @@ type NNSearcher struct {
 	peekDist int64
 	hasPeek  bool
 
-	// ctx, when non-nil, is polled every checkEvery heap pops of the
-	// resumed Dijkstra; on cancellation the searcher stops, records
-	// ctx.Err() in err, and reports exhaustion. A cancelled searcher is
-	// poisoned: the interrupted expansion cannot be resumed correctly.
+	// ctx is polled every checkEvery heap pops of the resumed Dijkstra;
+	// on cancellation the searcher stops, records ctx.Err() in err, and
+	// reports exhaustion. A cancelled searcher is poisoned: the
+	// interrupted expansion cannot be resumed correctly.
 	ctx  context.Context
 	err  error
 	pops int
@@ -37,16 +37,11 @@ type NNSearcher struct {
 	settledCount int // diagnostic: nodes settled so far
 }
 
-// NewNNSearcher returns a searcher from src over candidates marked true
-// in isCand. The isCand slice is shared (not copied); it must not change
-// while the searcher is in use.
-func NewNNSearcher(g *Graph, src int32, isCand []bool) *NNSearcher {
-	return NewNNSearcherCtx(nil, g, src, isCand)
-}
-
-// NewNNSearcherCtx is NewNNSearcher with a cooperative-cancellation
-// context installed before the initial candidate prefetch, so even the
-// first expansion is interruptible. A nil ctx disables polling.
+// NewNNSearcherCtx returns a searcher from src over candidates marked
+// true in isCand. The isCand slice is shared (not copied); it must not
+// change while the searcher is in use. ctx, which must be non-nil, is
+// installed before the initial candidate prefetch, so even the first
+// expansion is interruptible.
 func NewNNSearcherCtx(ctx context.Context, g *Graph, src int32, isCand []bool) *NNSearcher {
 	s := &NNSearcher{
 		g:      g,
@@ -64,10 +59,10 @@ func NewNNSearcherCtx(ctx context.Context, g *Graph, src int32, isCand []bool) *
 // Source returns the searcher's source node.
 func (s *NNSearcher) Source() int32 { return s.src }
 
-// SetContext installs a cooperative-cancellation context on the
-// searcher: subsequent advances poll it every checkEvery heap pops. A
-// nil ctx disables the polling (the initial state). Once a searcher has
-// observed a cancellation it stays exhausted; see Err.
+// SetContext replaces the searcher's cooperative-cancellation context
+// (non-nil): subsequent advances poll it every checkEvery heap pops.
+// Once a searcher has observed a cancellation it stays exhausted; see
+// Err.
 func (s *NNSearcher) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // Err returns the context error that interrupted the searcher, or nil.
@@ -113,7 +108,7 @@ func (s *NNSearcher) advance() {
 		return
 	}
 	for s.heap.Len() > 0 {
-		if s.pops++; s.pops&(checkEvery-1) == 0 && s.ctx != nil {
+		if s.pops++; s.pops&(checkEvery-1) == 0 {
 			if err := s.ctx.Err(); err != nil {
 				s.err = err
 				return

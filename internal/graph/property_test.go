@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,8 +17,8 @@ func TestDijkstraTriangleInequality(t *testing.T) {
 		a := int32(rng.Intn(n))
 		b := int32(rng.Intn(n))
 		c := int32(rng.Intn(n))
-		da := g.Dijkstra(a)
-		db := g.Dijkstra(b)
+		da := must(g.DijkstraCtx(context.Background(), a))
+		db := must(g.DijkstraCtx(context.Background(), b))
 		if da[b] >= Inf || db[c] >= Inf {
 			return true // unreachable legs make the bound vacuous
 		}
@@ -36,7 +37,7 @@ func TestDijkstraSymmetryUndirected(t *testing.T) {
 		g := randomGraph(rng, n, n/2, 25)
 		a := int32(rng.Intn(n))
 		b := int32(rng.Intn(n))
-		return g.Dijkstra(a)[b] == g.Dijkstra(b)[a]
+		return must(g.DijkstraCtx(context.Background(), a))[b] == must(g.DijkstraCtx(context.Background(), b))[a]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestDijkstraIdentityAndNonnegativity(t *testing.T) {
 		n := 2 + rng.Intn(50)
 		g := randomGraph(rng, n, n, 20)
 		a := int32(rng.Intn(n))
-		d := g.Dijkstra(a)
+		d := must(g.DijkstraCtx(context.Background(), a))
 		if d[a] != 0 {
 			return false
 		}
@@ -79,14 +80,14 @@ func TestNNSearcherCompleteness(t *testing.T) {
 			isCand[v] = rng.Intn(2) == 0
 		}
 		src := int32(rng.Intn(n))
-		full := g.Dijkstra(src)
+		full := must(g.DijkstraCtx(context.Background(), src))
 		reachable := 0
 		for v := 0; v < n; v++ {
 			if isCand[v] && full[v] < Inf {
 				reachable++
 			}
 		}
-		s := NewNNSearcher(g, src, isCand)
+		s := NewNNSearcherCtx(context.Background(), g, src, isCand)
 		seen := map[int32]bool{}
 		for {
 			node, _, ok := s.Next()
@@ -117,9 +118,11 @@ func TestMultiSourceLowerBound(t *testing.T) {
 		for i := range sources {
 			sources[i] = int32(rng.Intn(n))
 		}
-		dist, _ := g.MultiSourceDijkstra(sources)
-		pick := sources[rng.Intn(ns)]
-		single := g.Dijkstra(pick)
+		dist, _, err := g.MultiSourceDijkstraCtx(context.Background(), sources)
+		if err != nil {
+			return false
+		}
+		single := must(g.DijkstraCtx(context.Background(), sources[rng.Intn(ns)]))
 		for v := 0; v < n; v++ {
 			if dist[v] > single[v] {
 				return false

@@ -1,44 +1,24 @@
 package graph
 
-import (
-	"sync/atomic"
+import "mcfs/internal/pq"
 
-	"mcfs/internal/pq"
-)
-
-// QueueMode selects the frontier priority queue the graph searches use.
-// The default, QueueAuto, applies a per-graph heuristic; the explicit
-// modes exist so benchmarks and the determinism cross-checks can force
-// either implementation. All modes produce byte-identical search
-// results — the pq package pins equal-key pop order across its
-// implementations (see pq.Monotone).
-type QueueMode int32
+// queueKind selects the frontier priority queue a graph's searches use.
+// Every kind produces byte-identical search results — the pq package
+// pins equal-key pop order across its implementations (see pq.Monotone)
+// — so production graphs keep queueAuto; only this package's tests
+// force the other two, on a copy of a graph.
+type queueKind uint8
 
 const (
-	// QueueAuto picks a Dial bucket queue when the graph's weight range
+	// queueAuto picks a Dial bucket queue when the graph's weight range
 	// makes the wheel affordable, and a binary heap otherwise.
-	QueueAuto QueueMode = iota
-	// QueueHeap forces the binary heaps (DenseHeap / SparseHeap).
-	QueueHeap
-	// QueueBucket forces the Dial bucket queue regardless of weight
+	queueAuto queueKind = iota
+	// queueHeap forces the binary heaps (DenseHeap / SparseHeap).
+	queueHeap
+	// queueBucket forces the Dial bucket queue regardless of weight
 	// range (wide ranges fall back to its overflow path).
-	QueueBucket
+	queueBucket
 )
-
-// queueMode is the process-wide override; atomic so benchmarks can flip
-// it while tests run in parallel elsewhere.
-var queueMode atomic.Int32
-
-// SetQueueMode installs a process-wide frontier-queue override and
-// returns the previous mode. Intended for benchmarks (cmd/mcfsperf
-// -queue) and cross-implementation tests; production callers leave the
-// default QueueAuto.
-func SetQueueMode(m QueueMode) QueueMode {
-	return QueueMode(queueMode.Swap(int32(m)))
-}
-
-// CurrentQueueMode reports the active override.
-func CurrentQueueMode() QueueMode { return QueueMode(queueMode.Load()) }
 
 // maxWheel caps the Dial wheel size: beyond ~1M buckets the wheel's
 // memory and cache footprint outweighs the log factor it saves.
@@ -58,12 +38,12 @@ func (g *Graph) bucketOK() bool {
 
 // newDenseQueue returns the frontier queue for whole-graph searches
 // (dense distance arrays): a Dial bucket queue when the heuristic or
-// override selects it, else a DenseHeap over [0, N).
+// the graph's forced kind selects it, else a DenseHeap over [0, N).
 func (g *Graph) newDenseQueue() pq.Monotone {
-	switch CurrentQueueMode() {
-	case QueueHeap:
+	switch g.queue {
+	case queueHeap:
 		return pq.NewDense(g.N())
-	case QueueBucket:
+	case queueBucket:
 		return pq.NewBucket(g.maxW)
 	}
 	if g.bucketOK() {
@@ -77,11 +57,11 @@ func (g *Graph) newDenseQueue() pq.Monotone {
 // (NNSearcher). The bucket queue loses there even when bucketOK holds:
 // wheel setup and empty-bucket scanning cost O(maxW) per searcher
 // regardless of how few nodes it settles, and a matcher creates one
-// searcher per customer — so QueueAuto stays on the sparse heap and the
+// searcher per customer — so queueAuto stays on the sparse heap and the
 // bucket applies only when forced (the cross-implementation tests rely
-// on QueueBucket still reaching this path).
+// on queueBucket still reaching this path).
 func (g *Graph) newIncrementalQueue() pq.Monotone {
-	if CurrentQueueMode() == QueueBucket {
+	if g.queue == queueBucket {
 		return pq.NewBucket(g.maxW)
 	}
 	return pq.NewSparse()

@@ -3,15 +3,18 @@ package graph
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"mcfs/internal/pq"
 )
 
-// withQueueMode runs fn under a forced queue mode, restoring the
-// previous mode afterwards.
-func withQueueMode(m QueueMode, fn func()) {
-	prev := SetQueueMode(m)
-	defer SetQueueMode(prev)
-	fn()
+// withQueue returns a copy of g whose searches use the forced queue
+// kind; g itself keeps its own.
+func withQueue(g *Graph, k queueKind) *Graph {
+	forced := *g
+	forced.queue = k
+	return &forced
 }
 
 // TestQueueModesByteIdentical is the determinism acceptance check for
@@ -20,6 +23,7 @@ func withQueueMode(m QueueMode, fn func()) {
 // must be byte-identical under the heap and the bucket queue.
 func TestQueueModesByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
 		n := 10 + rng.Intn(60)
 		maxW := int64(1 + rng.Intn(8)) // small spread: many equal distances
@@ -39,11 +43,14 @@ func TestQueueModesByteIdentical(t *testing.T) {
 			nnNodes []int32
 			nnDists []int64
 		}
-		runAll := func() result {
+		runAll := func(g *Graph) result {
 			var r result
-			r.dist = g.Dijkstra(src)
-			r.msDist, r.msOwner = g.MultiSourceDijkstra(sources)
-			s := NewNNSearcher(g, src, mask)
+			var err error
+			r.dist = must(g.DijkstraCtx(ctx, src))
+			if r.msDist, r.msOwner, err = g.MultiSourceDijkstraCtx(ctx, sources); err != nil {
+				t.Fatal(err)
+			}
+			s := NewNNSearcherCtx(ctx, g, src, mask)
 			for {
 				node, d, ok := s.Next()
 				if !ok {
@@ -54,27 +61,9 @@ func TestQueueModesByteIdentical(t *testing.T) {
 			}
 			return r
 		}
-		var heap, bucket result
-		withQueueMode(QueueHeap, func() { heap = runAll() })
-		withQueueMode(QueueBucket, func() { bucket = runAll() })
-
-		for v := range heap.dist {
-			if heap.dist[v] != bucket.dist[v] {
-				t.Fatalf("trial %d: dist[%d] heap=%d bucket=%d", trial, v, heap.dist[v], bucket.dist[v])
-			}
-			if heap.msDist[v] != bucket.msDist[v] || heap.msOwner[v] != bucket.msOwner[v] {
-				t.Fatalf("trial %d: multi-source node %d heap=(%d,%d) bucket=(%d,%d)",
-					trial, v, heap.msDist[v], heap.msOwner[v], bucket.msDist[v], bucket.msOwner[v])
-			}
-		}
-		if len(heap.nnNodes) != len(bucket.nnNodes) {
-			t.Fatalf("trial %d: NN enumerated %d vs %d candidates", trial, len(heap.nnNodes), len(bucket.nnNodes))
-		}
-		for i := range heap.nnNodes {
-			if heap.nnNodes[i] != bucket.nnNodes[i] || heap.nnDists[i] != bucket.nnDists[i] {
-				t.Fatalf("trial %d: NN step %d heap=(%d,%d) bucket=(%d,%d)", trial, i,
-					heap.nnNodes[i], heap.nnDists[i], bucket.nnNodes[i], bucket.nnDists[i])
-			}
+		heap, bucket := runAll(withQueue(g, queueHeap)), runAll(withQueue(g, queueBucket))
+		if !reflect.DeepEqual(heap, bucket) {
+			t.Fatalf("trial %d: heap and bucket searches differ:\nheap   %+v\nbucket %+v", trial, heap, bucket)
 		}
 	}
 }
@@ -99,6 +88,13 @@ func TestBucketHeuristic(t *testing.T) {
 	if small.MaxEdgeWeight() != 7 {
 		t.Errorf("MaxEdgeWeight = %d, want 7", small.MaxEdgeWeight())
 	}
+	// A forced kind overrides the heuristic in either direction.
+	if _, ok := withQueue(small, queueHeap).newDenseQueue().(*pq.DenseHeap); !ok {
+		t.Error("queueHeap did not force the dense heap")
+	}
+	if _, ok := withQueue(wide, queueBucket).newIncrementalQueue().(*pq.BucketQueue); !ok {
+		t.Error("queueBucket did not force the bucket queue")
+	}
 }
 
 // TestScratchWithinMatchesMap cross-checks the scratch Within variant
@@ -114,7 +110,7 @@ func TestScratchWithinMatchesMap(t *testing.T) {
 		src := int32(rng.Intn(g.N()))
 		radius := int64(rng.Intn(30)) - 1 // includes -1 = unbounded
 		want := make(map[int32]int64)
-		for v, d := range g.Dijkstra(src) {
+		for v, d := range must(g.DijkstraCtx(ctx, src)) {
 			if d != Inf && (radius < 0 || d <= radius) {
 				want[int32(v)] = d
 			}
@@ -163,7 +159,7 @@ func TestScratchToTargetsMatchesMap(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			targets = append(targets, targets[0]) // duplicate target
 		}
-		want := g.Dijkstra(src)
+		want := must(g.DijkstraCtx(ctx, src))
 		out := make([]int64, len(targets))
 		if err := g.DijkstraToTargetsScratchCtx(ctx, src, targets, out, sc); err != nil {
 			t.Fatal(err)

@@ -32,8 +32,8 @@ type SearchScratch struct {
 }
 
 // NewScratch returns a reusable scratch for searches on g. The frontier
-// queue implementation is fixed at creation time by the current queue
-// mode and g's weight range (see SetQueueMode).
+// queue implementation is fixed at creation time by g's weight range
+// (see newDenseQueue).
 func (g *Graph) NewScratch() *SearchScratch {
 	n := g.N()
 	return &SearchScratch{

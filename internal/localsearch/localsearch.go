@@ -36,25 +36,18 @@ type Stats struct {
 	Accepted  int // improving swaps applied
 }
 
-// Improve applies first-improvement single swaps to sol until no
+// ImproveCtx applies first-improvement single swaps to sol until no
 // improving move remains in the pruned neighborhood or the move budget
 // is exhausted. It returns the improved solution (possibly sol itself
 // when no move helps) and search statistics.
-func Improve(inst *data.Instance, sol *data.Solution, opt Options) (*data.Solution, Stats, error) {
-	return ImproveCtx(context.Background(), inst, sol, opt)
-}
-
-// ImproveCtx is Improve with cooperative cancellation, checked before
-// every candidate swap evaluation. Unlike the construction heuristics,
-// local search always holds a verified feasible incumbent (the input
-// solution or the best accepted swap so far), so on cancellation it
-// returns that incumbent together with ctx.Err() — callers can keep the
-// polish achieved up to the cut. An uncancelled run is byte-identical
-// to Improve.
+//
+// Cancellation is checked in every candidate search and before every
+// candidate swap evaluation. Unlike the construction heuristics, local
+// search always holds a verified feasible incumbent (the input solution
+// or the best accepted swap so far), so on cancellation it returns that
+// incumbent together with ctx.Err() — callers can keep the polish
+// achieved up to the cut. Every uncancelled run is byte-identical.
 func ImproveCtx(ctx context.Context, inst *data.Instance, sol *data.Solution, opt Options) (*data.Solution, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var st Stats
 	if err := inst.Validate(); err != nil {
 		return nil, st, err
@@ -82,7 +75,11 @@ func ImproveCtx(ctx context.Context, inst *data.Instance, sol *data.Solution, op
 		// neighborhood is where relocation gains concentrate).
 		order := byLoad(best)
 		for _, out := range order {
-			for _, in := range nearbyCandidates(inst, out, selected, opt.CandidatesPerFacility) {
+			cands, err := nearbyCandidates(ctx, inst, out, selected, opt.CandidatesPerFacility)
+			if err != nil {
+				return best, st, err
+			}
+			for _, in := range cands {
 				if err := ctx.Err(); err != nil {
 					return best, st, err
 				}
@@ -132,8 +129,10 @@ func byLoad(sol *data.Solution) []int {
 }
 
 // nearbyCandidates returns up to limit unselected candidates nearest (by
-// network distance) to the facility being swapped out.
-func nearbyCandidates(inst *data.Instance, out int, selected map[int]bool, limit int) []int {
+// network distance) to the facility being swapped out. A cancelled
+// search reports exhaustion, so its error comes back with the partial
+// list, which must not pass for the whole neighborhood.
+func nearbyCandidates(ctx context.Context, inst *data.Instance, out int, selected map[int]bool, limit int) ([]int, error) {
 	mask := make([]bool, inst.G.N())
 	nodeToFac := make(map[int32]int, inst.L())
 	for j, f := range inst.Facilities {
@@ -143,7 +142,7 @@ func nearbyCandidates(inst *data.Instance, out int, selected map[int]bool, limit
 		}
 	}
 	var cands []int
-	s := graph.NewNNSearcher(inst.G, inst.Facilities[out].Node, mask)
+	s := graph.NewNNSearcherCtx(ctx, inst.G, inst.Facilities[out].Node, mask)
 	for len(cands) < limit {
 		node, _, ok := s.Next()
 		if !ok {
@@ -151,7 +150,7 @@ func nearbyCandidates(inst *data.Instance, out int, selected map[int]bool, limit
 		}
 		cands = append(cands, nodeToFac[node])
 	}
-	return cands
+	return cands, s.Err()
 }
 
 func swap(selection []int, out, in int) []int {

@@ -1,6 +1,8 @@
 package localsearch
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -29,11 +31,11 @@ func TestImproveFixesBadSelection(t *testing.T) {
 		},
 		K: 1,
 	}
-	bad, err := core.AssignToSelection(inst, []int{2}, core.Options{}) // facility at node 9
+	bad, err := core.AssignToSelectionCtx(context.Background(), inst, []int{2}, core.Options{}) // facility at node 9
 	if err != nil {
 		t.Fatal(err)
 	}
-	improved, st, err := Improve(inst, bad, Options{})
+	improved, st, err := ImproveCtx(context.Background(), inst, bad, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +62,11 @@ func TestImproveNeverWorsens(t *testing.T) {
 			MaxCustomers: 8, MaxFacilities: 8,
 			MaxCapacity: 3, MaxWeight: 20,
 		})
-		sol, err := core.Solve(inst, core.Options{})
+		sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		improved, _, err := Improve(inst, sol, Options{})
+		improved, _, err := ImproveCtx(context.Background(), inst, sol, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -75,7 +77,7 @@ func TestImproveNeverWorsens(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Never better than the proven optimum.
-		opt, err := solver.Exhaustive(inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -92,11 +94,11 @@ func TestImproveMoveBudget(t *testing.T) {
 		MaxCustomers: 10, MaxFacilities: 10,
 		MaxCapacity: 3, MaxWeight: 20,
 	})
-	sol, err := core.Solve(inst, core.Options{})
+	sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := Improve(inst, sol, Options{MaxMoves: 1})
+	_, st, err := ImproveCtx(context.Background(), inst, sol, Options{MaxMoves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,31 @@ func TestImproveRejectsInvalidStart(t *testing.T) {
 		MaxCapacity: 3, MaxWeight: 10,
 	})
 	bogus := &data.Solution{Selected: []int{0}, Assignment: make([]int, inst.M()), Objective: -5}
-	if _, _, err := Improve(inst, bogus, Options{}); err == nil {
+	if _, _, err := ImproveCtx(context.Background(), inst, bogus, Options{}); err == nil {
 		t.Fatal("invalid starting solution accepted")
+	}
+}
+
+// TestImproveCtxCancelledCandidateSearch: a cancellation inside the
+// candidate search must surface, not pass for an exhausted neighborhood.
+// The only other candidate lies 3·4096 hops away, past the searcher's
+// first context checkpoint (one per 4096 pops).
+func TestImproveCtxCancelledCandidateSearch(t *testing.T) {
+	const n = 3 * 4096
+	b := graph.NewBuilder(n, false)
+	for i := 0; i < n-1; i++ {
+		b.AddEdge(int32(i), int32(i+1), 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	facs := []data.Facility{{Node: 0, Capacity: 1}, {Node: n - 1, Capacity: 1}}
+	inst := &data.Instance{G: g, Customers: []int32{0}, Facilities: facs, K: 1}
+	sol := &data.Solution{Selected: []int{0}, Assignment: []int{0}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, _, err := ImproveCtx(ctx, inst, sol, Options{}); !errors.Is(err, context.Canceled) || got != sol {
+		t.Fatalf("ImproveCtx = %p, %v; want the input solution %p and context.Canceled", got, err, sol)
 	}
 }

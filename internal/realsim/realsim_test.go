@@ -1,6 +1,7 @@
 package realsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -94,7 +95,10 @@ func TestCoworkingCustomersFollowOccupancy(t *testing.T) {
 	for i, v := range sc.Venues {
 		nodes[i] = v.Node
 	}
-	dist, _ := g.MultiSourceDijkstra(nodes)
+	dist, _, err := g.MultiSourceDijkstraCtx(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var custSum, allSum float64
 	reachable := 0
 	for _, c := range sc.Customers {
@@ -133,7 +137,7 @@ func TestCoworkingSolvable(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := sc.Instance(g, 15)
-	sol, err := core.Solve(inst, core.Options{})
+	sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +219,7 @@ func TestBikesScenario(t *testing.T) {
 	if err := inst.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := core.Solve(inst, core.Options{})
+	sol, err := core.SolveCtx(context.Background(), inst, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,20 +21,29 @@ func TestExhaustiveCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestExhaustiveCtxBackgroundMatches: a run under a live cancellable ctx
+// matches a Background run, and both reach the branch-and-bound optimum.
 func TestExhaustiveCtxBackgroundMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for trial := 0; trial < 10; trial++ {
 		inst := testutil.RandomInstance(rng, smallParams())
-		want, err := Exhaustive(inst, 0)
+		want, err := ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got, err := ExhaustiveCtx(context.Background(), inst, 0)
+		got, err := ExhaustiveCtx(live, inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got.Objective != want.Objective {
-			t.Fatalf("trial %d: ctx objective %d != plain %d", trial, got.Objective, want.Objective)
+		bnb, err := BranchAndBoundCtx(context.Background(), inst, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.Objective != want.Objective || bnb.Solution.Objective != want.Objective {
+			t.Fatalf("trial %d: live ctx %d, Background %d, branch and bound %d",
+				trial, got.Objective, want.Objective, bnb.Solution.Objective)
 		}
 	}
 }
@@ -51,7 +60,7 @@ func TestBranchAndBoundTimeoutMatchesBothSentinels(t *testing.T) {
 	var timedOut bool
 	for trial := 0; trial < 20 && !timedOut; trial++ {
 		inst := testutil.RandomInstance(rng, p)
-		_, err := BranchAndBound(inst, Options{TimeBudget: time.Nanosecond})
+		_, err := BranchAndBoundCtx(context.Background(), inst, Options{TimeBudget: time.Nanosecond})
 		if err == nil {
 			continue // finished before the first deadline check
 		}
@@ -108,20 +117,24 @@ func TestBranchAndBoundCtxCancelReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestBranchAndBoundCtxBackgroundMatches: a run under a live cancellable
+// ctx (non-nil Done) explores the same tree as a Background run.
 func TestBranchAndBoundCtxBackgroundMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for trial := 0; trial < 10; trial++ {
 		inst := testutil.RandomInstance(rng, smallParams())
-		want, err := BranchAndBound(inst, Options{})
+		want, err := BranchAndBoundCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got, err := BranchAndBoundCtx(context.Background(), inst, Options{})
+		got, err := BranchAndBoundCtx(live, inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if got.Solution.Objective != want.Solution.Objective || got.Nodes != want.Nodes {
-			t.Fatalf("trial %d: ctx (obj=%d nodes=%d) != plain (obj=%d nodes=%d)",
+			t.Fatalf("trial %d: live ctx (obj=%d nodes=%d) != Background (obj=%d nodes=%d)",
 				trial, got.Solution.Objective, got.Nodes, want.Solution.Objective, want.Nodes)
 		}
 	}

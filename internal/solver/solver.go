@@ -1,10 +1,10 @@
 // Package solver provides exact MCFS solvers standing in for the Gurobi
 // Optimizer used in the paper's evaluation:
 //
-//   - Exhaustive enumerates every k-subset of candidate facilities and
+//   - ExhaustiveCtx enumerates every k-subset of candidate facilities and
 //     evaluates the optimal transportation assignment for each — the
 //     obviously-correct yardstick for tiny instances;
-//   - BranchAndBound is a MIP-style exact search over the selection
+//   - BranchAndBoundCtx is a MIP-style exact search over the selection
 //     variables x_j with a transportation-relaxation lower bound (all
 //     undecided facilities open), matching Gurobi's role: it returns the
 //     optimal objective and, like the paper's Gurobi runs, becomes
@@ -12,7 +12,7 @@
 //     "Gurobi fails beyond 24 hours" regime.
 //
 // Both return data.ErrInfeasible on infeasible instances and rely on the
-// shared optimal-assignment primitive core.AssignToSelection.
+// shared optimal-assignment primitive core.AssignToSelectionCtx.
 package solver
 
 import (
@@ -28,7 +28,7 @@ import (
 	"mcfs/internal/obs"
 )
 
-// ErrTimeout is returned by BranchAndBound when the time budget expires
+// ErrTimeout is returned by BranchAndBoundCtx when the time budget expires
 // before optimality is proven. When the budget is enforced through a
 // context deadline, the returned error wraps both ErrTimeout and
 // context.DeadlineExceeded, so errors.Is matches either.
@@ -44,25 +44,17 @@ func timeoutErr(err error) error {
 	return err
 }
 
-// ErrTooLarge is returned by Exhaustive when the number of subsets to
+// ErrTooLarge is returned by ExhaustiveCtx when the number of subsets to
 // enumerate exceeds its limit.
 var ErrTooLarge = errors.New("solver: instance too large for exhaustive enumeration")
 
-// Exhaustive computes the optimal solution by enumerating all
+// ExhaustiveCtx computes the optimal solution by enumerating all
 // C(ℓ, min(k,ℓ)) facility subsets. It refuses instances with more than
 // maxSubsets combinations (default 1e6 when maxSubsets <= 0).
-func Exhaustive(inst *data.Instance, maxSubsets int64) (*data.Solution, error) {
-	return ExhaustiveCtx(context.Background(), inst, maxSubsets)
-}
-
-// ExhaustiveCtx is Exhaustive with cooperative cancellation, checked
-// before each subset's assignment solve. On cancellation it returns the
-// best solution found so far (nil when none) alongside ctx.Err(); an
-// uncancelled run is byte-identical to Exhaustive.
+// Cancellation is checked before each subset's assignment solve; on
+// cancellation it returns the best solution found so far (nil when none)
+// alongside ctx.Err(). Every uncancelled run is byte-identical.
 func ExhaustiveCtx(ctx context.Context, inst *data.Instance, maxSubsets int64) (*data.Solution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,7 +116,7 @@ func ExhaustiveCtx(ctx context.Context, inst *data.Instance, maxSubsets int64) (
 	return best, nil
 }
 
-// Options configures BranchAndBound.
+// Options configures BranchAndBoundCtx.
 type Options struct {
 	// TimeBudget bounds the wall-clock search time; zero means no limit.
 	TimeBudget time.Duration
@@ -140,7 +132,7 @@ type Result struct {
 	Optimal  bool // proven optimal (false only possible with limits)
 }
 
-// BranchAndBound computes the optimal MCFS solution via best-first
+// BranchAndBoundCtx computes the optimal MCFS solution via best-first
 // branch and bound on the facility-selection variables.
 //
 // Relaxation: at a node with sets (included I, excluded X), the lower
@@ -151,24 +143,16 @@ type Result struct {
 // assignment happens to use at most k facilities (counting every
 // included one), the bound is attained and the node closes with an
 // incumbent update.
-func BranchAndBound(inst *data.Instance, opt Options) (*Result, error) {
-	return BranchAndBoundCtx(context.Background(), inst, opt)
-}
-
-// BranchAndBoundCtx is BranchAndBound with cooperative cancellation. A
-// positive Options.TimeBudget is enforced as a context deadline layered
-// on top of ctx; when it expires the returned error wraps both
+//
+// A positive Options.TimeBudget is enforced as a context deadline
+// layered on top of ctx; when it expires the returned error wraps both
 // ErrTimeout and context.DeadlineExceeded. On any cancellation the
 // search stops promptly — ctx is checked per frontier node and inside
 // every relaxation solve — and, exactly as on a time budget expiry, the
 // best verified incumbent found so far is returned alongside the error
 // (Result.Optimal is false); when no incumbent exists yet the Result is
-// nil. An uncancelled, unexpired run is byte-identical to
-// BranchAndBound.
+// nil. Every uncancelled, unexpired run is byte-identical.
 func BranchAndBoundCtx(ctx context.Context, inst *data.Instance, opt Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}

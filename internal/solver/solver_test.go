@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func TestExhaustiveTinyKnownOptimum(t *testing.T) {
 		},
 		K: 2,
 	}
-	sol, err := Exhaustive(inst, 0)
+	sol, err := ExhaustiveCtx(context.Background(), inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestExhaustiveCapacityForcesSplit(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 1}, {Node: 3, Capacity: 1}},
 		K:          2,
 	}
-	sol, err := Exhaustive(inst, 0)
+	sol, err := ExhaustiveCtx(context.Background(), inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestExhaustiveInfeasible(t *testing.T) {
 		Facilities: []data.Facility{{Node: 0, Capacity: 1}},
 		K:          1,
 	}
-	if _, err := Exhaustive(inst, 0); !errors.Is(err, data.ErrInfeasible) {
+	if _, err := ExhaustiveCtx(context.Background(), inst, 0); !errors.Is(err, data.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -95,7 +96,7 @@ func TestExhaustiveTooLarge(t *testing.T) {
 	for v := 0; v < 40; v++ {
 		inst.Facilities = append(inst.Facilities, data.Facility{Node: int32(v), Capacity: 1})
 	}
-	if _, err := Exhaustive(inst, 1000); !errors.Is(err, ErrTooLarge) {
+	if _, err := ExhaustiveCtx(context.Background(), inst, 1000); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestExhaustiveEmptyCustomers(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	g, _ := b.Build()
 	inst := &data.Instance{G: g, Facilities: []data.Facility{{Node: 0, Capacity: 1}}, K: 1}
-	sol, err := Exhaustive(inst, 0)
+	sol, err := ExhaustiveCtx(context.Background(), inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
 		inst := testutil.RandomInstance(rng, smallParams())
-		want, err := Exhaustive(inst, 0)
+		want, err := ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		res, err := BranchAndBound(inst, Options{})
+		res, err := BranchAndBoundCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: bnb: %v", trial, err)
 		}
@@ -146,11 +147,11 @@ func TestBranchAndBoundMultiComponent(t *testing.T) {
 	p.MinNodes = 10
 	for trial := 0; trial < 20; trial++ {
 		inst := testutil.RandomInstance(rng, p)
-		want, err := Exhaustive(inst, 0)
+		want, err := ExhaustiveCtx(context.Background(), inst, 0)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		res, err := BranchAndBound(inst, Options{})
+		res, err := BranchAndBoundCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: bnb: %v", trial, err)
 		}
@@ -170,7 +171,7 @@ func TestBranchAndBoundInfeasible(t *testing.T) {
 		Facilities: []data.Facility{{Node: 0, Capacity: 1}, {Node: 1, Capacity: 1}},
 		K:          2,
 	}
-	if _, err := BranchAndBound(inst, Options{}); !errors.Is(err, data.ErrInfeasible) {
+	if _, err := BranchAndBoundCtx(context.Background(), inst, Options{}); !errors.Is(err, data.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -179,7 +180,7 @@ func TestBranchAndBoundKCoversAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	inst := testutil.RandomInstance(rng, smallParams())
 	inst.K = inst.L() // trivial selection path
-	res, err := BranchAndBound(inst, Options{})
+	res, err := BranchAndBoundCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestBranchAndBoundTimeout(t *testing.T) {
 		MaxCapacity: 3, MaxWeight: 30,
 	}
 	inst := testutil.RandomInstance(rng, p)
-	res, err := BranchAndBound(inst, Options{TimeBudget: 1 * time.Nanosecond})
+	res, err := BranchAndBoundCtx(context.Background(), inst, Options{TimeBudget: 1 * time.Nanosecond})
 	if err == nil {
 		if !res.Optimal {
 			t.Fatal("no error but not optimal")
@@ -218,7 +219,7 @@ func TestBranchAndBoundNodeLimit(t *testing.T) {
 	var limited bool
 	for trial := 0; trial < 10 && !limited; trial++ {
 		inst := testutil.RandomInstance(rng, p)
-		res, err := BranchAndBound(inst, Options{NodeLimit: 2})
+		res, err := BranchAndBoundCtx(context.Background(), inst, Options{NodeLimit: 2})
 		if err != nil {
 			if res == nil {
 				continue // no incumbent found before the limit — also fine
@@ -255,7 +256,7 @@ func TestFeasiblePredicateMatchesExhaustive(t *testing.T) {
 			inst.K = 0
 		}
 		feasible, _ := inst.Feasible()
-		_, err := Exhaustive(inst, 0)
+		_, err := ExhaustiveCtx(context.Background(), inst, 0)
 		solvable := err == nil
 		if errors.Is(err, ErrTooLarge) {
 			continue

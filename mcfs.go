@@ -218,13 +218,21 @@ func buildOptions(opts []Option) (options, error) {
 	return o, o.err
 }
 
-// deadlineCtx layers the WithTimeBudget deadline (when set) onto the
-// caller's context for the heuristic solvers; the returned cancel must
-// always be called to release the timer.
-func (o options) deadlineCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+// orBackground is the package's one nil-ctx normalization: every
+// exported *Ctx entry point accepts a nil ctx as context.Background(),
+// and nothing below this package is ever handed nil.
+func orBackground(ctx context.Context) context.Context {
 	if ctx == nil {
-		ctx = context.Background()
+		return context.Background()
 	}
+	return ctx
+}
+
+// deadlineCtx layers the WithTimeBudget deadline (when set) onto the
+// caller's context (nil meaning Background) for the heuristic solvers;
+// the returned cancel must always be called to release the timer.
+func (o options) deadlineCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	ctx = orBackground(ctx)
 	if o.timeBudget > 0 {
 		return context.WithTimeout(ctx, o.timeBudget)
 	}
@@ -337,7 +345,7 @@ func SolveExactCtx(ctx context.Context, inst *Instance, opts ...Option) (*ExactR
 	if err != nil {
 		return nil, err
 	}
-	res, err := solver.BranchAndBoundCtx(ctx, inst, solver.Options{
+	res, err := solver.BranchAndBoundCtx(orBackground(ctx), inst, solver.Options{
 		TimeBudget: o.timeBudget,
 		NodeLimit:  o.nodeLimit,
 	})
@@ -358,7 +366,7 @@ func SolveExhaustive(inst *Instance, maxSubsets int64) (*Solution, error) {
 // checked between subsets. Like SolveExactCtx it returns the best
 // solution found before the cut (nil when none) alongside ctx.Err().
 func SolveExhaustiveCtx(ctx context.Context, inst *Instance, maxSubsets int64) (*Solution, error) {
-	return solver.ExhaustiveCtx(ctx, inst, maxSubsets)
+	return solver.ExhaustiveCtx(orBackground(ctx), inst, maxSubsets)
 }
 
 // AssignToSelection computes the optimal assignment of all customers to
@@ -531,7 +539,7 @@ func NewReallocatorCtx(ctx context.Context, inst *Instance, driftFactor float64,
 	if err != nil {
 		return nil, err
 	}
-	return dynamic.NewCtx(ctx, inst, dynamic.Options{Core: o.core, DriftFactor: driftFactor})
+	return dynamic.NewCtx(orBackground(ctx), inst, dynamic.Options{Core: o.core, DriftFactor: driftFactor})
 }
 
 // ReallocatorSnapshot is a restartable JSON capture of a Reallocator's
@@ -569,7 +577,7 @@ func RestoreReallocatorCtx(ctx context.Context, inst *Instance, s *ReallocatorSn
 	if err != nil {
 		return nil, err
 	}
-	return dynamic.RestoreCtx(ctx, inst, s, dynamic.Options{Core: o.core, DriftFactor: driftFactor})
+	return dynamic.RestoreCtx(orBackground(ctx), inst, s, dynamic.Options{Core: o.core, DriftFactor: driftFactor})
 }
 
 // --- rendering --------------------------------------------------------------

@@ -359,3 +359,73 @@ func TestPublicAPIReallocatorSetContext(t *testing.T) {
 		t.Fatalf("objective after add+remove = %d, want %d", got, before)
 	}
 }
+
+// TestPublicAPINilCtx pins the public nil-ctx contract: every exported
+// ctx-taking entry point, and Reallocator.SetContext, treats a nil ctx
+// as context.Background() — same objective, same selection.
+func TestPublicAPINilCtx(t *testing.T) {
+	inst := tinyInstance(t)
+	base, err := mcfs.Solve(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := mcfs.NewReallocator(inst, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r0.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context) (names []string, sols []*mcfs.Solution) {
+		keep := func(name string) func(*mcfs.Solution, error) {
+			return func(sol *mcfs.Solution, err error) {
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				names, sols = append(names, name), append(sols, sol)
+			}
+		}
+		settled := func(r *mcfs.Reallocator, err error) (*mcfs.Solution, error) {
+			if err != nil {
+				return nil, err
+			}
+			_, sol, err := r.Solution()
+			return sol, err
+		}
+		keep("SolveCtx")(mcfs.SolveCtx(ctx, inst))
+		keep("SolveUniformFirstCtx")(mcfs.SolveUniformFirstCtx(ctx, inst))
+		keep("SolveHilbertCtx")(mcfs.SolveHilbertCtx(ctx, inst))
+		keep("SolveBRNNCtx")(mcfs.SolveBRNNCtx(ctx, inst))
+		keep("SolveNaiveCtx")(mcfs.SolveNaiveCtx(ctx, inst, mcfs.WithSeed(3)))
+		keep("SolveExhaustiveCtx")(mcfs.SolveExhaustiveCtx(ctx, inst, 0))
+		keep("AssignToSelectionCtx")(mcfs.AssignToSelectionCtx(ctx, inst, base.Selected))
+		keep("NewReallocatorCtx")(settled(mcfs.NewReallocatorCtx(ctx, inst, 0)))
+		keep("RestoreReallocatorCtx")(settled(mcfs.RestoreReallocatorCtx(ctx, inst, snap, 0)))
+		exact, err := mcfs.SolveExactCtx(ctx, inst)
+		if err != nil {
+			t.Fatalf("SolveExactCtx: %v", err)
+		}
+		keep("SolveExactCtx")(exact.Solution, nil)
+		improved, _, err := mcfs.ImproveCtx(ctx, inst, base, 0)
+		keep("ImproveCtx")(improved, err)
+		r, err := mcfs.NewReallocator(inst, 0)
+		if err == nil {
+			r.SetContext(ctx)
+			_, err = r.AddCustomer(inst.Customers[0])
+		}
+		keep("Reallocator.SetContext")(settled(r, err))
+		for _, a := range mcfs.Algorithms() {
+			sol, _, err := a.Solve(ctx, inst, mcfs.WithSeed(3))
+			keep("Algorithm.Solve/"+a.String())(sol, err)
+		}
+		return names, sols
+	}
+	names, want := run(context.Background())
+	_, got := run(nil)
+	for i, name := range names {
+		if got[i].Objective != want[i].Objective || !reflect.DeepEqual(got[i].Selected, want[i].Selected) {
+			t.Errorf("%s(nil) = %d %v, want %d %v", name, got[i].Objective, got[i].Selected, want[i].Objective, want[i].Selected)
+		}
+	}
+}

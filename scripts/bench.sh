@@ -8,9 +8,7 @@
 #
 # With no arguments the file is written to results/BENCH_<stamp>.json.
 # Useful flags to pass through: -quick (reduced CI configuration),
-# -cities aalborg, -queue heap|bucket (force a frontier queue, recorded
-# as the file's variant), -seed N. Compare two files with
-# scripts/benchcmp.sh.
+# -cities aalborg, -seed N. Compare two files with scripts/benchcmp.sh.
 set -eu
 cd "$(dirname "$0")/.."
 

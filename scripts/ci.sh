@@ -222,39 +222,45 @@ for target in FuzzMatcher=./internal/bipartite FuzzDijkstra=./internal/graph Fuz
 	go test -run='^$' -fuzz="^${name}\$" -fuzztime=5s "$pkg" >/dev/null
 done
 
-# Opt-in perf smoke (DESIGN.md §11): MCFS_PERF_SMOKE=1 runs the perf
-# suite in its reduced -quick configuration and diffs it against the
-# committed quick baseline. Timings on shared CI runners are noisy, so a
-# regression only warns by default; set MCFS_PERF_STRICT=1 locally to
-# make it fail the gate. The full (non-quick) committed BENCH_*.json
-# trajectory is for scripts/benchcmp.sh between PRs, not for this hook.
-if [ "${MCFS_PERF_SMOKE-}" = "1" ]; then
-	perfbase=$(ls results/BENCH_quick_*.json 2>/dev/null | sort | tail -n 1)
-	perfout=$(mktemp -t bench_smoke_XXXXXX.json)
-	echo "perf smoke: running quick suite"
-	scripts/bench.sh "$perfout" -quick
-	if [ -n "$perfbase" ]; then
-		echo "perf smoke: comparing against $perfbase"
-		if ! scripts/benchcmp.sh "$perfbase" "$perfout"; then
-			if [ "${MCFS_PERF_STRICT-}" = "1" ]; then
-				echo "perf smoke: regression beyond threshold (strict mode)" >&2
-				rm -f "$perfout"
-				exit 1
-			fi
-			echo "perf smoke: WARNING: regression beyond threshold (warn-only; set MCFS_PERF_STRICT=1 to fail)" >&2
-		fi
-	else
-		echo "perf smoke: no committed results/BENCH_quick_*.json baseline; skipping comparison"
+# Perf smoke (DESIGN.md §11): runs the perf suite in its reduced -quick
+# configuration and diffs it against the committed quick baseline. Work
+# counters are deterministic, so the first comparison, whose 1000x ns/op
+# threshold only a counter change can trip, fails the gate. Timings on
+# shared CI runners are noisy, so a timing regression past the default
+# threshold only warns; set MCFS_PERF_STRICT=1 to make it fail. The full
+# (non-quick) committed BENCH_*.json trajectory is for
+# scripts/benchcmp.sh between PRs, not for this step.
+perfbase=$(ls results/BENCH_quick_*.json 2>/dev/null | sort | tail -n 1)
+perfout=$(mktemp -t bench_smoke_XXXXXX.json)
+echo "perf smoke: running quick suite"
+scripts/bench.sh "$perfout" -quick
+if [ -n "$perfbase" ]; then
+	echo "perf smoke: work counters against $perfbase"
+	if ! scripts/benchcmp.sh "$perfbase" "$perfout" 1000; then
+		echo "perf smoke: work counters changed (a deliberate change commits a new quick baseline)" >&2
+		rm -f "$perfout"
+		exit 1
 	fi
-	rm -f "$perfout"
-	# Recorder-overhead check (DESIGN.md §13): the instrumented Dijkstra
-	# with no recorder attached must stay near the uninstrumented path.
-	# The ns/op comparison against the committed baseline happens through
-	# the quick-suite diff above; this run keeps the three variants
-	# (disabled/enabled/raw add) visible in the CI log.
-	echo "perf smoke: recorder overhead benchmark"
-	go test -run '^$' -bench '^BenchmarkRecorderOverhead$' -benchtime=0.5s -count=1 ./internal/graph/
+	echo "perf smoke: timings against $perfbase"
+	if ! scripts/benchcmp.sh "$perfbase" "$perfout"; then
+		if [ "${MCFS_PERF_STRICT-}" = "1" ]; then
+			echo "perf smoke: regression beyond threshold (strict mode)" >&2
+			rm -f "$perfout"
+			exit 1
+		fi
+		echo "perf smoke: WARNING: regression beyond threshold (warn-only; set MCFS_PERF_STRICT=1 to fail)" >&2
+	fi
+else
+	echo "perf smoke: no committed results/BENCH_quick_*.json baseline; skipping comparison"
 fi
+rm -f "$perfout"
+# Recorder-overhead check (DESIGN.md §13): the instrumented Dijkstra
+# with no recorder attached must stay near the uninstrumented path.
+# The ns/op comparison against the committed baseline happens through
+# the quick-suite diff above; this run keeps the three variants
+# (disabled/enabled/raw add) visible in the CI log.
+echo "perf smoke: recorder overhead benchmark"
+go test -run '^$' -bench '^BenchmarkRecorderOverhead$' -benchtime=0.5s -count=1 ./internal/graph/
 
 # Smoke-run every example in quick mode. They run in a scratch dir so
 # the artifacts some of them write (SVG/GeoJSON) stay out of the tree.
