@@ -7,7 +7,9 @@
 //	mcfsperf -out BENCH_$(date -u +%Y%m%dT%H%M%SZ).json
 //
 // Compare mode diffs two such files and exits 1 when any shared
-// benchmark slowed down past the threshold or changed a work counter:
+// benchmark slowed down past the threshold, changed a work counter or
+// lost its counters, or when a benchmark of a measured city went
+// missing:
 //
 //	mcfsperf -compare old.json new.json -threshold 1.15
 //
@@ -59,7 +61,7 @@ func run(out string, quick bool, seed int64, cities string, compare bool, thresh
 		report, regressions := bench.FormatPerfDeltas(deltas)
 		fmt.Print(report)
 		if regressions > 0 {
-			return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% or changed work counters", regressions, (threshold-1)*100)
+			return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%, changed or lost work counters, or went missing", regressions, (threshold-1)*100)
 		}
 		fmt.Printf("ok: %d shared benchmark(s) within the %.0f%% threshold, counters unchanged\n", len(deltas), (threshold-1)*100)
 		return nil

@@ -4,11 +4,12 @@
 // Unlike the experiment runners (which reproduce the paper's figures),
 // the perf suite exists to make "faster" a checkable claim over time: it
 // measures the SSPA inner loop — resumable Dijkstra, the reduced-cost
-// FindPair search — plus the end-to-end WMA solve on the city presets,
-// and emits a schema-versioned JSON file that ComparePerf can diff
-// against any earlier run. The bench package is the one layer allowed to
-// read the wall clock (the mcfslint determinism rule), which is why the
-// suite lives here and cmd/mcfsperf stays a thin shell.
+// FindPair search — the optimal assignment to a fixed selection, and
+// the end-to-end WMA solve on the city presets, and emits a
+// schema-versioned JSON file that ComparePerf can diff against any
+// earlier run. The bench package is the one layer allowed to read the
+// wall clock (the mcfslint determinism rule), which is why the suite
+// lives here and cmd/mcfsperf stays a thin shell.
 package bench
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -194,6 +196,12 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 
 	customer := func(i int) int32 { return inst.Customers[i%len(inst.Customers)] }
 	sc := g.NewScratch()
+	// The AssignToSelection row re-assigns every customer to WMA's
+	// selection, solved once here, outside the timed loop.
+	base, _, err := mcfs.AlgorithmWMA.Solve(context.Background(), inst, mcfs.WithSeed(cfg.Seed))
+	if err != nil {
+		return nil, fmt.Errorf("bench: perf selection for %s: %w", city, err)
+	}
 	cases := []perfCase{
 		{name("Dijkstra"), func(ctx context.Context, i int) error {
 			_, err := g.DijkstraCtx(ctx, customer(i))
@@ -229,6 +237,13 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 				}
 			}
 			return nil
+		}, true},
+		{name("AssignToSelection"), func(ctx context.Context, _ int) error {
+			sol, err := mcfs.AssignToSelectionCtx(ctx, inst, base.Selected)
+			if err == nil && sol.Objective != base.Objective {
+				err = fmt.Errorf("objective %d over WMA's selection, WMA %d", sol.Objective, base.Objective)
+			}
+			return err
 		}, true},
 		{name("WMA"), func(ctx context.Context, _ int) error {
 			_, _, err := mcfs.AlgorithmWMA.Solve(ctx, inst, mcfs.WithSeed(cfg.Seed))
@@ -276,6 +291,13 @@ type PerfDelta struct {
 	// CounterChanges lists the work counters that differ, by name; only
 	// rows where both sides carry counters are compared.
 	CounterChanges []CounterChange
+	// Missing marks an old row that the new file lacks although it
+	// measured the row's city; such a delta carries only Name, OldNs
+	// and OldAllocs besides the flag.
+	Missing bool
+	// ProbeLost marks a row whose old side carries counters and whose
+	// new side carries none.
+	ProbeLost bool
 }
 
 // CounterChange is one work counter whose value differs between two
@@ -285,13 +307,15 @@ type CounterChange struct {
 	Old, New int64
 }
 
-// ComparePerf diffs two perf files over their shared benchmark names. A
-// benchmark regresses when its ns/op grew by more than threshold (e.g.
-// 1.15 = +15%). Work counters are deterministic, so they are compared
-// exactly: when both rows carry counters, every differing counter is
-// listed in CounterChanges. Missing-on-either-side names are skipped
-// (the suite may gain benchmarks between PRs). Comparing quick and
-// non-quick files is an error — the instance sizes differ.
+// ComparePerf diffs two perf files. A benchmark regresses when its
+// ns/op grew by more than threshold (e.g. 1.15 = +15%). Work counters
+// are deterministic, so they are compared exactly: when both rows carry
+// counters, every differing counter is listed in CounterChanges, and a
+// row that carried counters in the old file but none in the new one is
+// ProbeLost. A row only the new file has is skipped (the suite may gain
+// benchmarks between PRs); a row only the old file has is Missing when
+// the new file measured its city, and skipped otherwise. Comparing
+// quick and non-quick files is an error — the instance sizes differ.
 func ComparePerf(old, new *PerfFile, threshold float64) ([]PerfDelta, error) {
 	if threshold <= 1 {
 		return nil, fmt.Errorf("bench: compare threshold %v must exceed 1", threshold)
@@ -299,11 +323,19 @@ func ComparePerf(old, new *PerfFile, threshold float64) ([]PerfDelta, error) {
 	if old.Quick != new.Quick {
 		return nil, fmt.Errorf("bench: cannot compare quick=%v against quick=%v files", old.Quick, new.Quick)
 	}
+	cur := make(map[string]bool, len(new.Benchmarks))
+	for _, b := range new.Benchmarks {
+		cur[b.Name] = true
+	}
 	prev := make(map[string]PerfBenchmark, len(old.Benchmarks))
+	var deltas []PerfDelta
 	for _, b := range old.Benchmarks {
 		prev[b.Name] = b
+		city := b.Name[strings.LastIndexByte(b.Name, '/')+1:]
+		if !cur[b.Name] && slices.Contains(new.Cities, city) {
+			deltas = append(deltas, PerfDelta{Name: b.Name, OldNs: b.NsPerOp, OldAllocs: b.AllocsPerOp, Missing: true})
+		}
 	}
-	var deltas []PerfDelta
 	for _, b := range new.Benchmarks {
 		p, ok := prev[b.Name]
 		if !ok || p.NsPerOp <= 0 {
@@ -319,6 +351,7 @@ func ComparePerf(old, new *PerfFile, threshold float64) ([]PerfDelta, error) {
 			NewAllocs:      b.AllocsPerOp,
 			Regression:     ratio > threshold,
 			CounterChanges: counterChanges(p.Counters, b.Counters),
+			ProbeLost:      p.Counters != nil && b.Counters == nil,
 		})
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
@@ -327,7 +360,8 @@ func ComparePerf(old, new *PerfFile, threshold float64) ([]PerfDelta, error) {
 
 // counterChanges returns the counters whose values differ, sorted by
 // name, or nil when either side carries no counters (a schema v1 row,
-// or a benchmark without a probe).
+// a benchmark without a probe, or a lost probe, which ComparePerf
+// flags on its own).
 func counterChanges(old, new map[string]int64) []CounterChange {
 	if old == nil || new == nil {
 		return nil
@@ -349,19 +383,27 @@ func counterChanges(old, new map[string]int64) []CounterChange {
 
 // FormatPerfDeltas renders a comparison as an aligned text table, with
 // one indented line per changed counter under its row, and reports the
-// number of regressions: rows slower than the threshold or with any
-// changed counter.
+// number of regressions: rows slower than the threshold, with any
+// changed counter, with a lost probe, or missing from the new file.
 func FormatPerfDeltas(deltas []PerfDelta) (string, int) {
 	var sb strings.Builder
 	regressions := 0
 	fmt.Fprintf(&sb, "%-36s %14s %14s %8s %16s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs old→new")
 	for _, d := range deltas {
+		if d.Missing {
+			regressions++
+			fmt.Fprintf(&sb, "%-36s %14.0f %14s %8s %10d→%-6s  MISSING\n", d.Name, d.OldNs, "-", "-", d.OldAllocs, "-")
+			continue
+		}
 		mark := ""
 		if d.Regression {
 			mark += "  REGRESSION"
 		}
 		if len(d.CounterChanges) > 0 {
 			mark += "  COUNTERS CHANGED"
+		}
+		if d.ProbeLost {
+			mark += "  PROBE LOST"
 		}
 		if mark != "" {
 			regressions++

@@ -114,8 +114,9 @@ func TestComparePerfDeltas(t *testing.T) {
 // TestComparePerfCounters: counters are compared exactly when both rows
 // carry them — a changed value, or a counter present on one side only,
 // is listed and makes FormatPerfDeltas count the row even when its
-// timing is within the threshold; a row without counters on either
-// side (schema v1, or no probe) is not compared.
+// timing is within the threshold; a row without old counters (schema
+// v1, or no probe) is not compared, and a row whose new side lost them
+// is flagged as a lost probe.
 func TestComparePerfCounters(t *testing.T) {
 	old := perfFile(perfSchemaV1, false,
 		PerfBenchmark{Name: "A/aalborg", NsPerOp: 1000, Counters: map[string]int64{"pops": 7, "scans": 3}},
@@ -141,21 +142,75 @@ func TestComparePerfCounters(t *testing.T) {
 		t.Errorf("B counter changes = %+v, want %+v", deltas[1].CounterChanges, want)
 	}
 	for _, i := range []int{0, 2, 3} {
-		if d := deltas[i]; d.CounterChanges != nil || d.Regression {
-			t.Errorf("%s: %+v, want no counter change and no regression", d.Name, d)
+		if d := deltas[i]; d.CounterChanges != nil || d.Regression || d.ProbeLost != (i == 3) {
+			t.Errorf("%s: %+v, want no counter change and no regression, a lost probe only on D", d.Name, d)
 		}
 	}
 
 	table, regressions := FormatPerfDeltas(deltas)
-	if regressions != 1 {
-		t.Errorf("FormatPerfDeltas counted %d regressions, want 1:\n%s", regressions, table)
+	if regressions != 2 {
+		t.Errorf("FormatPerfDeltas counted %d regressions, want 2 (B and D):\n%s", regressions, table)
 	}
 	for _, line := range []string{"    counter gone: 1→0", "    counter new: 0→2", "    counter pops: 7→8"} {
 		if !strings.Contains(table, line+"\n") {
 			t.Errorf("table lacks %q:\n%s", line, table)
 		}
 	}
-	if !strings.Contains(table, "COUNTERS CHANGED") || strings.Contains(table, "REGRESSION") {
-		t.Errorf("table should flag B's counters and no timing regression:\n%s", table)
+	if !strings.Contains(table, "COUNTERS CHANGED") || !strings.Contains(table, "PROBE LOST") || strings.Contains(table, "REGRESSION") {
+		t.Errorf("table should flag B's counters, D's lost probe and no timing regression:\n%s", table)
+	}
+}
+
+// TestComparePerfDroppedRowsAndProbes: a row the new file lacks counts
+// as a regression when the new file measured its city, and so does a
+// row whose counters vanished; a v1 baseline, which has no counters,
+// still compares clean against a v2 run of the same rows.
+func TestComparePerfDroppedRowsAndProbes(t *testing.T) {
+	counted := map[string]int64{"pops": 7}
+	old := perfFile(PerfSchema, false,
+		PerfBenchmark{Name: "Kept/aalborg", NsPerOp: 1000, Counters: counted},
+		PerfBenchmark{Name: "Unprobed/aalborg", NsPerOp: 1000, Counters: counted},
+		PerfBenchmark{Name: "Dropped/aalborg", NsPerOp: 1000, AllocsPerOp: 4, Counters: counted},
+		PerfBenchmark{Name: "Dropped/copenhagen", NsPerOp: 1000, Counters: counted},
+	)
+	cur := perfFile(PerfSchema, false,
+		PerfBenchmark{Name: "Kept/aalborg", NsPerOp: 1000, Counters: counted},
+		PerfBenchmark{Name: "Unprobed/aalborg", NsPerOp: 1000},
+	)
+	cur.Cities = []string{"aalborg"}
+	deltas, err := ComparePerf(old, cur, 1.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, regressions := FormatPerfDeltas(deltas)
+	if regressions != 2 {
+		t.Errorf("FormatPerfDeltas counted %d regressions, want 2 (the dropped aalborg row and the lost probe):\n%s", regressions, table)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(table, "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok {
+			rows[name] = line
+		}
+	}
+	if !strings.HasSuffix(rows["Dropped/aalborg"], "MISSING") || !strings.HasSuffix(rows["Unprobed/aalborg"], "PROBE LOST") {
+		t.Errorf("table does not flag the dropped row and the lost probe:\n%s", table)
+	}
+	if _, ok := rows["Dropped/copenhagen"]; ok {
+		t.Errorf("table lists a row of a city the new file did not measure:\n%s", table)
+	}
+	if kept, ok := rows["Kept/aalborg"]; !ok || strings.Contains(kept, "MISSING") || strings.Contains(kept, "LOST") {
+		t.Errorf("table does not list the unchanged row unflagged:\n%s", table)
+	}
+
+	v1 := perfFile(perfSchemaV1, false,
+		PerfBenchmark{Name: "Kept/aalborg", NsPerOp: 1000},
+		PerfBenchmark{Name: "Unprobed/aalborg", NsPerOp: 1000},
+	)
+	deltas, err = ComparePerf(v1, cur, 1.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table, regressions := FormatPerfDeltas(deltas); regressions != 0 || len(deltas) != 2 {
+		t.Errorf("v1 baseline: %d rows, %d regressions, want 2 clean rows:\n%s", len(deltas), regressions, table)
 	}
 }

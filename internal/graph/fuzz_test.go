@@ -2,7 +2,9 @@ package graph
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -51,9 +53,69 @@ func randomDisconnectedGraph(rng *rand.Rand, n, extraEdges int, maxW int64) *Gra
 	return g
 }
 
+// nnHit is one candidate an NNSearcher returned, with its distance.
+type nnHit struct {
+	node int32
+	dist int64
+}
+
+// drainSearcher runs s to exhaustion and returns what it enumerated.
+// Before every Next it checks that PeekDist equals the distance Next
+// then returns, and Inf once exhausted.
+func drainSearcher(s *NNSearcher) ([]nnHit, error) {
+	var hits []nnHit
+	for {
+		peek := s.PeekDist()
+		node, d, ok := s.Next()
+		if !ok {
+			if peek != Inf {
+				return nil, fmt.Errorf("PeekDist %d after exhaustion, want Inf", peek)
+			}
+			return hits, s.Err()
+		}
+		if peek != d {
+			return nil, fmt.Errorf("PeekDist %d before Next returned (%d,%d)", peek, node, d)
+		}
+		hits = append(hits, nnHit{node, d})
+	}
+}
+
+// enumerationMismatch checks an NNSearcher's enumeration against
+// reference distances: every reachable candidate appears exactly once,
+// at its reference distance, in nondecreasing distance order.
+func enumerationMismatch(hits []nnHit, want []int64, mask []bool) error {
+	reachable := 0
+	for v, cand := range mask {
+		if cand && want[v] < Inf {
+			reachable++
+		}
+	}
+	seen := make([]bool, len(mask))
+	for i, h := range hits {
+		switch {
+		case !mask[h.node]:
+			return fmt.Errorf("hit %d: node %d is not a candidate", i, h.node)
+		case seen[h.node]:
+			return fmt.Errorf("hit %d: node %d returned twice", i, h.node)
+		case h.dist != want[h.node]:
+			return fmt.Errorf("hit %d: node %d at %d, want %d", i, h.node, h.dist, want[h.node])
+		case i > 0 && h.dist < hits[i-1].dist:
+			return fmt.Errorf("hit %d: distance %d after %d", i, h.dist, hits[i-1].dist)
+		}
+		seen[h.node] = true
+	}
+	if len(hits) != reachable {
+		return fmt.Errorf("enumerated %d candidates, %d reachable", len(hits), reachable)
+	}
+	return nil
+}
+
 // FuzzDijkstra cross-checks the heap Dijkstra against the Bellman-Ford
 // reference on random graphs, connected and disconnected — the
-// disconnected half pins the Inf convention for unreachable nodes.
+// disconnected half pins the Inf convention for unreachable nodes. It
+// also drains an NNSearcher over a random candidate mask under both
+// forced queue kinds and checks the enumeration against the same
+// reference.
 func FuzzDijkstra(f *testing.F) {
 	f.Add(int64(1), int64(12), int64(20), int64(50), false)
 	f.Add(int64(2), int64(30), int64(0), int64(1), true)
@@ -94,6 +156,27 @@ func FuzzDijkstra(f *testing.F) {
 						label, v, forced[v], want[v], n, src, maxW, seed)
 				}
 			}
+		}
+		// The searcher's enumeration under each forced kind must match
+		// the reference, and the two kinds must enumerate identically.
+		mask := make([]bool, n)
+		for v := range mask {
+			mask[v] = rng.Intn(3) == 0
+		}
+		var drained [2][]nnHit
+		for i, kind := range []queueKind{queueHeap, queueBucket} {
+			hits, err := drainSearcher(NewNNSearcherCtx(context.Background(), withQueue(g, kind), src, mask))
+			if err == nil {
+				err = enumerationMismatch(hits, want, mask)
+			}
+			if err != nil {
+				t.Fatalf("NNSearcher, queue kind %d: %v (n=%d src=%d maxW=%d seed=%d)", kind, err, n, src, maxW, seed)
+			}
+			drained[i] = hits
+		}
+		if !reflect.DeepEqual(drained[0], drained[1]) {
+			t.Fatalf("NNSearcher heap and bucket enumerations differ:\nheap   %v\nbucket %v (n=%d src=%d seed=%d)",
+				drained[0], drained[1], n, src, seed)
 		}
 		if disconnect {
 			unreachable := false

@@ -409,6 +409,38 @@ func TestNNSearcherSourceIsCandidate(t *testing.T) {
 	}
 }
 
+// TestNNSearcherLargeGraph drains a searcher over a 2,500-node graph
+// with every node a candidate and checks it against DijkstraCtx: the
+// label table grows from labelMinSlots to hold every node, doubling at
+// least seven times.
+func TestNNSearcherLargeGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 2500
+	g := randomGraph(rng, n, 2*n, 40)
+	mask := make([]bool, n)
+	for v := range mask {
+		mask[v] = true
+	}
+	for _, src := range []int32{0, int32(rng.Intn(n))} {
+		want := must(g.DijkstraCtx(context.Background(), src))
+		s := NewNNSearcherCtx(context.Background(), g, src, mask)
+		hits, err := drainSearcher(s)
+		if err == nil {
+			err = enumerationMismatch(hits, want, mask)
+		}
+		if err != nil {
+			t.Fatalf("src %d: %v", src, err)
+		}
+		if s.Settled() != n || s.dist.used != n {
+			t.Fatalf("src %d: settled %d nodes with %d labels, want %d", src, s.Settled(), s.dist.used, n)
+		}
+		if len(s.dist.keys) < labelMinSlots<<7 || 4*s.dist.used > 3*len(s.dist.keys) {
+			t.Fatalf("src %d: %d labels in %d slots, want at least %d slots at most 3/4 full",
+				src, s.dist.used, len(s.dist.keys), labelMinSlots<<7)
+		}
+	}
+}
+
 func TestComponents(t *testing.T) {
 	b := NewBuilder(7, false)
 	b.AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(3, 4, 1)

@@ -15,11 +15,17 @@ import (
 // The searcher always pre-fetches one candidate, so Peek returns the
 // exact weight of the next candidate bipartite edge — the nnDist of
 // Algorithm 2, line 10 — without consuming it.
+//
+// A matcher keeps one searcher per customer and most advance only a
+// few pops, so a searcher's state grows with the nodes it reaches, not
+// with the graph, and holds no Go map: its labels live in an
+// open-addressing table (labelTable) and its frontier is a lazy heap
+// (pq.LazyHeap) whose superseded entries advance skips.
 type NNSearcher struct {
 	g      *Graph
 	src    int32
 	isCand []bool // shared, indexed by node id
-	dist   map[int32]int64
+	dist   labelTable
 	heap   pq.Monotone // incremental frontier (see Graph.newIncrementalQueue)
 
 	peekNode int32
@@ -48,9 +54,10 @@ func NewNNSearcherCtx(ctx context.Context, g *Graph, src int32, isCand []bool) *
 		src:    src,
 		isCand: isCand,
 		ctx:    ctx,
-		dist:   map[int32]int64{src: 0},
+		dist:   newLabelTable(),
 		heap:   g.newIncrementalQueue(),
 	}
+	s.dist.improve(src, 0)
 	s.heap.Push(src, 0)
 	s.advance()
 	return s
@@ -107,6 +114,7 @@ func (s *NNSearcher) advance() {
 	if s.err != nil {
 		return
 	}
+	g := s.g
 	for s.heap.Len() > 0 {
 		if s.pops++; s.pops&(checkEvery-1) == 0 {
 			if err := s.ctx.Err(); err != nil {
@@ -115,18 +123,15 @@ func (s *NNSearcher) advance() {
 			}
 		}
 		v, d := s.heap.PopMin()
-		if d > s.dist[v] {
-			continue // stale entry
+		if d > s.dist.get(v) {
+			continue // superseded entry
 		}
 		s.settledCount++
-		s.g.Neighbors(v, func(u int32, w int64) bool {
-			nd := d + w
-			if old, ok := s.dist[u]; !ok || nd < old {
-				s.dist[u] = nd
+		for i := g.off[v]; i < g.off[v+1]; i++ {
+			if u, nd := g.dst[i], d+g.w[i]; s.dist.improve(u, nd) {
 				s.heap.DecreaseKey(u, nd)
 			}
-			return true
-		})
+		}
 		if s.isCand[v] {
 			s.peekNode, s.peekDist, s.hasPeek = v, d, true
 			return

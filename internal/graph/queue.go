@@ -13,7 +13,8 @@ const (
 	// queueAuto picks a Dial bucket queue when the graph's weight range
 	// makes the wheel affordable, and a binary heap otherwise.
 	queueAuto queueKind = iota
-	// queueHeap forces the binary heaps (DenseHeap / SparseHeap).
+	// queueHeap forces the binary heaps: DenseHeap for whole-graph
+	// searches, LazyHeap for NNSearcher.
 	queueHeap
 	// queueBucket forces the Dial bucket queue regardless of weight
 	// range (wide ranges fall back to its overflow path).
@@ -54,15 +55,16 @@ func (g *Graph) newDenseQueue() pq.Monotone {
 
 // newIncrementalQueue returns the frontier queue for incremental
 // searches that advance a few pops at a time and may stop early
-// (NNSearcher). The bucket queue loses there even when bucketOK holds:
-// wheel setup and empty-bucket scanning cost O(maxW) per searcher
-// regardless of how few nodes it settles, and a matcher creates one
-// searcher per customer — so queueAuto stays on the sparse heap and the
-// bucket applies only when forced (the cross-implementation tests rely
-// on queueBucket still reaching this path).
+// (NNSearcher): a LazyHeap, whose state grows with the entries pushed.
+// The bucket queue loses there even when bucketOK holds: wheel setup
+// and empty-bucket scanning cost O(maxW) per searcher regardless of how
+// few nodes it settles, and a matcher creates one searcher per customer
+// — so queueAuto stays on the lazy heap and the bucket applies only
+// when forced (the cross-implementation tests rely on queueBucket still
+// reaching this path).
 func (g *Graph) newIncrementalQueue() pq.Monotone {
 	if g.queue == queueBucket {
 		return pq.NewBucket(g.maxW)
 	}
-	return pq.NewSparse()
+	return pq.NewLazy()
 }

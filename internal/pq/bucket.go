@@ -3,21 +3,22 @@ package pq
 // Monotone is the queue contract of Dijkstra-style searches: keys are
 // pushed in arbitrary order but never below the key of the last PopMin
 // (nonnegative edge weights guarantee this), and DecreaseKey only ever
-// lowers keys. DenseHeap, SparseHeap, and BucketQueue all satisfy it.
+// lowers keys. DenseHeap, LazyHeap, and BucketQueue all satisfy it.
 //
 // Equal-key pop order is pinned across every implementation (the
 // package's determinism contract, DESIGN.md §11): among entries with
 // equal keys, the one whose key was set earliest pops first — FIFO in
 // key-update time. BucketQueue gets this for free from bucket FIFO; the
-// heaps enforce it with a sequence stamp. The pin is what lets the
-// queue-selection heuristic swap implementations underneath a solver
-// without changing its output bytes.
+// heaps enforce it with a sequence stamp, which LazyHeap takes on every
+// push and DenseHeap on every insert or key change. The pin is what
+// lets the queue-selection heuristic swap implementations underneath a
+// solver without changing its output bytes.
 //
 // Implementations differ in one observable: a lazy implementation
-// (BucketQueue) may return superseded entries from PopMin — an (id, key)
-// whose key was later decreased pops again at the old key. Every search
-// in this module already skips those via its distance labels
-// (d > dist[v]); new callers must do the same.
+// (LazyHeap, BucketQueue) may return superseded entries from PopMin —
+// an (id, key) whose key was later decreased pops again at the old
+// key. Every search in this module already skips those via its
+// distance labels (d > dist[v]); new callers must do the same.
 type Monotone interface {
 	Len() int
 	Push(id int32, key int64)
@@ -28,7 +29,7 @@ type Monotone interface {
 
 var (
 	_ Monotone = (*DenseHeap)(nil)
-	_ Monotone = (*SparseHeap)(nil)
+	_ Monotone = (*LazyHeap)(nil)
 	_ Monotone = (*BucketQueue)(nil)
 )
 

@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -105,40 +106,70 @@ func applyOps(q Monotone, ops []monotoneOp) []bentry {
 	return out
 }
 
+// pinnedOrderMismatch replays ops against DenseHeap, LazyHeap and a
+// BucketQueue of the given span, and describes the first difference
+// between their filtered pop streams — ids included, not just keys —
+// or returns nil: all three pin the same FIFO equal-key tie-break.
+func pinnedOrderMismatch(ops []monotoneOp, idSpace int32, span int64) error {
+	dense := applyOps(NewDense(int(idSpace)), ops)
+	for name, got := range map[string][]bentry{
+		"lazy":   applyOps(NewLazy(), ops),
+		"bucket": applyOps(NewBucket(span), ops),
+	} {
+		if len(got) != len(dense) {
+			return fmt.Errorf("%s popped %d entries, dense %d", name, len(got), len(dense))
+		}
+		for i := range dense {
+			if got[i] != dense[i] {
+				return fmt.Errorf("%s pop %d = (%d,%d), dense (%d,%d)",
+					name, i, got[i].id, got[i].key, dense[i].id, dense[i].key)
+			}
+		}
+	}
+	return nil
+}
+
 // TestBucketMatchesHeapsPinnedOrder is the determinism property test:
 // on random monotone workloads with frequent equal keys, the filtered
-// pop stream of BucketQueue must match DenseHeap and SparseHeap exactly
-// — ids included, not just keys — because all three pin the same FIFO
-// equal-key tie-break.
+// pop stream of BucketQueue and LazyHeap must match DenseHeap exactly.
 func TestBucketMatchesHeapsPinnedOrder(t *testing.T) {
 	const idSpace = 64
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		spread := int64(1 + rng.Intn(8)) // tiny spread → many equal keys
 		ops := randomMonotoneOps(rng, 150, idSpace, spread)
-
-		dense := applyOps(NewDense(idSpace), ops)
-		sparse := applyOps(NewSparse(), ops)
 		// Span deliberately smaller than the key range on some trials so
 		// the overflow/rebase path is exercised too.
 		span := spread
 		if trial%3 == 0 {
 			span = 1
 		}
-		bucket := applyOps(NewBucket(span), ops)
-
-		for name, got := range map[string][]bentry{"sparse": sparse, "bucket": bucket} {
-			if len(got) != len(dense) {
-				t.Fatalf("trial %d: %s popped %d entries, dense %d", trial, name, len(got), len(dense))
-			}
-			for i := range dense {
-				if got[i] != dense[i] {
-					t.Fatalf("trial %d: %s pop %d = (%d,%d), dense (%d,%d)",
-						trial, name, i, got[i].id, got[i].key, dense[i].id, dense[i].key)
-				}
-			}
+		if err := pinnedOrderMismatch(ops, idSpace, span); err != nil {
+			t.Fatalf("trial %d (spread %d, span %d): %v", trial, spread, span, err)
 		}
 	}
+}
+
+// FuzzMonotoneQueues is the fuzzed form of the property test above:
+// DenseHeap, LazyHeap and BucketQueue must produce the same filtered
+// pop stream on any monotone workload. The span is clamped to [0,
+// spread]; a span below spread-1 puts keys past the wheel window, so
+// those inputs run the overflow path.
+func FuzzMonotoneQueues(f *testing.F) {
+	f.Add(int64(42), uint16(150), uint8(64), uint8(8), uint8(8))
+	f.Add(int64(42), uint16(150), uint8(64), uint8(8), uint8(1))
+	f.Add(int64(7), uint16(150), uint8(64), uint8(1), uint8(1))
+	f.Add(int64(-3), uint16(600), uint8(5), uint8(40), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, idRaw, spreadRaw, spanRaw uint8) {
+		n := int(nRaw % 2048)
+		idSpace := 1 + int32(idRaw%128)
+		spread := 1 + int64(spreadRaw%64)
+		span := min(int64(spanRaw), spread)
+		ops := randomMonotoneOps(rand.New(rand.NewSource(seed)), n, idSpace, spread)
+		if err := pinnedOrderMismatch(ops, idSpace, span); err != nil {
+			t.Fatalf("%d ops, %d ids, spread %d, span %d: %v", len(ops), idSpace, spread, span, err)
+		}
+	})
 }
 
 // TestHeapEqualKeyFIFO checks the documented tie-break directly: equal
@@ -146,7 +177,7 @@ func TestBucketMatchesHeapsPinnedOrder(t *testing.T) {
 func TestHeapEqualKeyFIFO(t *testing.T) {
 	for name, mk := range map[string]func() Monotone{
 		"dense":  func() Monotone { return NewDense(16) },
-		"sparse": func() Monotone { return NewSparse() },
+		"lazy":   func() Monotone { return NewLazy() },
 		"bucket": func() Monotone { return NewBucket(16) },
 	} {
 		q := mk()
@@ -169,11 +200,11 @@ func TestHeapEqualKeyFIFO(t *testing.T) {
 
 // TestHeapDecreaseRestamps checks that a key decrease moves the entry to
 // the back of its new equal-key class — matching the bucket queue's
-// re-append semantics.
+// re-append semantics (the lazy heap's new entry takes a fresh stamp).
 func TestHeapDecreaseRestamps(t *testing.T) {
 	for name, mk := range map[string]func() Monotone{
-		"dense":  func() Monotone { return NewDense(16) },
-		"sparse": func() Monotone { return NewSparse() },
+		"dense": func() Monotone { return NewDense(16) },
+		"lazy":  func() Monotone { return NewLazy() },
 	} {
 		q := mk()
 		q.Push(7, 9)

@@ -146,43 +146,8 @@ func TestDenseHeapRandomAgainstSort(t *testing.T) {
 	}
 }
 
-func TestSparseHeapMirrorsDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := NewDense(1000)
-	s := NewSparse()
-	for op := 0; op < 3000; op++ {
-		switch rng.Intn(4) {
-		case 0, 1:
-			id := int32(rng.Intn(1000))
-			key := int64(rng.Intn(5000))
-			d.Push(id, key)
-			s.Push(id, key)
-		case 2:
-			id := int32(rng.Intn(1000))
-			key := int64(rng.Intn(5000))
-			d.DecreaseKey(id, key)
-			s.DecreaseKey(id, key)
-		case 3:
-			if d.Len() > 0 {
-				di, dk := d.PopMin()
-				si, sk := s.PopMin()
-				if dk != sk {
-					t.Fatalf("op %d: dense popped key %d, sparse %d", op, dk, sk)
-				}
-				// Ids may differ on equal keys; containment must agree.
-				if d.Contains(di) || s.Contains(si) {
-					t.Fatal("popped item still contained")
-				}
-			}
-		}
-		if d.Len() != s.Len() {
-			t.Fatalf("op %d: len mismatch dense=%d sparse=%d", op, d.Len(), s.Len())
-		}
-	}
-}
-
-func TestSparseHeapLargeIDs(t *testing.T) {
-	h := NewSparse()
+func TestLazyHeapLargeIDs(t *testing.T) {
+	h := NewLazy()
 	h.Push(1<<30, 5)
 	h.Push(42, 3)
 	if id, _ := h.PopMin(); id != 42 {
@@ -193,12 +158,48 @@ func TestSparseHeapLargeIDs(t *testing.T) {
 	}
 }
 
-func TestSparseHeapReset(t *testing.T) {
-	h := NewSparse()
+// TestLazyHeapReset: Reset drops every entry, superseded ones included,
+// and restarts the push stamps, so equal keys pushed afterwards pop in
+// their new push order.
+func TestLazyHeapReset(t *testing.T) {
+	h := NewLazy()
 	h.Push(9, 1)
+	h.DecreaseKey(9, 0)
 	h.Reset()
-	if h.Len() != 0 || h.Contains(9) {
-		t.Fatal("Reset did not clear")
+	if h.Len() != 0 {
+		t.Fatalf("Len = %d after Reset, want 0", h.Len())
+	}
+	h.Push(5, 4)
+	h.Push(3, 4)
+	for _, want := range []int32{5, 3} {
+		if id, key := h.PopMin(); id != want || key != 4 {
+			t.Fatalf("pop (%d,%d) after Reset, want (%d,4)", id, key, want)
+		}
+	}
+}
+
+// TestLazyHeapRandomAgainstSort: pushes in random key order drain in
+// (key, push order), superseded entries included, as a stable sort of
+// the pushes gives.
+func TestLazyHeapRandomAgainstSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		h := NewLazy()
+		var want []bentry
+		for op := 0; op < 1+rng.Intn(500); op++ {
+			e := bentry{id: int32(rng.Intn(50)), key: int64(rng.Intn(40))}
+			h.Push(e.id, e.key)
+			want = append(want, e)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
+		if h.Len() != len(want) {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, h.Len(), len(want))
+		}
+		for i, w := range want {
+			if id, key := h.PopMin(); id != w.id || key != w.key {
+				t.Fatalf("trial %d: pop %d = (%d,%d), want (%d,%d)", trial, i, id, key, w.id, w.key)
+			}
+		}
 	}
 }
 

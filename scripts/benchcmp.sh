@@ -1,9 +1,11 @@
 #!/bin/sh
 # Compares two BENCH_*.json files produced by scripts/bench.sh and exits
 # non-zero when any shared benchmark slowed down past the regression
-# threshold or changed a work counter (DESIGN.md §11). Counters are
-# deterministic, so any difference counts: a change that legitimately
-# moves the work trajectory declares it and commits a new baseline.
+# threshold, changed a work counter or lost its counters, or when a
+# benchmark of a city the new file measured is missing from it
+# (DESIGN.md §11). Counters are deterministic, so any difference
+# counts: a change that legitimately moves the work trajectory declares
+# it and commits a new baseline.
 #
 # Usage:
 #   scripts/benchcmp.sh old.json new.json [threshold]

@@ -215,7 +215,7 @@ fi
 # fuzzing (not just the seed corpus) so a regression that only random
 # inputs can reach still trips CI. Findings are written to the package's
 # testdata/fuzz corpus by the fuzzer and reproduce as regular tests.
-for target in FuzzMatcher=./internal/bipartite FuzzDijkstra=./internal/graph FuzzReadInstance=./internal/data FuzzSnapshotRestore=./internal/dynamic; do
+for target in FuzzMatcher=./internal/bipartite FuzzDijkstra=./internal/graph FuzzMonotoneQueues=./internal/pq FuzzReadInstance=./internal/data FuzzSnapshotRestore=./internal/dynamic; do
 	name=${target%%=*}
 	pkg=${target#*=}
 	echo "fuzz smoke: $name"
@@ -225,7 +225,8 @@ done
 # Perf smoke (DESIGN.md §11): runs the perf suite in its reduced -quick
 # configuration and diffs it against the committed quick baseline. Work
 # counters are deterministic, so the first comparison, whose 1000x ns/op
-# threshold only a counter change can trip, fails the gate. Timings on
+# threshold only a changed or lost counter or a dropped row can trip,
+# fails the gate. Timings on
 # shared CI runners are noisy, so a timing regression past the default
 # threshold only warns; set MCFS_PERF_STRICT=1 to make it fail. The full
 # (non-quick) committed BENCH_*.json trajectory is for
