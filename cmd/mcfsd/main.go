@@ -66,7 +66,7 @@ func main() {
 		in        = flag.String("in", "", "instance file (required)")
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (host:0 picks a free port)")
 		algo      = flag.String("algo", "wma", "default algorithm for POST /resolve")
-		drift     = flag.Float64("drift", 0, "reallocator drift factor (0 = default 1.5, negative disables)")
+		drift     = flag.Float64("drift", 0, "reallocator drift factor (0 = default 1.5, negative disables, otherwise must exceed 1)")
 		restore   = flag.String("restore", "", "restore dynamic state from a snapshot file or generation directory")
 		batch     = flag.Int("batch", 0, "max operations coalesced per repair window (0 = default)")
 		opTimeout = flag.Duration("optimeout", 0, "per-operation deadline (0 = default 5s)")

@@ -85,8 +85,8 @@ func runAblThreshold(cfg Config, emit func(Row)) error {
 			emit(Row{
 				Exp: "AblThreshold", X: label, Algo: AlgoWMA,
 				Objective: mt.TotalMatchedCost(), Runtime: elapsed,
-				Note: fmt.Sprintf("edges=%d dijkstras=%d scanned=%d reinsertions=%d",
-					st.EdgesMaterialized, st.DijkstraRuns, st.NodesScanned, st.Reinsertions),
+				Note: fmt.Sprintf("edges=%d dijkstras=%d scanned=%d",
+					st.EdgesMaterialized, st.DijkstraRuns, st.NodesScanned),
 			})
 			return nil
 		})

@@ -2,22 +2,23 @@ package bipartite
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mcfs/internal/data"
 )
 
-// TestNegativeArcHandlingExercised drives enough randomized scenarios
-// that the transient negative-reduced-cost path (label-correcting
-// reinsertion) is actually exercised, and verifies via the shared
-// invariant checker that the matching stays structurally sound when it
-// happens. If the negative-arc machinery were unreachable this test
-// would only log, not fail — optimality under reinsertion is covered by
-// the reference cross-checks in matcher_test.go.
-func TestNegativeArcHandlingExercised(t *testing.T) {
+// TestReducedCostInvariantRandomized drives 1,500 random scenarios,
+// arrivals (AddCustomer) interleaved with FindPairCtx calls and a third
+// of them in exhaustive mode, and checks after every call the facts
+// that make each inner search plain Dijkstra (checkReducedCosts via
+// checkInvariants). A breach would also surface as materialize's
+// invariant error, which must() turns into a panic.
+func TestReducedCostInvariantRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	totalReins, totalRuns, totalNeg := 0, 0, 0
+	ctx := context.Background()
 	for trial := 0; trial < 1500; trial++ {
 		m := 1 + rng.Intn(8)
 		l := 1 + rng.Intn(8)
@@ -33,14 +34,36 @@ func TestNegativeArcHandlingExercised(t *testing.T) {
 			facs[j] = data.Facility{Node: int32(perm[m+j]), Capacity: 1 + rng.Intn(4)}
 		}
 		mt := New(g, custNodes, facs)
+		mt.SetExhaustive(trial%3 == 0)
 		for step := 0; step < 3*m; step++ {
-			must(mt.FindPairCtx(context.Background(), rng.Intn(m)))
+			if rng.Intn(4) == 0 {
+				mt.AddCustomer(int32(rng.Intn(n)))
+			}
+			must(mt.FindPairCtx(ctx, rng.Intn(mt.M())))
+			checkInvariants(t, mt)
 		}
-		checkInvariants(t, mt)
-		st := mt.Stats()
-		totalReins += st.Reinsertions
-		totalNeg += st.NegArcEvents
-		totalRuns += st.DijkstraRuns
 	}
-	t.Logf("reinsertions=%d negarcs=%d over %d inner searches", totalReins, totalNeg, totalRuns)
+}
+
+// TestNegativeFreshReducedCostIsInvariantBreach forces the state the
+// invariant rules out: a customer whose potential exceeds its next
+// edge's weight, so the edge would materialize with a negative reduced
+// cost. FindPairCtx must report an invariant breach, not a matching.
+func TestNegativeFreshReducedCostIsInvariantBreach(t *testing.T) {
+	mt := ctxTestMatcher(t)
+	mt.pot[mt.L()] = mt.nnDist(0) + 1 // customer 0's potential past its next edge
+	matched, err := mt.FindPairCtx(context.Background(), 0)
+	if matched {
+		t.Fatal("FindPairCtx reported a match over a negative fresh reduced cost")
+	}
+	if err == nil || !strings.Contains(err.Error(), "invariant breach") {
+		t.Fatalf("err = %v, want an invariant-breach error", err)
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("invariant breach misclassified as a context error: %v", err)
+	}
+	if mt.MatchCount(0) != 0 || mt.TotalMatchedCost() != 0 || mt.Stats().EdgesMaterialized != 0 {
+		t.Fatalf("breach left MatchCount %d, cost %d, %d edges; want all 0",
+			mt.MatchCount(0), mt.TotalMatchedCost(), mt.Stats().EdgesMaterialized)
+	}
 }

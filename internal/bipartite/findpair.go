@@ -25,6 +25,11 @@ import (
 // matcher must not be used afterwards (an interrupted searcher cannot be
 // resumed). The checkpoints never alter the search, so an uncancelled
 // run is byte-identical whatever its context.
+//
+// Every inner search is plain Dijkstra over nonnegative reduced costs.
+// A freshly materialized edge cannot break that (DESIGN.md §4); if one
+// ever did, FindPairCtx returns an invariant-breach error instead of a
+// matching.
 func (mt *Matcher) FindPairCtx(ctx context.Context, i int) (matched bool, err error) {
 	mt.ctx = ctx
 	if rec := obs.From(ctx); rec != nil {
@@ -68,8 +73,8 @@ func (mt *Matcher) FindPairCtx(ctx context.Context, i int) (matched bool, err er
 		// a failure here is either a cancellation recorded by the searcher
 		// or an invariant breach — both must abort the loop (retrying with
 		// unchanged state would spin forever).
-		if !mt.materialize(argmin) {
-			return false, mt.materializeFailure(argmin)
+		if err := mt.materialize(argmin); err != nil {
+			return false, err
 		}
 	}
 }
@@ -108,15 +113,11 @@ func (mt *Matcher) materializeFailure(i int) error {
 // threshold min{v.dist + nnDist(v) − v.p} over settled customers, and
 // the customer attaining it.
 //
-// When every reduced cost is nonnegative the search is plain Dijkstra
-// and may stop early once the outcome is provably decided; freshly
-// materialized edges may carry a transiently negative reduced cost, in
-// which case the search runs label-correcting (reinsertion on improve)
-// to exhaustion, which is correct for any graph without negative cycles
-// — and the running matching being a min-cost flow guarantees none.
+// Every residual reduced cost is nonnegative (DESIGN.md §4), so the
+// search is plain Dijkstra, and unless the matcher is exhaustive it
+// stops early once the outcome is provably decided.
 func (mt *Matcher) shortestPath(src int) (best int64, bestFac int, thr int64, argmin int) {
 	mt.stats.DijkstraRuns++
-	labelCorrecting := mt.purgeNegArcs()
 	mt.epoch++
 	mt.settled = mt.settled[:0]
 	h := mt.heap
@@ -127,34 +128,30 @@ func (mt *Matcher) shortestPath(src int) (best int64, bestFac int, thr int64, ar
 	best, bestFac = graph.Inf, -1
 	thr, argmin = graph.Inf, -1
 	for h.Len() > 0 {
-		if !labelCorrecting && !mt.exhaustive {
-			_, dnext := h.PeekMin()
+		v, d := h.PopMin()
+		if d > mt.dist[v] {
+			continue // superseded entry
+		}
+		if !mt.exhaustive {
+			// d is the smallest key of any unsettled node.
 			// Certain reject: the final best free-facility distance is at
-			// least min(best, dnext), and the threshold only shrinks — once
-			// thr undercuts that floor, a materialization is inevitable.
+			// least min(best, d), and the threshold only shrinks — once thr
+			// undercuts that floor, a materialization is inevitable.
 			floor := best
-			if dnext < floor {
-				floor = dnext
+			if d < floor {
+				floor = d
 			}
 			if thr < floor {
 				break
 			}
 			// Certain accept: every unsettled customer key is at least
-			// dnext − maxCustPot and every unsettled facility is at least
-			// dnext away, so neither thr nor best can drop below best.
-			if bestFac >= 0 && dnext-mt.maxCustPot >= best {
+			// d − maxCustPot and every unsettled facility is at least d
+			// away, so neither thr nor best can drop below best.
+			if bestFac >= 0 && d-mt.maxCustPot >= best {
 				break
 			}
 		}
-		v, d := h.PopMin()
-		if d > mt.dist[v] {
-			continue // stale entry
-		}
-		if mt.doneAt(v) {
-			mt.stats.Reinsertions++
-		} else {
-			mt.markDone(v)
-		}
+		mt.settled = append(mt.settled, v)
 		mt.stats.NodesScanned++
 		if int(v) >= l {
 			ci := int(v) - l
@@ -196,13 +193,6 @@ func (mt *Matcher) relax(v int32, d int64, par int64) {
 	mt.dist[v] = d
 	mt.parent[v] = par
 	mt.heap.Push(v, d)
-}
-
-func (mt *Matcher) doneAt(v int32) bool { return mt.done[v] == mt.epoch }
-
-func (mt *Matcher) markDone(v int32) {
-	mt.done[v] = mt.epoch
-	mt.settled = append(mt.settled, v)
 }
 
 // flip is one arc of an augmenting path, recorded by augment before any

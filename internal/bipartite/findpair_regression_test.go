@@ -95,7 +95,7 @@ func TestMaterializeFailureInvariant(t *testing.T) {
 	mt := ctxTestMatcher(t)
 	// Exhaust customer 0's searcher: the graph has two candidates, so
 	// the third materialization fails with no error recorded.
-	for mt.materialize(0) {
+	for mt.materialize(0) == nil {
 	}
 	if serr := mt.searchers[0].Err(); serr != nil {
 		t.Fatalf("exhausted searcher recorded error %v, want nil", serr)

@@ -5,7 +5,9 @@
 //   - lazy edge materialization driven by one persistent network-Dijkstra
 //     per customer (graph.NNSearcher), so only a small fraction of the
 //     ℓ·m possible edges is ever weighted;
-//   - node potentials keeping residual reduced costs nonnegative;
+//   - node potentials keeping residual reduced costs nonnegative, so
+//     every inner search is plain Dijkstra (DESIGN.md §4 proves that a
+//     freshly materialized edge never breaks this);
 //   - the Theorem-1 pruning threshold min{v.dist + nnDist(v) − v.p} that
 //     certifies a running augmenting path optimal over the *complete*
 //     bipartite graph while only the materialized part is inspected;
@@ -19,6 +21,7 @@ package bipartite
 
 import (
 	"context"
+	"fmt"
 
 	"mcfs/internal/data"
 	"mcfs/internal/graph"
@@ -45,8 +48,6 @@ type Stats struct {
 	EdgesMaterialized int
 	DijkstraRuns      int
 	NodesScanned      int
-	Reinsertions      int // label-correcting resettles (negative-arc repair)
-	NegArcEvents      int // freshly materialized edges with negative reduced cost
 	Augmentations     int
 }
 
@@ -73,11 +74,6 @@ type Matcher struct {
 	touched     []int32
 	everMatched []bool
 
-	// negArcs lists materialized arcs whose reduced cost is currently
-	// negative; while nonempty the inner search falls back from Dijkstra
-	// to label-correcting and never stops early.
-	negArcs []facEdge // reuses facEdge as (cust, edge idx) pair
-
 	// exhaustive disables the early-stop optimization (used by tests and
 	// the threshold ablation).
 	exhaustive bool
@@ -95,10 +91,9 @@ type Matcher struct {
 	dist    []int64
 	parent  []int64 // encoded arc; see parent encoding below
 	stamp   []int32 // relax stamp
-	done    []int32 // settle stamp
 	settled []int32 // settle order of the last run
 	epoch   int32
-	heap    *pq.DenseHeap
+	heap    *pq.LazyHeap
 	flips   []flip // augment's path buffer
 
 	stats Stats
@@ -137,8 +132,7 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 		dist:   make([]int64, n),
 		parent: make([]int64, n),
 		stamp:  make([]int32, n),
-		done:   make([]int32, n),
-		heap:   pq.NewDense(n),
+		heap:   pq.NewLazy(),
 	}
 	return mt
 }
@@ -163,8 +157,6 @@ func (mt *Matcher) AddCustomer(node int32) int {
 		mt.dist = growInt64(mt.dist, grow)
 		mt.parent = growInt64(mt.parent, grow)
 		mt.stamp = growInt32(mt.stamp, grow)
-		mt.done = growInt32(mt.done, grow)
-		mt.heap = pq.NewDense(grow)
 	}
 	return i
 }
@@ -273,23 +265,24 @@ func (mt *Matcher) searcher(i int) *graph.NNSearcher {
 // prefetched peek is exactly that weight.
 func (mt *Matcher) nnDist(i int) int64 { return mt.searcher(i).PeekDist() }
 
-// materialize appends customer i's next nearest edge to G_b and returns
-// false when the searcher is exhausted.
-func (mt *Matcher) materialize(i int) bool {
+// materialize appends customer i's next nearest edge to G_b. It fails
+// when the searcher is exhausted (see materializeFailure), and when the
+// fresh edge's reduced cost is negative: the invariant pot[c] ≤
+// nnDist(c) rules that out (DESIGN.md §4), and the inner search is
+// plain Dijkstra, which a negative arc would silently break.
+// FindPairCtx returns either failure as its error.
+func (mt *Matcher) materialize(i int) error {
 	node, w, ok := mt.searcher(i).Next()
 	if !ok {
-		return false
+		return mt.materializeFailure(i)
 	}
 	j := mt.facIndex(node)
+	if rc := w - mt.pot[mt.L()+i] + mt.pot[j]; rc < 0 {
+		return fmt.Errorf("bipartite: invariant breach: customer %d's fresh edge to facility %d has reduced cost %d < 0", i, j, rc)
+	}
 	mt.edges[i] = append(mt.edges[i], bedge{fac: int32(j), w: w})
 	mt.stats.EdgesMaterialized++
-	// A fresh edge may have negative reduced cost; record it so the inner
-	// search switches to label-correcting until potentials repair it.
-	if rc := w - mt.pot[mt.L()+i] + mt.pot[j]; rc < 0 {
-		mt.negArcs = append(mt.negArcs, facEdge{cust: int32(i), idx: int32(len(mt.edges[i]) - 1)})
-		mt.stats.NegArcEvents++
-	}
-	return true
+	return nil
 }
 
 // facIndex maps a facility node id to its index, building the lookup
@@ -302,18 +295,4 @@ func (mt *Matcher) facIndex(node int32) int {
 		}
 	}
 	return mt.facIdx[node]
-}
-
-// purgeNegArcs drops recorded negative arcs whose reduced cost has been
-// repaired by potential updates, and reports whether any remain.
-func (mt *Matcher) purgeNegArcs() bool {
-	kept := mt.negArcs[:0]
-	for _, a := range mt.negArcs {
-		e := mt.edges[a.cust][a.idx]
-		if e.w-mt.pot[mt.L()+int(a.cust)]+mt.pot[e.fac] < 0 {
-			kept = append(kept, a)
-		}
-	}
-	mt.negArcs = kept
-	return len(kept) > 0
 }

@@ -184,6 +184,48 @@ func checkInvariants(t *testing.T, mt *Matcher) {
 			}
 		}
 	}
+	checkReducedCosts(t, mt)
+}
+
+// checkReducedCosts verifies the two facts that make every inner
+// search plain Dijkstra (DESIGN.md §4):
+//
+//  1. every materialized edge has a nonnegative reduced cost in its
+//     residual direction: w − pot[c] + pot[j] ≥ 0 for an unmatched
+//     edge c→j, and its negation ≥ 0 for a matched one (arc j→c);
+//  2. pot[c] ≤ nnDist(c) for every customer whose searcher exists, and
+//     pot[c] = 0 for the others; facility potentials stay ≥ 0.
+//
+// Fact 2 is what keeps a freshly materialized edge, whose weight is
+// nnDist(c), inside fact 1.
+func checkReducedCosts(t *testing.T, mt *Matcher) {
+	t.Helper()
+	l := mt.L()
+	for j := 0; j < l; j++ {
+		if mt.pot[j] < 0 {
+			t.Fatalf("facility %d has negative potential %d", j, mt.pot[j])
+		}
+	}
+	for i := 0; i < mt.M(); i++ {
+		pc := mt.pot[l+i]
+		for idx, e := range mt.edges[i] {
+			rc := e.w - pc + mt.pot[e.fac]
+			if e.matched {
+				rc = -rc
+			}
+			if rc < 0 {
+				t.Fatalf("customer %d edge %d (facility %d, w %d, matched %v): residual reduced cost %d < 0",
+					i, idx, e.fac, e.w, e.matched, rc)
+			}
+		}
+		if s := mt.searchers[i]; s == nil {
+			if pc != 0 {
+				t.Fatalf("customer %d has no searcher but potential %d", i, pc)
+			}
+		} else if nn := s.PeekDist(); pc > nn {
+			t.Fatalf("customer %d: potential %d exceeds its next edge weight %d", i, pc, nn)
+		}
+	}
 }
 
 func TestFindPairSimplePath(t *testing.T) {

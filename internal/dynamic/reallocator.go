@@ -43,8 +43,10 @@ type Options struct {
 	Core core.Options
 	// DriftFactor triggers a full re-selection when the incremental
 	// objective exceeds DriftFactor × the objective right after the last
-	// full solve. Values <= 1 disable drift-triggered re-solves only if
-	// exactly 0; default is 1.5.
+	// full solve. 0 selects the default 1.5 and a negative value disables
+	// drift-triggered re-solves. Any other value must exceed 1: at or
+	// below 1 almost every arrival would run a full solve, so NewCtx,
+	// AdoptCtx and RestoreCtx reject it.
 	DriftFactor float64
 }
 
@@ -127,14 +129,17 @@ func AdoptCtx(ctx context.Context, inst *data.Instance, selected []int, opt Opti
 	return r, nil
 }
 
-// skeleton validates the instance and builds an empty Reallocator with
-// no customers, no selection, and no matching.
+// skeleton validates the instance and the options and builds an empty
+// Reallocator with no customers, no selection, and no matching.
 func skeleton(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.DriftFactor == 0 {
+	switch f := opt.DriftFactor; {
+	case f == 0:
 		opt.DriftFactor = 1.5
+	case !(f > 1 || f < 0):
+		return nil, fmt.Errorf("dynamic: DriftFactor %v: 0 means the default 1.5, a negative value disables drift re-solves, and any other value must exceed 1", f)
 	}
 	return &Reallocator{
 		ctx:        ctx,

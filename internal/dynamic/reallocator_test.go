@@ -3,12 +3,15 @@ package dynamic
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mcfs/internal/core"
 	"mcfs/internal/data"
 	"mcfs/internal/graph"
+	"mcfs/internal/obs"
 	"mcfs/internal/testutil"
 )
 
@@ -132,12 +135,16 @@ func TestReallocatorSaturationTriggersReselect(t *testing.T) {
 	// catalogue is exhausted.
 	inst := lineInstance(t)
 	inst.K = 2 // open capacity 4
-	// DriftFactor 0: only saturation can re-solve.
-	r, err := NewCtx(context.Background(), inst, Options{DriftFactor: 0})
+	// Drift re-solves disabled: only saturation can re-solve. That
+	// re-solve is infeasible, and Stats.FullSolves counts only
+	// successful ones, so the recorder's ReallocFullSolves, which counts
+	// every attempt, is the witness.
+	rec := obs.New()
+	r, err := NewCtx(obs.WithRecorder(context.Background(), rec), inst, Options{DriftFactor: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullBefore := r.Stats().FullSolves
+	attemptsBefore := rec.Counter(obs.ReallocFullSolves)
 	admitted := 0
 	var lastErr error
 	for i := 0; i < 12; i++ {
@@ -161,8 +168,8 @@ func TestReallocatorSaturationTriggersReselect(t *testing.T) {
 	if admitted != 2 {
 		t.Fatalf("admitted %d, want 2 (4 seats, 2 initial customers)", admitted)
 	}
-	if r.Stats().FullSolves == fullBefore {
-		t.Fatal("saturation never triggered a full re-solve")
+	if got := rec.Counter(obs.ReallocFullSolves) - attemptsBefore; got != 1 {
+		t.Fatalf("saturation triggered %d full re-solve attempts, want 1", got)
 	}
 }
 
@@ -183,6 +190,61 @@ func TestReallocatorDriftTriggersReselect(t *testing.T) {
 		t.Fatal("drift never triggered a re-selection")
 	}
 	verify(t, r)
+}
+
+// TestReallocatorDriftDisabled: with a negative DriftFactor the same
+// arrivals that make TestReallocatorDriftTriggersReselect re-solve
+// drift the objective past 1.01× its baseline without a re-solve.
+func TestReallocatorDriftDisabled(t *testing.T) {
+	inst := lineInstance(t)
+	r, err := NewCtx(context.Background(), inst, Options{DriftFactor: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats().FullSolves
+	for _, node := range []int32{9, 9} {
+		if _, err := r.AddCustomer(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obj, err := r.Objective()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base := r.BaseObjective(); float64(obj) <= 1.01*float64(base)+0.5 {
+		t.Fatalf("objective %d did not drift past 1.01× its baseline %d; the test proves nothing", obj, base)
+	}
+	if got := r.Stats().FullSolves; got != before {
+		t.Fatalf("full solves %d → %d with drift re-solves disabled", before, got)
+	}
+	verify(t, r)
+}
+
+// TestReallocatorRejectsDriftFactorAtMostOne: a factor in (0, 1] would
+// run a full solve on almost every arrival, so every constructor
+// rejects it, as it does NaN.
+func TestReallocatorRejectsDriftFactorAtMostOne(t *testing.T) {
+	inst := lineInstance(t)
+	ctx := context.Background()
+	r, err := NewCtx(ctx, inst, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{0.5, 1, math.NaN()} {
+		if _, err := NewCtx(ctx, inst, Options{DriftFactor: f}); err == nil || !strings.Contains(err.Error(), "must exceed 1") {
+			t.Errorf("NewCtx with DriftFactor %v: err = %v, want the drift-factor contract", f, err)
+		}
+		if _, err := AdoptCtx(ctx, inst, r.Selected(), Options{DriftFactor: f}); err == nil {
+			t.Errorf("AdoptCtx accepted DriftFactor %v", f)
+		}
+		if _, err := RestoreCtx(ctx, inst, snap, Options{DriftFactor: f}); err == nil {
+			t.Errorf("RestoreCtx accepted DriftFactor %v", f)
+		}
+	}
 }
 
 func TestReallocatorRandomChurn(t *testing.T) {

@@ -66,52 +66,3 @@ func TestNNSearcherConcurrentConstruction(t *testing.T) {
 		}
 	}
 }
-
-// TestALTCloneConcurrent answers queries from cloned oracles in parallel
-// and checks them against serial Dijkstra truth. The clones share the
-// preprocessed landmark tables of one parent; run under -race.
-func TestALTCloneConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 250
-	g := randomGraph(rng, n, 2*n, 30)
-	parent, err := NewALT(g, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type query struct{ s, t int32 }
-	const workers, perWorker = 8, 40
-	queries := make([][]query, workers)
-	want := make([][]int64, workers)
-	for w := 0; w < workers; w++ {
-		for q := 0; q < perWorker; q++ {
-			s, u := int32(rng.Intn(n)), int32(rng.Intn(n))
-			queries[w] = append(queries[w], query{s, u})
-			want[w] = append(want[w], must(g.DijkstraCtx(context.Background(), s))[u])
-		}
-	}
-
-	got := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		oracle := parent.Clone()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, q := range queries[w] {
-				got[w] = append(got[w], oracle.Distance(q.s, q.t))
-			}
-		}()
-	}
-	wg.Wait()
-
-	for w := 0; w < workers; w++ {
-		for q := range queries[w] {
-			if got[w][q] != want[w][q] {
-				t.Fatalf("worker %d query %d: clone dist(%d,%d) = %d, want %d",
-					w, q, queries[w][q].s, queries[w][q].t, got[w][q], want[w][q])
-			}
-		}
-	}
-}

@@ -45,7 +45,7 @@ func (g *Graph) DijkstraCtx(ctx context.Context, src int32) ([]int64, error) {
 			if nd < dist[u] {
 				dist[u] = nd
 				relax++
-				h.DecreaseKey(u, nd)
+				h.Push(u, nd)
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func (g *Graph) MultiSourceDijkstraCtx(ctx context.Context, sources []int32) (di
 				dist[u] = nd
 				owner[u] = owner[v]
 				relax++
-				h.DecreaseKey(u, nd)
+				h.Push(u, nd)
 			}
 		}
 	}

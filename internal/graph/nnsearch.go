@@ -129,7 +129,7 @@ func (s *NNSearcher) advance() {
 		s.settledCount++
 		for i := g.off[v]; i < g.off[v+1]; i++ {
 			if u, nd := g.dst[i], d+g.w[i]; s.dist.improve(u, nd) {
-				s.heap.DecreaseKey(u, nd)
+				s.heap.Push(u, nd)
 			}
 		}
 		if s.isCand[v] {

@@ -4,20 +4,21 @@ import "mcfs/internal/pq"
 
 // queueKind selects the frontier priority queue a graph's searches use.
 // Every kind produces byte-identical search results — the pq package
-// pins equal-key pop order across its implementations (see pq.Monotone)
-// — so production graphs keep queueAuto; only this package's tests
-// force the other two, on a copy of a graph.
+// pins equal-key pop order across its two queues (see pq.Monotone) —
+// so production graphs keep queueAuto; only this package's tests force
+// the other two, on a copy of a graph.
 type queueKind uint8
 
 const (
-	// queueAuto picks a Dial bucket queue when the graph's weight range
-	// makes the wheel affordable, and a binary heap otherwise.
+	// queueAuto picks a Dial bucket queue for whole-graph searches when
+	// the graph's weight range makes the wheel affordable, and the lazy
+	// binary heap otherwise; NNSearcher always gets the lazy heap.
 	queueAuto queueKind = iota
-	// queueHeap forces the binary heaps: DenseHeap for whole-graph
-	// searches, LazyHeap for NNSearcher.
+	// queueHeap forces the lazy binary heap on every search.
 	queueHeap
-	// queueBucket forces the Dial bucket queue regardless of weight
-	// range (wide ranges fall back to its overflow path).
+	// queueBucket forces the Dial bucket queue on every search
+	// regardless of weight range (wide ranges fall back to its overflow
+	// path).
 	queueBucket
 )
 
@@ -39,18 +40,12 @@ func (g *Graph) bucketOK() bool {
 
 // newDenseQueue returns the frontier queue for whole-graph searches
 // (dense distance arrays): a Dial bucket queue when the heuristic or
-// the graph's forced kind selects it, else a DenseHeap over [0, N).
+// the graph's forced kind selects it, else a LazyHeap.
 func (g *Graph) newDenseQueue() pq.Monotone {
-	switch g.queue {
-	case queueHeap:
-		return pq.NewDense(g.N())
-	case queueBucket:
+	if g.queue == queueBucket || (g.queue == queueAuto && g.bucketOK()) {
 		return pq.NewBucket(g.maxW)
 	}
-	if g.bucketOK() {
-		return pq.NewBucket(g.maxW)
-	}
-	return pq.NewDense(g.N())
+	return pq.NewLazy()
 }
 
 // newIncrementalQueue returns the frontier queue for incremental

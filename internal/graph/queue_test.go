@@ -89,8 +89,8 @@ func TestBucketHeuristic(t *testing.T) {
 		t.Errorf("MaxEdgeWeight = %d, want 7", small.MaxEdgeWeight())
 	}
 	// A forced kind overrides the heuristic in either direction.
-	if _, ok := withQueue(small, queueHeap).newDenseQueue().(*pq.DenseHeap); !ok {
-		t.Error("queueHeap did not force the dense heap")
+	if _, ok := withQueue(small, queueHeap).newDenseQueue().(*pq.LazyHeap); !ok {
+		t.Error("queueHeap did not force the lazy heap")
 	}
 	if _, ok := withQueue(wide, queueBucket).newIncrementalQueue().(*pq.BucketQueue); !ok {
 		t.Error("queueBucket did not force the bucket queue")

@@ -12,9 +12,9 @@ import (
 // otherwise allocate a fresh map and frontier queue per call — the
 // dominant allocation cost in callers that issue thousands of bounded
 // searches per solve (the BRNN attraction loop, objective
-// recomputation). It follows the ALT shared-static/private-scratch
-// idiom (alt.go): dense per-node arrays validated by an epoch stamp, so
-// between searches the reset cost is O(nodes touched), not O(N).
+// recomputation). Its dense per-node arrays are validated by an epoch
+// stamp, so between searches the reset cost is O(nodes touched), not
+// O(N).
 //
 // A scratch is bound to the graph that created it and must not be used
 // on another graph, nor concurrently; clone one per goroutine instead.
@@ -118,15 +118,13 @@ func (g *Graph) DijkstraWithinScratchCtx(ctx context.Context, src int32, radius 
 			}
 			if sc.stamp[u] != sc.epoch {
 				sc.stamp[u] = sc.epoch
-				sc.dist[u] = nd
 				sc.visited = append(sc.visited, u)
-				relax++
-				h.Push(u, nd)
-			} else if nd < sc.dist[u] {
-				sc.dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
+			} else if nd >= sc.dist[u] {
+				continue
 			}
+			sc.dist[u] = nd
+			relax++
+			h.Push(u, nd)
 		}
 	}
 	return nil
@@ -173,15 +171,13 @@ func (g *Graph) DijkstraToTargetsScratchCtx(ctx context.Context, src int32, targ
 			u, nd := g.dst[i], d+g.w[i]
 			if sc.stamp[u] != sc.epoch {
 				sc.stamp[u] = sc.epoch
-				sc.dist[u] = nd
 				sc.visited = append(sc.visited, u)
-				relax++
-				h.Push(u, nd)
-			} else if nd < sc.dist[u] {
-				sc.dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
+			} else if nd >= sc.dist[u] {
+				continue
 			}
+			sc.dist[u] = nd
+			relax++
+			h.Push(u, nd)
 		}
 	}
 	for i, t := range targets {

@@ -2,33 +2,31 @@ package pq
 
 // Monotone is the queue contract of Dijkstra-style searches: keys are
 // pushed in arbitrary order but never below the key of the last PopMin
-// (nonnegative edge weights guarantee this), and DecreaseKey only ever
-// lowers keys. DenseHeap, LazyHeap, and BucketQueue all satisfy it.
+// (nonnegative edge weights guarantee this). LazyHeap and BucketQueue
+// both satisfy it.
 //
-// Equal-key pop order is pinned across every implementation (the
+// Both implementations are lazy: they track no per-id position, so a
+// search lowers a queued id's key by pushing it again, and PopMin may
+// return superseded entries — an (id, key) whose key was later lowered
+// pops again at the old key. Every search in this module skips those
+// via its distance labels (d > dist[v]); new callers must do the same.
+//
+// Equal-key pop order is pinned across both implementations (the
 // package's determinism contract, DESIGN.md §11): among entries with
-// equal keys, the one whose key was set earliest pops first — FIFO in
-// key-update time. BucketQueue gets this for free from bucket FIFO; the
-// heaps enforce it with a sequence stamp, which LazyHeap takes on every
-// push and DenseHeap on every insert or key change. The pin is what
-// lets the queue-selection heuristic swap implementations underneath a
-// solver without changing its output bytes.
-//
-// Implementations differ in one observable: a lazy implementation
-// (LazyHeap, BucketQueue) may return superseded entries from PopMin —
-// an (id, key) whose key was later decreased pops again at the old
-// key. Every search in this module already skips those via its
-// distance labels (d > dist[v]); new callers must do the same.
+// equal keys, the one pushed earliest pops first — FIFO in key-update
+// time, since a key update is a push. BucketQueue gets this for free
+// from bucket FIFO; LazyHeap stamps every push with a sequence number.
+// The pin is what lets the queue-selection heuristic swap
+// implementations underneath a solver without changing its output
+// bytes.
 type Monotone interface {
 	Len() int
 	Push(id int32, key int64)
-	DecreaseKey(id int32, key int64)
 	PopMin() (int32, int64)
 	Reset()
 }
 
 var (
-	_ Monotone = (*DenseHeap)(nil)
 	_ Monotone = (*LazyHeap)(nil)
 	_ Monotone = (*BucketQueue)(nil)
 )
@@ -53,9 +51,9 @@ type bentry struct {
 // is a handful of wheel-sized slices and stays cheap even for the
 // short-lived queues behind per-customer NN searchers.
 //
-// The queue is lazy: it tracks no per-id position, so DecreaseKey simply
-// enqueues another entry and the superseded one surfaces later from
-// PopMin at its stale key. Callers skip those via their own distance
+// The queue is lazy: it tracks no per-id position, so a key decrease
+// simply enqueues another entry and the superseded one surfaces later
+// from PopMin at its stale key. Callers skip those via their own distance
 // labels, exactly as the graph searches already do for stale heap
 // entries. Len counts queued entries, including superseded ones.
 //
@@ -145,10 +143,6 @@ func (q *BucketQueue) Push(id int32, key int64) {
 	q.enqueue(key%nb, id, key)
 	q.size++
 }
-
-// DecreaseKey lowers id's key. The queue is lazy, so this is Push: the
-// old entry surfaces later at its stale key and the caller skips it.
-func (q *BucketQueue) DecreaseKey(id int32, key int64) { q.Push(id, key) }
 
 // PopMin removes and returns a minimum-key entry; among equal keys the
 // earliest-pushed pops first. It must not be called on an empty queue.

@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// monotoneOp is one step of a scripted monotone workload.
+// monotoneOp is one step of a scripted monotone workload: a push of
+// (id, key), or a pop whose expected settle is (id, key).
 type monotoneOp struct {
 	pop bool
 	id  int32
@@ -17,32 +18,39 @@ type monotoneOp struct {
 // contract: keys pushed never drop below the key of the last pop, and
 // ids are re-pushed only with strictly lower keys than their
 // best-so-far (mirroring the d > dist[v] relax guard every search
-// uses). The generator simulates the settle order — min (key, update
-// seq) — to keep the floor exact. Equal keys across different ids are
-// generated deliberately often.
-func randomMonotoneOps(rng *rand.Rand, n int, idSpace int32, keySpread int64) []monotoneOp {
-	var ops []monotoneOp
+// uses). Equal keys across different ids are generated deliberately
+// often.
+//
+// The generator is also the queues' oracle. It simulates the settle
+// order the package pins — minimum (key, update order) among the live
+// ids — records each pop's expected (id, key) in the op, and returns
+// the expected final drain of the ids still live after the last op.
+func randomMonotoneOps(rng *rand.Rand, n int, idSpace int32, keySpread int64) (ops []monotoneOp, drain []bentry) {
 	best := make(map[int32]int64)
 	seq := make(map[int32]int64)
 	settled := make(map[int32]bool)
 	var tick int64
+	settle := func() bentry {
+		var minID int32
+		minKey, minSeq := int64(-1), int64(-1)
+		for id, k := range best {
+			if minKey < 0 || k < minKey || (k == minKey && seq[id] < minSeq) {
+				minID, minKey, minSeq = id, k, seq[id]
+			}
+		}
+		delete(best, minID)
+		delete(seq, minID)
+		settled[minID] = true
+		return bentry{minID, minKey}
+	}
 	floor := int64(0)
 	for len(ops) < n && len(settled) < int(idSpace) {
 		if len(best) > 0 && rng.Intn(3) == 0 {
-			// Settle the entry the FIFO queues would pop next; its key
+			// Settle the entry the FIFO queues must pop next; its key
 			// becomes the floor no later push may undercut.
-			var minID int32
-			minKey, minSeq := int64(-1), int64(-1)
-			for id, k := range best {
-				if minKey < 0 || k < minKey || (k == minKey && seq[id] < minSeq) {
-					minID, minKey, minSeq = id, k, seq[id]
-				}
-			}
-			floor = minKey
-			delete(best, minID)
-			delete(seq, minID)
-			settled[minID] = true
-			ops = append(ops, monotoneOp{pop: true})
+			e := settle()
+			floor = e.key
+			ops = append(ops, monotoneOp{pop: true, id: e.id, key: e.key})
 			continue
 		}
 		id := rng.Int31n(idSpace)
@@ -59,70 +67,69 @@ func randomMonotoneOps(rng *rand.Rand, n int, idSpace int32, keySpread int64) []
 		tick++
 		ops = append(ops, monotoneOp{id: id, key: key})
 	}
-	return ops
+	for len(best) > 0 {
+		drain = append(drain, settle())
+	}
+	return ops, drain
 }
 
 // applyOps replays a workload against a queue, returning the filtered
-// pop stream (pops during the run plus a final drain).
+// pop stream (pops during the run plus a final drain). Every push op
+// is valid by construction, so a key decrease is simply another Push.
 func applyOps(q Monotone, ops []monotoneOp) []bentry {
 	best := make(map[int32]int64)
 	settled := make(map[int32]bool)
 	var out []bentry
-	for _, op := range ops {
-		if op.pop {
-			for q.Len() > 0 {
-				id, key := q.PopMin()
-				if settled[id] || key > best[id] {
-					continue
-				}
-				settled[id] = true
-				out = append(out, bentry{id, key})
-				break
-			}
-			continue
-		}
-		if settled[op.id] {
-			continue
-		}
-		if b, ok := best[op.id]; ok {
-			if op.key >= b {
+	popLive := func() {
+		for q.Len() > 0 {
+			id, key := q.PopMin()
+			if settled[id] || key > best[id] {
 				continue
 			}
-			best[op.id] = op.key
-			q.DecreaseKey(op.id, op.key)
-		} else {
-			best[op.id] = op.key
-			q.Push(op.id, op.key)
+			settled[id] = true
+			out = append(out, bentry{id, key})
+			return
 		}
 	}
-	for q.Len() > 0 {
-		id, key := q.PopMin()
-		if settled[id] || key > best[id] {
+	for _, op := range ops {
+		if op.pop {
+			popLive()
 			continue
 		}
-		settled[id] = true
-		out = append(out, bentry{id, key})
+		best[op.id] = op.key
+		q.Push(op.id, op.key)
+	}
+	for q.Len() > 0 {
+		popLive()
 	}
 	return out
 }
 
-// pinnedOrderMismatch replays ops against DenseHeap, LazyHeap and a
-// BucketQueue of the given span, and describes the first difference
-// between their filtered pop streams — ids included, not just keys —
-// or returns nil: all three pin the same FIFO equal-key tie-break.
-func pinnedOrderMismatch(ops []monotoneOp, idSpace int32, span int64) error {
-	dense := applyOps(NewDense(int(idSpace)), ops)
-	for name, got := range map[string][]bentry{
-		"lazy":   applyOps(NewLazy(), ops),
-		"bucket": applyOps(NewBucket(span), ops),
-	} {
-		if len(got) != len(dense) {
-			return fmt.Errorf("%s popped %d entries, dense %d", name, len(got), len(dense))
+// pinnedOrderMismatch replays ops against LazyHeap and a BucketQueue of
+// the given span, and describes the first difference between a queue's
+// filtered pop stream and the settle order randomMonotoneOps simulated
+// (the ops' expected pops, then drain) — ids included, not just keys —
+// or returns nil: both queues pin the same FIFO equal-key tie-break.
+func pinnedOrderMismatch(ops []monotoneOp, drain []bentry, span int64) error {
+	var want []bentry
+	for _, op := range ops {
+		if op.pop {
+			want = append(want, bentry{op.id, op.key})
 		}
-		for i := range dense {
-			if got[i] != dense[i] {
-				return fmt.Errorf("%s pop %d = (%d,%d), dense (%d,%d)",
-					name, i, got[i].id, got[i].key, dense[i].id, dense[i].key)
+	}
+	want = append(want, drain...)
+	for _, q := range []struct {
+		name string
+		q    Monotone
+	}{{"lazy", NewLazy()}, {"bucket", NewBucket(span)}} {
+		got := applyOps(q.q, ops)
+		if len(got) != len(want) {
+			return fmt.Errorf("%s popped %d entries, want %d", q.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("%s pop %d = (%d,%d), want (%d,%d)",
+					q.name, i, got[i].id, got[i].key, want[i].id, want[i].key)
 			}
 		}
 	}
@@ -131,28 +138,29 @@ func pinnedOrderMismatch(ops []monotoneOp, idSpace int32, span int64) error {
 
 // TestBucketMatchesHeapsPinnedOrder is the determinism property test:
 // on random monotone workloads with frequent equal keys, the filtered
-// pop stream of BucketQueue and LazyHeap must match DenseHeap exactly.
+// pop streams of BucketQueue and LazyHeap must both match the settle
+// order the workload generator simulates, exactly.
 func TestBucketMatchesHeapsPinnedOrder(t *testing.T) {
 	const idSpace = 64
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		spread := int64(1 + rng.Intn(8)) // tiny spread → many equal keys
-		ops := randomMonotoneOps(rng, 150, idSpace, spread)
+		ops, drain := randomMonotoneOps(rng, 150, idSpace, spread)
 		// Span deliberately smaller than the key range on some trials so
 		// the overflow/rebase path is exercised too.
 		span := spread
 		if trial%3 == 0 {
 			span = 1
 		}
-		if err := pinnedOrderMismatch(ops, idSpace, span); err != nil {
+		if err := pinnedOrderMismatch(ops, drain, span); err != nil {
 			t.Fatalf("trial %d (spread %d, span %d): %v", trial, spread, span, err)
 		}
 	}
 }
 
 // FuzzMonotoneQueues is the fuzzed form of the property test above:
-// DenseHeap, LazyHeap and BucketQueue must produce the same filtered
-// pop stream on any monotone workload. The span is clamped to [0,
+// LazyHeap and BucketQueue must both produce the simulated settle order
+// as their filtered pop stream on any monotone workload. The span is clamped to [0,
 // spread]; a span below spread-1 puts keys past the wheel window, so
 // those inputs run the overflow path.
 func FuzzMonotoneQueues(f *testing.F) {
@@ -165,8 +173,8 @@ func FuzzMonotoneQueues(f *testing.F) {
 		idSpace := 1 + int32(idRaw%128)
 		spread := 1 + int64(spreadRaw%64)
 		span := min(int64(spanRaw), spread)
-		ops := randomMonotoneOps(rand.New(rand.NewSource(seed)), n, idSpace, spread)
-		if err := pinnedOrderMismatch(ops, idSpace, span); err != nil {
+		ops, drain := randomMonotoneOps(rand.New(rand.NewSource(seed)), n, idSpace, spread)
+		if err := pinnedOrderMismatch(ops, drain, span); err != nil {
 			t.Fatalf("%d ops, %d ids, spread %d, span %d: %v", len(ops), idSpace, spread, span, err)
 		}
 	})
@@ -176,7 +184,6 @@ func FuzzMonotoneQueues(f *testing.F) {
 // keys pop in key-update order, and a key change re-stamps the entry.
 func TestHeapEqualKeyFIFO(t *testing.T) {
 	for name, mk := range map[string]func() Monotone{
-		"dense":  func() Monotone { return NewDense(16) },
 		"lazy":   func() Monotone { return NewLazy() },
 		"bucket": func() Monotone { return NewBucket(16) },
 	} {
@@ -198,18 +205,19 @@ func TestHeapEqualKeyFIFO(t *testing.T) {
 	}
 }
 
-// TestHeapDecreaseRestamps checks that a key decrease moves the entry to
-// the back of its new equal-key class — matching the bucket queue's
-// re-append semantics (the lazy heap's new entry takes a fresh stamp).
+// TestHeapDecreaseRestamps checks that a key decrease, a second Push,
+// moves the entry to the back of its new equal-key class — matching
+// the bucket queue's re-append semantics (the lazy heap's new entry
+// takes a fresh stamp).
 func TestHeapDecreaseRestamps(t *testing.T) {
 	for name, mk := range map[string]func() Monotone{
-		"dense": func() Monotone { return NewDense(16) },
-		"lazy":  func() Monotone { return NewLazy() },
+		"lazy":   func() Monotone { return NewLazy() },
+		"bucket": func() Monotone { return NewBucket(16) },
 	} {
 		q := mk()
 		q.Push(7, 9)
 		q.Push(4, 5)
-		q.DecreaseKey(7, 5) // re-stamped: now behind 4 in the key-5 class
+		q.Push(7, 5) // re-stamped: now behind 4 in the key-5 class
 		id, _ := q.PopMin()
 		if id != 4 {
 			t.Fatalf("%s: first pop %d, want 4 (decrease must re-stamp)", name, id)
@@ -304,12 +312,12 @@ func TestBucketResetReuse(t *testing.T) {
 	}
 }
 
-// TestBucketLazyDuplicates checks the documented lazy semantics: a
-// DecreaseKey leaves the superseded entry observable at its stale key.
+// TestBucketLazyDuplicates checks the documented lazy semantics: a key
+// decrease leaves the superseded entry observable at its stale key.
 func TestBucketLazyDuplicates(t *testing.T) {
 	q := NewBucket(10)
 	q.Push(1, 8)
-	q.DecreaseKey(1, 2)
+	q.Push(1, 2)
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (lazy duplicate retained)", q.Len())
 	}

@@ -523,7 +523,8 @@ type ReallocatorStats = dynamic.Stats
 // NewReallocator performs one full solve of the instance and returns a
 // Reallocator tracking it. driftFactor (>1) bounds the tolerated cost
 // drift before a full re-selection; 0 picks the default 1.5, negative
-// disables drift-triggered re-solves.
+// disables drift-triggered re-solves, and a value in (0, 1] is an
+// error.
 func NewReallocator(inst *Instance, driftFactor float64, opts ...Option) (*Reallocator, error) {
 	return NewReallocatorCtx(context.Background(), inst, driftFactor, opts...)
 }
@@ -638,21 +639,6 @@ func ReadDIMACSGraph(gr io.Reader, co io.Reader, undirected bool) (*Graph, error
 // coordinates exist, their companion file) in DIMACS format.
 func WriteDIMACSGraph(grW io.Writer, coW io.Writer, g *Graph) error {
 	return data.WriteDIMACSGraph(grW, coW, g)
-}
-
-// --- point-to-point distance oracle ------------------------------------------
-
-// DistanceOracle is an exact point-to-point shortest-path oracle (A*
-// with landmark bounds) for ad-hoc queries against a network — e.g.,
-// auditing individual customer→facility trips of a solution. Not safe
-// for concurrent use; its Clone method hands each goroutine an
-// independent oracle sharing the preprocessed landmark tables.
-type DistanceOracle = graph.ALT
-
-// NewDistanceOracle preprocesses numLandmarks landmarks (one Dijkstra
-// each); undirected networks only.
-func NewDistanceOracle(g *Graph, numLandmarks int, seed int64) (*DistanceOracle, error) {
-	return graph.NewALT(g, numLandmarks, seed)
 }
 
 // WriteGeoJSON exports an instance and optional solution as a GeoJSON
