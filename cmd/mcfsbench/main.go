@@ -35,9 +35,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "generation seed")
 		skipExact   = flag.Bool("noexact", false, "skip the exact solver")
 		skipBRNN    = flag.Bool("nobrnn", false, "skip the BRNN baseline")
-		workers     = flag.Int("workers", 0, "max concurrent experiment cells (0 = all CPUs); also the load-generator fan-out for -exp serve")
-		serveURL    = flag.String("serveurl", "", "target a running mcfsd for -exp serve (empty = self-host in-process)")
-		events      = flag.Int("events", 0, "total load-generator operations for -exp serve (0 = scale with -scale)")
+		workers     = flag.Int("workers", 0, "max concurrent experiment cells (0 = all CPUs)")
 		noTimes     = flag.Bool("notimes", false, "zero all runtime columns (byte-comparable output across runs)")
 		csvPath     = flag.String("csv", "", "also write rows as CSV to this file")
 		mdPath      = flag.String("md", "", "also write a markdown report to this file")
@@ -75,8 +73,6 @@ func main() {
 		Seed:        *seed,
 		SkipExact:   *skipExact,
 		SkipBRNN:    *skipBRNN,
-		ServeURL:    *serveURL,
-		ServeEvents: *events,
 		Workers:     *workers,
 	}
 

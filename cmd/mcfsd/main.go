@@ -26,15 +26,16 @@
 // "mcfs_counters" var) — keep it on a loopback or otherwise trusted
 // address, profiling endpoints are not for the public network.
 //
-// Durability and self-healing (DESIGN.md §12): -snapshot-every with
-// -snapshot-dir persists a generation of the dynamic state on every
-// interval via atomic temp+rename, keeping the newest -snapshot-keep
-// generations; -restore accepts either a snapshot file or a generation
-// directory, picking the newest generation that parses and skipping
-// corrupt ones. -drift-threshold enables the drift-triggered background
-// re-solve: when the published objective exceeds threshold × the drift
-// baseline, a full re-solve is scheduled through the batch loop (with
-// hysteresis and -heal-interval backoff).
+// Durability (DESIGN.md §12): -snapshot-every with -snapshot-dir
+// persists a generation of the dynamic state on every interval via
+// atomic temp+rename, keeping the newest -snapshot-keep generations;
+// -restore accepts either a snapshot file or a generation directory,
+// picking the newest generation that parses and skipping corrupt ones.
+//
+// Drift (DESIGN.md §12): the arrival that lifts the objective past
+// -drift × the objective of the last full solve runs a full WMA
+// re-solve inline, under its own request deadline; if that re-solve
+// fails, the arrival is rejected and nobody is admitted.
 //
 // The daemon prints "mcfsd: listening on http://ADDR" once the socket
 // is bound (use -addr 127.0.0.1:0 to pick a free port) and drains
@@ -73,8 +74,6 @@ func main() {
 		snapEvery = flag.Duration("snapshot-every", 0, "periodic snapshot interval (0 = disabled; requires -snapshot-dir)")
 		snapDir   = flag.String("snapshot-dir", "", "directory for periodic snapshot generations")
 		snapKeep  = flag.Int("snapshot-keep", 0, "snapshot generations to retain (0 = default 3)")
-		driftThr  = flag.Float64("drift-threshold", 0, "drift ratio that triggers a background re-solve (0 = disabled, must exceed 1)")
-		healEvery = flag.Duration("heal-interval", 0, "minimum spacing between drift-triggered re-solves (0 = default 30s)")
 		debugAddr = flag.String("debug-addr", "", "optional second listener for net/http/pprof + expvar (trusted networks only)")
 		quiet     = flag.Bool("quiet", false, "disable the structured per-request log")
 	)
@@ -140,18 +139,16 @@ func main() {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	engine, err := serve.New(serve.Config{
-		Instance:        inst,
-		Algorithm:       algorithm,
-		DriftFactor:     *drift,
-		MaxBatch:        *batch,
-		DefaultTimeout:  *opTimeout,
-		Snapshot:        snap,
-		Logger:          logger,
-		SnapshotEvery:   *snapEvery,
-		SnapshotDir:     *snapDir,
-		SnapshotKeep:    *snapKeep,
-		DriftThreshold:  *driftThr,
-		HealMinInterval: *healEvery,
+		Instance:       inst,
+		Algorithm:      algorithm,
+		DriftFactor:    *drift,
+		MaxBatch:       *batch,
+		DefaultTimeout: *opTimeout,
+		Snapshot:       snap,
+		Logger:         logger,
+		SnapshotEvery:  *snapEvery,
+		SnapshotDir:    *snapDir,
+		SnapshotKeep:   *snapKeep,
 	})
 	if err != nil {
 		fatal(err)

@@ -86,12 +86,6 @@ type Config struct {
 	// quick regression runs).
 	SkipExact bool
 	SkipBRNN  bool
-	// ServeURL points the "serve" experiment at a running mcfsd; empty
-	// means self-host an in-process server on a loopback port.
-	ServeURL string
-	// ServeEvents is the total number of load-generator operations for
-	// the "serve" experiment; 0 scales with Scale.
-	ServeEvents int
 	// Workers bounds the number of experiment cells (instance generation
 	// plus one algorithm run) solved concurrently; 0 or negative means
 	// runtime.GOMAXPROCS(0). Row output is deterministic at any worker

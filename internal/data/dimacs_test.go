@@ -91,10 +91,19 @@ func TestReadDIMACSErrors(t *testing.T) {
 		"p sp 2 1\na 1 2\n",    // malformed arc
 		"p sp 2 2\na 1 2 3\n",  // arc count mismatch
 		"p sp 2 1\np sp 2 1\n", // duplicate problem line
+		"p sp -1 0\n",          // negative node count
+		"p sp 4294967298 0\n",  // node count past int32
+		"p sp 2 -1\n",          // negative arc count
 	}
+	// Every case must fail whether or not a coordinate file comes along:
+	// coordinates are read only after the problem line and the arcs
+	// check out.
 	for i, src := range cases {
 		if _, err := ReadDIMACSGraph(strings.NewReader(src), nil, false); err == nil {
 			t.Fatalf("case %d accepted: %q", i, src)
+		}
+		if _, err := ReadDIMACSGraph(strings.NewReader(src), strings.NewReader("p aux sp co 0\n"), false); err == nil {
+			t.Fatalf("case %d accepted with coordinates: %q", i, src)
 		}
 	}
 }

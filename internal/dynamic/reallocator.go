@@ -284,7 +284,10 @@ func (r *Reallocator) flush() error {
 // returns its handle. The arrival is assigned incrementally; if the open
 // facilities cannot serve it (capacity exhausted or unreachable), a full
 // re-selection runs, and data.ErrInfeasible is returned only when even
-// the full candidate catalogue cannot serve the population.
+// the full candidate catalogue cannot serve the population. An arrival
+// that lifts the objective past DriftFactor × the baseline re-selects
+// inline, under the same context. An error admits no customer: the
+// newcomer is rolled back, whichever step failed.
 func (r *Reallocator) AddCustomer(node int32) (int, error) {
 	if node < 0 || int(node) >= r.g.N() {
 		return 0, fmt.Errorf("%w: node %d outside [0,%d)", ErrBadNode, node, r.g.N())
@@ -327,7 +330,12 @@ func (r *Reallocator) AddCustomer(node int32) (int, error) {
 	}
 	if r.driftExceeded() {
 		if err := r.fullSolve(); err != nil {
-			return h, err
+			// The newcomer is matched, but the re-solve it triggered
+			// failed: roll it back all the same, so an error never
+			// admits a customer whose handle the caller does not get.
+			r.dropHandle(h)
+			r.pendingRm = true
+			return 0, err
 		}
 	}
 	return h, nil

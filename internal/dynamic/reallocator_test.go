@@ -220,6 +220,67 @@ func TestReallocatorDriftDisabled(t *testing.T) {
 	verify(t, r)
 }
 
+// countdownCtx reports nil from Err for a fixed number of calls, then
+// context.Canceled: a deterministic stand-in for a request deadline that
+// fires at an arbitrary point inside an operation.
+type countdownCtx struct {
+	context.Context
+	remaining int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.remaining > 0 {
+		c.remaining--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestAddCustomerErrorAdmitsNobody sweeps a cancellation over every
+// context poll of an arrival that crosses the drift factor. Wherever
+// AddCustomer fails, in the flush, in the newcomer's search or inside
+// the drift re-solve it triggers, the population is unchanged, and a
+// live context brings back a verified state.
+func TestAddCustomerErrorAdmitsNobody(t *testing.T) {
+	inst := lineInstance(t)
+	inResolve := 0
+	for polls := 0; ; polls++ {
+		if polls > 100000 {
+			t.Fatal("arrival still cancelled after 100000 polls")
+		}
+		r, err := NewCtx(context.Background(), inst, Options{DriftFactor: 1.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := r.Customers()
+		rec := obs.New()
+		r.SetContext(obs.WithRecorder(&countdownCtx{Context: context.Background(), remaining: polls}, rec))
+		h, err := r.AddCustomer(9)
+		if err == nil {
+			// The countdown outlasted the arrival; every smaller one failed
+			// somewhere inside it.
+			if rec.Counter(obs.ReallocFullSolves) == 0 {
+				t.Fatal("the arrival never crossed the drift factor; the sweep proves nothing")
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("polls %d: err = %v, want context.Canceled", polls, err)
+		}
+		if rec.Counter(obs.ReallocFullSolves) > 0 {
+			inResolve++
+		}
+		if h != 0 || r.Customers() != before {
+			t.Fatalf("polls %d: failed arrival returned handle %d and left %d customers, want 0 and %d", polls, h, r.Customers(), before)
+		}
+		r.SetContext(context.Background())
+		verify(t, r)
+	}
+	if inResolve == 0 {
+		t.Fatal("no poll index failed inside the drift re-solve")
+	}
+}
+
 // TestReallocatorRejectsDriftFactorAtMostOne: a factor in (0, 1] would
 // run a full solve on almost every arrival, so every constructor
 // rejects it, as it does NaN.

@@ -18,10 +18,10 @@ import (
 // "called only from writer functions", and reports any call to a
 // mutating Reallocator method from outside that set. The constructor
 // may start additional background goroutines — the periodic snapshot
-// ticker and the drift healer submit operations through the op queue
-// like any request handler — but they are accepted without joining the
-// writer set, and a second launched goroutine that reaches mutating
-// calls is itself a finding: two concurrent Reallocator owners.
+// ticker submits operations through the op queue like any request
+// handler — but they are accepted without joining the writer set, and
+// a second launched goroutine that reaches mutating calls is itself a
+// finding: two concurrent Reallocator owners.
 //
 // Whether a method mutates comes from the cross-package summaries
 // (summary.go): a method provably writing through its receiver —
@@ -78,11 +78,11 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 	}
 
 	// The goroutines the constructor starts, in launch order. Not every
-	// one is a writer: the durability layer's ticker goroutines
-	// (snapshot policy, drift healer) submit operations through the op
-	// queue like any request handler and never touch the Reallocator —
-	// they are accepted, but deliberately NOT writer-privileged, so a
-	// mutating call sneaking into one is still a finding.
+	// one is a writer: the durability layer's snapshot ticker submits
+	// operations through the op queue like any request handler and
+	// never touches the Reallocator — it is accepted, but deliberately
+	// NOT writer-privileged, so a mutating call sneaking into such a
+	// goroutine is still a finding.
 	type launch struct {
 		obj types.Object
 		pos token.Pos

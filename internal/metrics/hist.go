@@ -1,9 +1,6 @@
-// Package metrics provides the latency histogram shared by the serving
-// layer (per-endpoint request latencies in mcfsd's /stats) and the bench
-// load generator (p50/p99 rows for the serve experiment). It lives in
-// its own leaf package because both internal/serve and internal/bench
-// need it and bench already depends on the public API that serve is
-// built on.
+// Package metrics provides the latency histogram behind mcfsd's
+// per-endpoint request latencies: the quantiles in /stats and the
+// cumulative buckets in /metrics.
 package metrics
 
 import (
@@ -22,8 +19,8 @@ const histSub = 8
 const histBuckets = 41 * histSub
 
 // Histogram accumulates durations into log-linear buckets. The zero
-// value is ready to use. It is not safe for concurrent use; either give
-// each goroutine its own histogram and Merge, or guard it with a mutex.
+// value is ready to use. It is not safe for concurrent use; guard it
+// with a mutex.
 type Histogram struct {
 	counts [histBuckets]int64
 	count  int64
@@ -67,18 +64,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum += ns
 	if ns > h.max {
 		h.max = ns
-	}
-}
-
-// Merge folds o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
 	}
 }
 

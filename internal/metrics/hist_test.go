@@ -69,30 +69,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b, whole Histogram
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(rng.Int63n(int64(time.Millisecond)))
-		whole.Observe(d)
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != whole.Count() || a.Max() != whole.Max() || a.Mean() != whole.Mean() {
-		t.Fatalf("merge mismatch: count %d/%d max %v/%v mean %v/%v",
-			a.Count(), whole.Count(), a.Max(), whole.Max(), a.Mean(), whole.Mean())
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("merged q%.2f = %v, want %v", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-}
-
 func TestHistogramClampAndEmpty(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 {

@@ -59,12 +59,9 @@ const (
 	ReallocRepairs
 	ReallocReroutedCustomers
 	ReallocFullSolves
-	// Serving layer durability and self-healing (internal/serve).
+	// Serving layer durability (internal/serve).
 	ServeSnapshots
 	ServeSnapshotFailures
-	ServeHealTriggers
-	ServeHeals
-	ServeHealFailures
 
 	numCounters // sentinel; keep last
 )
@@ -89,9 +86,6 @@ var counterNames = [numCounters]string{
 	ReallocFullSolves:        "realloc_full_solves",
 	ServeSnapshots:           "serve_snapshots",
 	ServeSnapshotFailures:    "serve_snapshot_failures",
-	ServeHealTriggers:        "serve_heal_triggers",
-	ServeHeals:               "serve_heals",
-	ServeHealFailures:        "serve_heal_failures",
 }
 
 // counterHelp is the one-line exposition help text per counter.
@@ -112,9 +106,6 @@ var counterHelp = [numCounters]string{
 	ReallocFullSolves:        "full WMA re-selections run by the reallocator",
 	ServeSnapshots:           "periodic snapshots persisted to disk by the serving engine",
 	ServeSnapshotFailures:    "periodic snapshot attempts that failed (capture or persist)",
-	ServeHealTriggers:        "drift-threshold crossings that scheduled a background re-solve",
-	ServeHeals:               "drift-triggered background re-solves completed",
-	ServeHealFailures:        "drift-triggered background re-solves that failed",
 }
 
 // Name returns the counter's stable exposition name.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,20 +162,8 @@ func TestServeDurabilityConfigValidation(t *testing.T) {
 	if _, err := New(Config{Instance: inst, SnapshotEvery: time.Second}); err == nil || !strings.Contains(err.Error(), "SnapshotDir") {
 		t.Fatalf("SnapshotEvery without SnapshotDir: %v", err)
 	}
-	if _, err := New(Config{Instance: inst, DriftThreshold: 0.9}); err == nil || !strings.Contains(err.Error(), "must exceed 1") {
-		t.Fatalf("sub-1 DriftThreshold: %v", err)
-	}
-}
-
-func TestHealRearmBelow(t *testing.T) {
-	for _, tc := range []struct{ threshold, want float64 }{
-		{1.2, 1.1},
-		{2.0, 1.5},
-		{1.0, 1.0},
-	} {
-		if got := healRearmBelow(tc.threshold); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("healRearmBelow(%v) = %v, want %v", tc.threshold, got, tc.want)
-		}
+	if _, err := New(Config{Instance: inst, DriftFactor: 0.9}); err == nil || !strings.Contains(err.Error(), "must exceed 1") {
+		t.Fatalf("sub-1 DriftFactor: %v", err)
 	}
 }
 
@@ -433,65 +420,5 @@ func TestLoadNewestSnapshotCorruptSkip(t *testing.T) {
 		if snap != nil || path != "" || skipped != nil || err != nil {
 			t.Fatalf("empty dir %s: %v %q %v %v", d, snap, path, skipped, err)
 		}
-	}
-}
-
-// --- drift healer -----------------------------------------------------------
-
-// TestDriftHealer is the acceptance test for self-healing: with the
-// Reallocator's own drift re-solve parked (DriftFactor 100), churn
-// inflates the published drift past the threshold, the healer fires
-// through the op queue, and the published drift measurably drops back
-// under the threshold. Counters for triggers and heals land in /stats
-// and /metrics.
-func TestDriftHealer(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		DriftFactor:     100, // keep the internal re-solve out of the way
-		DriftThreshold:  1.2,
-		HealMinInterval: time.Nanosecond,
-	})
-	inst := s.cfg.Instance
-
-	// Doubling the population roughly doubles the objective while the
-	// baseline stays at the initial full solve: drift ≈ 2.
-	var churn ChurnReply
-	if code := call(t, "POST", ts.URL+"/arrivals",
-		ArrivalsRequest{Nodes: inst.Customers}, &churn); code != 200 {
-		t.Fatalf("arrivals = %d", code)
-	}
-
-	waitFor(t, "heal trigger", func() bool { return s.rec.Counter(obs.ServeHealTriggers) >= 1 })
-	waitFor(t, "heal completion", func() bool { return s.rec.Counter(obs.ServeHeals) >= 1 })
-	waitFor(t, "drift back under threshold", func() bool {
-		v := s.view.Load()
-		return v.base > 0 && float64(v.pub.Objective)/float64(v.base) < s.cfg.DriftThreshold
-	})
-
-	var st StatsReply
-	if code := call(t, "GET", ts.URL+"/stats", nil, &st); code != 200 {
-		t.Fatalf("stats = %d", code)
-	}
-	if st.HealTriggers < 1 || st.Heals < 1 || st.HealFailures != 0 || st.LastHealUnix == 0 {
-		t.Fatalf("stats heal fields %+v", st)
-	}
-	if st.Drift >= s.cfg.DriftThreshold {
-		t.Fatalf("drift %v not healed under threshold %v", st.Drift, s.cfg.DriftThreshold)
-	}
-
-	body := scrapeMetrics(t, ts.URL)
-	for _, want := range []string{
-		"mcfs_serve_heal_triggers_total",
-		"mcfs_serve_heals_total",
-		"mcfsd_last_heal_timestamp_seconds",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-	if !regexpMustFindPositive(t, body, "mcfs_serve_heals_total") {
-		t.Error("mcfs_serve_heals_total still zero after a heal")
-	}
-	if !regexpMustFindPositive(t, body, "mcfsd_last_heal_timestamp_seconds") {
-		t.Error("mcfsd_last_heal_timestamp_seconds still zero after a heal")
 	}
 }

@@ -1,13 +1,13 @@
 // Injectable filesystem and clock seams for the durability layer.
 //
-// The periodic snapshot policy and the drift healer are exactly the
-// kind of code that only misbehaves when the world does: a full disk
-// mid-write, a rename that fails, a crash between temp file and rename,
-// a ticker that never fires. Production uses the thin os/time-backed
-// implementations below; the fault-injection suite (fault_test.go)
-// substitutes doubles that fail on demand, write short, tear files, and
-// freeze time — so every failure path in snapshotter.go and healer.go
-// is exercised deterministically under -race.
+// The periodic snapshot policy is exactly the kind of code that only
+// misbehaves when the world does: a full disk mid-write, a rename that
+// fails, a crash between temp file and rename, a ticker that never
+// fires. Production uses the thin os/time-backed implementations below;
+// the fault-injection suite (fault_test.go) substitutes doubles that
+// fail on demand, write short, tear files, and freeze time — so every
+// failure path in snapshotter.go is exercised deterministically under
+// -race.
 package serve
 
 import (
@@ -58,8 +58,8 @@ func (osFS) Remove(name string) error                  { return os.Remove(name) 
 func (osFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) }
 func (osFS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
 
-// Clock is the time surface the background loops need: a wall reading
-// for backoff bookkeeping and tickers for the periodic policies. Tests
+// Clock is the time surface the snapshot policy needs: a wall reading
+// for the last-snapshot timestamp and a ticker for the interval. Tests
 // substitute a manual clock whose ticks fire only on demand (including
 // never — the frozen-clock case).
 type Clock interface {

@@ -43,7 +43,10 @@ type Config struct {
 	Instance *mcfs.Instance
 	// Algorithm is the default /resolve algorithm; empty means WMA.
 	Algorithm mcfs.Algorithm
-	// DriftFactor is passed to the Reallocator (0 = its default).
+	// DriftFactor is the serving drift policy, passed to the Reallocator
+	// (0 = its default 1.5, negative disables): the arrival that lifts
+	// the objective past DriftFactor × the baseline of the last full
+	// solve re-solves inline, inside its own request.
 	DriftFactor float64
 	// MaxBatch caps how many queued operations one repair window
 	// coalesces; 0 picks 64.
@@ -68,16 +71,6 @@ type Config struct {
 	SnapshotDir string
 	// SnapshotKeep bounds retained generations; 0 picks 3.
 	SnapshotKeep int
-
-	// DriftThreshold > 0 enables the drift-triggered background
-	// re-solve (healer.go): when the published objective exceeds
-	// DriftThreshold × the drift baseline, a coalesced full re-solve of
-	// Config.Algorithm is scheduled through the batch loop, with
-	// hysteresis and HealMinInterval backoff. Must exceed 1 when set.
-	DriftThreshold float64
-	// HealMinInterval is the minimum spacing between completed heals;
-	// 0 picks 30s.
-	HealMinInterval time.Duration
 
 	// FS and Clock are the durability layer's injectable seams
 	// (fsclock.go); nil picks the os/time-backed production versions.
@@ -118,23 +111,19 @@ type Server struct {
 	ops  chan op
 	quit chan struct{}
 	wg   sync.WaitGroup
-	// baseCtx parents the background loops' operation contexts and is
-	// cancelled by Close before joining them, so a loop blocked on an
-	// op reply never deadlocks the shutdown.
+	// baseCtx parents the snapshot loop's operation contexts and is
+	// cancelled by Close before joining it, so a loop blocked on an op
+	// reply never deadlocks the shutdown.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
 	batches    atomic.Int64 // repair windows run
 	batchedOps atomic.Int64 // operations processed inside them
 
-	// Durability state. snapGen is the last persisted snapshot
-	// generation; healArmed is the hysteresis latch, owned by the
-	// writer goroutine (only maybeScheduleHeal touches it).
+	// Durability state: the last persisted snapshot generation and when
+	// it was written.
 	snapGen          atomic.Int64
 	lastSnapshotUnix atomic.Int64
-	lastHealUnix     atomic.Int64
-	healKick         chan struct{}
-	healArmed        bool
 
 	// rec accumulates the process-lifetime solver work counters: every
 	// operation context is wrapped with it before reaching the
@@ -176,12 +165,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotKeep <= 0 {
 		cfg.SnapshotKeep = 3
 	}
-	if cfg.DriftThreshold != 0 && cfg.DriftThreshold <= 1 {
-		return nil, fmt.Errorf("serve: Config.DriftThreshold %v must exceed 1 (it is a ratio to the drift baseline)", cfg.DriftThreshold)
-	}
-	if cfg.HealMinInterval <= 0 {
-		cfg.HealMinInterval = 30 * time.Second
-	}
 	if cfg.FS == nil {
 		cfg.FS = osFS{}
 	}
@@ -199,16 +182,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		r:         r,
-		fs:        cfg.FS,
-		clock:     cfg.Clock,
-		ops:       make(chan op, 4*cfg.MaxBatch),
-		quit:      make(chan struct{}),
-		healKick:  make(chan struct{}, 1),
-		healArmed: true,
-		lat:       make(map[string]*metrics.Histogram, len(endpointNames)),
-		rec:       obs.New(),
+		cfg:   cfg,
+		r:     r,
+		fs:    cfg.FS,
+		clock: cfg.Clock,
+		ops:   make(chan op, 4*cfg.MaxBatch),
+		quit:  make(chan struct{}),
+		lat:   make(map[string]*metrics.Histogram, len(endpointNames)),
+		rec:   obs.New(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	//lint:ignore determinism serving uptime is operational telemetry, never solver input
@@ -239,11 +220,6 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		//lint:ignore nakedgoroutine the snapshot ticker goroutine is joined by Close via s.wg
 		go s.snapshotLoop()
-	}
-	if cfg.DriftThreshold > 0 {
-		s.wg.Add(1)
-		//lint:ignore nakedgoroutine the heal goroutine is joined by Close via s.wg
-		go s.healLoop()
 	}
 	return s, nil
 }
@@ -362,9 +338,6 @@ func (s *Server) process(batch []op) {
 	pubErr := s.publish()
 	s.batches.Add(1)
 	s.batchedOps.Add(int64(len(batch)))
-	if pubErr == nil {
-		s.maybeScheduleHeal()
-	}
 	obj := s.Objective()
 	for i, o := range batch {
 		res := results[i]
@@ -760,7 +733,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP mcfsd_uptime_seconds seconds since the server started\n# TYPE mcfsd_uptime_seconds gauge\nmcfsd_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
 	fmt.Fprintf(w, "# HELP mcfsd_snapshot_generation newest persisted snapshot generation (0 = none yet)\n# TYPE mcfsd_snapshot_generation gauge\nmcfsd_snapshot_generation %d\n", s.snapGen.Load())
 	fmt.Fprintf(w, "# HELP mcfsd_last_snapshot_timestamp_seconds unix time of the last persisted snapshot (0 = never)\n# TYPE mcfsd_last_snapshot_timestamp_seconds gauge\nmcfsd_last_snapshot_timestamp_seconds %d\n", s.lastSnapshotUnix.Load())
-	fmt.Fprintf(w, "# HELP mcfsd_last_heal_timestamp_seconds unix time of the last completed drift heal (0 = never)\n# TYPE mcfsd_last_heal_timestamp_seconds gauge\nmcfsd_last_heal_timestamp_seconds %d\n", s.lastHealUnix.Load())
 
 	fmt.Fprintf(w, "# HELP mcfsd_request_duration_seconds request latency by endpoint\n# TYPE mcfsd_request_duration_seconds histogram\n")
 	s.mu.Lock()
@@ -798,15 +770,11 @@ type StatsReply struct {
 	Batches       int64                 `json:"batches"`
 	BatchedOps    int64                 `json:"batched_ops"`
 	QueueDepth    int                   `json:"queue_depth"`
-	// Durability & self-healing (zero when the policies are disabled).
+	// Durability (zero when the snapshot policy is disabled).
 	Snapshots          int64                    `json:"snapshots"`
 	SnapshotFailures   int64                    `json:"snapshot_failures"`
 	SnapshotGeneration int64                    `json:"snapshot_generation"`
 	LastSnapshotUnix   int64                    `json:"last_snapshot_unix"`
-	HealTriggers       int64                    `json:"heal_triggers"`
-	Heals              int64                    `json:"heals"`
-	HealFailures       int64                    `json:"heal_failures"`
-	LastHealUnix       int64                    `json:"last_heal_unix"`
 	Endpoints          map[string]EndpointStats `json:"endpoints"`
 }
 
@@ -829,10 +797,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SnapshotFailures:   s.rec.Counter(obs.ServeSnapshotFailures),
 		SnapshotGeneration: s.snapGen.Load(),
 		LastSnapshotUnix:   s.lastSnapshotUnix.Load(),
-		HealTriggers:       s.rec.Counter(obs.ServeHealTriggers),
-		Heals:              s.rec.Counter(obs.ServeHeals),
-		HealFailures:       s.rec.Counter(obs.ServeHealFailures),
-		LastHealUnix:       s.lastHealUnix.Load(),
 		Endpoints:          make(map[string]EndpointStats, len(endpointNames)),
 	}
 	reply.UptimeSeconds = time.Since(s.start).Seconds()

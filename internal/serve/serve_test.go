@@ -282,8 +282,65 @@ func TestServeConcurrentChurn(t *testing.T) {
 		t.Error(err)
 	}
 	// All churn is symmetric: the population is back to the baseline.
-	if got := s.View().Customers(); got != len(inst.Customers) {
+	pub := s.View()
+	if got := pub.Customers(); got != len(inst.Customers) {
 		t.Fatalf("population %d after symmetric churn, want %d", got, len(inst.Customers))
+	}
+	// Whatever order the writers' batches ran in, the published
+	// assignment must be valid for the published population and optimal
+	// for its selection: the min-cost value for a fixed selection is
+	// unique.
+	now := &mcfs.Instance{G: inst.G, Customers: pub.Nodes, Facilities: inst.Facilities, K: inst.K}
+	served := &mcfs.Solution{Selected: pub.Selected, Assignment: pub.Assignment, Objective: pub.Objective}
+	if _, err := now.CheckSolution(served); err != nil {
+		t.Fatalf("published assignment after concurrent churn: %v", err)
+	}
+	best, err := mcfs.AssignToSelection(now, pub.Selected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Objective != pub.Objective {
+		t.Fatalf("published objective %d, but the optimal assignment to its selection costs %d", pub.Objective, best.Objective)
+	}
+}
+
+// TestServeDriftResolve: the Reallocator's inline drift re-solve is
+// the serving drift policy. One request that doubles the population
+// lifts the objective far past 1.2× the baseline; the arrivals that
+// cross the factor re-solve inside that request, so it answers 200 and
+// the published objective ends within the factor of the baseline that
+// the last re-solve set.
+func TestServeDriftResolve(t *testing.T) {
+	const factor = 1.2
+	s, ts := newTestServer(t, Config{DriftFactor: factor})
+	inst := s.cfg.Instance
+
+	var churn ChurnReply
+	if code := call(t, "POST", ts.URL+"/arrivals",
+		ArrivalsRequest{Nodes: inst.Customers}, &churn); code != 200 {
+		t.Fatalf("arrivals = %d", code)
+	}
+	if len(churn.Handles) != len(inst.Customers) {
+		t.Fatalf("%d handles for %d arrivals", len(churn.Handles), len(inst.Customers))
+	}
+
+	var st StatsReply
+	if code := call(t, "GET", ts.URL+"/stats", nil, &st); code != 200 {
+		t.Fatalf("stats = %d", code)
+	}
+	if st.Customers != 2*len(inst.Customers) {
+		t.Fatalf("stats customers %d, want %d", st.Customers, 2*len(inst.Customers))
+	}
+	// One full solve is New's; any more ran inside the request.
+	if st.Reallocator.FullSolves < 2 {
+		t.Fatalf("full_solves %d after doubling the population: no drift re-solve", st.Reallocator.FullSolves)
+	}
+	// The Reallocator re-solves when objective > factor × base + 0.5.
+	if float64(st.Objective) > factor*float64(st.BaseObjective)+0.5 {
+		t.Fatalf("drift %.3f (objective %d, base %d) past the factor %v", st.Drift, st.Objective, st.BaseObjective, factor)
+	}
+	if !regexpMustFindPositive(t, scrapeMetrics(t, ts.URL), "mcfs_realloc_full_solves_total") {
+		t.Error("mcfs_realloc_full_solves_total still zero after drift re-solves")
 	}
 }
 

@@ -1,5 +1,5 @@
-// Periodic snapshot-to-disk: the durability half of the self-healing
-// serving engine (DESIGN.md §12, "Durability & self-healing").
+// Periodic snapshot-to-disk: the serving engine's durability policy
+// (DESIGN.md §12, "Durability").
 //
 // A background goroutine enqueues an opSnapshot through the single-
 // writer batch loop on every tick of Config.SnapshotEvery, so the
