@@ -13,10 +13,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"mcfs/internal/lint"
 )
 
 var binDir string
@@ -602,8 +605,21 @@ var lintSeeds = []struct {
 // TestLintSeededViolations is the acceptance check for mcfslint: on a
 // clean scratch tree it exits 0; seeding any single violation from each
 // rule makes it exit non-zero with a file:line: rule: message
-// diagnostic.
+// diagnostic. The seeds cover exactly the rule catalogue, so a new rule
+// without a seed fails here and every rule keeps one end-to-end run.
 func TestLintSeededViolations(t *testing.T) {
+	var seeded, catalogue []string
+	for _, seed := range lintSeeds {
+		seeded = append(seeded, seed.rule)
+	}
+	for _, r := range lint.AllRules() {
+		catalogue = append(catalogue, r.Name())
+	}
+	sort.Strings(seeded)
+	sort.Strings(catalogue)
+	if got, want := strings.Join(seeded, " "), strings.Join(catalogue, " "); got != want {
+		t.Fatalf("seeded rules %q, want the catalogue %q", got, want)
+	}
 	for _, seed := range lintSeeds {
 		t.Run(seed.rule, func(t *testing.T) {
 			out, code := lintExit(t, nil, "-C", writeTree(t, seed.files), "./...")
@@ -665,22 +681,27 @@ func TestLintTypedFlagGate(t *testing.T) {
 // TestLintTypeErrorsFailClosed: a tree that does not type-check exits 2
 // and lists its type errors — the rules cannot see code the checker
 // could not type, so reporting 0 findings would vouch for code nobody
-// analyzed — and nothing is cached for it.
+// analyzed.
 func TestLintTypeErrorsFailClosed(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/core/seed.go": "package core\n\nvar x int = \"s\"\n",
 	})
-	cacheHome := t.TempDir()
-	out, code := lintExit(t, append(os.Environ(), "XDG_CACHE_HOME="+cacheHome), "-C", root, "./...")
+	out, code := lintExit(t, nil, "-C", root, "./...")
 	if code != 2 || !strings.Contains(out, "internal/core/seed.go:3:") || !strings.Contains(out, "cannot use") {
 		t.Fatalf("exit %d, want 2 with the type error listed:\n%s", code, out)
 	}
-	cached, err := filepath.Glob(filepath.Join(cacheHome, "mcfslint", "*.json"))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestLintRulesFlagRejectsRepeats: a rule named twice in -rules is a
+// usage error, not a run that reports each of its findings twice.
+func TestLintRulesFlagRejectsRepeats(t *testing.T) {
+	seed := lintSeeds[0]
+	out, code := lintExit(t, nil, "-C", writeTree(t, seed.files), "-rules", seed.rule+", "+seed.rule, "./...")
+	if code != 2 || !strings.Contains(out, seed.rule) {
+		t.Fatalf("-rules %s twice: exit %d, want a usage error (exit 2) naming the rule:\n%s", seed.rule, code, out)
 	}
-	if len(cached) != 0 {
-		t.Fatalf("a tree with type errors left cache entries: %v", cached)
+	if strings.Contains(out, seed.path+":") {
+		t.Fatalf("-rules %s twice printed findings:\n%s", seed.rule, out)
 	}
 }
 
@@ -693,9 +714,20 @@ func TestLintCleanTreeAndJSON(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "internal", "ok", "ok.go"), []byte(clean), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := run(t, "mcfslint", "-C", root, "./...")
-	if strings.Contains(out, ": ") && strings.Contains(out, ".go:") {
-		t.Fatalf("findings on a clean tree:\n%s", out)
+	// A run writes no files: point the user cache dir at an empty
+	// directory and check it stays empty.
+	cacheHome := t.TempDir()
+	out, code := lintExit(t, append(os.Environ(), "XDG_CACHE_HOME="+cacheHome), "-C", root, "./...")
+	if code != 0 || strings.Contains(out, ": ") && strings.Contains(out, ".go:") {
+		t.Fatalf("exit %d or findings on a clean tree:\n%s", code, out)
+	}
+	// scripts/ci.sh reads total_ms from this line for its budget check.
+	summary := regexp.MustCompile(`(?m)^mcfslint: 0 finding\(s\) in 1 files, \d+ rules, total_ms \d+ load_ms \d+$`)
+	if !summary.MatchString(out) {
+		t.Fatalf("no summary line with total_ms and load_ms:\n%s", out)
+	}
+	if left, err := os.ReadDir(cacheHome); err != nil || len(left) != 0 {
+		t.Fatalf("mcfslint wrote into the user cache dir (err %v): %v", err, left)
 	}
 	out = run(t, "mcfslint", "-C", root, "-json", "./...")
 	if !strings.Contains(out, "[]") {
@@ -728,52 +760,5 @@ func TestLintEmptyMatch(t *testing.T) {
 		if !strings.Contains(out, "no Go packages match") {
 			t.Fatalf("pattern %s: missing the empty-match diagnostic:\n%s", pattern, out)
 		}
-	}
-}
-
-// TestLintCacheRoundTrip: the second run over an unchanged tree replays
-// findings and exit status from the result cache; -nocache bypasses it;
-// an edit invalidates the entry.
-func TestLintCacheRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	seedPath := filepath.Join(root, "internal", "solver", "seed.go")
-	src := "package solver\n\nimport \"context\"\n\nfunc spin(ctx context.Context, n int) {\n\tfor n > 0 {\n\t\tn = n * 0\n\t}\n}\n"
-	if err := os.MkdirAll(filepath.Dir(seedPath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seedPath, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Isolate the cache from the developer's real one.
-	env := append(os.Environ(), "XDG_CACHE_HOME="+t.TempDir())
-	lintRun := func(args ...string) (string, int) {
-		return lintExit(t, env, append([]string{"-C", root}, args...)...)
-	}
-	diag := regexp.MustCompile(`(?m)^internal/solver/seed\.go:\d+: ctx-checkpoint: .+$`)
-
-	cold, code := lintRun("./...")
-	if code != 1 || !diag.MatchString(cold) || !strings.Contains(cold, "cache miss") {
-		t.Fatalf("cold run: exit %d, want 1 with a ctx-checkpoint finding and a cache miss:\n%s", code, cold)
-	}
-	warm, code := lintRun("./...")
-	if code != 1 || !diag.MatchString(warm) || !strings.Contains(warm, "cache hit") {
-		t.Fatalf("warm run: exit %d, want 1 with the replayed finding and a cache hit:\n%s", code, warm)
-	}
-	off, code := lintRun("-nocache", "./...")
-	if code != 1 || !diag.MatchString(off) || !strings.Contains(off, "cache off") {
-		t.Fatalf("-nocache run: exit %d, want 1 with a fresh finding and cache off:\n%s", code, off)
-	}
-	// Fixing the violation changes the tree hash: miss, then clean hit.
-	fixed := strings.Replace(src, "for n > 0 {", "for n > 0 {\n\t\tif ctx.Err() != nil {\n\t\t\treturn\n\t\t}", 1)
-	if err := os.WriteFile(seedPath, []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clean, code := lintRun("./...")
-	if code != 0 || !strings.Contains(clean, "cache miss") || !strings.Contains(clean, "0 finding(s)") {
-		t.Fatalf("post-edit run: exit %d, want 0 findings after a cache miss:\n%s", code, clean)
-	}
-	cleanWarm, code := lintRun("./...")
-	if code != 0 || !strings.Contains(cleanWarm, "cache hit") {
-		t.Fatalf("post-edit warm run: exit %d, want a clean cache hit:\n%s", code, cleanWarm)
 	}
 }

@@ -42,46 +42,48 @@ func (APIParity) Doc() string {
 var apiParityPrefixes = []string{"Solve", "Improve", "New"}
 
 // Check implements Rule.
-func (APIParity) Check(pkg *Package, report ReportFunc) {
-	if pkg.Dir != "." {
-		return
-	}
-	funcs := make(map[string]*ast.FuncDecl)
-	fileOf := make(map[string]*File)
-	for _, f := range pkg.Files {
-		if f.Test {
+func (APIParity) Check(m *Module, report ReportFunc) {
+	for _, pkg := range m.Pkgs {
+		if pkg.Dir != "." {
 			continue
 		}
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil {
+		funcs := make(map[string]*ast.FuncDecl)
+		fileOf := make(map[string]*File)
+		for _, f := range pkg.Files {
+			if f.Test {
 				continue
 			}
-			funcs[fd.Name.Name] = fd
-			fileOf[fd.Name.Name] = f
+			for _, decl := range f.AST.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil {
+					continue
+				}
+				funcs[fd.Name.Name] = fd
+				fileOf[fd.Name.Name] = f
+			}
 		}
-	}
 
-	names := make([]string, 0, len(funcs))
-	for name := range funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !ast.IsExported(name) || strings.HasSuffix(name, "Ctx") || !hasParityPrefix(name) {
-			continue
+		names := make([]string, 0, len(funcs))
+		for name := range funcs {
+			names = append(names, name)
 		}
-		if _, ok := funcs[name+"Ctx"]; !ok {
-			continue
+		sort.Strings(names)
+		for _, name := range names {
+			if !ast.IsExported(name) || strings.HasSuffix(name, "Ctx") || !hasParityPrefix(name) {
+				continue
+			}
+			if _, ok := funcs[name+"Ctx"]; !ok {
+				continue
+			}
+			if !delegatesToCtx(pkg, funcs[name], name+"Ctx") {
+				report(fileOf[name], funcs[name].Pos(),
+					"%s has a %sCtx sibling but is not the single-statement wrapper `return %sCtx(context.Background(), ...)`",
+					name, name, name)
+			}
 		}
-		if !delegatesToCtx(pkg, funcs[name], name+"Ctx") {
-			report(fileOf[name], funcs[name].Pos(),
-				"%s has a %sCtx sibling but is not the single-statement wrapper `return %sCtx(context.Background(), ...)`",
-				name, name, name)
-		}
-	}
 
-	checkRegistryBypass(pkg, report)
+		checkRegistryBypass(pkg, report)
+	}
 }
 
 // registryFile is the one root file allowed to bind algorithm names to

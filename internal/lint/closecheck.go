@@ -30,17 +30,19 @@ func (CloseCheck) Doc() string {
 }
 
 // Check implements Rule.
-func (CloseCheck) Check(pkg *Package, report ReportFunc) {
-	if pkg.Dir != "cmd" && !strings.HasPrefix(pkg.Dir, "cmd/") {
-		return
-	}
-	for _, f := range pkg.Files {
-		if f.Test {
+func (CloseCheck) Check(m *Module, report ReportFunc) {
+	for _, pkg := range m.Pkgs {
+		if pkg.Dir != "cmd" && !strings.HasPrefix(pkg.Dir, "cmd/") {
 			continue
 		}
-		for _, decl := range f.AST.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkCloseFunc(pkg, f, fd.Type, fd.Body, nil, report)
+		for _, f := range pkg.Files {
+			if f.Test {
+				continue
+			}
+			for _, decl := range f.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkCloseFunc(pkg, f, fd.Type, fd.Body, nil, report)
+				}
 			}
 		}
 	}

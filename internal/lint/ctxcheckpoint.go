@@ -53,17 +53,19 @@ var ctxCheckpointDirs = map[string]bool{
 }
 
 // Check implements Rule.
-func (CtxCheckpoint) Check(pkg *Package, report ReportFunc) {
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		if !ctxCheckpointDirs[pkg.Dir] {
-			continue
-		}
-		for _, decl := range f.AST.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkCtxFunc(pkg, f, fd.Type, fd.Body, nil, report)
+func (CtxCheckpoint) Check(m *Module, report ReportFunc) {
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			if f.Test {
+				continue
+			}
+			if !ctxCheckpointDirs[pkg.Dir] {
+				continue
+			}
+			for _, decl := range f.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkCtxFunc(pkg, f, fd.Type, fd.Body, nil, report)
+				}
 			}
 		}
 	}

@@ -29,14 +29,16 @@ func (CtxPropagation) Doc() string {
 }
 
 // Check implements Rule.
-func (CtxPropagation) Check(pkg *Package, report ReportFunc) {
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		for _, decl := range f.AST.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkCtxPropagation(pkg, f, fd.Type, fd.Body, false, report)
+func (CtxPropagation) Check(m *Module, report ReportFunc) {
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			if f.Test {
+				continue
+			}
+			for _, decl := range f.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkCtxPropagation(pkg, f, fd.Type, fd.Body, false, report)
+				}
 			}
 		}
 	}

@@ -64,33 +64,35 @@ var orderSensitiveCalls = map[string]bool{
 }
 
 // Check implements Rule.
-func (Determinism) Check(pkg *Package, report ReportFunc) {
-	if pkg.Dir != "." && !strings.HasPrefix(pkg.Dir, "internal/") {
-		return
-	}
-	banTimeNow := !timeNowExempt[pkg.Dir]
-	for _, f := range pkg.Files {
-		if f.Test {
+func (Determinism) Check(m *Module, report ReportFunc) {
+	for _, pkg := range m.Pkgs {
+		if pkg.Dir != "." && !strings.HasPrefix(pkg.Dir, "internal/") {
 			continue
 		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if banTimeNow && isTimeNow(pkg, n) {
-					report(f, n.Pos(),
-						"time.Now is nondeterministic solver input; route timings through an exempt measurement layer (internal/bench, internal/obs) or annotate the instrumentation")
-				}
-			case *ast.CallExpr:
-				if name, ok := globalRandCall(pkg, n); ok {
-					report(f, n.Pos(),
-						"global rand.%s draws from the shared unseeded source; use a seeded *rand.Rand", name)
-				}
+		banTimeNow := !timeNowExempt[pkg.Dir]
+		for _, f := range pkg.Files {
+			if f.Test {
+				continue
 			}
-			return true
-		})
-		for _, decl := range f.AST.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkMapRanges(pkg, f, fd, report)
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if banTimeNow && isTimeNow(pkg, n) {
+						report(f, n.Pos(),
+							"time.Now is nondeterministic solver input; route timings through an exempt measurement layer (internal/bench, internal/obs) or annotate the instrumentation")
+					}
+				case *ast.CallExpr:
+					if name, ok := globalRandCall(pkg, n); ok {
+						report(f, n.Pos(),
+							"global rand.%s draws from the shared unseeded source; use a seeded *rand.Rand", name)
+					}
+				}
+				return true
+			})
+			for _, decl := range f.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkMapRanges(pkg, f, fd, report)
+				}
 			}
 		}
 	}

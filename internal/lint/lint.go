@@ -29,7 +29,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one diagnostic, rendered as "path:line: rule: message".
@@ -69,23 +68,16 @@ type Package struct {
 // rule name and resolves the position.
 type ReportFunc func(f *File, pos token.Pos, format string, args ...any)
 
-// Rule is one analysis pass. Check is called once per package and must
-// be deterministic: findings are emitted in a sorted order, but rules
-// should not depend on iteration order internally either.
+// Rule is one analysis pass. Run calls Check exactly once per run with
+// the whole module — every loaded package plus the cross-package
+// summaries — and a rule scoped to some packages walks m.Pkgs and skips
+// the rest. Check must be deterministic: findings are emitted in a
+// sorted order, but rules should not depend on iteration order
+// internally either.
 type Rule interface {
 	Name() string
 	Doc() string
-	Check(pkg *Package, report ReportFunc)
-}
-
-// ModuleRule is a rule that needs the whole run at once — every loaded
-// package plus the cross-package summaries — rather than one package
-// at a time. Run calls CheckModule exactly once per run (instead of
-// Check per package) for rules that implement it; Check remains for
-// direct single-package callers.
-type ModuleRule interface {
-	Rule
-	CheckModule(m *Module, report ReportFunc)
+	Check(m *Module, report ReportFunc)
 }
 
 // AllRules returns the full rule set in stable order.
@@ -108,41 +100,15 @@ func AllRules() []Rule {
 // //lint:ignore directives are reported. It cannot be suppressed.
 const directiveRule = "lint-directive"
 
-// RuleTime is the cumulative wall time one rule spent across every
-// package of a run — the per-rule timing mcfslint prints so a slow
-// typed pass is noticed in CI output, not discovered by bisection.
-type RuleTime struct {
-	Rule    string
-	Elapsed time.Duration
-}
-
 // Run executes the rules over the packages and returns the surviving
 // findings sorted by position. Suppression via //lint:ignore is applied
 // here; unused-directive hygiene findings are only emitted when the
 // full rule set runs (a filtered run cannot tell a stale directive from
 // one whose rule simply was not executed).
 func Run(pkgs []*Package, rules []Rule) []Finding {
-	findings, _ := RunTimed(pkgs, rules)
-	return findings
-}
-
-// RunTimed is Run with per-rule wall-time accounting: one entry per
-// rule in rules order, plus a trailing "(summaries)" entry for the
-// cross-package summary computation every module rule shares.
-func RunTimed(pkgs []*Package, rules []Rule) ([]Finding, []RuleTime) {
 	var raw []Finding
-	times := make([]RuleTime, len(rules)+1)
-	for i, rule := range rules {
-		times[i].Rule = rule.Name()
-	}
-	times[len(rules)].Rule = "(summaries)"
-
-	//lint:ignore determinism per-rule timing is diagnostic stderr output, never solver input
-	start := time.Now()
 	mod := newModule(pkgs)
-	times[len(rules)].Elapsed = time.Since(start)
-
-	for i, rule := range rules {
+	for _, rule := range rules {
 		name := rule.Name()
 		report := func(f *File, pos token.Pos, format string, args ...any) {
 			p := f.Fset.Position(pos)
@@ -151,16 +117,7 @@ func RunTimed(pkgs []*Package, rules []Rule) ([]Finding, []RuleTime) {
 				Rule: name, Message: fmt.Sprintf(format, args...),
 			})
 		}
-		//lint:ignore determinism per-rule timing is diagnostic stderr output, never solver input
-		start := time.Now()
-		if mr, ok := rule.(ModuleRule); ok {
-			mr.CheckModule(mod, report)
-		} else {
-			for _, pkg := range pkgs {
-				rule.Check(pkg, report)
-			}
-		}
-		times[i].Elapsed += time.Since(start)
+		rule.Check(mod, report)
 	}
 
 	known := make(map[string]bool)
@@ -227,7 +184,7 @@ func RunTimed(pkgs []*Package, rules []Rule) ([]Finding, []RuleTime) {
 		}
 		return a.Message < b.Message
 	})
-	return findings, times
+	return findings
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.

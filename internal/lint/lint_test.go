@@ -330,31 +330,6 @@ func TestModuleCleanTyped(t *testing.T) {
 	}
 }
 
-// TestRunTimed: the timing side channel accounts for every rule and
-// returns the same findings as Run.
-func TestRunTimed(t *testing.T) {
-	pkgs := loadFixture(t, "nakedgoroutine", map[string]string{".": "internal/util"})
-	findings, times := RunTimed(pkgs, AllRules())
-	if len(findings) == 0 {
-		t.Fatal("expected findings from the nakedgoroutine fixture")
-	}
-	if len(times) != len(AllRules())+1 {
-		t.Fatalf("got %d rule timings, want %d (rules + summaries)", len(times), len(AllRules())+1)
-	}
-	seen := make(map[string]bool)
-	for _, rt := range times {
-		seen[rt.Rule] = true
-	}
-	for _, r := range AllRules() {
-		if !seen[r.Name()] {
-			t.Errorf("no timing entry for rule %s", r.Name())
-		}
-	}
-	if !seen["(summaries)"] {
-		t.Error("no timing entry for the cross-package summary pass")
-	}
-}
-
 // TestLoadPattern: non-recursive and prefixed patterns resolve against
 // the module root with module-relative paths. The two packages import
 // nothing, so the test pays for no type-checking beyond their own.

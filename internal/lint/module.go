@@ -7,11 +7,11 @@ import (
 	"sort"
 )
 
-// Module is the whole-run context handed to ModuleRules: every loaded
+// Module is the whole-run context handed to every rule: every loaded
 // package, plus the cross-package function summaries (summary.go)
-// computed over the typed ones. Package rules see one package at a
-// time; module rules see the seams between them — which is exactly
-// where the serve-era invariants (sentinel parity, single-writer
+// computed over the typed ones. Most rules judge one package at a time
+// by walking Pkgs; the rest read the seams between packages — which is
+// exactly where the serve-era invariants (sentinel parity, single-writer
 // confinement, provenance escaping through an exported helper) live.
 type Module struct {
 	Pkgs []*Package
@@ -98,7 +98,7 @@ func (m *Module) typedInImportOrder() []*Package {
 }
 
 // fileAt maps a position back to the file of pkg containing it — how a
-// module rule reports a finding discovered while looking at resolved
+// rule reports a finding discovered while looking at resolved
 // objects rather than walking one file.
 func (p *Package) fileAt(pos token.Pos) *File {
 	for _, f := range p.Files {

@@ -37,24 +37,26 @@ var nakedGoroutineExempt = map[string]bool{
 }
 
 // Check implements Rule.
-func (NakedGoroutine) Check(pkg *Package, report ReportFunc) {
-	for _, f := range pkg.Files {
-		if nakedGoroutineExempt[f.Path] {
-			continue
-		}
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+func (NakedGoroutine) Check(m *Module, report ReportFunc) {
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			if nakedGoroutineExempt[f.Path] {
 				continue
 			}
-			joined := hasJoin(pkg, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok && !joined {
-					report(f, g.Pos(),
-						"goroutine without a visible join (no WaitGroup Wait or channel receive in the enclosing function); fire-and-forget work outlives its caller")
+			for _, decl := range f.AST.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
 				}
-				return true
-			})
+				joined := hasJoin(pkg, fd.Body)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok && !joined {
+						report(f, g.Pos(),
+							"goroutine without a visible join (no WaitGroup Wait or channel receive in the enclosing function); fire-and-forget work outlives its caller")
+					}
+					return true
+				})
+			}
 		}
 	}
 }

@@ -51,18 +51,20 @@ func isAtomicPointerLoad(pkg *Package, call *ast.CallExpr) bool {
 }
 
 // Check implements Rule.
-func (PublishedImmutability) Check(pkg *Package, report ReportFunc) {
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
-		}
-		f := f
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+func (PublishedImmutability) Check(m *Module, report ReportFunc) {
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			if f.Test {
 				continue
 			}
-			checkPublishedFunc(pkg, f, fd, report)
+			f := f
+			for _, decl := range f.AST.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				checkPublishedFunc(pkg, f, fd, report)
+			}
 		}
 	}
 }

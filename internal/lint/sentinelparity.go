@@ -27,14 +27,8 @@ func (SentinelParity) Doc() string {
 	return "every exported root Err* sentinel maps exactly once in serve's statusOf error table"
 }
 
-// Check implements Rule for direct single-package use; the rule needs
-// two packages, so a single-package run is always silent.
-func (r SentinelParity) Check(pkg *Package, report ReportFunc) {
-	r.CheckModule(newModule([]*Package{pkg}), report)
-}
-
-// CheckModule implements ModuleRule.
-func (SentinelParity) CheckModule(m *Module, report ReportFunc) {
+// Check implements Rule.
+func (SentinelParity) Check(m *Module, report ReportFunc) {
 	root := m.PackageByDir(".")
 	serve := m.PackageByDir("internal/serve")
 	if root == nil || serve == nil || root.Types == nil || serve.Types == nil {

@@ -41,14 +41,8 @@ func (SharedMutation) Doc() string {
 	return "no writes through a pool-shared *data.Instance/*graph.Graph after submission to the bench worker pool"
 }
 
-// Check implements Rule for direct single-package use; Run prefers
-// CheckModule, which sees cross-package summaries.
-func (r SharedMutation) Check(pkg *Package, report ReportFunc) {
-	r.CheckModule(newModule([]*Package{pkg}), report)
-}
-
-// CheckModule implements ModuleRule.
-func (SharedMutation) CheckModule(m *Module, report ReportFunc) {
+// Check implements Rule.
+func (SharedMutation) Check(m *Module, report ReportFunc) {
 	for _, pkg := range m.Pkgs {
 		if pkg.Dir != "internal/bench" {
 			continue
@@ -219,7 +213,7 @@ func (c *sharedChecker) callProvenance(pf *provFlow, s provState, call *ast.Call
 				}
 				if fs.resultAlias != 0 {
 					p := provUnknown
-					for slot, arg := range summaryArgs(call, recv) {
+					for slot, arg := range callArgs(call, recv) {
 						if slot < 64 && fs.resultAlias&(1<<uint(slot)) != 0 {
 							if ap := pf.provOf(s, arg); ap > p {
 								p = ap
@@ -285,7 +279,7 @@ func (c *sharedChecker) follow(f *File, pf *provFlow, s provState, call *ast.Cal
 	if fs == nil {
 		return
 	}
-	for slot, arg := range summaryArgs(call, recv) {
+	for slot, arg := range callArgs(call, recv) {
 		if slot >= len(fs.writes) || fs.writes[slot] != escYes {
 			continue
 		}
@@ -319,12 +313,6 @@ func resolveCallee(pkg *Package, call *ast.CallExpr) (types.Object, ast.Expr) {
 		return fn, nil
 	}
 	return nil, nil
-}
-
-// summaryArgs maps summary parameter slots to call-site expressions:
-// slot 0 is the receiver for method calls, then positional arguments.
-func summaryArgs(call *ast.CallExpr, recv ast.Expr) map[int]ast.Expr {
-	return callArgs(call, recv)
 }
 
 // calleeLabel renders a callee for a finding message: pkg.Func or

@@ -38,11 +38,6 @@ func (SingleWriter) Doc() string {
 	return "only the batch writer goroutine may call mutating Reallocator methods; other goroutines go through the op queue"
 }
 
-// Check implements Rule for direct single-package use.
-func (r SingleWriter) Check(pkg *Package, report ReportFunc) {
-	r.CheckModule(newModule([]*Package{pkg}), report)
-}
-
 // reallocatorType reports whether t is (a pointer to) the dynamic
 // package's Reallocator (the root package's alias resolves to it).
 func reallocatorType(t types.Type) bool {
@@ -50,8 +45,8 @@ func reallocatorType(t types.Type) bool {
 		isNamedType(t, true, "dynamic", "Reallocator")
 }
 
-// CheckModule implements ModuleRule.
-func (SingleWriter) CheckModule(m *Module, report ReportFunc) {
+// Check implements Rule.
+func (SingleWriter) Check(m *Module, report ReportFunc) {
 	for _, pkg := range m.Pkgs {
 		if pkg.Dir != "internal/serve" {
 			continue

@@ -256,11 +256,6 @@ func summarizeFunc(m *Module, pkg *Package, ps *pkgSummary, fs *funcSummary, fd 
 		return true
 	})
 
-	// Bare `return` with named results: the named object's fact counts.
-	if fd.Type.Results != nil && len(fd.Type.Results.List) > 0 {
-		// handled per ReturnStmt in checkReturn
-		_ = fd
-	}
 	if sc.sawReturn && sc.allFresh && !fs.resultFresh {
 		fs.resultFresh = true
 		changed = true
@@ -527,24 +522,12 @@ func (sc *summaryScan) isFresh(e ast.Expr) bool {
 	return false
 }
 
-// resolveCallee resolves a call's static callee and, for method calls,
-// the receiver expression (slot 0 of the summary).
+// resolveCallee is the package-level resolveCallee narrowed to
+// functions and methods: only those have summaries.
 func (sc *summaryScan) resolveCallee(call *ast.CallExpr) (*types.Func, ast.Expr) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := sc.pkg.ObjectOf(fun).(*types.Func); ok {
-			return fn, nil
-		}
-	case *ast.SelectorExpr:
-		obj := sc.pkg.ObjectOf(fun.Sel)
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			return nil, nil
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return fn, fun.X
-		}
-		return fn, nil
+	obj, recv := resolveCallee(sc.pkg, call)
+	if fn, ok := obj.(*types.Func); ok {
+		return fn, recv
 	}
 	return nil, nil
 }

@@ -17,35 +17,31 @@ go build ./...
 
 # Project static analysis (DESIGN.md §10): machine-checks the
 # concurrency/cancellation/determinism invariants with full go/types
-# information. Non-zero on any finding. The cold run (-nocache -timing)
-# is checked against the wall-clock budget in scripts/lint_budget.txt:
-# an overrun warns by default and fails with MCFS_LINT_STRICT=1
-# (mirroring the perf smoke's warn/strict split, since shared runners
-# are noisy). The second run hits the result cache and demonstrates the
-# warm-path speedup in the CI log.
+# information. One run analyzes the whole tree and fails the gate on any
+# finding. Its summary line's total_ms is checked against the wall-clock
+# budget in scripts/lint_budget.txt: an overrun warns by default and
+# fails with MCFS_LINT_STRICT=1 (mirroring the perf smoke's warn/strict
+# split, since shared runners are noisy).
 lintbin=$(mktemp -t mcfslint_XXXXXX)
 lintlog=$(mktemp -t mcfslint_log_XXXXXX)
 go build -o "$lintbin" ./cmd/mcfslint
-if ! "$lintbin" -nocache -timing ./... 2>"$lintlog"; then
+if ! "$lintbin" ./... 2>"$lintlog"; then
 	cat "$lintlog" >&2
 	rm -f "$lintbin" "$lintlog"
 	exit 1
 fi
 cat "$lintlog" >&2
-lint_ms=$(awk '/^mcfslint: total_ms / { print $3 }' "$lintlog")
+lint_ms=$(sed -n 's/^mcfslint: .* total_ms \([0-9][0-9]*\) .*$/\1/p' "$lintlog")
 lint_budget=$(cat scripts/lint_budget.txt)
-echo "mcfslint: cold run ${lint_ms}ms (budget ${lint_budget}ms)"
+rm -f "$lintbin" "$lintlog"
+echo "mcfslint: run ${lint_ms}ms (budget ${lint_budget}ms)"
 if [ -n "$lint_ms" ] && [ "$lint_ms" -gt "$lint_budget" ]; then
 	if [ "${MCFS_LINT_STRICT-}" = "1" ]; then
-		echo "mcfslint: cold run ${lint_ms}ms exceeds the ${lint_budget}ms budget (strict mode; scripts/lint_budget.txt)" >&2
-		rm -f "$lintbin" "$lintlog"
+		echo "mcfslint: run ${lint_ms}ms exceeds the ${lint_budget}ms budget (strict mode; scripts/lint_budget.txt)" >&2
 		exit 1
 	fi
-	echo "mcfslint: WARNING: cold run ${lint_ms}ms exceeds the ${lint_budget}ms budget (warn-only; set MCFS_LINT_STRICT=1 to fail)" >&2
+	echo "mcfslint: WARNING: run ${lint_ms}ms exceeds the ${lint_budget}ms budget (warn-only; set MCFS_LINT_STRICT=1 to fail)" >&2
 fi
-echo "mcfslint: warm (cached) run"
-"$lintbin" -timing ./...
-rm -f "$lintbin" "$lintlog"
 
 # Full suite under the race detector, with a coverage profile over the
 # library packages. Coverage is gated against the recorded baseline:
