@@ -4,18 +4,19 @@
 // Unlike the experiment runners (which reproduce the paper's figures),
 // the perf suite exists to make "faster" a checkable claim over time: it
 // measures the SSPA inner loop — resumable Dijkstra, the reduced-cost
-// FindPair search — the optimal assignment to a fixed selection, and
-// the end-to-end WMA solve on the city presets, and emits a
-// schema-versioned JSON file that ComparePerf can diff against any
-// earlier run. The bench package is the one layer allowed to read the
-// wall clock (the mcfslint determinism rule), which is why the suite
-// lives here and cmd/mcfsperf stays a thin shell.
+// FindPair search — the optimal assignment to a fixed selection, a
+// Reallocator churn script, and the end-to-end WMA solve on the city
+// presets, and emits a schema-versioned JSON file that ComparePerf can
+// diff against any earlier run. The bench package is the one layer
+// allowed to read the wall clock (the mcfslint determinism rule), which
+// is why the suite lives here and cmd/mcfsperf stays a thin shell.
 package bench
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"slices"
@@ -202,6 +203,10 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: perf selection for %s: %w", city, err)
 	}
+	churn, err := newReallocatorChurn(inst, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("bench: perf reallocator for %s: %w", city, err)
+	}
 	cases := []perfCase{
 		{name("Dijkstra"), func(ctx context.Context, i int) error {
 			_, err := g.DijkstraCtx(ctx, customer(i))
@@ -245,12 +250,102 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 			}
 			return err
 		}, true},
+		// The Reallocator row restores the snapshot and replays the churn
+		// script; each departure and arrival is followed by Publish, as
+		// mcfsd publishes after every batch.
+		{name("Reallocator"), func(ctx context.Context, _ int) error {
+			pub, err := churn.replay(ctx)
+			if err == nil && pub.Objective != churn.want {
+				err = fmt.Errorf("objective %d after the churn script, AssignToSelection %d", pub.Objective, churn.want)
+			}
+			return err
+		}, true},
 		{name("WMA"), func(ctx context.Context, _ int) error {
 			_, _, err := mcfs.AlgorithmWMA.Solve(ctx, inst, mcfs.WithSeed(cfg.Seed))
 			return err
 		}, true},
 	}
 	return cases, nil
+}
+
+// reallocatorChurn is the Reallocator row's workload: a snapshot of a
+// Reallocator right after its initial solve, and a fixed script of
+// churnSteps departures of live customers alternating with as many
+// arrivals at customer nodes, drawn once from the seed. Handles are
+// known in advance: the snapshot's customers are 0..m-1 and each
+// arrival takes the next integer. want is the optimum
+// AssignToSelection finds for the script's final population and
+// selection, computed once.
+type reallocatorChurn struct {
+	inst   *mcfs.Instance
+	snap   *mcfs.ReallocatorSnapshot
+	depart []int   // per step: the handle leaving
+	arrive []int32 // per step: the node arriving
+	want   int64
+}
+
+// churnSteps is the number of departure and arrival pairs in the
+// Reallocator row's script.
+const churnSteps = 64
+
+func newReallocatorChurn(inst *mcfs.Instance, seed int64) (*reallocatorChurn, error) {
+	r, err := mcfs.NewReallocator(inst, 0, mcfs.WithSeed(seed))
+	if err != nil {
+		return nil, err
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	c := &reallocatorChurn{inst: inst, snap: snap}
+	rng := rand.New(rand.NewSource(seed))
+	live := append([]int(nil), snap.Handles...)
+	next := snap.NextID
+	for i := 0; i < churnSteps; i++ {
+		k := rng.Intn(len(live))
+		c.depart = append(c.depart, live[k])
+		live[k] = live[len(live)-1]
+		live = live[:len(live)-1]
+		c.arrive = append(c.arrive, inst.Customers[rng.Intn(len(inst.Customers))])
+		live = append(live, next)
+		next++
+	}
+	pub, err := c.replay(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	now := &mcfs.Instance{G: inst.G, Customers: pub.Nodes, Facilities: inst.Facilities, K: inst.K}
+	best, err := mcfs.AssignToSelectionCtx(context.Background(), now, pub.Selected)
+	if err != nil {
+		return nil, err
+	}
+	c.want = best.Objective
+	return c, nil
+}
+
+// replay restores the snapshot under ctx and runs the script with a
+// Publish after every step, returning the last published view.
+func (c *reallocatorChurn) replay(ctx context.Context) (*mcfs.PublishedAssignment, error) {
+	r, err := mcfs.RestoreReallocatorCtx(ctx, c.inst, c.snap, 0)
+	if err != nil {
+		return nil, err
+	}
+	var pub *mcfs.PublishedAssignment
+	for i, h := range c.depart {
+		if err := r.RemoveCustomer(h); err != nil {
+			return nil, err
+		}
+		if pub, err = r.Publish(); err != nil {
+			return nil, err
+		}
+		if _, err := r.AddCustomer(c.arrive[i]); err != nil {
+			return nil, err
+		}
+		if pub, err = r.Publish(); err != nil {
+			return nil, err
+		}
+	}
+	return pub, nil
 }
 
 // WritePerfFile marshals the file (stable indented JSON) to path.

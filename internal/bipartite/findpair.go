@@ -33,17 +33,7 @@ import (
 func (mt *Matcher) FindPairCtx(ctx context.Context, i int) (matched bool, err error) {
 	mt.ctx = ctx
 	if rec := obs.From(ctx); rec != nil {
-		// Flush the matcher-stat deltas this call produces into the
-		// recorder on every exit path. The hot loops keep incrementing
-		// the plain mt.stats ints exactly as before; recording is a
-		// per-call snapshot diff, not a per-event atomic.
-		prev := mt.stats
-		defer func() {
-			rec.Add(obs.SSPASearches, int64(mt.stats.DijkstraRuns-prev.DijkstraRuns))
-			rec.Add(obs.SSPANodesScanned, int64(mt.stats.NodesScanned-prev.NodesScanned))
-			rec.Add(obs.SSPAEdgesMaterialized, int64(mt.stats.EdgesMaterialized-prev.EdgesMaterialized))
-			rec.Add(obs.SSPAAugmentingPaths, int64(mt.stats.Augmentations-prev.Augmentations))
-		}()
+		defer mt.flushStats(rec, mt.stats)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -77,6 +67,17 @@ func (mt *Matcher) FindPairCtx(ctx context.Context, i int) (matched bool, err er
 			return false, err
 		}
 	}
+}
+
+// flushStats adds the matcher-stat deltas since prev to rec. The hot
+// loops keep incrementing the plain mt.stats ints; recording is a
+// per-call snapshot diff, deferred on every exit path, not a per-event
+// atomic.
+func (mt *Matcher) flushStats(rec *obs.Recorder, prev Stats) {
+	rec.Add(obs.SSPASearches, int64(mt.stats.DijkstraRuns-prev.DijkstraRuns))
+	rec.Add(obs.SSPANodesScanned, int64(mt.stats.NodesScanned-prev.NodesScanned))
+	rec.Add(obs.SSPAEdgesMaterialized, int64(mt.stats.EdgesMaterialized-prev.EdgesMaterialized))
+	rec.Add(obs.SSPAAugmentingPaths, int64(mt.stats.Augmentations-prev.Augmentations))
 }
 
 // searcherErr returns the first cancellation error recorded by any live
@@ -209,6 +210,25 @@ type flip struct {
 // potential update p(v) += max(0, pathLen − dist(v)) to settled nodes
 // (Algorithm 2, lines 13–17).
 func (mt *Matcher) augment(j int, pathLen int64) {
+	mt.flipPath(j)
+	mt.stats.Augmentations++
+
+	l := mt.L()
+	for _, v := range mt.settled {
+		if d := mt.dist[v]; d < pathLen {
+			mt.pot[v] += pathLen - d
+			if int(v) >= l && mt.pot[v] > mt.maxCustPot {
+				mt.maxCustPot = mt.pot[v]
+			}
+		}
+	}
+}
+
+// flipPath flips matched flags along the last search's path from its
+// source to facility j: forward arcs become matched, backward arcs
+// unmatched. It returns the number of forward arcs, which is how many
+// customers the flip moved onto a new facility.
+func (mt *Matcher) flipPath(j int) (moved int) {
 	l := mt.L()
 	flips := mt.flips[:0]
 	node := int32(j)
@@ -254,16 +274,8 @@ func (mt *Matcher) augment(j int, pathLen int64) {
 			mt.everMatched[f.fac] = true
 			mt.touched = append(mt.touched, f.fac)
 		}
+		moved++
 	}
 	mt.flips = flips
-	mt.stats.Augmentations++
-
-	for _, v := range mt.settled {
-		if d := mt.dist[v]; d < pathLen {
-			mt.pot[v] += pathLen - d
-			if int(v) >= l && mt.pot[v] > mt.maxCustPot {
-				mt.maxCustPot = mt.pot[v]
-			}
-		}
-	}
+	return moved
 }

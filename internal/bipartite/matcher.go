@@ -17,6 +17,8 @@
 // additional facility (all bipartite edges have capacity one), as the
 // paper prescribes, and the running matching is always a minimum-cost
 // flow of its value over the complete bipartite graph.
+// RemoveCustomerCtx deletes a customer and keeps that guarantee with at
+// most one bounded cycle-cancelling search.
 package bipartite
 
 import (
@@ -53,7 +55,8 @@ type Stats struct {
 
 // Matcher is the incremental bipartite matching engine. Bipartite node
 // ids: facility j is node j, customer i is node L()+i — facilities come
-// first so that customers can be appended dynamically (AddCustomer).
+// first so that customers can be appended dynamically (AddCustomer) and
+// removed by moving the last one into the gap (RemoveCustomerCtx).
 type Matcher struct {
 	g         *graph.Graph
 	custNodes []int32
@@ -226,6 +229,20 @@ func (mt *Matcher) Matches(i int) (facs []int, weights []int64) {
 		}
 	}
 	return facs, weights
+}
+
+// Match returns the facility customer i is matched to and the edge's
+// original weight; ok is false unless the customer holds exactly one
+// match. Unlike Matches it allocates nothing.
+func (mt *Matcher) Match(i int) (fac int, w int64, ok bool) {
+	if mt.matchCount[i] == 1 {
+		for _, e := range mt.edges[i] {
+			if e.matched {
+				return int(e.fac), e.w, true
+			}
+		}
+	}
+	return -1, 0, false
 }
 
 // TotalMatchedCost returns the sum of original weights over all matched

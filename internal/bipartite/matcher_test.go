@@ -187,14 +187,17 @@ func checkInvariants(t *testing.T, mt *Matcher) {
 	checkReducedCosts(t, mt)
 }
 
-// checkReducedCosts verifies the two facts that make every inner
-// search plain Dijkstra (DESIGN.md §4):
+// checkReducedCosts verifies the facts that make every inner search
+// plain Dijkstra and the first free facility it pops the cheapest
+// (DESIGN.md §4):
 //
 //  1. every materialized edge has a nonnegative reduced cost in its
 //     residual direction: w − pot[c] + pot[j] ≥ 0 for an unmatched
 //     edge c→j, and its negation ≥ 0 for a matched one (arc j→c);
 //  2. pot[c] ≤ nnDist(c) for every customer whose searcher exists, and
-//     pot[c] = 0 for the others; facility potentials stay ≥ 0.
+//     pot[c] = 0 for the others; facility potentials stay ≥ 0;
+//  3. every facility with a free slot has potential 0, so reduced
+//     labels rank free facilities by true path cost.
 //
 // Fact 2 is what keeps a freshly materialized edge, whose weight is
 // nnDist(c), inside fact 1.
@@ -204,6 +207,10 @@ func checkReducedCosts(t *testing.T, mt *Matcher) {
 	for j := 0; j < l; j++ {
 		if mt.pot[j] < 0 {
 			t.Fatalf("facility %d has negative potential %d", j, mt.pot[j])
+		}
+		if mt.AssignedCount(j) < mt.facs[j].Capacity && mt.pot[j] != 0 {
+			t.Fatalf("facility %d has a free slot (%d of %d) but potential %d",
+				j, mt.AssignedCount(j), mt.facs[j].Capacity, mt.pot[j])
 		}
 	}
 	for i := 0; i < mt.M(); i++ {

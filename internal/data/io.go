@@ -57,9 +57,8 @@ func WriteInstance(w io.Writer, in *Instance) error {
 }
 
 // writeEdges emits each logical edge once. For undirected graphs the CSR
-// holds both arcs; emit only u <= v (self-loops are impossible given
-// positive weights and builder validation allows them — emit u <= v keeps
-// exactly one copy of u != v arcs and the single copy of u == v ones).
+// holds both arcs of every edge, a self-loop's included: emit only arcs
+// with u <= v, and only one of each self-loop's two.
 func writeEdges(w io.Writer, g *graph.Graph) error {
 	if g.Directed() {
 		for v := int32(0); v < int32(g.N()); v++ {
@@ -75,10 +74,19 @@ func writeEdges(w io.Writer, g *graph.Graph) error {
 		return nil
 	}
 	// Undirected: parallel edges between the same pair are preserved by
-	// emitting every arc with v < u, plus half of the v == u arcs.
+	// emitting every arc with v < u, plus half of the v == u arcs. The
+	// builder stores a self-loop's two arcs next to each other, so every
+	// second one is the copy.
 	for v := int32(0); v < int32(g.N()); v++ {
 		var err error
+		loops := 0
 		g.Neighbors(v, func(u int32, wt int64) bool {
+			if u == v {
+				loops++
+				if loops%2 == 0 {
+					return true
+				}
+			}
 			if v <= u {
 				_, err = fmt.Fprintf(w, "%d %d %d\n", v, u, wt)
 			}

@@ -1,6 +1,9 @@
 package dynamic
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Published is an immutable view of the assignment a Reallocator is
 // currently serving, built for the publish/swap read path of a serving
@@ -15,37 +18,36 @@ type Published struct {
 	Selected []int
 	// Handles, Nodes and Assignment are parallel: customer Handles[i]
 	// sits at network node Nodes[i] and is served by catalogue facility
-	// Assignment[i].
+	// Assignment[i]. Handles ascend, which Lookup relies on.
 	Handles    []int
 	Nodes      []int32
 	Assignment []int
-
-	pos map[int]int // handle → index into the parallel slices
 }
 
 // Publish materializes the current assignment as an immutable view,
-// applying pending departures first. Every slice and map is freshly
-// allocated; the caller may share the result across goroutines freely.
+// rebuilding a stale matching first. Every slice is freshly allocated,
+// and nothing else is: the caller may share the result across
+// goroutines freely.
 func (r *Reallocator) Publish() (*Published, error) {
 	if err := r.flush(); err != nil {
 		return nil, err
 	}
+	n := len(r.order)
 	p := &Published{
-		Objective:  r.mt.TotalMatchedCost(),
 		Selected:   append([]int(nil), r.selected...),
-		Handles:    append([]int(nil), r.handleOf...),
-		Nodes:      make([]int32, len(r.handleOf)),
-		Assignment: make([]int, len(r.handleOf)),
-		pos:        make(map[int]int, len(r.handleOf)),
+		Handles:    append([]int(nil), r.order...),
+		Nodes:      make([]int32, n),
+		Assignment: make([]int, n),
 	}
 	for i, h := range p.Handles {
-		facs, _ := r.mt.Matches(i)
-		if len(facs) != 1 {
-			return nil, fmt.Errorf("dynamic: customer %d holds %d assignments", h, len(facs))
+		c := r.customers[h]
+		fac, w, ok := r.mt.Match(int(c.idx))
+		if !ok {
+			return nil, fmt.Errorf("dynamic: customer %d holds %d assignments", h, r.mt.MatchCount(int(c.idx)))
 		}
-		p.Nodes[i] = r.customers[h]
-		p.Assignment[i] = r.selected[facs[0]]
-		p.pos[h] = i
+		p.Objective += w
+		p.Nodes[i] = c.node
+		p.Assignment[i] = r.selected[fac]
 	}
 	return p, nil
 }
@@ -57,7 +59,7 @@ func (p *Published) Customers() int { return len(p.Handles) }
 // catalogue facility index; ok is false for handles not in the view.
 // Safe for concurrent use (the view is immutable).
 func (p *Published) Lookup(handle int) (node int32, facility int, ok bool) {
-	i, ok := p.pos[handle]
+	i, ok := slices.BinarySearch(p.Handles, handle)
 	if !ok {
 		return 0, 0, false
 	}

@@ -4,23 +4,26 @@
 // dynamic reallocation of customers to facilities."
 //
 // A Reallocator keeps a facility selection open while the customer
-// population changes. Arrivals are served incrementally — one optimal
-// augmenting path each, reusing the engine's potentials and per-customer
-// search state — so the running assignment is always the minimum-cost
-// assignment of the current customers to the current selection.
-// Departures are batched and applied by rebuilding the matching at the
-// next query (removing one unit of flow can invalidate the engine's
-// optimality invariants, so a rebuild is the correct primitive; batch
-// removals to amortize it). The facility selection itself is re-solved
-// from scratch (full WMA) when the incremental assignment's cost drifts
-// beyond a configurable factor of the last full solve, when an arrival
-// cannot be served by the open facilities, or on explicit Refresh.
+// population changes, and the running assignment is always the
+// minimum-cost assignment of the current customers to the current
+// selection. Arrivals are served incrementally: one optimal augmenting
+// path each, reusing the engine's potentials and per-customer search
+// state. Departures are repaired in place, at once: the customer's slot
+// is freed, and only when its facility was full does one bounded search
+// look for the single cost-reducing cycle through that slot
+// (bipartite.Matcher.RemoveCustomerCtx). The matching is rebuilt from
+// scratch only for a new selection and to recover from a failed
+// operation. The facility selection itself is re-solved from scratch
+// (full WMA) when the incremental assignment's cost drifts beyond a
+// configurable factor of the last full solve, when an arrival cannot be
+// served by the open facilities, or on explicit Refresh.
 package dynamic
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mcfs/internal/bipartite"
 	"mcfs/internal/core"
@@ -53,7 +56,7 @@ type Options struct {
 // Stats counts the work a Reallocator has performed.
 type Stats struct {
 	FullSolves int `json:"full_solves"` // complete WMA re-selections
-	Rebuilds   int `json:"rebuilds"`    // assignment rebuilds (removal batches, re-selections)
+	Rebuilds   int `json:"rebuilds"`    // assignment rebuilds (re-selections, adoptions, restores, recovery)
 	Adoptions  int `json:"adoptions"`   // externally computed selections installed (Adopt*)
 	Arrivals   int `json:"arrivals"`
 	Departures int `json:"departures"`
@@ -67,17 +70,27 @@ type Reallocator struct {
 	k          int
 	opt        Options
 
-	customers map[int]int32 // handle → node
-	order     []int         // live handles in deterministic order
+	customers map[int]customer // handle → node and matcher index
+	order     []int            // live handles, ascending
 	nextID    int
 
-	selected  []int // global facility indexes currently open
-	mt        *bipartite.Matcher
-	handleOf  []int // matcher customer index → handle
-	pendingRm bool
+	selected []int // global facility indexes currently open
+	mt       *bipartite.Matcher
+	handleOf []int // matcher customer index → handle
+	// stale marks a matching that a failed operation left behind; the
+	// next operation rebuilds it, and until then matcher indexes are
+	// meaningless.
+	stale bool
 
 	baseObjective int64 // objective right after the last full solve
 	stats         Stats
+}
+
+// customer is a live customer's network node and its index in the
+// matcher (valid while the matching is not stale).
+type customer struct {
+	node int32
+	idx  int32
 }
 
 // NewCtx builds a Reallocator from an initial instance, performing one
@@ -89,14 +102,15 @@ type Reallocator struct {
 // context fires mid-operation the method returns ctx.Err() and the
 // running matching is marked stale, so the next operation under a live
 // context transparently rebuilds it — the Reallocator itself stays
-// usable.
+// usable. A departure never fails this way: its repair does not poll
+// the context.
 func NewCtx(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator, error) {
 	r, err := skeleton(ctx, inst, opt)
 	if err != nil {
 		return nil, err
 	}
 	for _, node := range inst.Customers {
-		r.customers[r.nextID] = node
+		r.customers[r.nextID] = customer{node: node}
 		r.order = append(r.order, r.nextID)
 		r.nextID++
 	}
@@ -118,7 +132,7 @@ func AdoptCtx(ctx context.Context, inst *data.Instance, selected []int, opt Opti
 		return nil, err
 	}
 	for _, node := range inst.Customers {
-		r.customers[r.nextID] = node
+		r.customers[r.nextID] = customer{node: node}
 		r.order = append(r.order, r.nextID)
 		r.nextID++
 	}
@@ -147,7 +161,7 @@ func skeleton(ctx context.Context, inst *data.Instance, opt Options) (*Reallocat
 		facilities: inst.Facilities,
 		k:          inst.K,
 		opt:        opt,
-		customers:  make(map[int]int32, inst.M()),
+		customers:  make(map[int]customer, inst.M()),
 	}, nil
 }
 
@@ -155,7 +169,7 @@ func skeleton(ctx context.Context, inst *data.Instance, opt Options) (*Reallocat
 func (r *Reallocator) instance() *data.Instance {
 	custs := make([]int32, len(r.order))
 	for i, h := range r.order {
-		custs[i] = r.customers[h]
+		custs[i] = r.customers[h].node
 	}
 	return &data.Instance{G: r.g, Customers: custs, Facilities: r.facilities, K: r.k}
 }
@@ -184,7 +198,7 @@ func (r *Reallocator) fullSolve() error {
 	if err := r.rebuild(); err != nil {
 		// The new selection is installed but unmatched; force a rebuild on
 		// the next operation.
-		r.pendingRm = true
+		r.stale = true
 		return err
 	}
 	r.baseObjective = r.mt.TotalMatchedCost()
@@ -238,7 +252,7 @@ func (r *Reallocator) adopt(selected []int) error {
 func (r *Reallocator) rec() *obs.Recorder { return obs.From(r.ctx) }
 
 // rebuild reconstructs the optimal assignment of the live customers to
-// the open facilities.
+// the open facilities, indexing the matcher's customers in handle order.
 func (r *Reallocator) rebuild() error {
 	if p := r.rec().Phase("repair"); p != nil {
 		defer p.End()
@@ -249,14 +263,14 @@ func (r *Reallocator) rebuild() error {
 	}
 	custs := make([]int32, len(r.order))
 	for i, h := range r.order {
-		custs[i] = r.customers[h]
+		custs[i] = r.customers[h].node
 	}
 	mt := bipartite.New(r.g, custs, subset)
 	mt.SetExhaustive(r.opt.Core.Exhaustive)
 	for i := range custs {
 		ok, err := mt.FindPairCtx(r.ctx, i)
 		if err != nil {
-			return err // r.mt untouched; pendingRm stays set for a retry
+			return err // r.mt untouched; stale stays set for a retry
 		}
 		if !ok {
 			return fmt.Errorf("dynamic: customer %d unservable by open facilities: %w", r.order[i], data.ErrInfeasible)
@@ -264,7 +278,10 @@ func (r *Reallocator) rebuild() error {
 	}
 	r.mt = mt
 	r.handleOf = append(r.handleOf[:0], r.order...)
-	r.pendingRm = false
+	for i, h := range r.order {
+		r.customers[h] = customer{node: custs[i], idx: int32(i)}
+	}
+	r.stale = false
 	r.stats.Rebuilds++
 	rec := r.rec()
 	rec.Add(obs.ReallocRepairs, 1)
@@ -272,9 +289,9 @@ func (r *Reallocator) rebuild() error {
 	return nil
 }
 
-// flush applies pending departures.
+// flush rebuilds a matching that a failed operation left stale.
 func (r *Reallocator) flush() error {
-	if !r.pendingRm {
+	if !r.stale {
 		return nil
 	}
 	return r.rebuild()
@@ -303,18 +320,18 @@ func (r *Reallocator) AddCustomer(node int32) (int, error) {
 	}
 	h := r.nextID
 	r.nextID++
-	r.customers[h] = node
+	idx := r.mt.AddCustomer(node)
+	r.customers[h] = customer{node: node, idx: int32(idx)}
 	r.order = append(r.order, h)
+	r.handleOf = append(r.handleOf, h)
 	r.stats.Arrivals++
 
-	idx := r.mt.AddCustomer(node)
-	r.handleOf = append(r.handleOf, h)
 	ok, err := r.mt.FindPairCtx(r.ctx, idx)
 	if err != nil {
 		// Cancelled mid-assignment: roll the newcomer back and force a
 		// rebuild so the matcher drops its unmatched stub.
 		r.dropHandle(h)
-		r.pendingRm = true
+		r.stale = true
 		return 0, err
 	}
 	if !ok {
@@ -323,7 +340,7 @@ func (r *Reallocator) AddCustomer(node int32) (int, error) {
 			// Admission failed entirely: roll the newcomer back and force
 			// a rebuild so the matcher drops its unmatched stub.
 			r.dropHandle(h)
-			r.pendingRm = true
+			r.stale = true
 			return 0, err
 		}
 		return h, nil
@@ -334,32 +351,55 @@ func (r *Reallocator) AddCustomer(node int32) (int, error) {
 			// failed: roll it back all the same, so an error never
 			// admits a customer whose handle the caller does not get.
 			r.dropHandle(h)
-			r.pendingRm = true
+			r.stale = true
 			return 0, err
 		}
 	}
 	return h, nil
 }
 
-// RemoveCustomer schedules the departure of a customer; the assignment
-// is rebuilt lazily at the next query or arrival.
+// RemoveCustomer applies a customer's departure at once: the matching
+// is repaired in place (see the package doc), so the assignment stays
+// optimal with no rebuild. Only an unknown handle is an error; the
+// repair does not poll the context, so a live handle is always removed.
+// A departure while the matching is stale joins the pending rebuild.
 func (r *Reallocator) RemoveCustomer(handle int) error {
-	if _, ok := r.customers[handle]; !ok {
+	c, ok := r.customers[handle]
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownHandle, handle)
+	}
+	if !r.stale {
+		moved, err := r.mt.RemoveCustomerCtx(r.ctx, int(c.idx))
+		if err != nil {
+			return err // unreachable: every customer holds one match
+		}
+		// The matcher moved its last customer into the freed index.
+		last := len(r.handleOf) - 1
+		if i := int(c.idx); i != last {
+			h := r.handleOf[last]
+			r.handleOf[i] = h
+			r.customers[h] = customer{node: r.customers[h].node, idx: c.idx}
+		}
+		r.handleOf = r.handleOf[:last]
+		rec := r.rec()
+		rec.Add(obs.ReallocRepairs, 1)
+		rec.Add(obs.ReallocReroutedCustomers, int64(moved))
 	}
 	r.dropHandle(handle)
 	r.stats.Departures++
-	r.pendingRm = true
 	return nil
+}
+
+// HasCustomer reports whether handle names a live customer.
+func (r *Reallocator) HasCustomer(handle int) bool {
+	_, ok := r.customers[handle]
+	return ok
 }
 
 func (r *Reallocator) dropHandle(h int) {
 	delete(r.customers, h)
-	for i, v := range r.order {
-		if v == h {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
+	if i, ok := slices.BinarySearch(r.order, h); ok {
+		r.order = slices.Delete(r.order, i, i+1)
 	}
 }
 
@@ -371,8 +411,8 @@ func (r *Reallocator) driftExceeded() bool {
 	return float64(cur) > r.opt.DriftFactor*float64(r.baseObjective)+0.5
 }
 
-// Objective returns the current total assignment distance (applying any
-// pending departures first).
+// Objective returns the current total assignment distance (rebuilding a
+// stale matching first).
 func (r *Reallocator) Objective() (int64, error) {
 	if err := r.flush(); err != nil {
 		return 0, err
@@ -394,11 +434,11 @@ func (r *Reallocator) Assignment() (map[int]int, error) {
 	}
 	out := make(map[int]int, len(r.order))
 	for idx, h := range r.handleOf {
-		facs, _ := r.mt.Matches(idx)
-		if len(facs) != 1 {
-			return nil, fmt.Errorf("dynamic: customer %d holds %d assignments", h, len(facs))
+		fac, _, ok := r.mt.Match(idx)
+		if !ok {
+			return nil, fmt.Errorf("dynamic: customer %d holds %d assignments", h, r.mt.MatchCount(idx))
 		}
-		out[h] = r.selected[facs[0]]
+		out[h] = r.selected[fac]
 	}
 	return out, nil
 }

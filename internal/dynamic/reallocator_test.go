@@ -308,17 +308,24 @@ func TestReallocatorRejectsDriftFactorAtMostOne(t *testing.T) {
 	}
 }
 
+// TestReallocatorRandomChurn interleaves random arrivals and departures
+// and verifies the state against AssignToSelection after every step.
+// Capacities of one or two make departures leave full facilities, and
+// the test requires that some departure's repair cancelled a cycle, so
+// the in-place repair, not only the free-slot shortcut, is checked.
 func TestReallocatorRandomChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 10; trial++ {
+	cycles := 0
+	for trial := 0; trial < 40; trial++ {
 		inst := testutil.RandomInstance(rng, testutil.Params{
 			MinNodes: 20, MaxNodes: 60,
 			MaxCustomers: 6, MaxFacilities: 8,
-			MaxCapacity: 4, MaxWeight: 20,
+			MaxCapacity: 2, MaxWeight: 20,
 		})
 		// Ample budget so churn stays feasible.
 		inst.K = inst.L()
-		r, err := NewCtx(context.Background(), inst, Options{})
+		rec := obs.New()
+		r, err := NewCtx(obs.WithRecorder(context.Background(), rec), inst, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -329,8 +336,12 @@ func TestReallocatorRandomChurn(t *testing.T) {
 		for step := 0; step < 25; step++ {
 			if len(handles) > 0 && rng.Intn(3) == 0 {
 				i := rng.Intn(len(handles))
+				before := rec.Counter(obs.ReallocReroutedCustomers)
 				if err := r.RemoveCustomer(handles[i]); err != nil {
 					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
+				if rec.Counter(obs.ReallocReroutedCustomers) > before {
+					cycles++
 				}
 				handles = append(handles[:i], handles[i+1:]...)
 			} else {
@@ -343,12 +354,13 @@ func TestReallocatorRandomChurn(t *testing.T) {
 				}
 				handles = append(handles, h)
 			}
-			if step%5 == 0 {
-				verify(t, r)
-			}
+			verify(t, r)
 		}
-		verify(t, r)
 	}
+	if cycles == 0 {
+		t.Fatal("no departure cancelled a cycle; the churn never reached the repair")
+	}
+	t.Logf("%d departures cancelled a cycle", cycles)
 }
 
 func TestReallocatorRefresh(t *testing.T) {

@@ -33,7 +33,7 @@ type Snapshot struct {
 	K             int `json:"k"`
 
 	// Dynamic state. Handles[i] is the live handle of the customer at
-	// CustomerNodes[i], in the Reallocator's deterministic order.
+	// CustomerNodes[i]; handles are strictly increasing.
 	NextID        int     `json:"next_id"`
 	BaseObjective int64   `json:"base_objective"`
 	Selected      []int   `json:"selected"`
@@ -42,8 +42,9 @@ type Snapshot struct {
 	Stats         Stats   `json:"stats"`
 }
 
-// Snapshot captures the current state. Pending departures are applied
-// first so the capture is canonical; the error is that flush's.
+// Snapshot captures the current state. A stale matching is rebuilt
+// first, so the capture holds the objective being served; the error is
+// that rebuild's.
 func (r *Reallocator) Snapshot() (*Snapshot, error) {
 	if err := r.flush(); err != nil {
 		return nil, err
@@ -62,7 +63,7 @@ func (r *Reallocator) Snapshot() (*Snapshot, error) {
 		Stats:         r.stats,
 	}
 	for i, h := range r.order {
-		s.CustomerNodes[i] = r.customers[h]
+		s.CustomerNodes[i] = r.customers[h].node
 	}
 	return s, nil
 }
@@ -119,15 +120,13 @@ func (s *Snapshot) checkAgainst(inst *data.Instance) error {
 	if len(diffs) > 0 {
 		return fmt.Errorf("dynamic: snapshot fingerprint mismatch: %s", strings.Join(diffs, "; "))
 	}
-	seen := make(map[int]bool, len(s.Handles))
 	for i, h := range s.Handles {
 		if h < 0 || h >= s.NextID {
 			return fmt.Errorf("dynamic: snapshot handle %d outside [0,%d)", h, s.NextID)
 		}
-		if seen[h] {
-			return fmt.Errorf("dynamic: duplicate snapshot handle %d", h)
+		if i > 0 && h <= s.Handles[i-1] {
+			return fmt.Errorf("dynamic: snapshot handle %d follows %d; handles must be strictly increasing", h, s.Handles[i-1])
 		}
-		seen[h] = true
 		if node := s.CustomerNodes[i]; node < 0 || int(node) >= inst.G.N() {
 			return fmt.Errorf("dynamic: snapshot customer %d at invalid node %d", h, node)
 		}
@@ -140,7 +139,9 @@ func (s *Snapshot) checkAgainst(inst *data.Instance) error {
 // captured selection is reinstalled, and the optimal matching is
 // rebuilt — reproducing the snapshotted objective exactly (the
 // minimum-cost assignment to a fixed selection is unique in value). The
-// work counters resume from the captured Stats. See NewCtx for the
+// work counters resume from the captured Stats. Handles must be
+// strictly increasing, as Snapshot writes them: the live handle order
+// and Published.Lookup rely on it. See NewCtx for the
 // context contract.
 func RestoreCtx(ctx context.Context, inst *data.Instance, s *Snapshot, opt Options) (*Reallocator, error) {
 	if err := s.checkAgainst(inst); err != nil {
@@ -152,7 +153,7 @@ func RestoreCtx(ctx context.Context, inst *data.Instance, s *Snapshot, opt Optio
 	}
 	r.nextID = s.NextID
 	for i, h := range s.Handles {
-		r.customers[h] = s.CustomerNodes[i]
+		r.customers[h] = customer{node: s.CustomerNodes[i]}
 		r.order = append(r.order, h)
 	}
 	if err := r.adopt(s.Selected); err != nil {

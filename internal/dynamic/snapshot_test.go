@@ -298,7 +298,9 @@ func TestAdoptSelection(t *testing.T) {
 // TestSetContextHealsCancelledOp pins the recovery contract the serving
 // batch loop depends on: an operation interrupted by cancellation
 // mid-stream leaves the matching stale, and rebinding a live context
-// heals it transparently on the next operation.
+// heals it transparently on the next operation. A departure cannot
+// leave that state (its repair never polls the context), so the stale
+// matching comes from an arrival cancelled mid-search.
 func TestSetContextHealsCancelledOp(t *testing.T) {
 	inst, r := churnedReallocator(t)
 	want, err := r.Objective()
@@ -306,18 +308,14 @@ func TestSetContextHealsCancelledOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Schedule a departure (stale matching), then cancel the context so
-	// the lazy rebuild is interrupted mid-stream.
-	h, err := r.AddCustomer(inst.Customers[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RemoveCustomer(h); err != nil {
-		t.Fatal(err)
-	}
+	// An arrival under a cancelled context rolls back and leaves the
+	// matching stale; every read that must rebuild it then fails.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	r.SetContext(cancelled)
+	if _, err := r.AddCustomer(inst.Customers[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("arrival under cancelled ctx: err = %v, want context.Canceled", err)
+	}
 	if _, err := r.Objective(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("objective under cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -327,13 +325,9 @@ func TestSetContextHealsCancelledOp(t *testing.T) {
 	if _, err := r.Snapshot(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("snapshot under cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	// An arrival under the cancelled context must roll back cleanly.
-	if _, err := r.AddCustomer(inst.Customers[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("arrival under cancelled ctx: err = %v, want context.Canceled", err)
-	}
 
-	// Rebinding a live context heals everything: the pending departure
-	// applies, the rolled-back arrival is gone, and the state verifies.
+	// Rebinding a live context heals everything: the rolled-back arrival
+	// is gone and the state verifies.
 	r.SetContext(context.Background())
 	got, err := r.Objective()
 	if err != nil {
@@ -346,4 +340,25 @@ func TestSetContextHealsCancelledOp(t *testing.T) {
 	if _, err := r.Publish(); err != nil {
 		t.Fatalf("publish after healing: %v", err)
 	}
+}
+
+// TestDepartureUnderCancelledContext pins that a departure has no
+// failure mode: its repair never polls the context, so it is applied
+// under a cancelled one and leaves an optimal, readable matching.
+func TestDepartureUnderCancelledContext(t *testing.T) {
+	_, r := churnedReallocator(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	r.SetContext(cancelled)
+	before := r.Customers()
+	if err := r.RemoveCustomer(0); err != nil {
+		t.Fatalf("departure under cancelled ctx: %v", err)
+	}
+	if r.Customers() != before-1 {
+		t.Fatalf("customers %d → %d after one departure", before, r.Customers())
+	}
+	if _, err := r.Publish(); err != nil {
+		t.Fatalf("publish after the departure, still under the cancelled ctx: %v", err)
+	}
+	verify(t, r)
 }

@@ -354,14 +354,33 @@ func (s *Server) process(batch []op) {
 func (s *Server) apply(o op) opResult {
 	switch o.kind {
 	case opArrivals:
+		// Admit all or nothing. A failed arrival admits nobody, but the
+		// ones before it may have re-solved the selection (drift or
+		// saturation), so removing them again would not undo the request:
+		// a request of several nodes returns to a snapshot of the state
+		// before its first one.
+		var before *mcfs.ReallocatorSnapshot
+		if len(o.nodes) > 1 {
+			snap, err := s.r.Snapshot()
+			if err != nil {
+				return opResult{err: err}
+			}
+			before = snap
+		}
 		handles := make([]int, 0, len(o.nodes))
 		for _, node := range o.nodes {
 			h, err := s.r.AddCustomer(node)
 			if err != nil {
-				// Admit all or nothing: roll back the part of this request
-				// that already landed.
-				for _, added := range handles {
-					_ = s.r.RemoveCustomer(added)
+				if len(handles) > 0 {
+					// The restore rebuilds the captured population's optimal
+					// matching over the captured selection: the state served
+					// before the request. A snapshot of a served state always
+					// restores, short of a bug.
+					r, rerr := mcfs.RestoreReallocator(s.cfg.Instance, before, s.cfg.DriftFactor)
+					if rerr != nil {
+						return opResult{err: errors.Join(err, rerr)}
+					}
+					s.r = r
 				}
 				return opResult{err: err}
 			}
@@ -369,14 +388,20 @@ func (s *Server) apply(o op) opResult {
 		}
 		return opResult{handles: handles}
 	case opDepartures:
-		removed := make([]int, 0, len(o.handles))
+		// All or nothing: check every handle before removing any (the
+		// handler already refused repeats). A live handle's removal
+		// cannot fail, so the rest always lands.
+		for _, h := range o.handles {
+			if !s.r.HasCustomer(h) {
+				return opResult{err: fmt.Errorf("%w: %d", dynamic.ErrUnknownHandle, h)}
+			}
+		}
 		for _, h := range o.handles {
 			if err := s.r.RemoveCustomer(h); err != nil {
-				return opResult{err: fmt.Errorf("after removing %d of %d: %w", len(removed), len(o.handles), err)}
+				return opResult{err: err}
 			}
-			removed = append(removed, h)
 		}
-		return opResult{handles: removed}
+		return opResult{handles: o.handles}
 	case opResolve:
 		sol, note, err := o.algo.Solve(o.ctx, s.cfg.Instance)
 		if err != nil {
@@ -597,6 +622,14 @@ func (s *Server) handleArrivals(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errors.New("arrivals body needs a non-empty nodes list"))
 		return
 	}
+	// The network is fixed, so a bad node is refused before anything
+	// is admitted.
+	for _, node := range req.Nodes {
+		if n := s.cfg.Instance.G.N(); node < 0 || int(node) >= n {
+			writeError(w, fmt.Errorf("%w: node %d outside [0,%d)", dynamic.ErrBadNode, node, n))
+			return
+		}
+	}
 	ctx, cancel := s.opCtx(r)
 	defer cancel()
 	res, err := s.do(ctx, op{kind: opArrivals, nodes: req.Nodes})
@@ -621,6 +654,14 @@ func (s *Server) handleDepartures(w http.ResponseWriter, r *http.Request) {
 	if len(req.Handles) == 0 {
 		writeError(w, errors.New("departures body needs a non-empty handles list"))
 		return
+	}
+	named := make(map[int]bool, len(req.Handles))
+	for _, h := range req.Handles {
+		if named[h] {
+			writeError(w, fmt.Errorf("departures name customer %d twice", h))
+			return
+		}
+		named[h] = true
 	}
 	ctx, cancel := s.opCtx(r)
 	defer cancel()

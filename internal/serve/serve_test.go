@@ -19,7 +19,7 @@ import (
 
 // testInstance builds a moderate synthetic instance with enough
 // capacity slack that churn stays feasible.
-func testInstance(t *testing.T) *mcfs.Instance {
+func testInstance(t testing.TB) *mcfs.Instance {
 	t.Helper()
 	g, err := mcfs.GenerateSynthetic(mcfs.SyntheticConfig{N: 300, Alpha: 2.5, Seed: 9})
 	if err != nil {
@@ -184,6 +184,58 @@ func TestServeErrorMapping(t *testing.T) {
 		}
 		if body.Error == "" {
 			t.Errorf("%s: empty error detail", tc.name)
+		}
+	}
+}
+
+// TestServeChurnAllOrNothing: a refused write changes nothing. A
+// /departures body that names a customer twice, or an unknown one after
+// a live one, keeps the live customers it names. An /arrivals body of
+// 51 customers at one node drift-re-solves the selection on the way and
+// then overflows every seat (8 facilities of capacity 10 hold 80); the
+// request is refused, and the selection it re-solved goes with it. In
+// every case the published population and objective do not move.
+func TestServeChurnAllOrNothing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var before StatsReply
+	if code := call(t, "GET", ts.URL+"/stats", nil, &before); code != 200 {
+		t.Fatalf("stats = %d", code)
+	}
+	surge := `{"nodes":[150` + strings.Repeat(",150", 50) + `]}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+		code       string
+	}{
+		{"/arrivals", surge, 422, "infeasible"},
+		{"/departures", `{"handles":[5,5]}`, 400, "bad_request"},
+		{"/departures", `{"handles":[6,99999]}`, 404, "unknown_handle"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.want || body.Code != tc.code {
+			t.Errorf("%s %.40s: status %d code %q, want %d %q (%s)", tc.path, tc.body, resp.StatusCode, body.Code, tc.want, tc.code, body.Error)
+		}
+		var after StatsReply
+		if code := call(t, "GET", ts.URL+"/stats", nil, &after); code != 200 {
+			t.Fatalf("stats = %d", code)
+		}
+		if after.Customers != before.Customers || after.Objective != before.Objective {
+			t.Errorf("%s %.40s: customers %d → %d, objective %d → %d; a refused request must change nothing",
+				tc.path, tc.body, before.Customers, after.Customers, before.Objective, after.Objective)
+		}
+	}
+	for _, h := range []int{5, 6} {
+		if code := call(t, "GET", fmt.Sprintf("%s/assign?customer=%d", ts.URL, h), nil, nil); code != 200 {
+			t.Errorf("customer %d named by a refused departure: /assign = %d, want 200", h, code)
 		}
 	}
 }

@@ -513,8 +513,9 @@ func NodesFacilities(nodes []int32, capFn func(j int) int) []Facility {
 // Reallocator maintains an MCFS solution while the customer population
 // changes (the paper's "dynamic reallocation" motivation): arrivals are
 // assigned incrementally along one optimal augmenting path each,
-// departures are batched into a rebuild, and the facility selection is
-// re-solved when it saturates or the cost drifts.
+// departures are repaired in place with at most one bounded
+// cycle-cancelling search, and the facility selection is re-solved
+// when it saturates or the cost drifts.
 type Reallocator = dynamic.Reallocator
 
 // ReallocatorStats counts a Reallocator's work.
@@ -534,7 +535,8 @@ func NewReallocator(inst *Instance, driftFactor float64, opts ...Option) (*Reall
 // solve and every later operation (arrivals, rebuilds, re-selections);
 // rebind it with the Reallocator's SetContext. A cancelled operation
 // returns ctx.Err() and marks the matching stale; the next operation
-// under a live context rebuilds it, so the Reallocator stays usable.
+// under a live context rebuilds it, so the Reallocator stays usable. A
+// departure is never cancelled: its repair does not poll the context.
 func NewReallocatorCtx(ctx context.Context, inst *Instance, driftFactor float64, opts ...Option) (*Reallocator, error) {
 	o, err := buildOptions(opts)
 	if err != nil {

@@ -211,7 +211,7 @@ fi
 # fuzzing (not just the seed corpus) so a regression that only random
 # inputs can reach still trips CI. Findings are written to the package's
 # testdata/fuzz corpus by the fuzzer and reproduce as regular tests.
-for target in FuzzMatcher=./internal/bipartite FuzzDijkstra=./internal/graph FuzzMonotoneQueues=./internal/pq FuzzReadInstance=./internal/data FuzzSnapshotRestore=./internal/dynamic; do
+for target in FuzzMatcher=./internal/bipartite FuzzDijkstra=./internal/graph FuzzMonotoneQueues=./internal/pq FuzzReadInstance=./internal/data FuzzSnapshotRestore=./internal/dynamic FuzzChurnBodies=./internal/serve; do
 	name=${target%%=*}
 	pkg=${target#*=}
 	echo "fuzz smoke: $name"
