@@ -14,7 +14,9 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -162,11 +164,14 @@ func TestCompareTool(t *testing.T) {
 	}
 }
 
-// startMCFSD launches the daemon on a free port and returns its base
-// URL, the debug listener's URL (empty unless -debug-addr was passed),
-// the process handle (for crash tests that SIGKILL it), plus a stop
-// function that sends SIGTERM and waits for a clean exit.
-func startMCFSD(t *testing.T, args ...string) (string, string, *exec.Cmd, func()) {
+// startMCFSD launches the daemon on a free port, its stderr going to
+// stderr (os.Stderr when nil), and returns its base URL, the debug
+// listener's URL (empty unless -debug-addr was passed), the process
+// handle (for crash tests that SIGKILL it), plus a stop function that
+// sends SIGTERM and waits for a clean exit, and with it for stderr to
+// be copied out. A daemon that stop never reached, because the test
+// failed first, is killed and waited for when the test ends.
+func startMCFSD(t *testing.T, stderr io.Writer, args ...string) (string, string, *exec.Cmd, func()) {
 	t.Helper()
 	cmd := exec.Command(filepath.Join(binDir, "mcfsd"), append(args, "-addr", "127.0.0.1:0")...)
 	stdout, err := cmd.StdoutPipe()
@@ -174,9 +179,19 @@ func startMCFSD(t *testing.T, args ...string) (string, string, *exec.Cmd, func()
 		t.Fatal(err)
 	}
 	cmd.Stderr = os.Stderr
+	if stderr != nil {
+		cmd.Stderr = stderr
+	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	var stopped sync.Once
+	t.Cleanup(func() {
+		stopped.Do(func() {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+		})
+	})
 	sc := bufio.NewScanner(stdout)
 	listenRe := regexp.MustCompile(`listening on (http://\S+)`)
 	debugRe := regexp.MustCompile(`debug listener .* on (http://\S+)`)
@@ -192,7 +207,6 @@ func startMCFSD(t *testing.T, args ...string) (string, string, *exec.Cmd, func()
 		}
 	}
 	if url == "" {
-		_ = cmd.Process.Kill()
 		t.Fatal("mcfsd never printed its listening address")
 	}
 	// Keep draining stdout so the daemon never blocks on a full pipe.
@@ -201,12 +215,14 @@ func startMCFSD(t *testing.T, args ...string) (string, string, *exec.Cmd, func()
 		}
 	}()
 	stop := func() {
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatalf("signal mcfsd: %v", err)
-		}
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("mcfsd did not exit cleanly: %v", err)
-		}
+		stopped.Do(func() {
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatalf("signal mcfsd: %v", err)
+			}
+			if err := cmd.Wait(); err != nil {
+				t.Fatalf("mcfsd did not exit cleanly: %v", err)
+			}
+		})
 	}
 	return url, debugURL, cmd, stop
 }
@@ -241,7 +257,7 @@ func TestMCFSDServeSnapshotRestart(t *testing.T) {
 		"-m", "40", "-l", "80", "-cap", "8", "-k", "8",
 		"-seed", "11", "-o", inst)
 
-	url, _, _, stop := startMCFSD(t, "-in", inst)
+	url, _, _, stop := startMCFSD(t, nil, "-in", inst)
 
 	// Liveness and an assignment query.
 	resp, err := http.Get(url + "/healthz")
@@ -297,7 +313,7 @@ func TestMCFSDServeSnapshotRestart(t *testing.T) {
 
 	// Restart from the snapshot: the published objective must be
 	// byte-identical to the snapshotted one.
-	url2, _, _, stop2 := startMCFSD(t, "-in", inst, "-restore", snapPath)
+	url2, _, _, stop2 := startMCFSD(t, nil, "-in", inst, "-restore", snapPath)
 	defer stop2()
 	var after struct {
 		Objective int64 `json:"objective"`
@@ -339,9 +355,9 @@ func newestGeneration(dir string) int {
 // graceful drain), plant a corrupt newer generation, and restart with
 // -restore pointed at the directory. The recovered daemon must publish
 // exactly the pre-crash settled objective and population — the corrupt
-// generation skipped, the work lost bounded by one snapshot interval
-// (zero here, because churn quiesced before the last persisted
-// generation).
+// generation skipped, and named on stderr, the work lost bounded by one
+// snapshot interval (zero here, because churn quiesced before the last
+// persisted generation).
 func TestMCFSDCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	inst := filepath.Join(dir, "inst.mcfs")
@@ -351,7 +367,7 @@ func TestMCFSDCrashRecovery(t *testing.T) {
 		"-seed", "11", "-o", inst)
 	snapDir := filepath.Join(dir, "snaps")
 
-	url, _, cmd, _ := startMCFSD(t,
+	url, _, cmd, _ := startMCFSD(t, nil,
 		"-in", inst, "-quiet",
 		"-snapshot-every", "50ms", "-snapshot-dir", snapDir, "-snapshot-keep", "4")
 
@@ -407,23 +423,29 @@ func TestMCFSDCrashRecovery(t *testing.T) {
 	}
 
 	// Restart from the generation directory.
-	url2, _, _, stop2 := startMCFSD(t, "-in", inst, "-quiet", "-restore", snapDir)
-	defer stop2()
+	var stderr strings.Builder
+	url2, _, _, stop2 := startMCFSD(t, &stderr, "-in", inst, "-quiet", "-restore", snapDir)
 	var post struct {
 		Objective int64 `json:"objective"`
 		Customers int   `json:"customers"`
 	}
 	getJSON(t, url2+"/stats", &post)
+	stop2()
 	if post.Objective != pre.Objective || post.Customers != pre.Customers {
 		t.Fatalf("crash recovery drifted: objective %d->%d, customers %d->%d",
 			pre.Objective, post.Objective, pre.Customers, post.Customers)
+	}
+	if want := "skipping corrupt snapshot " + corrupt; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("restore stderr does not name the planted corrupt generation (want %q):\n%s", want, stderr.String())
 	}
 }
 
 // TestMCFSDObservability exercises the observability surface end to
 // end: /healthz build info, Prometheus-shaped /metrics with live solver
 // work counters, X-Request-Id stamping, and the -debug-addr listener's
-// expvar + pprof endpoints.
+// expvar + pprof endpoints. Every non-comment /metrics line must be
+// "name value" with a numeric value, and both the solver (mcfs_) and
+// the daemon (mcfsd_) families must be present.
 func TestMCFSDObservability(t *testing.T) {
 	dir := t.TempDir()
 	inst := filepath.Join(dir, "inst.mcfs")
@@ -432,7 +454,7 @@ func TestMCFSDObservability(t *testing.T) {
 		"-m", "40", "-l", "80", "-cap", "8", "-k", "8",
 		"-seed", "11", "-o", inst)
 
-	url, debugURL, _, stop := startMCFSD(t, "-in", inst, "-debug-addr", "127.0.0.1:0")
+	url, debugURL, _, stop := startMCFSD(t, nil, "-in", inst, "-debug-addr", "127.0.0.1:0")
 	defer stop()
 	if debugURL == "" {
 		t.Fatal("mcfsd never printed its debug listener address")
@@ -478,6 +500,7 @@ func TestMCFSDObservability(t *testing.T) {
 		t.Fatalf("metrics content-type %q", ct)
 	}
 	metrics := string(metricsBody)
+	checkExposition(t, metrics)
 	for _, want := range []string{
 		"mcfs_sspa_augmenting_paths_total",
 		"mcfsd_batches_total",
@@ -506,6 +529,31 @@ func TestMCFSDObservability(t *testing.T) {
 	pp.Body.Close()
 	if pp.StatusCode != 200 {
 		t.Fatalf("pprof cmdline = %d", pp.StatusCode)
+	}
+}
+
+// checkExposition fails unless every non-comment line of a Prometheus
+// text exposition is "name value" with a value strconv.ParseFloat
+// reads, as the format's parsers do, there is at least one such line,
+// and samples of both the mcfs_ and the mcfsd_ families are present.
+func checkExposition(t *testing.T, text string) {
+	t.Helper()
+	samples, solver, daemon := 0, false, false
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if f := strings.Fields(line); len(f) != 2 {
+			t.Fatalf("unparseable metrics line %q", line)
+		} else if _, err := strconv.ParseFloat(f[1], 64); err != nil {
+			t.Fatalf("unparseable metrics line %q: %v", line, err)
+		}
+		samples++
+		solver = solver || strings.HasPrefix(line, "mcfs_")
+		daemon = daemon || strings.HasPrefix(line, "mcfsd_")
+	}
+	if samples == 0 || !solver || !daemon {
+		t.Fatalf("metrics have %d samples, mcfs_ family %v, mcfsd_ family %v:\n%s", samples, solver, daemon, text)
 	}
 }
 

@@ -69,7 +69,6 @@ func main() {
 		algo      = flag.String("algo", "wma", "default algorithm for POST /resolve")
 		drift     = flag.Float64("drift", 0, "reallocator drift factor (0 = default 1.5, negative disables, otherwise must exceed 1)")
 		restore   = flag.String("restore", "", "restore dynamic state from a snapshot file or generation directory")
-		batch     = flag.Int("batch", 0, "max operations coalesced per repair window (0 = default)")
 		opTimeout = flag.Duration("optimeout", 0, "per-operation deadline (0 = default 5s)")
 		snapEvery = flag.Duration("snapshot-every", 0, "periodic snapshot interval (0 = disabled; requires -snapshot-dir)")
 		snapDir   = flag.String("snapshot-dir", "", "directory for periodic snapshot generations")
@@ -142,7 +141,6 @@ func main() {
 		Instance:       inst,
 		Algorithm:      algorithm,
 		DriftFactor:    *drift,
-		MaxBatch:       *batch,
 		DefaultTimeout: *opTimeout,
 		Snapshot:       snap,
 		Logger:         logger,

@@ -18,13 +18,14 @@ import (
 // complete graph (every reachable facility is full or unreachable); the
 // matching is left unchanged in that case.
 //
-// ctx is checked once per augmenting-path search (each retry of the
-// inner shortest path) and propagated into the per-customer network
-// searchers, which poll it during long expansions. On cancellation it
-// returns ctx.Err() with the matching unchanged by this call; the
-// matcher must not be used afterwards (an interrupted searcher cannot be
-// resumed). The checkpoints never alter the search, so an uncancelled
-// run is byte-identical whatever its context.
+// ctx is checked before and after each augmenting-path search (each
+// retry of the inner shortest path) and propagated into the
+// per-customer network searchers, which poll it during long expansions.
+// On cancellation it returns ctx.Err() with the matching unchanged by
+// this call, and the matcher stays usable: a searcher the cancellation
+// stalled resumes where it stopped once a later call reads it under a
+// live context. The checkpoints never alter the search, so an
+// uncancelled run is byte-identical whatever its context.
 //
 // Every inner search is plain Dijkstra over nonnegative reduced costs.
 // A freshly materialized edge cannot break that (DESIGN.md §4); if one
@@ -41,17 +42,16 @@ func (mt *Matcher) FindPairCtx(ctx context.Context, i int) (matched bool, err er
 		}
 		best, bestFac, thr, argmin := mt.shortestPath(i)
 		if best <= thr {
+			// A searcher stalled by a cancellation during this search
+			// reported PeekDist() == Inf, so thr may be too high: the path
+			// may not be optimal, and "no reachable facility" may be a
+			// cancellation masquerading as infeasibility, which callers
+			// like AssignToSelection would trust. ctx errors are sticky,
+			// so one check after the search catches every such stall.
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
 			if best >= graph.Inf {
-				// "No reachable facility" and "a cancellation poisoned a
-				// searcher mid-expansion" look identical here: a poisoned
-				// searcher reports PeekDist() == Inf, so the threshold never
-				// fires and the search space seems exhausted. Sweep the live
-				// searchers before declaring the customer unservable —
-				// otherwise a cancellation masquerades as infeasibility and
-				// callers like AssignToSelection trust it.
-				if serr := mt.searcherErr(); serr != nil {
-					return false, serr
-				}
 				return false, nil
 			}
 			mt.augment(bestFac, best)
@@ -80,23 +80,8 @@ func (mt *Matcher) flushStats(rec *obs.Recorder, prev Stats) {
 	rec.Add(obs.SSPAAugmentingPaths, int64(mt.stats.Augmentations-prev.Augmentations))
 }
 
-// searcherErr returns the first cancellation error recorded by any live
-// per-customer searcher (in customer order, so the report is
-// deterministic), or nil when none was interrupted.
-func (mt *Matcher) searcherErr() error {
-	for _, s := range mt.searchers {
-		if s == nil {
-			continue
-		}
-		if err := s.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // materializeFailure classifies a failed materialization for customer i:
-// a cancellation recorded by the searcher propagates as that error;
+// a cancellation that stalled the searcher propagates as that error;
 // anything else means the Theorem-1 threshold promised a next edge the
 // searcher does not have — an internal invariant breach reported
 // explicitly rather than silently retried.

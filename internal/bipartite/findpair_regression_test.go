@@ -3,6 +3,7 @@ package bipartite
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -51,10 +52,11 @@ func (c *countdownCtx) Err() error {
 
 // TestFindPairCtxCancellationIsNotInfeasibility is the regression test
 // for the cancellation-masquerade bug: a cancellation that strikes
-// during the lazily-created searcher's initial expansion poisons it
+// during the lazily-created searcher's initial expansion stalls it
 // (PeekDist() == Inf), and FindPairCtx used to report (false, nil) —
 // "customer unservable" — which AssignToSelection then converts to
-// ErrInfeasible. The context error must surface instead.
+// ErrInfeasible. The context error must surface instead, and the same
+// matcher must then find the match under a live context.
 func TestFindPairCtxCancellationIsNotInfeasibility(t *testing.T) {
 	mt := longLineMatcher(t)
 	// One Err() call is FindPairCtx's own top-of-loop checkpoint; the
@@ -71,6 +73,10 @@ func TestFindPairCtxCancellationIsNotInfeasibility(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if matched, err := mt.FindPairCtx(context.Background(), 0); err != nil || !matched {
+		t.Fatalf("FindPairCtx after the cancellation = (%v, %v), want (true, nil)", matched, err)
+	}
+	checkInvariants(t, mt)
 }
 
 // TestFindPairCtxUncancelledLineMatches sanity-checks the same instance
@@ -113,18 +119,101 @@ func TestMaterializeFailureInvariant(t *testing.T) {
 }
 
 // TestMaterializeFailurePropagatesSearcherError pins the other branch:
-// a searcher poisoned by cancellation propagates the recorded context
+// a searcher stalled by a cancellation propagates the recorded context
 // error, not the invariant error.
 func TestMaterializeFailurePropagatesSearcherError(t *testing.T) {
 	mt := longLineMatcher(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	mt.ctx = ctx
-	s := mt.searcher(0) // initial advance crosses a poll and poisons
+	s := mt.searcher(0) // initial advance crosses a poll and stalls
 	if s.Err() == nil {
 		t.Fatal("searcher survived a cancelled initial expansion")
 	}
 	if err := mt.materializeFailure(0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestCancelledFindPairResumes cancels an arrival's FindPairCtx after
+// every number of context polls, on small random networks with a tail
+// of 3×searcherCheckEvery nodes leading to a far facility, so a
+// searcher that advances past its last nearby facility crosses polls
+// mid-expansion. After each cancellation the same matcher carries on
+// under a live context: its invariants must hold and its cost must
+// equal a fresh matcher's. The test requires that some cancellation
+// stalled a resident customer's searcher, the case where a searcher
+// that stayed exhausted would hide a customer's further edges from the
+// Theorem-1 threshold and let an augmenting path come out suboptimal.
+func TestCancelledFindPairResumes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bg := context.Background()
+	residentStalls := 0
+	for trial := 0; trial < 12; trial++ {
+		n := 4 + rng.Intn(12)
+		tail := 3 * searcherCheckEvery
+		b := graph.NewBuilder(n+tail, false)
+		for v := 1; v < n; v++ {
+			b.AddEdge(int32(rng.Intn(v)), int32(v), 1+rng.Int63n(20))
+		}
+		b.AddEdge(int32(rng.Intn(n)), int32(n), 1)
+		for v := n + 1; v < n+tail; v++ {
+			b.AddEdge(int32(v-1), int32(v), 1)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := 2 + rng.Intn(4)
+		perm := rng.Perm(n)
+		facs := []data.Facility{{Node: int32(n + tail - 1), Capacity: m + 1}}
+		for _, v := range perm[:1+rng.Intn(min(3, n-1))] {
+			facs = append(facs, data.Facility{Node: int32(v), Capacity: 1 + rng.Intn(2)})
+		}
+		custNodes := make([]int32, m)
+		for i := range custNodes {
+			custNodes[i] = int32(rng.Intn(n))
+		}
+		arrival := int32(rng.Intn(n))
+		residents := func() *Matcher {
+			mt := New(g, custNodes, facs)
+			for i := range custNodes {
+				if !must(mt.FindPairCtx(bg, i)) {
+					t.Fatalf("trial %d: resident %d unmatched", trial, i)
+				}
+			}
+			return mt
+		}
+		fresh := New(g, append(custNodes[:m:m], arrival), facs)
+		for i := 0; i <= m; i++ {
+			must(fresh.FindPairCtx(bg, i))
+		}
+		for polls := 0; ; polls++ {
+			mt := residents()
+			idx := mt.AddCustomer(arrival)
+			if _, err := mt.FindPairCtx(&countdownCtx{Context: bg, remaining: polls}, idx); err == nil {
+				break // the countdown outlasted the arrival
+			} else if !errors.Is(err, context.Canceled) {
+				t.Fatalf("trial %d polls %d: err = %v, want context.Canceled", trial, polls, err)
+			}
+			checkInvariants(t, mt)
+			for i := 0; i < m; i++ {
+				if mt.searchers[i].Err() != nil {
+					residentStalls++
+					break
+				}
+			}
+			if ok, err := mt.FindPairCtx(bg, idx); err != nil || !ok {
+				t.Fatalf("trial %d polls %d: resumed arrival = (%v, %v), want (true, nil)", trial, polls, ok, err)
+			}
+			checkInvariants(t, mt)
+			if got, want := mt.TotalMatchedCost(), fresh.TotalMatchedCost(); got != want {
+				t.Fatalf("trial %d polls %d: resumed cost %d, fresh matcher %d", trial, polls, got, want)
+			}
+		}
+	}
+	if residentStalls == 0 {
+		t.Fatal("no cancellation stalled a resident's searcher; the test proves nothing")
+	}
+	t.Logf("%d cancellations stalled a resident's searcher", residentStalls)
 }

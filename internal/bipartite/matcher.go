@@ -83,10 +83,9 @@ type Matcher struct {
 
 	// ctx is the cooperative-cancellation context of the current
 	// FindPairCtx call (context.Background() before the first). It is
-	// installed on the per-customer searchers so their resumed network
-	// Dijkstras poll it too. A matcher that has returned a context error
-	// is poisoned: the interrupted searcher state cannot be resumed
-	// correctly.
+	// installed on a per-customer searcher whenever the searcher is
+	// read, so the resumed network Dijkstras poll it too, and a searcher
+	// an earlier call's cancellation stalled resumes under it.
 	ctx context.Context
 
 	// Scratch state for the inner shortest-path search, epoch-stamped so

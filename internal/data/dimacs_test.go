@@ -3,6 +3,7 @@ package data
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -105,6 +106,59 @@ func TestReadDIMACSErrors(t *testing.T) {
 		if _, err := ReadDIMACSGraph(strings.NewReader(src), strings.NewReader("p aux sp co 0\n"), false); err == nil {
 			t.Fatalf("case %d accepted with coordinates: %q", i, src)
 		}
+	}
+}
+
+// TestNodeCountNeedsEdges: past 2^16 nodes a graph needs an edge per 16
+// nodes in both formats, so a one-line header cannot make a reader build
+// millions of nodes (a 57-byte instance declaring 10^7 nodes once
+// allocated 121 MB); at the bound the graph is read. In undirected
+// DIMACS mode only kept arcs count, so a rewrite reads back the same.
+func TestNodeCountNeedsEdges(t *testing.T) {
+	instance := func(n, m int) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "mcfs 1\ngraph %d %d 0 0\n", n, m)
+		for i := 0; i < m; i++ {
+			fmt.Fprintf(&b, "%d %d 1\n", i, i+1)
+		}
+		b.WriteString("customers 0\nfacilities 0\nk 0\n")
+		return b.String()
+	}
+	dimacs := func(n, m int, reversed bool) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "p sp %d %d\n", n, m)
+		for i := 1; i <= m; i++ {
+			if reversed {
+				fmt.Fprintf(&b, "a %d %d 1\n", i+1, i)
+			} else {
+				fmt.Fprintf(&b, "a %d %d 1\n", i, i+1)
+			}
+		}
+		return b.String()
+	}
+	for _, c := range []struct {
+		n, m int
+		ok   bool
+	}{
+		{1 << 16, 0, true},
+		{1<<16 + 1, 0, false},
+		{80000, 5000, true},
+		{80000, 4999, false},
+		{10_000_000, 0, false},
+	} {
+		_, err := ReadInstance(strings.NewReader(instance(c.n, c.m)))
+		if (err == nil) != c.ok {
+			t.Errorf("instance of %d nodes, %d edges: err = %v, want accepted %v", c.n, c.m, err, c.ok)
+		}
+		for _, undirected := range []bool{false, true} {
+			_, err = ReadDIMACSGraph(strings.NewReader(dimacs(c.n, c.m, false)), nil, undirected)
+			if (err == nil) != c.ok {
+				t.Errorf("DIMACS graph of %d nodes, %d arcs, undirected %v: err = %v, want accepted %v", c.n, c.m, undirected, err, c.ok)
+			}
+		}
+	}
+	if _, err := ReadDIMACSGraph(strings.NewReader(dimacs(80000, 5000, true)), nil, true); err == nil {
+		t.Error("undirected DIMACS graph of 80000 nodes whose 5000 arcs all run u > v (no kept edge) accepted")
 	}
 }
 

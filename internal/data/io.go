@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 
 	"mcfs/internal/graph"
 )
@@ -20,7 +21,12 @@ import (
 //	<node> <capacity> × count
 //	k <k>
 //
-// Lines starting with '#' are comments and ignored.
+// Lines starting with '#' are comments and ignored. Every count must lie
+// in [0, 2^31-1], the range of node ids, and a graph of more than 2^16
+// nodes needs an edge per 16 nodes. No slice is sized from a count
+// before the lines it declares are read, and the n nodes, which have no
+// lines of their own without coordinates, are built only once their
+// edge lines are, so a short file cannot make the reader allocate much.
 
 // WriteInstance serializes an instance in the text format.
 func WriteInstance(w io.Writer, in *Instance) error {
@@ -41,7 +47,15 @@ func WriteInstance(w io.Writer, in *Instance) error {
 			fmt.Fprintf(bw, "%g %g\n", x, y)
 		}
 	}
-	if err := writeEdges(bw, in.G); err != nil {
+	// One line per edge: an undirected edge's arc with v <= u.
+	var err error
+	dimacsArcs(in.G, func(v, u int32, w int64) bool {
+		if in.G.Directed() || v <= u {
+			_, err = fmt.Fprintf(bw, "%d %d %d\n", v, u, w)
+		}
+		return err == nil
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(bw, "customers %d\n", len(in.Customers))
@@ -56,47 +70,20 @@ func WriteInstance(w io.Writer, in *Instance) error {
 	return bw.Flush()
 }
 
-// writeEdges emits each logical edge once. For undirected graphs the CSR
-// holds both arcs of every edge, a self-loop's included: emit only arcs
-// with u <= v, and only one of each self-loop's two.
-func writeEdges(w io.Writer, g *graph.Graph) error {
-	if g.Directed() {
-		for v := int32(0); v < int32(g.N()); v++ {
-			var err error
-			g.Neighbors(v, func(u int32, wt int64) bool {
-				_, err = fmt.Fprintf(w, "%d %d %d\n", v, u, wt)
-				return err == nil
-			})
-			if err != nil {
-				return err
-			}
-		}
+// countOK reports whether a declared count lies in [0, math.MaxInt32].
+func countOK(c int) bool { return c >= 0 && c <= math.MaxInt32 }
+
+// edgesBack returns an error unless m edges back a graph of n nodes: up
+// to 1<<16 nodes any m does, past that it takes an edge per 16 nodes.
+// Building a graph allocates about 12 bytes per node however short the
+// file, while every edge costs the file a line, so this bounds what a
+// short file can make a reader allocate. A road network has more edges
+// than nodes.
+func edgesBack(n, m int) error {
+	if n <= 1<<16 || n/16 <= m {
 		return nil
 	}
-	// Undirected: parallel edges between the same pair are preserved by
-	// emitting every arc with v < u, plus half of the v == u arcs. The
-	// builder stores a self-loop's two arcs next to each other, so every
-	// second one is the copy.
-	for v := int32(0); v < int32(g.N()); v++ {
-		var err error
-		loops := 0
-		g.Neighbors(v, func(u int32, wt int64) bool {
-			if u == v {
-				loops++
-				if loops%2 == 0 {
-					return true
-				}
-			}
-			if v <= u {
-				_, err = fmt.Fprintf(w, "%d %d %d\n", v, u, wt)
-			}
-			return err == nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fmt.Errorf("data: %d nodes with %d edges: past %d nodes a graph needs an edge per 16 nodes", n, m, 1<<16)
 }
 
 // ReadInstance parses the text format.
@@ -131,21 +118,25 @@ func ReadInstance(r io.Reader) (*Instance, error) {
 		return nil, err
 	}
 	var n, m, directed, coords int
-	if _, err := fmt.Sscanf(line, "graph %d %d %d %d", &n, &m, &directed, &coords); err != nil {
+	if _, err := fmt.Sscanf(line, "graph %d %d %d %d", &n, &m, &directed, &coords); err != nil || !countOK(n) || !countOK(m) {
 		return nil, fmt.Errorf("data: bad graph line %q", line)
+	}
+	if err := edgesBack(n, m); err != nil {
+		return nil, err
 	}
 	b := graph.NewBuilder(n, directed == 1)
 	if coords == 1 {
-		xs := make([]float64, n)
-		ys := make([]float64, n)
+		var xs, ys []float64
 		for i := 0; i < n; i++ {
 			line, err = next()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := fmt.Sscanf(line, "%g %g", &xs[i], &ys[i]); err != nil {
+			var x, y float64
+			if _, err := fmt.Sscanf(line, "%g %g", &x, &y); err != nil {
 				return nil, fmt.Errorf("data: bad coord line %q", line)
 			}
+			xs, ys = append(xs, x), append(ys, y)
 		}
 		b.SetCoords(xs, ys)
 	}
@@ -171,36 +162,40 @@ func ReadInstance(r io.Reader) (*Instance, error) {
 		return nil, err
 	}
 	var count int
-	if _, err := fmt.Sscanf(line, "customers %d", &count); err != nil {
+	if _, err := fmt.Sscanf(line, "customers %d", &count); err != nil || !countOK(count) {
 		return nil, fmt.Errorf("data: bad customers line %q", line)
 	}
-	customers := make([]int32, count)
+	var customers []int32
 	for i := 0; i < count; i++ {
 		line, err = next()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fmt.Sscanf(line, "%d", &customers[i]); err != nil {
+		var c int32
+		if _, err := fmt.Sscanf(line, "%d", &c); err != nil {
 			return nil, fmt.Errorf("data: bad customer line %q", line)
 		}
+		customers = append(customers, c)
 	}
 
 	line, err = next()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fmt.Sscanf(line, "facilities %d", &count); err != nil {
+	if _, err := fmt.Sscanf(line, "facilities %d", &count); err != nil || !countOK(count) {
 		return nil, fmt.Errorf("data: bad facilities line %q", line)
 	}
-	facilities := make([]Facility, count)
+	var facilities []Facility
 	for i := 0; i < count; i++ {
 		line, err = next()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fmt.Sscanf(line, "%d %d", &facilities[i].Node, &facilities[i].Capacity); err != nil {
+		var f Facility
+		if _, err := fmt.Sscanf(line, "%d %d", &f.Node, &f.Capacity); err != nil {
 			return nil, fmt.Errorf("data: bad facility line %q", line)
 		}
+		facilities = append(facilities, f)
 	}
 
 	line, err = next()

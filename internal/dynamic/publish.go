@@ -24,14 +24,11 @@ type Published struct {
 	Assignment []int
 }
 
-// Publish materializes the current assignment as an immutable view,
-// rebuilding a stale matching first. Every slice is freshly allocated,
-// and nothing else is: the caller may share the result across
-// goroutines freely.
+// Publish materializes the current assignment as an immutable view.
+// Every slice is freshly allocated, and nothing else is: the caller may
+// share the result across goroutines freely. It reads the state only,
+// so it succeeds under any context.
 func (r *Reallocator) Publish() (*Published, error) {
-	if err := r.flush(); err != nil {
-		return nil, err
-	}
 	n := len(r.order)
 	p := &Published{
 		Selected:   append([]int(nil), r.selected...),

@@ -12,11 +12,16 @@
 // is freed, and only when its facility was full does one bounded search
 // look for the single cost-reducing cycle through that slot
 // (bipartite.Matcher.RemoveCustomerCtx). The matching is rebuilt from
-// scratch only for a new selection and to recover from a failed
-// operation. The facility selection itself is re-solved from scratch
+// scratch only for a new selection: a full solve, an adoption or a
+// restore. The facility selection itself is re-solved from scratch
 // (full WMA) when the incremental assignment's cost drifts beyond a
 // configurable factor of the last full solve, when an arrival cannot be
 // served by the open facilities, or on explicit Refresh.
+//
+// A failed operation leaves the state it found: a re-selection installs
+// its selection and matching only once both are built, and a refused
+// arrival is taken back out of the matcher it joined. Reads never
+// rebuild anything.
 package dynamic
 
 import (
@@ -56,7 +61,7 @@ type Options struct {
 // Stats counts the work a Reallocator has performed.
 type Stats struct {
 	FullSolves int `json:"full_solves"` // complete WMA re-selections
-	Rebuilds   int `json:"rebuilds"`    // assignment rebuilds (re-selections, adoptions, restores, recovery)
+	Rebuilds   int `json:"rebuilds"`    // assignment rebuilds (re-selections, adoptions, restores)
 	Adoptions  int `json:"adoptions"`   // externally computed selections installed (Adopt*)
 	Arrivals   int `json:"arrivals"`
 	Departures int `json:"departures"`
@@ -77,17 +82,13 @@ type Reallocator struct {
 	selected []int // global facility indexes currently open
 	mt       *bipartite.Matcher
 	handleOf []int // matcher customer index → handle
-	// stale marks a matching that a failed operation left behind; the
-	// next operation rebuilds it, and until then matcher indexes are
-	// meaningless.
-	stale bool
 
 	baseObjective int64 // objective right after the last full solve
 	stats         Stats
 }
 
 // customer is a live customer's network node and its index in the
-// matcher (valid while the matching is not stale).
+// matcher.
 type customer struct {
 	node int32
 	idx  int32
@@ -99,11 +100,10 @@ type customer struct {
 // The context is retained and governs the initial full solve and every
 // subsequent operation on the Reallocator (arrivals, rebuilds,
 // drift-triggered re-selections); rebind it with SetContext. When the
-// context fires mid-operation the method returns ctx.Err() and the
-// running matching is marked stale, so the next operation under a live
-// context transparently rebuilds it — the Reallocator itself stays
-// usable. A departure never fails this way: its repair does not poll
-// the context.
+// context fires mid-operation the method returns ctx.Err() and leaves
+// the state it found, so the Reallocator stays usable and every read
+// succeeds under any context. A departure never fails this way: its
+// repair does not poll the context.
 func NewCtx(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator, error) {
 	r, err := skeleton(ctx, inst, opt)
 	if err != nil {
@@ -175,9 +175,9 @@ func (r *Reallocator) instance() *data.Instance {
 }
 
 // SetContext rebinds the context governing subsequent operations
-// (nil restores context.Background()). Use it to recover a Reallocator
-// whose previous context was cancelled or expired: the next operation
-// rebuilds any matching state the interrupted one left stale.
+// (nil restores context.Background()). An operation that failed under
+// the previous context left nothing to recover: the next one under a
+// live context proceeds from the state before it.
 func (r *Reallocator) SetContext(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -185,45 +185,36 @@ func (r *Reallocator) SetContext(ctx context.Context) {
 	r.ctx = ctx
 }
 
-// fullSolve re-selects facilities with WMA and rebuilds the matching.
+// fullSolve re-selects facilities with WMA and rebuilds the matching;
+// on error it changes nothing.
 func (r *Reallocator) fullSolve() error {
 	r.rec().Add(obs.ReallocFullSolves, 1)
-	inst := r.instance()
-	sol, err := core.SolveCtx(r.ctx, inst, r.opt.Core)
+	sol, err := core.SolveCtx(r.ctx, r.instance(), r.opt.Core)
 	if err != nil {
 		return err
 	}
-	r.selected = sol.Selected
-	r.stats.FullSolves++
-	if err := r.rebuild(); err != nil {
-		// The new selection is installed but unmatched; force a rebuild on
-		// the next operation.
-		r.stale = true
+	if err := r.rebuild(sol.Selected); err != nil {
 		return err
 	}
-	r.baseObjective = r.mt.TotalMatchedCost()
+	r.stats.FullSolves++
 	return nil
 }
 
 // AdoptSelection installs an externally computed facility selection —
 // e.g. a full re-solve by any registered algorithm — and rebuilds the
 // optimal assignment of the live population to it. On failure
-// (unservable population, cancellation) the previous selection is kept
-// and the Reallocator stays usable. Success resets the drift baseline,
-// exactly like a WMA re-selection.
+// (unservable population, cancellation) nothing changes. Success resets
+// the drift baseline, exactly like a WMA re-selection.
 func (r *Reallocator) AdoptSelection(selected []int) error {
-	old := r.selected
 	if err := r.adopt(selected); err != nil {
-		r.selected = old
 		return err
 	}
 	r.stats.Adoptions++
 	return nil
 }
 
-// adopt validates and installs a selection and rebuilds the matching;
-// on error r.selected is left as the caller's installed value (callers
-// that need rollback keep the old slice).
+// adopt validates a selection and rebuilds the matching for it; on
+// error it changes nothing.
 func (r *Reallocator) adopt(selected []int) error {
 	if len(selected) > r.k {
 		return fmt.Errorf("dynamic: selection of %d facilities exceeds budget k=%d", len(selected), r.k)
@@ -238,12 +229,7 @@ func (r *Reallocator) adopt(selected []int) error {
 		}
 		seen[j] = true
 	}
-	r.selected = append([]int(nil), selected...)
-	if err := r.rebuild(); err != nil {
-		return err
-	}
-	r.baseObjective = r.mt.TotalMatchedCost()
-	return nil
+	return r.rebuild(append([]int(nil), selected...))
 }
 
 // rec returns the recorder bound to the Reallocator's current context
@@ -251,14 +237,16 @@ func (r *Reallocator) adopt(selected []int) error {
 // observability along with cancellation.
 func (r *Reallocator) rec() *obs.Recorder { return obs.From(r.ctx) }
 
-// rebuild reconstructs the optimal assignment of the live customers to
-// the open facilities, indexing the matcher's customers in handle order.
-func (r *Reallocator) rebuild() error {
+// rebuild builds the optimal assignment of the live customers to the
+// facilities in selected, indexing the matcher's customers in handle
+// order. Only once it is built does rebuild install the selection, the
+// matching and the drift baseline, so on error it changes nothing.
+func (r *Reallocator) rebuild(selected []int) error {
 	if p := r.rec().Phase("repair"); p != nil {
 		defer p.End()
 	}
-	subset := make([]data.Facility, len(r.selected))
-	for i, j := range r.selected {
+	subset := make([]data.Facility, len(selected))
+	for i, j := range selected {
 		subset[i] = r.facilities[j]
 	}
 	custs := make([]int32, len(r.order))
@@ -270,31 +258,24 @@ func (r *Reallocator) rebuild() error {
 	for i := range custs {
 		ok, err := mt.FindPairCtx(r.ctx, i)
 		if err != nil {
-			return err // r.mt untouched; stale stays set for a retry
+			return err
 		}
 		if !ok {
 			return fmt.Errorf("dynamic: customer %d unservable by open facilities: %w", r.order[i], data.ErrInfeasible)
 		}
 	}
+	r.selected = selected
 	r.mt = mt
 	r.handleOf = append(r.handleOf[:0], r.order...)
 	for i, h := range r.order {
 		r.customers[h] = customer{node: custs[i], idx: int32(i)}
 	}
-	r.stale = false
+	r.baseObjective = mt.TotalMatchedCost()
 	r.stats.Rebuilds++
 	rec := r.rec()
 	rec.Add(obs.ReallocRepairs, 1)
 	rec.Add(obs.ReallocReroutedCustomers, int64(len(custs)))
 	return nil
-}
-
-// flush rebuilds a matching that a failed operation left stale.
-func (r *Reallocator) flush() error {
-	if !r.stale {
-		return nil
-	}
-	return r.rebuild()
 }
 
 // AddCustomer admits a new customer at the given network node and
@@ -303,91 +284,76 @@ func (r *Reallocator) flush() error {
 // re-selection runs, and data.ErrInfeasible is returned only when even
 // the full candidate catalogue cannot serve the population. An arrival
 // that lifts the objective past DriftFactor × the baseline re-selects
-// inline, under the same context. An error admits no customer: the
-// newcomer is rolled back, whichever step failed.
+// inline, under the same context. An error admits no customer, uses up
+// no handle and counts no arrival: whichever step failed, the newcomer
+// is taken back out of the matcher it joined, since a failed
+// re-selection installs nothing.
 func (r *Reallocator) AddCustomer(node int32) (int, error) {
 	if node < 0 || int(node) >= r.g.N() {
 		return 0, fmt.Errorf("%w: node %d outside [0,%d)", ErrBadNode, node, r.g.N())
 	}
-	if err := r.flush(); err != nil && !errors.Is(err, data.ErrInfeasible) {
-		return 0, err
-	} else if err != nil {
-		// Open facilities cannot even serve the remaining population; try
-		// a full re-selection before admitting the newcomer.
-		if err := r.fullSolve(); err != nil {
-			return 0, err
-		}
-	}
 	h := r.nextID
-	r.nextID++
 	idx := r.mt.AddCustomer(node)
 	r.customers[h] = customer{node: node, idx: int32(idx)}
 	r.order = append(r.order, h)
 	r.handleOf = append(r.handleOf, h)
-	r.stats.Arrivals++
-
-	ok, err := r.mt.FindPairCtx(r.ctx, idx)
-	if err != nil {
-		// Cancelled mid-assignment: roll the newcomer back and force a
-		// rebuild so the matcher drops its unmatched stub.
-		r.dropHandle(h)
-		r.stale = true
+	if err := r.admit(idx); err != nil {
+		r.remove(h)
 		return 0, err
 	}
-	if !ok {
-		// Selection saturated: re-select with the newcomer included.
-		if err := r.fullSolve(); err != nil {
-			// Admission failed entirely: roll the newcomer back and force
-			// a rebuild so the matcher drops its unmatched stub.
-			r.dropHandle(h)
-			r.stale = true
-			return 0, err
-		}
-		return h, nil
-	}
-	if r.driftExceeded() {
-		if err := r.fullSolve(); err != nil {
-			// The newcomer is matched, but the re-solve it triggered
-			// failed: roll it back all the same, so an error never
-			// admits a customer whose handle the caller does not get.
-			r.dropHandle(h)
-			r.stale = true
-			return 0, err
-		}
-	}
+	r.nextID++
+	r.stats.Arrivals++
 	return h, nil
+}
+
+// admit assigns matcher customer idx, re-selecting with it included
+// when the open facilities cannot serve it or its assignment drifts the
+// objective past the bound.
+func (r *Reallocator) admit(idx int) error {
+	ok, err := r.mt.FindPairCtx(r.ctx, idx)
+	if err != nil {
+		return err
+	}
+	if !ok || r.driftExceeded() {
+		return r.fullSolve()
+	}
+	return nil
 }
 
 // RemoveCustomer applies a customer's departure at once: the matching
 // is repaired in place (see the package doc), so the assignment stays
 // optimal with no rebuild. Only an unknown handle is an error; the
 // repair does not poll the context, so a live handle is always removed.
-// A departure while the matching is stale joins the pending rebuild.
 func (r *Reallocator) RemoveCustomer(handle int) error {
-	c, ok := r.customers[handle]
-	if !ok {
+	if _, ok := r.customers[handle]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownHandle, handle)
 	}
-	if !r.stale {
-		moved, err := r.mt.RemoveCustomerCtx(r.ctx, int(c.idx))
-		if err != nil {
-			return err // unreachable: every customer holds one match
-		}
-		// The matcher moved its last customer into the freed index.
-		last := len(r.handleOf) - 1
-		if i := int(c.idx); i != last {
-			h := r.handleOf[last]
-			r.handleOf[i] = h
-			r.customers[h] = customer{node: r.customers[h].node, idx: c.idx}
-		}
-		r.handleOf = r.handleOf[:last]
-		rec := r.rec()
-		rec.Add(obs.ReallocRepairs, 1)
-		rec.Add(obs.ReallocReroutedCustomers, int64(moved))
-	}
-	r.dropHandle(handle)
+	r.remove(handle)
 	r.stats.Departures++
 	return nil
+}
+
+// remove takes live customer handle out of the matcher and repairs the
+// matching in place. Every customer in the matcher holds one match, a
+// refused newcomer at most one, so the repair cannot fail.
+func (r *Reallocator) remove(handle int) {
+	c := r.customers[handle]
+	moved, err := r.mt.RemoveCustomerCtx(r.ctx, int(c.idx))
+	if err != nil {
+		panic(err)
+	}
+	// The matcher moved its last customer into the freed index.
+	last := len(r.handleOf) - 1
+	if i := int(c.idx); i != last {
+		h := r.handleOf[last]
+		r.handleOf[i] = h
+		r.customers[h] = customer{node: r.customers[h].node, idx: c.idx}
+	}
+	r.handleOf = r.handleOf[:last]
+	rec := r.rec()
+	rec.Add(obs.ReallocRepairs, 1)
+	rec.Add(obs.ReallocReroutedCustomers, int64(moved))
+	r.dropHandle(handle)
 }
 
 // HasCustomer reports whether handle names a live customer.
@@ -411,12 +377,9 @@ func (r *Reallocator) driftExceeded() bool {
 	return float64(cur) > r.opt.DriftFactor*float64(r.baseObjective)+0.5
 }
 
-// Objective returns the current total assignment distance (rebuilding a
-// stale matching first).
+// Objective returns the current total assignment distance. The error is
+// always nil; it is kept for API stability.
 func (r *Reallocator) Objective() (int64, error) {
-	if err := r.flush(); err != nil {
-		return 0, err
-	}
 	return r.mt.TotalMatchedCost(), nil
 }
 
@@ -429,9 +392,6 @@ func (r *Reallocator) Selected() []int {
 // Assignment returns the current customer→facility mapping keyed by
 // handle, with facility values indexing the candidate catalogue.
 func (r *Reallocator) Assignment() (map[int]int, error) {
-	if err := r.flush(); err != nil {
-		return nil, err
-	}
 	out := make(map[int]int, len(r.order))
 	for idx, h := range r.handleOf {
 		fac, _, ok := r.mt.Match(idx)
@@ -446,9 +406,6 @@ func (r *Reallocator) Assignment() (map[int]int, error) {
 // Solution materializes a data.Solution for the current population (in
 // handle order) — convenient for CheckSolution-style verification.
 func (r *Reallocator) Solution() (*data.Instance, *data.Solution, error) {
-	if err := r.flush(); err != nil {
-		return nil, nil, err
-	}
 	asg, err := r.Assignment()
 	if err != nil {
 		return nil, nil, err

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -237,48 +239,108 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestAddCustomerErrorAdmitsNobody sweeps a cancellation over every
-// context poll of an arrival that crosses the drift factor. Wherever
-// AddCustomer fails, in the flush, in the newcomer's search or inside
-// the drift re-solve it triggers, the population is unchanged, and a
-// live context brings back a verified state.
+// context poll of an arrival. Wherever AddCustomer fails, it leaves the
+// state it found: the snapshot, Stats and NextID included, equals the
+// one taken before the call, and the published view keeps its
+// objective, selection and handles. Both reads succeed under the
+// still-cancelled context, since nothing is left to rebuild, and a live
+// context then verifies the state. The drift input fails in the
+// newcomer's search and inside the re-solve its arrival triggers. The
+// infeasible input saturates the open selection, and its re-solve fails
+// at every poll count: cancelled, or refused once the countdown
+// outlasts it.
 func TestAddCustomerErrorAdmitsNobody(t *testing.T) {
-	inst := lineInstance(t)
-	inResolve := 0
-	for polls := 0; ; polls++ {
-		if polls > 100000 {
-			t.Fatal("arrival still cancelled after 100000 polls")
-		}
-		r, err := NewCtx(context.Background(), inst, Options{DriftFactor: 1.01})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := r.Customers()
-		rec := obs.New()
-		r.SetContext(obs.WithRecorder(&countdownCtx{Context: context.Background(), remaining: polls}, rec))
-		h, err := r.AddCustomer(9)
-		if err == nil {
-			// The countdown outlasted the arrival; every smaller one failed
-			// somewhere inside it.
-			if rec.Counter(obs.ReallocFullSolves) == 0 {
-				t.Fatal("the arrival never crossed the drift factor; the sweep proves nothing")
+	for _, tc := range []struct {
+		name   string
+		k      int
+		drift  float64
+		before []int32 // arrivals admitted before the swept one
+		node   int32
+		final  error // the swept arrival's error once the countdown outlasts it
+		// cancelInResolve requires some poll index to cancel the arrival
+		// inside its re-solve.
+		cancelInResolve bool
+	}{
+		{name: "drift", k: 3, drift: 1.01, node: 9, cancelInResolve: true},
+		{name: "infeasible", k: 2, drift: -1, before: []int32{0, 1}, node: 2, final: data.ErrInfeasible},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := lineInstance(t)
+			inst.K = tc.k
+			inResolve := 0
+			for polls := 0; ; polls++ {
+				if polls > 100000 {
+					t.Fatal("arrival still cancelled after 100000 polls")
+				}
+				r, err := NewCtx(context.Background(), inst, Options{DriftFactor: tc.drift})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, node := range tc.before {
+					if _, err := r.AddCustomer(node); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap, err := r.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				view, err := r.Publish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := obs.New()
+				r.SetContext(obs.WithRecorder(&countdownCtx{Context: context.Background(), remaining: polls}, rec))
+				h, err := r.AddCustomer(tc.node)
+				cancelled := errors.Is(err, context.Canceled)
+				resolved := rec.Counter(obs.ReallocFullSolves) > 0
+				switch {
+				case cancelled && resolved:
+					inResolve++
+				case !cancelled && !errors.Is(err, tc.final):
+					t.Fatalf("polls %d: err = %v, want context.Canceled or %v", polls, err, tc.final)
+				case !cancelled && !resolved:
+					t.Fatal("the arrival never re-solved; the sweep proves nothing")
+				}
+				if err != nil {
+					if h != 0 {
+						t.Fatalf("polls %d: failed arrival returned handle %d, want 0", polls, h)
+					}
+					assertUnchanged(t, r, snap, view)
+				}
+				if !cancelled {
+					break
+				}
 			}
-			break
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("polls %d: err = %v, want context.Canceled", polls, err)
-		}
-		if rec.Counter(obs.ReallocFullSolves) > 0 {
-			inResolve++
-		}
-		if h != 0 || r.Customers() != before {
-			t.Fatalf("polls %d: failed arrival returned handle %d and left %d customers, want 0 and %d", polls, h, r.Customers(), before)
-		}
-		r.SetContext(context.Background())
-		verify(t, r)
+			if tc.cancelInResolve && inResolve == 0 {
+				t.Fatal("no poll index cancelled the arrival inside its re-solve")
+			}
+		})
 	}
-	if inResolve == 0 {
-		t.Fatal("no poll index failed inside the drift re-solve")
+}
+
+// assertUnchanged checks, under whatever context r holds, that both
+// reads succeed and match the snapshot and view taken before a failed
+// operation, then verifies the state under a live context.
+func assertUnchanged(t *testing.T, r *Reallocator, snap *Snapshot, view *Published) {
+	t.Helper()
+	got, err := r.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot after the failed operation: %v", err)
 	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("failed operation changed the snapshot:\n got %+v\nwant %+v", got, snap)
+	}
+	pub, err := r.Publish()
+	if err != nil {
+		t.Fatalf("publish after the failed operation: %v", err)
+	}
+	if pub.Objective != view.Objective || !slices.Equal(pub.Selected, view.Selected) || !slices.Equal(pub.Handles, view.Handles) {
+		t.Fatalf("failed operation changed the view: objective %d, selected %v, handles %v; want %d, %v, %v",
+			pub.Objective, pub.Selected, pub.Handles, view.Objective, view.Selected, view.Handles)
+	}
+	r.SetContext(context.Background())
+	verify(t, r)
 }
 
 // TestReallocatorRejectsDriftFactorAtMostOne: a factor in (0, 1] would

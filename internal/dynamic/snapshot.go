@@ -42,13 +42,10 @@ type Snapshot struct {
 	Stats         Stats   `json:"stats"`
 }
 
-// Snapshot captures the current state. A stale matching is rebuilt
-// first, so the capture holds the objective being served; the error is
-// that rebuild's.
+// Snapshot captures the current state. It reads the state only, so it
+// succeeds under any context; the error is always nil and is kept for
+// API stability.
 func (r *Reallocator) Snapshot() (*Snapshot, error) {
-	if err := r.flush(); err != nil {
-		return nil, err
-	}
 	s := &Snapshot{
 		Version:       SnapshotVersion,
 		Nodes:         r.g.N(),

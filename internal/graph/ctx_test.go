@@ -67,6 +67,9 @@ func TestMultiSourceDijkstraCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestNNSearcherCtxCancelled: a cancellation stalls the searcher
+// between two pops, and a live context resumes it there. Another
+// cancelled context leaves it stalled.
 func TestNNSearcherCtxCancelled(t *testing.T) {
 	n := 3 * checkEvery
 	g := longLine(t, n)
@@ -75,16 +78,28 @@ func TestNNSearcherCtxCancelled(t *testing.T) {
 	mask := make([]bool, n)
 	mask[n-1] = true
 	s := NewNNSearcherCtx(cancelledCtx(), g, 0, mask)
-	if _, _, ok := s.Next(); ok {
+	if _, _, ok := s.Peek(); ok {
 		t.Fatal("cancelled searcher yielded a neighbor")
 	}
 	if err := s.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Err() = %v, want context.Canceled", err)
 	}
-	// Uncancelled searcher over the same input still finds the candidate.
-	s2 := NewNNSearcherCtx(context.Background(), g, 0, mask)
-	node, d, ok := s2.Next()
+	s.SetContext(cancelledCtx())
+	if _, _, ok := s.Next(); ok || s.Err() == nil {
+		t.Fatal("a cancelled context resumed the stalled searcher")
+	}
+	s.SetContext(context.Background())
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err() = %v after a live context, want nil", err)
+	}
+	node, d, ok := s.Next()
 	if !ok || node != int32(n-1) || d != int64(n-1) {
-		t.Fatalf("Next() = (%d, %d, %v), want (%d, %d, true)", node, d, ok, n-1, n-1)
+		t.Fatalf("resumed Next() = (%d, %d, %v), want (%d, %d, true)", node, d, ok, n-1, n-1)
+	}
+	if _, _, ok := s.Next(); ok {
+		t.Fatal("resumed searcher yielded a second candidate")
+	}
+	if got := s.Settled(); got != n {
+		t.Fatalf("resumed searcher settled %d nodes, want %d: each node once", got, n)
 	}
 }

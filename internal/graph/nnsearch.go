@@ -32,10 +32,11 @@ type NNSearcher struct {
 	peekDist int64
 	hasPeek  bool
 
-	// ctx is polled every checkEvery heap pops of the resumed Dijkstra;
-	// on cancellation the searcher stops, records ctx.Err() in err, and
-	// reports exhaustion. A cancelled searcher is poisoned: the
-	// interrupted expansion cannot be resumed correctly.
+	// ctx is polled every checkEvery heap pops of the resumed Dijkstra,
+	// always before a pop, so the heap and labels are whole whenever it
+	// fires. On cancellation the searcher stalls there: it records
+	// ctx.Err() in err and reports exhaustion until SetContext installs
+	// a live context, which resumes the search where it stopped.
 	ctx  context.Context
 	err  error
 	pops int
@@ -67,14 +68,28 @@ func NewNNSearcherCtx(ctx context.Context, g *Graph, src int32, isCand []bool) *
 func (s *NNSearcher) Source() int32 { return s.src }
 
 // SetContext replaces the searcher's cooperative-cancellation context
-// (non-nil): subsequent advances poll it every checkEvery heap pops.
-// Once a searcher has observed a cancellation it stays exhausted; see
-// Err.
-func (s *NNSearcher) SetContext(ctx context.Context) { s.ctx = ctx }
+// (non-nil): subsequent advances poll it every checkEvery heap pops. A
+// searcher stalled by a cancellation resumes at once when ctx is live,
+// exactly where it stopped, so its candidates and their order are those
+// of an uninterrupted search.
+func (s *NNSearcher) SetContext(ctx context.Context) {
+	s.ctx = ctx
+	if s.err != nil {
+		s.resume() // kept out of line, so SetContext inlines on the hot path
+	}
+}
 
-// Err returns the context error that interrupted the searcher, or nil.
-// When non-nil, Peek/Next report exhaustion without the search space
-// actually being exhausted, and the searcher must not be reused.
+// resume restarts a stalled search where it stopped if ctx is live.
+func (s *NNSearcher) resume() {
+	if s.ctx.Err() == nil {
+		s.err = nil
+		s.advance()
+	}
+}
+
+// Err returns the context error that stalled the searcher, or nil.
+// While non-nil, Peek/Next report exhaustion without the search space
+// actually being exhausted; SetContext with a live context resumes it.
 func (s *NNSearcher) Err() error { return s.err }
 
 // Peek returns the next candidate node and its distance without
@@ -108,12 +123,9 @@ func (s *NNSearcher) Next() (node int32, dist int64, ok bool) {
 func (s *NNSearcher) Settled() int { return s.settledCount }
 
 // advance resumes Dijkstra until the next unreturned candidate is
-// settled, storing it as the new peek.
+// settled, storing it as the new peek, or until ctx fires.
 func (s *NNSearcher) advance() {
 	s.hasPeek = false
-	if s.err != nil {
-		return
-	}
 	g := s.g
 	for s.heap.Len() > 0 {
 		if s.pops++; s.pops&(checkEvery-1) == 0 {

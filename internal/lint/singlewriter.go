@@ -25,8 +25,8 @@ import (
 //
 // Whether a method mutates comes from the cross-package summaries
 // (summary.go): a method provably writing through its receiver —
-// directly or via a same-package callee, which is how Publish inherits
-// flush's writes — is mutating. Without a summary (the dynamic package
+// directly or via a same-package callee, which is how Refresh inherits
+// fullSolve's writes — is mutating. Without a summary (the dynamic package
 // absent from the run) the rule stays silent rather than guessing.
 type SingleWriter struct{}
 

@@ -101,8 +101,8 @@ var counterHelp = [numCounters]string{
 	BnBNodesExpanded:         "branch-and-bound nodes evaluated (relaxation solves)",
 	BnBNodesPruned:           "branch-and-bound frontier nodes discarded by the incumbent bound",
 	BnBIncumbentUpdates:      "branch-and-bound incumbent improvements",
-	ReallocRepairs:           "reallocator repair passes (one per departure, one per rebuild)",
-	ReallocReroutedCustomers: "customers whose facility a repair pass changed (a departure's cancelled cycle, or every customer of a rebuild)",
+	ReallocRepairs:           "reallocator repair passes (one per departure or refused arrival, one per rebuild)",
+	ReallocReroutedCustomers: "customers whose facility a repair pass changed (the cancelled cycle of a departure or a refused arrival, or every customer of a rebuild)",
 	ReallocFullSolves:        "full WMA re-selections run by the reallocator",
 	ServeSnapshots:           "periodic snapshots persisted to disk by the serving engine",
 	ServeSnapshotFailures:    "periodic snapshot attempts that failed (capture or persist)",

@@ -8,12 +8,12 @@
 // view swapped through an atomic pointer. Writes (/arrivals,
 // /departures, /resolve, /snapshot — anything touching the Reallocator)
 // are serialized through one batching goroutine that drains its queue,
-// coalesces up to MaxBatch operations into one repair window, publishes
+// coalesces up to maxBatch operations into one repair window, publishes
 // a fresh view once, and only then releases the waiting requests.
 // Request deadlines map onto the Reallocator's context API: each
 // operation runs under its request's context (bounded by
-// DefaultTimeout), and a cancelled operation leaves the matching stale
-// only until the next operation under a live context heals it.
+// DefaultTimeout), and a cancelled or failed operation leaves the state
+// it found, so the batch's publish reads that state and never rebuilds.
 package serve
 
 import (
@@ -48,9 +48,6 @@ type Config struct {
 	// the objective past DriftFactor × the baseline of the last full
 	// solve re-solves inline, inside its own request.
 	DriftFactor float64
-	// MaxBatch caps how many queued operations one repair window
-	// coalesces; 0 picks 64.
-	MaxBatch int
 	// DefaultTimeout bounds each write operation's context when the
 	// request itself carries no earlier deadline; 0 picks 5s.
 	DefaultTimeout time.Duration
@@ -77,6 +74,9 @@ type Config struct {
 	FS    FS
 	Clock Clock
 }
+
+// maxBatch caps how many queued operations one repair window coalesces.
+const maxBatch = 64
 
 // errShutdown is returned to requests that arrive while the server is
 // draining.
@@ -153,9 +153,6 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.Algorithm.Valid() {
 		return nil, fmt.Errorf("serve: unknown algorithm %q", cfg.Algorithm)
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 5 * time.Second
 	}
@@ -186,7 +183,7 @@ func New(cfg Config) (*Server, error) {
 		r:     r,
 		fs:    cfg.FS,
 		clock: cfg.Clock,
-		ops:   make(chan op, 4*cfg.MaxBatch),
+		ops:   make(chan op, 4*maxBatch),
 		quit:  make(chan struct{}),
 		lat:   make(map[string]*metrics.Histogram, len(endpointNames)),
 		rec:   obs.New(),
@@ -260,7 +257,6 @@ func (s *Server) Recorder() *obs.Recorder { return s.rec }
 // publish materializes the Reallocator's state and swaps it in. Runs on
 // the writer goroutine (and once during New, before the loop starts).
 func (s *Server) publish() error {
-	s.r.SetContext(obs.WithRecorder(context.Background(), s.rec))
 	pub, err := s.r.Publish()
 	if err != nil {
 		return err
@@ -298,7 +294,7 @@ type opResult struct {
 }
 
 // loop is the single writer: it blocks for one operation, drains the
-// queue up to MaxBatch (coalescing concurrent churn into one repair
+// queue up to maxBatch (coalescing concurrent churn into one repair
 // window), processes the batch against the Reallocator, publishes once,
 // and then releases every waiter.
 func (s *Server) loop() {
@@ -311,7 +307,7 @@ func (s *Server) loop() {
 		case first = <-s.ops:
 		}
 		batch := []op{first}
-		for len(batch) < s.cfg.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case o := <-s.ops:
 				batch = append(batch, o)

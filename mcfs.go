@@ -485,7 +485,9 @@ func NewBikesScenario(g *Graph, cfg BikesConfig) (*BikesScenario, error) {
 // WriteInstance serializes an instance in the module's text format.
 func WriteInstance(w io.Writer, inst *Instance) error { return data.WriteInstance(w, inst) }
 
-// ReadInstance parses the text format.
+// ReadInstance parses the text format. Counts must lie in [0, 2^31-1],
+// and a graph of more than 2^16 nodes needs an edge per 16 nodes, so a
+// short file cannot make the reader allocate much.
 func ReadInstance(r io.Reader) (*Instance, error) { return data.ReadInstance(r) }
 
 // LargestComponent returns the nodes of the largest connected component;
@@ -533,10 +535,11 @@ func NewReallocator(inst *Instance, driftFactor float64, opts ...Option) (*Reall
 // NewReallocatorCtx is NewReallocator with cooperative cancellation. The
 // context is retained by the Reallocator and governs the initial full
 // solve and every later operation (arrivals, rebuilds, re-selections);
-// rebind it with the Reallocator's SetContext. A cancelled operation
-// returns ctx.Err() and marks the matching stale; the next operation
-// under a live context rebuilds it, so the Reallocator stays usable. A
-// departure is never cancelled: its repair does not poll the context.
+// rebind it with the Reallocator's SetContext. A cancelled or failed
+// operation returns its error and leaves the state it found, so the
+// Reallocator stays usable and its reads (Objective, Publish, Snapshot)
+// succeed under any context: none of them rebuilds. A departure is
+// never cancelled: its repair does not poll the context.
 func NewReallocatorCtx(ctx context.Context, inst *Instance, driftFactor float64, opts ...Option) (*Reallocator, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -632,7 +635,8 @@ func ImproveCtx(ctx context.Context, inst *Instance, sol *Solution, maxMoves int
 
 // ReadDIMACSGraph parses a 9th-DIMACS-challenge shortest-path graph (and
 // optional coordinate companion; pass nil to skip). undirected collapses
-// the symmetric arc pairs of road-network distributions.
+// the symmetric arc pairs of road-network distributions. As in
+// ReadInstance, a graph of more than 2^16 nodes needs an edge per 16.
 func ReadDIMACSGraph(gr io.Reader, co io.Reader, undirected bool) (*Graph, error) {
 	return data.ReadDIMACSGraph(gr, co, undirected)
 }

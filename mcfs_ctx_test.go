@@ -319,7 +319,8 @@ func TestPublicAPIImproveCtxKeepsIncumbent(t *testing.T) {
 }
 
 // TestPublicAPIReallocatorSetContext: a Reallocator survives a cancelled
-// operation — rebinding a live context heals the stale matching.
+// operation, which leaves the state it found, and after rebinding a
+// live context the next arrival proceeds from that state.
 func TestPublicAPIReallocatorSetContext(t *testing.T) {
 	inst := buildInstance(t, 45)
 	r, err := mcfs.NewReallocator(inst, 0)

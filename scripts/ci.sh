@@ -51,153 +51,6 @@ covprofile=$(mktemp)
 go test -race -coverprofile="$covprofile" ./internal/...
 go test -race . ./cmd/... ./examples/...
 
-# mcfsd serving smoke (DESIGN.md §12): boots the daemon on a
-# quickstart-scale instance, queries an assignment, captures a snapshot,
-# restarts from it, verifies the published objective is identical, and
-# checks the SIGTERM drain exits cleanly. The test also runs as part of
-# the ./cmd/ suite above; the named step keeps the serving path visible
-# in CI output when it breaks.
-echo "mcfsd smoke: serve -> snapshot -> restart -> identical objective"
-go test -race -run '^TestMCFSDServeSnapshotRestart$' -count=1 ./cmd/ >/dev/null
-
-# /metrics smoke (DESIGN.md §13): boot a real daemon, curl the
-# Prometheus exposition, and fail when it is empty or unparseable.
-# Every non-comment line must be "name value" with a numeric value —
-# the same shape the in-process serve tests assert, re-checked here
-# through an actual socket.
-echo "mcfsd smoke: /metrics exposition"
-smokedir=$(mktemp -d)
-go build -o "$smokedir" ./cmd/mcfsgen ./cmd/mcfsd
-"$smokedir/mcfsgen" -type uniform -n 400 -alpha 2.5 -m 20 -l 60 -cap 8 -k 6 -seed 7 -o "$smokedir/inst.mcfs"
-# Create the log before the daemon starts: the poll below reads it, and
-# awk cannot open a file the child's redirect has not created yet.
-: >"$smokedir/out.log"
-"$smokedir/mcfsd" -in "$smokedir/inst.mcfs" -addr 127.0.0.1:0 -quiet >"$smokedir/out.log" 2>&1 &
-mcfsd_pid=$!
-metrics_url=""
-for _ in $(seq 1 50); do
-	metrics_url=$(awk 'match($0, /listening on http:\/\/[^ ]+/) { print substr($0, RSTART+13, RLENGTH-13) }' "$smokedir/out.log")
-	[ -n "$metrics_url" ] && break
-	sleep 0.1
-done
-if [ -z "$metrics_url" ]; then
-	echo "mcfsd smoke: daemon never printed its address" >&2
-	cat "$smokedir/out.log" >&2
-	kill "$mcfsd_pid" 2>/dev/null || true
-	rm -rf "$smokedir"
-	exit 1
-fi
-curl -fsS "$metrics_url/metrics" >"$smokedir/metrics.txt"
-kill "$mcfsd_pid"
-wait "$mcfsd_pid" 2>/dev/null || true
-if ! awk '
-	/^#/ { next }
-	NF != 2 || $2 !~ /^-?[0-9.eE+]+$/ { bad++; print "unparseable metrics line: " $0 > "/dev/stderr" }
-	{ lines++ }
-	END { exit (lines == 0 || bad > 0) }
-' "$smokedir/metrics.txt"; then
-	echo "mcfsd smoke: /metrics empty or unparseable" >&2
-	rm -rf "$smokedir"
-	exit 1
-fi
-if ! grep -q '^mcfs_' "$smokedir/metrics.txt" || ! grep -q '^mcfsd_' "$smokedir/metrics.txt"; then
-	echo "mcfsd smoke: /metrics missing solver or daemon metric families" >&2
-	rm -rf "$smokedir"
-	exit 1
-fi
-echo "mcfsd smoke: /metrics OK ($(grep -vc '^#' "$smokedir/metrics.txt") samples)"
-rm -rf "$smokedir"
-
-# Crash-recovery smoke (DESIGN.md §12): run the daemon with a fast
-# periodic snapshot policy, churn the population, SIGKILL it (no drain),
-# plant a corrupt generation on top, and restart from the generation
-# directory. Recovery must skip the corrupt file and republish exactly
-# the settled pre-crash objective. The same property runs in-process as
-# TestMCFSDCrashRecovery; this step proves it through real processes
-# and a real kill -9.
-echo "mcfsd smoke: crash -> restore newest generation"
-crashdir=$(mktemp -d)
-go build -o "$crashdir" ./cmd/mcfsgen ./cmd/mcfsd
-"$crashdir/mcfsgen" -type uniform -n 400 -alpha 2.5 -m 20 -l 60 -cap 8 -k 6 -seed 11 -o "$crashdir/inst.mcfs"
-: >"$crashdir/out.log"
-"$crashdir/mcfsd" -in "$crashdir/inst.mcfs" -addr 127.0.0.1:0 -quiet \
-	-snapshot-every 50ms -snapshot-dir "$crashdir/snaps" >"$crashdir/out.log" 2>&1 &
-mcfsd_pid=$!
-crash_url=""
-for _ in $(seq 1 50); do
-	crash_url=$(awk 'match($0, /listening on http:\/\/[^ ]+/) { print substr($0, RSTART+13, RLENGTH-13) }' "$crashdir/out.log")
-	[ -n "$crash_url" ] && break
-	sleep 0.1
-done
-if [ -z "$crash_url" ]; then
-	echo "mcfsd smoke: crash daemon never printed its address" >&2
-	cat "$crashdir/out.log" >&2
-	kill "$mcfsd_pid" 2>/dev/null || true
-	rm -rf "$crashdir"
-	exit 1
-fi
-node=$(curl -fsS "$crash_url/assign?customer=0" | sed -n 's/.*"node": *\([0-9][0-9]*\).*/\1/p' | head -n 1)
-curl -fsS -X POST -H 'Content-Type: application/json' \
-	-d "{\"nodes\":[$node,$node,$node]}" "$crash_url/arrivals" >/dev/null
-pre_objective=$(curl -fsS "$crash_url/stats" | sed -n 's/.*"objective": *\(-\{0,1\}[0-9][0-9]*\).*/\1/p' | head -n 1)
-# Wait for two more generations after the churn settled: the snapshot
-# loop is sequential, so the second one is guaranteed to capture the
-# post-churn state (see TestMCFSDCrashRecovery).
-newest_gen() {
-	ls "$crashdir/snaps" 2>/dev/null |
-		sed -n 's/^mcfsd-0*\([0-9][0-9]*\)\.snap\.json$/\1/p' | sort -n | tail -n 1
-}
-base_gen=$(newest_gen)
-base_gen=${base_gen:-0}
-for _ in $(seq 1 100); do
-	g=$(newest_gen)
-	[ -n "$g" ] && [ "$g" -ge $((base_gen + 2)) ] && break
-	sleep 0.1
-done
-g=$(newest_gen)
-if [ -z "$g" ] || [ "$g" -lt $((base_gen + 2)) ]; then
-	echo "mcfsd smoke: snapshot policy stalled (newest generation ${g:-none})" >&2
-	kill "$mcfsd_pid" 2>/dev/null || true
-	rm -rf "$crashdir"
-	exit 1
-fi
-kill -9 "$mcfsd_pid"
-wait "$mcfsd_pid" 2>/dev/null || true
-printf '{torn' >"$crashdir/snaps/mcfsd-99999999.snap.json"
-: >"$crashdir/out2.log"
-"$crashdir/mcfsd" -in "$crashdir/inst.mcfs" -addr 127.0.0.1:0 -quiet \
-	-restore "$crashdir/snaps" >"$crashdir/out2.log" 2>&1 &
-mcfsd_pid=$!
-crash_url=""
-for _ in $(seq 1 50); do
-	crash_url=$(awk 'match($0, /listening on http:\/\/[^ ]+/) { print substr($0, RSTART+13, RLENGTH-13) }' "$crashdir/out2.log")
-	[ -n "$crash_url" ] && break
-	sleep 0.1
-done
-if [ -z "$crash_url" ]; then
-	echo "mcfsd smoke: restored daemon never printed its address" >&2
-	cat "$crashdir/out2.log" >&2
-	kill "$mcfsd_pid" 2>/dev/null || true
-	rm -rf "$crashdir"
-	exit 1
-fi
-post_objective=$(curl -fsS "$crash_url/stats" | sed -n 's/.*"objective": *\(-\{0,1\}[0-9][0-9]*\).*/\1/p' | head -n 1)
-kill "$mcfsd_pid"
-wait "$mcfsd_pid" 2>/dev/null || true
-if ! grep -q 'skipping corrupt snapshot' "$crashdir/out2.log"; then
-	echo "mcfsd smoke: restore did not report the planted corrupt generation" >&2
-	cat "$crashdir/out2.log" >&2
-	rm -rf "$crashdir"
-	exit 1
-fi
-if [ -z "$pre_objective" ] || [ "$pre_objective" != "$post_objective" ]; then
-	echo "mcfsd smoke: crash recovery drifted: objective ${pre_objective:-?} -> ${post_objective:-?}" >&2
-	rm -rf "$crashdir"
-	exit 1
-fi
-echo "mcfsd smoke: crash recovery OK (objective $post_objective preserved)"
-rm -rf "$crashdir"
-
 total=$(go tool cover -func="$covprofile" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
 baseline=$(cat scripts/coverage_baseline.txt)
 rm -f "$covprofile"
@@ -211,7 +64,7 @@ fi
 # fuzzing (not just the seed corpus) so a regression that only random
 # inputs can reach still trips CI. Findings are written to the package's
 # testdata/fuzz corpus by the fuzzer and reproduce as regular tests.
-for target in FuzzMatcher=./internal/bipartite FuzzDijkstra=./internal/graph FuzzMonotoneQueues=./internal/pq FuzzReadInstance=./internal/data FuzzSnapshotRestore=./internal/dynamic FuzzChurnBodies=./internal/serve; do
+for target in FuzzMatcher=./internal/bipartite FuzzDijkstra=./internal/graph FuzzMonotoneQueues=./internal/pq FuzzReadInstance=./internal/data FuzzReadDIMACSGraph=./internal/data FuzzSnapshotRestore=./internal/dynamic FuzzChurnBodies=./internal/serve; do
 	name=${target%%=*}
 	pkg=${target#*=}
 	echo "fuzz smoke: $name"
