@@ -5,7 +5,8 @@
 // the perf suite exists to make "faster" a checkable claim over time: it
 // measures the SSPA inner loop — resumable Dijkstra, the reduced-cost
 // FindPair search — the optimal assignment to a fixed selection, a
-// Reallocator churn script, and the end-to-end WMA solve on the city
+// Reallocator churn script and one Publish of the population it leaves,
+// and the end-to-end WMA solve on the city
 // presets, and emits a schema-versioned JSON file that ComparePerf can
 // diff against any earlier run. The bench package is the one layer
 // allowed to read the wall clock (the mcfslint determinism rule), which
@@ -254,12 +255,22 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 		// script; each departure and arrival is followed by Publish, as
 		// mcfsd publishes after every batch.
 		{name("Reallocator"), func(ctx context.Context, _ int) error {
-			pub, err := churn.replay(ctx)
+			_, pub, err := churn.replay(ctx)
 			if err == nil && pub.Objective != churn.want {
 				err = fmt.Errorf("objective %d after the churn script, AssignToSelection %d", pub.Objective, churn.want)
 			}
 			return err
 		}, true},
+		// The Publish row times one Publish of the Reallocator the churn
+		// script leaves, built once above. Publish records no obs
+		// counters, so the row has no probe.
+		{name("Publish"), func(context.Context, int) error {
+			pub, err := churn.final.Publish()
+			if err == nil && pub.Objective != churn.want {
+				err = fmt.Errorf("published objective %d, AssignToSelection %d", pub.Objective, churn.want)
+			}
+			return err
+		}, false},
 		{name("WMA"), func(ctx context.Context, _ int) error {
 			_, _, err := mcfs.AlgorithmWMA.Solve(ctx, inst, mcfs.WithSeed(cfg.Seed))
 			return err
@@ -275,13 +286,15 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 // known in advance: the snapshot's customers are 0..m-1 and each
 // arrival takes the next integer. want is the optimum
 // AssignToSelection finds for the script's final population and
-// selection, computed once.
+// selection, computed once, and final is the Reallocator that replay
+// left.
 type reallocatorChurn struct {
 	inst   *mcfs.Instance
 	snap   *mcfs.ReallocatorSnapshot
 	depart []int   // per step: the handle leaving
 	arrive []int32 // per step: the node arriving
 	want   int64
+	final  *mcfs.Reallocator
 }
 
 // churnSteps is the number of departure and arrival pairs in the
@@ -310,10 +323,11 @@ func newReallocatorChurn(inst *mcfs.Instance, seed int64) (*reallocatorChurn, er
 		live = append(live, next)
 		next++
 	}
-	pub, err := c.replay(context.Background())
+	final, pub, err := c.replay(context.Background())
 	if err != nil {
 		return nil, err
 	}
+	c.final = final
 	now := &mcfs.Instance{G: inst.G, Customers: pub.Nodes, Facilities: inst.Facilities, K: inst.K}
 	best, err := mcfs.AssignToSelectionCtx(context.Background(), now, pub.Selected)
 	if err != nil {
@@ -324,28 +338,29 @@ func newReallocatorChurn(inst *mcfs.Instance, seed int64) (*reallocatorChurn, er
 }
 
 // replay restores the snapshot under ctx and runs the script with a
-// Publish after every step, returning the last published view.
-func (c *reallocatorChurn) replay(ctx context.Context) (*mcfs.PublishedAssignment, error) {
+// Publish after every step, returning the Reallocator and its last
+// published view.
+func (c *reallocatorChurn) replay(ctx context.Context) (*mcfs.Reallocator, *mcfs.PublishedAssignment, error) {
 	r, err := mcfs.RestoreReallocatorCtx(ctx, c.inst, c.snap, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var pub *mcfs.PublishedAssignment
 	for i, h := range c.depart {
 		if err := r.RemoveCustomer(h); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if pub, err = r.Publish(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if _, err := r.AddCustomer(c.arrive[i]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if pub, err = r.Publish(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return pub, nil
+	return r, pub, nil
 }
 
 // WritePerfFile marshals the file (stable indented JSON) to path.

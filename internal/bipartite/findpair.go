@@ -242,7 +242,9 @@ func (mt *Matcher) flipPath(j int) (moved int) {
 			continue
 		}
 		fe := mt.facMatch[f.fac][f.idx]
-		mt.edges[fe.cust][fe.idx].matched = false
+		e := &mt.edges[fe.cust][fe.idx]
+		e.matched = false
+		mt.cost -= e.w
 		mt.matchCount[fe.cust]--
 		last := len(mt.facMatch[f.fac]) - 1
 		mt.facMatch[f.fac][f.idx] = mt.facMatch[f.fac][last]
@@ -252,7 +254,9 @@ func (mt *Matcher) flipPath(j int) (moved int) {
 		if !f.fwd {
 			continue
 		}
-		mt.edges[f.cust][f.idx].matched = true
+		e := &mt.edges[f.cust][f.idx]
+		e.matched = true
+		mt.cost += e.w
 		mt.matchCount[f.cust]++
 		mt.facMatch[f.fac] = append(mt.facMatch[f.fac], facEdge{cust: f.cust, idx: f.idx})
 		if !mt.everMatched[f.fac] {

@@ -70,6 +70,9 @@ type Matcher struct {
 	facIdx     map[int32]int
 	pot        []int64
 	maxCustPot int64
+	// cost is the sum of original weights over matched edges, updated
+	// wherever a matched flag flips (flipPath, unmatch).
+	cost int64
 
 	// touched lists facilities that have ever held a match — the only
 	// ones a set-cover pass needs to examine (everything else has zero
@@ -245,18 +248,8 @@ func (mt *Matcher) Match(i int) (fac int, w int64, ok bool) {
 }
 
 // TotalMatchedCost returns the sum of original weights over all matched
-// edges.
-func (mt *Matcher) TotalMatchedCost() int64 {
-	var total int64
-	for i := range mt.edges {
-		for _, e := range mt.edges[i] {
-			if e.matched {
-				total += e.w
-			}
-		}
-	}
-	return total
-}
+// edges. It is kept as a running total, so the call is O(1).
+func (mt *Matcher) TotalMatchedCost() int64 { return mt.cost }
 
 // Touched returns the facilities that have ever been matched to a
 // customer, in first-touch order. Facilities outside this list have

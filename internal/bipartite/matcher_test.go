@@ -162,10 +162,14 @@ func checkInvariants(t *testing.T, mt *Matcher) {
 			t.Fatalf("facility %d over capacity: %d > %d", j, mt.AssignedCount(j), mt.facs[j].Capacity)
 		}
 	}
+	var cost int64
 	for i := 0; i < mt.M(); i++ {
-		facs, _ := mt.Matches(i)
+		facs, ws := mt.Matches(i)
 		if mt.MatchCount(i) != len(facs) {
 			t.Fatalf("customer %d: MatchCount %d, but matched to %v", i, mt.MatchCount(i), facs)
+		}
+		for _, w := range ws {
+			cost += w
 		}
 		seen := map[int]bool{}
 		for _, f := range facs {
@@ -174,6 +178,10 @@ func checkInvariants(t *testing.T, mt *Matcher) {
 			}
 			seen[f] = true
 		}
+	}
+	// The running total must equal a fresh sum over matched edges.
+	if got := mt.TotalMatchedCost(); got != cost {
+		t.Fatalf("TotalMatchedCost %d, but matched edges sum to %d", got, cost)
 	}
 	// facMatch back-references must be consistent.
 	for j := 0; j < mt.L(); j++ {

@@ -60,6 +60,7 @@ func (mt *Matcher) unmatch(i int) int {
 			continue
 		}
 		e.matched = false
+		mt.cost -= e.w
 		mt.matchCount[i]--
 		fm := mt.facMatch[e.fac]
 		for k, fe := range fm {

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"mcfs/internal/data"
@@ -43,7 +44,9 @@ func fuzzInstance() *data.Instance {
 // and mcfsd skips corrupt generations instead of dying on them).
 // Second, anything ReadSnapshot accepts must round-trip byte-identically
 // through Write → ReadSnapshot → Write, so a restored-then-resnapshotted
-// state cannot drift through the codec itself.
+// state cannot drift through the codec itself. Third, a restored
+// Reallocator's Snapshot and Publish carry exactly the input's handles
+// and nodes.
 func FuzzSnapshotRestore(f *testing.F) {
 	inst := fuzzInstance()
 
@@ -103,5 +106,18 @@ func FuzzSnapshotRestore(f *testing.F) {
 			t.Fatalf("restored reallocator cannot report objective: %v", err)
 		}
 		verify(t, restored)
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, err := restored.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(again.Handles, s.Handles) || !slices.Equal(again.CustomerNodes, s.CustomerNodes) ||
+			!slices.Equal(pub.Handles, s.Handles) || !slices.Equal(pub.Nodes, s.CustomerNodes) {
+			t.Fatalf("restored handles %v at nodes %v (published %v at %v); input %v at %v",
+				again.Handles, again.CustomerNodes, pub.Handles, pub.Nodes, s.Handles, s.CustomerNodes)
+		}
 	})
 }

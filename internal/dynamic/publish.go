@@ -29,20 +29,20 @@ type Published struct {
 // share the result across goroutines freely. It reads the state only,
 // so it succeeds under any context.
 func (r *Reallocator) Publish() (*Published, error) {
-	n := len(r.order)
+	n := len(r.live)
 	p := &Published{
+		Objective:  r.mt.TotalMatchedCost(),
 		Selected:   append([]int(nil), r.selected...),
-		Handles:    append([]int(nil), r.order...),
+		Handles:    make([]int, n),
 		Nodes:      make([]int32, n),
 		Assignment: make([]int, n),
 	}
-	for i, h := range p.Handles {
-		c := r.customers[h]
-		fac, w, ok := r.mt.Match(int(c.idx))
+	for i, c := range r.live {
+		fac, _, ok := r.mt.Match(int(c.idx))
 		if !ok {
-			return nil, fmt.Errorf("dynamic: customer %d holds %d assignments", h, r.mt.MatchCount(int(c.idx)))
+			return nil, fmt.Errorf("dynamic: customer %d holds %d assignments", c.handle, r.mt.MatchCount(int(c.idx)))
 		}
-		p.Objective += w
+		p.Handles[i] = c.handle
 		p.Nodes[i] = c.node
 		p.Assignment[i] = r.selected[fac]
 	}

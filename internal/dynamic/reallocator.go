@@ -18,6 +18,11 @@
 // configurable factor of the last full solve, when an arrival cannot be
 // served by the open facilities, or on explicit Refresh.
 //
+// The live population is one slice in ascending handle order whose
+// entries carry their matcher index: a handle is found by binary search,
+// and reads walk the population by position. The objective is the
+// matcher's running total, so every arrival's drift check is O(1).
+//
 // A failed operation leaves the state it found: a re-selection installs
 // its selection and matching only once both are built, and a refused
 // arrival is taken back out of the matcher it joined. Reads never
@@ -25,6 +30,7 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -75,9 +81,8 @@ type Reallocator struct {
 	k          int
 	opt        Options
 
-	customers map[int]customer // handle → node and matcher index
-	order     []int            // live handles, ascending
-	nextID    int
+	live   []customer // live customers, ascending by handle
+	nextID int
 
 	selected []int // global facility indexes currently open
 	mt       *bipartite.Matcher
@@ -87,11 +92,11 @@ type Reallocator struct {
 	stats         Stats
 }
 
-// customer is a live customer's network node and its index in the
-// matcher.
+// customer is a live customer: its handle, network node and matcher index.
 type customer struct {
-	node int32
-	idx  int32
+	handle int
+	node   int32
+	idx    int32
 }
 
 // NewCtx builds a Reallocator from an initial instance, performing one
@@ -110,8 +115,7 @@ func NewCtx(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator
 		return nil, err
 	}
 	for _, node := range inst.Customers {
-		r.customers[r.nextID] = customer{node: node}
-		r.order = append(r.order, r.nextID)
+		r.live = append(r.live, customer{handle: r.nextID, node: node})
 		r.nextID++
 	}
 	if err := r.fullSolve(); err != nil {
@@ -132,8 +136,7 @@ func AdoptCtx(ctx context.Context, inst *data.Instance, selected []int, opt Opti
 		return nil, err
 	}
 	for _, node := range inst.Customers {
-		r.customers[r.nextID] = customer{node: node}
-		r.order = append(r.order, r.nextID)
+		r.live = append(r.live, customer{handle: r.nextID, node: node})
 		r.nextID++
 	}
 	if err := r.adopt(selected); err != nil {
@@ -161,17 +164,26 @@ func skeleton(ctx context.Context, inst *data.Instance, opt Options) (*Reallocat
 		facilities: inst.Facilities,
 		k:          inst.K,
 		opt:        opt,
-		customers:  make(map[int]customer, inst.M()),
 	}, nil
 }
 
-// instance materializes the current population as a data.Instance.
-func (r *Reallocator) instance() *data.Instance {
-	custs := make([]int32, len(r.order))
-	for i, h := range r.order {
-		custs[i] = r.customers[h].node
+// nodes returns the live customers' network nodes in handle order.
+func (r *Reallocator) nodes() []int32 {
+	out := make([]int32, len(r.live))
+	for i, c := range r.live {
+		out[i] = c.node
 	}
+	return out
+}
+
+// instance materializes a population over the network and catalogue.
+func (r *Reallocator) instance(custs []int32) *data.Instance {
 	return &data.Instance{G: r.g, Customers: custs, Facilities: r.facilities, K: r.k}
+}
+
+// find returns handle's position in the live population, if it is live.
+func (r *Reallocator) find(handle int) (i int, ok bool) {
+	return slices.BinarySearchFunc(r.live, handle, func(c customer, h int) int { return cmp.Compare(c.handle, h) })
 }
 
 // SetContext rebinds the context governing subsequent operations
@@ -189,7 +201,7 @@ func (r *Reallocator) SetContext(ctx context.Context) {
 // on error it changes nothing.
 func (r *Reallocator) fullSolve() error {
 	r.rec().Add(obs.ReallocFullSolves, 1)
-	sol, err := core.SolveCtx(r.ctx, r.instance(), r.opt.Core)
+	sol, err := core.SolveCtx(r.ctx, r.instance(r.nodes()), r.opt.Core)
 	if err != nil {
 		return err
 	}
@@ -249,10 +261,7 @@ func (r *Reallocator) rebuild(selected []int) error {
 	for i, j := range selected {
 		subset[i] = r.facilities[j]
 	}
-	custs := make([]int32, len(r.order))
-	for i, h := range r.order {
-		custs[i] = r.customers[h].node
-	}
+	custs := r.nodes()
 	mt := bipartite.New(r.g, custs, subset)
 	mt.SetExhaustive(r.opt.Core.Exhaustive)
 	for i := range custs {
@@ -261,14 +270,15 @@ func (r *Reallocator) rebuild(selected []int) error {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("dynamic: customer %d unservable by open facilities: %w", r.order[i], data.ErrInfeasible)
+			return fmt.Errorf("dynamic: customer %d unservable by open facilities: %w", r.live[i].handle, data.ErrInfeasible)
 		}
 	}
 	r.selected = selected
 	r.mt = mt
-	r.handleOf = append(r.handleOf[:0], r.order...)
-	for i, h := range r.order {
-		r.customers[h] = customer{node: custs[i], idx: int32(i)}
+	r.handleOf = slices.Grow(r.handleOf[:0], len(r.live))
+	for i := range r.live {
+		r.live[i].idx = int32(i)
+		r.handleOf = append(r.handleOf, r.live[i].handle)
 	}
 	r.baseObjective = mt.TotalMatchedCost()
 	r.stats.Rebuilds++
@@ -292,13 +302,13 @@ func (r *Reallocator) AddCustomer(node int32) (int, error) {
 	if node < 0 || int(node) >= r.g.N() {
 		return 0, fmt.Errorf("%w: node %d outside [0,%d)", ErrBadNode, node, r.g.N())
 	}
+	// nextID exceeds every live handle, so appending keeps the order.
 	h := r.nextID
 	idx := r.mt.AddCustomer(node)
-	r.customers[h] = customer{node: node, idx: int32(idx)}
-	r.order = append(r.order, h)
+	r.live = append(r.live, customer{handle: h, node: node, idx: int32(idx)})
 	r.handleOf = append(r.handleOf, h)
 	if err := r.admit(idx); err != nil {
-		r.remove(h)
+		r.remove(len(r.live) - 1)
 		return 0, err
 	}
 	r.nextID++
@@ -325,48 +335,43 @@ func (r *Reallocator) admit(idx int) error {
 // optimal with no rebuild. Only an unknown handle is an error; the
 // repair does not poll the context, so a live handle is always removed.
 func (r *Reallocator) RemoveCustomer(handle int) error {
-	if _, ok := r.customers[handle]; !ok {
+	i, ok := r.find(handle)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownHandle, handle)
 	}
-	r.remove(handle)
+	r.remove(i)
 	r.stats.Departures++
 	return nil
 }
 
-// remove takes live customer handle out of the matcher and repairs the
-// matching in place. Every customer in the matcher holds one match, a
-// refused newcomer at most one, so the repair cannot fail.
-func (r *Reallocator) remove(handle int) {
-	c := r.customers[handle]
+// remove takes the live customer at position i out of the matcher and
+// repairs the matching in place. Every customer in the matcher holds one
+// match, a refused newcomer at most one, so the repair cannot fail.
+func (r *Reallocator) remove(i int) {
+	c := r.live[i]
 	moved, err := r.mt.RemoveCustomerCtx(r.ctx, int(c.idx))
 	if err != nil {
 		panic(err)
 	}
 	// The matcher moved its last customer into the freed index.
 	last := len(r.handleOf) - 1
-	if i := int(c.idx); i != last {
+	if int(c.idx) != last {
 		h := r.handleOf[last]
-		r.handleOf[i] = h
-		r.customers[h] = customer{node: r.customers[h].node, idx: c.idx}
+		r.handleOf[c.idx] = h
+		j, _ := r.find(h)
+		r.live[j].idx = c.idx
 	}
 	r.handleOf = r.handleOf[:last]
+	r.live = slices.Delete(r.live, i, i+1)
 	rec := r.rec()
 	rec.Add(obs.ReallocRepairs, 1)
 	rec.Add(obs.ReallocReroutedCustomers, int64(moved))
-	r.dropHandle(handle)
 }
 
 // HasCustomer reports whether handle names a live customer.
 func (r *Reallocator) HasCustomer(handle int) bool {
-	_, ok := r.customers[handle]
+	_, ok := r.find(handle)
 	return ok
-}
-
-func (r *Reallocator) dropHandle(h int) {
-	delete(r.customers, h)
-	if i, ok := slices.BinarySearch(r.order, h); ok {
-		r.order = slices.Delete(r.order, i, i+1)
-	}
 }
 
 func (r *Reallocator) driftExceeded() bool {
@@ -390,9 +395,10 @@ func (r *Reallocator) Selected() []int {
 }
 
 // Assignment returns the current customer→facility mapping keyed by
-// handle, with facility values indexing the candidate catalogue.
+// handle, with facility values indexing the candidate catalogue. It
+// reads the matcher's customers in index order, not the live population.
 func (r *Reallocator) Assignment() (map[int]int, error) {
-	out := make(map[int]int, len(r.order))
+	out := make(map[int]int, len(r.live))
 	for idx, h := range r.handleOf {
 		fac, _, ok := r.mt.Match(idx)
 		if !ok {
@@ -406,21 +412,15 @@ func (r *Reallocator) Assignment() (map[int]int, error) {
 // Solution materializes a data.Solution for the current population (in
 // handle order) — convenient for CheckSolution-style verification.
 func (r *Reallocator) Solution() (*data.Instance, *data.Solution, error) {
-	asg, err := r.Assignment()
+	p, err := r.Publish()
 	if err != nil {
 		return nil, nil, err
 	}
-	inst := r.instance()
-	assignment := make([]int, len(r.order))
-	for i, h := range r.order {
-		assignment[i] = asg[h]
-	}
-	obj := r.mt.TotalMatchedCost()
-	return inst, &data.Solution{Selected: r.Selected(), Assignment: assignment, Objective: obj}, nil
+	return r.instance(p.Nodes), &data.Solution{Selected: p.Selected, Assignment: p.Assignment, Objective: p.Objective}, nil
 }
 
 // Customers returns the number of live customers.
-func (r *Reallocator) Customers() int { return len(r.order) }
+func (r *Reallocator) Customers() int { return len(r.live) }
 
 // Stats returns work counters.
 func (r *Reallocator) Stats() Stats { return r.stats }

@@ -371,10 +371,12 @@ func TestReallocatorRejectsDriftFactorAtMostOne(t *testing.T) {
 }
 
 // TestReallocatorRandomChurn interleaves random arrivals and departures
-// and verifies the state against AssignToSelection after every step.
-// Capacities of one or two make departures leave full facilities, and
-// the test requires that some departure's repair cancelled a cycle, so
-// the in-place repair, not only the free-slot shortcut, is checked.
+// and verifies the state against AssignToSelection after every step,
+// and every view of the population against the test's own handle→node
+// model. Capacities of one or two make departures leave full
+// facilities, and the test requires that some departure's repair
+// cancelled a cycle, so the in-place repair, not only the free-slot
+// shortcut, is checked.
 func TestReallocatorRandomChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cycles := 0
@@ -392,8 +394,10 @@ func TestReallocatorRandomChurn(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var handles []int
-		for h := 0; h < inst.M(); h++ {
+		model := make(map[int]int32) // live handle → node
+		for h, node := range inst.Customers {
 			handles = append(handles, h)
+			model[h] = node
 		}
 		for step := 0; step < 25; step++ {
 			if len(handles) > 0 && rng.Intn(3) == 0 {
@@ -405,24 +409,88 @@ func TestReallocatorRandomChurn(t *testing.T) {
 				if rec.Counter(obs.ReallocReroutedCustomers) > before {
 					cycles++
 				}
+				delete(model, handles[i])
 				handles = append(handles[:i], handles[i+1:]...)
 			} else {
-				h, err := r.AddCustomer(int32(rng.Intn(inst.G.N())))
+				node := int32(rng.Intn(inst.G.N()))
+				h, err := r.AddCustomer(node)
 				if err != nil {
 					if errors.Is(err, data.ErrInfeasible) {
+						checkModel(t, r, model)
 						continue // catalogue saturated or unreachable node: acceptable
 					}
 					t.Fatalf("trial %d step %d: %v", trial, step, err)
 				}
 				handles = append(handles, h)
+				model[h] = node
 			}
 			verify(t, r)
+			checkModel(t, r, model)
 		}
 	}
 	if cycles == 0 {
 		t.Fatal("no departure cancelled a cycle; the churn never reached the repair")
 	}
 	t.Logf("%d departures cancelled a cycle", cycles)
+}
+
+// checkModel checks every view of the live population against model, a
+// record of the live handles and their nodes kept outside the
+// Reallocator: Publish and Snapshot list exactly the model's handles in
+// ascending order, each at its own node; Assignment, Solution, Lookup,
+// Objective and Customers agree with the published view.
+func checkModel(t *testing.T, r *Reallocator, model map[int]int32) {
+	t.Helper()
+	handles := make([]int, 0, len(model))
+	for h := range model {
+		handles = append(handles, h)
+	}
+	slices.Sort(handles)
+	nodes := make([]int32, len(handles))
+	for i, h := range handles {
+		nodes[i] = model[h]
+	}
+	pub, err := r.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pub.Handles, handles) || !slices.Equal(pub.Nodes, nodes) {
+		t.Fatalf("published handles %v at nodes %v; model %v at %v", pub.Handles, pub.Nodes, handles, nodes)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(snap.Handles, handles) || !slices.Equal(snap.CustomerNodes, nodes) {
+		t.Fatalf("snapshot handles %v at nodes %v; model %v at %v", snap.Handles, snap.CustomerNodes, handles, nodes)
+	}
+	asg, err := r.Assignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asg) != len(handles) || r.Customers() != len(handles) {
+		t.Fatalf("Assignment has %d customers, Customers() %d; model %d", len(asg), r.Customers(), len(handles))
+	}
+	for i, h := range handles {
+		node, fac, ok := pub.Lookup(h)
+		if !ok || node != nodes[i] || fac != pub.Assignment[i] || fac != asg[h] {
+			t.Fatalf("customer %d: Lookup (%d, %d, %v), published facility %d, Assignment %d; model node %d",
+				h, node, fac, ok, pub.Assignment[i], asg[h], nodes[i])
+		}
+	}
+	inst, sol, err := r.Solution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := r.Objective()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(inst.Customers, nodes) || !slices.Equal(sol.Assignment, pub.Assignment) ||
+		!slices.Equal(sol.Selected, pub.Selected) || sol.Objective != pub.Objective || obj != pub.Objective {
+		t.Fatalf("Solution (nodes %v, assignment %v, selected %v, objective %d) and Objective %d disagree with the published view (%v, %v, %v, %d)",
+			inst.Customers, sol.Assignment, sol.Selected, sol.Objective, obj, pub.Nodes, pub.Assignment, pub.Selected, pub.Objective)
+	}
 }
 
 func TestReallocatorRefresh(t *testing.T) {

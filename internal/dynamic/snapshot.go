@@ -55,12 +55,12 @@ func (r *Reallocator) Snapshot() (*Snapshot, error) {
 		NextID:        r.nextID,
 		BaseObjective: r.baseObjective,
 		Selected:      append([]int(nil), r.selected...),
-		Handles:       append([]int(nil), r.order...),
-		CustomerNodes: make([]int32, len(r.order)),
+		Handles:       make([]int, len(r.live)),
+		CustomerNodes: r.nodes(),
 		Stats:         r.stats,
 	}
-	for i, h := range r.order {
-		s.CustomerNodes[i] = r.customers[h].node
+	for i, c := range r.live {
+		s.Handles[i] = c.handle
 	}
 	return s, nil
 }
@@ -150,8 +150,7 @@ func RestoreCtx(ctx context.Context, inst *data.Instance, s *Snapshot, opt Optio
 	}
 	r.nextID = s.NextID
 	for i, h := range s.Handles {
-		r.customers[h] = customer{node: s.CustomerNodes[i]}
-		r.order = append(r.order, h)
+		r.live = append(r.live, customer{handle: h, node: s.CustomerNodes[i]})
 	}
 	if err := r.adopt(s.Selected); err != nil {
 		return nil, err

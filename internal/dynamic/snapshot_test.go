@@ -249,7 +249,7 @@ func TestAdoptSelection(t *testing.T) {
 	// Adopt the current selection rotated through a fresh reallocator:
 	// any feasible selection must be installable.
 	sel := r.Selected()
-	adopted, err := AdoptCtx(context.Background(), r.instance(), sel, Options{})
+	adopted, err := AdoptCtx(context.Background(), r.instance(r.nodes()), sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,6 +78,11 @@ type Config struct {
 // maxBatch caps how many queued operations one repair window coalesces.
 const maxBatch = 64
 
+// maxBody caps a POST body: 1 MiB, about 150k handles or nodes in one
+// /arrivals or /departures request. A longer body is refused with 413
+// before it is decoded whole.
+const maxBody = 1 << 20
+
 // errShutdown is returned to requests that arrive while the server is
 // draining.
 var errShutdown = errors.New("serve: server is shutting down")
@@ -447,7 +452,7 @@ func statusOf(err error) (int, string) {
 	switch {
 	case errors.Is(err, mcfs.ErrInfeasible):
 		return http.StatusUnprocessableEntity, "infeasible"
-	case errors.Is(err, mcfs.ErrTooLarge):
+	case errors.Is(err, mcfs.ErrTooLarge), errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, mcfs.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline"
@@ -467,9 +472,12 @@ func statusOf(err error) (int, string) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// decodeBody decodes a POST body of at most maxBody bytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -610,7 +618,7 @@ type ChurnReply struct {
 
 func (s *Server) handleArrivals(w http.ResponseWriter, r *http.Request) {
 	var req ArrivalsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, fmt.Errorf("bad arrivals body: %w", err))
 		return
 	}
@@ -643,7 +651,7 @@ type DeparturesRequest struct {
 
 func (s *Server) handleDepartures(w http.ResponseWriter, r *http.Request) {
 	var req DeparturesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, fmt.Errorf("bad departures body: %w", err))
 		return
 	}
@@ -685,7 +693,7 @@ type ResolveReply struct {
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	var req ResolveRequest
 	// An empty body means "defaults".
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	if err := decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, fmt.Errorf("bad resolve body: %w", err))
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,6 +237,63 @@ func TestServeChurnAllOrNothing(t *testing.T) {
 	for _, h := range []int{5, 6} {
 		if code := call(t, "GET", fmt.Sprintf("%s/assign?customer=%d", ts.URL, h), nil, nil); code != 200 {
 			t.Errorf("customer %d named by a refused departure: /assign = %d, want 200", h, code)
+		}
+	}
+}
+
+// TestServeBodyCap: a POST body one byte over maxBody is refused with
+// 413 too_large on every write endpoint and changes nothing, and the
+// same body at exactly maxBody parses and is applied. Each body is a
+// valid request padded with whitespace to its size.
+func TestServeBodyCap(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	before := s.View()
+	padded := func(body string, size int) string {
+		return body[:len(body)-1] + strings.Repeat(" ", size-len(body)) + "}"
+	}
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	arrive := fmt.Sprintf(`{"nodes":[%d]}`, before.Nodes[0])
+	depart := fmt.Sprintf(`{"handles":[%d]}`, before.Handles[0])
+	resolve := `{"algorithm":"wma"}`
+	for _, tc := range []struct{ path, body string }{
+		{"/arrivals", arrive}, {"/departures", depart}, {"/resolve", resolve},
+	} {
+		body := padded(tc.body, maxBody+1)
+		code, raw := post(tc.path, body)
+		var e errorBody
+		if err := json.Unmarshal(raw, &e); err != nil || code != http.StatusRequestEntityTooLarge || e.Code != "too_large" {
+			t.Errorf("%s with a %d-byte body: status %d, body %q (%v); want 413 too_large", tc.path, len(body), code, raw, err)
+		}
+		after := s.View()
+		if after.Objective != before.Objective || !slices.Equal(after.Handles, before.Handles) ||
+			!slices.Equal(after.Assignment, before.Assignment) || !slices.Equal(after.Selected, before.Selected) {
+			t.Fatalf("%s: an oversized body changed the published view", tc.path)
+		}
+	}
+
+	code, raw := post("/arrivals", padded(arrive, maxBody))
+	var churn ChurnReply
+	if err := json.Unmarshal(raw, &churn); err != nil || code != http.StatusOK || len(churn.Handles) != 1 {
+		t.Fatalf("/arrivals at the cap: status %d, body %.200q (%v)", code, raw, err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/departures", padded(fmt.Sprintf(`{"handles":[%d]}`, churn.Handles[0]), maxBody)},
+		{"/resolve", padded(resolve, maxBody)},
+	} {
+		if code, raw := post(tc.path, tc.body); code != http.StatusOK {
+			t.Errorf("%s at the cap: status %d, body %.200q", tc.path, code, raw)
 		}
 	}
 }
