@@ -21,12 +21,13 @@ import (
 
 // block is one basic block: statements that execute in order with no
 // internal control transfer, plus the successor edges control can take
-// afterwards. Condition expressions of if/for heads are not stored —
-// Go conditions cannot assign, so they carry no transfer effect a rule
-// tracks; RangeStmt heads ARE stored (as the RangeStmt itself) because
-// the range assigns its key/value variables on every entry.
+// afterwards. The expressions control evaluates — if and for
+// conditions, switch tags and case expressions — are stored in the
+// block that evaluates them: they cannot assign, but they can call a
+// function or copy(). A range header is stored as the RangeStmt itself,
+// because the range assigns its key/value variables on every entry.
 type block struct {
-	nodes []ast.Node // *ast.Stmt nodes (a RangeStmt appears as its own header)
+	nodes []ast.Node // statements, condition expressions, RangeStmt headers
 	succs []*block
 	index int // creation order; deterministic iteration
 }
@@ -133,6 +134,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block, fc flowCtx) *block {
 		if s.Init != nil {
 			cur = b.stmt(s.Init, cur, flowCtx{brk: fc.brk, cont: fc.cont})
 		}
+		cur.nodes = append(cur.nodes, s.Cond)
 		after := b.newBlock()
 		then := b.newBlock()
 		edge(cur, then)
@@ -159,6 +161,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block, fc flowCtx) *block {
 		post := b.newBlock() // continue target (holds Post when present)
 		edge(cur, head)
 		if s.Cond != nil {
+			head.nodes = append(head.nodes, s.Cond)
 			edge(head, after)
 		}
 		if fc.label != "" {
@@ -194,19 +197,21 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block, fc flowCtx) *block {
 		return after
 
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var initStmt, tagStmt ast.Stmt
+		var initStmt ast.Stmt
+		var tag ast.Node // the switch tag, or the type switch's x.(type) statement
 		var clauses []ast.Stmt
+		exprSwitch := false
 		switch sw := s.(type) {
 		case *ast.SwitchStmt:
-			initStmt, clauses = sw.Init, sw.Body.List
+			initStmt, tag, clauses, exprSwitch = sw.Init, sw.Tag, sw.Body.List, true
 		case *ast.TypeSwitchStmt:
-			initStmt, tagStmt, clauses = sw.Init, sw.Assign, sw.Body.List
+			initStmt, tag, clauses = sw.Init, sw.Assign, sw.Body.List
 		}
 		if initStmt != nil {
 			cur = b.stmt(initStmt, cur, flowCtx{brk: fc.brk, cont: fc.cont})
 		}
-		if tagStmt != nil {
-			cur.nodes = append(cur.nodes, tagStmt)
+		if tag != nil {
+			cur.nodes = append(cur.nodes, tag)
 		}
 		after := b.newBlock()
 		if fc.label != "" {
@@ -225,6 +230,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block, fc flowCtx) *block {
 			}
 			blk := b.newBlock()
 			edge(cur, blk)
+			if exprSwitch {
+				for _, e := range cc.List {
+					blk.nodes = append(blk.nodes, e)
+				}
+			}
 			caseBlocks = append(caseBlocks, blk)
 			caseBodies = append(caseBodies, cc.Body)
 		}

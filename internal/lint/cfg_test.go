@@ -63,21 +63,22 @@ func cfgFacts(g *cfg) map[string]bool {
 	return facts
 }
 
-// TestCFGStatementCoverage: every simple statement of the source lands
-// in exactly one block, so no write can be skipped by the lowering.
+// TestCFGStatementCoverage: every simple statement of the source, and
+// every condition, switch tag and case expression, lands in exactly one
+// block, so no write or call can be skipped by the lowering.
 func TestCFGStatementCoverage(t *testing.T) {
 	body := parseBody(t, `
 		markA()
-		if cond() {
+		if markIf() {
 			markB()
 		} else {
 			markC()
 		}
-		for i := 0; i < 10; i++ {
+		for i := 0; markFor(i); i++ {
 			markD()
 		}
-		switch v() {
-		case 1:
+		switch markTag() {
+		case markCase():
 			markE()
 		default:
 			markF()
@@ -91,7 +92,7 @@ func TestCFGStatementCoverage(t *testing.T) {
 			counts[m]++
 		}
 	}
-	for _, m := range []string{"markA", "markB", "markC", "markD", "markE", "markF", "markG"} {
+	for _, m := range []string{"markA", "markB", "markC", "markD", "markE", "markF", "markG", "markIf", "markFor", "markTag", "markCase"} {
 		if counts[m] != 1 {
 			t.Errorf("marker %s stored %d times, want 1", m, counts[m])
 		}

@@ -69,9 +69,9 @@ type Package struct {
 type ReportFunc func(f *File, pos token.Pos, format string, args ...any)
 
 // Rule is one analysis pass. Run calls Check exactly once per run with
-// the whole module — every loaded package plus the cross-package
-// summaries — and a rule scoped to some packages walks m.Pkgs and skips
-// the rest. Check must be deterministic: findings are emitted in a
+// the whole module — every loaded package plus the index of their
+// declared functions — and a rule scoped to some packages walks m.Pkgs
+// and skips the rest. Check must be deterministic: findings are emitted in a
 // sorted order, but rules should not depend on iteration order
 // internally either.
 type Rule interface {

@@ -64,7 +64,8 @@ func collectWants(t *testing.T, pkg *Package) map[wantKey]string {
 }
 
 // checkFixtures runs the rules over the fixture and matches findings
-// against the want comments, both ways.
+// against the want comments, both ways. A finding reported twice fails
+// even at a want line: one write is one finding.
 func checkFixtures(t *testing.T, pkgs []*Package, rules []Rule) {
 	t.Helper()
 	wants := make(map[wantKey]string)
@@ -74,7 +75,13 @@ func checkFixtures(t *testing.T, pkgs []*Package, rules []Rule) {
 		}
 	}
 	matched := make(map[wantKey]bool)
+	seen := make(map[Finding]bool)
 	for _, fd := range Run(pkgs, rules) {
+		if seen[fd] {
+			t.Errorf("finding reported twice: %s", fd)
+			continue
+		}
+		seen[fd] = true
 		key := wantKey{fd.Path, fd.Line}
 		want, ok := wants[key]
 		if !ok {

@@ -56,8 +56,7 @@ const (
 // fields are the rule's half of the contract; nil hooks default to
 // provUnknown / no-op.
 type provFlow struct {
-	pkg  *Package
-	defs map[types.Object]bool // objects defined inside the analyzed body
+	pkg *Package
 
 	// identProv classifies an identifier the state knows nothing about
 	// (typically: is this a capture of something shared?).
@@ -71,8 +70,11 @@ type provFlow struct {
 	// for element writes and copy, backing-shared) memory.
 	onWrite func(kind writeKind, e ast.Expr, pos token.Pos)
 	// onCall fires for every call expression, with the state at the
-	// call; rules use it to follow callees or consult summaries.
+	// call; rules use it to follow callees.
 	onCall func(s provState, call *ast.CallExpr)
+	// onReturn fires for every return statement of the analyzed body,
+	// with the state at it; rules use it to classify a result.
+	onReturn func(s provState, ret *ast.ReturnStmt)
 	// onFuncLit fires for a nested function literal with a snapshot of
 	// the state at its occurrence; the rule decides how to descend.
 	onFuncLit func(lit *ast.FuncLit, seed provState)
@@ -98,6 +100,9 @@ func (pf *provFlow) analyze(body *ast.BlockStmt, seed provState) {
 		s = cloneProv(s)
 		for _, n := range b.nodes {
 			pf.scan(n, s)
+			if ret, ok := n.(*ast.ReturnStmt); ok && pf.onReturn != nil {
+				pf.onReturn(s, ret)
+			}
 			pf.step(n, s)
 		}
 	}
@@ -256,11 +261,24 @@ func (pf *provFlow) provOf(s provState, e ast.Expr) provenance {
 	return provUnknown
 }
 
-// scan checks one statement's writes and calls against the state at
+// scan checks one block node's writes and calls against the state at
 // its program point. Nested function literals are handed to the rule
 // (with a state snapshot) instead of being walked inline — their body
-// runs at some other time, under its own control flow.
+// runs at some other time, under its own control flow. A range header
+// evaluates only its operand and assigns its key and value; its body
+// sits in blocks of its own.
 func (pf *provFlow) scan(n ast.Node, s provState) {
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		pf.scan(rs.X, s)
+		if rs.Tok == token.ASSIGN {
+			for _, lhs := range []ast.Expr{rs.Key, rs.Value} {
+				if lhs != nil {
+					pf.checkWrite(s, lhs, rs.Pos())
+				}
+			}
+		}
+		return
+	}
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:

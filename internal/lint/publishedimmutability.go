@@ -70,11 +70,9 @@ func (PublishedImmutability) Check(m *Module, report ReportFunc) {
 }
 
 func checkPublishedFunc(pkg *Package, f *File, fd *ast.FuncDecl, report ReportFunc) {
-	defs := collectDefs(pkg, fd.Type, fd.Body)
 	var pf *provFlow
 	pf = &provFlow{
-		pkg:  pkg,
-		defs: defs,
+		pkg: pkg,
 		identProv: func(s provState, obj types.Object) provenance {
 			// Any Published value the function did not provably build
 			// itself — parameters, receivers, captures, globals — is a

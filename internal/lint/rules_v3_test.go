@@ -26,9 +26,9 @@ func TestSingleWriterRule(t *testing.T) {
 }
 
 // TestSingleWriterDoubleWriter: a constructor that launches two
-// goroutines whose call trees both reach mutating Reallocator methods
-// is two concurrent owners — the second launch is reported. The
-// read-only ticker goroutine alongside them stays accepted.
+// goroutines whose call trees both reach Reallocator methods is two
+// concurrent owners — the second launch is reported. The ticker
+// goroutine alongside them, which only enqueues, stays accepted.
 func TestSingleWriterDoubleWriter(t *testing.T) {
 	pkgs := loadFixture(t, "doublewriter", singleWriterDirs)
 	checkFixtures(t, pkgs, []Rule{SingleWriter{}})
@@ -43,25 +43,6 @@ func TestSingleWriterOutOfScope(t *testing.T) {
 	})
 	if got := Run(pkgs, []Rule{SingleWriter{}}); len(got) != 0 {
 		t.Errorf("rule fired outside internal/serve: %v", got)
-	}
-}
-
-// TestSingleWriterNeedsSummaries: without the dynamic package in the
-// run there are no summaries to classify mutating methods, and the
-// rule must stay silent rather than guess.
-func TestSingleWriterNeedsSummaries(t *testing.T) {
-	pkgs := loadFixture(t, "singlewriter", singleWriterDirs)
-	var serveOnly []*Package
-	for _, p := range pkgs {
-		if p.Dir == "internal/serve" {
-			serveOnly = append(serveOnly, p)
-		}
-	}
-	if len(serveOnly) != 1 {
-		t.Fatalf("fixture lacks internal/serve (got %d packages)", len(serveOnly))
-	}
-	if got := Run(serveOnly, []Rule{SingleWriter{}}); len(got) != 0 {
-		t.Errorf("rule guessed without summaries: %v", got)
 	}
 }
 

@@ -24,13 +24,16 @@ import (
 // direct fields but not the backing arrays of its slice/map fields —
 // writing copy.K is fine, writing copy.Customers[i] is a finding.
 //
-// Same-package callees taking a shared argument are followed and
-// analyzed with that parameter marked shared. Out-of-package callees
-// are resolved against the module's function summaries (summary.go):
-// a call passing a shared value where the summary proves a write is
-// reported at the call site. Where no summary exists (interface
-// methods, closures, unsummarized packages) the analysis stays silent,
-// as before — the race detector covers what it cannot see.
+// A call that passes a shared value to a function or method declared
+// in any loaded package is followed: the callee is analyzed with the
+// receiver and parameters seeded from the call's arguments, and a
+// finding lands on the write inside the callee. A declared callee's
+// result is worked out the same way, from the provenance of its
+// returns under the call's arguments: a fresh constructor's result is
+// owned, a returned parameter keeps the argument's provenance. Where
+// no declaration is loaded (interface methods, function values,
+// packages outside the run) the analysis stays silent — the race
+// detector covers what it cannot see.
 type SharedMutation struct{}
 
 // Name implements Rule.
@@ -43,19 +46,21 @@ func (SharedMutation) Doc() string {
 
 // Check implements Rule.
 func (SharedMutation) Check(m *Module, report ReportFunc) {
+	c := &sharedChecker{
+		mod:      m,
+		report:   report,
+		followed: make(map[callKey]bool),
+		results:  make(map[callKey]provenance),
+	}
 	for _, pkg := range m.Pkgs {
 		if pkg.Dir != "internal/bench" {
 			continue
 		}
-		c := &sharedChecker{pkg: pkg, mod: m, report: report, analyzed: make(map[string]bool)}
-		c.decls = pkg.funcDecls()
-
 		// Entry points: every FuncLit submitted through a .cell(...) call.
 		for _, f := range pkg.Files {
 			if f.Test {
 				continue
 			}
-			f := f
 			ast.Inspect(f.AST, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -67,7 +72,8 @@ func (SharedMutation) Check(m *Module, report ReportFunc) {
 				}
 				for _, arg := range call.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
-						c.analyze(f, lit.Type, lit.Body, nil, true)
+						defs := collectDefs(pkg, lit.Type, lit.Body)
+						c.flow(pkg, f, defs, true).analyze(lit.Body, make(provState))
 					}
 				}
 				return true
@@ -87,18 +93,18 @@ const (
 	provShared             // points into the pool-shared object graph
 )
 
-// declSite pairs a function declaration with its file for reporting.
-type declSite struct {
-	file *File
-	decl *ast.FuncDecl
+// callKey names one analysis of a declared callee: the declaration and
+// the provenance seeded into each receiver/parameter slot.
+type callKey struct {
+	decl  *ast.FuncDecl
+	seeds string
 }
 
 type sharedChecker struct {
-	pkg      *Package
 	mod      *Module
 	report   ReportFunc
-	decls    map[types.Object]*declSite
-	analyzed map[string]bool // decl+shared-param mask, cycle/duplicate guard
+	followed map[callKey]bool       // callee analyses already run for writes
+	results  map[callKey]provenance // a callee's result per seeding; unknown while in progress
 }
 
 // trackedType reports whether t is (a pointer to) data.Instance or
@@ -110,88 +116,77 @@ func trackedType(t types.Type) bool {
 		isNamedType(t, true, "internal/graph", "Graph") || isNamedType(t, true, "graph", "Graph")
 }
 
-// analyze runs the provenance flow over one function body. sharedParams
-// maps parameter index to the provenance flowing in from a call site
-// (nil for cell literals, whose sharing comes from capture and builder
-// calls instead).
-func (c *sharedChecker) analyze(f *File, ft *ast.FuncType, body *ast.BlockStmt, sharedParams map[int]provenance, cell bool) {
-	defs := collectDefs(c.pkg, ft, body)
-	seed := make(provState)
-	idx := 0
-	if ft.Params != nil {
-		for _, field := range ft.Params.List {
-			for _, name := range field.Names {
-				if obj := c.pkg.ObjectOf(name); obj != nil {
-					if p, ok := sharedParams[idx]; ok {
-						seed[obj] = p
-					}
-				}
-				idx++
+// flow builds the write-reporting provenance analysis for one body of
+// pkg in file f. In a cell literal (defs holds the objects it defines)
+// a tracked value captured from outside crossed into the pool with the
+// submission and is shared; in a followed callee sharing comes only from
+// the seeded receiver and parameters.
+func (c *sharedChecker) flow(pkg *Package, f *File, defs map[types.Object]bool, cell bool) *provFlow {
+	pf := c.resultFlow(pkg, cell)
+	if cell {
+		pf.identProv = func(s provState, obj types.Object) provenance {
+			if !defs[obj] && trackedType(obj.Type()) {
+				return provShared
 			}
+			return provUnknown
+		}
+		pf.selectorProv = func(s provState, e *ast.SelectorExpr) provenance {
+			// A captured struct field or package var of a tracked type:
+			// shared, same argument as idents.
+			if trackedType(pkg.TypeOf(e)) && !isPkgName(pkg, e.X) {
+				return provShared
+			}
+			return provUnknown
 		}
 	}
-
-	var pf *provFlow
-	pf = &provFlow{
-		pkg:  c.pkg,
-		defs: defs,
-		identProv: func(s provState, obj types.Object) provenance {
-			// A tracked value captured from outside a cell literal
-			// crossed into the pool with the submission: shared by
-			// definition.
-			if cell && !defs[obj] && trackedType(obj.Type()) {
-				return provShared
-			}
-			return provUnknown
-		},
-		selectorProv: func(s provState, e *ast.SelectorExpr) provenance {
-			// Unqualified selector (captured struct field, package var)
-			// of a tracked type inside a cell: shared, same argument as
-			// idents.
-			if cell && trackedType(c.pkg.TypeOf(e)) && !isPkgName(c.pkg, e.X) {
-				return provShared
-			}
-			return provUnknown
-		},
-		callProv: func(s provState, call *ast.CallExpr) provenance {
-			return c.callProvenance(pf, s, call, cell)
-		},
-		onWrite: func(kind writeKind, e ast.Expr, pos token.Pos) {
-			switch kind {
-			case wkField:
-				sel := e.(*ast.SelectorExpr)
-				c.report(f, pos,
-					"write to field %s of a pool-shared instance after submission; cells must treat submitted instances as read-only (take a shallow copy before the pool, as runCoworkingSweep does)", sel.Sel.Name)
-			case wkElem:
-				c.report(f, pos,
-					"element write into a pool-shared backing array after submission; a shallow instance copy still shares its slices — clone the slice before mutating")
-			case wkPtr:
-				c.report(f, pos,
-					"store through a pointer into a pool-shared instance after submission; cells must treat submitted instances as read-only")
-			case wkCopy:
-				c.report(f, pos,
-					"copy() into a pool-shared instance's backing array; cells must treat submitted instances as read-only (clone or rebuild instead)")
-			}
-		},
-		onCall: func(s provState, call *ast.CallExpr) {
-			c.follow(f, pf, s, call)
-		},
-		onFuncLit: func(lit *ast.FuncLit, snap provState) {
-			// The literal captures the enclosing state; its own params
-			// are already in defs (collectDefs descends).
-			pf.analyze(lit.Body, snap)
-		},
+	pf.onWrite = func(kind writeKind, e ast.Expr, pos token.Pos) {
+		switch kind {
+		case wkField:
+			sel := e.(*ast.SelectorExpr)
+			c.report(f, pos,
+				"write to field %s of a pool-shared instance after submission; cells must treat submitted instances as read-only (take a shallow copy before the pool, as runCoworkingSweep does)", sel.Sel.Name)
+		case wkElem:
+			c.report(f, pos,
+				"element write into a pool-shared backing array after submission; a shallow instance copy still shares its slices — clone the slice before mutating")
+		case wkPtr:
+			c.report(f, pos,
+				"store through a pointer into a pool-shared instance after submission; cells must treat submitted instances as read-only")
+		case wkCopy:
+			c.report(f, pos,
+				"copy() into a pool-shared instance's backing array; cells must treat submitted instances as read-only (clone or rebuild instead)")
+		}
 	}
-	pf.analyze(body, seed)
+	pf.onCall = func(s provState, call *ast.CallExpr) {
+		site, seed, key := c.seed(pf, s, call)
+		if site == nil || c.followed[key] || !carriesShared(seed) {
+			return
+		}
+		c.followed[key] = true
+		c.flow(site.pkg, site.file, nil, false).analyze(site.decl.Body, seed)
+	}
+	pf.onFuncLit = func(lit *ast.FuncLit, snap provState) {
+		// The literal captures the enclosing state.
+		pf.analyze(lit.Body, snap)
+	}
+	return pf
+}
+
+// resultFlow builds the silent analysis of a body of pkg: it classifies
+// values, and so call results, but reports nothing and follows no call.
+func (c *sharedChecker) resultFlow(pkg *Package, cell bool) *provFlow {
+	pf := &provFlow{pkg: pkg}
+	pf.callProv = func(s provState, call *ast.CallExpr) provenance {
+		return c.callProvenance(pf, s, call, cell)
+	}
+	return pf
 }
 
 // callProvenance classifies a call result: constructions (new, Clone)
-// are owned; summarized out-of-package callees answer precisely
-// (provably fresh results are owned, result-aliases-parameter maps the
-// argument provenance through); otherwise, inside a cell any call
-// yielding a tracked type hands out the pool-shared value (memoized
-// builders, captured closures), and elsewhere a call is shared only
-// when a shared value flows in.
+// are owned; a declared callee answers from its returns under the
+// call's arguments (result); otherwise, inside a cell any call yielding
+// a tracked type hands out the pool-shared value (memoized builders,
+// captured closures), and elsewhere a call is shared only when a shared
+// value flows in.
 func (c *sharedChecker) callProvenance(pf *provFlow, s provState, call *ast.CallExpr, cell bool) provenance {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -203,33 +198,10 @@ func (c *sharedChecker) callProvenance(pf *provFlow, s provState, call *ast.Call
 			return provOwned
 		}
 	}
-
-	callee, recv := resolveCallee(c.pkg, call)
-	if callee != nil {
-		if _, local := c.decls[callee]; !local {
-			if fs := c.mod.funcSummaryOf(callee); fs != nil {
-				if fs.resultFresh {
-					return provOwned
-				}
-				if fs.resultAlias != 0 {
-					p := provUnknown
-					for slot, arg := range callArgs(call, recv) {
-						if slot < 64 && fs.resultAlias&(1<<uint(slot)) != 0 {
-							if ap := pf.provOf(s, arg); ap > p {
-								p = ap
-							}
-						}
-					}
-					if p == provShared || p == provBacking {
-						return pf.projectTo(provShared, firstResultType(c.pkg.TypeOf(call)))
-					}
-					return p
-				}
-			}
-		}
+	rt := firstResultType(pf.pkg.TypeOf(call))
+	if p := c.result(pf, s, call, trackedType(rt)); p != provUnknown {
+		return p
 	}
-
-	rt := firstResultType(c.pkg.TypeOf(call))
 	if !trackedType(rt) {
 		return provUnknown
 	}
@@ -244,59 +216,113 @@ func (c *sharedChecker) callProvenance(pf *provFlow, s provState, call *ast.Call
 	return provUnknown
 }
 
-// follow handles a call with shared arguments: same-package function
-// callees are analyzed with the corresponding parameters marked shared
-// (the finding lands on the write inside the callee); out-of-package
-// callees are checked against their summary and reported at the call
-// site when the summary proves a write.
-func (c *sharedChecker) follow(f *File, pf *provFlow, s provState, call *ast.CallExpr) {
-	callee, recv := resolveCallee(c.pkg, call)
-	if callee == nil {
-		return
+// result runs the engine over a declared callee's body, seeded from the
+// call, and classifies its first result over every return: the largest
+// shared or backing provenance returned, else owned when every return is
+// owned, else unknown. A call seeding nothing whose result is not
+// tracked is not analyzed: its result could only be owned or unknown,
+// and neither can lead to a finding.
+func (c *sharedChecker) result(pf *provFlow, s provState, call *ast.CallExpr, tracked bool) provenance {
+	site, seed, key := c.seed(pf, s, call)
+	if site == nil || site.decl.Type.Results == nil || (len(seed) == 0 && !tracked) {
+		return provUnknown
 	}
-	if site, ok := c.decls[callee]; ok && recv == nil {
-		shared := make(map[int]provenance)
-		key := ""
-		for i, arg := range call.Args {
-			if p := pf.provOf(s, arg); p == provShared || p == provBacking {
-				shared[i] = p
-				key += string(rune('a'+i%26)) + string(rune('0'+int(p)))
-			}
-		}
-		if len(shared) == 0 {
+	if p, ok := c.results[key]; ok {
+		return p
+	}
+	c.results[key] = provUnknown // a recursive call sees unknown
+	res := site.decl.Type.Results
+	var shared provenance
+	returns, owned := 0, 0
+	callee := c.resultFlow(site.pkg, false)
+	callee.onReturn = func(s provState, ret *ast.ReturnStmt) {
+		var e ast.Expr
+		switch {
+		case len(ret.Results) > 0:
+			e = ret.Results[0]
+		case len(res.List[0].Names) > 0:
+			e = res.List[0].Names[0] // bare return of a named result
+		default:
 			return
 		}
-		key = callee.Name() + ":" + key
-		if c.analyzed[key] {
-			return
+		returns++
+		switch p := callee.provOf(s, e); p {
+		case provShared, provBacking:
+			shared = max(shared, p)
+		case provOwned:
+			owned++
 		}
-		c.analyzed[key] = true
-		c.analyze(site.file, site.decl.Type, site.decl.Body, shared, false)
-		return
 	}
+	callee.analyze(site.decl.Body, seed)
+	p := shared
+	if p == provUnknown && returns > 0 && owned == returns {
+		p = provOwned
+	}
+	c.results[key] = p
+	return p
+}
 
-	fs := c.mod.funcSummaryOf(callee)
-	if fs == nil {
-		return
+// seed resolves a call's declared callee and the state its analysis
+// starts from: the receiver and each parameter bound to the provenance
+// of the argument passed, a value receiver reached through a shared
+// pointer as the copy it is (slots whose argument is unknown stay
+// unset, and so do the slots a variadic call packs into a fresh slice).
+// key names the callee with that seeding.
+func (c *sharedChecker) seed(pf *provFlow, s provState, call *ast.CallExpr) (*declSite, provState, callKey) {
+	callee, recv := resolveCallee(pf.pkg, call)
+	site := c.mod.declOf(callee)
+	if site == nil {
+		return nil, nil, callKey{}
 	}
-	for slot, arg := range callArgs(call, recv) {
-		if slot >= len(fs.writes) || fs.writes[slot] != escYes {
+	seed := make(provState)
+	var key []byte
+	bind := func(name *ast.Ident, p provenance) {
+		key = append(key, byte('0'+p))
+		if obj := site.pkg.ObjectOf(name); obj != nil && p != provUnknown {
+			seed[obj] = p
+		}
+	}
+	fd := site.decl
+	if recv != nil && fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 {
+		field := fd.Recv.List[0]
+		p := pf.provOf(s, recv)
+		if p == provShared && !isReferenceType(site.pkg.TypeOf(field.Type)) {
+			p = provBacking // a value receiver is a copy: its fields are its own
+		}
+		bind(field.Names[0], p)
+	}
+	i := 0
+	for _, field := range fd.Type.Params.List {
+		if _, variadic := field.Type.(*ast.Ellipsis); variadic && !call.Ellipsis.IsValid() {
+			break
+		}
+		if len(field.Names) == 0 {
+			i++
 			continue
 		}
-		if pf.provOf(s, arg) != provShared {
-			continue
+		for _, name := range field.Names {
+			if i < len(call.Args) {
+				bind(name, pf.provOf(s, call.Args[i]))
+			}
+			i++
 		}
-		what := "argument"
-		if slot == 0 && recv != nil {
-			what = "receiver"
-		}
-		c.report(f, call.Pos(),
-			"call passes a pool-shared instance to %s, which writes through its %s; cells must treat submitted instances as read-only", calleeLabel(callee), what)
 	}
+	return site, seed, callKey{decl: fd, seeds: string(key)}
+}
+
+// carriesShared reports whether a seeding passes anything shared into
+// the callee, the only thing a write there can be reported for.
+func carriesShared(seed provState) bool {
+	for _, p := range seed {
+		if p == provShared || p == provBacking {
+			return true
+		}
+	}
+	return false
 }
 
 // resolveCallee resolves the call's static callee object and, for
-// method calls, the receiver expression (summary slot 0).
+// method calls, the receiver expression.
 func resolveCallee(pkg *Package, call *ast.CallExpr) (types.Object, ast.Expr) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -313,20 +339,6 @@ func resolveCallee(pkg *Package, call *ast.CallExpr) (types.Object, ast.Expr) {
 		return fn, nil
 	}
 	return nil, nil
-}
-
-// calleeLabel renders a callee for a finding message: pkg.Func or
-// pkg.Type.Method.
-func calleeLabel(obj types.Object) string {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return obj.Name()
-	}
-	label := summaryKey(fn)
-	if fn.Pkg() != nil {
-		label = fn.Pkg().Name() + "." + label
-	}
-	return label
 }
 
 // isReferenceType reports whether values of t share underlying storage

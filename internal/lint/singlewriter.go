@@ -14,20 +14,16 @@ import (
 // Reading that invariant off the code requires knowing which functions
 // run on the writer goroutine, so the rule builds the serve package's
 // internal call graph, roots the writer set at the constructor (New)
-// and the launched goroutine that owns mutating work, closes it over
-// "called only from writer functions", and reports any call to a
-// mutating Reallocator method from outside that set. The constructor
-// may start additional background goroutines — the periodic snapshot
-// ticker submits operations through the op queue like any request
-// handler — but they are accepted without joining the writer set, and
-// a second launched goroutine that reaches mutating calls is itself a
-// finding: two concurrent Reallocator owners.
-//
-// Whether a method mutates comes from the cross-package summaries
-// (summary.go): a method provably writing through its receiver —
-// directly or via a same-package callee, which is how Refresh inherits
-// fullSolve's writes — is mutating. Without a summary (the dynamic package
-// absent from the run) the rule stays silent rather than guessing.
+// and the launched goroutine that calls the Reallocator, closes it over
+// "called only from writer functions", and reports any call of a
+// Reallocator method from outside that set. Reads count as much as
+// writes: the Reallocator has no lock, so a read concurrent with the
+// writer is a data race too. The constructor may start additional
+// background goroutines — the periodic snapshot ticker submits
+// operations through the op queue like any request handler — but they
+// are accepted without joining the writer set, and a second launched
+// goroutine that reaches a Reallocator call is itself a finding: two
+// concurrent Reallocator owners.
 type SingleWriter struct{}
 
 // Name implements Rule.
@@ -35,7 +31,7 @@ func (SingleWriter) Name() string { return "single-writer" }
 
 // Doc implements Rule.
 func (SingleWriter) Doc() string {
-	return "only the batch writer goroutine may call mutating Reallocator methods; other goroutines go through the op queue"
+	return "only the batch writer goroutine may call Reallocator methods; other goroutines go through the op queue"
 }
 
 // reallocatorType reports whether t is (a pointer to) the dynamic
@@ -51,11 +47,11 @@ func (SingleWriter) Check(m *Module, report ReportFunc) {
 		if pkg.Dir != "internal/serve" {
 			continue
 		}
-		checkSingleWriter(m, pkg, report)
+		checkSingleWriter(pkg, report)
 	}
 }
 
-func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
+func checkSingleWriter(pkg *Package, report ReportFunc) {
 	decls := pkg.funcDecls()
 
 	// The constructor anchors the analysis. Without one the writer
@@ -76,7 +72,7 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 	// one is a writer: the durability layer's snapshot ticker submits
 	// operations through the op queue like any request handler and
 	// never touches the Reallocator — it is accepted, but deliberately
-	// NOT writer-privileged, so a mutating call sneaking into such a
+	// NOT writer-privileged, so a Reallocator call sneaking into such a
 	// goroutine is still a finding.
 	type launch struct {
 		obj types.Object
@@ -97,7 +93,7 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 	})
 
 	// In-package call graph, both directions, plus a per-function
-	// "directly calls a mutating Reallocator method" flag. Goroutine
+	// "directly calls a Reallocator method" flag. Goroutine
 	// launches are starts, not calls — the launched function runs
 	// concurrently and must not inherit its launcher's confinement
 	// through the closure below.
@@ -121,9 +117,7 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 				return true
 			}
 			if recv != nil && reallocatorType(pkg.TypeOf(recv)) {
-				if fs := m.funcSummaryOf(callee); fs != nil && len(fs.writes) > 0 && fs.writes[0] == escYes {
-					direct[obj] = true
-				}
+				direct[obj] = true
 			}
 			if _, local := decls[callee]; !local || goCalls[call] {
 				return true
@@ -137,10 +131,10 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 		})
 	}
 
-	// reachesMutating: can fn reach a mutating Reallocator call through
-	// in-package calls (go launches excluded)?
-	var reachesMutating func(fn types.Object, seen map[types.Object]bool) bool
-	reachesMutating = func(fn types.Object, seen map[types.Object]bool) bool {
+	// reaches: can fn reach a Reallocator call through in-package calls
+	// (go launches excluded)?
+	var reaches func(fn types.Object, seen map[types.Object]bool) bool
+	reaches = func(fn types.Object, seen map[types.Object]bool) bool {
 		if direct[fn] {
 			return true
 		}
@@ -149,7 +143,7 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 		}
 		seen[fn] = true
 		for _, callee := range calls[fn] {
-			if reachesMutating(callee, seen) {
+			if reaches(callee, seen) {
 				return true
 			}
 		}
@@ -157,21 +151,21 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 	}
 
 	// The writer roots: the constructor (runs single-threaded before the
-	// loops start) and the launched goroutines that actually own mutating
-	// work. More than one mutating root is the architecture violation the
-	// rule exists for — two concurrent owners of the Reallocator — and is
-	// reported at the launch site.
+	// loops start) and the launched goroutines that actually call the
+	// Reallocator. More than one such root is the architecture violation
+	// the rule exists for — two concurrent owners of the Reallocator —
+	// and is reported at the launch site.
 	writers := map[types.Object]bool{ctor: true}
-	mutatingRoots := 0
+	roots := 0
 	for _, l := range launches {
-		if !reachesMutating(l.obj, make(map[types.Object]bool)) {
+		if !reaches(l.obj, make(map[types.Object]bool)) {
 			continue
 		}
 		writers[l.obj] = true
-		mutatingRoots++
-		if mutatingRoots > 1 {
+		roots++
+		if roots > 1 {
 			report(decls[ctor].file, l.pos,
-				"constructor starts a second goroutine (%s) that mutates the Reallocator; the single-writer architecture allows exactly one batch writer", l.obj.Name())
+				"constructor starts a second goroutine (%s) that calls the Reallocator; the single-writer architecture allows exactly one batch writer", l.obj.Name())
 		}
 	}
 
@@ -197,8 +191,8 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 		}
 	}
 
-	// Report mutating Reallocator calls outside the writer set, in
-	// stable position order.
+	// Report Reallocator calls outside the writer set, in stable
+	// position order.
 	type siteOrder struct {
 		obj  types.Object
 		site *declSite
@@ -224,12 +218,8 @@ func checkSingleWriter(m *Module, pkg *Package, report ReportFunc) {
 			if !reallocatorType(pkg.TypeOf(recv)) {
 				return true
 			}
-			fs := m.funcSummaryOf(callee)
-			if fs == nil || len(fs.writes) == 0 || fs.writes[0] != escYes {
-				return true
-			}
 			report(site.file, call.Pos(),
-				"call to mutating Reallocator method %s outside the batch writer goroutine; submit the operation through the op queue instead", callee.Name())
+				"call to Reallocator method %s outside the batch writer goroutine; submit the operation through the op queue instead", callee.Name())
 			return true
 		})
 	}

@@ -1,6 +1,5 @@
 // Package dynamic is the fixture stand-in for the module's dynamic
-// layer (see testdata/singlewriter): a Reallocator with mutating and
-// read-only methods for summary classification.
+// layer (see testdata/singlewriter).
 package dynamic
 
 // Reallocator mirrors the real one's shape.
@@ -9,14 +8,14 @@ type Reallocator struct {
 	state []int
 }
 
-// SetContext writes the receiver: mutating.
+// SetContext writes the receiver.
 func (r *Reallocator) SetContext(c int) { r.ctx = c }
 
-// AddCustomer writes the receiver: mutating.
+// AddCustomer writes the receiver.
 func (r *Reallocator) AddCustomer(n int) int {
 	r.state = append(r.state, n)
 	return len(r.state)
 }
 
-// Stats only reads: not mutating.
+// Stats only reads.
 func (r *Reallocator) Stats() int { return len(r.state) }

@@ -1,7 +1,7 @@
 // Package serve is the double-writer fixture: a constructor that
-// starts TWO goroutines whose call trees both reach mutating
-// Reallocator methods. The second launch is the architecture violation
-// — two concurrent owners — and is reported at the go statement.
+// starts TWO goroutines whose call trees both reach Reallocator
+// methods. The second launch is the architecture violation — two
+// concurrent owners — and is reported at the go statement.
 package serve
 
 import "fix/dynamic"
@@ -16,11 +16,11 @@ type Server struct {
 	ops chan op
 }
 
-// New starts the batch writer and, wrongly, a second mutating loop.
+// New starts the batch writer and, wrongly, a second Reallocator loop.
 func New() *Server {
 	s := &Server{r: &dynamic.Reallocator{}, ops: make(chan op, 16)}
 	go s.loop()
-	go s.compactLoop() // want "constructor starts a second goroutine (compactLoop) that mutates the Reallocator"
+	go s.compactLoop() // want "constructor starts a second goroutine (compactLoop) that calls the Reallocator"
 	go s.tickerLoop()
 	return s
 }
@@ -33,7 +33,7 @@ func (s *Server) loop() {
 	}
 }
 
-// compactLoop reaches a mutating call through a helper: a second
+// compactLoop reaches a Reallocator call through a helper: a second
 // concurrent Reallocator owner.
 func (s *Server) compactLoop() {
 	for i := 0; i < 3; i++ {
@@ -43,13 +43,11 @@ func (s *Server) compactLoop() {
 
 func (s *Server) compact(n int) { s.r.SetContext(n) }
 
-// tickerLoop only reads and enqueues: accepted, not a third writer.
+// tickerLoop only enqueues: accepted, not a third writer.
 func (s *Server) tickerLoop() {
 	for i := 0; i < 3; i++ {
-		if s.r.Stats() > 0 {
-			reply := make(chan int, 1)
-			s.ops <- op{n: i, reply: reply}
-			<-reply
-		}
+		reply := make(chan int, 1)
+		s.ops <- op{n: i, reply: reply}
+		<-reply
 	}
 }

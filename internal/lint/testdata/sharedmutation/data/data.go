@@ -28,13 +28,13 @@ func (in *Instance) Clone() *Instance {
 	}
 }
 
-// Fresh provably allocates on every return path: importers may treat
-// its result as owned even inside a pool cell.
+// Fresh allocates on every return path: its result is owned even
+// inside a pool cell.
 func Fresh(k int) *Instance {
 	return &Instance{K: k, Customers: make([]int64, 4)}
 }
 
 // Touch writes through its parameter.
 func Touch(in *Instance) {
-	in.K++
+	in.K++ // want "write to field K of a pool-shared instance"
 }

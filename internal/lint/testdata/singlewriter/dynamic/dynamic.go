@@ -1,6 +1,6 @@
 // Package dynamic is the fixture stand-in for the module's dynamic
-// layer: a Reallocator with mutating and read-only methods, so the
-// single-writer rule can classify them from summaries.
+// layer: a Reallocator whose methods, reading or writing, belong to the
+// batch writer alone.
 package dynamic
 
 // Reallocator mirrors the real one's shape: mutable state behind
@@ -10,24 +10,19 @@ type Reallocator struct {
 	state []int
 }
 
-// SetContext writes the receiver: mutating.
+// SetContext writes the receiver.
 func (r *Reallocator) SetContext(c int) { r.ctx = c }
 
-// AddCustomer writes the receiver: mutating.
+// AddCustomer writes the receiver.
 func (r *Reallocator) AddCustomer(n int) int {
 	r.state = append(r.state, n)
 	return len(r.state)
 }
 
-// flush writes the receiver: mutating (unexported, reached via Publish).
-func (r *Reallocator) flush() { r.state = r.state[:0] }
-
-// Publish mutates only through flush — the summary fixpoint must
-// still classify it as mutating.
+// Publish copies the state out.
 func (r *Reallocator) Publish() []int {
-	r.flush()
 	return append([]int(nil), r.state...)
 }
 
-// Stats only reads: not mutating.
+// Stats only reads.
 func (r *Reallocator) Stats() int { return len(r.state) }

@@ -15,7 +15,7 @@ type Server struct {
 	ops chan op
 }
 
-// New runs single-threaded before the writer starts: its mutating
+// New runs single-threaded before the writer starts: its Reallocator
 // calls are construction, not concurrency.
 func New() *Server {
 	s := &Server{r: &dynamic.Reallocator{}, ops: make(chan op, 16)}
@@ -25,15 +25,12 @@ func New() *Server {
 	return s
 }
 
-// tickerLoop stands in for the durability goroutines (snapshot policy,
-// drift healer): launched by the constructor, but it only reads and
-// submits through the op queue — accepted, no finding, and it does not
-// join the writer set.
+// tickerLoop stands in for the snapshot policy goroutine: launched by
+// the constructor, but it only submits through the op queue — accepted,
+// no finding, and it does not join the writer set.
 func (s *Server) tickerLoop() {
 	for i := 0; i < 3; i++ {
-		if s.r.Stats() > 0 {
-			s.handleAdd(i)
-		}
+		s.handleAdd(i)
 	}
 }
 
@@ -61,20 +58,21 @@ func (s *Server) handleAdd(n int) int {
 // handleFast skips the queue and mutates from a request goroutine.
 func (s *Server) handleFast(n int) int {
 	s.reset()
-	return s.r.AddCustomer(n) // want "call to mutating Reallocator method AddCustomer outside the batch writer goroutine"
+	return s.r.AddCustomer(n) // want "call to Reallocator method AddCustomer outside the batch writer goroutine"
 }
 
-// handleStats only reads: no finding.
-func (s *Server) handleStats() int { return s.r.Stats() }
+// handleStats only reads, but the Reallocator has no lock: a read
+// concurrent with the writer is a data race too.
+func (s *Server) handleStats() int { return s.r.Stats() } // want "call to Reallocator method Stats outside the batch writer goroutine"
 
 // refresh has no callers inside the package (wired up elsewhere), so
-// it cannot be writer-confined; Publish mutates via flush.
+// it cannot be writer-confined.
 func (s *Server) refresh() {
-	s.r.Publish() // want "call to mutating Reallocator method Publish outside the batch writer goroutine"
+	s.r.Publish() // want "call to Reallocator method Publish outside the batch writer goroutine"
 }
 
 // reset is called from both the writer (process) and a request
 // handler (handleFast): one non-writer caller loses confinement.
 func (s *Server) reset() {
-	s.r.SetContext(0) // want "call to mutating Reallocator method SetContext outside the batch writer goroutine"
+	s.r.SetContext(0) // want "call to Reallocator method SetContext outside the batch writer goroutine"
 }

@@ -72,6 +72,7 @@ func (tk *fakeTicker) tick()               { tk.c <- time.Unix(0, 0) }
 //	"rename"  the final rename fails
 //	"torn"    Write persists half the payload and reports success —
 //	          the torn file survives the rename under a generation name
+//	"readdir" ReadDir fails on a directory that exists
 type faultFS struct {
 	osFS
 	mode atomic.Value // string
@@ -96,6 +97,16 @@ func (f *faultFS) Rename(oldpath, newpath string) error {
 		return errors.New("injected rename failure")
 	}
 	return osFS{}.Rename(oldpath, newpath)
+}
+
+func (f *faultFS) ReadDir(dir string) ([]os.DirEntry, error) {
+	if f.is("readdir") {
+		if _, err := os.Stat(dir); err != nil {
+			return nil, err
+		}
+		return nil, errors.New("injected readdir failure")
+	}
+	return osFS{}.ReadDir(dir)
 }
 
 type faultFile struct {
@@ -420,5 +431,27 @@ func TestLoadNewestSnapshotCorruptSkip(t *testing.T) {
 		if snap != nil || path != "" || skipped != nil || err != nil {
 			t.Fatalf("empty dir %s: %v %q %v %v", d, snap, path, skipped, err)
 		}
+	}
+}
+
+// TestSnapshotUnlistableDir: a snapshot directory that exists but cannot
+// be listed is an error, not an empty listing. A restore from it fails
+// instead of starting fresh, and so does a server that would resume its
+// generations there; a directory that does not exist is still a fresh
+// start.
+func TestSnapshotUnlistableDir(t *testing.T) {
+	ffs := &faultFS{}
+	dir := t.TempDir()
+	ffs.setMode("readdir")
+	if snap, _, _, err := loadNewestSnapshot(ffs, dir); err == nil {
+		t.Fatalf("restore from an unlistable directory: snapshot %v, no error", snap)
+	}
+	if s, err := New(Config{Instance: testInstance(t), SnapshotEvery: time.Hour, SnapshotDir: dir, FS: ffs, Clock: newFakeClock()}); err == nil {
+		s.Close()
+		t.Fatal("New resumed generations from an unlistable directory")
+	}
+	snap, path, skipped, err := loadNewestSnapshot(ffs, filepath.Join(dir, "missing"))
+	if snap != nil || path != "" || skipped != nil || err != nil {
+		t.Fatalf("missing directory: %v %q %v %v, want a fresh start", snap, path, skipped, err)
 	}
 }

@@ -207,7 +207,11 @@ func New(cfg Config) (*Server, error) {
 		// Resume the generation sequence after the newest existing file
 		// so a restore into the same directory never collides.
 		gens, err := listGenerations(s.fs, cfg.SnapshotDir)
-		if err == nil && len(gens) > 0 {
+		if err != nil {
+			s.baseCancel()
+			return nil, fmt.Errorf("serve: snapshot dir: %w", err)
+		}
+		if len(gens) > 0 {
 			s.snapGen.Store(gens[len(gens)-1])
 		}
 	}
@@ -288,7 +292,18 @@ type op struct {
 	handles []int
 	algo    mcfs.Algorithm
 	reply   chan opResult
+	// state settles who owns a queued op: the writer takes it just
+	// before applying it, or its handler withdraws it once the request
+	// context ends, whichever comes first.
+	state *atomic.Int32
 }
+
+// Op states.
+const (
+	opQueued int32 = iota
+	opTaken
+	opWithdrawn
+)
 
 type opResult struct {
 	handles   []int
@@ -325,10 +340,16 @@ func (s *Server) loop() {
 	}
 }
 
-// process applies one batch, publishes, and replies.
+// process applies one batch, publishes, and replies. An op withdrawn
+// before the loop took it is skipped and not counted as batched.
 func (s *Server) process(batch []op) {
 	results := make([]opResult, len(batch))
+	taken := 0
 	for i, o := range batch {
+		if !o.state.CompareAndSwap(opQueued, opTaken) {
+			continue // withdrawn: its handler has answered already
+		}
+		taken++
 		// Bind the request context (deadline/cancellation) and the
 		// server-lifetime recorder together: the solver work each
 		// operation triggers lands in the process counters.
@@ -338,7 +359,7 @@ func (s *Server) process(batch []op) {
 	}
 	pubErr := s.publish()
 	s.batches.Add(1)
-	s.batchedOps.Add(int64(len(batch)))
+	s.batchedOps.Add(int64(taken))
 	obj := s.Objective()
 	for i, o := range batch {
 		res := results[i]
@@ -419,10 +440,13 @@ func (s *Server) apply(o op) opResult {
 	return opResult{err: fmt.Errorf("serve: unknown operation kind %d", o.kind)}
 }
 
-// do enqueues an operation and waits for its result or the context.
+// do enqueues an operation and waits for its result. When the context
+// ends first, the operation is withdrawn if the writer has not taken it
+// yet; once taken, it runs, and do waits for what it did.
 func (s *Server) do(ctx context.Context, o op) (opResult, error) {
 	o.ctx = ctx
 	o.reply = make(chan opResult, 1)
+	o.state = new(atomic.Int32)
 	select {
 	case s.ops <- o:
 	case <-s.quit:
@@ -434,7 +458,11 @@ func (s *Server) do(ctx context.Context, o op) (opResult, error) {
 	case res := <-o.reply:
 		return res, res.err
 	case <-ctx.Done():
-		return opResult{}, ctx.Err()
+		if o.state.CompareAndSwap(opQueued, opWithdrawn) {
+			return opResult{}, ctx.Err()
+		}
+		res := <-o.reply
+		return res, res.err
 	}
 }
 

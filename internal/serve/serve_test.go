@@ -14,8 +14,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mcfs"
+	"mcfs/internal/obs"
 )
 
 // testInstance builds a moderate synthetic instance with enough
@@ -787,4 +789,41 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
+}
+
+// TestServeWithdrawnDeparture: a request that gives up while its write
+// is still queued withdraws the write. A /departures with a 50 ms client
+// deadline waits behind a 400 ms exact /resolve; the client gets an
+// error, so the customer it named must still be served afterwards. (The
+// exact search outlasts its 400 ms budget, so the resolve itself ends in
+// a 504; only the time it holds the writer matters here.)
+func TestServeWithdrawnDeparture(t *testing.T) {
+	s, ts := newTestServer(t, Config{DefaultTimeout: 400 * time.Millisecond})
+	resolved := make(chan struct{})
+	go func() {
+		defer close(resolved)
+		if resp, err := http.Post(ts.URL+"/resolve", "application/json", strings.NewReader(`{"algorithm":"exact"}`)); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, "the exact search to hold the writer", func() bool { return s.rec.Counter(obs.BnBNodesExpanded) > 0 })
+
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	resp, err := client.Post(ts.URL+"/departures", "application/json", strings.NewReader(`{"handles":[3]}`))
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("departure answered %d within 50 ms behind a 400 ms resolve", resp.StatusCode)
+	}
+	<-resolved
+	// The loop serves its queue in order, so once a snapshot queued
+	// after the departure answers, the departure has been dealt with.
+	if code := call(t, "GET", ts.URL+"/snapshot", nil, nil); code != 200 {
+		t.Fatalf("snapshot = %d", code)
+	}
+	if code := call(t, "GET", ts.URL+"/assign?customer=3", nil, nil); code != 200 {
+		t.Fatalf("the client gave up on departing customer 3, yet /assign = %d", code)
+	}
+	if got := s.batchedOps.Load(); got != 2 {
+		t.Fatalf("batched ops %d, want 2: the resolve and the snapshot, not the withdrawn departure", got)
+	}
 }

@@ -18,7 +18,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -59,11 +61,15 @@ func parseGeneration(name string) (int64, bool) {
 
 // listGenerations returns the snapshot generations present in dir in
 // ascending order. A missing directory is an empty listing, not an
-// error (the first snapshot creates it).
+// error (the first snapshot creates it); any other failure to list it
+// is an error.
 func listGenerations(fsys FS, dir string) ([]int64, error) {
 	entries, err := fsys.ReadDir(dir)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	var gens []int64
 	for _, e := range entries {
@@ -82,8 +88,9 @@ func listGenerations(fsys FS, dir string) ([]int64, error) {
 // and returns the first one that parses, its path, and the paths of any
 // newer generations skipped as corrupt. A directory with no snapshot
 // files (or that does not exist) returns all zero values — the caller
-// starts fresh. A directory whose every generation is corrupt is an
-// error: the operator asked to restore and nothing is restorable.
+// starts fresh. A directory that cannot be listed, or whose every
+// generation is corrupt, is an error: the operator asked to restore and
+// nothing is restorable.
 func LoadNewestSnapshot(dir string) (*mcfs.ReallocatorSnapshot, string, []string, error) {
 	return loadNewestSnapshot(osFS{}, dir)
 }
