@@ -639,7 +639,7 @@ var lintSeeds = []struct {
 	{"single-writer", "internal/serve/seed.go", map[string]string{
 		"go.mod":                      "module scratch\n\ngo 1.22\n",
 		"internal/dynamic/dynamic.go": "package dynamic\n\ntype Reallocator struct{ ctx int }\n\nfunc (r *Reallocator) SetContext(c int) { r.ctx = c }\n",
-		"internal/serve/seed.go":      "package serve\n\nimport \"scratch/internal/dynamic\"\n\ntype Server struct{ r *dynamic.Reallocator }\n\nfunc New() *Server {\n\ts := &Server{r: &dynamic.Reallocator{}}\n\tgo s.loop()\n\treturn s\n}\n\nfunc (s *Server) loop() {}\n\nfunc (s *Server) handleFast(n int) {\n\ts.r.SetContext(n)\n}\n"}},
+		"internal/serve/seed.go":      "package serve\n\nimport \"scratch/internal/dynamic\"\n\ntype writer struct{ r *dynamic.Reallocator }\n\ntype Server struct{ slot chan *writer }\n\nfunc New() *Server {\n\ts := &Server{slot: make(chan *writer, 1)}\n\tw := &writer{r: &dynamic.Reallocator{}}\n\ts.slot <- w\n\treturn s\n}\n\nfunc (s *Server) handleFast(n int) {\n\tw := <-s.slot\n\ts.slot <- w\n\tw.r.SetContext(n)\n}\n"}},
 	{"sentinel-http-parity", "seed.go", map[string]string{
 		"go.mod":                 "module scratch\n\ngo 1.22\n",
 		"seed.go":                "package scratch\n\nimport \"errors\"\n\nvar ErrLost = errors.New(\"lost\")\n",

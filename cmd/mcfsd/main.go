@@ -40,7 +40,7 @@
 // The daemon prints "mcfsd: listening on http://ADDR" once the socket
 // is bound (use -addr 127.0.0.1:0 to pick a free port) and drains
 // gracefully on SIGINT/SIGTERM: the listener closes first, then the
-// writer goroutine finishes its batch and exits.
+// server waits for the batch being applied and stops applying writes.
 package main
 
 import (

@@ -25,10 +25,11 @@ func TestSingleWriterRule(t *testing.T) {
 	checkFixtures(t, pkgs, []Rule{SingleWriter{}})
 }
 
-// TestSingleWriterDoubleWriter: a constructor that launches two
-// goroutines whose call trees both reach Reallocator methods is two
-// concurrent owners — the second launch is reported. The ticker
-// goroutine alongside them, which only enqueues, stays accepted.
+// TestSingleWriterDoubleWriter: goroutines New starts that reach the
+// Reallocator without taking the writer from its slot — one handed the
+// writer New holds, one handed the bare Reallocator — are second
+// concurrent owners and are reported. The goroutine alongside them that
+// takes the writer from the slot for each write stays accepted.
 func TestSingleWriterDoubleWriter(t *testing.T) {
 	pkgs := loadFixture(t, "doublewriter", singleWriterDirs)
 	checkFixtures(t, pkgs, []Rule{SingleWriter{}})

@@ -1,53 +1,52 @@
-// Package serve is the double-writer fixture: a constructor that
-// starts TWO goroutines whose call trees both reach Reallocator
-// methods. The second launch is the architecture violation — two
-// concurrent owners — and is reported at the go statement.
+// Package serve is the double-writer fixture: besides the goroutine that
+// takes the writer from its slot, New starts goroutines that reach the
+// Reallocator without taking it — second concurrent owners.
 package serve
 
 import "fix/dynamic"
 
-type op struct {
-	n     int
-	reply chan int
+type writer struct {
+	r *dynamic.Reallocator
 }
 
 type Server struct {
-	r   *dynamic.Reallocator
-	ops chan op
+	slot chan *writer
 }
 
-// New starts the batch writer and, wrongly, a second Reallocator loop.
+// New starts the legitimate writer user and, wrongly, two loops that
+// own the Reallocator on their own.
 func New() *Server {
-	s := &Server{r: &dynamic.Reallocator{}, ops: make(chan op, 16)}
-	go s.loop()
-	go s.compactLoop() // want "constructor starts a second goroutine (compactLoop) that calls the Reallocator"
+	s := &Server{slot: make(chan *writer, 1)}
+	r := &dynamic.Reallocator{}
+	w := &writer{r: r}
+	go s.compactLoop(w) // want "writer w escapes the goroutine holding it: passed to a go or defer statement"
+	go s.sweepLoop(r)
 	go s.tickerLoop()
+	s.slot <- w
 	return s
 }
 
-// loop is the legitimate batch writer.
-func (s *Server) loop() {
-	for o := range s.ops {
-		s.r.SetContext(o.n)
-		o.reply <- s.r.AddCustomer(o.n)
-	}
-}
-
-// compactLoop reaches a Reallocator call through a helper: a second
-// concurrent Reallocator owner.
-func (s *Server) compactLoop() {
+// compactLoop is handed the writer New holds, so it calls the
+// Reallocator while New, and everyone who later takes the writer from
+// the slot, may too; the finding is at the go statement.
+func (s *Server) compactLoop(w *writer) {
 	for i := 0; i < 3; i++ {
-		s.compact(i)
+		w.r.SetContext(i)
 	}
 }
 
-func (s *Server) compact(n int) { s.r.SetContext(n) }
+// sweepLoop calls the Reallocator it was given, without the writer.
+func (s *Server) sweepLoop(r *dynamic.Reallocator) {
+	for i := 0; i < 3; i++ {
+		r.SetContext(i) // want "call to Reallocator method SetContext outside the writer"
+	}
+}
 
-// tickerLoop only enqueues: accepted, not a third writer.
+// tickerLoop takes the writer from the slot for each write: accepted.
 func (s *Server) tickerLoop() {
 	for i := 0; i < 3; i++ {
-		reply := make(chan int, 1)
-		s.ops <- op{n: i, reply: reply}
-		<-reply
+		w := <-s.slot
+		w.r.AddCustomer(i)
+		s.slot <- w
 	}
 }

@@ -1,6 +1,6 @@
 // Package dynamic is the fixture stand-in for the module's dynamic
 // layer: a Reallocator whose methods, reading or writing, belong to the
-// batch writer alone.
+// goroutine holding the serving layer's writer alone.
 package dynamic
 
 // Reallocator mirrors the real one's shape: mutable state behind

@@ -7,9 +7,13 @@
 // /stats, /healthz) are served lock-free from an immutable published
 // view swapped through an atomic pointer. Writes (/arrivals,
 // /departures, /resolve, /snapshot — anything touching the Reallocator)
-// are serialized through one batching goroutine that drains its queue,
-// coalesces up to maxBatch operations into one repair window, publishes
-// a fresh view once, and only then releases the waiting requests.
+// queue an operation and compete for the one writer, which holds the
+// Reallocator and waits in a one-place slot while nobody writes. The
+// request goroutine that takes it applies the queued operations up to
+// its own in batches of at most maxBatch, publishing a fresh view once
+// per batch before it releases that batch's waiting requests, and then
+// puts the writer back: a lone client applies its own write with no
+// handoff, and concurrent writers still coalesce into one repair window.
 // Request deadlines map onto the Reallocator's context API: each
 // operation runs under its request's context (bounded by
 // DefaultTimeout), and a cancelled or failed operation leaves the state
@@ -24,6 +28,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -61,7 +66,7 @@ type Config struct {
 
 	// SnapshotEvery > 0 enables the periodic snapshot-to-disk policy
 	// (snapshotter.go): every interval the engine captures the settled
-	// state through the batch loop and persists one generation into
+	// state through the writer and persists one generation into
 	// SnapshotDir via atomic temp+rename. Requires SnapshotDir.
 	SnapshotEvery time.Duration
 	// SnapshotDir is the generation directory (created if missing).
@@ -105,15 +110,17 @@ type view struct {
 var endpointNames = []string{"assign", "arrivals", "departures", "resolve", "snapshot", "stats"}
 
 // Server is the serving engine. Create one with New, mount Handler on
-// an http.Server, and Close it to drain the writer goroutine.
+// an http.Server, and Close it to stop applying writes.
 type Server struct {
 	cfg   Config
-	r     *mcfs.Reallocator
 	view  atomic.Pointer[view]
 	fs    FS
 	clock Clock
 
+	// ops queues the writes waiting to be applied; slot holds the writer
+	// whenever no goroutine is applying them (see do).
 	ops  chan op
+	slot chan *writer
 	quit chan struct{}
 	wg   sync.WaitGroup
 	// baseCtx parents the snapshot loop's operation contexts and is
@@ -143,11 +150,24 @@ type Server struct {
 	start time.Time
 
 	closeOnce sync.Once
+
+	// onBatch, when non-nil, sees every applied batch and its results in
+	// the order the writer applied them, before any of its requests is
+	// answered. Only tests set it, before the first write.
+	onBatch func(batch []op, results []opResult)
+}
+
+// writer holds the Reallocator. A Server has exactly one, and only the
+// goroutine holding it may call the Reallocator: New until it first puts
+// the writer in the slot, and afterwards whoever takes it from there,
+// until it puts it back.
+type writer struct {
+	r *mcfs.Reallocator
 }
 
 // New loads the instance into a warm Reallocator (restoring from
-// cfg.Snapshot when given), publishes the initial view, and starts the
-// writer goroutine.
+// cfg.Snapshot when given), publishes the initial view, and puts the
+// writer in its slot.
 func New(cfg Config) (*Server, error) {
 	if cfg.Instance == nil {
 		return nil, errors.New("serve: Config.Instance is required")
@@ -183,12 +203,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := &writer{r: r}
 	s := &Server{
 		cfg:   cfg,
-		r:     r,
 		fs:    cfg.FS,
 		clock: cfg.Clock,
 		ops:   make(chan op, 4*maxBatch),
+		slot:  make(chan *writer, 1),
 		quit:  make(chan struct{}),
 		lat:   make(map[string]*metrics.Histogram, len(endpointNames)),
 		rec:   obs.New(),
@@ -215,13 +236,11 @@ func New(cfg Config) (*Server, error) {
 			s.snapGen.Store(gens[len(gens)-1])
 		}
 	}
-	if err := s.publish(); err != nil {
+	if err := s.publish(w); err != nil {
 		s.baseCancel()
 		return nil, err
 	}
-	s.wg.Add(1)
-	//lint:ignore nakedgoroutine the writer goroutine is joined by Close via s.wg
-	go s.loop()
+	s.slot <- w
 	if cfg.SnapshotEvery > 0 {
 		s.wg.Add(1)
 		//lint:ignore nakedgoroutine the snapshot ticker goroutine is joined by Close via s.wg
@@ -230,25 +249,18 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the writer goroutine and waits for it. Queued operations
-// that were not yet picked up are failed with a shutdown error. The
-// HTTP listener (owned by the caller) should be shut down first.
+// Close stops applying writes: it waits for the batch being applied,
+// takes the writer and keeps it. A write still queued, or sent later,
+// is withdrawn and fails with a shutdown error. The HTTP listener (owned
+// by the caller) should be shut down first.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		// Unblock any background loop waiting on an op reply the writer
-		// will never send, then stop all loops and join them.
+		// Unblock the snapshot loop's wait for a reply, stop it and join
+		// it, then take the writer for good.
 		s.baseCancel()
 		close(s.quit)
 		s.wg.Wait()
-		// Fail whatever is still queued so no request waits forever.
-		for {
-			select {
-			case o := <-s.ops:
-				o.reply <- opResult{err: errShutdown}
-			default:
-				return
-			}
-		}
+		<-s.slot
 	})
 }
 
@@ -263,18 +275,18 @@ func (s *Server) Objective() int64 { return s.View().Objective }
 // publication in cmd/mcfsd). Counters only; never nil.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
-// publish materializes the Reallocator's state and swaps it in. Runs on
-// the writer goroutine (and once during New, before the loop starts).
-func (s *Server) publish() error {
-	pub, err := s.r.Publish()
+// publish materializes the Reallocator's state and swaps it in. Its
+// caller holds the writer w.
+func (s *Server) publish(w *writer) error {
+	pub, err := w.r.Publish()
 	if err != nil {
 		return err
 	}
-	s.view.Store(&view{pub: pub, base: s.r.BaseObjective(), stats: s.r.Stats(), queueDepth: len(s.ops)})
+	s.view.Store(&view{pub: pub, base: w.r.BaseObjective(), stats: w.r.Stats(), queueDepth: len(s.ops)})
 	return nil
 }
 
-// --- writer goroutine -------------------------------------------------------
+// --- writes -----------------------------------------------------------------
 
 type opKind int
 
@@ -292,9 +304,9 @@ type op struct {
 	handles []int
 	algo    mcfs.Algorithm
 	reply   chan opResult
-	// state settles who owns a queued op: the writer takes it just
-	// before applying it, or its handler withdraws it once the request
-	// context ends, whichever comes first.
+	// state settles who owns a queued op: the holder of the writer takes
+	// it just before applying it, or its handler withdraws it once the
+	// request context ends or the server closes, whichever comes first.
 	state *atomic.Int32
 }
 
@@ -313,39 +325,73 @@ type opResult struct {
 	err       error
 }
 
-// loop is the single writer: it blocks for one operation, drains the
-// queue up to maxBatch (coalescing concurrent churn into one repair
-// window), processes the batch against the Reallocator, publishes once,
-// and then releases every waiter.
-func (s *Server) loop() {
-	defer s.wg.Done()
-	for {
-		var first op
-		select {
-		case <-s.quit:
+// combine applies queued batches with the writer w, which its caller
+// holds, on behalf of o: while o is queued, batch after batch until o is
+// answered; when o could not be queued yet, one batch to make room for
+// it. It stops between batches once o's context has ended or the server
+// is closed.
+//
+// A panic while applying leaves the Reallocator in an unknown state and
+// the writer out of its slot. On a request goroutine net/http would
+// recover it and keep serving with no writer, every later write waiting
+// out its deadline, so the panic ends the process instead.
+func (s *Server) combine(w *writer, o op, queued bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			fmt.Fprintf(os.Stderr, "panic: %v\n\n%s", p, debug.Stack())
+			os.Exit(2)
+		}
+	}()
+	for s.stopErr(o.ctx) == nil && (!queued || o.state.Load() == opQueued) {
+		if batch := s.take(); len(batch) > 0 {
+			s.process(w, batch)
+		}
+		if !queued {
 			return
-		case first = <-s.ops:
 		}
-		batch := []op{first}
-		for len(batch) < maxBatch {
-			select {
-			case o := <-s.ops:
-				batch = append(batch, o)
-			default:
-				goto full
-			}
-		}
-	full:
-		s.process(batch)
 	}
 }
 
-// process applies one batch, publishes, and replies. An op withdrawn
-// before the loop took it is skipped and not counted as batched.
-func (s *Server) process(batch []op) {
+// stopErr reports why a write stops waiting: the server is closed, or
+// its context has ended; nil while neither.
+func (s *Server) stopErr(ctx context.Context) error {
+	select {
+	case <-s.quit:
+		return errShutdown
+	default:
+		return ctx.Err()
+	}
+}
+
+// take dequeues up to maxBatch operations without waiting for more.
+func (s *Server) take() []op {
+	var batch []op
+	for len(batch) < maxBatch {
+		select {
+		case o := <-s.ops:
+			batch = append(batch, o)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// process applies one batch with the writer w, publishes, and replies.
+// An op withdrawn before it was taken, or whose context has ended, is
+// skipped and not counted as batched.
+func (s *Server) process(w *writer, batch []op) {
 	results := make([]opResult, len(batch))
 	taken := 0
 	for i, o := range batch {
+		if err := o.ctx.Err(); err != nil {
+			// Its request has given up, though its handler may not have
+			// withdrawn it yet (it may be the one applying this batch):
+			// withdraw it here and answer with why.
+			o.state.CompareAndSwap(opQueued, opWithdrawn)
+			results[i].err = err
+			continue
+		}
 		if !o.state.CompareAndSwap(opQueued, opTaken) {
 			continue // withdrawn: its handler has answered already
 		}
@@ -354,26 +400,30 @@ func (s *Server) process(batch []op) {
 		// server-lifetime recorder together: the solver work each
 		// operation triggers lands in the process counters.
 		o.ctx = obs.WithRecorder(o.ctx, s.rec)
-		s.r.SetContext(o.ctx)
-		results[i] = s.apply(o)
+		w.r.SetContext(o.ctx)
+		results[i] = s.apply(w, o)
 	}
-	pubErr := s.publish()
+	pubErr := s.publish(w)
 	s.batches.Add(1)
 	s.batchedOps.Add(int64(taken))
 	obj := s.Objective()
-	for i, o := range batch {
-		res := results[i]
-		if res.err == nil && pubErr != nil {
-			res.err = pubErr
+	for i := range results {
+		if results[i].err == nil && pubErr != nil {
+			results[i].err = pubErr
 		}
-		res.objective = obj
-		o.reply <- res // buffered, never blocks
+		results[i].objective = obj
+	}
+	if s.onBatch != nil {
+		s.onBatch(batch, results)
+	}
+	for i, o := range batch {
+		o.reply <- results[i] // buffered, never blocks
 	}
 }
 
-// apply runs one operation against the Reallocator under its request
-// context (already bound by process).
-func (s *Server) apply(o op) opResult {
+// apply runs one operation against the Reallocator of the writer w
+// under its request context (already bound by process).
+func (s *Server) apply(w *writer, o op) opResult {
 	switch o.kind {
 	case opArrivals:
 		// Admit all or nothing. A failed arrival admits nobody, but the
@@ -383,7 +433,7 @@ func (s *Server) apply(o op) opResult {
 		// before its first one.
 		var before *mcfs.ReallocatorSnapshot
 		if len(o.nodes) > 1 {
-			snap, err := s.r.Snapshot()
+			snap, err := w.r.Snapshot()
 			if err != nil {
 				return opResult{err: err}
 			}
@@ -391,7 +441,7 @@ func (s *Server) apply(o op) opResult {
 		}
 		handles := make([]int, 0, len(o.nodes))
 		for _, node := range o.nodes {
-			h, err := s.r.AddCustomer(node)
+			h, err := w.r.AddCustomer(node)
 			if err != nil {
 				if len(handles) > 0 {
 					// The restore rebuilds the captured population's optimal
@@ -402,7 +452,7 @@ func (s *Server) apply(o op) opResult {
 					if rerr != nil {
 						return opResult{err: errors.Join(err, rerr)}
 					}
-					s.r = r
+					w.r = r
 				}
 				return opResult{err: err}
 			}
@@ -414,12 +464,12 @@ func (s *Server) apply(o op) opResult {
 		// handler already refused repeats). A live handle's removal
 		// cannot fail, so the rest always lands.
 		for _, h := range o.handles {
-			if !s.r.HasCustomer(h) {
+			if !w.r.HasCustomer(h) {
 				return opResult{err: fmt.Errorf("%w: %d", dynamic.ErrUnknownHandle, h)}
 			}
 		}
 		for _, h := range o.handles {
-			if err := s.r.RemoveCustomer(h); err != nil {
+			if err := w.r.RemoveCustomer(h); err != nil {
 				return opResult{err: err}
 			}
 		}
@@ -429,41 +479,70 @@ func (s *Server) apply(o op) opResult {
 		if err != nil {
 			return opResult{err: err}
 		}
-		if err := s.r.AdoptSelection(sol.Selected); err != nil {
+		// A solve may use up the deadline and still succeed: the exact
+		// search returns its incumbent at the deadline. The adoption is a
+		// bounded rebuild, so it runs to the end rather than drop that
+		// selection; the recorder stays bound.
+		w.r.SetContext(context.WithoutCancel(o.ctx))
+		if err := w.r.AdoptSelection(sol.Selected); err != nil {
 			return opResult{err: err}
 		}
 		return opResult{note: note}
 	case opSnapshot:
-		snap, err := s.r.Snapshot()
+		snap, err := w.r.Snapshot()
 		return opResult{snapshot: snap, err: err}
 	}
 	return opResult{err: fmt.Errorf("serve: unknown operation kind %d", o.kind)}
 }
 
-// do enqueues an operation and waits for its result. When the context
-// ends first, the operation is withdrawn if the writer has not taken it
-// yet; once taken, it runs, and do waits for what it did.
+// do enqueues an operation and waits for its reply. While it waits it
+// also competes for the writer: the goroutine that takes it from the
+// slot applies the queued batches up to its own op (combine) and puts it
+// back, so a lone client pays no handoff and concurrent writers still
+// coalesce. An op still queued when its context ends or the server
+// closes is withdrawn: by its handler, or, once its context has ended,
+// by the holder that reaches it. Once taken, it runs, and do waits for
+// what it did.
 func (s *Server) do(ctx context.Context, o op) (opResult, error) {
 	o.ctx = ctx
 	o.reply = make(chan opResult, 1)
 	o.state = new(atomic.Int32)
+	queue := s.ops // nil once o is queued
 	select {
-	case s.ops <- o:
-	case <-s.quit:
-		return opResult{}, errShutdown
-	case <-ctx.Done():
-		return opResult{}, ctx.Err()
+	case queue <- o:
+		queue = nil
+	default: // the queue is full: wait for room, or make it
 	}
-	select {
-	case res := <-o.reply:
-		return res, res.err
-	case <-ctx.Done():
-		if o.state.CompareAndSwap(opQueued, opWithdrawn) {
-			return opResult{}, ctx.Err()
+	for {
+		select {
+		case queue <- o:
+			queue = nil
+		case res := <-o.reply:
+			return res, res.err
+		case w := <-s.slot:
+			s.combine(w, o, queue == nil)
+			s.slot <- w
+			if err := s.stopErr(ctx); err != nil || queue == nil {
+				return withdraw(o, queue == nil, err)
+			}
+		case <-ctx.Done():
+			return withdraw(o, queue == nil, ctx.Err())
+		case <-s.quit:
+			return withdraw(o, queue == nil, errShutdown)
 		}
-		res := <-o.reply
-		return res, res.err
 	}
+}
+
+// withdraw gives up on o with err, unless o is queued and no longer its
+// handler's to withdraw: a holder of the writer has taken it, or has
+// withdrawn it for its ended context. Then it returns o's reply, which
+// that holder has sent or is about to send.
+func withdraw(o op, queued bool, err error) (opResult, error) {
+	if !queued || o.state.CompareAndSwap(opQueued, opWithdrawn) {
+		return opResult{}, err
+	}
+	res := <-o.reply
+	return res, res.err
 }
 
 // --- HTTP layer -------------------------------------------------------------
@@ -797,7 +876,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.rec.WritePrometheus(w, "mcfs")
 
-	fmt.Fprintf(w, "# HELP mcfsd_batches_total repair windows run by the writer loop\n# TYPE mcfsd_batches_total counter\nmcfsd_batches_total %d\n", s.batches.Load())
+	fmt.Fprintf(w, "# HELP mcfsd_batches_total repair windows run by the writer\n# TYPE mcfsd_batches_total counter\nmcfsd_batches_total %d\n", s.batches.Load())
 	fmt.Fprintf(w, "# HELP mcfsd_batched_ops_total operations coalesced into repair windows\n# TYPE mcfsd_batched_ops_total counter\nmcfsd_batched_ops_total %d\n", s.batchedOps.Load())
 	v := s.view.Load()
 	fmt.Fprintf(w, "# HELP mcfsd_queue_depth writer-queue backlog at the last publish\n# TYPE mcfsd_queue_depth gauge\nmcfsd_queue_depth %d\n", v.queueDepth)

@@ -1,10 +1,12 @@
 // Periodic snapshot-to-disk: the serving engine's durability policy
 // (DESIGN.md §12, "Durability").
 //
-// A background goroutine enqueues an opSnapshot through the single-
-// writer batch loop on every tick of Config.SnapshotEvery, so the
-// capture is always a settled, coalescing-consistent state — the same
-// guarantee GET /snapshot has. The capture is persisted with the
+// A background goroutine submits an opSnapshot on every tick of
+// Config.SnapshotEvery the way a request does (Server.do): it queues the
+// op and waits for its reply, taking the writer itself when the slot
+// has it. So the capture is always a settled state between batches —
+// the same guarantee GET /snapshot has — and the goroutine is never a
+// second writer. The capture is persisted with the
 // classic atomic discipline: write to a temp file in the target
 // directory, fsync, close, rename over the final generation name. A
 // crash at any point leaves either the previous generation or the new
@@ -119,9 +121,11 @@ func loadNewestSnapshot(fsys FS, dir string) (*mcfs.ReallocatorSnapshot, string,
 }
 
 // snapshotLoop is the periodic policy goroutine: one persisted
-// generation per tick, stopping with the server. Failures count and
-// log, but never stop the loop — the next tick retries, and the newest
-// prior generation stays loadable (persistSnapshot never touches it).
+// generation per tick, stopping with the server. Like a request, it
+// holds the writer only inside do, while it applies the queue up to its
+// own capture. Failures count and log, but never stop the loop — the
+// next tick retries, and the newest prior generation stays loadable
+// (persistSnapshot never touches it).
 func (s *Server) snapshotLoop() {
 	defer s.wg.Done()
 	tk := s.clock.NewTicker(s.cfg.SnapshotEvery)
@@ -141,7 +145,7 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// snapshotOnce captures the settled state through the batch loop and
+// snapshotOnce captures the settled state through the writer and
 // persists it as the next generation.
 func (s *Server) snapshotOnce() error {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.DefaultTimeout)

@@ -1,0 +1,457 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mcfs"
+	"mcfs/internal/dynamic"
+	"mcfs/internal/obs"
+)
+
+// serveHTTP sends one request straight into the handler (no socket) and
+// returns the recorded response.
+func serveHTTP(ctx context.Context, h http.Handler, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)).WithContext(ctx))
+	return rec
+}
+
+// holdWriter starts an exact /resolve whose request deadline is d and
+// returns once its search holds the writer; the returned channel yields
+// the resolve's response.
+func holdWriter(t *testing.T, s *Server, d time.Duration) <-chan *httptest.ResponseRecorder {
+	t.Helper()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	//lint:ignore nakedgoroutine every caller receives the resolve's response from the returned channel
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		done <- serveHTTP(ctx, s.Handler(), "POST", "/resolve", `{"algorithm":"exact"}`)
+	}()
+	waitFor(t, "the exact search to hold the writer", func() bool { return s.rec.Counter(obs.BnBNodesExpanded) > 0 })
+	return done
+}
+
+// TestServeWriteAfterClose: once Close has taken the writer, nobody
+// applies a write again, so a write still queued when the server closes
+// and every write sent afterwards is withdrawn and fails at once with
+// 503 shutting_down, never waiting out its own deadline.
+func TestServeWriteAfterClose(t *testing.T) {
+	s, err := New(Config{Instance: testInstance(t), DefaultTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := s.cfg.Instance.Customers[0]
+
+	// A departure queued behind a 500 ms resolve, with 5 s to live.
+	resolved := holdWriter(t, s, 500*time.Millisecond)
+	queued := make(chan error, 1)
+	go func() {
+		_, err := s.do(context.Background(), op{kind: opDepartures, handles: []int{3}})
+		queued <- err
+	}()
+	waitFor(t, "the departure to queue", func() bool { return len(s.ops) == 1 })
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case err := <-queued:
+		if !errors.Is(err, errShutdown) {
+			t.Fatalf("departure queued at Close: %v, want %v", err, errShutdown)
+		}
+	case <-resolved:
+		t.Fatal("the resolve holding the writer answered before the departure queued behind it was withdrawn")
+	}
+	<-closed
+	if rec := <-resolved; rec.Code != http.StatusOK {
+		t.Fatalf("resolve holding the writer at Close = %d %s", rec.Code, rec.Body)
+	}
+
+	// Writes sent after Close, each with a 50 ms deadline.
+	h := s.Handler()
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		rec := serveHTTP(ctx, h, "POST", "/arrivals", fmt.Sprintf(`{"nodes":[%d]}`, node))
+		cancel()
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"shutting_down"`) {
+			t.Fatalf("write %d after Close = %d %s after %v, want 503 shutting_down", i, rec.Code, rec.Body, time.Since(start))
+		}
+	}
+}
+
+// TestServeHolderWithdrawsEndedWrite: the goroutine holding the writer
+// applies the ops queued ahead of its own, and its own request may end
+// meanwhile. Here a departure's goroutine takes the writer with an exact
+// resolve queued ahead of it; the resolve outlasts the departure's
+// 200 ms deadline, so the departure must be withdrawn, not applied: it
+// answers 504 and the customer it named is still served.
+func TestServeHolderWithdrawsEndedWrite(t *testing.T) {
+	s, _ := newTestServer(t, Config{DefaultTimeout: 5 * time.Second})
+	w := <-s.slot // hold the writer while both ops queue
+	// The resolve is queued with no goroutine competing for the writer
+	// on its behalf, so the departure's goroutine is the one to take it.
+	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
+	defer cancel()
+	resolve := op{kind: opResolve, algo: mcfs.AlgorithmExact, ctx: ctx, reply: make(chan opResult, 1), state: new(atomic.Int32)}
+	s.ops <- resolve
+	departed := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		departed <- serveHTTP(ctx, s.Handler(), "POST", "/departures", `{"handles":[3]}`)
+	}()
+	waitFor(t, "the departure to queue behind the resolve", func() bool { return len(s.ops) == 2 })
+	s.slot <- w
+
+	rec := <-departed
+	select {
+	case res := <-resolve.reply:
+		if res.err != nil {
+			t.Fatalf("resolve applied by the departure's goroutine: %v", res.err)
+		}
+	default:
+		t.Fatalf("departure answered %d %s before the resolve queued ahead of it: it never held the writer", rec.Code, rec.Body)
+	}
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), `"deadline"`) {
+		t.Fatalf("departure whose request ended behind the resolve = %d %s, want 504 deadline", rec.Code, rec.Body)
+	}
+	if _, _, ok := s.View().Lookup(3); !ok {
+		t.Fatal("customer 3 departed although its request had given up")
+	}
+	if got := s.batchedOps.Load(); got != 1 {
+		t.Fatalf("%d batched ops, want 1: the resolve", got)
+	}
+}
+
+// TestServeQueueFullOfWithdrawn: an op whose request gave up stays in
+// the queue until a holder of the writer skips it, and nobody drains the
+// ones queued behind the last holder's own op. A write that finds the
+// queue full of them takes the writer and skips a batch of them to make
+// room, so it is still applied.
+func TestServeQueueFullOfWithdrawn(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	node := s.cfg.Instance.Customers[0]
+	w := <-s.slot
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for len(s.ops) < cap(s.ops) {
+		if _, err := s.do(gone, op{kind: opArrivals, nodes: []int32{node}}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("write under a cancelled context: %v", err)
+		}
+	}
+	s.slot <- w
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if rec := serveHTTP(ctx, s.Handler(), "POST", "/arrivals", fmt.Sprintf(`{"nodes":[%d]}`, node)); rec.Code != http.StatusOK {
+		t.Fatalf("arrival behind a full queue of withdrawn ops = %d %s", rec.Code, rec.Body)
+	}
+	if got := s.batchedOps.Load(); got != 1 {
+		t.Fatalf("%d batched ops, want 1: the arrival", got)
+	}
+}
+
+// TestServeWriterPanicEndsProcess: a panic while a request goroutine
+// applies writes must end the process, as it would on a goroutine of its
+// own. net/http recovers a handler's panic; a server that kept running
+// without its writer would let every later write wait out its deadline
+// and Close hang. The server runs in a child process of this test
+// binary, behind a real net/http server, with a batch hook that panics.
+func TestServeWriterPanicEndsProcess(t *testing.T) {
+	if os.Getenv("MCFS_SERVE_PANIC_CHILD") == "1" {
+		s, ts := newTestServer(t, Config{})
+		s.onBatch = func([]op, []opResult) { panic("batch hook panic") }
+		call(t, "POST", ts.URL+"/arrivals", ArrivalsRequest{Nodes: []int32{s.cfg.Instance.Customers[0]}}, nil)
+		t.Fatal("the process survived a panic while applying a write")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	child := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestServeWriterPanicEndsProcess$")
+	child.Env = append(os.Environ(), "MCFS_SERVE_PANIC_CHILD=1")
+	out, err := child.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "panic: batch hook panic") {
+		t.Fatalf("child serving a panicking write: %v, want exit status 2 with the panic\n%s", err, out)
+	}
+}
+
+// TestServeExactResolveKeepsIncumbent: an exact /resolve whose search
+// uses up the request deadline succeeds with its best incumbent, and
+// that selection is adopted and published rather than dropped by an
+// adoption under the spent deadline.
+func TestServeExactResolveKeepsIncumbent(t *testing.T) {
+	s, ts := newTestServer(t, Config{DefaultTimeout: 400 * time.Millisecond})
+	var rr ResolveReply
+	if code := call(t, "POST", ts.URL+"/resolve", ResolveRequest{Algorithm: "exact"}, &rr); code != http.StatusOK {
+		t.Fatalf("exact resolve = %d", code)
+	}
+	var st StatsReply
+	if code := call(t, "GET", ts.URL+"/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats = %d", code)
+	}
+	if st.Reallocator.Adoptions != 1 {
+		t.Fatalf("adoptions %d after a successful resolve, want 1", st.Reallocator.Adoptions)
+	}
+	pub := s.View()
+	if rr.Objective != pub.Objective {
+		t.Fatalf("resolve answered objective %d, published %d", rr.Objective, pub.Objective)
+	}
+	inst := s.cfg.Instance
+	now := &mcfs.Instance{G: inst.G, Customers: pub.Nodes, Facilities: inst.Facilities, K: inst.K}
+	best, err := mcfs.AssignToSelection(now, pub.Selected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Objective != pub.Objective {
+		t.Fatalf("published objective %d, but its selection serves the population at %d", pub.Objective, best.Objective)
+	}
+}
+
+// TestServeCoalescing: writes that queue while another request holds
+// the writer are applied together. Eight single-customer arrivals wait
+// behind an exact /resolve; once it is answered, the next holder applies
+// all eight in one batch behind one publish.
+func TestServeCoalescing(t *testing.T) {
+	s, _ := newTestServer(t, Config{DefaultTimeout: 10 * time.Second})
+	batches, ops := s.batches.Load(), s.batchedOps.Load()
+	resolved := holdWriter(t, s, 500*time.Millisecond)
+
+	h := s.Handler()
+	codes := make(chan int, 8)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"nodes":[%d]}`, s.cfg.Instance.Customers[i])
+			codes <- serveHTTP(context.Background(), h, "POST", "/arrivals", body).Code
+		}(i)
+	}
+	waitFor(t, "eight writes to queue", func() bool { return len(s.ops) == 8 })
+	<-resolved
+	wg.Wait()
+	close(codes)
+	for code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("queued arrival = %d", code)
+		}
+	}
+	if got := s.batches.Load() - batches; got != 2 {
+		t.Errorf("%d batches, want 2: the resolve's, then one for the eight queued writes", got)
+	}
+	if got := s.batchedOps.Load() - ops; got != 9 {
+		t.Errorf("%d batched ops, want 9", got)
+	}
+}
+
+// applied is one operation the writer applied and its result.
+type applied struct {
+	o   op
+	res opResult
+}
+
+// TestServeLinearizable checks the coalesced batches against a serial
+// order. Eight clients send random arrivals, departures and occasional
+// /resolve requests, with drift re-solves on; a hook records every batch
+// in the order it was applied. Replaying that record through one plain
+// Reallocator must give every op the handles and error it was answered
+// with, and every op the objective its batch published; the final view
+// must equal the replay's, and be optimal for its selection; and every
+// client reply must be one the record holds.
+func TestServeLinearizable(t *testing.T) {
+	const (
+		clients = 8
+		perCli  = 20
+		drift   = 1.2
+	)
+	s, _ := newTestServer(t, Config{DriftFactor: drift, DefaultTimeout: 30 * time.Second})
+	inst := s.cfg.Instance
+	var mu sync.Mutex
+	var record [][]applied
+	s.onBatch = func(batch []op, results []opResult) {
+		var b []applied
+		for i, o := range batch {
+			if o.state.Load() == opTaken {
+				b = append(b, applied{o, results[i]})
+			}
+		}
+		mu.Lock()
+		record = append(record, b)
+		mu.Unlock()
+	}
+
+	h := s.Handler()
+	pool := mcfs.LargestComponent(inst.G)
+	replies := make(chan string, clients*perCli)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c) + 1))
+			for i := 0; i < perCli; i++ {
+				var kind opKind
+				var path, body string
+				switch p := rng.Intn(20); {
+				case p == 0:
+					kind, path, body = opResolve, "/resolve", `{"algorithm":"wma"}`
+				case p < 11:
+					kind, path = opArrivals, "/arrivals"
+					body = fmt.Sprintf(`{"nodes":[%d]}`, pool[rng.Intn(len(pool))])
+				default:
+					// Handles a little past the live range, so some
+					// departures name a customer that is gone or never was.
+					kind, path = opDepartures, "/departures"
+					hs := []int{rng.Intn(80)}
+					if rng.Intn(3) == 0 {
+						if h2 := rng.Intn(80); h2 != hs[0] {
+							hs = append(hs, h2)
+						}
+					}
+					raw, _ := json.Marshal(DeparturesRequest{Handles: hs})
+					body = string(raw)
+				}
+				rec := serveHTTP(context.Background(), h, "POST", path, body)
+				replies <- replyKey(t, kind, rec)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(replies)
+
+	// Replay the record serially.
+	r, err := mcfs.NewReallocator(inst, drift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := make(map[string]int)
+	ops, failed := 0, 0
+	for bi, batch := range record {
+		want := make([]opResult, len(batch))
+		for i, a := range batch {
+			want[i] = replayOp(t, r, inst, a.o)
+		}
+		obj, err := r.Objective()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range batch {
+			ops++
+			if !slices.Equal(a.res.handles, want[i].handles) || fmt.Sprint(a.res.err) != fmt.Sprint(want[i].err) {
+				t.Fatalf("batch %d op %d (kind %d): answered handles %v error %v, serial replay gives %v error %v",
+					bi, i, a.o.kind, a.res.handles, a.res.err, want[i].handles, want[i].err)
+			}
+			if a.res.objective != obj {
+				t.Fatalf("batch %d op %d: answered objective %d, serial replay after the batch gives %d", bi, i, a.res.objective, obj)
+			}
+			key := fmt.Sprintf("%d %d  %v %d %s", a.o.kind, http.StatusOK, a.res.handles, a.res.objective, a.res.note)
+			if a.res.err != nil {
+				failed++
+				status, code := statusOf(a.res.err)
+				key = fmt.Sprintf("%d %d %s", a.o.kind, status, code)
+			}
+			recorded[key]++
+		}
+	}
+	if ops != clients*perCli {
+		t.Fatalf("record holds %d applied ops, clients sent %d", ops, clients*perCli)
+	}
+	t.Logf("%d ops in %d batches, %d failed; %d full solves", ops, len(record), failed, r.Stats().FullSolves)
+	for key := range replies {
+		if recorded[key] == 0 {
+			t.Fatalf("client reply %q is not in the record", key)
+		}
+		recorded[key]--
+	}
+
+	pub, err := r.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.View(), pub) {
+		t.Fatalf("final view differs from the serial replay's:\nserved %+v\nreplay %+v", s.View(), pub)
+	}
+	now := &mcfs.Instance{G: inst.G, Customers: pub.Nodes, Facilities: inst.Facilities, K: inst.K}
+	best, err := mcfs.AssignToSelection(now, pub.Selected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Objective != pub.Objective {
+		t.Fatalf("final objective %d, but its selection serves the population at %d", pub.Objective, best.Objective)
+	}
+}
+
+// replayOp applies one recorded op to r with the serving semantics,
+// written out serially: an arrival admits one customer, a departure
+// removes all its handles or none, and a resolve adopts the selection
+// its algorithm finds on the instance.
+func replayOp(t *testing.T, r *mcfs.Reallocator, inst *mcfs.Instance, o op) opResult {
+	t.Helper()
+	switch o.kind {
+	case opArrivals:
+		if len(o.nodes) != 1 {
+			t.Fatalf("replay sends single arrivals, got %v", o.nodes)
+		}
+		h, err := r.AddCustomer(o.nodes[0])
+		if err != nil {
+			return opResult{err: err}
+		}
+		return opResult{handles: []int{h}}
+	case opDepartures:
+		for _, h := range o.handles {
+			if !r.HasCustomer(h) {
+				return opResult{err: fmt.Errorf("%w: %d", dynamic.ErrUnknownHandle, h)}
+			}
+		}
+		for _, h := range o.handles {
+			if err := r.RemoveCustomer(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return opResult{handles: o.handles}
+	case opResolve:
+		sol, _, err := o.algo.Solve(context.Background(), inst)
+		if err == nil {
+			err = r.AdoptSelection(sol.Selected)
+		}
+		return opResult{err: err}
+	}
+	t.Fatalf("replay of op kind %d", o.kind)
+	return opResult{}
+}
+
+// replyKey renders a client's reply the way the linearizability check
+// keys the record: kind and status, then the error code of a failure,
+// or the handles, objective and note of a success.
+func replyKey(t *testing.T, kind opKind, rec *httptest.ResponseRecorder) string {
+	var reply struct {
+		Handles   []int  `json:"handles"`
+		Objective int64  `json:"objective"`
+		Note      string `json:"note"`
+		Code      string `json:"code"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Errorf("bad reply %q: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusOK {
+		return fmt.Sprintf("%d %d %s", kind, rec.Code, reply.Code)
+	}
+	return fmt.Sprintf("%d %d %s %v %d %s", kind, rec.Code, reply.Code, reply.Handles, reply.Objective, reply.Note)
+}
