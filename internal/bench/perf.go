@@ -5,7 +5,7 @@
 // the perf suite exists to make "faster" a checkable claim over time: it
 // measures the SSPA inner loop — resumable Dijkstra, the reduced-cost
 // FindPair search — the optimal assignment to a fixed selection, a
-// Reallocator churn script and one Publish of the population it leaves,
+// Reallocator churn script and one flat Publish of the population it leaves,
 // and the end-to-end WMA solve on the city
 // presets, and emits a schema-versioned JSON file that ComparePerf can
 // diff against any earlier run. The bench package is the one layer
@@ -28,6 +28,7 @@ import (
 
 	"mcfs"
 	"mcfs/internal/bipartite"
+	"mcfs/internal/dynamic"
 	"mcfs/internal/graph"
 	"mcfs/internal/obs"
 )
@@ -252,17 +253,17 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 			return err
 		}, true},
 		// The Reallocator row restores the snapshot and replays the churn
-		// script; each departure and arrival is followed by Publish, as
-		// mcfsd publishes after every batch.
+		// script; each departure and arrival is followed by Freeze, as
+		// mcfsd publishes the frozen view after every batch.
 		{name("Reallocator"), func(ctx context.Context, _ int) error {
-			_, pub, err := churn.replay(ctx)
-			if err == nil && pub.Objective != churn.want {
-				err = fmt.Errorf("objective %d after the churn script, AssignToSelection %d", pub.Objective, churn.want)
+			_, view, err := churn.replay(ctx)
+			if err == nil && view.Objective() != churn.want {
+				err = fmt.Errorf("objective %d after the churn script, AssignToSelection %d", view.Objective(), churn.want)
 			}
 			return err
 		}, true},
-		// The Publish row times one Publish of the Reallocator the churn
-		// script leaves, built once above. Publish records no obs
+		// The Publish row times one flat Publish of the Reallocator the
+		// churn script leaves, built once above. Publish records no obs
 		// counters, so the row has no probe.
 		{name("Publish"), func(context.Context, int) error {
 			pub, err := churn.final.Publish()
@@ -323,11 +324,12 @@ func newReallocatorChurn(inst *mcfs.Instance, seed int64) (*reallocatorChurn, er
 		live = append(live, next)
 		next++
 	}
-	final, pub, err := c.replay(context.Background())
+	final, view, err := c.replay(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	c.final = final
+	pub := view.Flatten()
 	now := &mcfs.Instance{G: inst.G, Customers: pub.Nodes, Facilities: inst.Facilities, K: inst.K}
 	best, err := mcfs.AssignToSelectionCtx(context.Background(), now, pub.Selected)
 	if err != nil {
@@ -338,29 +340,26 @@ func newReallocatorChurn(inst *mcfs.Instance, seed int64) (*reallocatorChurn, er
 }
 
 // replay restores the snapshot under ctx and runs the script with a
-// Publish after every step, returning the Reallocator and its last
-// published view.
-func (c *reallocatorChurn) replay(ctx context.Context) (*mcfs.Reallocator, *mcfs.PublishedAssignment, error) {
+// Freeze after the restore and after every step, as mcfsd publishes its
+// initial state and every batch, returning the Reallocator and its last
+// view.
+func (c *reallocatorChurn) replay(ctx context.Context) (*mcfs.Reallocator, *dynamic.View, error) {
 	r, err := mcfs.RestoreReallocatorCtx(ctx, c.inst, c.snap, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	var pub *mcfs.PublishedAssignment
+	view := r.Freeze()
 	for i, h := range c.depart {
 		if err := r.RemoveCustomer(h); err != nil {
 			return nil, nil, err
 		}
-		if pub, err = r.Publish(); err != nil {
-			return nil, nil, err
-		}
+		view = r.Freeze()
 		if _, err := r.AddCustomer(c.arrive[i]); err != nil {
 			return nil, nil, err
 		}
-		if pub, err = r.Publish(); err != nil {
-			return nil, nil, err
-		}
+		view = r.Freeze()
 	}
-	return r, pub, nil
+	return r, view, nil
 }
 
 // WritePerfFile marshals the file (stable indented JSON) to path.

@@ -32,6 +32,7 @@ import (
 // ever did, FindPairCtx returns an invariant-breach error instead of a
 // matching.
 func (mt *Matcher) FindPairCtx(ctx context.Context, i int) (matched bool, err error) {
+	mt.flips = mt.flips[:0]
 	mt.ctx = ctx
 	if rec := obs.From(ctx); rec != nil {
 		defer mt.flushStats(rec, mt.stats)
@@ -212,7 +213,8 @@ func (mt *Matcher) augment(j int, pathLen int64) {
 // flipPath flips matched flags along the last search's path from its
 // source to facility j: forward arcs become matched, backward arcs
 // unmatched. It returns the number of forward arcs, which is how many
-// customers the flip moved onto a new facility.
+// customers the flip moved onto a new facility. The arcs stay in
+// mt.flips, which Moved reports.
 func (mt *Matcher) flipPath(j int) (moved int) {
 	l := mt.L()
 	flips := mt.flips[:0]
@@ -267,4 +269,19 @@ func (mt *Matcher) flipPath(j int) (moved int) {
 	}
 	mt.flips = flips
 	return moved
+}
+
+// Moved appends to dst the customers whose matched edges the last
+// FindPairCtx or RemoveCustomerCtx changed, as customer indexes valid
+// after that call, and returns the extended slice. Those are the
+// customers of the one path that call flipped: each gains the facility
+// of its forward arc, and loses the one of its backward arc, if any. A
+// call that matched nothing, failed or was cancelled reports nobody.
+func (mt *Matcher) Moved(dst []int) []int {
+	for _, f := range mt.flips {
+		if f.fwd {
+			dst = append(dst, int(f.cust))
+		}
+	}
+	return dst
 }

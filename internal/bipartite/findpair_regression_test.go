@@ -196,6 +196,9 @@ func TestCancelledFindPairResumes(t *testing.T) {
 			} else if !errors.Is(err, context.Canceled) {
 				t.Fatalf("trial %d polls %d: err = %v, want context.Canceled", trial, polls, err)
 			}
+			if moved := mt.Moved(nil); len(moved) > 0 {
+				t.Fatalf("trial %d polls %d: a cancelled call reports moved customers %v", trial, polls, moved)
+			}
 			checkInvariants(t, mt)
 			for i := 0; i < m; i++ {
 				if mt.searchers[i].Err() != nil {

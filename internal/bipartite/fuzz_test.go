@@ -24,7 +24,8 @@ func fuzzMod(raw, m int64) int64 {
 // removals with their cycle-cancelling repair — against refMinCost, the
 // dense successive-shortest-paths reference with no optimizations.
 // FindPair calls interleave with removals of customers matched at most
-// once, and checkInvariants runs after every step. The engine's final
+// once, and checkInvariants runs after every step, checkMoved around
+// every call. The engine's final
 // matching must cost exactly the reference optimum for the demand
 // vector the remaining customers achieved, and a failed FindPair with
 // no removal after it must mean the reference cannot place another
@@ -66,11 +67,13 @@ func FuzzMatcher(f *testing.F) {
 		lastFailed := -1
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < mt.M(); i++ {
+				before := matchedSets(mt)
 				if must(mt.FindPairCtx(ctx, i)) {
 					demands[ids[i]]++
 				} else {
 					lastFailed = ids[i]
 				}
+				checkMoved(t, mt, before, -1)
 				checkInvariants(t, mt)
 				if rng.Intn(3) != 0 {
 					continue
@@ -79,7 +82,9 @@ func FuzzMatcher(f *testing.F) {
 				if mt.MatchCount(k) > 1 {
 					continue
 				}
+				before = matchedSets(mt)
 				must(mt.RemoveCustomerCtx(ctx, k))
+				checkMoved(t, mt, before, k)
 				ids[k] = ids[len(ids)-1]
 				ids = ids[:len(ids)-1]
 				lastFailed = -1 // a freed slot may serve it now
@@ -117,4 +122,40 @@ func FuzzMatcher(f *testing.F) {
 			}
 		}
 	})
+}
+
+// matchedSets returns every customer's matched facilities, sorted.
+func matchedSets(mt *Matcher) [][]int {
+	out := make([][]int, mt.M())
+	for i := range out {
+		out[i], _ = mt.Matches(i)
+		slices.Sort(out[i])
+	}
+	return out
+}
+
+// checkMoved checks Moved against a diff of every customer's matched
+// facilities across one FindPairCtx or RemoveCustomerCtx call. before
+// is matchedSets from before the call; removed is the customer index the
+// call removed, which the last customer took, or -1. The customers Moved
+// reports, as indexes after the call, must be exactly those whose
+// matched facilities changed, each once, so a call that changed nothing
+// reports nobody.
+func checkMoved(t *testing.T, mt *Matcher, before [][]int, removed int) {
+	t.Helper()
+	var changed []int
+	for i, facs := range matchedSets(mt) {
+		was := i
+		if i == removed {
+			was = len(before) - 1
+		}
+		if !slices.Equal(before[was], facs) {
+			changed = append(changed, i)
+		}
+	}
+	moved := mt.Moved(nil)
+	slices.Sort(moved)
+	if !slices.Equal(moved, changed) {
+		t.Fatalf("Moved reports customers %v; their matched facilities changed for %v", moved, changed)
+	}
 }

@@ -99,7 +99,7 @@ type Matcher struct {
 	settled []int32 // settle order of the last run
 	epoch   int32
 	heap    *pq.LazyHeap
-	flips   []flip // augment's path buffer
+	flips   []flip // the path the last call flipped (Moved)
 
 	stats Stats
 }

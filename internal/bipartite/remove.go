@@ -13,7 +13,7 @@ import (
 // holds a positive potential, one bounded search over the materialized
 // residual graph looks for a negative cycle through the freed slot and
 // cancels it. RemoveCustomerCtx returns how many customers that cycle
-// moved to another facility: 0 when there was none.
+// moved to another facility: 0 when there was none. Moved names them.
 //
 // The last customer takes index i (swap-remove), so a caller that maps
 // its own ids onto customer indexes must move the last one's entry to
@@ -28,6 +28,7 @@ import (
 // the obs recorder the work is counted on, as FindPairCtx counts its
 // own.
 func (mt *Matcher) RemoveCustomerCtx(ctx context.Context, i int) (moved int, err error) {
+	mt.flips = mt.flips[:0]
 	if i < 0 || i >= mt.M() {
 		return 0, fmt.Errorf("bipartite: remove customer %d of %d", i, mt.M())
 	}

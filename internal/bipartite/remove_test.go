@@ -11,7 +11,8 @@ import (
 // TestRemoveCustomerRandomized churns small instances with capacities
 // of one or two, so departures often leave a full facility, and checks
 // after every arrival and removal that the matching costs exactly the
-// dense reference optimum for the customers still present. It also
+// dense reference optimum for the customers still present, and that
+// Moved names exactly the customers each call moved. It also
 // requires that some removals ran the cycle search and some cancelled
 // a cycle; without both the test would not reach the repair.
 func TestRemoveCustomerRandomized(t *testing.T) {
@@ -34,19 +35,25 @@ func TestRemoveCustomerRandomized(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			if len(nodes) > 0 && rng.Intn(2) == 0 {
 				k := rng.Intn(len(nodes))
-				before := mt.Stats().DijkstraRuns
+				before, runs := matchedSets(mt), mt.Stats().DijkstraRuns
 				if must(mt.RemoveCustomerCtx(ctx, k)) > 0 {
 					cycles++
 				}
-				searches += mt.Stats().DijkstraRuns - before
+				checkMoved(t, mt, before, k)
+				searches += mt.Stats().DijkstraRuns - runs
 				nodes[k] = nodes[len(nodes)-1]
 				nodes = nodes[:len(nodes)-1]
 			} else {
 				node := int32(rng.Intn(n))
 				i := mt.AddCustomer(node)
-				if !must(mt.FindPairCtx(ctx, i)) {
+				before := matchedSets(mt)
+				ok := must(mt.FindPairCtx(ctx, i))
+				checkMoved(t, mt, before, -1)
+				if !ok {
 					// Unservable: drop the unmatched newcomer again.
+					before = matchedSets(mt)
 					must(mt.RemoveCustomerCtx(ctx, i))
+					checkMoved(t, mt, before, i)
 				} else {
 					nodes = append(nodes, node)
 				}
@@ -88,6 +95,9 @@ func TestRemoveCustomerRejectsMultipleMatches(t *testing.T) {
 	cost := mt.TotalMatchedCost()
 	if _, err := mt.RemoveCustomerCtx(ctx, 0); err == nil {
 		t.Fatal("removed a customer holding two matches")
+	}
+	if moved := mt.Moved(nil); len(moved) > 0 {
+		t.Fatalf("a rejected removal reports moved customers %v", moved)
 	}
 	if _, err := mt.RemoveCustomerCtx(ctx, 2); err == nil {
 		t.Fatal("removed customer index 2 of 2")

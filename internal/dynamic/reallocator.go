@@ -18,10 +18,13 @@
 // configurable factor of the last full solve, when an arrival cannot be
 // served by the open facilities, or on explicit Refresh.
 //
-// The live population is one slice in ascending handle order whose
-// entries carry their matcher index: a handle is found by binary search,
-// and reads walk the population by position. The objective is the
-// matcher's running total, so every arrival's drift check is O(1).
+// The live population is a persistent copy-on-write table of pages of
+// 64 consecutive handles (publish.go), whose entries carry each
+// customer's node, matcher index and facility. After every matcher call
+// the facilities of the customers it moved are updated, so the table is
+// always the current assignment, and Freeze publishes it as a View in
+// O(1): the writer then copies only the pages it writes. The objective is
+// the matcher's running total, so every arrival's drift check is O(1).
 //
 // A failed operation leaves the state it found: a re-selection installs
 // its selection and matching only once both are built, and a refused
@@ -30,11 +33,9 @@
 package dynamic
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"mcfs/internal/bipartite"
 	"mcfs/internal/core"
@@ -81,22 +82,18 @@ type Reallocator struct {
 	k          int
 	opt        Options
 
-	live   []customer // live customers, ascending by handle
+	tab    table // live customers, ascending by handle
 	nextID int
 
-	selected []int // global facility indexes currently open
+	// selected holds the global facility indexes currently open. It is
+	// replaced, never written in place, so views share it.
+	selected []int
 	mt       *bipartite.Matcher
 	handleOf []int // matcher customer index → handle
+	moved    []int // scratch for the matcher's Moved
 
 	baseObjective int64 // objective right after the last full solve
 	stats         Stats
-}
-
-// customer is a live customer: its handle, network node and matcher index.
-type customer struct {
-	handle int
-	node   int32
-	idx    int32
 }
 
 // NewCtx builds a Reallocator from an initial instance, performing one
@@ -114,10 +111,7 @@ func NewCtx(ctx context.Context, inst *data.Instance, opt Options) (*Reallocator
 	if err != nil {
 		return nil, err
 	}
-	for _, node := range inst.Customers {
-		r.live = append(r.live, customer{handle: r.nextID, node: node})
-		r.nextID++
-	}
+	r.enroll(inst.Customers)
 	if err := r.fullSolve(); err != nil {
 		return nil, err
 	}
@@ -135,10 +129,7 @@ func AdoptCtx(ctx context.Context, inst *data.Instance, selected []int, opt Opti
 	if err != nil {
 		return nil, err
 	}
-	for _, node := range inst.Customers {
-		r.live = append(r.live, customer{handle: r.nextID, node: node})
-		r.nextID++
-	}
+	r.enroll(inst.Customers)
 	if err := r.adopt(selected); err != nil {
 		return nil, err
 	}
@@ -167,23 +158,30 @@ func skeleton(ctx context.Context, inst *data.Instance, opt Options) (*Reallocat
 	}, nil
 }
 
-// nodes returns the live customers' network nodes in handle order.
-func (r *Reallocator) nodes() []int32 {
-	out := make([]int32, len(r.live))
-	for i, c := range r.live {
-		out[i] = c.node
+// enroll adds customers at nodes as the next handles, unassigned until
+// the rebuild that must follow.
+func (r *Reallocator) enroll(nodes []int32) {
+	for i, node := range nodes {
+		r.tab.add(r.nextID, entry{node: node, idx: int32(i), fac: -1})
+		r.nextID++
 	}
-	return out
+}
+
+// population returns the live customers' handles and network nodes in
+// handle order.
+func (r *Reallocator) population() (handles []int, nodes []int32) {
+	handles = make([]int, 0, r.tab.n)
+	nodes = make([]int32, 0, r.tab.n)
+	r.tab.each(func(h int, e entry) {
+		handles = append(handles, h)
+		nodes = append(nodes, e.node)
+	})
+	return handles, nodes
 }
 
 // instance materializes a population over the network and catalogue.
 func (r *Reallocator) instance(custs []int32) *data.Instance {
 	return &data.Instance{G: r.g, Customers: custs, Facilities: r.facilities, K: r.k}
-}
-
-// find returns handle's position in the live population, if it is live.
-func (r *Reallocator) find(handle int) (i int, ok bool) {
-	return slices.BinarySearchFunc(r.live, handle, func(c customer, h int) int { return cmp.Compare(c.handle, h) })
 }
 
 // SetContext rebinds the context governing subsequent operations
@@ -201,7 +199,8 @@ func (r *Reallocator) SetContext(ctx context.Context) {
 // on error it changes nothing.
 func (r *Reallocator) fullSolve() error {
 	r.rec().Add(obs.ReallocFullSolves, 1)
-	sol, err := core.SolveCtx(r.ctx, r.instance(r.nodes()), r.opt.Core)
+	_, nodes := r.population()
+	sol, err := core.SolveCtx(r.ctx, r.instance(nodes), r.opt.Core)
 	if err != nil {
 		return err
 	}
@@ -252,7 +251,8 @@ func (r *Reallocator) rec() *obs.Recorder { return obs.From(r.ctx) }
 // rebuild builds the optimal assignment of the live customers to the
 // facilities in selected, indexing the matcher's customers in handle
 // order. Only once it is built does rebuild install the selection, the
-// matching and the drift baseline, so on error it changes nothing.
+// matching, a fresh live table and the drift baseline, so on error it
+// changes nothing.
 func (r *Reallocator) rebuild(selected []int) error {
 	if p := r.rec().Phase("repair"); p != nil {
 		defer p.End()
@@ -261,7 +261,7 @@ func (r *Reallocator) rebuild(selected []int) error {
 	for i, j := range selected {
 		subset[i] = r.facilities[j]
 	}
-	custs := r.nodes()
+	handles, custs := r.population()
 	mt := bipartite.New(r.g, custs, subset)
 	mt.SetExhaustive(r.opt.Core.Exhaustive)
 	for i := range custs {
@@ -270,15 +270,16 @@ func (r *Reallocator) rebuild(selected []int) error {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("dynamic: customer %d unservable by open facilities: %w", r.live[i].handle, data.ErrInfeasible)
+			return fmt.Errorf("dynamic: customer %d unservable by open facilities: %w", handles[i], data.ErrInfeasible)
 		}
 	}
 	r.selected = selected
 	r.mt = mt
-	r.handleOf = slices.Grow(r.handleOf[:0], len(r.live))
-	for i := range r.live {
-		r.live[i].idx = int32(i)
-		r.handleOf = append(r.handleOf, r.live[i].handle)
+	r.handleOf = handles
+	r.tab = table{}
+	for i, h := range handles {
+		fac, _, _ := mt.Match(i)
+		r.tab.add(h, entry{node: custs[i], idx: int32(i), fac: int32(selected[fac])})
 	}
 	r.baseObjective = mt.TotalMatchedCost()
 	r.stats.Rebuilds++
@@ -305,10 +306,10 @@ func (r *Reallocator) AddCustomer(node int32) (int, error) {
 	// nextID exceeds every live handle, so appending keeps the order.
 	h := r.nextID
 	idx := r.mt.AddCustomer(node)
-	r.live = append(r.live, customer{handle: h, node: node, idx: int32(idx)})
 	r.handleOf = append(r.handleOf, h)
+	r.tab.add(h, entry{node: node, idx: int32(idx), fac: -1})
 	if err := r.admit(idx); err != nil {
-		r.remove(len(r.live) - 1)
+		r.remove(h, idx)
 		return 0, err
 	}
 	r.nextID++
@@ -324,6 +325,7 @@ func (r *Reallocator) admit(idx int) error {
 	if err != nil {
 		return err
 	}
+	r.settle()
 	if !ok || r.driftExceeded() {
 		return r.fullSolve()
 	}
@@ -335,42 +337,52 @@ func (r *Reallocator) admit(idx int) error {
 // optimal with no rebuild. Only an unknown handle is an error; the
 // repair does not poll the context, so a live handle is always removed.
 func (r *Reallocator) RemoveCustomer(handle int) error {
-	i, ok := r.find(handle)
+	e, ok := r.tab.get(handle)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownHandle, handle)
 	}
-	r.remove(i)
+	r.remove(handle, int(e.idx))
 	r.stats.Departures++
 	return nil
 }
 
-// remove takes the live customer at position i out of the matcher and
-// repairs the matching in place. Every customer in the matcher holds one
-// match, a refused newcomer at most one, so the repair cannot fail.
-func (r *Reallocator) remove(i int) {
-	c := r.live[i]
-	moved, err := r.mt.RemoveCustomerCtx(r.ctx, int(c.idx))
+// remove takes live customer handle, at matcher index idx, out of the
+// matcher and repairs the matching in place. Every customer in the
+// matcher holds one match, a refused newcomer at most one, so the repair
+// cannot fail.
+func (r *Reallocator) remove(handle, idx int) {
+	moved, err := r.mt.RemoveCustomerCtx(r.ctx, idx)
 	if err != nil {
 		panic(err)
 	}
 	// The matcher moved its last customer into the freed index.
 	last := len(r.handleOf) - 1
-	if int(c.idx) != last {
+	if idx != last {
 		h := r.handleOf[last]
-		r.handleOf[c.idx] = h
-		j, _ := r.find(h)
-		r.live[j].idx = c.idx
+		r.handleOf[idx] = h
+		r.tab.at(h).idx = int32(idx)
 	}
 	r.handleOf = r.handleOf[:last]
-	r.live = slices.Delete(r.live, i, i+1)
+	r.tab.delete(handle)
+	r.settle()
 	rec := r.rec()
 	rec.Add(obs.ReallocRepairs, 1)
 	rec.Add(obs.ReallocReroutedCustomers, int64(moved))
 }
 
+// settle records the facility of every customer the matcher's last
+// call moved.
+func (r *Reallocator) settle() {
+	r.moved = r.mt.Moved(r.moved[:0])
+	for _, idx := range r.moved {
+		fac, _, _ := r.mt.Match(idx)
+		r.tab.at(r.handleOf[idx]).fac = int32(r.selected[fac])
+	}
+}
+
 // HasCustomer reports whether handle names a live customer.
 func (r *Reallocator) HasCustomer(handle int) bool {
-	_, ok := r.find(handle)
+	_, ok := r.tab.get(handle)
 	return ok
 }
 
@@ -398,7 +410,7 @@ func (r *Reallocator) Selected() []int {
 // handle, with facility values indexing the candidate catalogue. It
 // reads the matcher's customers in index order, not the live population.
 func (r *Reallocator) Assignment() (map[int]int, error) {
-	out := make(map[int]int, len(r.live))
+	out := make(map[int]int, r.tab.n)
 	for idx, h := range r.handleOf {
 		fac, _, ok := r.mt.Match(idx)
 		if !ok {
@@ -420,7 +432,7 @@ func (r *Reallocator) Solution() (*data.Instance, *data.Solution, error) {
 }
 
 // Customers returns the number of live customers.
-func (r *Reallocator) Customers() int { return len(r.live) }
+func (r *Reallocator) Customers() int { return r.tab.n }
 
 // Stats returns work counters.
 func (r *Reallocator) Stats() Stats { return r.stats }

@@ -376,10 +376,14 @@ func TestReallocatorRejectsDriftFactorAtMostOne(t *testing.T) {
 // model. Capacities of one or two make departures leave full
 // facilities, and the test requires that some departure's repair
 // cancelled a cycle, so the in-place repair, not only the free-slot
-// shortcut, is checked.
+// shortcut, is checked. It freezes a view after every step, refused
+// arrivals included, and keeps them all: once a trial ends, each view
+// flattened must still equal the flat Publish taken at its step, so no
+// later write reached a frozen page. The steps hand out handles past the
+// first 64, so the churn crosses pages and empties some.
 func TestReallocatorRandomChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	cycles := 0
+	cycles, pages := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		inst := testutil.RandomInstance(rng, testutil.Params{
 			MinNodes: 20, MaxNodes: 60,
@@ -393,13 +397,15 @@ func TestReallocatorRandomChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		var handles []int
+		var handles, departed []int
 		model := make(map[int]int32) // live handle → node
 		for h, node := range inst.Customers {
 			handles = append(handles, h)
 			model[h] = node
 		}
-		for step := 0; step < 25; step++ {
+		var views []*View
+		var flats []*Published
+		for step := 0; step < 200; step++ {
 			if len(handles) > 0 && rng.Intn(3) == 0 {
 				i := rng.Intn(len(handles))
 				before := rec.Counter(obs.ReallocReroutedCustomers)
@@ -410,36 +416,49 @@ func TestReallocatorRandomChurn(t *testing.T) {
 					cycles++
 				}
 				delete(model, handles[i])
+				departed = append(departed, handles[i])
 				handles = append(handles[:i], handles[i+1:]...)
 			} else {
 				node := int32(rng.Intn(inst.G.N()))
 				h, err := r.AddCustomer(node)
-				if err != nil {
-					if errors.Is(err, data.ErrInfeasible) {
-						checkModel(t, r, model)
-						continue // catalogue saturated or unreachable node: acceptable
-					}
+				switch {
+				case err == nil:
+					handles = append(handles, h)
+					model[h] = node
+				case !errors.Is(err, data.ErrInfeasible):
 					t.Fatalf("trial %d step %d: %v", trial, step, err)
-				}
-				handles = append(handles, h)
-				model[h] = node
+				} // ErrInfeasible: catalogue saturated or unreachable node, acceptable
 			}
 			verify(t, r)
-			checkModel(t, r, model)
+			view := r.Freeze()
+			flat := checkModel(t, r, model, view, departed)
+			views, flats = append(views, view), append(flats, flat)
+			pages = max(pages, len(r.tab.pages))
+		}
+		for step, v := range views {
+			if got := v.Flatten(); !reflect.DeepEqual(got, flats[step]) {
+				t.Fatalf("trial %d: the view frozen at step %d changed:\n got %+v\nwant %+v", trial, step, got, flats[step])
+			}
 		}
 	}
 	if cycles == 0 {
 		t.Fatal("no departure cancelled a cycle; the churn never reached the repair")
 	}
-	t.Logf("%d departures cancelled a cycle", cycles)
+	if pages < 2 {
+		t.Fatal("the live table never held two pages; the churn never crossed a page")
+	}
+	t.Logf("%d departures cancelled a cycle; at most %d pages", cycles, pages)
 }
 
 // checkModel checks every view of the live population against model, a
 // record of the live handles and their nodes kept outside the
-// Reallocator: Publish and Snapshot list exactly the model's handles in
-// ascending order, each at its own node; Assignment, Solution, Lookup,
-// Objective and Customers agree with the published view.
-func checkModel(t *testing.T, r *Reallocator, model map[int]int32) {
+// Reallocator: Publish, the frozen view and Snapshot list exactly the
+// model's handles in ascending order, each at its own node; every live
+// handle's Lookup in both views gives the facility the matcher-derived
+// Assignment holds, and no departed handle resolves; Solution, Objective
+// and Customers agree with the published view. It returns the flat
+// Publish.
+func checkModel(t *testing.T, r *Reallocator, model map[int]int32, view *View, departed []int) *Published {
 	t.Helper()
 	handles := make([]int, 0, len(model))
 	for h := range model {
@@ -471,11 +490,24 @@ func checkModel(t *testing.T, r *Reallocator, model map[int]int32) {
 	if len(asg) != len(handles) || r.Customers() != len(handles) {
 		t.Fatalf("Assignment has %d customers, Customers() %d; model %d", len(asg), r.Customers(), len(handles))
 	}
+	if got := view.Flatten(); !reflect.DeepEqual(got, pub) {
+		t.Fatalf("frozen view %+v, flat Publish %+v", got, pub)
+	}
+	if view.Customers() != len(handles) || view.Objective() != pub.Objective {
+		t.Fatalf("frozen view holds %d customers at objective %d; model %d, Publish %d",
+			view.Customers(), view.Objective(), len(handles), pub.Objective)
+	}
 	for i, h := range handles {
 		node, fac, ok := pub.Lookup(h)
-		if !ok || node != nodes[i] || fac != pub.Assignment[i] || fac != asg[h] {
-			t.Fatalf("customer %d: Lookup (%d, %d, %v), published facility %d, Assignment %d; model node %d",
-				h, node, fac, ok, pub.Assignment[i], asg[h], nodes[i])
+		vnode, vfac, vok := view.Lookup(h)
+		if !ok || !vok || node != nodes[i] || vnode != nodes[i] || fac != asg[h] || vfac != asg[h] || fac != pub.Assignment[i] {
+			t.Fatalf("customer %d: Lookup (%d, %d, %v), view Lookup (%d, %d, %v), published facility %d, Assignment %d; model node %d",
+				h, node, fac, ok, vnode, vfac, vok, pub.Assignment[i], asg[h], nodes[i])
+		}
+	}
+	for _, h := range append(departed[max(0, len(departed)-8):], -1, r.nextID, r.nextID+pageSize) {
+		if _, _, ok := view.Lookup(h); ok {
+			t.Fatalf("handle %d resolves in the frozen view but is not live", h)
 		}
 	}
 	inst, sol, err := r.Solution()
@@ -491,6 +523,7 @@ func checkModel(t *testing.T, r *Reallocator, model map[int]int32) {
 		t.Fatalf("Solution (nodes %v, assignment %v, selected %v, objective %d) and Objective %d disagree with the published view (%v, %v, %v, %d)",
 			inst.Customers, sol.Assignment, sol.Selected, sol.Objective, obj, pub.Nodes, pub.Assignment, pub.Selected, pub.Objective)
 	}
+	return pub
 }
 
 func TestReallocatorRefresh(t *testing.T) {

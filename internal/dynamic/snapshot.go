@@ -46,7 +46,8 @@ type Snapshot struct {
 // succeeds under any context; the error is always nil and is kept for
 // API stability.
 func (r *Reallocator) Snapshot() (*Snapshot, error) {
-	s := &Snapshot{
+	handles, nodes := r.population()
+	return &Snapshot{
 		Version:       SnapshotVersion,
 		Nodes:         r.g.N(),
 		Edges:         r.g.M(),
@@ -55,14 +56,10 @@ func (r *Reallocator) Snapshot() (*Snapshot, error) {
 		NextID:        r.nextID,
 		BaseObjective: r.baseObjective,
 		Selected:      append([]int(nil), r.selected...),
-		Handles:       make([]int, len(r.live)),
-		CustomerNodes: r.nodes(),
+		Handles:       handles,
+		CustomerNodes: nodes,
 		Stats:         r.stats,
-	}
-	for i, c := range r.live {
-		s.Handles[i] = c.handle
-	}
-	return s, nil
+	}, nil
 }
 
 // Write serializes the snapshot as indented JSON.
@@ -137,8 +134,8 @@ func (s *Snapshot) checkAgainst(inst *data.Instance) error {
 // rebuilt — reproducing the snapshotted objective exactly (the
 // minimum-cost assignment to a fixed selection is unique in value). The
 // work counters resume from the captured Stats. Handles must be
-// strictly increasing, as Snapshot writes them: the live handle order
-// and Published.Lookup rely on it. See NewCtx for the
+// strictly increasing, as Snapshot writes them: the live table and
+// Published.Lookup rely on it. See NewCtx for the
 // context contract.
 func RestoreCtx(ctx context.Context, inst *data.Instance, s *Snapshot, opt Options) (*Reallocator, error) {
 	if err := s.checkAgainst(inst); err != nil {
@@ -150,7 +147,7 @@ func RestoreCtx(ctx context.Context, inst *data.Instance, s *Snapshot, opt Optio
 	}
 	r.nextID = s.NextID
 	for i, h := range s.Handles {
-		r.live = append(r.live, customer{handle: h, node: s.CustomerNodes[i]})
+		r.tab.add(h, entry{node: s.CustomerNodes[i], idx: int32(i), fac: -1})
 	}
 	if err := r.adopt(s.Selected); err != nil {
 		return nil, err

@@ -249,7 +249,8 @@ func TestAdoptSelection(t *testing.T) {
 	// Adopt the current selection rotated through a fresh reallocator:
 	// any feasible selection must be installable.
 	sel := r.Selected()
-	adopted, err := AdoptCtx(context.Background(), r.instance(r.nodes()), sel, Options{})
+	_, nodes := r.population()
+	adopted, err := AdoptCtx(context.Background(), r.instance(nodes), sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

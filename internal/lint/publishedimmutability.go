@@ -7,15 +7,18 @@ import (
 )
 
 // PublishedImmutability enforces the serving layer's read-path contract
-// (DESIGN.md §12): a *dynamic.Published (aliased as
-// mcfs.PublishedAssignment) is an immutable snapshot the writer
-// goroutine swaps through an atomic.Pointer, and any number of reader
-// goroutines resolve queries against it without locks. That only works
-// if nobody writes through one — so the rule reports every field
-// write, element write, pointer store, or copy() whose destination is
-// reachable from a Published value or from anything loaded out of an
-// atomic.Pointer (the published-view convention: a Load hands back a
-// snapshot someone else may be reading concurrently).
+// (DESIGN.md §12): a *dynamic.View, the frozen live table the writer
+// swaps through an atomic.Pointer, and its flat form *dynamic.Published
+// (aliased as mcfs.PublishedAssignment) are immutable snapshots that any
+// number of reader goroutines resolve queries against without locks.
+// That only works if nobody writes through one — so the rule reports
+// every field write, element write, pointer store, or copy() whose
+// destination is reachable from a View or Published value or from
+// anything loaded out of an atomic.Pointer (the published-view
+// convention: a Load hands back a snapshot someone else may be reading
+// concurrently). A View shares its pages with the Reallocator's live
+// table, which copies a page before writing it; the rule covers writes
+// through the View, and the table's own writes are the tests' to check.
 //
 // The rule runs on the same flow-sensitive provenance engine as
 // shared-instance-mutation, so construction sites stay silent: inside
@@ -33,12 +36,11 @@ func (PublishedImmutability) Doc() string {
 	return "no writes through a *PublishedAssignment or a value loaded from an atomic.Pointer view"
 }
 
-// publishedType reports whether t is (a pointer to) dynamic.Published.
-// The root package's PublishedAssignment is a type alias, which
-// types.Unalias resolves to the same named type.
+// publishedType reports whether t is (a pointer to) dynamic.View or
+// dynamic.Published. The root package's PublishedAssignment is a type
+// alias, which types.Unalias resolves to the same named type.
 func publishedType(t types.Type) bool {
-	return isNamedType(t, true, "internal/dynamic", "Published") ||
-		isNamedType(t, true, "dynamic", "Published")
+	return isNamedType(t, true, "dynamic", "View") || isNamedType(t, true, "dynamic", "Published")
 }
 
 // isAtomicPointerLoad reports whether call is (*atomic.Pointer[T]).Load.

@@ -11,9 +11,36 @@ type Published struct {
 	pos       map[int]int
 }
 
-// Reallocator is the mutable state Publish snapshots.
+// View mirrors the real frozen paged view: its pages stay shared with
+// the Reallocator's live table, which copies a page before writing it.
+type View struct {
+	objective int64
+	pages     []*page
+}
+
+type page struct {
+	nodes []int32
+}
+
+// Reallocator is the mutable state Publish and Freeze snapshot.
 type Reallocator struct {
 	selected []int
+	pages    []*page
+}
+
+// Freeze builds a fresh view over the shared pages: the composite
+// literal makes it owned, so setting its objective is not a finding.
+func (r *Reallocator) Freeze() *View {
+	v := &View{pages: r.pages}
+	v.objective = int64(len(r.pages))
+	return v
+}
+
+// repin writes through a frozen view, inside the package that owns the
+// type: readers hold the view, and its pages are the live table's.
+func repin(v *View, node int32) {
+	v.objective = 0            // want "write to field objective of a published view"
+	v.pages[0].nodes[0] = node // want "element write into a published view's backing array"
 }
 
 // Publish builds a fresh view: the composite literal makes it owned,

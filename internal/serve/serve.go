@@ -5,7 +5,10 @@
 //
 // The concurrency model is single-writer/many-readers. Reads (/assign,
 // /stats, /healthz) are served lock-free from an immutable published
-// view swapped through an atomic pointer. Writes (/arrivals,
+// view swapped through an atomic pointer: the Reallocator's frozen live
+// table (dynamic.View), which shares every page the batch did not write
+// with the view before it, so publishing costs the pages a batch
+// touched, not the population. Writes (/arrivals,
 // /departures, /resolve, /snapshot — anything touching the Reallocator)
 // queue an operation and compete for the one writer, which holds the
 // Reallocator and waits in a one-place slot while nobody writes. The
@@ -95,14 +98,9 @@ var errShutdown = errors.New("serve: server is shutting down")
 // view is the unit of publication: the immutable assignment plus the
 // scalar state the read-only endpoints report.
 type view struct {
-	pub   *mcfs.PublishedAssignment
+	pub   *dynamic.View
 	base  int64
 	stats mcfs.ReallocatorStats
-	// queueDepth is the number of operations still waiting in the writer
-	// queue at the moment this view was published — the backlog signal
-	// /stats and /metrics report (reads stay lock-free; sampling at
-	// publish time is the single-writer-consistent point to take it).
-	queueDepth int
 }
 
 // endpointNames fixes the catalogue (and report order) of instrumented
@@ -131,6 +129,10 @@ type Server struct {
 
 	batches    atomic.Int64 // repair windows run
 	batchedOps atomic.Int64 // operations processed inside them
+	// pending counts the writes submitted and neither taken nor
+	// withdrawn: the backlog /stats and /metrics report as queue depth.
+	// An op leaves it with the state change that settles its owner.
+	pending atomic.Int64
 
 	// Durability state: the last persisted snapshot generation and when
 	// it was written.
@@ -236,10 +238,7 @@ func New(cfg Config) (*Server, error) {
 			s.snapGen.Store(gens[len(gens)-1])
 		}
 	}
-	if err := s.publish(w); err != nil {
-		s.baseCancel()
-		return nil, err
-	}
+	s.publish(w)
 	s.slot <- w
 	if cfg.SnapshotEvery > 0 {
 		s.wg.Add(1)
@@ -264,26 +263,22 @@ func (s *Server) Close() {
 	})
 }
 
-// View returns the currently published assignment (never nil after a
-// successful New).
-func (s *Server) View() *mcfs.PublishedAssignment { return s.view.Load().pub }
+// View returns the currently published assignment, flattened: each call
+// copies the whole population into a fresh value (never nil after a
+// successful New). The endpoints read the published view itself.
+func (s *Server) View() *mcfs.PublishedAssignment { return s.view.Load().pub.Flatten() }
 
 // Objective returns the published objective.
-func (s *Server) Objective() int64 { return s.View().Objective }
+func (s *Server) Objective() int64 { return s.view.Load().pub.Objective() }
 
 // Recorder exposes the server's work-counter recorder (for expvar
 // publication in cmd/mcfsd). Counters only; never nil.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
-// publish materializes the Reallocator's state and swaps it in. Its
-// caller holds the writer w.
-func (s *Server) publish(w *writer) error {
-	pub, err := w.r.Publish()
-	if err != nil {
-		return err
-	}
-	s.view.Store(&view{pub: pub, base: w.r.BaseObjective(), stats: w.r.Stats(), queueDepth: len(s.ops)})
-	return nil
+// publish freezes the Reallocator's state and swaps it in. Its caller
+// holds the writer w.
+func (s *Server) publish(w *writer) {
+	s.view.Store(&view{pub: w.r.Freeze(), base: w.r.BaseObjective(), stats: w.r.Stats()})
 }
 
 // --- writes -----------------------------------------------------------------
@@ -388,11 +383,11 @@ func (s *Server) process(w *writer, batch []op) {
 			// Its request has given up, though its handler may not have
 			// withdrawn it yet (it may be the one applying this batch):
 			// withdraw it here and answer with why.
-			o.state.CompareAndSwap(opQueued, opWithdrawn)
+			s.settle(o, opWithdrawn)
 			results[i].err = err
 			continue
 		}
-		if !o.state.CompareAndSwap(opQueued, opTaken) {
+		if !s.settle(o, opTaken) {
 			continue // withdrawn: its handler has answered already
 		}
 		taken++
@@ -403,14 +398,11 @@ func (s *Server) process(w *writer, batch []op) {
 		w.r.SetContext(o.ctx)
 		results[i] = s.apply(w, o)
 	}
-	pubErr := s.publish(w)
+	s.publish(w)
 	s.batches.Add(1)
 	s.batchedOps.Add(int64(taken))
 	obj := s.Objective()
 	for i := range results {
-		if results[i].err == nil && pubErr != nil {
-			results[i].err = pubErr
-		}
 		results[i].objective = obj
 	}
 	if s.onBatch != nil {
@@ -507,6 +499,7 @@ func (s *Server) do(ctx context.Context, o op) (opResult, error) {
 	o.ctx = ctx
 	o.reply = make(chan opResult, 1)
 	o.state = new(atomic.Int32)
+	s.pending.Add(1)
 	queue := s.ops // nil once o is queued
 	select {
 	case queue <- o:
@@ -523,22 +516,33 @@ func (s *Server) do(ctx context.Context, o op) (opResult, error) {
 			s.combine(w, o, queue == nil)
 			s.slot <- w
 			if err := s.stopErr(ctx); err != nil || queue == nil {
-				return withdraw(o, queue == nil, err)
+				return s.withdraw(o, err)
 			}
 		case <-ctx.Done():
-			return withdraw(o, queue == nil, ctx.Err())
+			return s.withdraw(o, ctx.Err())
 		case <-s.quit:
-			return withdraw(o, queue == nil, errShutdown)
+			return s.withdraw(o, errShutdown)
 		}
 	}
 }
 
-// withdraw gives up on o with err, unless o is queued and no longer its
-// handler's to withdraw: a holder of the writer has taken it, or has
-// withdrawn it for its ended context. Then it returns o's reply, which
-// that holder has sent or is about to send.
-func withdraw(o op, queued bool, err error) (opResult, error) {
-	if !queued || o.state.CompareAndSwap(opQueued, opWithdrawn) {
+// settle moves o out of opQueued into state, unless a holder of the
+// writer or o's handler did so first, and reports whether it did.
+func (s *Server) settle(o op, state int32) bool {
+	if !o.state.CompareAndSwap(opQueued, state) {
+		return false
+	}
+	s.pending.Add(-1)
+	return true
+}
+
+// withdraw gives up on o with err, unless o is no longer its handler's
+// to withdraw: a holder of the writer has taken it, or has withdrawn it
+// for its ended context. Then it returns o's reply, which that holder
+// has sent or is about to send. An op not queued yet is always its
+// handler's.
+func (s *Server) withdraw(o op, err error) (opResult, error) {
+	if s.settle(o, opWithdrawn) {
 		return opResult{}, err
 	}
 	res := <-o.reply
@@ -699,7 +703,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("bad customer handle %q: %w", q, err))
 		return
 	}
-	node, fac, ok := s.View().Lookup(h)
+	node, fac, ok := s.view.Load().pub.Lookup(h)
 	if !ok {
 		writeError(w, fmt.Errorf("%w: %d", dynamic.ErrUnknownHandle, h))
 		return
@@ -869,7 +873,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the Prometheus text exposition (format 0.0.4):
 // the solver work counters accumulated across all operations, the batch
-// coalescing counters, the published queue depth, and every
+// coalescing counters, the queue depth, and every
 // instrumented endpoint's latency histogram (seconds, cumulative le
 // buckets from metrics.Histogram.Buckets).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -878,10 +882,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	fmt.Fprintf(w, "# HELP mcfsd_batches_total repair windows run by the writer\n# TYPE mcfsd_batches_total counter\nmcfsd_batches_total %d\n", s.batches.Load())
 	fmt.Fprintf(w, "# HELP mcfsd_batched_ops_total operations coalesced into repair windows\n# TYPE mcfsd_batched_ops_total counter\nmcfsd_batched_ops_total %d\n", s.batchedOps.Load())
+	fmt.Fprintf(w, "# HELP mcfsd_queue_depth writes waiting for the writer, neither taken nor withdrawn\n# TYPE mcfsd_queue_depth gauge\nmcfsd_queue_depth %d\n", s.pending.Load())
 	v := s.view.Load()
-	fmt.Fprintf(w, "# HELP mcfsd_queue_depth writer-queue backlog at the last publish\n# TYPE mcfsd_queue_depth gauge\nmcfsd_queue_depth %d\n", v.queueDepth)
 	fmt.Fprintf(w, "# HELP mcfsd_customers live customers in the published assignment\n# TYPE mcfsd_customers gauge\nmcfsd_customers %d\n", v.pub.Customers())
-	fmt.Fprintf(w, "# HELP mcfsd_objective published total assignment distance\n# TYPE mcfsd_objective gauge\nmcfsd_objective %d\n", v.pub.Objective)
+	fmt.Fprintf(w, "# HELP mcfsd_objective published total assignment distance\n# TYPE mcfsd_objective gauge\nmcfsd_objective %d\n", v.pub.Objective())
 	fmt.Fprintf(w, "# HELP mcfsd_uptime_seconds seconds since the server started\n# TYPE mcfsd_uptime_seconds gauge\nmcfsd_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
 	fmt.Fprintf(w, "# HELP mcfsd_snapshot_generation newest persisted snapshot generation (0 = none yet)\n# TYPE mcfsd_snapshot_generation gauge\nmcfsd_snapshot_generation %d\n", s.snapGen.Load())
 	fmt.Fprintf(w, "# HELP mcfsd_last_snapshot_timestamp_seconds unix time of the last persisted snapshot (0 = never)\n# TYPE mcfsd_last_snapshot_timestamp_seconds gauge\nmcfsd_last_snapshot_timestamp_seconds %d\n", s.lastSnapshotUnix.Load())
@@ -934,17 +938,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	v := s.view.Load()
 	drift := 0.0
 	if v.base > 0 {
-		drift = float64(v.pub.Objective) / float64(v.base)
+		drift = float64(v.pub.Objective()) / float64(v.base)
 	}
 	reply := StatsReply{
 		Customers:          v.pub.Customers(),
-		Objective:          v.pub.Objective,
+		Objective:          v.pub.Objective(),
 		BaseObjective:      v.base,
 		Drift:              drift,
 		Reallocator:        v.stats,
 		Batches:            s.batches.Load(),
 		BatchedOps:         s.batchedOps.Load(),
-		QueueDepth:         v.queueDepth,
+		QueueDepth:         int(s.pending.Load()),
 		Snapshots:          s.rec.Counter(obs.ServeSnapshots),
 		SnapshotFailures:   s.rec.Counter(obs.ServeSnapshotFailures),
 		SnapshotGeneration: s.snapGen.Load(),

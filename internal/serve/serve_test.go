@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,11 +340,13 @@ func TestServeSnapshotRestart(t *testing.T) {
 
 // TestServeConcurrentChurn hammers the server with concurrent readers
 // and writers; under -race this exercises the publish/swap read path
-// against the batching writer.
+// against the batching writer. Readers also look up the handle a writer
+// was handed last, whose page the writers keep copying.
 func TestServeConcurrentChurn(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	inst := s.cfg.Instance
 
+	var fresh atomic.Int64 // the handle an arrival was handed last
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	// Writers: each admits customers then removes them again.
@@ -359,6 +362,7 @@ func TestServeConcurrentChurn(t *testing.T) {
 					errs <- fmt.Errorf("writer %d: arrivals status %d", w, code)
 					return
 				}
+				fresh.Store(int64(churn.Handles[0]))
 				if code := call(t, "POST", ts.URL+"/departures",
 					DeparturesRequest{Handles: churn.Handles}, &churn); code != 200 {
 					errs <- fmt.Errorf("writer %d: departures status %d", w, code)
@@ -367,17 +371,20 @@ func TestServeConcurrentChurn(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers: resolve random handles and poll stats; 404 is a valid
-	// outcome for a handle that already departed.
+	// Readers: resolve random handles and the freshest one, and poll
+	// stats; 404 is a valid outcome for a handle that already departed.
 	for rdr := 0; rdr < 4; rdr++ {
 		wg.Add(1)
 		go func(rdr int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				code := call(t, "GET", fmt.Sprintf("%s/assign?customer=%d", ts.URL, i%40), nil, nil)
-				if code != 200 && code != 404 {
-					errs <- fmt.Errorf("reader %d: assign status %d", rdr, code)
-					return
+				for _, h := range []int64{int64(i % 40), fresh.Load()} {
+					var got AssignReply
+					code := call(t, "GET", fmt.Sprintf("%s/assign?customer=%d", ts.URL, h), nil, &got)
+					if code != 200 && code != 404 || code == 200 && int64(got.Customer) != h {
+						errs <- fmt.Errorf("reader %d: assign %d status %d, customer %d", rdr, h, code, got.Customer)
+						return
+					}
 				}
 				if i%10 == 0 {
 					if code := call(t, "GET", ts.URL+"/stats", nil, nil); code != 200 {
@@ -605,11 +612,13 @@ func metricValue(t *testing.T, body, metric string) float64 {
 // cumulative counters must be monotone non-decreasing between scrapes
 // (a scrape observing a counter going backwards means the exposition
 // reads state non-atomically enough to lie). Run under -race this also
-// exercises every handler against the scraper.
+// exercises every handler against the scraper; the assign readers also
+// look up the handle a writer was handed last.
 func TestServeMetricsUnderConcurrentLoad(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	inst := s.cfg.Instance
 
+	var fresh atomic.Int64 // the handle an arrival was handed last
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -631,6 +640,7 @@ func TestServeMetricsUnderConcurrentLoad(t *testing.T) {
 					errs <- fmt.Errorf("writer %d: arrivals status %d", w, code)
 					return
 				}
+				fresh.Store(int64(churn.Handles[0]))
 				if code := call(t, "POST", ts.URL+"/departures",
 					DeparturesRequest{Handles: churn.Handles}, &churn); code != 200 {
 					errs <- fmt.Errorf("writer %d: departures status %d", w, code)
@@ -651,9 +661,14 @@ func TestServeMetricsUnderConcurrentLoad(t *testing.T) {
 					return
 				default:
 				}
-				code := call(t, "GET", fmt.Sprintf("%s/assign?customer=%d", ts.URL, i%64), nil, nil)
-				if code != 200 && code != 404 {
-					errs <- fmt.Errorf("reader %d: assign status %d", rdr, code)
+				h := int64(i % 64)
+				if i%2 == 1 {
+					h = fresh.Load()
+				}
+				var got AssignReply
+				code := call(t, "GET", fmt.Sprintf("%s/assign?customer=%d", ts.URL, h), nil, &got)
+				if code != 200 && code != 404 || code == 200 && int64(got.Customer) != h {
+					errs <- fmt.Errorf("reader %d: assign %d status %d, customer %d", rdr, h, code, got.Customer)
 					return
 				}
 			}

@@ -261,20 +261,105 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
+// queueDepths reads the queue depth from /stats and /metrics.
+func queueDepths(t *testing.T, s *Server) (stats, metrics float64) {
+	t.Helper()
+	h := s.Handler()
+	var st StatsReply
+	if err := json.Unmarshal(serveHTTP(context.Background(), h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	return float64(st.QueueDepth), metricValue(t, serveHTTP(context.Background(), h, "GET", "/metrics", "").Body.String(), "mcfsd_queue_depth")
+}
+
+// TestServeQueueDepthCountsWaitingWrites: the queue depth counts the
+// writes waiting when it is read. Eight arrivals queue behind an exact
+// /resolve holding the writer; while they wait, /stats and /metrics both
+// read 8, and once all have answered, 0.
+func TestServeQueueDepthCountsWaitingWrites(t *testing.T) {
+	s, _ := newTestServer(t, Config{DefaultTimeout: 10 * time.Second})
+	resolved := holdWriter(t, s, 500*time.Millisecond)
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"nodes":[%d]}`, s.cfg.Instance.Customers[i])
+			if rec := serveHTTP(context.Background(), h, "POST", "/arrivals", body); rec.Code != http.StatusOK {
+				t.Errorf("queued arrival = %d %s", rec.Code, rec.Body)
+			}
+		}(i)
+	}
+	waitFor(t, "eight writes to queue", func() bool { return len(s.ops) == 8 })
+	if st, m := queueDepths(t, s); st != 8 || m != 8 {
+		t.Fatalf("queue depth %v in /stats, %v in /metrics while 8 writes wait behind the writer, want 8", st, m)
+	}
+	<-resolved
+	wg.Wait()
+	if st, m := queueDepths(t, s); st != 0 || m != 0 {
+		t.Fatalf("queue depth %v in /stats, %v in /metrics once every write answered, want 0", st, m)
+	}
+}
+
+// TestServeQueueDepthSkipsWithdrawnWrites: a withdrawn write no longer
+// waits, though it stays in the queue until a holder of the writer
+// skips it. A /departures with a 50 ms deadline is withdrawn behind a
+// 400 ms exact /resolve; once both have answered, the queue depth reads
+// 0.
+func TestServeQueueDepthSkipsWithdrawnWrites(t *testing.T) {
+	s, _ := newTestServer(t, Config{DefaultTimeout: 400 * time.Millisecond})
+	resolved := holdWriter(t, s, 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if rec := serveHTTP(ctx, s.Handler(), "POST", "/departures", `{"handles":[3]}`); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("departure behind a 400 ms resolve, with 50 ms to live = %d %s, want 504", rec.Code, rec.Body)
+	}
+	if rec := <-resolved; rec.Code != http.StatusOK {
+		t.Fatalf("exact resolve = %d %s", rec.Code, rec.Body)
+	}
+	if len(s.ops) != 1 {
+		t.Fatalf("%d ops queued, want the withdrawn departure; the test proves nothing", len(s.ops))
+	}
+	if st, m := queueDepths(t, s); st != 0 || m != 0 {
+		t.Fatalf("queue depth %v in /stats, %v in /metrics with only a withdrawn write queued, want 0", st, m)
+	}
+}
+
 // applied is one operation the writer applied and its result.
 type applied struct {
 	o   op
 	res opResult
 }
 
+// requestID keys the id a linearizability client gives each request in
+// its context. The op's context derives from the request's, so the
+// record names the request behind every op.
+type requestID struct{}
+
+// sentRequest is one linearizability client request and its reply.
+type sentRequest struct {
+	kind  opKind
+	short bool // sent with a deadline of at most 2 ms
+	reply string
+}
+
 // TestServeLinearizable checks the coalesced batches against a serial
-// order. Eight clients send random arrivals, departures and occasional
-// /resolve requests, with drift re-solves on; a hook records every batch
-// in the order it was applied. Replaying that record through one plain
-// Reallocator must give every op the handles and error it was answered
-// with, and every op the objective its batch published; the final view
-// must equal the replay's, and be optimal for its selection; and every
-// client reply must be one the record holds.
+// order. Eight clients send random arrivals, departures, occasional
+// /resolve and /snapshot requests, with drift re-solves on; one request
+// in six carries a deadline of 0 to 2 ms, so some are withdrawn before
+// any holder of the writer takes them and some fail once taken. A hook
+// records every batch in the order it was applied, with the ops it took
+// and the view it published. Replaying that record through one plain
+// Reallocator must give every op the handles, snapshot and error it was
+// answered with, and every op the objective its batch published; an op
+// that failed on its ended context leaves the state it found, so the
+// replay skips it. After each batch the replay's flat Publish must equal
+// the view that batch published, flattened only once every client has
+// finished: a later batch that wrote into a frozen page fails here. The
+// final view must be optimal for its selection, and every client reply
+// must be the one the record holds for its request, or a deadline for a
+// short request the record does not hold.
 func TestServeLinearizable(t *testing.T) {
 	const (
 		clients = 8
@@ -285,6 +370,7 @@ func TestServeLinearizable(t *testing.T) {
 	inst := s.cfg.Instance
 	var mu sync.Mutex
 	var record [][]applied
+	var views []*dynamic.View
 	s.onBatch = func(batch []op, results []opResult) {
 		var b []applied
 		for i, o := range batch {
@@ -294,12 +380,13 @@ func TestServeLinearizable(t *testing.T) {
 		}
 		mu.Lock()
 		record = append(record, b)
+		views = append(views, s.view.Load().pub)
 		mu.Unlock()
 	}
 
 	h := s.Handler()
 	pool := mcfs.LargestComponent(inst.G)
-	replies := make(chan string, clients*perCli)
+	sent := make([]sentRequest, clients*perCli)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -307,11 +394,14 @@ func TestServeLinearizable(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c) + 1))
 			for i := 0; i < perCli; i++ {
+				id := c*perCli + i
 				var kind opKind
-				var path, body string
+				method, path, body := "POST", "", ""
 				switch p := rng.Intn(20); {
 				case p == 0:
 					kind, path, body = opResolve, "/resolve", `{"algorithm":"wma"}`
+				case p == 1:
+					kind, method, path = opSnapshot, "GET", "/snapshot"
 				case p < 11:
 					kind, path = opArrivals, "/arrivals"
 					body = fmt.Sprintf(`{"nodes":[%d]}`, pool[rng.Intn(len(pool))])
@@ -328,24 +418,36 @@ func TestServeLinearizable(t *testing.T) {
 					raw, _ := json.Marshal(DeparturesRequest{Handles: hs})
 					body = string(raw)
 				}
-				rec := serveHTTP(context.Background(), h, "POST", path, body)
-				replies <- replyKey(t, kind, rec)
+				ctx, cancel := context.WithValue(context.Background(), requestID{}, id), context.CancelFunc(func() {})
+				short := rng.Intn(6) == 0
+				if short {
+					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(3))*time.Millisecond)
+				}
+				rec := serveHTTP(ctx, h, method, path, body)
+				cancel()
+				sent[id] = sentRequest{kind: kind, short: short, reply: replyKey(t, kind, rec)}
 			}
 		}(c)
 	}
 	wg.Wait()
-	close(replies)
 
 	// Replay the record serially.
 	r, err := mcfs.NewReallocator(inst, drift)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded := make(map[string]int)
-	ops, failed := 0, 0
+	recorded := make(map[int]string, len(sent)) // request id → reply its op was given
+	failed, snapshots := 0, 0
 	for bi, batch := range record {
 		want := make([]opResult, len(batch))
 		for i, a := range batch {
+			if err := a.res.err; errors.Is(err, context.DeadlineExceeded) || errors.Is(err, mcfs.ErrTimeout) {
+				if id := a.o.ctx.Value(requestID{}).(int); !sent[id].short {
+					t.Fatalf("batch %d op %d (request %d) failed on its deadline, which was 30 s: %v", bi, i, id, err)
+				}
+				want[i] = a.res
+				continue
+			}
 			want[i] = replayOp(t, r, inst, a.o)
 		}
 		obj, err := r.Objective()
@@ -353,32 +455,50 @@ func TestServeLinearizable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, a := range batch {
-			ops++
-			if !slices.Equal(a.res.handles, want[i].handles) || fmt.Sprint(a.res.err) != fmt.Sprint(want[i].err) {
-				t.Fatalf("batch %d op %d (kind %d): answered handles %v error %v, serial replay gives %v error %v",
-					bi, i, a.o.kind, a.res.handles, a.res.err, want[i].handles, want[i].err)
+			id := a.o.ctx.Value(requestID{}).(int)
+			if !slices.Equal(a.res.handles, want[i].handles) || !reflect.DeepEqual(a.res.snapshot, want[i].snapshot) ||
+				fmt.Sprint(a.res.err) != fmt.Sprint(want[i].err) {
+				t.Fatalf("batch %d op %d (request %d, kind %d): answered handles %v snapshot %v error %v, serial replay gives %v, %v, %v",
+					bi, i, id, a.o.kind, a.res.handles, a.res.snapshot, a.res.err, want[i].handles, want[i].snapshot, want[i].err)
 			}
 			if a.res.objective != obj {
 				t.Fatalf("batch %d op %d: answered objective %d, serial replay after the batch gives %d", bi, i, a.res.objective, obj)
 			}
-			key := fmt.Sprintf("%d %d  %v %d %s", a.o.kind, http.StatusOK, a.res.handles, a.res.objective, a.res.note)
 			if a.res.err != nil {
 				failed++
-				status, code := statusOf(a.res.err)
-				key = fmt.Sprintf("%d %d %s", a.o.kind, status, code)
 			}
-			recorded[key]++
+			if a.o.kind == opSnapshot {
+				snapshots++
+			}
+			if _, twice := recorded[id]; twice {
+				t.Fatalf("batch %d op %d: request %d was applied twice", bi, i, id)
+			}
+			recorded[id] = recordedKey(t, a.o.kind, a.res)
+		}
+		pub, err := r.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := views[bi].Flatten(); !reflect.DeepEqual(got, pub) {
+			t.Fatalf("the view batch %d published has changed, or never matched the serial replay:\nserved %+v\nreplay %+v", bi, got, pub)
 		}
 	}
-	if ops != clients*perCli {
-		t.Fatalf("record holds %d applied ops, clients sent %d", ops, clients*perCli)
-	}
-	t.Logf("%d ops in %d batches, %d failed; %d full solves", ops, len(record), failed, r.Stats().FullSolves)
-	for key := range replies {
-		if recorded[key] == 0 {
-			t.Fatalf("client reply %q is not in the record", key)
+	withdrawn := 0
+	for id, req := range sent {
+		key, ok := recorded[id]
+		switch {
+		case ok && key != req.reply:
+			t.Fatalf("request %d (kind %d) answered %q, its recorded op %q", id, req.kind, req.reply, key)
+		case !ok && (!req.short || req.reply != fmt.Sprintf("%d deadline", http.StatusGatewayTimeout)):
+			t.Fatalf("request %d (kind %d, short %v) answered %q but was never applied", id, req.kind, req.short, req.reply)
+		case !ok:
+			withdrawn++
 		}
-		recorded[key]--
+	}
+	t.Logf("%d ops in %d batches, %d failed, %d snapshots; %d withdrawn; %d full solves",
+		len(recorded), len(record), failed, snapshots, withdrawn, r.Stats().FullSolves)
+	if withdrawn == 0 || snapshots == 0 {
+		t.Fatalf("%d withdrawn ops, %d snapshots: the mix never reached them", withdrawn, snapshots)
 	}
 
 	pub, err := r.Publish()
@@ -400,8 +520,8 @@ func TestServeLinearizable(t *testing.T) {
 
 // replayOp applies one recorded op to r with the serving semantics,
 // written out serially: an arrival admits one customer, a departure
-// removes all its handles or none, and a resolve adopts the selection
-// its algorithm finds on the instance.
+// removes all its handles or none, a resolve adopts the selection its
+// algorithm finds on the instance, and a snapshot captures the state.
 func replayOp(t *testing.T, r *mcfs.Reallocator, inst *mcfs.Instance, o op) opResult {
 	t.Helper()
 	switch o.kind {
@@ -432,15 +552,22 @@ func replayOp(t *testing.T, r *mcfs.Reallocator, inst *mcfs.Instance, o op) opRe
 			err = r.AdoptSelection(sol.Selected)
 		}
 		return opResult{err: err}
+	case opSnapshot:
+		snap, err := r.Snapshot()
+		return opResult{snapshot: snap, err: err}
 	}
 	t.Fatalf("replay of op kind %d", o.kind)
 	return opResult{}
 }
 
 // replyKey renders a client's reply the way the linearizability check
-// keys the record: kind and status, then the error code of a failure,
-// or the handles, objective and note of a success.
+// compares it with the record: the status, then the error code of a
+// failure, the body of a snapshot, or the handles, objective and note
+// of another success.
 func replyKey(t *testing.T, kind opKind, rec *httptest.ResponseRecorder) string {
+	if rec.Code == http.StatusOK && kind == opSnapshot {
+		return fmt.Sprintf("%d %s", rec.Code, rec.Body)
+	}
 	var reply struct {
 		Handles   []int  `json:"handles"`
 		Objective int64  `json:"objective"`
@@ -451,7 +578,25 @@ func replyKey(t *testing.T, kind opKind, rec *httptest.ResponseRecorder) string 
 		t.Errorf("bad reply %q: %v", rec.Body, err)
 	}
 	if rec.Code != http.StatusOK {
-		return fmt.Sprintf("%d %d %s", kind, rec.Code, reply.Code)
+		return fmt.Sprintf("%d %s", rec.Code, reply.Code)
 	}
-	return fmt.Sprintf("%d %d %s %v %d %s", kind, rec.Code, reply.Code, reply.Handles, reply.Objective, reply.Note)
+	return fmt.Sprintf("%d %v %d %s", rec.Code, reply.Handles, reply.Objective, reply.Note)
+}
+
+// recordedKey renders a recorded op's result as replyKey renders the
+// reply its handler wrote from it.
+func recordedKey(t *testing.T, kind opKind, res opResult) string {
+	t.Helper()
+	if res.err != nil {
+		status, code := statusOf(res.err)
+		return fmt.Sprintf("%d %s", status, code)
+	}
+	if kind == opSnapshot {
+		var b strings.Builder
+		if err := res.snapshot.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s", http.StatusOK, b.String())
+	}
+	return fmt.Sprintf("%d %v %d %s", http.StatusOK, res.handles, res.objective, res.note)
 }

@@ -559,9 +559,11 @@ func NewReallocatorCtx(ctx context.Context, inst *Instance, driftFactor float64,
 type ReallocatorSnapshot = dynamic.Snapshot
 
 // PublishedAssignment is an immutable point-in-time view of the
-// assignment a Reallocator is serving, built by its Publish method for
-// lock-free concurrent reads (e.g. behind an atomic pointer swapped by a
-// single writer).
+// assignment a Reallocator is serving, as flat per-customer slices that
+// any number of goroutines may read. The Reallocator's Publish method,
+// and the serving layer's View, flatten it on demand, copying the whole
+// population; a serving process instead publishes the Reallocator's
+// Freeze, which shares everything a batch did not write.
 type PublishedAssignment = dynamic.Published
 
 // ReadReallocatorSnapshot parses and structurally validates a snapshot
