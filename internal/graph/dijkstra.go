@@ -28,7 +28,7 @@ func (g *Graph) DijkstraCtx(ctx context.Context, src int32) ([]int64, error) {
 	h.Push(src, 0)
 	pops, relax := 0, 0
 	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
+		defer func() { flushSearchCounters(rec, int64(pops), int64(relax)) }()
 	}
 	for h.Len() > 0 {
 		if pops++; pops&(checkEvery-1) == 0 {
@@ -77,7 +77,7 @@ func (g *Graph) MultiSourceDijkstraCtx(ctx context.Context, sources []int32) (di
 	}
 	pops, relax := 0, 0
 	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
+		defer func() { flushSearchCounters(rec, int64(pops), int64(relax)) }()
 	}
 	for h.Len() > 0 {
 		if pops++; pops&(checkEvery-1) == 0 {

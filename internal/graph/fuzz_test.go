@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -110,12 +109,12 @@ func enumerationMismatch(hits []nnHit, want []int64, mask []bool) error {
 	return nil
 }
 
-// FuzzDijkstra cross-checks the heap Dijkstra against the Bellman-Ford
-// reference on random graphs, connected and disconnected — the
-// disconnected half pins the Inf convention for unreachable nodes. It
-// also drains an NNSearcher over a random candidate mask under both
-// forced queue kinds and checks the enumeration against the same
-// reference.
+// FuzzDijkstra cross-checks Dijkstra against the Bellman-Ford reference
+// on random graphs, connected and disconnected — the disconnected half
+// pins the Inf convention for unreachable nodes — on both frontier
+// queues: the bucket queue on the graph, the lazy heap on its heap
+// twin. It also drains an NNSearcher over a random candidate mask and
+// checks the enumeration against the same reference.
 func FuzzDijkstra(f *testing.F) {
 	f.Add(int64(1), int64(12), int64(20), int64(50), false)
 	f.Add(int64(2), int64(30), int64(0), int64(1), true)
@@ -146,37 +145,24 @@ func FuzzDijkstra(f *testing.F) {
 					v, got[v], want[v], n, src, disconnect, seed)
 			}
 		}
-		// Both frontier-queue implementations must agree with the
-		// reference (and each other) on every fuzzed graph.
-		for kind, label := range map[queueKind]string{queueHeap: "heap", queueBucket: "bucket"} {
-			forced := must(withQueue(g, kind).DijkstraCtx(context.Background(), src))
-			for v := range want {
-				if forced[v] != want[v] {
-					t.Fatalf("%s queue: dist[%d] = %d, want %d (n=%d src=%d maxW=%d seed=%d)",
-						label, v, forced[v], want[v], n, src, maxW, seed)
-				}
+		// The heap twin must agree with the reference once divided back.
+		heap := unscale(must(heapTwin(g).DijkstraCtx(context.Background(), src)))
+		for v := range want {
+			if heap[v] != want[v] {
+				t.Fatalf("heap twin: dist[%d] = %d, want %d (n=%d src=%d maxW=%d seed=%d)",
+					v, heap[v], want[v], n, src, maxW, seed)
 			}
 		}
-		// The searcher's enumeration under each forced kind must match
-		// the reference, and the two kinds must enumerate identically.
 		mask := make([]bool, n)
 		for v := range mask {
 			mask[v] = rng.Intn(3) == 0
 		}
-		var drained [2][]nnHit
-		for i, kind := range []queueKind{queueHeap, queueBucket} {
-			hits, err := drainSearcher(NewNNSearcherCtx(context.Background(), withQueue(g, kind), src, mask))
-			if err == nil {
-				err = enumerationMismatch(hits, want, mask)
-			}
-			if err != nil {
-				t.Fatalf("NNSearcher, queue kind %d: %v (n=%d src=%d maxW=%d seed=%d)", kind, err, n, src, maxW, seed)
-			}
-			drained[i] = hits
+		hits, err := drainSearcher(NewNNSearcherCtx(context.Background(), g, src, mask))
+		if err == nil {
+			err = enumerationMismatch(hits, want, mask)
 		}
-		if !reflect.DeepEqual(drained[0], drained[1]) {
-			t.Fatalf("NNSearcher heap and bucket enumerations differ:\nheap   %v\nbucket %v (n=%d src=%d seed=%d)",
-				drained[0], drained[1], n, src, seed)
+		if err != nil {
+			t.Fatalf("NNSearcher: %v (n=%d src=%d maxW=%d seed=%d)", err, n, src, maxW, seed)
 		}
 		if disconnect {
 			unreachable := false

@@ -34,9 +34,8 @@ type Graph struct {
 	w        []int64
 	x, y     []float64 // optional coordinates, len N or nil
 	directed bool
-	queue    queueKind // frontier-queue kind; only this package's tests force one
-	numEdges int       // logical edge count (undirected edges counted once)
-	maxW     int64     // largest edge weight; sizes the Dial bucket wheel
+	numEdges int   // logical edge count (undirected edges counted once)
+	maxW     int64 // largest edge weight; sizes the Dial bucket wheel
 }
 
 // Builder accumulates edges and produces a Graph.

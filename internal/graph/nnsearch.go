@@ -20,13 +20,16 @@ import (
 // few pops, so a searcher's state grows with the nodes it reaches, not
 // with the graph, and holds no Go map: its labels live in an
 // open-addressing table (labelTable) and its frontier is a lazy heap
-// (pq.LazyHeap) whose superseded entries advance skips.
+// (pq.LazyHeap) whose superseded entries advance skips. The frontier is
+// never a Dial wheel, even where bucketOK holds: the wheel's setup and
+// empty-bucket scan cost O(maxW) per searcher however few nodes it
+// settles, while a lazy heap costs nothing until its first push.
 type NNSearcher struct {
 	g      *Graph
 	src    int32
 	isCand []bool // shared, indexed by node id
 	dist   labelTable
-	heap   pq.Monotone // incremental frontier (see Graph.newIncrementalQueue)
+	heap   *pq.LazyHeap
 
 	peekNode int32
 	peekDist int64
@@ -56,7 +59,7 @@ func NewNNSearcherCtx(ctx context.Context, g *Graph, src int32, isCand []bool) *
 		isCand: isCand,
 		ctx:    ctx,
 		dist:   newLabelTable(),
-		heap:   g.newIncrementalQueue(),
+		heap:   pq.NewLazy(),
 	}
 	s.dist.improve(src, 0)
 	s.heap.Push(src, 0)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"mcfs/internal/obs"
-	"mcfs/internal/pq"
-)
+import "mcfs/internal/obs"
 
 // flushSearchCounters adds one search's locally accumulated work
 // counters to rec. Searches count into plain locals on the hot path and
@@ -11,10 +8,7 @@ import (
 // a recorder is identical (BenchmarkRecorderOverhead pins the
 // recorder-absent delta). rec must be non-nil; callers install the
 // flushing defer only after a successful obs.From.
-func flushSearchCounters(rec *obs.Recorder, q pq.Monotone, pops, relax int64) {
+func flushSearchCounters(rec *obs.Recorder, pops, relax int64) {
 	rec.Add(obs.DijkstraHeapPops, pops)
 	rec.Add(obs.DijkstraRelaxations, relax)
-	if bq, ok := q.(*pq.BucketQueue); ok {
-		rec.Add(obs.DijkstraBucketOverflows, bq.Overflows())
-	}
 }

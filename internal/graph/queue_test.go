@@ -9,18 +9,42 @@ import (
 	"mcfs/internal/pq"
 )
 
-// withQueue returns a copy of g whose searches use the forced queue
-// kind; g itself keeps its own.
-func withQueue(g *Graph, k queueKind) *Graph {
-	forced := *g
-	forced.queue = k
-	return &forced
+// twinScale multiplies every edge weight of a graph's heap twin.
+const twinScale = maxWheel + 1
+
+// heapTwin returns a copy of g whose edge weights are multiplied by
+// twinScale. The copy fails bucketOK, so its dense searches run on the
+// lazy heap where g's run on the wheel (when g passes bucketOK).
+// Scaling keeps every comparison and every tie, so under the pinned
+// equal-key order both pop the same nodes in the same order: distances
+// agree once divided back (unscale) and multi-source owners agree as
+// they are.
+func heapTwin(g *Graph) *Graph {
+	twin := *g
+	twin.w = make([]int64, len(g.w))
+	for i, w := range g.w {
+		twin.w[i] = w * twinScale
+	}
+	twin.maxW = g.maxW * twinScale
+	return &twin
+}
+
+// unscale divides a heap twin's distances back to g's, keeping Inf.
+func unscale(dist []int64) []int64 {
+	out := make([]int64, len(dist))
+	for v, d := range dist {
+		if d < Inf {
+			d /= twinScale
+		}
+		out[v] = d
+	}
+	return out
 }
 
 // TestQueueModesByteIdentical is the determinism acceptance check for
-// the queue swap: single-source distances, multi-source distances AND
-// owners (tie-sensitive), and the full NNSearcher enumeration order
-// must be byte-identical under the heap and the bucket queue.
+// the queue selection: single-source distances and multi-source
+// distances AND owners (tie-sensitive) must be identical on the bucket
+// queue (g) and on the lazy heap (g's heap twin).
 func TestQueueModesByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ctx := context.Background()
@@ -28,20 +52,18 @@ func TestQueueModesByteIdentical(t *testing.T) {
 		n := 10 + rng.Intn(60)
 		maxW := int64(1 + rng.Intn(8)) // small spread: many equal distances
 		g := randomGraph(rng, n, 3*n, maxW)
+		twin := heapTwin(g)
+		if !g.bucketOK() || twin.bucketOK() {
+			t.Fatalf("trial %d: bucketOK = %v on the graph, %v on its twin; want true, false",
+				trial, g.bucketOK(), twin.bucketOK())
+		}
 		src := int32(rng.Intn(n))
 		sources := []int32{src, int32(rng.Intn(n)), int32(rng.Intn(n))}
-		mask := make([]bool, n)
-		for v := range mask {
-			mask[v] = rng.Intn(3) == 0
-		}
-		mask[rng.Intn(n)] = true
 
 		type result struct {
 			dist    []int64
 			msDist  []int64
 			msOwner []int32
-			nnNodes []int32
-			nnDists []int64
 		}
 		runAll := func(g *Graph) result {
 			var r result
@@ -50,18 +72,10 @@ func TestQueueModesByteIdentical(t *testing.T) {
 			if r.msDist, r.msOwner, err = g.MultiSourceDijkstraCtx(ctx, sources); err != nil {
 				t.Fatal(err)
 			}
-			s := NewNNSearcherCtx(ctx, g, src, mask)
-			for {
-				node, d, ok := s.Next()
-				if !ok {
-					break
-				}
-				r.nnNodes = append(r.nnNodes, node)
-				r.nnDists = append(r.nnDists, d)
-			}
 			return r
 		}
-		heap, bucket := runAll(withQueue(g, queueHeap)), runAll(withQueue(g, queueBucket))
+		bucket, heap := runAll(g), runAll(twin)
+		heap.dist, heap.msDist = unscale(heap.dist), unscale(heap.msDist)
 		if !reflect.DeepEqual(heap, bucket) {
 			t.Fatalf("trial %d: heap and bucket searches differ:\nheap   %+v\nbucket %+v", trial, heap, bucket)
 		}
@@ -88,12 +102,11 @@ func TestBucketHeuristic(t *testing.T) {
 	if small.MaxEdgeWeight() != 7 {
 		t.Errorf("MaxEdgeWeight = %d, want 7", small.MaxEdgeWeight())
 	}
-	// A forced kind overrides the heuristic in either direction.
-	if _, ok := withQueue(small, queueHeap).newDenseQueue().(*pq.LazyHeap); !ok {
-		t.Error("queueHeap did not force the lazy heap")
+	if _, ok := small.newDenseQueue().(*pq.BucketQueue); !ok {
+		t.Error("a graph passing bucketOK did not get the bucket queue")
 	}
-	if _, ok := withQueue(wide, queueBucket).newIncrementalQueue().(*pq.BucketQueue); !ok {
-		t.Error("queueBucket did not force the bucket queue")
+	if _, ok := wide.newDenseQueue().(*pq.LazyHeap); !ok {
+		t.Error("a graph failing bucketOK did not get the lazy heap")
 	}
 }
 

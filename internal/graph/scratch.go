@@ -99,7 +99,7 @@ func (g *Graph) DijkstraWithinScratchCtx(ctx context.Context, src int32, radius 
 	h.Push(src, 0)
 	pops, relax := 0, 0
 	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
+		defer func() { flushSearchCounters(rec, int64(pops), int64(relax)) }()
 	}
 	for h.Len() > 0 {
 		if pops++; pops&(checkEvery-1) == 0 {
@@ -151,7 +151,7 @@ func (g *Graph) DijkstraToTargetsScratchCtx(ctx context.Context, src int32, targ
 	h.Push(src, 0)
 	pops, relax := 0, 0
 	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
+		defer func() { flushSearchCounters(rec, int64(pops), int64(relax)) }()
 	}
 	for h.Len() > 0 && remaining > 0 {
 		if pops++; pops&(checkEvery-1) == 0 {

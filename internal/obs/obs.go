@@ -21,7 +21,8 @@
 // Counters are safe for concurrent use (atomic). The span stack is
 // guarded by a mutex but assumes phases of one Recorder nest from a
 // single goroutine at a time — true for every solver (single-threaded
-// per solve) and for mcfsd's single-writer batch loop.
+// per solve) and for mcfsd, where only the request goroutine holding
+// the writer runs solver code, one holder at a time.
 package obs
 
 import (
@@ -43,7 +44,6 @@ const (
 	// Graph search layer (internal/graph).
 	DijkstraHeapPops Counter = iota
 	DijkstraRelaxations
-	DijkstraBucketOverflows
 	// Matching engine (internal/bipartite, the SSPA of §IV-D).
 	SSPASearches
 	SSPANodesScanned
@@ -72,7 +72,6 @@ const (
 var counterNames = [numCounters]string{
 	DijkstraHeapPops:         "dijkstra_heap_pops",
 	DijkstraRelaxations:      "dijkstra_relaxations",
-	DijkstraBucketOverflows:  "dijkstra_bucket_overflows",
 	SSPASearches:             "sspa_searches",
 	SSPANodesScanned:         "sspa_nodes_scanned",
 	SSPAEdgesMaterialized:    "sspa_edges_materialized",
@@ -92,7 +91,6 @@ var counterNames = [numCounters]string{
 var counterHelp = [numCounters]string{
 	DijkstraHeapPops:         "frontier pops across all network Dijkstra variants",
 	DijkstraRelaxations:      "successful distance improvements across all network Dijkstra variants",
-	DijkstraBucketOverflows:  "Dial bucket-queue pushes that landed in the overflow list",
 	SSPASearches:             "inner shortest-path searches run by the bipartite matching engine",
 	SSPANodesScanned:         "bipartite nodes settled by the matching engine's inner searches",
 	SSPAEdgesMaterialized:    "customer-facility edges lazily materialized into the bipartite graph",
@@ -181,9 +179,10 @@ type Recorder struct {
 	spans int
 }
 
-// paddedInt64 spaces the counters out to their own cache lines so
-// concurrent recorders (the serving path: request goroutines + writer
-// loop) do not false-share.
+// paddedInt64 spaces the counters out to their own cache lines so the
+// goroutines sharing one recorder (in mcfsd: the request goroutine
+// holding the writer, the snapshot loop, and the /metrics and /stats
+// handlers) do not false-share.
 type paddedInt64 struct {
 	v int64
 	_ [56]byte

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// bentry is one (id, key) pair a workload pushes or a queue pops.
+type bentry struct {
+	id  int32
+	key int64
+}
+
 // monotoneOp is one step of a scripted monotone workload: a push of
 // (id, key), or a pop whose expected settle is (id, key).
 type monotoneOp struct {
@@ -146,36 +152,27 @@ func TestBucketMatchesHeapsPinnedOrder(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		spread := int64(1 + rng.Intn(8)) // tiny spread → many equal keys
 		ops, drain := randomMonotoneOps(rng, 150, idSpace, spread)
-		// Span deliberately smaller than the key range on some trials so
-		// the overflow/rebase path is exercised too.
-		span := spread
-		if trial%3 == 0 {
-			span = 1
-		}
-		if err := pinnedOrderMismatch(ops, drain, span); err != nil {
-			t.Fatalf("trial %d (spread %d, span %d): %v", trial, spread, span, err)
+		if err := pinnedOrderMismatch(ops, drain, spread); err != nil {
+			t.Fatalf("trial %d (spread %d): %v", trial, spread, err)
 		}
 	}
 }
 
 // FuzzMonotoneQueues is the fuzzed form of the property test above:
 // LazyHeap and BucketQueue must both produce the simulated settle order
-// as their filtered pop stream on any monotone workload. The span is clamped to [0,
-// spread]; a span below spread-1 puts keys past the wheel window, so
-// those inputs run the overflow path.
+// as their filtered pop stream on any monotone workload.
 func FuzzMonotoneQueues(f *testing.F) {
-	f.Add(int64(42), uint16(150), uint8(64), uint8(8), uint8(8))
-	f.Add(int64(42), uint16(150), uint8(64), uint8(8), uint8(1))
-	f.Add(int64(7), uint16(150), uint8(64), uint8(1), uint8(1))
-	f.Add(int64(-3), uint16(600), uint8(5), uint8(40), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, idRaw, spreadRaw, spanRaw uint8) {
+	f.Add(int64(42), uint16(150), uint8(64), uint8(8))
+	f.Add(int64(7), uint16(150), uint8(64), uint8(1))
+	f.Add(int64(-3), uint16(600), uint8(5), uint8(40))
+	f.Add(int64(11), uint16(2000), uint8(127), uint8(63))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, idRaw, spreadRaw uint8) {
 		n := int(nRaw % 2048)
 		idSpace := 1 + int32(idRaw%128)
 		spread := 1 + int64(spreadRaw%64)
-		span := min(int64(spanRaw), spread)
 		ops, drain := randomMonotoneOps(rand.New(rand.NewSource(seed)), n, idSpace, spread)
-		if err := pinnedOrderMismatch(ops, drain, span); err != nil {
-			t.Fatalf("%d ops, %d ids, spread %d, span %d: %v", len(ops), idSpace, spread, span, err)
+		if err := pinnedOrderMismatch(ops, drain, spread); err != nil {
+			t.Fatalf("%d ops, %d ids, spread %d: %v", len(ops), idSpace, spread, err)
 		}
 	})
 }
@@ -229,50 +226,6 @@ func TestHeapDecreaseRestamps(t *testing.T) {
 	}
 }
 
-// TestBucketOverflowRebase drives keys past the wheel window and checks
-// the redistribute path preserves order and FIFO.
-func TestBucketOverflowRebase(t *testing.T) {
-	q := NewBucket(3) // wheel covers [base, base+3]
-	q.Push(1, 0)
-	q.Push(2, 100) // overflow
-	q.Push(3, 100) // overflow, behind 2
-	q.Push(4, 102) // overflow
-	q.Push(5, 2)
-
-	want := []bentry{{1, 0}, {5, 2}, {2, 100}, {3, 100}, {4, 102}}
-	for i, w := range want {
-		id, key := q.PopMin()
-		if id != w.id || key != w.key {
-			t.Fatalf("pop %d = (%d,%d), want (%d,%d)", i, id, key, w.id, w.key)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
-	}
-}
-
-// TestBucketDeepOverflow forces multiple rebase rounds (keys spanning
-// several windows) including entries that stay in overflow across a
-// rebase.
-func TestBucketDeepOverflow(t *testing.T) {
-	q := NewBucket(2)
-	keys := []int64{0, 7, 15, 4, 30, 8}
-	for i, k := range keys {
-		q.Push(int32(i), k)
-	}
-	var got []int64
-	for q.Len() > 0 {
-		_, k := q.PopMin()
-		got = append(got, k)
-	}
-	want := []int64{0, 4, 7, 8, 15, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop keys %v, want %v", got, want)
-		}
-	}
-}
-
 // TestBucketMonotonePanic checks that breaking the monotone floor is
 // caught loudly rather than popping out of order.
 func TestBucketMonotonePanic(t *testing.T) {
@@ -287,13 +240,27 @@ func TestBucketMonotonePanic(t *testing.T) {
 	q.Push(2, 3)
 }
 
+// TestBucketSpanPanic checks that a push more than the span above the
+// floor is caught loudly too, while one exactly span above it fits.
+func TestBucketSpanPanic(t *testing.T) {
+	q := NewBucket(8)
+	q.Push(1, 5)
+	q.PopMin() // base is now 5
+	q.Push(2, 13)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Push beyond the wheel span did not panic")
+		}
+	}()
+	q.Push(3, 14)
+}
+
 // TestBucketResetReuse checks Reset restores a clean queue (floor back
-// to zero) while reusing capacity, across overflow state too.
+// to zero) while reusing capacity.
 func TestBucketResetReuse(t *testing.T) {
 	q := NewBucket(4)
 	for round := 0; round < 3; round++ {
 		q.Push(1, 3)
-		q.Push(2, 50) // overflow
 		q.Push(3, 3)
 		if _, k := q.PopMin(); k != 3 {
 			t.Fatalf("round %d: first key %d, want 3", round, k)

@@ -15,6 +15,12 @@ fi
 go vet ./...
 go build ./...
 
+# The benchmark is a module of its own, so the ./... patterns here and
+# mcfslint never see it, yet it imports mcfs/internal/serve and
+# mcfs/internal/obs: vet and test it too, so a root change that breaks
+# it fails here rather than in a benchmark run. Its tests write no files.
+(cd _perfbench && go vet ./... && go test ./...)
+
 # Project static analysis (DESIGN.md §10): machine-checks the
 # concurrency/cancellation/determinism invariants with full go/types
 # information. One run analyzes the whole tree and fails the gate on any
