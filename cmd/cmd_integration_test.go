@@ -632,10 +632,6 @@ var lintSeeds = []struct {
 		"internal/graph/seed.go": "package graph\n\nfunc spawn(work func()) {\n\tgo work()\n}\n"}},
 	{"ctx-propagation", "internal/core/seed.go", map[string]string{
 		"internal/core/seed.go": "package core\n\nimport \"context\"\n\nfunc fanout(ctx context.Context, fn func(context.Context) error) error {\n\treturn fn(context.Background())\n}\n"}},
-	{"published-immutability", "internal/serve/seed.go", map[string]string{
-		"go.mod":                      "module scratch\n\ngo 1.22\n",
-		"internal/dynamic/publish.go": "package dynamic\n\ntype Published struct {\n\tObjective int64\n\tSelected  []int\n}\n",
-		"internal/serve/seed.go":      "package serve\n\nimport \"scratch/internal/dynamic\"\n\nfunc patch(p *dynamic.Published) {\n\tp.Objective = 1\n}\n"}},
 	{"single-writer", "internal/serve/seed.go", map[string]string{
 		"go.mod":                      "module scratch\n\ngo 1.22\n",
 		"internal/dynamic/dynamic.go": "package dynamic\n\ntype Reallocator struct{ ctx int }\n\nfunc (r *Reallocator) SetContext(c int) { r.ctx = c }\n",

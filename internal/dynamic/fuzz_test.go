@@ -3,6 +3,7 @@ package dynamic
 import (
 	"bytes"
 	"context"
+	"errors"
 	"slices"
 	"testing"
 
@@ -46,7 +47,9 @@ func fuzzInstance() *data.Instance {
 // through Write → ReadSnapshot → Write, so a restored-then-resnapshotted
 // state cannot drift through the codec itself. Third, a restored
 // Reallocator's Snapshot and Publish carry exactly the input's handles
-// and nodes.
+// and nodes. Fourth, it admits two arrivals at the next handles, or
+// refuses one as infeasible, without panicking: restore refuses a
+// next_id that would give a later arrival a negative or wrapped handle.
 func FuzzSnapshotRestore(f *testing.F) {
 	inst := fuzzInstance()
 
@@ -72,6 +75,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"version":1,"handles":[0],"customer_nodes":[]}`))
+	f.Add([]byte(`{"version":1,"nodes":6,"edges":5,"facility_count":3,"k":2,"next_id":-5,"selected":[],"handles":[],"customer_nodes":[]}`))                  // negative next_id
+	f.Add([]byte(`{"version":1,"nodes":6,"edges":5,"facility_count":3,"k":2,"next_id":9223372036854775807,"selected":[],"handles":[],"customer_nodes":[]}`)) // next_id at math.MaxInt
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(raw))
@@ -118,6 +123,18 @@ func FuzzSnapshotRestore(f *testing.F) {
 			!slices.Equal(pub.Handles, s.Handles) || !slices.Equal(pub.Nodes, s.CustomerNodes) {
 			t.Fatalf("restored handles %v at nodes %v (published %v at %v); input %v at %v",
 				again.Handles, again.CustomerNodes, pub.Handles, pub.Nodes, s.Handles, s.CustomerNodes)
+		}
+		next := s.NextID
+		for _, node := range []int32{0, 4} {
+			h, err := restored.AddCustomer(node)
+			if errors.Is(err, data.ErrInfeasible) {
+				continue
+			}
+			if err != nil || h != next {
+				t.Fatalf("arrival at node %d after restoring next_id %d: handle %d, error %v; want handle %d", node, s.NextID, h, err, next)
+			}
+			next++
+			verify(t, restored)
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+
+	"mcfs/internal/graph"
 )
 
 // pageSize is how many consecutive handles one page of the live table
@@ -129,6 +131,18 @@ func (t *table) delete(handle int) {
 	t.n--
 }
 
+// population returns the live customers' handles and network nodes in
+// handle order.
+func (t *table) population() (handles []int, nodes []int32) {
+	handles = make([]int, 0, t.n)
+	nodes = make([]int32, 0, t.n)
+	t.each(func(h int, e entry) {
+		handles = append(handles, h)
+		nodes = append(nodes, e.node)
+	})
+	return handles, nodes
+}
+
 // each calls fn for every live customer in ascending handle order.
 func (t *table) each(fn func(handle int, e entry)) {
 	for _, p := range t.pages {
@@ -141,32 +155,66 @@ func (t *table) each(fn func(handle int, e entry)) {
 	}
 }
 
-// View is a frozen state of the assignment a Reallocator serves, built
-// by Freeze for the publish/swap read path of a serving process: the
-// writer freezes a view after each repair batch and swaps it into an
-// atomic pointer, and any number of reader goroutines resolve queries
-// against it without locks. Nothing in a view is ever written again: it
-// shares the live table's pages and the open selection with the
+// View is a frozen state of everything a Reallocator serves: the
+// assignment, the drift baseline, the work counters, the next handle and
+// the instance fingerprint. Freeze builds one for the publish/swap read
+// path of a serving process: the writer freezes a view after each repair
+// batch and swaps it into an atomic pointer, and any number of reader
+// goroutines answer queries and take snapshots from it without locks.
+// Nothing in a view is ever written again. Another package cannot write
+// one of its fields, since none is exported; inside this package, the
+// view shares the live table's pages and the open selection with the
 // Reallocator, which copies a page before its first write after the
 // freeze and replaces, never edits, its selection.
 type View struct {
 	objective int64
+	base      int64
 	selected  []int
 	tab       table
+	stats     Stats
+	nextID    int
+	// The instance fingerprint a Snapshot records.
+	g          *graph.Graph
+	facilities int
+	k          int
 }
 
-// Freeze returns the current assignment as a View, in O(1). The
+// view returns the current state as a View that shares the live table
+// and the selection: Freeze makes that sharing safe, and Publish and
+// Snapshot copy out of the view before the next write.
+func (r *Reallocator) view() View {
+	return View{
+		objective:  r.mt.TotalMatchedCost(),
+		base:       r.baseObjective,
+		selected:   r.selected,
+		tab:        r.tab,
+		stats:      r.stats,
+		nextID:     r.nextID,
+		g:          r.g,
+		facilities: len(r.facilities),
+		k:          r.k,
+	}
+}
+
+// Freeze returns the current state as a View, in O(1). The
 // Reallocator's next write to each page of the live table, and to the
 // page list, copies it first, so a batch between two views costs the
 // pages it touched, not the population.
 func (r *Reallocator) Freeze() *View {
-	v := &View{objective: r.mt.TotalMatchedCost(), selected: r.selected, tab: r.tab}
+	v := r.view()
 	r.tab.gen++
-	return v
+	return &v
 }
 
 // Objective returns the total assignment distance of the view.
 func (v *View) Objective() int64 { return v.objective }
+
+// BaseObjective returns the view's drift baseline: the objective right
+// after the last full solve, adoption, or restore.
+func (v *View) BaseObjective() int64 { return v.base }
+
+// Stats returns the view's work counters.
+func (v *View) Stats() Stats { return v.stats }
 
 // Customers returns the number of customers in the view.
 func (v *View) Customers() int { return v.tab.n }
@@ -220,7 +268,7 @@ type Published struct {
 // later copies, and it reads the state only, so it succeeds under any
 // context. The error is always nil; it is kept for API stability.
 func (r *Reallocator) Publish() (*Published, error) {
-	v := View{objective: r.mt.TotalMatchedCost(), selected: r.selected, tab: r.tab}
+	v := r.view()
 	return v.Flatten(), nil
 }
 

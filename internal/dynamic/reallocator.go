@@ -167,18 +167,6 @@ func (r *Reallocator) enroll(nodes []int32) {
 	}
 }
 
-// population returns the live customers' handles and network nodes in
-// handle order.
-func (r *Reallocator) population() (handles []int, nodes []int32) {
-	handles = make([]int, 0, r.tab.n)
-	nodes = make([]int32, 0, r.tab.n)
-	r.tab.each(func(h int, e entry) {
-		handles = append(handles, h)
-		nodes = append(nodes, e.node)
-	})
-	return handles, nodes
-}
-
 // instance materializes a population over the network and catalogue.
 func (r *Reallocator) instance(custs []int32) *data.Instance {
 	return &data.Instance{G: r.g, Customers: custs, Facilities: r.facilities, K: r.k}
@@ -199,7 +187,7 @@ func (r *Reallocator) SetContext(ctx context.Context) {
 // on error it changes nothing.
 func (r *Reallocator) fullSolve() error {
 	r.rec().Add(obs.ReallocFullSolves, 1)
-	_, nodes := r.population()
+	_, nodes := r.tab.population()
 	sol, err := core.SolveCtx(r.ctx, r.instance(nodes), r.opt.Core)
 	if err != nil {
 		return err
@@ -261,7 +249,7 @@ func (r *Reallocator) rebuild(selected []int) error {
 	for i, j := range selected {
 		subset[i] = r.facilities[j]
 	}
-	handles, custs := r.population()
+	handles, custs := r.tab.population()
 	mt := bipartite.New(r.g, custs, subset)
 	mt.SetExhaustive(r.opt.Core.Exhaustive)
 	for i := range custs {

@@ -378,12 +378,13 @@ func TestReallocatorRejectsDriftFactorAtMostOne(t *testing.T) {
 // cancelled a cycle, so the in-place repair, not only the free-slot
 // shortcut, is checked. It freezes a view after every step, refused
 // arrivals included, and keeps them all: once a trial ends, each view
-// flattened must still equal the flat Publish taken at its step, so no
-// later write reached a frozen page. The steps hand out handles past the
+// flattened must still equal the flat Publish taken at its step, and its
+// Snapshot the Snapshot taken at its step, so no later write reached a
+// frozen page, selection or counter. The steps hand out handles past the
 // first 64, so the churn crosses pages and empties some.
 func TestReallocatorRandomChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	cycles, pages := 0, 0
+	cycles, pages, adoptions := 0, 0, 0
 	for trial := 0; trial < 40; trial++ {
 		inst := testutil.RandomInstance(rng, testutil.Params{
 			MinNodes: 20, MaxNodes: 60,
@@ -405,8 +406,30 @@ func TestReallocatorRandomChurn(t *testing.T) {
 		}
 		var views []*View
 		var flats []*Published
+		var snaps []*Snapshot
 		for step := 0; step < 200; step++ {
-			if len(handles) > 0 && rng.Intn(3) == 0 {
+			if sel := r.Selected(); len(sel) > 1 && rng.Intn(25) == 0 {
+				// Adopt the selection with one open facility swapped for a
+				// closed one, or dropped: a rebuild, which must replace the
+				// selection the views share, not write into it.
+				var closed []int
+				for j := range inst.L() {
+					if !slices.Contains(sel, j) {
+						closed = append(closed, j)
+					}
+				}
+				if i := rng.Intn(len(sel)); len(closed) > 0 && rng.Intn(2) == 0 {
+					sel[i] = closed[rng.Intn(len(closed))]
+				} else {
+					sel = slices.Delete(sel, i, i+1)
+				}
+				switch err := r.AdoptSelection(sel); {
+				case err == nil:
+					adoptions++
+				case !errors.Is(err, data.ErrInfeasible):
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
+			} else if len(handles) > 0 && rng.Intn(3) == 0 {
 				i := rng.Intn(len(handles))
 				before := rec.Counter(obs.ReallocReroutedCustomers)
 				if err := r.RemoveCustomer(handles[i]); err != nil {
@@ -431,13 +454,16 @@ func TestReallocatorRandomChurn(t *testing.T) {
 			}
 			verify(t, r)
 			view := r.Freeze()
-			flat := checkModel(t, r, model, view, departed)
-			views, flats = append(views, view), append(flats, flat)
+			flat, snap := checkModel(t, r, model, view, departed)
+			views, flats, snaps = append(views, view), append(flats, flat), append(snaps, snap)
 			pages = max(pages, len(r.tab.pages))
 		}
 		for step, v := range views {
 			if got := v.Flatten(); !reflect.DeepEqual(got, flats[step]) {
 				t.Fatalf("trial %d: the view frozen at step %d changed:\n got %+v\nwant %+v", trial, step, got, flats[step])
+			}
+			if got := v.Snapshot(); !reflect.DeepEqual(got, snaps[step]) {
+				t.Fatalf("trial %d: the snapshot of the view frozen at step %d changed:\n got %+v\nwant %+v", trial, step, got, snaps[step])
 			}
 		}
 	}
@@ -447,18 +473,22 @@ func TestReallocatorRandomChurn(t *testing.T) {
 	if pages < 2 {
 		t.Fatal("the live table never held two pages; the churn never crossed a page")
 	}
-	t.Logf("%d departures cancelled a cycle; at most %d pages", cycles, pages)
+	if adoptions == 0 {
+		t.Fatal("no adoption succeeded; the churn never replaced a shared selection")
+	}
+	t.Logf("%d departures cancelled a cycle; at most %d pages; %d adoptions", cycles, pages, adoptions)
 }
 
 // checkModel checks every view of the live population against model, a
 // record of the live handles and their nodes kept outside the
 // Reallocator: Publish, the frozen view and Snapshot list exactly the
-// model's handles in ascending order, each at its own node; every live
-// handle's Lookup in both views gives the facility the matcher-derived
-// Assignment holds, and no departed handle resolves; Solution, Objective
-// and Customers agree with the published view. It returns the flat
-// Publish.
-func checkModel(t *testing.T, r *Reallocator, model map[int]int32, view *View, departed []int) *Published {
+// model's handles in ascending order, each at its own node; the frozen
+// view's Snapshot equals the Reallocator's; every live handle's Lookup
+// in both views gives the facility the matcher-derived Assignment holds,
+// and no departed handle resolves; Solution, Objective and Customers
+// agree with the published view. It returns the flat Publish and the
+// Snapshot.
+func checkModel(t *testing.T, r *Reallocator, model map[int]int32, view *View, departed []int) (*Published, *Snapshot) {
 	t.Helper()
 	handles := make([]int, 0, len(model))
 	for h := range model {
@@ -482,6 +512,9 @@ func checkModel(t *testing.T, r *Reallocator, model map[int]int32, view *View, d
 	}
 	if !slices.Equal(snap.Handles, handles) || !slices.Equal(snap.CustomerNodes, nodes) {
 		t.Fatalf("snapshot handles %v at nodes %v; model %v at %v", snap.Handles, snap.CustomerNodes, handles, nodes)
+	}
+	if got := view.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Fatalf("frozen view's snapshot %+v, Snapshot %+v", got, snap)
 	}
 	asg, err := r.Assignment()
 	if err != nil {
@@ -523,7 +556,7 @@ func checkModel(t *testing.T, r *Reallocator, model map[int]int32, view *View, d
 		t.Fatalf("Solution (nodes %v, assignment %v, selected %v, objective %d) and Objective %d disagree with the published view (%v, %v, %v, %d)",
 			inst.Customers, sol.Assignment, sol.Selected, sol.Objective, obj, pub.Nodes, pub.Assignment, pub.Selected, pub.Objective)
 	}
-	return pub
+	return pub, snap
 }
 
 func TestReallocatorRefresh(t *testing.T) {

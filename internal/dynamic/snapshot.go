@@ -14,6 +14,12 @@ import (
 // refuses newer versions.
 const SnapshotVersion = 1
 
+// maxNextID bounds a restored next handle: 2^53, the largest integer a
+// JSON client reads exactly, which live churn would need 2^53 arrivals
+// to reach. Past it, or below 0, the handles later arrivals are given
+// would wrap around.
+const maxNextID int64 = 1 << 53
+
 // Snapshot is a restartable capture of a Reallocator's dynamic state:
 // the live customer population with its handles, the open selection,
 // and the drift baseline. The static instance material (network,
@@ -42,24 +48,34 @@ type Snapshot struct {
 	Stats         Stats   `json:"stats"`
 }
 
-// Snapshot captures the current state. It reads the state only, so it
-// succeeds under any context; the error is always nil and is kept for
-// API stability.
+// Snapshot captures the current state, as Freeze().Snapshot() would,
+// without freezing anything. It reads the state only, so it succeeds
+// under any context; the error is always nil and is kept for API
+// stability.
 func (r *Reallocator) Snapshot() (*Snapshot, error) {
-	handles, nodes := r.population()
+	v := r.view()
+	return v.Snapshot(), nil
+}
+
+// Snapshot captures the view as a restartable Snapshot, every slice
+// freshly allocated. It is the one place a Snapshot is built, so the
+// same state always writes the same bytes: an empty selection writes
+// null, an empty population [].
+func (v *View) Snapshot() *Snapshot {
+	handles, nodes := v.tab.population()
 	return &Snapshot{
 		Version:       SnapshotVersion,
-		Nodes:         r.g.N(),
-		Edges:         r.g.M(),
-		FacilityCount: len(r.facilities),
-		K:             r.k,
-		NextID:        r.nextID,
-		BaseObjective: r.baseObjective,
-		Selected:      append([]int(nil), r.selected...),
+		Nodes:         v.g.N(),
+		Edges:         v.g.M(),
+		FacilityCount: v.facilities,
+		K:             v.k,
+		NextID:        v.nextID,
+		BaseObjective: v.base,
+		Selected:      append([]int(nil), v.selected...),
 		Handles:       handles,
 		CustomerNodes: nodes,
-		Stats:         r.stats,
-	}, nil
+		Stats:         v.stats,
+	}
 }
 
 // Write serializes the snapshot as indented JSON.
@@ -90,11 +106,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 }
 
 // checkAgainst validates the snapshot against the instance it is being
-// restored onto: fingerprint fields and index ranges. A fingerprint
-// mismatch names every disagreeing field with both sides — the snapshot
-// value and the instance value — so the operator can tell a truncated
-// network from a re-sampled facility catalogue from a changed budget at
-// a glance.
+// restored onto: fingerprint fields, the next handle and index ranges.
+// A fingerprint mismatch names every disagreeing field with both sides —
+// the snapshot value and the instance value — so the operator can tell a
+// truncated network from a re-sampled facility catalogue from a changed
+// budget at a glance.
 func (s *Snapshot) checkAgainst(inst *data.Instance) error {
 	var diffs []string
 	for _, f := range []struct {
@@ -113,6 +129,9 @@ func (s *Snapshot) checkAgainst(inst *data.Instance) error {
 	}
 	if len(diffs) > 0 {
 		return fmt.Errorf("dynamic: snapshot fingerprint mismatch: %s", strings.Join(diffs, "; "))
+	}
+	if s.NextID < 0 || int64(s.NextID) > maxNextID {
+		return fmt.Errorf("dynamic: snapshot next_id %d outside [0, 2^53]", s.NextID)
 	}
 	for i, h := range s.Handles {
 		if h < 0 || h >= s.NextID {
@@ -135,8 +154,8 @@ func (s *Snapshot) checkAgainst(inst *data.Instance) error {
 // minimum-cost assignment to a fixed selection is unique in value). The
 // work counters resume from the captured Stats. Handles must be
 // strictly increasing, as Snapshot writes them: the live table and
-// Published.Lookup rely on it. See NewCtx for the
-// context contract.
+// Published.Lookup rely on it. NextID must lie in [0, 2^53] (see
+// maxNextID). See NewCtx for the context contract.
 func RestoreCtx(ctx context.Context, inst *data.Instance, s *Snapshot, opt Options) (*Reallocator, error) {
 	if err := s.checkAgainst(inst); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -192,6 +193,39 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 }
 
+// TestSnapshotNextIDBound: restore refuses a next_id below 0 or past
+// 2^53, naming the bound, since an arrival would then get a negative or
+// wrapped handle (at math.MaxInt the second one does). At the bound
+// itself, two arrivals get the next two handles.
+func TestSnapshotNextIDBound(t *testing.T) {
+	inst, r := churnedReallocator(t)
+	for _, next := range []int{-5, 1<<53 + 1, math.MaxInt} {
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.NextID, snap.Handles, snap.CustomerNodes = next, nil, nil
+		if _, err := RestoreCtx(context.Background(), inst, snap, Options{}); err == nil || !strings.Contains(err.Error(), "next_id") || !strings.Contains(err.Error(), "2^53") {
+			t.Fatalf("restore with next_id %d: %v, want an error naming next_id and the bound 2^53", next, err)
+		}
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.NextID = 1 << 53
+	restored, err := RestoreCtx(context.Background(), inst, snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want := 1 << 53; want < 1<<53+2; want++ {
+		if h, err := restored.AddCustomer(inst.Customers[0]); err != nil || h != want {
+			t.Fatalf("arrival after restoring next_id 2^53: handle %d, error %v; want handle %d", h, err, want)
+		}
+	}
+	verify(t, restored)
+}
+
 func TestPublishImmutableView(t *testing.T) {
 	inst, r := churnedReallocator(t)
 	p, err := r.Publish()
@@ -249,7 +283,7 @@ func TestAdoptSelection(t *testing.T) {
 	// Adopt the current selection rotated through a fresh reallocator:
 	// any feasible selection must be installable.
 	sel := r.Selected()
-	_, nodes := r.population()
+	_, nodes := r.tab.population()
 	adopted, err := AdoptCtx(context.Background(), r.instance(nodes), sel, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -90,7 +90,6 @@ func AllRules() []Rule {
 		NakedGoroutine{},
 		SharedMutation{},
 		CtxPropagation{},
-		PublishedImmutability{},
 		SingleWriter{},
 		SentinelParity{},
 	}

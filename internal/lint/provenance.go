@@ -8,13 +8,12 @@ import (
 
 // This file is the rule-facing layer of the v3 engine: a flow-sensitive
 // provenance analysis over the CFG (cfg.go) solved by the generic
-// worklist (dataflow.go). Two rules instantiate it — shared-instance-
-// mutation and published-immutability — by plugging in what "shared"
-// means for them (capture semantics, call classification) and what to
-// say when a write through shared memory is found. The projection
-// rules (a reference-typed field of a shared value is shared, a value
-// copy owns its fields but not its backing arrays) and the write
-// checks themselves are common and live here.
+// worklist (dataflow.go). shared-instance-mutation instantiates it by
+// plugging in what "shared" means for it (capture semantics, call
+// classification) and what to say when a write through shared memory
+// is found. The projection rules (a reference-typed field of a shared
+// value is shared, a value copy owns its fields but not its backing
+// arrays) and the write checks themselves live here.
 
 // provState is the dataflow state: the provenance of each variable at
 // a program point. Objects absent from the map are provUnknown.
@@ -42,7 +41,7 @@ func mergeProv(dst, src provState) bool {
 }
 
 // writeKind distinguishes the store shapes the write check recognizes,
-// so each rule can word its finding per shape.
+// so the rule can word its finding per shape.
 type writeKind int
 
 const (

@@ -3,17 +3,7 @@ package lint
 import "testing"
 
 // Tests for the serve-era rules introduced with the v3 engine:
-// published-immutability, single-writer, and sentinel-http-parity.
-
-var publishedImmutabilityDirs = map[string]string{
-	"dynamic": "internal/dynamic",
-	"serve":   "internal/serve",
-}
-
-func TestPublishedImmutabilityRule(t *testing.T) {
-	pkgs := loadFixture(t, "publishedimmutability", publishedImmutabilityDirs)
-	checkFixtures(t, pkgs, []Rule{PublishedImmutability{}})
-}
+// single-writer and sentinel-http-parity.
 
 var singleWriterDirs = map[string]string{
 	"dynamic": "internal/dynamic",

@@ -103,7 +103,7 @@ var counterHelp = [numCounters]string{
 	ReallocReroutedCustomers: "customers whose facility a repair pass changed (the cancelled cycle of a departure or a refused arrival, or every customer of a rebuild)",
 	ReallocFullSolves:        "full WMA re-selections run by the reallocator",
 	ServeSnapshots:           "periodic snapshots persisted to disk by the serving engine",
-	ServeSnapshotFailures:    "periodic snapshot attempts that failed (capture or persist)",
+	ServeSnapshotFailures:    "periodic snapshots that failed to persist to disk",
 }
 
 // Name returns the counter's stable exposition name.

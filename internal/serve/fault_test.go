@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -351,7 +352,8 @@ func TestSnapshotFaultInjection(t *testing.T) {
 }
 
 // TestSnapshotFrozenClock: a ticker that never fires produces no
-// snapshots, no files, and a clean shutdown (no goroutine deadlock).
+// snapshots, no files, and a clean shutdown (no goroutine deadlock); a
+// GET /snapshot persists nothing either.
 func TestSnapshotFrozenClock(t *testing.T) {
 	fc := newFakeClock()
 	dir := t.TempDir()
@@ -360,8 +362,8 @@ func TestSnapshotFrozenClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc.ticker(t) // the loop's ticker exists; we never tick it
-	if _, err := s.do(context.Background(), op{kind: opSnapshot}); err != nil {
-		t.Fatal(err)
+	if rec := serveHTTP(context.Background(), s.Handler(), "GET", "/snapshot", ""); rec.Code != http.StatusOK {
+		t.Fatalf("snapshot = %d %s", rec.Code, rec.Body)
 	}
 	if n := s.rec.Counter(obs.ServeSnapshots); n != 0 {
 		t.Fatalf("frozen clock persisted %d snapshots", n)

@@ -4,23 +4,24 @@
 // churn.
 //
 // The concurrency model is single-writer/many-readers. Reads (/assign,
-// /stats, /healthz) are served lock-free from an immutable published
-// view swapped through an atomic pointer: the Reallocator's frozen live
-// table (dynamic.View), which shares every page the batch did not write
-// with the view before it, so publishing costs the pages a batch
-// touched, not the population. Writes (/arrivals,
-// /departures, /resolve, /snapshot — anything touching the Reallocator)
-// queue an operation and compete for the one writer, which holds the
-// Reallocator and waits in a one-place slot while nobody writes. The
-// request goroutine that takes it applies the queued operations up to
-// its own in batches of at most maxBatch, publishing a fresh view once
-// per batch before it releases that batch's waiting requests, and then
-// puts the writer back: a lone client applies its own write with no
-// handoff, and concurrent writers still coalesce into one repair window.
-// Request deadlines map onto the Reallocator's context API: each
-// operation runs under its request's context (bounded by
-// DefaultTimeout), and a cancelled or failed operation leaves the state
-// it found, so the batch's publish reads that state and never rebuilds.
+// /snapshot, /stats, /healthz, and the periodic snapshot-to-disk policy)
+// are served lock-free from an immutable published view swapped through
+// an atomic pointer: the Reallocator's frozen state (dynamic.View), whose
+// live table shares every page the batch did not write with the view
+// before it, so publishing costs the pages a batch touched, not the
+// population. Writes (/arrivals, /departures, /resolve — anything
+// touching the Reallocator) queue an operation and compete for the one
+// writer, which holds the Reallocator and waits in a one-place slot
+// while nobody writes. The request goroutine that takes it applies the
+// queued operations up to its own in batches of at most maxBatch,
+// publishing a fresh view once per batch before it releases that batch's
+// waiting requests, and then puts the writer back: a lone client applies
+// its own write with no handoff, and concurrent writers still coalesce
+// into one repair window. Request deadlines map onto the Reallocator's
+// context API: each operation runs under its request's context (bounded
+// by DefaultTimeout), and a cancelled or failed operation leaves the
+// state it found, so the batch's publish reads that state and never
+// rebuilds.
 package serve
 
 import (
@@ -68,9 +69,9 @@ type Config struct {
 	Logger *slog.Logger
 
 	// SnapshotEvery > 0 enables the periodic snapshot-to-disk policy
-	// (snapshotter.go): every interval the engine captures the settled
-	// state through the writer and persists one generation into
-	// SnapshotDir via atomic temp+rename. Requires SnapshotDir.
+	// (snapshotter.go): every interval the engine persists the published
+	// view as one generation into SnapshotDir via atomic temp+rename,
+	// never taking the writer. Requires SnapshotDir.
 	SnapshotEvery time.Duration
 	// SnapshotDir is the generation directory (created if missing).
 	SnapshotDir string
@@ -95,14 +96,6 @@ const maxBody = 1 << 20
 // draining.
 var errShutdown = errors.New("serve: server is shutting down")
 
-// view is the unit of publication: the immutable assignment plus the
-// scalar state the read-only endpoints report.
-type view struct {
-	pub   *dynamic.View
-	base  int64
-	stats mcfs.ReallocatorStats
-}
-
 // endpointNames fixes the catalogue (and report order) of instrumented
 // endpoints.
 var endpointNames = []string{"assign", "arrivals", "departures", "resolve", "snapshot", "stats"}
@@ -111,7 +104,7 @@ var endpointNames = []string{"assign", "arrivals", "departures", "resolve", "sna
 // an http.Server, and Close it to stop applying writes.
 type Server struct {
 	cfg   Config
-	view  atomic.Pointer[view]
+	view  atomic.Pointer[dynamic.View]
 	fs    FS
 	clock Clock
 
@@ -121,11 +114,6 @@ type Server struct {
 	slot chan *writer
 	quit chan struct{}
 	wg   sync.WaitGroup
-	// baseCtx parents the snapshot loop's operation contexts and is
-	// cancelled by Close before joining it, so a loop blocked on an op
-	// reply never deadlocks the shutdown.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
 
 	batches    atomic.Int64 // repair windows run
 	batchedOps atomic.Int64 // operations processed inside them
@@ -216,7 +204,6 @@ func New(cfg Config) (*Server, error) {
 		lat:   make(map[string]*metrics.Histogram, len(endpointNames)),
 		rec:   obs.New(),
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	//lint:ignore determinism serving uptime is operational telemetry, never solver input
 	s.start = time.Now()
 	for _, name := range endpointNames {
@@ -224,14 +211,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SnapshotEvery > 0 {
 		if err := s.fs.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
-			s.baseCancel()
 			return nil, fmt.Errorf("serve: snapshot dir: %w", err)
 		}
 		// Resume the generation sequence after the newest existing file
 		// so a restore into the same directory never collides.
 		gens, err := listGenerations(s.fs, cfg.SnapshotDir)
 		if err != nil {
-			s.baseCancel()
 			return nil, fmt.Errorf("serve: snapshot dir: %w", err)
 		}
 		if len(gens) > 0 {
@@ -254,9 +239,8 @@ func New(cfg Config) (*Server, error) {
 // by the caller) should be shut down first.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		// Unblock the snapshot loop's wait for a reply, stop it and join
-		// it, then take the writer for good.
-		s.baseCancel()
+		// Stop the snapshot loop and join it, then take the writer for
+		// good.
 		close(s.quit)
 		s.wg.Wait()
 		<-s.slot
@@ -266,10 +250,10 @@ func (s *Server) Close() {
 // View returns the currently published assignment, flattened: each call
 // copies the whole population into a fresh value (never nil after a
 // successful New). The endpoints read the published view itself.
-func (s *Server) View() *mcfs.PublishedAssignment { return s.view.Load().pub.Flatten() }
+func (s *Server) View() *mcfs.PublishedAssignment { return s.view.Load().Flatten() }
 
 // Objective returns the published objective.
-func (s *Server) Objective() int64 { return s.view.Load().pub.Objective() }
+func (s *Server) Objective() int64 { return s.view.Load().Objective() }
 
 // Recorder exposes the server's work-counter recorder (for expvar
 // publication in cmd/mcfsd). Counters only; never nil.
@@ -278,7 +262,7 @@ func (s *Server) Recorder() *obs.Recorder { return s.rec }
 // publish freezes the Reallocator's state and swaps it in. Its caller
 // holds the writer w.
 func (s *Server) publish(w *writer) {
-	s.view.Store(&view{pub: w.r.Freeze(), base: w.r.BaseObjective(), stats: w.r.Stats()})
+	s.view.Store(w.r.Freeze())
 }
 
 // --- writes -----------------------------------------------------------------
@@ -289,7 +273,6 @@ const (
 	opArrivals opKind = iota
 	opDepartures
 	opResolve
-	opSnapshot
 )
 
 type op struct {
@@ -314,7 +297,6 @@ const (
 
 type opResult struct {
 	handles   []int
-	snapshot  *mcfs.ReallocatorSnapshot
 	note      string
 	objective int64
 	err       error
@@ -421,26 +403,22 @@ func (s *Server) apply(w *writer, o op) opResult {
 		// Admit all or nothing. A failed arrival admits nobody, but the
 		// ones before it may have re-solved the selection (drift or
 		// saturation), so removing them again would not undo the request:
-		// a request of several nodes returns to a snapshot of the state
-		// before its first one.
-		var before *mcfs.ReallocatorSnapshot
+		// a request of several nodes returns to the state before its first
+		// one, frozen in O(1) up front and restored only on failure.
+		var before *dynamic.View
 		if len(o.nodes) > 1 {
-			snap, err := w.r.Snapshot()
-			if err != nil {
-				return opResult{err: err}
-			}
-			before = snap
+			before = w.r.Freeze()
 		}
 		handles := make([]int, 0, len(o.nodes))
 		for _, node := range o.nodes {
 			h, err := w.r.AddCustomer(node)
 			if err != nil {
 				if len(handles) > 0 {
-					// The restore rebuilds the captured population's optimal
-					// matching over the captured selection: the state served
+					// The restore rebuilds the frozen population's optimal
+					// matching over the frozen selection: the state served
 					// before the request. A snapshot of a served state always
 					// restores, short of a bug.
-					r, rerr := mcfs.RestoreReallocator(s.cfg.Instance, before, s.cfg.DriftFactor)
+					r, rerr := mcfs.RestoreReallocator(s.cfg.Instance, before.Snapshot(), s.cfg.DriftFactor)
 					if rerr != nil {
 						return opResult{err: errors.Join(err, rerr)}
 					}
@@ -480,9 +458,6 @@ func (s *Server) apply(w *writer, o op) opResult {
 			return opResult{err: err}
 		}
 		return opResult{note: note}
-	case opSnapshot:
-		snap, err := w.r.Snapshot()
-		return opResult{snapshot: snap, err: err}
 	}
 	return opResult{err: fmt.Errorf("serve: unknown operation kind %d", o.kind)}
 }
@@ -703,7 +678,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("bad customer handle %q: %w", q, err))
 		return
 	}
-	node, fac, ok := s.view.Load().pub.Lookup(h)
+	node, fac, ok := s.view.Load().Lookup(h)
 	if !ok {
 		writeError(w, fmt.Errorf("%w: %d", dynamic.ErrUnknownHandle, h))
 		return
@@ -827,16 +802,12 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ResolveReply{Algorithm: algo.String(), Note: res.note, Objective: res.objective})
 }
 
+// handleSnapshot answers GET /snapshot from the published view, without
+// taking the writer.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.opCtx(r)
-	defer cancel()
-	res, err := s.do(ctx, op{kind: opSnapshot})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+	snap := s.view.Load().Snapshot()
 	w.Header().Set("Content-Type", "application/json")
-	_ = res.snapshot.Write(w)
+	_ = snap.Write(w)
 }
 
 // HealthzReply answers GET /healthz: liveness plus the build identity
@@ -884,8 +855,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP mcfsd_batched_ops_total operations coalesced into repair windows\n# TYPE mcfsd_batched_ops_total counter\nmcfsd_batched_ops_total %d\n", s.batchedOps.Load())
 	fmt.Fprintf(w, "# HELP mcfsd_queue_depth writes waiting for the writer, neither taken nor withdrawn\n# TYPE mcfsd_queue_depth gauge\nmcfsd_queue_depth %d\n", s.pending.Load())
 	v := s.view.Load()
-	fmt.Fprintf(w, "# HELP mcfsd_customers live customers in the published assignment\n# TYPE mcfsd_customers gauge\nmcfsd_customers %d\n", v.pub.Customers())
-	fmt.Fprintf(w, "# HELP mcfsd_objective published total assignment distance\n# TYPE mcfsd_objective gauge\nmcfsd_objective %d\n", v.pub.Objective())
+	fmt.Fprintf(w, "# HELP mcfsd_customers live customers in the published assignment\n# TYPE mcfsd_customers gauge\nmcfsd_customers %d\n", v.Customers())
+	fmt.Fprintf(w, "# HELP mcfsd_objective published total assignment distance\n# TYPE mcfsd_objective gauge\nmcfsd_objective %d\n", v.Objective())
 	fmt.Fprintf(w, "# HELP mcfsd_uptime_seconds seconds since the server started\n# TYPE mcfsd_uptime_seconds gauge\nmcfsd_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
 	fmt.Fprintf(w, "# HELP mcfsd_snapshot_generation newest persisted snapshot generation (0 = none yet)\n# TYPE mcfsd_snapshot_generation gauge\nmcfsd_snapshot_generation %d\n", s.snapGen.Load())
 	fmt.Fprintf(w, "# HELP mcfsd_last_snapshot_timestamp_seconds unix time of the last persisted snapshot (0 = never)\n# TYPE mcfsd_last_snapshot_timestamp_seconds gauge\nmcfsd_last_snapshot_timestamp_seconds %d\n", s.lastSnapshotUnix.Load())
@@ -937,15 +908,15 @@ type StatsReply struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	v := s.view.Load()
 	drift := 0.0
-	if v.base > 0 {
-		drift = float64(v.pub.Objective()) / float64(v.base)
+	if base := v.BaseObjective(); base > 0 {
+		drift = float64(v.Objective()) / float64(base)
 	}
 	reply := StatsReply{
-		Customers:          v.pub.Customers(),
-		Objective:          v.pub.Objective(),
-		BaseObjective:      v.base,
+		Customers:          v.Customers(),
+		Objective:          v.Objective(),
+		BaseObjective:      v.BaseObjective(),
 		Drift:              drift,
-		Reallocator:        v.stats,
+		Reallocator:        v.Stats(),
 		Batches:            s.batches.Load(),
 		BatchedOps:         s.batchedOps.Load(),
 		QueueDepth:         int(s.pending.Load()),

@@ -198,13 +198,29 @@ func TestServeErrorMapping(t *testing.T) {
 // 51 customers at one node drift-re-solves the selection on the way and
 // then overflows every seat (8 facilities of capacity 10 hold 80); the
 // request is refused, and the selection it re-solved goes with it. In
-// every case the published population and objective do not move.
+// every case the published objective does not move, and neither does
+// any byte of /snapshot: the selection, handles, nodes, base objective,
+// next handle and work counters.
 func TestServeChurnAllOrNothing(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var before StatsReply
 	if code := call(t, "GET", ts.URL+"/stats", nil, &before); code != 200 {
 		t.Fatalf("stats = %d", code)
 	}
+	snapshot := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot = %d %s (%v)", resp.StatusCode, raw, err)
+		}
+		return string(raw)
+	}
+	beforeSnap := snapshot()
 	surge := `{"nodes":[150` + strings.Repeat(",150", 50) + `]}`
 	for _, tc := range []struct {
 		path, body string
@@ -235,6 +251,9 @@ func TestServeChurnAllOrNothing(t *testing.T) {
 		if after.Customers != before.Customers || after.Objective != before.Objective {
 			t.Errorf("%s %.40s: customers %d → %d, objective %d → %d; a refused request must change nothing",
 				tc.path, tc.body, before.Customers, after.Customers, before.Objective, after.Objective)
+		}
+		if afterSnap := snapshot(); afterSnap != beforeSnap {
+			t.Errorf("%s %.40s: a refused request changed the snapshot:\nbefore %s\nafter  %s", tc.path, tc.body, beforeSnap, afterSnap)
 		}
 	}
 	for _, h := range []int{5, 6} {
@@ -835,15 +854,15 @@ func TestServeWithdrawnDeparture(t *testing.T) {
 	if code := <-resolved; code != http.StatusOK {
 		t.Fatalf("exact resolve = %d", code)
 	}
-	// Writes are applied in queue order, so once a snapshot queued after
+	// Writes are applied in queue order, so once a write queued after
 	// the departure answers, the departure has been dealt with.
-	if code := call(t, "GET", ts.URL+"/snapshot", nil, nil); code != 200 {
-		t.Fatalf("snapshot = %d", code)
+	if code := call(t, "POST", ts.URL+"/departures", DeparturesRequest{Handles: []int{99999}}, nil); code != http.StatusNotFound {
+		t.Fatalf("departure of an unknown customer = %d, want 404", code)
 	}
 	if code := call(t, "GET", ts.URL+"/assign?customer=3", nil, nil); code != 200 {
 		t.Fatalf("the client gave up on departing customer 3, yet /assign = %d", code)
 	}
 	if got := s.batchedOps.Load(); got != 2 {
-		t.Fatalf("batched ops %d, want 2: the resolve and the snapshot, not the withdrawn departure", got)
+		t.Fatalf("batched ops %d, want 2: the resolve and the unknown departure, not the withdrawn one", got)
 	}
 }

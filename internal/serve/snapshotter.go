@@ -1,17 +1,16 @@
 // Periodic snapshot-to-disk: the serving engine's durability policy
 // (DESIGN.md §12, "Durability").
 //
-// A background goroutine submits an opSnapshot on every tick of
-// Config.SnapshotEvery the way a request does (Server.do): it queues the
-// op and waits for its reply, taking the writer itself when the slot
-// has it. So the capture is always a settled state between batches —
-// the same guarantee GET /snapshot has — and the goroutine is never a
-// second writer. The capture is persisted with the
-// classic atomic discipline: write to a temp file in the target
-// directory, fsync, close, rename over the final generation name. A
-// crash at any point leaves either the previous generation or the new
-// one, never a torn file under a generation name (temp names do not
-// match the generation pattern and are skipped by recovery). The
+// A background goroutine persists the published view on every tick of
+// Config.SnapshotEvery. It reads the view the last batch swapped in, as
+// GET /snapshot does, and never takes the writer: the capture is always
+// a settled state between batches, a tick never waits behind a long
+// write, and the goroutine is never a second writer. The capture is
+// persisted with the classic atomic discipline: write to a temp file in
+// the target directory, fsync, close, rename over the final generation
+// name. A crash at any point leaves either the previous generation or
+// the new one, never a torn file under a generation name (temp names do
+// not match the generation pattern and are skipped by recovery). The
 // retained-generations knob bounds disk use; recovery picks the newest
 // generation that parses and skips corrupt ones, so one bad write never
 // costs more than one snapshot interval of work.
@@ -19,7 +18,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -121,11 +119,10 @@ func loadNewestSnapshot(fsys FS, dir string) (*mcfs.ReallocatorSnapshot, string,
 }
 
 // snapshotLoop is the periodic policy goroutine: one persisted
-// generation per tick, stopping with the server. Like a request, it
-// holds the writer only inside do, while it applies the queue up to its
-// own capture. Failures count and log, but never stop the loop — the
-// next tick retries, and the newest prior generation stays loadable
-// (persistSnapshot never touches it).
+// generation per tick, stopping with the server. A failed persist counts
+// and logs, but never stops the loop — the next tick retries, and the
+// newest prior generation stays loadable (persistSnapshot never touches
+// it).
 func (s *Server) snapshotLoop() {
 	defer s.wg.Done()
 	tk := s.clock.NewTicker(s.cfg.SnapshotEvery)
@@ -145,17 +142,10 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// snapshotOnce captures the settled state through the writer and
-// persists it as the next generation.
+// snapshotOnce persists the published view as the next generation.
 func (s *Server) snapshotOnce() error {
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.DefaultTimeout)
-	defer cancel()
-	res, err := s.do(ctx, op{kind: opSnapshot})
-	if err != nil {
-		return fmt.Errorf("capture: %w", err)
-	}
 	gen := s.snapGen.Add(1)
-	if err := s.persistSnapshot(res.snapshot, gen); err != nil {
+	if err := s.persistSnapshot(s.view.Load().Snapshot(), gen); err != nil {
 		return err
 	}
 	s.rec.Add(obs.ServeSnapshots, 1)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -138,6 +139,53 @@ func TestServeHolderWithdrawsEndedWrite(t *testing.T) {
 	}
 	if got := s.batchedOps.Load(); got != 1 {
 		t.Fatalf("%d batched ops, want 1: the resolve", got)
+	}
+}
+
+// TestServeSnapshotWhileWriterHeld: a snapshot is a read of the
+// published view and never waits for the writer. While an exact
+// /resolve holds it, GET /snapshot answers 200 with the published view's
+// snapshot, also under a 50 ms client deadline, and a tick of the
+// snapshot loop persists that snapshot as a generation with no failure
+// counted, all before the resolve answers.
+func TestServeSnapshotWhileWriterHeld(t *testing.T) {
+	fc := newFakeClock()
+	dir := t.TempDir()
+	s, _ := newTestServer(t, Config{SnapshotEvery: time.Hour, SnapshotDir: dir, Clock: fc, DefaultTimeout: 5 * time.Second})
+	tk := fc.ticker(t)
+	h := s.Handler()
+	want := serveHTTP(context.Background(), h, "GET", "/snapshot", "").Body.String()
+	resolved := holdWriter(t, s, 2*time.Second)
+	for _, d := range []time.Duration{0, 50 * time.Millisecond} {
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if d > 0 {
+			ctx, cancel = context.WithTimeout(ctx, d)
+		}
+		rec := serveHTTP(ctx, h, "GET", "/snapshot", "")
+		cancel()
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("snapshot with client deadline %v while the writer is held = %d %s, want 200 and the published view's snapshot", d, rec.Code, rec.Body)
+		}
+	}
+	tk.tick()
+	waitFor(t, "the tick's generation", func() bool { return s.rec.Counter(obs.ServeSnapshots) == 1 })
+	if n := s.rec.Counter(obs.ServeSnapshotFailures); n != 0 {
+		t.Fatalf("%d snapshot failures counted", n)
+	}
+	select {
+	case rec := <-resolved:
+		t.Fatalf("the resolve holding the writer answered %d before the snapshots did", rec.Code)
+	default:
+	}
+	if rec := <-resolved; rec.Code != http.StatusOK {
+		t.Fatalf("exact resolve = %d %s", rec.Code, rec.Body)
+	}
+	files := generationFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("generation files %v, want one", files)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, files[0])); err != nil || string(raw) != want {
+		t.Fatalf("persisted generation %q (%v), want the published view's snapshot %q", raw, err, want)
 	}
 }
 
@@ -340,6 +388,7 @@ type requestID struct{}
 // sentRequest is one linearizability client request and its reply.
 type sentRequest struct {
 	kind  opKind
+	read  bool // a GET /snapshot, which queues no op
 	short bool // sent with a deadline of at most 2 ms
 	reply string
 }
@@ -347,19 +396,22 @@ type sentRequest struct {
 // TestServeLinearizable checks the coalesced batches against a serial
 // order. Eight clients send random arrivals, departures, occasional
 // /resolve and /snapshot requests, with drift re-solves on; one request
-// in six carries a deadline of 0 to 2 ms, so some are withdrawn before
-// any holder of the writer takes them and some fail once taken. A hook
-// records every batch in the order it was applied, with the ops it took
-// and the view it published. Replaying that record through one plain
-// Reallocator must give every op the handles, snapshot and error it was
+// in six carries a deadline of 0 to 2 ms, so some writes are withdrawn
+// before any holder of the writer takes them and some fail once taken.
+// A hook records every batch in the order it was applied, with the ops
+// it took and the view it published. Replaying that record through one
+// plain Reallocator must give every op the handles and error it was
 // answered with, and every op the objective its batch published; an op
 // that failed on its ended context leaves the state it found, so the
-// replay skips it. After each batch the replay's flat Publish must equal
-// the view that batch published, flattened only once every client has
-// finished: a later batch that wrote into a frozen page fails here. The
-// final view must be optimal for its selection, and every client reply
-// must be the one the record holds for its request, or a deadline for a
-// short request the record does not hold.
+// replay skips it. After each batch the replay's flat Publish and
+// Snapshot must equal the view that batch published, flattened and
+// captured only once every client has finished: a later batch that wrote
+// into a frozen page fails here. The final view must be optimal for its
+// selection, and every client write must be answered with what the
+// record holds for its request, or a deadline for a short request the
+// record does not hold. A /snapshot is a read of the published view: its
+// reply must be the snapshot of the initial view or of a batch's view,
+// and no older than the batch that applied its client's last write.
 func TestServeLinearizable(t *testing.T) {
 	const (
 		clients = 8
@@ -370,7 +422,7 @@ func TestServeLinearizable(t *testing.T) {
 	inst := s.cfg.Instance
 	var mu sync.Mutex
 	var record [][]applied
-	var views []*dynamic.View
+	views := []*dynamic.View{s.view.Load()} // the initial view, then one per batch
 	s.onBatch = func(batch []op, results []opResult) {
 		var b []applied
 		for i, o := range batch {
@@ -380,7 +432,7 @@ func TestServeLinearizable(t *testing.T) {
 		}
 		mu.Lock()
 		record = append(record, b)
-		views = append(views, s.view.Load().pub)
+		views = append(views, s.view.Load())
 		mu.Unlock()
 	}
 
@@ -396,12 +448,13 @@ func TestServeLinearizable(t *testing.T) {
 			for i := 0; i < perCli; i++ {
 				id := c*perCli + i
 				var kind opKind
+				read := false
 				method, path, body := "POST", "", ""
 				switch p := rng.Intn(20); {
 				case p == 0:
 					kind, path, body = opResolve, "/resolve", `{"algorithm":"wma"}`
 				case p == 1:
-					kind, method, path = opSnapshot, "GET", "/snapshot"
+					read, method, path = true, "GET", "/snapshot"
 				case p < 11:
 					kind, path = opArrivals, "/arrivals"
 					body = fmt.Sprintf(`{"nodes":[%d]}`, pool[rng.Intn(len(pool))])
@@ -425,7 +478,11 @@ func TestServeLinearizable(t *testing.T) {
 				}
 				rec := serveHTTP(ctx, h, method, path, body)
 				cancel()
-				sent[id] = sentRequest{kind: kind, short: short, reply: replyKey(t, kind, rec)}
+				if read {
+					sent[id] = sentRequest{read: true, short: short, reply: fmt.Sprintf("%d %s", rec.Code, rec.Body)}
+				} else {
+					sent[id] = sentRequest{kind: kind, short: short, reply: replyKey(t, rec)}
+				}
 			}
 		}(c)
 	}
@@ -436,8 +493,10 @@ func TestServeLinearizable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snaps := []*mcfs.ReallocatorSnapshot{replaySnapshot(t, r, views[0], "the initial view")}
 	recorded := make(map[int]string, len(sent)) // request id → reply its op was given
-	failed, snapshots := 0, 0
+	batchOf := make(map[int]int, len(sent))     // request id → batch that applied its op
+	failed := 0
 	for bi, batch := range record {
 		want := make([]opResult, len(batch))
 		for i, a := range batch {
@@ -456,10 +515,9 @@ func TestServeLinearizable(t *testing.T) {
 		}
 		for i, a := range batch {
 			id := a.o.ctx.Value(requestID{}).(int)
-			if !slices.Equal(a.res.handles, want[i].handles) || !reflect.DeepEqual(a.res.snapshot, want[i].snapshot) ||
-				fmt.Sprint(a.res.err) != fmt.Sprint(want[i].err) {
-				t.Fatalf("batch %d op %d (request %d, kind %d): answered handles %v snapshot %v error %v, serial replay gives %v, %v, %v",
-					bi, i, id, a.o.kind, a.res.handles, a.res.snapshot, a.res.err, want[i].handles, want[i].snapshot, want[i].err)
+			if !slices.Equal(a.res.handles, want[i].handles) || fmt.Sprint(a.res.err) != fmt.Sprint(want[i].err) {
+				t.Fatalf("batch %d op %d (request %d, kind %d): answered handles %v error %v, serial replay gives %v, %v",
+					bi, i, id, a.o.kind, a.res.handles, a.res.err, want[i].handles, want[i].err)
 			}
 			if a.res.objective != obj {
 				t.Fatalf("batch %d op %d: answered objective %d, serial replay after the batch gives %d", bi, i, a.res.objective, obj)
@@ -467,26 +525,52 @@ func TestServeLinearizable(t *testing.T) {
 			if a.res.err != nil {
 				failed++
 			}
-			if a.o.kind == opSnapshot {
-				snapshots++
-			}
 			if _, twice := recorded[id]; twice {
 				t.Fatalf("batch %d op %d: request %d was applied twice", bi, i, id)
 			}
-			recorded[id] = recordedKey(t, a.o.kind, a.res)
+			recorded[id] = recordedKey(a.res)
+			batchOf[id] = bi
 		}
 		pub, err := r.Publish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := views[bi].Flatten(); !reflect.DeepEqual(got, pub) {
+		if got := views[bi+1].Flatten(); !reflect.DeepEqual(got, pub) {
 			t.Fatalf("the view batch %d published has changed, or never matched the serial replay:\nserved %+v\nreplay %+v", bi, got, pub)
+		}
+		snaps = append(snaps, replaySnapshot(t, r, views[bi+1], fmt.Sprintf("the view batch %d published", bi)))
+	}
+
+	// Snapshot replies, per client in the order it sent them.
+	bodies := make([]string, len(snaps))
+	for i, snap := range snaps {
+		var b strings.Builder
+		if err := snap.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = fmt.Sprintf("%d %s", http.StatusOK, b.String())
+	}
+	snapshots := 0
+	for c := 0; c < clients; c++ {
+		floor := 0 // index in bodies of the view of the client's last applied write
+		for id := c * perCli; id < (c+1)*perCli; id++ {
+			if !sent[id].read {
+				if bi, ok := batchOf[id]; ok {
+					floor = bi + 1
+				}
+				continue
+			}
+			snapshots++
+			if !slices.Contains(bodies[floor:], sent[id].reply) {
+				t.Fatalf("request %d: /snapshot answered %q, the snapshot of no view from %d of %d on", id, sent[id].reply, floor, len(bodies))
+			}
 		}
 	}
 	withdrawn := 0
 	for id, req := range sent {
 		key, ok := recorded[id]
 		switch {
+		case req.read: // checked against the views above
 		case ok && key != req.reply:
 			t.Fatalf("request %d (kind %d) answered %q, its recorded op %q", id, req.kind, req.reply, key)
 		case !ok && (!req.short || req.reply != fmt.Sprintf("%d deadline", http.StatusGatewayTimeout)):
@@ -518,10 +602,24 @@ func TestServeLinearizable(t *testing.T) {
 	}
 }
 
+// replaySnapshot requires the Snapshot of the served view v, taken only
+// once every client has finished, to equal the replay's, and returns it.
+func replaySnapshot(t *testing.T, r *mcfs.Reallocator, v *dynamic.View, what string) *mcfs.ReallocatorSnapshot {
+	t.Helper()
+	want, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the snapshot of %s has changed, or never matched the serial replay:\nserved %+v\nreplay %+v", what, got, want)
+	}
+	return want
+}
+
 // replayOp applies one recorded op to r with the serving semantics,
 // written out serially: an arrival admits one customer, a departure
-// removes all its handles or none, a resolve adopts the selection its
-// algorithm finds on the instance, and a snapshot captures the state.
+// removes all its handles or none, and a resolve adopts the selection
+// its algorithm finds on the instance.
 func replayOp(t *testing.T, r *mcfs.Reallocator, inst *mcfs.Instance, o op) opResult {
 	t.Helper()
 	switch o.kind {
@@ -552,22 +650,15 @@ func replayOp(t *testing.T, r *mcfs.Reallocator, inst *mcfs.Instance, o op) opRe
 			err = r.AdoptSelection(sol.Selected)
 		}
 		return opResult{err: err}
-	case opSnapshot:
-		snap, err := r.Snapshot()
-		return opResult{snapshot: snap, err: err}
 	}
 	t.Fatalf("replay of op kind %d", o.kind)
 	return opResult{}
 }
 
-// replyKey renders a client's reply the way the linearizability check
-// compares it with the record: the status, then the error code of a
-// failure, the body of a snapshot, or the handles, objective and note
-// of another success.
-func replyKey(t *testing.T, kind opKind, rec *httptest.ResponseRecorder) string {
-	if rec.Code == http.StatusOK && kind == opSnapshot {
-		return fmt.Sprintf("%d %s", rec.Code, rec.Body)
-	}
+// replyKey renders a client's write reply the way the linearizability
+// check compares it with the record: the status, then the error code of
+// a failure, or the handles, objective and note of a success.
+func replyKey(t *testing.T, rec *httptest.ResponseRecorder) string {
 	var reply struct {
 		Handles   []int  `json:"handles"`
 		Objective int64  `json:"objective"`
@@ -585,18 +676,10 @@ func replyKey(t *testing.T, kind opKind, rec *httptest.ResponseRecorder) string 
 
 // recordedKey renders a recorded op's result as replyKey renders the
 // reply its handler wrote from it.
-func recordedKey(t *testing.T, kind opKind, res opResult) string {
-	t.Helper()
+func recordedKey(res opResult) string {
 	if res.err != nil {
 		status, code := statusOf(res.err)
 		return fmt.Sprintf("%d %s", status, code)
-	}
-	if kind == opSnapshot {
-		var b strings.Builder
-		if err := res.snapshot.Write(&b); err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%d %s", http.StatusOK, b.String())
 	}
 	return fmt.Sprintf("%d %v %d %s", http.StatusOK, res.handles, res.objective, res.note)
 }

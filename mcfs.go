@@ -551,7 +551,8 @@ func NewReallocatorCtx(ctx context.Context, inst *Instance, driftFactor float64,
 // ReallocatorSnapshot is a restartable JSON capture of a Reallocator's
 // dynamic state (live customers with their handles, the open selection,
 // the drift baseline and work counters). Produce one with the
-// Reallocator's Snapshot method, persist it with its Write method, parse
+// Reallocator's Snapshot method, or the Snapshot method of a view its
+// Freeze returned, persist it with its Write method, parse
 // it back with ReadReallocatorSnapshot, and reconstruct the Reallocator
 // with RestoreReallocator. Snapshots embed an instance fingerprint and
 // restore only onto an identical instance, reproducing the snapshotted
