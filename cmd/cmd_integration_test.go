@@ -612,9 +612,9 @@ func TestCLITrace(t *testing.T) {
 // lintSeeds is one minimal violation per mcfslint rule, written into a
 // scratch module-shaped tree at the path each path-scoped rule expects.
 // path names the file the diagnostic must point at; files carries the
-// whole scratch tree (the shared-instance-mutation seed needs a go.mod
-// and a sibling package so the typed loader can resolve the instance
-// type).
+// whole scratch tree (the single-writer seed needs a go.mod and a
+// sibling package so the typed loader can resolve the Reallocator type
+// it imports).
 var lintSeeds = []struct {
 	rule  string
 	path  string
@@ -640,10 +640,6 @@ var lintSeeds = []struct {
 		"go.mod":                 "module scratch\n\ngo 1.22\n",
 		"seed.go":                "package scratch\n\nimport \"errors\"\n\nvar ErrLost = errors.New(\"lost\")\n",
 		"internal/serve/seed.go": "package serve\n\nfunc statusOf(err error) (int, string) { return 400, \"bad_request\" }\n\nfunc Status(err error) (int, string) { return statusOf(err) }\n"}},
-	{"shared-instance-mutation", "internal/bench/seed.go", map[string]string{
-		"go.mod":                 "module scratch\n\ngo 1.22\n",
-		"internal/data/data.go":  "package data\n\ntype Instance struct {\n\tCustomers []int64\n\tK         int\n}\n",
-		"internal/bench/seed.go": "package bench\n\nimport \"scratch/internal/data\"\n\ntype pool struct{ work []func() }\n\nfunc (p *pool) cell(fn func()) { p.work = append(p.work, fn) }\n\nfunc sweep(p *pool, inst *data.Instance) {\n\tp.cell(func() {\n\t\tinst.K = 3\n\t})\n}\n"}},
 }
 
 // TestLintSeededViolations is the acceptance check for mcfslint: on a

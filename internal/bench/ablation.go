@@ -43,10 +43,10 @@ func ablationInstance(cfg Config) (*data.Instance, error) {
 // a full per-customer matching pass. Facilities are a sparse sample
 // (F_p = V would put every customer at distance zero from a candidate
 // and trivialize the search). The three variants — early-stop,
-// exhaustive, dense-Gb — are independent cells over one shared,
-// immutable instance; each cell builds its own matcher.
+// exhaustive, dense-Gb — are independent cells, each with its own copy
+// of one generated instance and its own matcher.
 func runAblThreshold(cfg Config, emit func(Row)) error {
-	sharedInst := lazy(func() (*data.Instance, error) {
+	build := perCell(func() (*data.Instance, error) {
 		inst, err := ablationInstance(cfg)
 		if err != nil {
 			return nil, err
@@ -58,9 +58,8 @@ func runAblThreshold(cfg Config, emit func(Row)) error {
 	})
 	p := newPool(cfg)
 	for _, exhaustive := range []bool{false, true} {
-		exhaustive := exhaustive
 		p.cell(func(emit func(Row)) error {
-			inst, err := sharedInst()
+			inst, err := build()
 			if err != nil {
 				return err
 			}
@@ -95,7 +94,7 @@ func runAblThreshold(cfg Config, emit func(Row)) error {
 	// weights up front — one full-network Dijkstra per customer. Measure
 	// that construction cost alone (the matching would come on top).
 	p.cell(func(emit func(Row)) error {
-		inst, err := sharedInst()
+		inst, err := build()
 		if err != nil {
 			return err
 		}
@@ -116,15 +115,14 @@ func runAblThreshold(cfg Config, emit func(Row)) error {
 }
 
 // runAblDemand compares the paper's selective demand increase (§IV-F)
-// against raising every demand each iteration — one cell per policy
-// over a shared instance.
+// against raising every demand each iteration — one cell per policy,
+// each on its own copy of one generated instance.
 func runAblDemand(cfg Config, emit func(Row)) error {
-	sharedInst := lazy(func() (*data.Instance, error) { return ablationInstance(cfg) })
+	build := perCell(func() (*data.Instance, error) { return ablationInstance(cfg) })
 	p := newPool(cfg)
 	for _, policy := range []core.DemandPolicy{core.DemandSelective, core.DemandAll} {
-		policy := policy
 		p.cell(func(emit func(Row)) error {
-			inst, err := sharedInst()
+			inst, err := build()
 			if err != nil {
 				return err
 			}
@@ -160,12 +158,11 @@ func runAblDemand(cfg Config, emit func(Row)) error {
 // runAblTieBreak compares LRU diversification in the set-cover heuristic
 // against index-order tie-breaking — one cell per tie-break policy.
 func runAblTieBreak(cfg Config, emit func(Row)) error {
-	sharedInst := lazy(func() (*data.Instance, error) { return ablationInstance(cfg) })
+	build := perCell(func() (*data.Instance, error) { return ablationInstance(cfg) })
 	p := newPool(cfg)
 	for _, tie := range []core.TieBreak{core.TieLRU, core.TieArbitrary} {
-		tie := tie
 		p.cell(func(emit func(Row)) error {
-			inst, err := sharedInst()
+			inst, err := build()
 			if err != nil {
 				return err
 			}

@@ -6,13 +6,16 @@ import (
 	"time"
 )
 
-// tinyConfig keeps experiment smoke tests fast.
+// tinyConfig keeps experiment smoke tests fast. Workers is fixed above
+// 1 so that cells run concurrently, and -race sees what they share,
+// even where GOMAXPROCS is 1.
 func tinyConfig() Config {
 	return Config{
 		Scale:       0.02,
 		ExactBudget: 500 * time.Millisecond,
 		Seed:        1,
 		SkipBRNN:    false,
+		Workers:     4,
 	}
 }
 
@@ -53,7 +56,6 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
 			count := 0
 			err := Run(id, cfg, func(r Row) {

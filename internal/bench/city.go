@@ -30,7 +30,6 @@ func runT3(cfg Config, emit func(Row)) error {
 	}
 	p := newPool(cfg)
 	for i, name := range gen.CityNames {
-		i, name := i, name
 		p.cell(func(emit func(Row)) error {
 			pr, err := gen.CityPreset(name, cityScale(cfg), cfg.Seed)
 			if err != nil {
@@ -84,7 +83,6 @@ func cityInstance(name string, cfg Config, m, k, c int) (*data.Instance, error) 
 func runT4(cfg Config, emit func(Row)) error {
 	var points []sweepPoint
 	for i, name := range gen.CityNames {
-		name := name
 		algos := []Algo{}
 		if !cfg.SkipBRNN {
 			algos = append(algos, AlgoBRNN)
@@ -92,9 +90,9 @@ func runT4(cfg Config, emit func(Row)) error {
 		algos = append(algos, AlgoHilbert, AlgoNaive, AlgoWMA)
 		points = append(points, sweepPoint{
 			x: name, xv: float64(i),
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				return cityInstance(name, cfg, 512, 51, 20)
-			}),
+			},
 			algos: algos,
 			exact: true,
 		})
@@ -105,7 +103,8 @@ func runT4(cfg Config, emit func(Row)) error {
 // runF10 reproduces the Aalborg scalability experiment: growing m with
 // k = 0.1·m, c = 20 (o = 0.5), ℓ = n. The city network and candidate
 // set are generated once (lazily, inside whichever cell gets there
-// first) and shared read-only by every sweep point.
+// first) and read by every point's builder; each cell solves its own
+// copy of its point's instance (runSweep).
 func runF10(cfg Config, emit func(Row)) error {
 	type f10Base struct {
 		inst *data.Instance // G and Facilities set; Customers/K per point
@@ -126,7 +125,6 @@ func runF10(cfg Config, emit func(Row)) error {
 	})
 	var points []sweepPoint
 	for idx, m := range scaleInts([]int{128, 256, 512, 1024}, cfg.Scale) {
-		m := m
 		algos := []Algo{AlgoWMA, AlgoHilbert, AlgoNaive}
 		if !cfg.SkipBRNN && idx == 0 {
 			algos = append(algos, AlgoBRNN)
@@ -136,7 +134,7 @@ func runF10(cfg Config, emit func(Row)) error {
 			// m is clamped to the component size, known only after
 			// generation; report the clamped value, as before.
 			xvFn: func(inst *data.Instance) float64 { return float64(inst.M()) },
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				b, err := base()
 				if err != nil {
 					return nil, err
@@ -146,11 +144,11 @@ func runF10(cfg Config, emit func(Row)) error {
 					mm = len(b.pool)
 				}
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(mm)))
-				inst := *b.inst // per-point shallow copy; G/Facilities shared read-only
+				inst := *b.inst // G and Facilities are the base's; runSweep copies them per cell
 				inst.Customers = gen.SampleCustomersFrom(b.pool, mm, rng)
 				inst.K = max(1, mm/10)
 				return &inst, nil
-			}),
+			},
 			algos: algos,
 		})
 	}

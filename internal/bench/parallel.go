@@ -2,6 +2,7 @@ package bench
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -18,12 +19,14 @@ import (
 // nondeterministic row fields (cmd/mcfsbench -notimes zeroes them for
 // byte-comparable output).
 //
-// Instance generation happens inside cells: points share their instance
-// through a lazy memoized builder, so the first cell to need a point
-// generates it (in parallel across points) and the others reuse it.
-// The shared *data.Instance and *graph.Graph are treated as immutable
-// from that moment on; every solve path has been audited (and is
-// race-tested) to not mutate them.
+// Instance generation happens inside cells: each point's builder is
+// memoized, so the first cell to need a point generates it (in parallel
+// across points), and every cell then takes its own copy of the
+// instance, with its own Customers and Facilities, over the one
+// *graph.Graph (perCell). A cell may write its instance freely. The
+// graph is what cells share; graph.Graph has no exported field and no
+// method that writes one or returns one of its arrays, so another
+// package cannot write through it.
 
 // cellResult is the buffered output of one finished cell.
 type cellResult struct {
@@ -98,8 +101,27 @@ func lazy[T any](build func() (T, error)) func() (T, error) {
 	}
 }
 
+// perCell memoizes an instance builder like lazy and hands every caller
+// its own copy of the instance: a new record with its own Customers and
+// Facilities arrays over the same graph. The builder runs once; no
+// caller sees another's writes.
+func perCell(build func() (*data.Instance, error)) func() (*data.Instance, error) {
+	shared := lazy(build)
+	return func() (*data.Instance, error) {
+		inst, err := shared()
+		if err != nil {
+			return nil, err
+		}
+		own := *inst
+		own.Customers = slices.Clone(inst.Customers)
+		own.Facilities = slices.Clone(inst.Facilities)
+		return &own, nil
+	}
+}
+
 // sweepPoint is one x-position of an experiment sweep: an axis label, a
-// memoized instance builder, and the algorithms to run on it.
+// deterministic instance builder (runSweep runs it once per point), and
+// the algorithms to run on it.
 type sweepPoint struct {
 	x     string
 	xv    float64
@@ -122,13 +144,15 @@ func (pt sweepPoint) xval(inst *data.Instance) float64 {
 // exactDropout the chain stops after its first timeout (the paper's
 // "Gurobi failed beyond ..." behaviour), which is a cross-point
 // dependency and therefore cannot be parallelized. Exact rows are
-// emitted after all heuristic rows of the sweep.
+// emitted after all heuristic rows of the sweep. Each point's builder
+// runs once, and every cell, the chain included, solves its own copy of
+// the instance (perCell).
 func runSweep(exp string, points []sweepPoint, exactDropout bool, cfg Config, emit func(Row)) error {
 	p := newPool(cfg)
+	var chain []sweepPoint
 	for _, pt := range points {
-		pt := pt
+		pt.inst = perCell(pt.inst)
 		for _, a := range pt.algos {
-			a := a
 			p.cell(func(emit func(Row)) error {
 				inst, err := pt.inst()
 				if err != nil {
@@ -138,33 +162,28 @@ func runSweep(exp string, points []sweepPoint, exactDropout bool, cfg Config, em
 				return nil
 			})
 		}
+		if pt.exact && !cfg.SkipExact {
+			chain = append(chain, pt)
+		}
 	}
-	if !cfg.SkipExact {
-		var chain []sweepPoint
-		for _, pt := range points {
-			if pt.exact {
-				chain = append(chain, pt)
-			}
-		}
-		if len(chain) > 0 {
-			p.cell(func(emit func(Row)) error {
-				for _, pt := range chain {
-					inst, err := pt.inst()
-					if err != nil {
-						return err
-					}
-					timedOut := false
-					runAlgo(exp, pt.x, pt.xval(inst), AlgoExact, inst, cfg, cfg.Seed, func(r Row) {
-						timedOut = strings.HasPrefix(r.Note, "timeout")
-						emit(r)
-					})
-					if timedOut && exactDropout {
-						break
-					}
+	if len(chain) > 0 {
+		p.cell(func(emit func(Row)) error {
+			for _, pt := range chain {
+				inst, err := pt.inst()
+				if err != nil {
+					return err
 				}
-				return nil
-			})
-		}
+				timedOut := false
+				runAlgo(exp, pt.x, pt.xval(inst), AlgoExact, inst, cfg, cfg.Seed, func(r Row) {
+					timedOut = strings.HasPrefix(r.Note, "timeout")
+					emit(r)
+				})
+				if timedOut && exactDropout {
+					break
+				}
+			}
+			return nil
+		})
 	}
 	return p.drain(emit)
 }

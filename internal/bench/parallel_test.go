@@ -3,8 +3,12 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"mcfs/internal/data"
+	"mcfs/internal/graph"
 )
 
 // TestPoolOrderAndBound checks the two pool invariants everything else
@@ -15,7 +19,6 @@ func TestPoolOrderAndBound(t *testing.T) {
 	var running, peak int32
 	p := newPool(Config{Workers: workers})
 	for i := 0; i < cells; i++ {
-		i := i
 		p.cell(func(emit func(Row)) error {
 			cur := atomic.AddInt32(&running, 1)
 			for {
@@ -98,6 +101,58 @@ func TestParallelDeterminism(t *testing.T) {
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("row %d differs:\nserial:   %s\nparallel: %s", i, serial[i], parallel[i])
+		}
+	}
+}
+
+// TestCellsOwnTheirInstance pins how cells share nothing they can write:
+// a point's builder runs once, every call hands out a new instance with
+// its own Customers and Facilities over the same graph, and a write
+// through one copy is not seen by the next. The graph is the one value
+// cells share; that holds only while graph.Graph exports no field.
+func TestCellsOwnTheirInstance(t *testing.T) {
+	g, err := graph.NewBuilder(3, false).AddEdge(0, 1, 1).AddEdge(1, 2, 1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	get := perCell(func() (*data.Instance, error) {
+		builds++
+		return &data.Instance{
+			G:          g,
+			Customers:  []int32{0, 1},
+			Facilities: []data.Facility{{Node: 2, Capacity: 2}},
+			K:          1,
+		}, nil
+	})
+	first, err := get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.K = 9
+	first.Customers[0] = 2
+	first.Facilities[0].Capacity = 7
+	second, err := get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 {
+		t.Errorf("builder ran %d times, want once", builds)
+	}
+	if first == second || &first.Customers[0] == &second.Customers[0] || &first.Facilities[0] == &second.Facilities[0] {
+		t.Fatal("two calls share an instance record or array")
+	}
+	if second.G != g {
+		t.Error("a copy does not keep the built graph")
+	}
+	if second.K != 1 || second.Customers[0] != 0 || second.Facilities[0].Capacity != 2 {
+		t.Errorf("writes through one copy reached the next: K=%d customer=%d capacity=%d",
+			second.K, second.Customers[0], second.Facilities[0].Capacity)
+	}
+	gt := reflect.TypeOf(graph.Graph{})
+	for i := 0; i < gt.NumField(); i++ {
+		if f := gt.Field(i); f.IsExported() {
+			t.Errorf("graph.Graph exports field %s, which any cell could write through the shared graph", f.Name)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func RunPerf(cfg PerfConfig, logf func(format string, args ...any)) (*PerfFile, 
 }
 
 // cityPerfCases builds the per-city benchmark bodies over one shared
-// instance (read-only across cases, like the parallel harness audits).
+// instance, which the cases, run one after another, only read.
 func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 	bcfg := Config{Scale: 1, Seed: cfg.Seed}
 	m, k, c := 512, 51, 20

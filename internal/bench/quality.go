@@ -42,7 +42,6 @@ func runQuality(cfg Config, emit func(Row)) error {
 
 	p := newPool(cfg)
 	for b := 0; b < batch; b++ {
-		b := b
 		p.cell(func(emit func(Row)) error {
 			seed := cfg.Seed + int64(b)*977
 			n := 200 + int(100*cfg.Scale)*b/2

@@ -69,9 +69,9 @@ func kSweep(m, meanCap, maxK int) []int {
 
 // runCoworkingSweep executes a Fig. 12a/13a-style k sweep on a coworking
 // or bikes instance: WMA Direct, WMA Uniform-First, Hilbert, Naive,
-// BRNN, and the exact solver. Each k gets a private shallow copy of the
-// instance (graph, customers, and facilities shared read-only) so the
-// per-(k, algorithm) cells can run in parallel.
+// BRNN, and the exact solver. Each k point is a shallow copy of inst
+// with its own K, and runSweep hands every (k, algorithm) cell its own
+// copy of that, so the cells can run in parallel.
 func runCoworkingSweep(exp string, inst *data.Instance, ks []int, cfg Config, emit func(Row)) error {
 	var points []sweepPoint
 	for idx, k := range ks {

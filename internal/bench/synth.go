@@ -43,7 +43,6 @@ var synthSpecs = []synthSpec{
 
 func init() {
 	for _, spec := range synthSpecs {
-		spec := spec
 		register(spec.id, func(cfg Config, emit func(Row)) error {
 			return runSynthSweep(spec, cfg, emit)
 		})
@@ -93,16 +92,15 @@ func synthInstance(spec synthSpec, n int, seed int64) (*data.Instance, error) {
 func runSynthSweep(spec synthSpec, cfg Config, emit func(Row)) error {
 	var points []sweepPoint
 	for idx, n := range sizeSweep(cfg) {
-		n := n
 		algos := []Algo{AlgoWMA, AlgoHilbert, AlgoNaive}
 		if spec.withBRNN && !cfg.SkipBRNN && idx < 2 {
 			algos = append(algos, AlgoBRNN)
 		}
 		points = append(points, sweepPoint{
 			x: "n", xv: float64(n),
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				return synthInstance(spec, n, cfg.Seed)
-			}),
+			},
 			algos: algos,
 			exact: true,
 		})
@@ -117,7 +115,6 @@ func runF5(cfg Config, emit func(Row)) error {
 	n := max(8, int(10000*cfg.Scale))
 	p := newPool(cfg)
 	for _, clusters := range []int{0, 40, 20, 5} {
-		clusters := clusters
 		p.cell(func(emit func(Row)) error {
 			g, err := gen.Synthetic(gen.SyntheticConfig{N: n, Clusters: clusters, Alpha: 1.5, Seed: cfg.Seed})
 			if err != nil {
@@ -160,10 +157,9 @@ func runF8a(cfg Config, emit func(Row)) error {
 	k := max(1, n/50)
 	var points []sweepPoint
 	for _, pct := range []int{40, 60, 80, 100} {
-		pct := pct
 		points = append(points, sweepPoint{
 			x: "l%", xv: float64(pct),
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				gg, err := g()
 				if err != nil {
 					return nil, err
@@ -176,7 +172,7 @@ func runF8a(cfg Config, emit func(Row)) error {
 				}
 				feasibleCustomers(inst, m, cfg.Seed+303)
 				return inst, nil
-			}),
+			},
 			algos: []Algo{AlgoWMA, AlgoHilbert, AlgoNaive},
 			exact: true,
 		})
@@ -194,11 +190,10 @@ func runF8b(cfg Config, emit func(Row)) error {
 	// WMA runtimes toward the paper's hours-long regime (grow -scale to
 	// push further).
 	for _, frac := range []int{2, 5, 10, 20} { // m = frac% of n
-		frac := frac
 		m := max(1, n*frac/100)
 		points = append(points, sweepPoint{
 			x: "m", xv: float64(m),
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				gg, err := g()
 				if err != nil {
 					return nil, err
@@ -206,7 +201,7 @@ func runF8b(cfg Config, emit func(Row)) error {
 				inst := &data.Instance{G: gg}
 				disjointWorkload(inst, m, k, gen.UniformCapacity(10), cfg.Seed+404+int64(frac))
 				return inst, nil
-			}),
+			},
 			algos: []Algo{AlgoWMA, AlgoHilbert, AlgoNaive},
 			exact: true,
 		})
@@ -222,7 +217,6 @@ func runF8c(cfg Config, emit func(Row)) error {
 	g := lazyF8Graph(cfg)
 	var points []sweepPoint
 	for _, frac := range []int{20, 50, 100, 200} { // m as % of n
-		frac := frac
 		m := max(1, n*frac/100)
 		k := m / 2
 		if k > n/2 {
@@ -233,7 +227,7 @@ func runF8c(cfg Config, emit func(Row)) error {
 		}
 		points = append(points, sweepPoint{
 			x: "m", xv: float64(m),
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				gg, err := g()
 				if err != nil {
 					return nil, err
@@ -245,7 +239,7 @@ func runF8c(cfg Config, emit func(Row)) error {
 				}
 				feasibleCustomers(inst, m, cfg.Seed+505+int64(frac))
 				return inst, nil
-			}),
+			},
 			algos: []Algo{AlgoWMA, AlgoHilbert, AlgoNaive},
 		})
 	}
@@ -262,7 +256,7 @@ func runF8d(cfg Config, emit func(Row)) error {
 		k := max(1, n*kFrac/100)
 		points = append(points, sweepPoint{
 			x: "k", xv: float64(k),
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				gg, err := g()
 				if err != nil {
 					return nil, err
@@ -270,7 +264,7 @@ func runF8d(cfg Config, emit func(Row)) error {
 				inst := &data.Instance{G: gg}
 				disjointWorkload(inst, m, k, gen.UniformCapacity(10), cfg.Seed+606)
 				return inst, nil
-			}),
+			},
 			algos: []Algo{AlgoWMA, AlgoHilbert, AlgoNaive},
 			exact: true,
 		})
@@ -286,11 +280,10 @@ func runF9a(cfg Config, emit func(Row)) error {
 	n := max(64, int(5000*cfg.Scale))
 	var points []sweepPoint
 	for _, alpha := range []float64{1.0, 1.2, 1.5, 2.0, 2.5} {
-		alpha := alpha
 		points = append(points, sweepPoint{
 			x:    "avgdeg",
 			xvFn: func(inst *data.Instance) float64 { return inst.G.AvgDegree() },
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				g, err := gen.Synthetic(gen.SyntheticConfig{N: n, Clusters: 5, Alpha: alpha, Seed: cfg.Seed})
 				if err != nil {
 					return nil, err
@@ -298,7 +291,7 @@ func runF9a(cfg Config, emit func(Row)) error {
 				inst := &data.Instance{G: g}
 				disjointWorkload(inst, max(1, n/10), max(1, n/20), gen.UniformCapacity(10), cfg.Seed+707)
 				return inst, nil
-			}),
+			},
 			algos: []Algo{AlgoWMA, AlgoHilbert, AlgoNaive},
 			exact: true,
 		})
@@ -316,10 +309,9 @@ func runF9b(cfg Config, emit func(Row)) error {
 	k := max(1, n/20)
 	var points []sweepPoint
 	for _, c := range []int{3, 4, 6, 10, 20, 40} {
-		c := c
 		points = append(points, sweepPoint{
 			x: "c", xv: float64(c),
-			inst: lazy(func() (*data.Instance, error) {
+			inst: func() (*data.Instance, error) {
 				gg, err := g()
 				if err != nil {
 					return nil, err
@@ -327,7 +319,7 @@ func runF9b(cfg Config, emit func(Row)) error {
 				inst := &data.Instance{G: gg}
 				disjointWorkload(inst, m, k, gen.UniformCapacity(c), cfg.Seed+808)
 				return inst, nil
-			}),
+			},
 			algos: []Algo{AlgoWMA, AlgoHilbert, AlgoNaive},
 			exact: true,
 		})

@@ -28,6 +28,12 @@ type Edge struct {
 
 // Graph is an immutable weighted graph in CSR form, optionally carrying
 // node coordinates. Build one with a Builder.
+//
+// Goroutines share one Graph without locks (the bench harness's cells
+// do), which holds because code outside this package cannot write one:
+// Graph exports no field, no method writes a field, and no method
+// returns one of its arrays. Keep all three when adding to it. Only a
+// whole-value store through the pointer (*g = Graph{}) still compiles.
 type Graph struct {
 	off      []int32 // len N+1; arc indexes for node i are off[i]..off[i+1]
 	dst      []int32

@@ -5,27 +5,28 @@ import (
 	"go/token"
 )
 
-// This file is the control-flow half of the v3 engine: buildCFG lowers
-// one function body to basic blocks so rules can run forward dataflow
-// (dataflow.go) instead of a single syntactic sweep. The lowering is
-// deliberately small — blocks hold the original ast.Stmt nodes in
-// execution order and rules interpret them — but it is a real CFG:
-// branches, loops, switches, selects, labeled break/continue, and goto
-// all produce the edges a fixpoint needs to see facts merge at joins
-// and flow around back edges.
+// This file is the control-flow half of the engine single-writer runs:
+// buildCFG lowers one function body to basic blocks so a rule can run
+// forward dataflow (dataflow.go) instead of a single syntactic sweep.
+// The lowering is deliberately small — blocks hold the original
+// ast.Stmt nodes in execution order and rules interpret them — but it
+// is a real CFG: branches, loops, switches, selects, labeled
+// break/continue, and goto all produce the edges a fixpoint needs to
+// see facts merge at joins and flow around back edges.
 //
 // Function literals are NOT inlined: a nested FuncLit appears as an
-// ordinary expression inside the statement that mentions it, and rules
-// that care (provenance) descend into the literal's body themselves
-// with whatever entry state is appropriate.
+// ordinary expression inside the statement that mentions it, and a
+// rule analyzes the literal's body as a function of its own
+// (single-writer reports a writer a literal captures).
 
 // block is one basic block: statements that execute in order with no
 // internal control transfer, plus the successor edges control can take
 // afterwards. The expressions control evaluates — if and for
 // conditions, switch tags and case expressions — are stored in the
 // block that evaluates them: they cannot assign, but they can call a
-// function or copy(). A range header is stored as the RangeStmt itself,
-// because the range assigns its key/value variables on every entry.
+// function, a Reallocator method included. A range header is stored as
+// the RangeStmt itself, because the range assigns its key/value
+// variables on every entry.
 type block struct {
 	nodes []ast.Node // statements, condition expressions, RangeStmt headers
 	succs []*block
@@ -41,7 +42,7 @@ type cfg struct {
 // buildCFG lowers body. It never fails: constructs the builder does not
 // model flow through (there are none in current Go) would simply fall
 // through sequentially, which over-approximates reachability and can
-// only surface more facts at a merge, never hide a write.
+// only surface more facts at a merge, never hide a finding.
 func buildCFG(body *ast.BlockStmt) *cfg {
 	b := &cfgBuilder{labels: make(map[string]*labelBlocks)}
 	entry := b.newBlock()

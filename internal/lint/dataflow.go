@@ -2,14 +2,14 @@ package lint
 
 import "go/ast"
 
-// This file is the fixpoint half of the v3 engine: a forward worklist
-// solver over the CFG of cfg.go, generic in the per-rule lattice. A
-// rule supplies the four lattice operations; the solver owns iteration
-// order and termination. Transfer functions must be monotone in the
-// state (a larger input state may only produce a larger output state)
-// and the lattice must have finite height — both hold for the
-// finite-domain fact maps the rules use — which together guarantee the
-// fixpoint terminates.
+// This file is the fixpoint half of the engine single-writer runs: a
+// forward worklist solver over the CFG of cfg.go, generic in the
+// per-rule lattice. A rule supplies the four lattice operations; the
+// solver owns iteration order and termination. Transfer functions must
+// be monotone in the state (a larger input state may only produce a
+// larger output state) and the lattice must have finite height — both
+// hold for the finite-domain fact map single-writer uses — which
+// together guarantee the fixpoint terminates.
 type dataflow[S any] struct {
 	// seed produces the entry state of the function.
 	seed func() S

@@ -9,8 +9,9 @@ import (
 // The dataflow tests run a tiny taint analysis over real Go bodies:
 // `x = taint()` marks x, `x = clean()` clears it, and the test asserts
 // whether taint can reach each `sinkN(x)` call. This exercises exactly
-// what the provenance rules need from the solver: strong updates,
-// merging at joins, and propagation around loop back edges.
+// what single-writer's held-writer analysis needs from the solver:
+// strong updates, merging at joins, and propagation around loop back
+// edges.
 
 type taintState map[string]bool
 

@@ -1,9 +1,12 @@
 // Package lint is the engine behind mcfslint, the project's static
 // analysis suite. It machine-checks the invariants the parallel bench
-// harness and the cooperative-cancellation layer rely on — audited
-// immutability, context checkpoints in unbounded solver loops,
-// byte-identical deterministic output — which are otherwise enforced
-// only by convention and code review.
+// harness, the cooperative-cancellation layer and the serving layer
+// rely on — context checkpoints in unbounded solver loops,
+// byte-identical deterministic output, the serving engine's single
+// writer — which are otherwise enforced only by convention and code
+// review. What a type can enforce is left to the compiler: a bench
+// cell's instance and a published view need no rule (DESIGN.md §8,
+// §10).
 //
 // The engine is deliberately stdlib-only (go/parser, go/ast, go/token,
 // go/types, go/importer; no x/tools dependency, matching the module's
@@ -69,11 +72,10 @@ type Package struct {
 type ReportFunc func(f *File, pos token.Pos, format string, args ...any)
 
 // Rule is one analysis pass. Run calls Check exactly once per run with
-// the whole module — every loaded package plus the index of their
-// declared functions — and a rule scoped to some packages walks m.Pkgs
-// and skips the rest. Check must be deterministic: findings are emitted in a
-// sorted order, but rules should not depend on iteration order
-// internally either.
+// the whole module — every loaded package — and a rule scoped to some
+// packages walks m.Pkgs and skips the rest. Check must be
+// deterministic: findings are emitted in a sorted order, but rules
+// should not depend on iteration order internally either.
 type Rule interface {
 	Name() string
 	Doc() string
@@ -88,7 +90,6 @@ func AllRules() []Rule {
 		Determinism{},
 		CloseCheck{},
 		NakedGoroutine{},
-		SharedMutation{},
 		CtxPropagation{},
 		SingleWriter{},
 		SentinelParity{},

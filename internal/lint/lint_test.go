@@ -190,32 +190,6 @@ func TestNakedGoroutineParallelExemption(t *testing.T) {
 	}
 }
 
-// sharedMutationDirs maps the sharedmutation fixture module's packages
-// into the virtual tree the rule's scoping expects.
-var sharedMutationDirs = map[string]string{
-	"bench": "internal/bench",
-	"data":  "internal/data",
-	"graph": "internal/graph",
-}
-
-func TestSharedMutationRule(t *testing.T) {
-	pkgs := loadFixture(t, "sharedmutation", sharedMutationDirs)
-	checkFixtures(t, pkgs, []Rule{SharedMutation{}})
-}
-
-// TestSharedMutationOutOfScope: the rule only concerns the bench
-// harness; the same code anywhere else is not in its jurisdiction.
-func TestSharedMutationOutOfScope(t *testing.T) {
-	pkgs := loadFixture(t, "sharedmutation", map[string]string{
-		"bench": "internal/core",
-		"data":  "internal/data",
-		"graph": "internal/graph",
-	})
-	if got := Run(pkgs, []Rule{SharedMutation{}}); len(got) != 0 {
-		t.Errorf("rule fired outside internal/bench: %v", got)
-	}
-}
-
 func TestCtxPropagationRule(t *testing.T) {
 	pkgs := loadFixture(t, "ctxpropagation", map[string]string{".": "internal/solver"})
 	checkFixtures(t, pkgs, []Rule{CtxPropagation{}})

@@ -36,12 +36,18 @@ func (SentinelParity) Check(m *Module, report ReportFunc) {
 	}
 
 	// The error table: serve's statusOf function.
-	scope := serve.Types.Scope()
-	tableObj := scope.Lookup("statusOf")
-	decls := serve.funcDecls()
-	var table *declSite
-	if tableObj != nil {
-		table = decls[tableObj]
+	tableObj := serve.Types.Scope().Lookup("statusOf")
+	if tableObj == nil {
+		return
+	}
+	var table *ast.FuncDecl
+	var tableFile *File
+	for _, f := range serve.Files {
+		for _, decl := range f.AST.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && serve.ObjectOf(fd.Name) == tableObj {
+				table, tableFile = fd, f
+			}
+		}
 	}
 	if table == nil {
 		return
@@ -54,7 +60,7 @@ func (SentinelParity) Check(m *Module, report ReportFunc) {
 	type sentinelKey struct{ path, name string }
 	refs := make(map[sentinelKey]int)
 	refPos := make(map[sentinelKey]ast.Expr)
-	ast.Inspect(table.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(table.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
@@ -86,7 +92,7 @@ func (SentinelParity) Check(m *Module, report ReportFunc) {
 					"exported sentinel %s has no mapping in serve's error table (statusOf); clients would see the default status for it", name)
 			}
 		case n > 1:
-			report(table.file, refPos[k].Pos(),
+			report(tableFile, refPos[k].Pos(),
 				"sentinel %s is mapped %d times in serve's error table; the later arms are dead", name, n)
 		}
 		delete(refs, k)
@@ -108,7 +114,7 @@ func (SentinelParity) Check(m *Module, report ReportFunc) {
 		return dup[i].name < dup[j].name
 	})
 	for _, k := range dup {
-		report(table.file, refPos[k].Pos(),
+		report(tableFile, refPos[k].Pos(),
 			"sentinel %s is mapped %d times in serve's error table; the later arms are dead", k.name, refs[k])
 	}
 }

@@ -197,8 +197,7 @@ func (c *swCheck) use(v *types.Var, id *ast.Ident, n ast.Node, stack []ast.Node,
 			how = ""
 		}
 	case *ast.CallExpr: // a writer parameter of a function or method of the package
-		callee, _ := resolveCallee(c.pkg, p)
-		if fn, ok := callee.(*types.Func); ok && fn.Pkg() == c.pkg.Types {
+		if fn, ok := resolveCallee(c.pkg, p).(*types.Func); ok && fn.Pkg() == c.pkg.Types {
 			params, i := fn.Type().(*types.Signature).Params(), slices.Index(p.Args, ast.Expr(id))
 			if i < params.Len() && c.isWriter(params.At(i).Type()) {
 				how = ""
@@ -226,4 +225,15 @@ func (c *swCheck) use(v *types.Var, id *ast.Ident, n ast.Node, stack []ast.Node,
 	case !s[v]:
 		c.report(c.pkg.fileAt(id.Pos()), id.Pos(), "writer %s used where it is not held on every path: it was sent back to the slot, or never taken from it", v.Name())
 	}
+}
+
+// resolveCallee resolves the call's static callee object, or nil.
+func resolveCallee(pkg *Package, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return pkg.ObjectOf(fun)
+	case *ast.SelectorExpr:
+		return pkg.ObjectOf(fun.Sel)
+	}
+	return nil
 }

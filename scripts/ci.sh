@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification gate: formatting, vet, and the full test suite
-# under the race detector (the parallel bench harness depends on the
-# audited immutability of shared instances — keep -race in the loop).
+# under the race detector (the parallel bench harness's cells share a
+# graph and memoized bases, and the serving layer shares published
+# views across goroutines — keep -race in the loop).
 set -eu
 cd "$(dirname "$0")/.."
 
