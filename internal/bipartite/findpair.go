@@ -101,8 +101,14 @@ func (mt *Matcher) materializeFailure(i int) error {
 // the customer attaining it.
 //
 // Every residual reduced cost is nonnegative (DESIGN.md §4), so the
-// search is plain Dijkstra, and unless the matcher is exhaustive it
-// stops early once the outcome is provably decided.
+// search is plain Dijkstra. Unless the matcher is exhaustive it ends at
+// the first pop that decides the outcome: a reject once the threshold
+// falls below the popped key (thr < d; a materialization is then
+// inevitable), an accept when it settles a facility with a free slot.
+// No later pop could change an accepted search's result: each customer
+// settled later enters thr at d(c) + nnDist(c) − pot[c] ≥ d(c) ≥ best,
+// since pot[c] ≤ nnDist(c), and every later facility is at least best
+// away. Customers' arcs are their unmatched edges only (relaxArcs).
 func (mt *Matcher) shortestPath(src int) (best int64, bestFac int, thr int64, argmin int) {
 	mt.stats.DijkstraRuns++
 	mt.epoch++
@@ -119,24 +125,8 @@ func (mt *Matcher) shortestPath(src int) (best int64, bestFac int, thr int64, ar
 		if d > mt.dist[v] {
 			continue // superseded entry
 		}
-		if !mt.exhaustive {
-			// d is the smallest key of any unsettled node.
-			// Certain reject: the final best free-facility distance is at
-			// least min(best, d), and the threshold only shrinks — once thr
-			// undercuts that floor, a materialization is inevitable.
-			floor := best
-			if d < floor {
-				floor = d
-			}
-			if thr < floor {
-				break
-			}
-			// Certain accept: every unsettled customer key is at least
-			// d − maxCustPot and every unsettled facility is at least d
-			// away, so neither thr nor best can drop below best.
-			if bestFac >= 0 && d-mt.maxCustPot >= best {
-				break
-			}
+		if thr < d && !mt.exhaustive {
+			break // certain reject: every unsettled key is at least d
 		}
 		mt.settled = append(mt.settled, v)
 		mt.stats.NodesScanned++
@@ -147,24 +137,13 @@ func (mt *Matcher) shortestPath(src int) (best int64, bestFac int, thr int64, ar
 					thr, argmin = key, ci
 				}
 			}
-			for idx, e := range mt.edges[ci] {
-				if e.matched {
-					continue
-				}
-				fn := e.fac
-				mt.relax(fn, d+e.w-mt.pot[v]+mt.pot[fn], int64(ci)<<32|int64(idx))
-			}
-		} else {
-			j := int(v)
-			if len(mt.facMatch[j]) < mt.facs[j].Capacity && d < best {
-				best, bestFac = d, j
-			}
-			for idx, fe := range mt.facMatch[j] {
-				e := mt.edges[fe.cust][fe.idx]
-				cn := int32(l + int(fe.cust))
-				mt.relax(cn, d-e.w-mt.pot[v]+mt.pot[cn], -(int64(j)<<32|int64(idx))-1)
+		} else if j := int(v); len(mt.facMatch[j]) < mt.facs[j].Capacity && d < best {
+			best, bestFac = d, j
+			if !mt.exhaustive {
+				break // certain accept
 			}
 		}
+		mt.relaxArcs(v, d)
 	}
 	return best, bestFac, thr, argmin
 }
@@ -182,8 +161,8 @@ func (mt *Matcher) relax(v int32, d int64, par int64) {
 	mt.heap.Push(v, d)
 }
 
-// flip is one arc of an augmenting path, recorded by augment before any
-// matched flag changes.
+// flip is one arc of an augmenting path, recorded by flipPath before any
+// edge's matched state changes.
 type flip struct {
 	fac  int32 // facility index
 	idx  int32 // meaning depends on fwd: edges[cust] index or facMatch[fac] index
@@ -191,30 +170,27 @@ type flip struct {
 	fwd  bool
 }
 
-// augment flips matched flags along the shortest path ending at free
-// facility j with reduced length pathLen, then applies the standard
-// potential update p(v) += max(0, pathLen − dist(v)) to settled nodes
-// (Algorithm 2, lines 13–17).
+// augment flips the matched state of the edges along the shortest path
+// ending at free facility j with reduced length pathLen, then applies the
+// standard potential update p(v) += max(0, pathLen − dist(v)) to settled
+// nodes (Algorithm 2, lines 13–17). Every node closer than pathLen was
+// settled before j, so an early-stopped search updates the same nodes
+// an exhaustive one would.
 func (mt *Matcher) augment(j int, pathLen int64) {
 	mt.flipPath(j)
 	mt.stats.Augmentations++
-
-	l := mt.L()
 	for _, v := range mt.settled {
 		if d := mt.dist[v]; d < pathLen {
 			mt.pot[v] += pathLen - d
-			if int(v) >= l && mt.pot[v] > mt.maxCustPot {
-				mt.maxCustPot = mt.pot[v]
-			}
 		}
 	}
 }
 
-// flipPath flips matched flags along the last search's path from its
-// source to facility j: forward arcs become matched, backward arcs
-// unmatched. It returns the number of forward arcs, which is how many
-// customers the flip moved onto a new facility. The arcs stay in
-// mt.flips, which Moved reports.
+// flipPath flips the matched state of the edges along the last search's
+// path from its source to facility j: forward arcs become matched,
+// backward arcs unmatched. It returns the number of forward arcs, which
+// is how many customers the flip moved onto a new facility. The arcs
+// stay in mt.flips, which Moved reports.
 func (mt *Matcher) flipPath(j int) (moved int) {
 	l := mt.L()
 	flips := mt.flips[:0]
@@ -244,9 +220,8 @@ func (mt *Matcher) flipPath(j int) (moved int) {
 			continue
 		}
 		fe := mt.facMatch[f.fac][f.idx]
-		e := &mt.edges[fe.cust][fe.idx]
-		e.matched = false
-		mt.cost -= e.w
+		mt.setMatched(int(fe.cust), int(fe.idx), false)
+		mt.cost -= mt.edges[fe.cust][fe.idx].w
 		mt.matchCount[fe.cust]--
 		last := len(mt.facMatch[f.fac]) - 1
 		mt.facMatch[f.fac][f.idx] = mt.facMatch[f.fac][last]
@@ -256,9 +231,8 @@ func (mt *Matcher) flipPath(j int) (moved int) {
 		if !f.fwd {
 			continue
 		}
-		e := &mt.edges[f.cust][f.idx]
-		e.matched = true
-		mt.cost += e.w
+		mt.setMatched(int(f.cust), int(f.idx), true)
+		mt.cost += mt.edges[f.cust][f.idx].w
 		mt.matchCount[f.cust]++
 		mt.facMatch[f.fac] = append(mt.facMatch[f.fac], facEdge{cust: f.cust, idx: f.idx})
 		if !mt.everMatched[f.fac] {

@@ -24,6 +24,7 @@ package bipartite
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"mcfs/internal/data"
 	"mcfs/internal/graph"
@@ -32,10 +33,10 @@ import (
 
 // bedge is a materialized customer→facility edge. Edges are appended in
 // nondecreasing weight order (NN order from the customer's searcher).
+// Whether it is matched is recorded in Matcher.unmatched, not here.
 type bedge struct {
-	fac     int32 // facility index
-	w       int64 // original weight: network distance customer→facility
-	matched bool
+	fac int32 // facility index
+	w   int64 // original weight: network distance customer→facility
 }
 
 // facEdge back-references a matched edge from the facility side.
@@ -57,21 +58,32 @@ type Stats struct {
 // ids: facility j is node j, customer i is node L()+i — facilities come
 // first so that customers can be appended dynamically (AddCustomer) and
 // removed by moving the last one into the gap (RemoveCustomerCtx).
+//
+// A customer's materialized edges are kept in NN order, and its
+// unmatched-edge bitset is the one record of which are matched; facMatch
+// points back from each facility to its matched edges. The inner
+// searches walk only a customer's unmatched edges, its residual arcs, so
+// a customer whose demand has matched most of its edges costs a search
+// only the few it can still use.
 type Matcher struct {
 	g         *graph.Graph
 	custNodes []int32
 	facs      []data.Facility
 	isCand    []bool
 
-	searchers  []*graph.NNSearcher
-	edges      [][]bedge
+	searchers []*graph.NNSearcher
+	edges     [][]bedge
+	// unmatched is, per customer, a bitset over the indexes of edges[i]:
+	// bit idx is set exactly when edges[i][idx] is not matched. It is
+	// the one record of matched state, and it lets the searches walk a
+	// customer's residual arcs without visiting its matched edges.
+	unmatched  [][]uint64
 	matchCount []int32 // per customer: matched edges in edges[i]
 	facMatch   [][]facEdge
 	facIdx     map[int32]int
 	pot        []int64
-	maxCustPot int64
 	// cost is the sum of original weights over matched edges, updated
-	// wherever a matched flag flips (flipPath, unmatch).
+	// wherever an edge is matched or unmatched (flipPath, unmatch).
 	cost int64
 
 	// touched lists facilities that have ever held a match — the only
@@ -128,6 +140,7 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 		isCand:     isCand,
 		searchers:  make([]*graph.NNSearcher, m),
 		edges:      make([][]bedge, m),
+		unmatched:  make([][]uint64, m),
 		matchCount: make([]int32, m),
 		facMatch:   make([][]facEdge, l),
 
@@ -138,6 +151,12 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 		parent: make([]int64, n),
 		stamp:  make([]int32, n),
 		heap:   pq.NewLazy(),
+	}
+	// Every customer's first bitset word comes from one array, so the
+	// index costs one allocation until a customer passes 64 edges.
+	words := make([]uint64, m)
+	for i := range mt.unmatched {
+		mt.unmatched[i] = words[i : i : i+1]
 	}
 	return mt
 }
@@ -152,6 +171,7 @@ func (mt *Matcher) AddCustomer(node int32) int {
 	mt.custNodes = append(mt.custNodes, node)
 	mt.searchers = append(mt.searchers, nil)
 	mt.edges = append(mt.edges, nil)
+	mt.unmatched = append(mt.unmatched, nil)
 	mt.matchCount = append(mt.matchCount, 0)
 	if need := mt.L() + len(mt.custNodes); need > len(mt.pot) {
 		grow := len(mt.pot) * 2
@@ -224,8 +244,8 @@ func (mt *Matcher) MarkCovered(j int, covered []bool) int {
 // Matches returns the facility indexes customer i is matched to along
 // with the corresponding original edge weights.
 func (mt *Matcher) Matches(i int) (facs []int, weights []int64) {
-	for _, e := range mt.edges[i] {
-		if e.matched {
+	for idx, e := range mt.edges[i] {
+		if mt.matched(i, idx) {
 			facs = append(facs, int(e.fac))
 			weights = append(weights, e.w)
 		}
@@ -238,13 +258,52 @@ func (mt *Matcher) Matches(i int) (facs []int, weights []int64) {
 // match. Unlike Matches it allocates nothing.
 func (mt *Matcher) Match(i int) (fac int, w int64, ok bool) {
 	if mt.matchCount[i] == 1 {
-		for _, e := range mt.edges[i] {
-			if e.matched {
+		for idx, e := range mt.edges[i] {
+			if mt.matched(i, idx) {
 				return int(e.fac), e.w, true
 			}
 		}
 	}
 	return -1, 0, false
+}
+
+// matched reports whether edges[i][idx] is matched.
+func (mt *Matcher) matched(i, idx int) bool {
+	return mt.unmatched[i][idx>>6]&(1<<(idx&63)) == 0
+}
+
+// setMatched records edges[i][idx] as matched (v) or unmatched.
+func (mt *Matcher) setMatched(i, idx int, v bool) {
+	if v {
+		mt.unmatched[i][idx>>6] &^= 1 << (idx & 63)
+	} else {
+		mt.unmatched[i][idx>>6] |= 1 << (idx & 63)
+	}
+}
+
+// relaxArcs relaxes the residual arcs out of node v, settled at reduced
+// distance d: a customer's unmatched edges, walked through its bitset in
+// ascending index order, or a facility's matched edges back to their
+// customers.
+func (mt *Matcher) relaxArcs(v int32, d int64) {
+	l := mt.L()
+	if int(v) >= l {
+		ci := int(v) - l
+		edges := mt.edges[ci]
+		for wi, word := range mt.unmatched[ci] {
+			for ; word != 0; word &= word - 1 {
+				idx := wi<<6 | bits.TrailingZeros64(word)
+				e := edges[idx]
+				mt.relax(e.fac, d+e.w-mt.pot[v]+mt.pot[e.fac], int64(ci)<<32|int64(idx))
+			}
+		}
+		return
+	}
+	for idx, fe := range mt.facMatch[v] {
+		e := mt.edges[fe.cust][fe.idx]
+		cn := int32(l + int(fe.cust))
+		mt.relax(cn, d-e.w-mt.pot[v]+mt.pot[cn], -(int64(v)<<32|int64(idx))-1)
+	}
 }
 
 // TotalMatchedCost returns the sum of original weights over all matched
@@ -289,7 +348,12 @@ func (mt *Matcher) materialize(i int) error {
 	if rc := w - mt.pot[mt.L()+i] + mt.pot[j]; rc < 0 {
 		return fmt.Errorf("bipartite: invariant breach: customer %d's fresh edge to facility %d has reduced cost %d < 0", i, j, rc)
 	}
+	idx := len(mt.edges[i])
 	mt.edges[i] = append(mt.edges[i], bedge{fac: int32(j), w: w})
+	if idx>>6 == len(mt.unmatched[i]) {
+		mt.unmatched[i] = append(mt.unmatched[i], 0)
+	}
+	mt.setMatched(i, idx, false)
 	mt.stats.EdgesMaterialized++
 	return nil
 }

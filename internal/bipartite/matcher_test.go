@@ -3,6 +3,8 @@ package bipartite
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"mcfs/internal/data"
@@ -183,16 +185,48 @@ func checkInvariants(t *testing.T, mt *Matcher) {
 	if got := mt.TotalMatchedCost(); got != cost {
 		t.Fatalf("TotalMatchedCost %d, but matched edges sum to %d", got, cost)
 	}
-	// facMatch back-references must be consistent.
+	checkEdgeIndex(t, mt)
+	checkReducedCosts(t, mt)
+}
+
+// checkEdgeIndex verifies the matched state: every facMatch entry points
+// at a distinct edge to its facility, and each customer's unmatched-edge
+// index names exactly the edges no facMatch entry points to, with no
+// index at or past the end of the customer's edge list.
+func checkEdgeIndex(t *testing.T, mt *Matcher) {
+	t.Helper()
+	if len(mt.unmatched) != mt.M() {
+		t.Fatalf("unmatched-edge index covers %d customers, matcher has %d", len(mt.unmatched), mt.M())
+	}
+	pointed := make([][]bool, mt.M())
+	for i := range pointed {
+		pointed[i] = make([]bool, len(mt.edges[i]))
+	}
 	for j := 0; j < mt.L(); j++ {
 		for _, fe := range mt.facMatch[j] {
-			e := mt.edges[fe.cust][fe.idx]
-			if !e.matched || int(e.fac) != j {
-				t.Fatalf("facMatch[%d] inconsistent back-reference", j)
+			if int(fe.cust) >= mt.M() || int(fe.idx) >= len(mt.edges[fe.cust]) || int(mt.edges[fe.cust][fe.idx].fac) != j {
+				t.Fatalf("facMatch[%d] entry %+v points at no edge to facility %d", j, fe, j)
+			}
+			if pointed[fe.cust][fe.idx] {
+				t.Fatalf("customer %d edge %d is named by two facMatch entries", fe.cust, fe.idx)
+			}
+			pointed[fe.cust][fe.idx] = true
+		}
+	}
+	for i, words := range mt.unmatched {
+		if n := len(mt.edges[i]); len(words)*64 < n {
+			t.Fatalf("customer %d: unmatched-edge index holds %d bits for %d edges", i, len(words)*64, n)
+		}
+		for idx := 0; idx < len(words)*64; idx++ {
+			inIndex := words[idx>>6]&(1<<(idx&63)) != 0
+			switch {
+			case idx >= len(mt.edges[i]) && inIndex:
+				t.Fatalf("customer %d: unmatched-edge index names edge %d of %d", i, idx, len(mt.edges[i]))
+			case idx < len(mt.edges[i]) && inIndex == pointed[i][idx]:
+				t.Fatalf("customer %d edge %d: in unmatched-edge index %v, matched by facMatch %v", i, idx, inIndex, pointed[i][idx])
 			}
 		}
 	}
-	checkReducedCosts(t, mt)
 }
 
 // checkReducedCosts verifies the facts that make every inner search
@@ -225,12 +259,12 @@ func checkReducedCosts(t *testing.T, mt *Matcher) {
 		pc := mt.pot[l+i]
 		for idx, e := range mt.edges[i] {
 			rc := e.w - pc + mt.pot[e.fac]
-			if e.matched {
+			if mt.matched(i, idx) {
 				rc = -rc
 			}
 			if rc < 0 {
 				t.Fatalf("customer %d edge %d (facility %d, w %d, matched %v): residual reduced cost %d < 0",
-					i, idx, e.fac, e.w, e.matched, rc)
+					i, idx, e.fac, e.w, mt.matched(i, idx), rc)
 			}
 		}
 		if s := mt.searchers[i]; s == nil {
@@ -428,14 +462,23 @@ func TestMatcherOptimalRandomizedExhaustive(t *testing.T) {
 	}
 }
 
+// TestExhaustiveAndEarlyStopAgree drives an early-stop matcher and an
+// exhaustive one through the same FindPair calls, the way WMA makes
+// them: every customer once per round, for several rounds, with
+// capacities mostly above one, so later rounds reach customers at
+// positive potentials and rewire earlier matches. After every call the
+// two must hold the same matches and potentials, and must have
+// materialized, searched and augmented equally: the early stop may only
+// scan fewer nodes. An early-stop search that augments must settle its
+// target facility last, since the first free facility it settles
+// decides it.
 func TestExhaustiveAndEarlyStopAgree(t *testing.T) {
-	// Same instance, same FindPair sequence: costs must be identical.
 	rng := rand.New(rand.NewSource(44))
 	ctx := context.Background()
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		n := 15 + rng.Intn(40)
 		g := randomNetwork(rng, n)
-		m, l := 2+rng.Intn(5), 2+rng.Intn(5)
+		m, l := 2+rng.Intn(6), 2+rng.Intn(5)
 		perm := rng.Perm(n)
 		custNodes := make([]int32, m)
 		for i := range custNodes {
@@ -443,16 +486,34 @@ func TestExhaustiveAndEarlyStopAgree(t *testing.T) {
 		}
 		facs := make([]data.Facility, l)
 		for j := range facs {
-			facs[j] = data.Facility{Node: int32(perm[m+j]), Capacity: 1 + rng.Intn(3)}
+			facs[j] = data.Facility{Node: int32(perm[m+j]), Capacity: 1 + rng.Intn(4)}
 		}
 		a := New(g, custNodes, facs)
 		b := New(g, custNodes, facs)
 		b.SetExhaustive(true)
-		for step := 0; step < m*2; step++ {
-			c := rng.Intn(m)
-			ra, rb := must(a.FindPairCtx(ctx, c)), must(b.FindPairCtx(ctx, c))
-			if ra != rb {
-				t.Fatalf("trial %d: early-stop FindPair=%v, exhaustive=%v", trial, ra, rb)
+		rounds := 2 + rng.Intn(4)
+		for r := 0; r < rounds; r++ {
+			for _, c := range rng.Perm(m) {
+				ra, rb := must(a.FindPairCtx(ctx, c)), must(b.FindPairCtx(ctx, c))
+				if ra != rb {
+					t.Fatalf("trial %d round %d customer %d: early-stop FindPair=%v, exhaustive=%v", trial, r, c, ra, rb)
+				}
+				if ra {
+					if last, target := a.settled[len(a.settled)-1], a.flips[0].fac; last != target {
+						t.Fatalf("trial %d round %d customer %d: the search settled node %d after its target facility %d",
+							trial, r, c, last, target)
+					}
+				}
+				if ma, mb := matchedSets(a), matchedSets(b); !reflect.DeepEqual(ma, mb) {
+					t.Fatalf("trial %d round %d customer %d: matches differ: early stop %v, exhaustive %v", trial, r, c, ma, mb)
+				}
+				if !slices.Equal(a.pot, b.pot) {
+					t.Fatalf("trial %d round %d customer %d: potentials differ: early stop %v, exhaustive %v", trial, r, c, a.pot, b.pot)
+				}
+				sa, sb := a.Stats(), b.Stats()
+				if sa.EdgesMaterialized != sb.EdgesMaterialized || sa.Augmentations != sb.Augmentations || sa.DijkstraRuns != sb.DijkstraRuns {
+					t.Fatalf("trial %d round %d customer %d: work differs: early stop %+v, exhaustive %+v", trial, r, c, sa, sb)
+				}
 			}
 		}
 		if a.TotalMatchedCost() != b.TotalMatchedCost() {

@@ -55,12 +55,11 @@ func (mt *Matcher) RemoveCustomerCtx(ctx context.Context, i int) (moved int, err
 // unmatch releases customer i's one matched edge and returns the
 // facility it held.
 func (mt *Matcher) unmatch(i int) int {
-	for idx := range mt.edges[i] {
-		e := &mt.edges[i][idx]
-		if !e.matched {
+	for idx, e := range mt.edges[i] {
+		if !mt.matched(i, idx) {
 			continue
 		}
-		e.matched = false
+		mt.setMatched(i, idx, false)
 		mt.cost -= e.w
 		mt.matchCount[i]--
 		fm := mt.facMatch[e.fac]
@@ -77,8 +76,9 @@ func (mt *Matcher) unmatch(i int) int {
 }
 
 // swapRemove deletes unmatched customer i by moving the last customer
-// into its index: its node, searcher, edges, match count and potential,
-// with the facMatch back-references of its matched edges rewritten.
+// into its index: its node, searcher, edges and their unmatched index,
+// match count and potential, with the facMatch back-references of its
+// matched edges rewritten.
 // The vacated potential is zeroed for the next AddCustomer.
 func (mt *Matcher) swapRemove(i int) {
 	l, last := mt.L(), mt.M()-1
@@ -86,10 +86,11 @@ func (mt *Matcher) swapRemove(i int) {
 		mt.custNodes[i] = mt.custNodes[last]
 		mt.searchers[i] = mt.searchers[last]
 		mt.edges[i] = mt.edges[last]
+		mt.unmatched[i] = mt.unmatched[last]
 		mt.matchCount[i] = mt.matchCount[last]
 		mt.pot[l+i] = mt.pot[l+last]
-		for _, e := range mt.edges[i] {
-			if !e.matched {
+		for idx, e := range mt.edges[i] {
+			if !mt.matched(i, idx) {
 				continue
 			}
 			for k := range mt.facMatch[e.fac] {
@@ -102,9 +103,11 @@ func (mt *Matcher) swapRemove(i int) {
 	}
 	mt.searchers[last] = nil
 	mt.edges[last] = nil
+	mt.unmatched[last] = nil
 	mt.custNodes = mt.custNodes[:last]
 	mt.searchers = mt.searchers[:last]
 	mt.edges = mt.edges[:last]
+	mt.unmatched = mt.unmatched[:last]
 	mt.matchCount = mt.matchCount[:last]
 	mt.pot[l+last] = 0
 }
@@ -162,21 +165,7 @@ func (mt *Matcher) cancelCycle(j int) (moved int) {
 			cut = d
 			break
 		}
-		// The residual arcs shortestPath relaxes.
-		if int(v) >= l {
-			ci := int(v) - l
-			for idx, e := range mt.edges[ci] {
-				if !e.matched {
-					mt.relax(e.fac, d+e.w-mt.pot[v]+mt.pot[e.fac], int64(ci)<<32|int64(idx))
-				}
-			}
-		} else {
-			for idx, fe := range mt.facMatch[v] {
-				e := mt.edges[fe.cust][fe.idx]
-				cn := int32(l + int(fe.cust))
-				mt.relax(cn, d-e.w-mt.pot[v]+mt.pot[cn], -(int64(v)<<32|int64(idx))-1)
-			}
-		}
+		mt.relaxArcs(v, d)
 	}
 	if cut < b {
 		moved = mt.flipPath(j)

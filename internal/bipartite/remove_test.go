@@ -49,6 +49,7 @@ func TestRemoveCustomerRandomized(t *testing.T) {
 				before := matchedSets(mt)
 				ok := must(mt.FindPairCtx(ctx, i))
 				checkMoved(t, mt, before, -1)
+				checkInvariants(t, mt)
 				if !ok {
 					// Unservable: drop the unmatched newcomer again.
 					before = matchedSets(mt)

@@ -35,52 +35,62 @@ type Coverage interface {
 // index alone (ablation).
 //
 // A Coverer is created once per solve because it carries state between
-// passes: the tie-break order over touched facilities, and buffers that
-// make a pass allocation-free apart from the returned selection. The
-// pass keeps its candidates in gain buckets rather than a heap. A stored
-// gain is at most the facility's load, and a stale one only ever drops
-// (coverage grows during a pass), so a re-queued facility lands in a
-// lower bucket than the one being consumed. Each bucket is therefore
-// final when the pass reaches it and is consumed once, in tie-break
-// order, merging the initial entries (already in order) with its few
-// sorted re-queues. The pops are exactly those of a heap under the total
-// order (gain desc, tie-break rank asc), so the selection is too; a pass
-// costs O(touched + m + pops) with no log factor.
+// passes: every touched facility sits in the gain bucket of its load,
+// under its tie-break key. A pass first moves the facilities whose load
+// changed since the last one, then consumes the buckets from the top. A
+// stored gain is at most the facility's load, and a stale one only ever
+// drops (coverage grows during a pass), so a re-queued facility lands in
+// a lower bucket than the one being consumed. Each bucket is therefore
+// final when the pass reaches it: it is sorted by key then, and only
+// then, and consumed once, merged with its few sorted re-queues. The
+// pops are exactly those of a heap under the total order (gain desc,
+// tie-break key asc), so the selection is too. A pass costs O(touched +
+// m) for the loads and coverage flags, plus the sorts and pops of the
+// buckets it reaches, with no allocation but the returned selection.
 type Coverer struct {
 	view Coverage
 	tie  TieBreak
+	pass int64 // passes run so far
 
-	// order lists the touched facilities in tie-break order: the first
-	// fresh entries were never selected and are sorted by index; the rest
-	// were selected, least recently first, by index within a pass. The
-	// position of a facility is its rank. merged counts the prefix of
-	// view.Touched() already in order.
-	order  []int32
-	fresh  int
-	merged int
+	// Per facility: load is its load at the last pass and the bucket it
+	// sits in (0: none); pos is its position there. key orders ties:
+	// pass<<32 | index, where pass is the last pass that selected the
+	// facility (0: never), under TieLRU, and the index alone under
+	// TieArbitrary. int32(key) recovers the index; keys stay ordered for
+	// 2^31 passes.
+	load []int32
+	pos  []int32
+	key  []int64
+	// buckets[g] holds the keys of the facilities of load g, in no
+	// particular order between passes.
+	buckets [][]int64
 
-	// Per-pass scratch, indexed by rank unless noted. Buckets are laid
-	// out by gain descending in byGain: bucket g is byGain[start[g]:
-	// start[g]+count[g]], ranks ascending. Re-queued ranks form one
-	// linked list per bucket: requeue[g] heads it (-1 = empty), next[r]
-	// links it.
-	load    []int32
-	byGain  []int32
-	start   []int32
-	count   []int32
+	// Per-pass scratch. Re-queued facilities form one linked list per
+	// gain: requeue[g] heads it (-1 = empty), next[j] links it.
 	requeue []int32
-	next    []int32
-	sorted  []int32 // re-queues of the current bucket; also merge scratch
-	spare   []int32 // second order buffer, swapped in when merging
-	picked  []bool  // by facility: selected in the current pass
+	next    []int32 // by facility
+	sorted  []int64 // keys of the current bucket's re-queues
 
 	covered []bool // by customer
 	deltaD  []bool
 }
 
 // NewCoverer returns a Coverer over view, with no facility selected yet.
+// It sizes its per-facility state by view.L(), which must not change.
 func NewCoverer(view Coverage, tie TieBreak) *Coverer {
-	return &Coverer{view: view, tie: tie}
+	l := view.L()
+	c := &Coverer{
+		view: view,
+		tie:  tie,
+		load: make([]int32, l),
+		pos:  make([]int32, l),
+		key:  make([]int64, l),
+		next: make([]int32, l),
+	}
+	for j := range c.key {
+		c.key[j] = int64(j)
+	}
+	return c
 }
 
 // Cover runs one pass of Algorithm 3 with budget k over the view's
@@ -91,51 +101,68 @@ func NewCoverer(view Coverage, tie TieBreak) *Coverer {
 // zero (the leftover budget is better spent by SelectGreedy).
 //
 // The selection belongs to the caller; deltaD is a Coverer buffer, valid
-// until the next pass. Under TieLRU the selection moves to the back of
-// the tie-break order, so it is the least preferred on the next pass.
+// until the next pass. Under TieLRU the selection takes the pass's keys,
+// so it is the least preferred on the next pass.
 func (c *Coverer) Cover(k int) (selection []int, deltaD []bool, covered bool) {
+	c.pass++
+	for _, j := range c.view.Touched() {
+		if g := int32(c.view.AssignedCount(int(j))); g != c.load[j] {
+			c.move(j, g)
+		}
+	}
+	loaded := 0
+	for _, b := range c.buckets {
+		loaded += len(b)
+	}
 	m := c.view.M()
-	c.mergeTouched()
 	c.covered = resize(c.covered, m)
 	clear(c.covered)
 	remaining := m
-	if k > 0 && remaining > 0 {
-		maxLoad := c.fillBuckets()
-		if len(c.byGain) > 0 {
-			selection = make([]int, 0, min(k, len(c.byGain)))
+	if k > 0 && remaining > 0 && loaded > 0 {
+		selection = make([]int, 0, min(k, loaded))
+		c.requeue = resize(c.requeue, len(c.buckets))
+		for g := range c.requeue {
+			c.requeue[g] = -1
 		}
-		for g := maxLoad; g > 0 && len(selection) < k && remaining > 0; g-- {
-			bucket := c.byGain[c.start[g] : c.start[g]+c.count[g]]
+		for g := len(c.buckets) - 1; g > 0 && len(selection) < k && remaining > 0; g-- {
+			bucket := c.buckets[g]
+			slices.Sort(bucket)
+			for p, key := range bucket {
+				c.pos[int32(key)] = int32(p)
+			}
 			c.sorted = c.sorted[:0]
-			for r := c.requeue[g]; r >= 0; r = c.next[r] {
-				c.sorted = append(c.sorted, r)
+			for j := c.requeue[g]; j >= 0; j = c.next[j] {
+				c.sorted = append(c.sorted, c.key[j])
 			}
 			slices.Sort(c.sorted)
 			requeued := c.sorted
-			// Pop ranks in ascending order from the merge of the two
-			// sorted lists until the bucket drains or the pass ends.
+			// Pop keys in ascending order from the merge of the two sorted
+			// lists until the bucket drains or the pass ends.
 			for len(selection) < k && remaining > 0 && (len(bucket) > 0 || len(requeued) > 0) {
-				var r int32
+				var key int64
 				if len(requeued) == 0 || (len(bucket) > 0 && bucket[0] < requeued[0]) {
-					r, bucket = bucket[0], bucket[1:]
+					key, bucket = bucket[0], bucket[1:]
 				} else {
-					r, requeued = requeued[0], requeued[1:]
+					key, requeued = requeued[0], requeued[1:]
 				}
-				j := int(c.order[r])
-				if gain := c.view.CountUncovered(j, c.covered); gain != g {
+				j := int32(key)
+				if gain := c.view.CountUncovered(int(j), c.covered); gain != g {
 					if gain > 0 {
-						c.next[r] = c.requeue[gain]
-						c.requeue[gain] = r
+						c.next[j] = c.requeue[gain]
+						c.requeue[gain] = j
 					}
 					continue
 				}
-				selection = append(selection, j)
-				remaining -= c.view.MarkCovered(j, c.covered)
+				selection = append(selection, int(j))
+				remaining -= c.view.MarkCovered(int(j), c.covered)
+				if c.tie == TieLRU {
+					// Its bucket was consumed up to here, so the new key
+					// cannot reorder this pass.
+					c.key[j] = c.pass<<32 | int64(j)
+					c.buckets[c.load[j]][c.pos[j]] = c.key[j]
+				}
 			}
 		}
-	}
-	if c.tie == TieLRU {
-		c.moveToBack(selection)
 	}
 	c.deltaD = resize(c.deltaD, m)
 	for i, cov := range c.covered {
@@ -144,104 +171,24 @@ func (c *Coverer) Cover(k int) (selection []int, deltaD []bool, covered bool) {
 	return selection, c.deltaD, remaining == 0
 }
 
-// mergeTouched adds the facilities touched since the last pass to the
-// fresh prefix of the order, keeping it sorted by index. They have never
-// been selected, so under either tie-break they rank by index among the
-// other never-selected facilities.
-func (c *Coverer) mergeTouched() {
-	touched := c.view.Touched()
-	if c.merged == len(touched) {
-		return
+// move moves facility j from the bucket of its stored load to bucket g,
+// swap-removing it from the old one.
+func (c *Coverer) move(j, g int32) {
+	if old := c.load[j]; old > 0 {
+		b := c.buckets[old]
+		last, p := b[len(b)-1], c.pos[j]
+		b[p] = last
+		c.pos[int32(last)] = p
+		c.buckets[old] = b[:len(b)-1]
 	}
-	c.sorted = append(c.sorted[:0], touched[c.merged:]...)
-	c.merged = len(touched)
-	slices.Sort(c.sorted)
-	added := c.sorted
-	fresh, used := c.order[:c.fresh], c.order[c.fresh:]
-	out := c.spare[:0]
-	for len(fresh) > 0 && len(added) > 0 {
-		if fresh[0] < added[0] {
-			out, fresh = append(out, fresh[0]), fresh[1:]
-		} else {
-			out, added = append(out, added[0]), added[1:]
+	c.load[j] = g
+	if g > 0 {
+		for int(g) >= len(c.buckets) {
+			c.buckets = append(c.buckets, nil)
 		}
+		c.pos[j] = int32(len(c.buckets[g]))
+		c.buckets[g] = append(c.buckets[g], c.key[j])
 	}
-	out = append(append(out, fresh...), added...)
-	c.fresh = len(out)
-	c.order, c.spare = append(out, used...), c.order
-}
-
-// fillBuckets distributes the ranks with nonzero load into gain buckets
-// by counting sort and returns the largest load.
-func (c *Coverer) fillBuckets() int {
-	n := len(c.order)
-	c.load = resize(c.load, n)
-	c.next = resize(c.next, n)
-	maxLoad := 0
-	for r, j := range c.order {
-		g := c.view.AssignedCount(int(j))
-		c.load[r] = int32(g)
-		maxLoad = max(maxLoad, g)
-	}
-	c.start = resize(c.start, maxLoad+1)
-	c.count = resize(c.count, maxLoad+1)
-	c.requeue = resize(c.requeue, maxLoad+1)
-	clear(c.count)
-	for g := range c.requeue {
-		c.requeue[g] = -1
-	}
-	filled := 0
-	for _, g := range c.load {
-		if g > 0 {
-			c.count[g]++
-			filled++
-		}
-	}
-	at := int32(0)
-	for g := maxLoad; g > 0; g-- {
-		c.start[g] = at
-		at += c.count[g]
-	}
-	c.byGain = resize(c.byGain, filled)
-	clear(c.count)
-	for r, g := range c.load {
-		if g > 0 {
-			c.byGain[c.start[g]+c.count[g]] = int32(r)
-			c.count[g]++
-		}
-	}
-	return maxLoad
-}
-
-// moveToBack moves the selection to the end of the order, sorted by
-// index: it is now the most recently selected group.
-func (c *Coverer) moveToBack(selection []int) {
-	if len(selection) == 0 {
-		return
-	}
-	c.picked = resize(c.picked, c.view.L())
-	for _, j := range selection {
-		c.picked[j] = true
-	}
-	kept := c.order[:0]
-	fresh := 0
-	for r, j := range c.order {
-		if c.picked[j] {
-			continue
-		}
-		if r < c.fresh {
-			fresh++
-		}
-		kept = append(kept, j)
-	}
-	c.fresh = fresh
-	tail := len(kept)
-	for _, j := range selection {
-		kept = append(kept, int32(j))
-		c.picked[j] = false
-	}
-	slices.Sort(kept[tail:])
-	c.order = kept
 }
 
 // resize returns s with length n, reusing its backing array when large

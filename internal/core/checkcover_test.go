@@ -205,6 +205,84 @@ func TestCovererMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzCoverer decodes its input into a view and a sequence of steps
+// over it, and checks every Cover pass against checkCoverRef, with the
+// reference's tie-break state kept here. A Coverer keeps its buckets and
+// keys from pass to pass, and stale state shows only over a sequence of
+// passes. The first three bytes give m (1 to 16 customers), l (1 to 12
+// facilities) and the tie-break (low bit: TieArbitrary). Each step then
+// either runs a pass (a byte with the high bit set; its low bits give a
+// budget from 0 to l+1) or reassigns one facility (any other byte, mod
+// l) to the customers of the next two bytes' 16-bit mask. An empty mask
+// drops a load to 0 and a later step can raise it again, and facilities
+// are first touched in whatever order the input names them. A last pass
+// with budget l ends every input.
+func FuzzCoverer(f *testing.F) {
+	// Loads that rise, drop to 0 and rise again.
+	f.Add([]byte{3, 2, 0, 0, 0x07, 0, 1, 0x0c, 0, 0x81, 0, 0, 0, 0x82, 0, 0x0f, 0, 0x82})
+	// First touches out of index order, both tie-breaks, budgets 0 and l+1.
+	f.Add([]byte{7, 5, 0, 4, 0x03, 0, 1, 0x0c, 0, 3, 0x30, 0, 0x80, 0x87, 2, 0xc0, 0, 4, 0, 0, 0x82})
+	f.Add([]byte{7, 5, 1, 4, 0x03, 0, 1, 0x0c, 0, 3, 0x30, 0, 0x80, 0x87, 2, 0xc0, 0, 4, 0, 0, 0x82})
+	// Shared customers and repeated passes that select the same loads.
+	f.Add([]byte{5, 3, 0, 0, 0x0f, 0, 1, 0x3c, 0, 2, 0x30, 0, 0x82, 0x82, 0x81, 3, 0x03, 0, 0x84, 0x81})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 4; i++ {
+		in := make([]byte, 16+rng.Intn(48))
+		rng.Read(in)
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		m, l := 1+int(next()%16), 1+int(next()%12)
+		tie := core.TieLRU
+		if next()&1 == 1 {
+			tie = core.TieArbitrary
+		}
+		view := newFakeCoverage(m, l)
+		cov := core.NewCoverer(view, tie)
+		lastUsed := make([]int, l)
+		for j := range lastUsed {
+			lastUsed[j] = -1
+		}
+		pass := 0
+		run := func(k int) {
+			pass++
+			sel, deltaD, covered := cov.Cover(k)
+			wantSel, wantDelta, wantCovered := checkCoverRef(legacyView{view}, k, lastUsed, tie)
+			if !slices.Equal(sel, wantSel) || !slices.Equal(deltaD, wantDelta) || covered != wantCovered {
+				t.Fatalf("pass %d (m=%d l=%d k=%d tie=%d, loads %v):\n got  sel=%v covered=%v Δd=%v\n want sel=%v covered=%v Δd=%v",
+					pass, m, l, k, tie, view.assign, sel, covered, deltaD, wantSel, wantCovered, wantDelta)
+			}
+			for _, j := range wantSel {
+				lastUsed[j] = pass
+			}
+		}
+		for len(in) > 0 {
+			op := next()
+			if op&0x80 != 0 {
+				run(int(op&0x7f) % (l + 2))
+				continue
+			}
+			mask := int(next()) | int(next())<<8
+			var custs []int
+			for c := 0; c < m; c++ {
+				if mask&(1<<c) != 0 {
+					custs = append(custs, c)
+				}
+			}
+			view.set(int(op)%l, custs...)
+		}
+		run(l)
+	})
+}
+
 // TestCovererPassAllocatesOnlySelection: a pass reuses the Coverer's
 // buffers, so once they are sized its one allocation is the returned
 // selection.
