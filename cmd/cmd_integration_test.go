@@ -745,6 +745,27 @@ func TestLintRulesFlagRejectsRepeats(t *testing.T) {
 	}
 }
 
+// TestLintListAligned: -list prints each rule of the catalogue on a
+// line of its own, every description starting in the column after the
+// longest rule name.
+func TestLintListAligned(t *testing.T) {
+	out, code := lintExit(t, nil, "-list")
+	rules := lint.AllRules()
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if code != 0 || len(lines) != len(rules) {
+		t.Fatalf("mcfslint -list: exit %d, %d lines for %d rules:\n%s", code, len(lines), len(rules), out)
+	}
+	width := 0
+	for _, r := range rules {
+		width = max(width, len(r.Name()))
+	}
+	for i, r := range rules {
+		if !strings.HasPrefix(lines[i], r.Name()+" ") || strings.Index(lines[i], r.Doc()) != width+1 {
+			t.Errorf("-list line %q: want %s, then its description from column %d", lines[i], r.Name(), width+1)
+		}
+	}
+}
+
 func TestLintCleanTreeAndJSON(t *testing.T) {
 	root := t.TempDir()
 	clean := "package ok\n\nfunc Add(a, b int) int { return a + b }\n"

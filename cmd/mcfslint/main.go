@@ -46,8 +46,12 @@ func main() {
 	flag.Parse()
 
 	if *list {
+		width := 0
 		for _, r := range lint.AllRules() {
-			fmt.Printf("%-16s %s\n", r.Name(), r.Doc())
+			width = max(width, len(r.Name()))
+		}
+		for _, r := range lint.AllRules() {
+			fmt.Printf("%-*s %s\n", width, r.Name(), r.Doc())
 		}
 		return
 	}

@@ -74,13 +74,11 @@ type Options struct {
 	Exhaustive bool // disable the matcher's early-stop optimization
 	// Progress, when non-nil, is invoked after every main-loop iteration.
 	Progress func(IterationStats)
-	// MaxIterations guards against runaway loops; 0 means the theoretical
-	// bound m·ℓ + ℓ + 2 from the paper's analysis (§VI).
-	MaxIterations int
 }
 
 // ErrIterationLimit is returned if the main loop exceeds its iteration
-// bound — which indicates a bug rather than a property of the input.
+// bound m·ℓ + ℓ + 2 from the paper's analysis (§VI), which indicates a
+// bug rather than a property of the input.
 var ErrIterationLimit = errors.New("wma: iteration limit exceeded")
 
 // SolveCtx runs WMA on the instance and returns a feasible solution of
@@ -143,10 +141,7 @@ func explore(ctx context.Context, inst *data.Instance, opt Options) ([]int, erro
 	exhausted := make([]bool, m) // FindPair permanently unsatisfiable
 	cover := NewCoverer(mt, opt.TieBreak)
 
-	maxIter := opt.MaxIterations
-	if maxIter == 0 {
-		maxIter = m*l + l + 2
-	}
+	maxIter := m*l + l + 2
 
 	rec := obs.From(ctx)
 	var selection []int

@@ -4,16 +4,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 	"slices"
 )
 
 // SingleWriter confines the Reallocator to the goroutine holding the
 // serving engine's one `writer` value (DESIGN.md §12), reads included:
 // the writer waits in its slot (a field of type chan *writer) while
-// nobody writes. A flow-sensitive dataflow over every function and
-// function literal of internal/serve tracks which writer variables are
-// held; DESIGN.md §10 lists what it reports.
+// nobody writes. It reads every function and function literal of
+// internal/serve in source order: a writer parameter is held throughout,
+// and a local writer from the statement that takes it to the first
+// put-back in the same statement list. DESIGN.md §10 lists what it
+// reports.
 type SingleWriter struct{}
 
 // Name implements Rule.
@@ -73,16 +74,20 @@ type swCheck struct {
 	writer types.Type
 	report ReportFunc
 	fn     ast.Node
-	params heldSet // writer parameters: held throughout, never sent back
 	inNew  bool
+	params map[*types.Var]bool // writer parameters: held throughout, never sent back
+	// spans maps each statement that takes the writer at the head of a
+	// span to where the span ends; held maps each local writer to where
+	// the span its latest binding started ends (token.NoPos: none).
+	spans map[*ast.AssignStmt]token.Pos
+	held  map[*types.Var]token.Pos
 }
 
-// heldSet is the dataflow state: is each writer variable held on every path?
-type heldSet map[*types.Var]bool
-
-// analyze runs the dataflow over one body, on a copy of c.
+// analyze reads one body in source order, on a copy of c; the function
+// literals inside it are analyzed apart.
 func (c swCheck) analyze(fn ast.Node, sig *types.Signature, body *ast.BlockStmt, inNew bool) {
-	c.fn, c.params, c.inNew = fn, heldSet{}, inNew
+	c.fn, c.inNew = fn, inNew
+	c.params, c.spans, c.held = map[*types.Var]bool{}, map[*ast.AssignStmt]token.Pos{}, map[*types.Var]token.Pos{}
 	for i := 0; i < sig.Params().Len(); i++ {
 		if v := sig.Params().At(i); c.isWriter(v.Type()) {
 			c.params[v] = true
@@ -91,25 +96,60 @@ func (c swCheck) analyze(fn ast.Node, sig *types.Signature, body *ast.BlockStmt,
 	if r := sig.Recv(); r != nil && c.isWriter(r.Type()) {
 		c.params[r] = true
 	}
-	quiet := c // the fixpoint's pass: the same effects, no findings
-	quiet.report = func(*File, token.Pos, string, ...any) {}
-	d := dataflow[heldSet]{
-		seed:  func() heldSet { return maps.Clone(c.params) },
-		clone: maps.Clone[heldSet],
-		merge: func(dst, src heldSet) bool {
-			n := len(dst)
-			maps.DeleteFunc(dst, func(v *types.Var, held bool) bool { return !held || !src[v] })
-			return len(dst) != n
-		},
-		step: quiet.scan,
-	}
-	g := buildCFG(body)
-	in := d.fixpoint(g)
-	for _, b := range g.blocks {
-		if s, ok := in[b]; ok { // an unreachable block has no state
-			s = maps.Clone(s)
-			for _, n := range b.nodes {
-				c.scan(n, s)
+	stack := []ast.Node{nil} // the nodes enclosing the one visited, innermost last
+	ast.Inspect(body, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case nil:
+			stack = stack[:len(stack)-1]
+			return false
+		case *ast.FuncLit:
+			return false
+		case *ast.BlockStmt:
+			c.startSpans(x.List, x.End())
+		case *ast.CaseClause:
+			c.startSpans(x.Body, x.End())
+		case *ast.CommClause: // the comm binds for the clause's body
+			c.startSpans(append([]ast.Stmt{x.Comm}, x.Body...), x.End())
+		case *ast.BranchStmt:
+			if x.Tok == token.GOTO {
+				c.report(c.pkg.fileAt(x.Pos()), x.Pos(), "goto: single-writer reads source order as the order statements run, and a jump could re-enter a writer's span after its put-back")
+			}
+		case *ast.CompositeLit:
+			if !c.inNew && c.isWriter(c.pkg.TypeOf(x)) {
+				c.report(c.pkg.fileAt(x.Pos()), x.Pos(), "writer built outside New; a Server has one writer, which every other function takes from the slot")
+			}
+		case *ast.Ident:
+			if v := c.writerVar(x); v != nil {
+				c.use(v, x, stack)
+			}
+		case *ast.SelectorExpr:
+			fn, _ := c.pkg.ObjectOf(x.Sel).(*types.Func)
+			if base, ok := ast.Unparen(x.X).(*ast.SelectorExpr); fn != nil && (!ok || c.writerVar(base.X) == nil) {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isNamedType(recv.Type(), true, "dynamic", "Reallocator") {
+					c.report(c.pkg.fileAt(x.Pos()), x.Sel.Pos(), "call to Reallocator method %s outside the writer; only the goroutine holding the writer may call it", fn.Name())
+				}
+			}
+		}
+		stack = append(stack, x)
+		return true
+	})
+}
+
+// startSpans records the spans list starts: a statement `v := <-slot`
+// (or a writer literal) holds v up to the first later `slot <- v` of
+// list, or to end when none follows.
+func (c *swCheck) startSpans(list []ast.Stmt, end token.Pos) {
+	for i, st := range list {
+		as, ok := st.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 || !c.acquires(as.Rhs[0]) {
+			continue
+		}
+		v := c.writerVar(as.Lhs[0])
+		c.spans[as] = end
+		for _, later := range list[i+1:] {
+			if send, ok := later.(*ast.SendStmt); ok && v != nil && c.writerVar(send.Value) == v && c.isSlot(send.Chan) {
+				c.spans[as] = send.End()
+				break
 			}
 		}
 	}
@@ -136,7 +176,7 @@ func (c *swCheck) isSlot(e ast.Expr) bool {
 }
 
 // acquires reports whether assigning e hands over the writer: a receive
-// from the slot, or a writer literal (reported outside New by scan).
+// from the slot, or a writer literal (reported outside New by analyze).
 func (c *swCheck) acquires(e ast.Expr) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.UnaryExpr:
@@ -147,49 +187,16 @@ func (c *swCheck) acquires(e ast.Expr) bool {
 	return false
 }
 
-// scan checks the Reallocator methods and writer variables the CFG node n
-// mentions against s and applies n's effect (closures are analyzed apart).
-func (c *swCheck) scan(n ast.Node, s heldSet) {
-	if r, ok := n.(*ast.RangeStmt); ok {
-		n = &ast.RangeStmt{Key: r.Key, Value: r.Value, X: r.X, Body: &ast.BlockStmt{}}
-	}
-	stack := []ast.Node{nil} // the nodes enclosing the one visited, innermost last
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case nil:
-			stack = stack[:len(stack)-1]
-			return false
-		case *ast.FuncLit:
-			return false
-		case *ast.CompositeLit:
-			if !c.inNew && c.isWriter(c.pkg.TypeOf(x)) {
-				c.report(c.pkg.fileAt(x.Pos()), x.Pos(), "writer built outside New; a Server has one writer, which every other function takes from the slot")
-			}
-		case *ast.Ident:
-			if v := c.writerVar(x); v != nil {
-				c.use(v, x, n, stack, s)
-			}
-		case *ast.SelectorExpr:
-			fn, _ := c.pkg.ObjectOf(x.Sel).(*types.Func)
-			if base, ok := ast.Unparen(x.X).(*ast.SelectorExpr); fn != nil && (!ok || c.writerVar(base.X) == nil) {
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isNamedType(recv.Type(), true, "dynamic", "Reallocator") {
-					c.report(c.pkg.fileAt(x.Pos()), x.Sel.Pos(), "call to Reallocator method %s outside the writer; only the goroutine holding the writer may call it", fn.Name())
-				}
-			}
-		}
-		stack = append(stack, x)
-		return true
-	})
-}
-
-// use checks the mention id, in CFG node n under stack, of the writer
-// variable v; binding v takes the writer, sending it to the slot gives it up.
-func (c *swCheck) use(v *types.Var, id *ast.Ident, n ast.Node, stack []ast.Node, s heldSet) {
-	how := "stored or copied; a writer may only be called through, passed to a writer parameter of the package, or sent back to the slot"
+// use checks the mention id, under stack, of the writer variable v. A
+// binding of v starts the span recorded for it, if any, and ends the
+// one before it.
+func (c *swCheck) use(v *types.Var, id *ast.Ident, stack []ast.Node) {
+	held := c.params[v] || id.Pos() < c.held[v]
+	how := "escapes the goroutine holding it: stored or copied; a writer may only be called through, passed to a writer parameter of the package, or sent back to the slot"
 	switch p := stack[len(stack)-1].(type) {
 	case *ast.AssignStmt:
-		if slices.Contains(p.Lhs, ast.Expr(id)) { // a binding: v holds the writer only if it is taken here
-			s[v] = len(p.Rhs) == 1 && c.acquires(p.Rhs[0])
+		if slices.Contains(p.Lhs, ast.Expr(id)) {
+			c.held[v] = c.spans[p]
 			return
 		}
 	case *ast.SelectorExpr:
@@ -205,25 +212,30 @@ func (c *swCheck) use(v *types.Var, id *ast.Ident, n ast.Node, stack []ast.Node,
 		}
 	case *ast.SendStmt:
 		if p.Value == ast.Expr(id) && c.isSlot(p.Chan) {
-			defer delete(s, v) // sent back: held no more
-			how = ""
-			if c.params[v] {
-				how = "sent back to the slot by a function that did not take it from there"
+			switch {
+			case c.params[v]:
+				how = "escapes the goroutine holding it: sent back to the slot by a function that did not take it from there"
+			case held && p.End() != c.held[v]: // not the put-back that ends v's span
+				how = "sent back to the slot in a nested block; put it back in the statement list that took it"
+			default:
+				how = ""
 			}
 		}
 	}
-	switch n.(type) {
-	case *ast.GoStmt, *ast.DeferStmt:
-		how = "passed to a go or defer statement, which may run it on another goroutine or after it is sent back"
+	for _, n := range stack {
+		switch n.(type) {
+		case *ast.GoStmt, *ast.DeferStmt:
+			how = "escapes the goroutine holding it: passed to a go or defer statement, which may run it on another goroutine or after it is sent back"
+		}
 	}
 	if v.Pos() < c.fn.Pos() || v.Pos() >= c.fn.End() {
-		how = "captured by a function literal, which may run on another goroutine or after it is sent back"
+		how = "escapes the goroutine holding it: captured by a function literal, which may run on another goroutine or after it is sent back"
 	}
-	switch {
-	case how != "":
-		c.report(c.pkg.fileAt(id.Pos()), id.Pos(), "writer %s escapes the goroutine holding it: %s", v.Name(), how)
-	case !s[v]:
-		c.report(c.pkg.fileAt(id.Pos()), id.Pos(), "writer %s used where it is not held on every path: it was sent back to the slot, or never taken from it", v.Name())
+	if how == "" && !held {
+		how = "used where it is not held: outside the span from the statement that took it from the slot to its put-back"
+	}
+	if how != "" {
+		c.report(c.pkg.fileAt(id.Pos()), id.Pos(), "writer %s %s", v.Name(), how)
 	}
 }
 

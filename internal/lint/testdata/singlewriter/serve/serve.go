@@ -35,13 +35,13 @@ func New() *Server {
 	w.r.SetContext(1)
 	s.publish(w)
 	s.slot <- w
-	w.r.Stats() // want "writer w used where it is not held on every path"
+	w.r.Stats() // want "writer w used where it is not held"
 	go s.tickerLoop()
 	return s
 }
 
-// do queues an op and, whenever it takes the writer, applies the queue:
-// the sanctioned path, no findings.
+// do queues an op and, whenever it takes the writer, applies the queue
+// and puts it back: the sanctioned path, no findings.
 func (s *Server) do(n int) int {
 	reply := make(chan int, 1)
 	s.ops <- op{n: n, reply: reply}
@@ -52,6 +52,9 @@ func (s *Server) do(n int) int {
 		case w := <-s.slot:
 			s.process(w)
 			s.slot <- w
+			if n < 0 { // after the put-back, code that never mentions w
+				return n
+			}
 		}
 	}
 }
@@ -111,16 +114,50 @@ func (s *Server) lingering() {
 	w := <-s.slot
 	w.r.SetContext(2)
 	s.slot <- w
-	w.r.Publish() // want "writer w used where it is not held on every path"
+	w.r.Publish() // want "writer w used where it is not held"
 }
 
-// maybe sends the writer back on one path only.
+// maybe sends the writer back on one path only: a put-back nested in a
+// branch ends no span, so the finding is at the send.
 func (s *Server) maybe(done bool) {
 	w := <-s.slot
 	if done {
-		s.slot <- w
+		s.slot <- w // want "writer w sent back to the slot in a nested block"
 	}
-	s.publish(w) // want "writer w used where it is not held on every path"
+	s.publish(w)
+}
+
+// twice takes the writer and puts it back twice through one variable:
+// each take starts a span of its own.
+func (s *Server) twice() {
+	w := <-s.slot
+	w.r.SetContext(1)
+	s.slot <- w
+	w = <-s.slot
+	w.r.SetContext(2)
+	s.slot <- w
+}
+
+// takeInInit binds the writer in an if header, which starts no span:
+// every use reports.
+func (s *Server) takeInInit(ready bool) {
+	if w := <-s.slot; ready {
+		w.r.Stats() // want "writer w used where it is not held"
+		s.slot <- w // want "writer w used where it is not held"
+	}
+}
+
+// again jumps back over its put-back: source order is then not the
+// order statements run, so any goto reports.
+func (s *Server) again(n int) {
+	w := <-s.slot
+retry:
+	w.r.SetContext(n)
+	s.slot <- w
+	if n > 0 {
+		n--
+		goto retry // want "goto: single-writer reads source order"
+	}
 }
 
 // park hands the writer to places other goroutines can reach.

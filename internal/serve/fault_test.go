@@ -269,7 +269,7 @@ func TestSnapshotFaultInjection(t *testing.T) {
 	fc := newFakeClock()
 	ffs := &faultFS{}
 	dir := t.TempDir()
-	s, _ := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		SnapshotEvery: time.Hour,
 		SnapshotDir:   dir,
 		SnapshotKeep:  10,
@@ -277,6 +277,14 @@ func TestSnapshotFaultInjection(t *testing.T) {
 		Clock:         fc,
 	})
 	tk := fc.ticker(t)
+	// The generation /stats names must be on disk.
+	statsGeneration := func() int64 {
+		var st StatsReply
+		if code := call(t, "GET", ts.URL+"/stats", nil, &st); code != http.StatusOK {
+			t.Fatalf("/stats = %d", code)
+		}
+		return st.SnapshotGeneration
+	}
 
 	// Baseline: one good generation.
 	tk.tick()
@@ -288,6 +296,10 @@ func TestSnapshotFaultInjection(t *testing.T) {
 	baseRaw, err := os.ReadFile(basePath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	baseGen, _ := parseGeneration(filepath.Base(basePath))
+	if got := statsGeneration(); got != baseGen {
+		t.Fatalf("baseline: /stats names generation %d, want %d", got, baseGen)
 	}
 
 	for i, mode := range []string{"create", "write", "short", "sync", "rename"} {
@@ -309,6 +321,9 @@ func TestSnapshotFaultInjection(t *testing.T) {
 		}
 		if s.rec.Counter(obs.ServeSnapshots) != 1 {
 			t.Fatalf("%s: success counter moved to %d", mode, s.rec.Counter(obs.ServeSnapshots))
+		}
+		if got := statsGeneration(); got != baseGen {
+			t.Fatalf("%s: /stats names generation %d, but only %d is on disk", mode, got, baseGen)
 		}
 	}
 
@@ -348,6 +363,10 @@ func TestSnapshotFaultInjection(t *testing.T) {
 	}
 	if path == basePath {
 		t.Fatalf("post-recovery newest still the baseline %q", path)
+	}
+	newest, _ := parseGeneration(filepath.Base(path))
+	if got := statsGeneration(); got != newest {
+		t.Fatalf("post-recovery: /stats names generation %d, newest on disk is %d", got, newest)
 	}
 }
 

@@ -861,11 +861,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP mcfsd_snapshot_generation newest persisted snapshot generation (0 = none yet)\n# TYPE mcfsd_snapshot_generation gauge\nmcfsd_snapshot_generation %d\n", s.snapGen.Load())
 	fmt.Fprintf(w, "# HELP mcfsd_last_snapshot_timestamp_seconds unix time of the last persisted snapshot (0 = never)\n# TYPE mcfsd_last_snapshot_timestamp_seconds gauge\nmcfsd_last_snapshot_timestamp_seconds %d\n", s.lastSnapshotUnix.Load())
 
-	fmt.Fprintf(w, "# HELP mcfsd_request_duration_seconds request latency by endpoint\n# TYPE mcfsd_request_duration_seconds histogram\n")
+	// Copy the histograms and write after unlocking: every instrumented
+	// request takes s.mu when it ends, so a client that stops reading
+	// must not hold it.
+	lat := make([]metrics.Histogram, len(endpointNames))
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, name := range endpointNames {
-		h := s.lat[name]
+	for i, name := range endpointNames {
+		lat[i] = *s.lat[name]
+	}
+	s.mu.Unlock()
+	fmt.Fprintf(w, "# HELP mcfsd_request_duration_seconds request latency by endpoint\n# TYPE mcfsd_request_duration_seconds histogram\n")
+	for i, name := range endpointNames {
+		h := &lat[i]
 		for _, b := range h.Buckets() {
 			fmt.Fprintf(w, "mcfsd_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
 				name, strconv.FormatFloat(float64(b.UpperNS)/1e9, 'g', -1, 64), b.Cumulative)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -720,6 +721,55 @@ func TestServeMetricsUnderConcurrentLoad(t *testing.T) {
 	}
 	if prev["mcfsd_batches_total"] == 0 {
 		t.Error("no batches observed during the load test")
+	}
+}
+
+// stalledClient is a /metrics client that stops reading: its Write
+// blocks from the first latency bucket line on until release is closed.
+type stalledClient struct {
+	header  http.Header
+	once    sync.Once
+	stalled chan struct{} // closed when a Write first blocks
+	release chan struct{}
+}
+
+func (c *stalledClient) Header() http.Header { return c.header }
+
+func (c *stalledClient) WriteHeader(int) {}
+
+func (c *stalledClient) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("mcfsd_request_duration_seconds_bucket")) {
+		c.once.Do(func() { close(c.stalled) })
+		<-c.release
+	}
+	return len(p), nil
+}
+
+// TestServeMetricsStalledClient: a /metrics client that stops reading
+// in the latency histograms stalls no other endpoint, though every
+// instrumented request records its latency under the mutex that guards
+// them.
+func TestServeMetricsStalledClient(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	client := &stalledClient{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	t.Cleanup(func() { close(client.release) })
+	go s.Handler().ServeHTTP(client, httptest.NewRequest("GET", "/metrics", nil))
+	select {
+	case <-client.stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("/metrics wrote no latency bucket line")
+	}
+	done := make(chan int, 1)
+	go func() {
+		done <- serveHTTP(context.Background(), s.Handler(), "GET", "/assign?customer=0", "").Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("GET /assign = %d, want 200", code)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("GET /assign still blocked after 2 s behind a stalled /metrics client")
 	}
 }
 

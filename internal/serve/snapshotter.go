@@ -142,12 +142,16 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// snapshotOnce persists the published view as the next generation.
+// snapshotOnce persists the published view as the next generation,
+// which snapGen names only once it is on disk. A failed persist creates
+// no file under that generation's name, so the next tick reuses it.
+// This loop is the only writer of snapGen once New has returned.
 func (s *Server) snapshotOnce() error {
-	gen := s.snapGen.Add(1)
+	gen := s.snapGen.Load() + 1
 	if err := s.persistSnapshot(s.view.Load().Snapshot(), gen); err != nil {
 		return err
 	}
+	s.snapGen.Store(gen)
 	s.rec.Add(obs.ServeSnapshots, 1)
 	s.lastSnapshotUnix.Store(s.clock.Now().Unix())
 	s.pruneSnapshots(gen)
