@@ -99,7 +99,8 @@ type greedyAssign struct {
 	explored  [][]int32 // per customer: facility indexes in NN order
 	has       []map[int32]bool
 	assigned  [][]int // per facility: customers
-	touched   []int32 // facilities with at least one assignment ever
+	changed   []int32 // facilities assigned a customer since the last TakeChanged
+	isChanged []bool  // per facility: listed in changed
 	counts    []int   // per customer: number of assignments
 	exhausted []bool
 }
@@ -115,6 +116,7 @@ func newGreedyAssign(ctx context.Context, inst *data.Instance) *greedyAssign {
 		explored:  make([][]int32, inst.M()),
 		has:       make([]map[int32]bool, inst.M()),
 		assigned:  make([][]int, inst.L()),
+		isChanged: make([]bool, inst.L()),
 		counts:    make([]int, inst.M()),
 		exhausted: make([]bool, inst.M()),
 	}
@@ -123,7 +125,15 @@ func newGreedyAssign(ctx context.Context, inst *data.Instance) *greedyAssign {
 func (ga *greedyAssign) M() int                  { return ga.inst.M() }
 func (ga *greedyAssign) L() int                  { return ga.inst.L() }
 func (ga *greedyAssign) AssignedCount(j int) int { return len(ga.assigned[j]) }
-func (ga *greedyAssign) Touched() []int32        { return ga.touched }
+
+func (ga *greedyAssign) TakeChanged() []int32 {
+	out := ga.changed
+	for _, j := range out {
+		ga.isChanged[j] = false
+	}
+	ga.changed = out[:0]
+	return out
+}
 
 func (ga *greedyAssign) CountUncovered(j int, covered []bool) int {
 	n := 0
@@ -159,8 +169,9 @@ func (ga *greedyAssign) satisfy(i, want int) {
 				continue
 			}
 			if len(ga.assigned[j]) < ga.inst.Facilities[j].Capacity {
-				if len(ga.assigned[j]) == 0 {
-					ga.touched = append(ga.touched, j)
+				if !ga.isChanged[j] {
+					ga.isChanged[j] = true
+					ga.changed = append(ga.changed, j)
 				}
 				ga.assigned[j] = append(ga.assigned[j], i)
 				ga.has[i][j] = true

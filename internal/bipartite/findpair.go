@@ -221,24 +221,23 @@ func (mt *Matcher) flipPath(j int) (moved int) {
 		}
 		fe := mt.facMatch[f.fac][f.idx]
 		mt.setMatched(int(fe.cust), int(fe.idx), false)
-		mt.cost -= mt.edges[fe.cust][fe.idx].w
+		mt.cost -= fe.w
 		mt.matchCount[fe.cust]--
 		last := len(mt.facMatch[f.fac]) - 1
 		mt.facMatch[f.fac][f.idx] = mt.facMatch[f.fac][last]
 		mt.facMatch[f.fac] = mt.facMatch[f.fac][:last]
+		mt.markChanged(f.fac)
 	}
 	for _, f := range flips {
 		if !f.fwd {
 			continue
 		}
+		w := mt.edges[f.cust][f.idx].w
 		mt.setMatched(int(f.cust), int(f.idx), true)
-		mt.cost += mt.edges[f.cust][f.idx].w
+		mt.cost += w
 		mt.matchCount[f.cust]++
-		mt.facMatch[f.fac] = append(mt.facMatch[f.fac], facEdge{cust: f.cust, idx: f.idx})
-		if !mt.everMatched[f.fac] {
-			mt.everMatched[f.fac] = true
-			mt.touched = append(mt.touched, f.fac)
-		}
+		mt.facMatch[f.fac] = append(mt.facMatch[f.fac], facEdge{cust: f.cust, idx: f.idx, w: w})
+		mt.markChanged(f.fac)
 		moved++
 	}
 	mt.flips = flips

@@ -39,10 +39,13 @@ type bedge struct {
 	w   int64 // original weight: network distance customer→facility
 }
 
-// facEdge back-references a matched edge from the facility side.
+// facEdge back-references a matched edge from the facility side. It
+// carries the edge's weight, so the facility side of a search reads no
+// customer's edge list.
 type facEdge struct {
 	cust int32
 	idx  int32 // index into edges[cust]
+	w    int64 // edges[cust][idx].w
 }
 
 // Stats aggregates work counters for the engine (used by the ablation
@@ -61,10 +64,12 @@ type Stats struct {
 //
 // A customer's materialized edges are kept in NN order, and its
 // unmatched-edge bitset is the one record of which are matched; facMatch
-// points back from each facility to its matched edges. The inner
-// searches walk only a customer's unmatched edges, its residual arcs, so
-// a customer whose demand has matched most of its edges costs a search
-// only the few it can still use.
+// points back from each facility to its matched edges, with their
+// weights. The inner searches walk only a customer's unmatched edges,
+// its residual arcs, so a customer whose demand has matched most of its
+// edges costs a search only the few it can still use. The matcher also
+// records which facilities' σ_j changed (TakeChanged), so a set-cover
+// pass reads only the loads that may have moved.
 type Matcher struct {
 	g         *graph.Graph
 	custNodes []int32
@@ -86,11 +91,12 @@ type Matcher struct {
 	// wherever an edge is matched or unmatched (flipPath, unmatch).
 	cost int64
 
-	// touched lists facilities that have ever held a match — the only
-	// ones a set-cover pass needs to examine (everything else has zero
-	// gain). With lazy materialization |touched| ≪ ℓ.
-	touched     []int32
-	everMatched []bool
+	// changed records the facilities whose facMatch gained or lost an
+	// entry since the last TakeChanged, once each: isChanged is set
+	// exactly for the facilities it holds, so it never exceeds ℓ
+	// entries, even if nobody takes it.
+	changed   []int32
+	isChanged []bool
 
 	// exhaustive disables the early-stop optimization (used by tests and
 	// the threshold ablation).
@@ -143,8 +149,7 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 		unmatched:  make([][]uint64, m),
 		matchCount: make([]int32, m),
 		facMatch:   make([][]facEdge, l),
-
-		everMatched: make([]bool, l),
+		isChanged:  make([]bool, l),
 
 		pot:    make([]int64, n),
 		dist:   make([]int64, n),
@@ -241,21 +246,9 @@ func (mt *Matcher) MarkCovered(j int, covered []bool) int {
 	return n
 }
 
-// Matches returns the facility indexes customer i is matched to along
-// with the corresponding original edge weights.
-func (mt *Matcher) Matches(i int) (facs []int, weights []int64) {
-	for idx, e := range mt.edges[i] {
-		if mt.matched(i, idx) {
-			facs = append(facs, int(e.fac))
-			weights = append(weights, e.w)
-		}
-	}
-	return facs, weights
-}
-
 // Match returns the facility customer i is matched to and the edge's
 // original weight; ok is false unless the customer holds exactly one
-// match. Unlike Matches it allocates nothing.
+// match. It allocates nothing.
 func (mt *Matcher) Match(i int) (fac int, w int64, ok bool) {
 	if mt.matchCount[i] == 1 {
 		for idx, e := range mt.edges[i] {
@@ -300,9 +293,8 @@ func (mt *Matcher) relaxArcs(v int32, d int64) {
 		return
 	}
 	for idx, fe := range mt.facMatch[v] {
-		e := mt.edges[fe.cust][fe.idx]
 		cn := int32(l + int(fe.cust))
-		mt.relax(cn, d-e.w-mt.pot[v]+mt.pot[cn], -(int64(v)<<32|int64(idx))-1)
+		mt.relax(cn, d-fe.w-mt.pot[v]+mt.pot[cn], -(int64(v)<<32|int64(idx))-1)
 	}
 }
 
@@ -310,10 +302,28 @@ func (mt *Matcher) relaxArcs(v int32, d int64) {
 // edges. It is kept as a running total, so the call is O(1).
 func (mt *Matcher) TotalMatchedCost() int64 { return mt.cost }
 
-// Touched returns the facilities that have ever been matched to a
-// customer, in first-touch order. Facilities outside this list have
-// empty σ_j. The list only grows; callers must not modify it.
-func (mt *Matcher) Touched() []int32 { return mt.touched }
+// TakeChanged returns every facility whose σ_j gained or lost a
+// customer since the previous call (since New before the first), once
+// each, and starts a new record. A facility whose load changed and
+// changed back may be listed. The slice is valid until the next change;
+// callers must not modify it.
+func (mt *Matcher) TakeChanged() []int32 {
+	out := mt.changed
+	for _, j := range out {
+		mt.isChanged[j] = false
+	}
+	mt.changed = out[:0]
+	return out
+}
+
+// markChanged records that facility j's facMatch gained or lost an
+// entry.
+func (mt *Matcher) markChanged(j int32) {
+	if !mt.isChanged[j] {
+		mt.isChanged[j] = true
+		mt.changed = append(mt.changed, j)
+	}
+}
 
 // Stats returns accumulated work counters.
 func (mt *Matcher) Stats() Stats { return mt.stats }

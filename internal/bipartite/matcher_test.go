@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"mcfs/internal/data"
@@ -156,6 +157,18 @@ func randomNetwork(rng *rand.Rand, n int) *graph.Graph {
 	return g
 }
 
+// Matches returns the facility indexes customer i is matched to along
+// with the corresponding original edge weights.
+func (mt *Matcher) Matches(i int) (facs []int, weights []int64) {
+	for idx, e := range mt.edges[i] {
+		if mt.matched(i, idx) {
+			facs = append(facs, int(e.fac))
+			weights = append(weights, e.w)
+		}
+	}
+	return facs, weights
+}
+
 // checkInvariants verifies structural invariants of the matcher state.
 func checkInvariants(t *testing.T, mt *Matcher) {
 	t.Helper()
@@ -187,12 +200,61 @@ func checkInvariants(t *testing.T, mt *Matcher) {
 	}
 	checkEdgeIndex(t, mt)
 	checkReducedCosts(t, mt)
+	checkChanged(t, mt)
+}
+
+// loadShadows holds, for each matcher checkChanged has seen, every
+// facility's load as of its last check.
+var (
+	shadowMu    sync.Mutex
+	loadShadows = map[*Matcher][]int{}
+)
+
+// checkChanged takes the matcher's change record and requires it to
+// list every facility whose load differs from the shadow, once each,
+// with none out of range; then it brings the shadow up to date. A
+// matcher's first check compares with empty loads, since its record
+// starts at New. The record may also list a facility whose load changed
+// and changed back, or whose customers changed but not their number.
+func checkChanged(t *testing.T, mt *Matcher) {
+	t.Helper()
+	shadowMu.Lock()
+	shadow, seen := loadShadows[mt]
+	if !seen {
+		shadow = make([]int, mt.L())
+		loadShadows[mt] = shadow
+		t.Cleanup(func() {
+			shadowMu.Lock()
+			delete(loadShadows, mt)
+			shadowMu.Unlock()
+		})
+	}
+	shadowMu.Unlock()
+	listed := make([]bool, mt.L())
+	for _, j := range mt.TakeChanged() {
+		if j < 0 || int(j) >= mt.L() {
+			t.Fatalf("TakeChanged lists facility %d of %d", j, mt.L())
+		}
+		if listed[j] {
+			t.Fatalf("TakeChanged lists facility %d twice", j)
+		}
+		listed[j] = true
+	}
+	for j, was := range shadow {
+		if now := mt.AssignedCount(j); now != was {
+			if !listed[j] {
+				t.Fatalf("facility %d's load went %d → %d, but TakeChanged does not list it", j, was, now)
+			}
+			shadow[j] = now
+		}
+	}
 }
 
 // checkEdgeIndex verifies the matched state: every facMatch entry points
-// at a distinct edge to its facility, and each customer's unmatched-edge
-// index names exactly the edges no facMatch entry points to, with no
-// index at or past the end of the customer's edge list.
+// at a distinct edge to its facility and carries that edge's weight, and
+// each customer's unmatched-edge index names exactly the edges no
+// facMatch entry points to, with no index at or past the end of the
+// customer's edge list.
 func checkEdgeIndex(t *testing.T, mt *Matcher) {
 	t.Helper()
 	if len(mt.unmatched) != mt.M() {
@@ -206,6 +268,9 @@ func checkEdgeIndex(t *testing.T, mt *Matcher) {
 		for _, fe := range mt.facMatch[j] {
 			if int(fe.cust) >= mt.M() || int(fe.idx) >= len(mt.edges[fe.cust]) || int(mt.edges[fe.cust][fe.idx].fac) != j {
 				t.Fatalf("facMatch[%d] entry %+v points at no edge to facility %d", j, fe, j)
+			}
+			if w := mt.edges[fe.cust][fe.idx].w; fe.w != w {
+				t.Fatalf("facMatch[%d] entry %+v carries weight %d, its edge weighs %d", j, fe, fe.w, w)
 			}
 			if pointed[fe.cust][fe.idx] {
 				t.Fatalf("customer %d edge %d is named by two facMatch entries", fe.cust, fe.idx)
@@ -566,8 +631,11 @@ func TestAccessors(t *testing.T) {
 	if mt.AssignedCount(0) != 2 || mt.MatchCount(0) != 1 || mt.MatchCount(1) != 1 {
 		t.Fatalf("AssignedCount=%d MatchCount=%d,%d, want 2 and 1,1", mt.AssignedCount(0), mt.MatchCount(0), mt.MatchCount(1))
 	}
-	if touched := mt.Touched(); len(touched) != 1 || touched[0] != 0 {
-		t.Fatalf("Touched() = %v, want [0]", touched)
+	if changed := mt.TakeChanged(); len(changed) != 1 || changed[0] != 0 {
+		t.Fatalf("TakeChanged() = %v, want [0]", changed)
+	}
+	if changed := mt.TakeChanged(); len(changed) != 0 {
+		t.Fatalf("TakeChanged() after no change = %v, want []", changed)
 	}
 	covered := []bool{false, true}
 	if n := mt.CountUncovered(0, covered); n != 1 {

@@ -70,6 +70,7 @@ func (mt *Matcher) unmatch(i int) int {
 				break
 			}
 		}
+		mt.markChanged(e.fac)
 		return int(e.fac)
 	}
 	panic(fmt.Sprintf("bipartite: customer %d has match count %d but no matched edge", i, mt.matchCount[i]))
@@ -77,8 +78,9 @@ func (mt *Matcher) unmatch(i int) int {
 
 // swapRemove deletes unmatched customer i by moving the last customer
 // into its index: its node, searcher, edges and their unmatched index,
-// match count and potential, with the facMatch back-references of its
-// matched edges rewritten.
+// match count and potential, with the customer of the facMatch
+// back-references of its matched edges rewritten (the edges themselves,
+// weights included, do not change).
 // The vacated potential is zeroed for the next AddCustomer.
 func (mt *Matcher) swapRemove(i int) {
 	l, last := mt.L(), mt.M()-1

@@ -18,11 +18,13 @@ type Coverage interface {
 	// MarkCovered marks every customer assigned to facility j in covered
 	// and returns how many were not marked before.
 	MarkCovered(j int, covered []bool) int
-	// Touched returns every facility that has ever held an assignment —
-	// the only candidates with possible nonzero gain — in first-touch
-	// order. The list is append-only: a later call returns an extension
-	// of an earlier one. Callers must not modify it.
-	Touched() []int32
+	// TakeChanged returns each facility whose load changed since the
+	// previous call, once each, and starts a new record; the first call
+	// lists every facility whose load changed since the view was built.
+	// It may also list a facility whose load changed and changed back.
+	// The slice is valid until the next load change. Callers must not
+	// modify it.
+	TakeChanged() []int32
 }
 
 // Coverer runs Algorithm 3, CheckCover, once per WMA iteration: a
@@ -35,18 +37,21 @@ type Coverage interface {
 // index alone (ablation).
 //
 // A Coverer is created once per solve because it carries state between
-// passes: every touched facility sits in the gain bucket of its load,
+// passes: every loaded facility sits in the gain bucket of its load,
 // under its tie-break key. A pass first moves the facilities whose load
-// changed since the last one, then consumes the buckets from the top. A
+// changed since the last one, as the view's TakeChanged lists them,
+// then consumes the buckets from the top. A
 // stored gain is at most the facility's load, and a stale one only ever
 // drops (coverage grows during a pass), so a re-queued facility lands in
 // a lower bucket than the one being consumed. Each bucket is therefore
 // final when the pass reaches it: it is sorted by key then, and only
 // then, and consumed once, merged with its few sorted re-queues. The
 // pops are exactly those of a heap under the total order (gain desc,
-// tie-break key asc), so the selection is too. A pass costs O(touched +
-// m) for the loads and coverage flags, plus the sorts and pops of the
-// buckets it reaches, with no allocation but the returned selection.
+// tie-break key asc), so the selection is too. The order in which the
+// loads move never reaches the output either, since a bucket is sorted
+// when a pass reaches it. A pass costs O(changed + m) for the loads and
+// coverage flags, plus the sorts and pops of the buckets it reaches,
+// with no allocation but the returned selection.
 type Coverer struct {
 	view Coverage
 	tie  TieBreak
@@ -77,6 +82,8 @@ type Coverer struct {
 
 // NewCoverer returns a Coverer over view, with no facility selected yet.
 // It sizes its per-facility state by view.L(), which must not change.
+// The Coverer must be the view's only caller of TakeChanged, from the
+// view's start: a pass reads only the loads the record lists.
 func NewCoverer(view Coverage, tie TieBreak) *Coverer {
 	l := view.L()
 	c := &Coverer{
@@ -105,7 +112,7 @@ func NewCoverer(view Coverage, tie TieBreak) *Coverer {
 // so it is the least preferred on the next pass.
 func (c *Coverer) Cover(k int) (selection []int, deltaD []bool, covered bool) {
 	c.pass++
-	for _, j := range c.view.Touched() {
+	for _, j := range c.view.TakeChanged() {
 		if g := int32(c.view.AssignedCount(int(j))); g != c.load[j] {
 			c.move(j, g)
 		}

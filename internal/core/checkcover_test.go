@@ -10,22 +10,21 @@ import (
 )
 
 // fakeCoverage is a hand-built assignment view. Like the matcher, it
-// appends a facility to its touched list the first time the facility
-// holds a customer and never removes it, even once its load drops to
-// zero.
+// records a facility as changed on every set, once until the next
+// TakeChanged, whether or not its load moved.
 type fakeCoverage struct {
-	m       int
-	assign  [][]int // per facility: assigned customers
-	touched []int32
-	seen    []bool
+	m         int
+	assign    [][]int // per facility: assigned customers
+	changed   []int32
+	isChanged []bool
 }
 
 func newFakeCoverage(m, l int) *fakeCoverage {
-	return &fakeCoverage{m: m, assign: make([][]int, l), seen: make([]bool, l)}
+	return &fakeCoverage{m: m, assign: make([][]int, l), isChanged: make([]bool, l)}
 }
 
-// fakeView builds a view with assign[j] assigned to facility j, touched
-// in index order.
+// fakeView builds a view with assign[j] assigned to facility j, set in
+// index order.
 func fakeView(m int, assign [][]int) *fakeCoverage {
 	f := newFakeCoverage(m, len(assign))
 	for j, custs := range assign {
@@ -37,16 +36,24 @@ func fakeView(m int, assign [][]int) *fakeCoverage {
 // set replaces facility j's assigned customers.
 func (f *fakeCoverage) set(j int, custs ...int) {
 	f.assign[j] = custs
-	if len(custs) > 0 && !f.seen[j] {
-		f.seen[j] = true
-		f.touched = append(f.touched, int32(j))
+	if !f.isChanged[j] {
+		f.isChanged[j] = true
+		f.changed = append(f.changed, int32(j))
 	}
 }
 
 func (f *fakeCoverage) M() int                  { return f.m }
 func (f *fakeCoverage) L() int                  { return len(f.assign) }
 func (f *fakeCoverage) AssignedCount(j int) int { return len(f.assign[j]) }
-func (f *fakeCoverage) Touched() []int32        { return f.touched }
+
+func (f *fakeCoverage) TakeChanged() []int32 {
+	out := f.changed
+	for _, j := range out {
+		f.isChanged[j] = false
+	}
+	f.changed = out[:0]
+	return out
+}
 
 func (f *fakeCoverage) CountUncovered(j int, covered []bool) int {
 	n := 0
@@ -75,7 +82,6 @@ type legacyCoverage interface {
 	L() int
 	AssignedCount(j int) int
 	Assigned(j int, fn func(cust int))
-	Touched(fn func(j int))
 }
 
 // legacyView adapts a fakeCoverage to legacyCoverage.
@@ -84,12 +90,6 @@ type legacyView struct{ *fakeCoverage }
 func (v legacyView) Assigned(j int, fn func(int)) {
 	for _, c := range v.assign[j] {
 		fn(c)
-	}
-}
-
-func (v legacyView) Touched(fn func(int)) {
-	for _, j := range v.touched {
-		fn(int(j))
 	}
 }
 
@@ -113,11 +113,11 @@ func checkCoverRef(view legacyCoverage, k int, lastUsed []int, tie core.TieBreak
 		return a.fac < b.fac
 	}
 	heap := pq.NewHeap(less)
-	view.Touched(func(j int) {
+	for j := 0; j < view.L(); j++ {
 		if g := view.AssignedCount(j); g > 0 {
 			heap.Push(item{fac: j, gain: g})
 		}
-	})
+	}
 
 	isCovered := make([]bool, m)
 	remaining := m
@@ -160,12 +160,25 @@ func checkCoverRef(view legacyCoverage, k int, lastUsed []int, tie core.TieBreak
 	return selection, deltaD, remaining == 0
 }
 
+// countingView counts the loads a Coverer reads.
+type countingView struct {
+	*fakeCoverage
+	reads int
+}
+
+func (v *countingView) AssignedCount(j int) int {
+	v.reads++
+	return v.fakeCoverage.AssignedCount(j)
+}
+
 // TestCovererMatchesReference drives a Coverer and the reference through
 // sequences of passes on random views whose assignments change between
 // passes — shared customers, facilities emptied to zero load, new
-// facilities touched in random order — with budgets below and above what
-// full coverage needs, under both tie-breaks. Every pass must agree on
-// the selection (in order), Δd and the coverage flag.
+// facilities touched in random order, none at all — with budgets below
+// and above what full coverage needs, under both tie-breaks. Every pass
+// must agree on the selection (in order), Δd and the coverage flag, and
+// read the loads of no more facilities than were set since the last
+// pass.
 func TestCovererMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 400; trial++ {
@@ -174,7 +187,7 @@ func TestCovererMatchesReference(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			tie = core.TieArbitrary
 		}
-		view := newFakeCoverage(m, l)
+		view := &countingView{fakeCoverage: newFakeCoverage(m, l)}
 		cov := core.NewCoverer(view, tie)
 		lastUsed := make([]int, l)
 		for j := range lastUsed {
@@ -184,7 +197,8 @@ func TestCovererMatchesReference(t *testing.T) {
 		for pass := 1; pass <= passes; pass++ {
 			// Reassign a random subset of facilities, in random order so
 			// first touches arrive out of index order; some are emptied.
-			for _, j := range rng.Perm(l)[:rng.Intn(l+1)] {
+			sets := rng.Intn(l + 1)
+			for _, j := range rng.Perm(l)[:sets] {
 				load := 0
 				if rng.Intn(5) > 0 {
 					load = 1 + rng.Intn(1+min(m, 6))
@@ -192,8 +206,12 @@ func TestCovererMatchesReference(t *testing.T) {
 				view.set(j, rng.Perm(m)[:min(load, m)]...)
 			}
 			k := rng.Intn(l + 2)
+			view.reads = 0
 			sel, deltaD, covered := cov.Cover(k)
-			wantSel, wantDelta, wantCovered := checkCoverRef(legacyView{view}, k, lastUsed, tie)
+			if view.reads > sets {
+				t.Fatalf("trial %d pass %d: the pass read %d loads after %d sets", trial, pass, view.reads, sets)
+			}
+			wantSel, wantDelta, wantCovered := checkCoverRef(legacyView{view.fakeCoverage}, k, lastUsed, tie)
 			if !slices.Equal(sel, wantSel) || !slices.Equal(deltaD, wantDelta) || covered != wantCovered {
 				t.Fatalf("trial %d pass %d (m=%d l=%d k=%d tie=%d):\n got  sel=%v covered=%v Δd=%v\n want sel=%v covered=%v Δd=%v",
 					trial, pass, m, l, k, tie, sel, covered, deltaD, wantSel, wantCovered, wantDelta)

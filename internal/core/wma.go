@@ -266,12 +266,12 @@ func AssignToSelectionCtx(ctx context.Context, inst *data.Instance, selected []i
 	assignment := make([]int, m)
 	var objective int64
 	for i := 0; i < m; i++ {
-		facs, weights := mt.Matches(i)
-		if len(facs) != 1 {
-			return nil, fmt.Errorf("wma: customer %d matched to %d facilities in final phase", i, len(facs))
+		j, w, ok := mt.Match(i)
+		if !ok {
+			return nil, fmt.Errorf("wma: customer %d matched to %d facilities in final phase", i, mt.MatchCount(i))
 		}
-		assignment[i] = selected[facs[0]]
-		objective += weights[0]
+		assignment[i] = selected[j]
+		objective += w
 	}
 	return &data.Solution{Selected: selected, Assignment: assignment, Objective: objective}, nil
 }

@@ -145,15 +145,9 @@ func (in *Instance) CheckSolution(sol *Solution) (int64, error) {
 	if len(sol.Selected) > in.K {
 		return 0, fmt.Errorf("mcfs: %d facilities selected, budget %d", len(sol.Selected), in.K)
 	}
-	isSel := make(map[int]bool, len(sol.Selected))
-	for _, j := range sol.Selected {
-		if j < 0 || j >= in.L() {
-			return 0, fmt.Errorf("mcfs: selected index %d out of range", j)
-		}
-		if isSel[j] {
-			return 0, fmt.Errorf("mcfs: facility %d selected twice", j)
-		}
-		isSel[j] = true
+	isSel, err := in.CheckSelection(sol.Selected)
+	if err != nil {
+		return 0, err
 	}
 	if len(sol.Assignment) != in.M() {
 		return 0, fmt.Errorf("mcfs: assignment covers %d of %d customers", len(sol.Assignment), in.M())
@@ -181,6 +175,23 @@ func (in *Instance) CheckSolution(sol *Solution) (int64, error) {
 		return obj, fmt.Errorf("mcfs: reported objective %d != recomputed %d", sol.Objective, obj)
 	}
 	return obj, nil
+}
+
+// CheckSelection verifies that selected holds distinct indexes into
+// Facilities, and returns the selection as a mask over them. It does not
+// check the budget K.
+func (in *Instance) CheckSelection(selected []int) (isSel []bool, err error) {
+	isSel = make([]bool, in.L())
+	for _, j := range selected {
+		if j < 0 || j >= in.L() {
+			return nil, fmt.Errorf("mcfs: selected index %d out of range", j)
+		}
+		if isSel[j] {
+			return nil, fmt.Errorf("mcfs: facility %d selected twice", j)
+		}
+		isSel[j] = true
+	}
+	return isSel, nil
 }
 
 // EvalObjective recomputes the total assignment cost from scratch. The

@@ -371,7 +371,10 @@ func SolveExhaustiveCtx(ctx context.Context, inst *Instance, maxSubsets int64) (
 
 // AssignToSelection computes the optimal assignment of all customers to
 // a fixed facility selection (indexes into inst.Facilities) — the
-// building block for custom selection strategies.
+// building block for custom selection strategies. It rejects a
+// malformed instance (see Instance.Validate) and a selection holding an
+// index out of range or one twice; it does not hold the selection to
+// the budget K.
 func AssignToSelection(inst *Instance, selected []int, opts ...Option) (*Solution, error) {
 	return AssignToSelectionCtx(context.Background(), inst, selected, opts...)
 }
@@ -382,6 +385,12 @@ func AssignToSelection(inst *Instance, selected []int, opts ...Option) (*Solutio
 func AssignToSelectionCtx(ctx context.Context, inst *Instance, selected []int, opts ...Option) (*Solution, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
+		return nil, err
+	}
+	if err := inst.Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := inst.CheckSelection(selected); err != nil {
 		return nil, err
 	}
 	ctx, cancel := o.deadlineCtx(ctx)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,6 +256,59 @@ func TestPublicAPIAssignToSelection(t *testing.T) {
 	}
 	if re.Objective != full.Objective {
 		t.Fatalf("re-assignment over the same selection changed cost: %d vs %d", re.Objective, full.Objective)
+	}
+}
+
+// TestPublicAPIAssignToSelectionRejectsMalformedInput: an index out of
+// range, a facility selected twice and a customer off the graph are
+// errors, neither a panic, a Solution repeating a facility nor
+// ErrInfeasible. A selection over the budget K is not malformed.
+func TestPublicAPIAssignToSelectionRejectsMalformedInput(t *testing.T) {
+	b := mcfs.NewGraphBuilder(4, false)
+	b.AddEdge(0, 1, 2).AddEdge(1, 2, 2).AddEdge(2, 3, 2)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	instance := func(customers ...int32) *mcfs.Instance {
+		return &mcfs.Instance{
+			G:          g,
+			Customers:  customers,
+			Facilities: []mcfs.Facility{{Node: 1, Capacity: 1}, {Node: 2, Capacity: 1}},
+			K:          1,
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		inst     *mcfs.Instance
+		selected []int
+		want     string // "" = accepted
+	}{
+		{"negative index", instance(0, 3), []int{-1}, "selected index -1 out of range"},
+		{"index equal to l", instance(0, 3), []int{2}, "selected index 2 out of range"},
+		{"customer off the graph", instance(0, 7), []int{0, 1}, "customer 1 at invalid node 7"},
+		{"repeat beside another", instance(0, 3), []int{0, 0, 1}, "facility 0 selected twice"},
+		{"repeat alone", instance(0, 3), []int{0, 0}, "facility 0 selected twice"},
+		{"over the budget", instance(0, 3), []int{0, 1}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sol, err := mcfs.AssignToSelection(tc.inst, tc.selected)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sol.Objective != 4 {
+					t.Fatalf("objective %d, want 4", sol.Objective)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, mcfs.ErrInfeasible) {
+				t.Fatalf("AssignToSelection(%v) = %+v, %v; want an error naming %q", tc.selected, sol, err, tc.want)
+			}
+			if sol != nil {
+				t.Fatalf("AssignToSelection(%v) returned %+v beside its error", tc.selected, sol)
+			}
+		})
 	}
 }
 
