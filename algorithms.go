@@ -34,7 +34,7 @@ const (
 	// (SolveNaive); seed it with WithSeed.
 	AlgorithmNaive Algorithm = "naive"
 	// AlgorithmExact is the branch-and-bound exact solver (SolveExact);
-	// bound it with WithTimeBudget / WithNodeLimit.
+	// bound it with WithTimeBudget.
 	AlgorithmExact Algorithm = "exact"
 	// AlgorithmExhaustive enumerates every k-subset (SolveExhaustive);
 	// tiny instances only.
@@ -71,19 +71,19 @@ func heuristic(run func(ctx context.Context, inst *Instance, o options) (*Soluti
 // algorithmTable is the single dispatch table behind Algorithm.Solve.
 var algorithmTable = map[Algorithm]algorithmEntry{
 	AlgorithmWMA: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
-		return core.SolveCtx(ctx, inst, o.core)
+		return core.SolveCtx(ctx, inst, core.Options{Progress: o.progress})
 	}),
 	AlgorithmUniformFirst: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
-		return core.SolveUniformFirstCtx(ctx, inst, o.core)
+		return core.SolveUniformFirstCtx(ctx, inst, core.Options{Progress: o.progress})
 	}),
 	AlgorithmHilbert: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
-		return baseline.HilbertCtx(ctx, inst, o.core)
+		return baseline.HilbertCtx(ctx, inst)
 	}),
 	AlgorithmBRNN: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
-		return baseline.BRNNCtx(ctx, inst, o.core)
+		return baseline.BRNNCtx(ctx, inst)
 	}),
 	AlgorithmNaive: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
-		return baseline.NaiveCtx(ctx, inst, o.seed, o.core)
+		return baseline.NaiveCtx(ctx, inst, o.seed)
 	}),
 	AlgorithmExact: {run: func(ctx context.Context, inst *Instance, opts ...Option) (*Solution, string, error) {
 		res, err := SolveExactCtx(ctx, inst, opts...)
@@ -103,7 +103,7 @@ var algorithmTable = map[Algorithm]algorithmEntry{
 		return res.Solution, fmt.Sprintf("proven optimal, %d nodes", res.Nodes), nil
 	}},
 	AlgorithmExhaustive: {run: func(ctx context.Context, inst *Instance, opts ...Option) (*Solution, string, error) {
-		sol, err := SolveExhaustiveCtx(ctx, inst, 0)
+		sol, err := SolveExhaustiveCtx(ctx, inst)
 		return sol, "", err
 	}},
 }

@@ -85,7 +85,7 @@ func main() {
 
 	if *improve {
 		start := time.Now()
-		polished, st, err := mcfs.Improve(inst, best.sol, 0)
+		polished, st, err := mcfs.Improve(inst, best.sol)
 		if err != nil {
 			fatal(err)
 		}
@@ -100,7 +100,7 @@ func main() {
 
 	if *svgPath != "" {
 		writeExport(*svgPath, func(w *os.File) error {
-			return mcfs.RenderSVG(w, inst, best.sol, mcfs.DefaultRenderStyle())
+			return mcfs.RenderSVG(w, inst, best.sol)
 		})
 	}
 	if *geoPath != "" {

@@ -59,7 +59,7 @@ func main() {
 	wmaSol, err := mcfs.Solve(inst)
 	if err == nil {
 		if f, ferr := os.Create("quickstart.svg"); ferr == nil {
-			if rerr := mcfs.RenderSVG(f, inst, wmaSol, mcfs.DefaultRenderStyle()); rerr == nil {
+			if rerr := mcfs.RenderSVG(f, inst, wmaSol); rerr == nil {
 				fmt.Println("\nwrote quickstart.svg")
 			}
 			f.Close()

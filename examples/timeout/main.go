@@ -86,7 +86,7 @@ func main() {
 
 	// 5. Local search is anytime too: a mid-run deadline keeps the best
 	// polish achieved so far, never worse than the input.
-	polished, st, err := mcfs.ImproveCtx(context.Background(), inst, best, 0,
+	polished, st, err := mcfs.ImproveCtx(context.Background(), inst, best,
 		mcfs.WithTimeBudget(50*time.Millisecond))
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Fatal(err)

@@ -1,6 +1,7 @@
 package mcfs_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"mcfs"
+	"mcfs/internal/core"
 )
 
 // goldenInstances are small instances over the WMA code paths: city
@@ -112,10 +114,10 @@ func TestGoldenSolutionDigests(t *testing.T) {
 	}{
 		{"wma", func(inst *mcfs.Instance) (*mcfs.Solution, error) { return mcfs.Solve(inst) }},
 		{"arbitrary-tie", func(inst *mcfs.Instance) (*mcfs.Solution, error) {
-			return mcfs.Solve(inst, mcfs.WithArbitraryTieBreak())
+			return core.SolveCtx(context.Background(), inst, core.Options{TieBreak: core.TieArbitrary})
 		}},
 		{"raise-all", func(inst *mcfs.Instance) (*mcfs.Solution, error) {
-			return mcfs.Solve(inst, mcfs.WithRaiseAllDemands())
+			return core.SolveCtx(context.Background(), inst, core.Options{Demand: core.DemandAll})
 		}},
 		{"naive", func(inst *mcfs.Instance) (*mcfs.Solution, error) {
 			return mcfs.SolveNaive(inst, mcfs.WithSeed(13))

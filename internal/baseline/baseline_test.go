@@ -29,9 +29,9 @@ type algo struct {
 func allAlgos() []algo {
 	ctx := context.Background()
 	return []algo{
-		{"hilbert", func(in *data.Instance) (*data.Solution, error) { return HilbertCtx(ctx, in, core.Options{}) }},
-		{"brnn", func(in *data.Instance) (*data.Solution, error) { return BRNNCtx(ctx, in, core.Options{}) }},
-		{"naive", func(in *data.Instance) (*data.Solution, error) { return NaiveCtx(ctx, in, 7, core.Options{}) }},
+		{"hilbert", func(in *data.Instance) (*data.Solution, error) { return HilbertCtx(ctx, in) }},
+		{"brnn", func(in *data.Instance) (*data.Solution, error) { return BRNNCtx(ctx, in) }},
+		{"naive", func(in *data.Instance) (*data.Solution, error) { return NaiveCtx(ctx, in, 7) }},
 	}
 }
 
@@ -78,7 +78,7 @@ func TestBaselinesNeverBeatOptimal(t *testing.T) {
 			MaxCustomers: 7, MaxFacilities: 6,
 			MaxCapacity: 3, MaxWeight: 20,
 		})
-		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -140,7 +140,7 @@ func TestHilbertRequiresCoords(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 1}},
 		K:          1,
 	}
-	if _, err := HilbertCtx(context.Background(), inst, core.Options{}); !errors.Is(err, ErrNoCoords) {
+	if _, err := HilbertCtx(context.Background(), inst); !errors.Is(err, ErrNoCoords) {
 		t.Fatalf("err = %v, want ErrNoCoords", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestHilbertBucketsRespectCurveOrder(t *testing.T) {
 		inst.Customers = append(inst.Customers, int32(i))
 		inst.Facilities = append(inst.Facilities, data.Facility{Node: int32(i), Capacity: 6})
 	}
-	sol, err := HilbertCtx(context.Background(), inst, core.Options{})
+	sol, err := HilbertCtx(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestBRNNFirstFacilityIsOneMedian(t *testing.T) {
 		},
 		K: 1,
 	}
-	sol, err := BRNNCtx(context.Background(), inst, core.Options{})
+	sol, err := BRNNCtx(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestBRNNSecondPickAttractsMost(t *testing.T) {
 		},
 		K: 2,
 	}
-	sol, err := BRNNCtx(context.Background(), inst, core.Options{})
+	sol, err := BRNNCtx(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestBRNNSecondPickAttractsMost(t *testing.T) {
 func TestNaiveDeterministicPerSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	inst := testutil.RandomInstance(rng, randomParams())
-	a, err := NaiveCtx(context.Background(), inst, 99, core.Options{})
+	a, err := NaiveCtx(context.Background(), inst, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NaiveCtx(context.Background(), inst, 99, core.Options{})
+	b, err := NaiveCtx(context.Background(), inst, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestNaiveNeverBetterThanWMAOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		n, err := NaiveCtx(context.Background(), inst, int64(trial), core.Options{})
+		n, err := NaiveCtx(context.Background(), inst, int64(trial))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

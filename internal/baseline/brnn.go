@@ -23,7 +23,7 @@ import (
 // expensive 1-median and attraction-counting phases return promptly. On
 // cancellation it returns nil and ctx.Err(); every uncancelled run is
 // byte-identical.
-func BRNNCtx(ctx context.Context, inst *data.Instance, opt core.Options) (*data.Solution, error) {
+func BRNNCtx(ctx context.Context, inst *data.Instance) (*data.Solution, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func BRNNCtx(ctx context.Context, inst *data.Instance, opt core.Options) (*data.
 			return nil, err
 		}
 	}
-	return core.AssignToSelectionCtx(ctx, inst, selection, opt)
+	return core.AssignToSelectionCtx(ctx, inst, selection)
 }
 
 // updateNearest lowers each customer's nearest-selected distance given a

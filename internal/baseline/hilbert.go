@@ -20,7 +20,6 @@ import (
 
 	"mcfs/internal/core"
 	"mcfs/internal/data"
-	"mcfs/internal/graph"
 	"mcfs/internal/hilbert"
 	"mcfs/internal/spatial"
 )
@@ -44,7 +43,7 @@ const hilbertOrder = 16
 // Cancellation is checked once per component during bucketing and
 // throughout the repair and final matching phases. On cancellation it
 // returns nil and ctx.Err(); every uncancelled run is byte-identical.
-func HilbertCtx(ctx context.Context, inst *data.Instance, opt core.Options) (*data.Solution, error) {
+func HilbertCtx(ctx context.Context, inst *data.Instance) (*data.Solution, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,7 +73,7 @@ func HilbertCtx(ctx context.Context, inst *data.Instance, opt core.Options) (*da
 	}
 	budget := splitBudget(custByComp, facByComp, k, inst.M())
 
-	minX, maxX, minY, maxY := extent(inst.G)
+	minX, maxX, minY, maxY := inst.G.Extent()
 	var selection []int
 	for c := 0; c < count; c++ {
 		if err := ctx.Err(); err != nil {
@@ -90,7 +89,7 @@ func HilbertCtx(ctx context.Context, inst *data.Instance, opt core.Options) (*da
 	if err != nil {
 		return nil, err
 	}
-	return core.AssignToSelectionCtx(ctx, inst, selection, opt)
+	return core.AssignToSelectionCtx(ctx, inst, selection)
 }
 
 // splitBudget distributes k facilities over components proportionally to
@@ -198,24 +197,4 @@ func bucketAndSnap(inst *data.Instance, customers []int32, candidates []int, kc 
 		selection = append(selection, int(id))
 	}
 	return selection
-}
-
-// extent returns the coordinate bounding box of the graph.
-func extent(g *graph.Graph) (minX, maxX, minY, maxY float64) {
-	for v := int32(0); v < int32(g.N()); v++ {
-		x, y := g.Coord(v)
-		if v == 0 || x < minX {
-			minX = x
-		}
-		if v == 0 || x > maxX {
-			maxX = x
-		}
-		if v == 0 || y < minY {
-			minY = y
-		}
-		if v == 0 || y > maxY {
-			maxY = y
-		}
-	}
-	return minX, maxX, minY, maxY
 }

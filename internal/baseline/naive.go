@@ -21,7 +21,7 @@ import (
 // Cancellation is checked once per customer per iteration and inside the
 // per-customer network searches. On cancellation it returns nil and
 // ctx.Err(); every uncancelled run at the same seed is byte-identical.
-func NaiveCtx(ctx context.Context, inst *data.Instance, seed int64, opt core.Options) (*data.Solution, error) {
+func NaiveCtx(ctx context.Context, inst *data.Instance, seed int64) (*data.Solution, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func NaiveCtx(ctx context.Context, inst *data.Instance, seed int64, opt core.Opt
 		for i := range demand {
 			demand[i] = 1
 		}
-		cover := core.NewCoverer(ga, opt.TieBreak)
+		cover := core.NewCoverer(ga, core.TieLRU)
 		order := rng.Perm(m)
 		var covered bool
 		for {

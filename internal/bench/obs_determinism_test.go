@@ -116,7 +116,7 @@ func TestObsTracedReallocatorIdentical(t *testing.T) {
 		Selected  []int
 	}
 	replay := func(ctx context.Context) ([]step, []byte) {
-		r, err := mcfs.NewReallocatorCtx(ctx, inst, 1.5, mcfs.WithSeed(1))
+		r, err := mcfs.NewReallocatorCtx(ctx, inst, 1.5)
 		if err != nil {
 			t.Fatalf("NewReallocator: %v", err)
 		}

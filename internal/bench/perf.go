@@ -303,7 +303,7 @@ type reallocatorChurn struct {
 const churnSteps = 64
 
 func newReallocatorChurn(inst *mcfs.Instance, seed int64) (*reallocatorChurn, error) {
-	r, err := mcfs.NewReallocator(inst, 0, mcfs.WithSeed(seed))
+	r, err := mcfs.NewReallocator(inst, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -47,21 +47,21 @@ func TestSolvePathsConcurrent(t *testing.T) {
 			return sol.Objective, nil
 		}},
 		{"naive", func() (int64, error) {
-			sol, err := baseline.NaiveCtx(context.Background(), inst, 5, core.Options{})
+			sol, err := baseline.NaiveCtx(context.Background(), inst, 5)
 			if err != nil {
 				return 0, err
 			}
 			return sol.Objective, nil
 		}},
 		{"hilbert", func() (int64, error) {
-			sol, err := baseline.HilbertCtx(context.Background(), inst, core.Options{})
+			sol, err := baseline.HilbertCtx(context.Background(), inst)
 			if err != nil {
 				return 0, err
 			}
 			return sol.Objective, nil
 		}},
 		{"brnn", func() (int64, error) {
-			sol, err := baseline.BRNNCtx(context.Background(), inst, core.Options{})
+			sol, err := baseline.BRNNCtx(context.Background(), inst)
 			if err != nil {
 				return 0, err
 			}

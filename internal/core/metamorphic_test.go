@@ -105,7 +105,7 @@ func TestWMANeverBeatsExact(t *testing.T) {
 		if _, err := inst.CheckSolution(wma); err != nil {
 			t.Fatalf("seed %d: WMA solution does not verify: %v", seed, err)
 		}
-		exact, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
+		exact, err := solver.ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("seed %d: exhaustive failed: %v", seed, err)
 		}
@@ -146,11 +146,11 @@ func TestRelabelInvariance(t *testing.T) {
 				seed, base.Objective, relSol.Objective)
 		}
 
-		exBase, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
+		exBase, err := solver.ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("seed %d: exhaustive failed: %v", seed, err)
 		}
-		exRel, err := solver.ExhaustiveCtx(context.Background(), rel, 0)
+		exRel, err := solver.ExhaustiveCtx(context.Background(), rel)
 		if err != nil {
 			t.Fatalf("seed %d: exhaustive failed on relabeled instance: %v", seed, err)
 		}

@@ -41,7 +41,7 @@ func TestPaperWorkedExample(t *testing.T) {
 		K: 2,
 	}
 
-	opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
+	opt, err := solver.ExhaustiveCtx(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestWMANearOptimal(t *testing.T) {
 			MaxCustomers: 8, MaxFacilities: 7,
 			MaxCapacity: 3, MaxWeight: 25,
 		})
-		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
@@ -65,7 +65,7 @@ func TestWMAOptimalWhenSelectionTrivial(t *testing.T) {
 			MaxCapacity: 3, MaxWeight: 25,
 		})
 		inst.K = inst.L()
-		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -61,7 +61,7 @@ func SolveUniformFirstCtx(ctx context.Context, inst *data.Instance, opt Options)
 		}
 		return SolveCtx(ctx, inst, opt)
 	}
-	sol, err := AssignToSelectionCtx(ctx, inst, selection, opt)
+	sol, err := AssignToSelectionCtx(ctx, inst, selection)
 	if err != nil {
 		if errors.Is(err, data.ErrInfeasible) {
 			return SolveCtx(ctx, inst, opt)

@@ -67,11 +67,11 @@ type IterationStats struct {
 	DemandTotal int           // sum of customer demands after the update
 }
 
-// Options tunes the solver. The zero value is the paper's configuration.
+// Options tunes the solver. The zero value is the paper's configuration;
+// Demand and TieBreak are the ablation switches that internal/bench sets.
 type Options struct {
-	Demand     DemandPolicy
-	TieBreak   TieBreak
-	Exhaustive bool // disable the matcher's early-stop optimization
+	Demand   DemandPolicy
+	TieBreak TieBreak
 	// Progress, when non-nil, is invoked after every main-loop iteration.
 	Progress func(IterationStats)
 }
@@ -122,7 +122,7 @@ func SolveCtx(ctx context.Context, inst *data.Instance, opt Options) (*data.Solu
 			return nil, err
 		}
 	}
-	return AssignToSelectionCtx(ctx, inst, selected, opt)
+	return AssignToSelectionCtx(ctx, inst, selected)
 }
 
 // explore is the main loop of Algorithm 1: it grows customer demands,
@@ -132,7 +132,6 @@ func SolveCtx(ctx context.Context, inst *data.Instance, opt Options) (*data.Solu
 func explore(ctx context.Context, inst *data.Instance, opt Options) ([]int, error) {
 	m, l, k := inst.M(), inst.L(), inst.K
 	mt := bipartite.New(inst.G, inst.Customers, inst.Facilities)
-	mt.SetExhaustive(opt.Exhaustive)
 
 	demand := make([]int, m)
 	for i := range demand {
@@ -241,7 +240,7 @@ func explore(ctx context.Context, inst *data.Instance, opt Options) ([]int, erro
 // by WMA's final phase, the Hilbert and BRNN baselines, the exact
 // solver, and the Uniform-First strategy. Cancellation is checked per
 // augmenting path; on cancellation it returns nil and ctx.Err().
-func AssignToSelectionCtx(ctx context.Context, inst *data.Instance, selected []int, opt Options) (*data.Solution, error) {
+func AssignToSelectionCtx(ctx context.Context, inst *data.Instance, selected []int) (*data.Solution, error) {
 	if p := obs.From(ctx).Phase("wma/assign"); p != nil {
 		defer p.End()
 	}
@@ -251,7 +250,6 @@ func AssignToSelectionCtx(ctx context.Context, inst *data.Instance, selected []i
 		subset[idx] = inst.Facilities[j]
 	}
 	mt := bipartite.New(inst.G, inst.Customers, subset)
-	mt.SetExhaustive(opt.Exhaustive)
 	for i := 0; i < m; i++ {
 		ok, err := mt.FindPairCtx(ctx, i)
 		if err != nil {

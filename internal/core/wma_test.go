@@ -231,8 +231,6 @@ func TestSolveOptionVariantsValid(t *testing.T) {
 	variants := []Options{
 		{Demand: DemandAll},
 		{TieBreak: TieArbitrary},
-		{Exhaustive: true},
-		{Demand: DemandAll, TieBreak: TieArbitrary, Exhaustive: true},
 	}
 	for trial := 0; trial < 10; trial++ {
 		inst := testutil.RandomInstance(rng, testutil.Params{
@@ -327,7 +325,7 @@ func TestAssignToSelectionOptimalVsBruteForce(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 2}, {Node: 5, Capacity: 1}},
 		K:          2,
 	}
-	sol, err := AssignToSelectionCtx(context.Background(), inst, []int{0, 1}, Options{})
+	sol, err := AssignToSelectionCtx(context.Background(), inst, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +347,7 @@ func TestAssignToSelectionInfeasibleSubset(t *testing.T) {
 		Facilities: []data.Facility{{Node: 2, Capacity: 1}, {Node: 3, Capacity: 5}},
 		K:          1,
 	}
-	if _, err := AssignToSelectionCtx(context.Background(), inst, []int{0}, Options{}); !errors.Is(err, data.ErrInfeasible) {
+	if _, err := AssignToSelectionCtx(context.Background(), inst, []int{0}); !errors.Is(err, data.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }

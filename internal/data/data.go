@@ -60,8 +60,12 @@ func (in *Instance) TotalCapacity() int {
 	return total
 }
 
-// Validate checks structural well-formedness (not feasibility).
+// Validate checks structural well-formedness (not feasibility). A nil
+// instance is malformed.
 func (in *Instance) Validate() error {
+	if in == nil {
+		return errors.New("mcfs: nil instance")
+	}
 	if in.G == nil {
 		return errors.New("mcfs: instance has nil graph")
 	}

@@ -63,6 +63,9 @@ func TestValidateErrors(t *testing.T) {
 			}
 		})
 	}
+	if err := (*Instance)(nil).Validate(); err == nil {
+		t.Fatal("Validate accepted a nil instance")
+	}
 }
 
 func TestAccessors(t *testing.T) {

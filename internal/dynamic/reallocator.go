@@ -54,8 +54,6 @@ var ErrBadNode = errors.New("dynamic: bad node")
 
 // Options tunes a Reallocator.
 type Options struct {
-	// Core configures the underlying WMA solves.
-	Core core.Options
 	// DriftFactor triggers a full re-selection when the incremental
 	// objective exceeds DriftFactor × the objective right after the last
 	// full solve. 0 selects the default 1.5 and a negative value disables
@@ -188,7 +186,7 @@ func (r *Reallocator) SetContext(ctx context.Context) {
 func (r *Reallocator) fullSolve() error {
 	r.rec().Add(obs.ReallocFullSolves, 1)
 	_, nodes := r.tab.population()
-	sol, err := core.SolveCtx(r.ctx, r.instance(nodes), r.opt.Core)
+	sol, err := core.SolveCtx(r.ctx, r.instance(nodes), core.Options{})
 	if err != nil {
 		return err
 	}
@@ -218,15 +216,8 @@ func (r *Reallocator) adopt(selected []int) error {
 	if len(selected) > r.k {
 		return fmt.Errorf("dynamic: selection of %d facilities exceeds budget k=%d", len(selected), r.k)
 	}
-	seen := make(map[int]bool, len(selected))
-	for _, j := range selected {
-		if j < 0 || j >= len(r.facilities) {
-			return fmt.Errorf("dynamic: selected facility index %d out of range", j)
-		}
-		if seen[j] {
-			return fmt.Errorf("dynamic: facility %d selected twice", j)
-		}
-		seen[j] = true
+	if _, err := r.instance(nil).CheckSelection(selected); err != nil {
+		return err
 	}
 	return r.rebuild(append([]int(nil), selected...))
 }
@@ -251,7 +242,6 @@ func (r *Reallocator) rebuild(selected []int) error {
 	}
 	handles, custs := r.tab.population()
 	mt := bipartite.New(r.g, custs, subset)
-	mt.SetExhaustive(r.opt.Core.Exhaustive)
 	for i := range custs {
 		ok, err := mt.FindPairCtx(r.ctx, i)
 		if err != nil {

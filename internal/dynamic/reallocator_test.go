@@ -52,7 +52,7 @@ func verify(t *testing.T, r *Reallocator) {
 		t.Fatalf("reallocator state invalid: %v", err)
 	}
 	// The incremental assignment must be optimal for the open selection.
-	want, err := core.AssignToSelectionCtx(context.Background(), inst, sol.Selected, core.Options{})
+	want, err := core.AssignToSelectionCtx(context.Background(), inst, sol.Selected)
 	if err != nil {
 		t.Fatal(err)
 	}

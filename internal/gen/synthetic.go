@@ -161,45 +161,29 @@ func clamp(v, lo, hi float64) float64 {
 // node supply is exhausted (the paper's Fig. 8c allows several customers
 // per node).
 func SampleCustomers(g *graph.Graph, m int, rng *rand.Rand) []int32 {
-	n := g.N()
-	customers := make([]int32, 0, m)
-	if m <= n {
-		perm := rng.Perm(n)
-		for i := 0; i < m; i++ {
-			customers = append(customers, int32(perm[i]))
-		}
-		return customers
-	}
-	for i := 0; i < m; i++ {
-		customers = append(customers, int32(rng.Intn(n)))
-	}
-	return customers
+	return SampleCustomersFrom(allNodes(g), m, rng)
 }
 
 // SampleFacilities draws l distinct candidate facility nodes uniformly
 // and assigns each a capacity via capFn (called with the facility's
 // ordinal).
 func SampleFacilities(g *graph.Graph, l int, rng *rand.Rand, capFn func(j int) int) []data.Facility {
-	n := g.N()
-	if l > n {
-		l = n
-	}
-	perm := rng.Perm(n)
-	facs := make([]data.Facility, l)
-	for j := 0; j < l; j++ {
-		facs[j] = data.Facility{Node: int32(perm[j]), Capacity: capFn(j)}
-	}
-	return facs
+	return SampleFacilitiesFrom(allNodes(g), l, rng, capFn)
 }
 
 // AllNodesFacilities makes every node a candidate facility (the paper's
 // F_p = V setting) with capacities from capFn.
 func AllNodesFacilities(g *graph.Graph, capFn func(j int) int) []data.Facility {
-	facs := make([]data.Facility, g.N())
-	for j := range facs {
-		facs[j] = data.Facility{Node: int32(j), Capacity: capFn(j)}
+	return NodesFacilities(allNodes(g), capFn)
+}
+
+// allNodes returns the node ids 0..n-1 of g.
+func allNodes(g *graph.Graph) []int32 {
+	nodes := make([]int32, g.N())
+	for v := range nodes {
+		nodes[v] = int32(v)
 	}
-	return facs
+	return nodes
 }
 
 // UniformCapacity returns a capFn yielding the constant c.
@@ -216,10 +200,7 @@ func RandomCapacity(lo, hi int, rng *rand.Rand) func(int) int {
 // customers and facilities from it.
 func LargestComponent(g *graph.Graph) []int32 {
 	comp, count := g.Components()
-	sizes := make([]int, count)
-	for _, c := range comp {
-		sizes[c]++
-	}
+	sizes := graph.ComponentSizes(comp, count)
 	best := 0
 	for c := 1; c < count; c++ {
 		if sizes[c] > sizes[best] {

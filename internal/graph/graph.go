@@ -155,6 +155,27 @@ func (g *Graph) HasCoords() bool { return g.x != nil }
 // Coord returns node v's planar coordinates; HasCoords must be true.
 func (g *Graph) Coord(v int32) (x, y float64) { return g.x[v], g.y[v] }
 
+// Extent returns the bounding box of the node coordinates (all zero
+// without nodes); HasCoords must be true.
+func (g *Graph) Extent() (minX, maxX, minY, maxY float64) {
+	for v := range g.x {
+		x, y := g.x[v], g.y[v]
+		if v == 0 || x < minX {
+			minX = x
+		}
+		if v == 0 || x > maxX {
+			maxX = x
+		}
+		if v == 0 || y < minY {
+			minY = y
+		}
+		if v == 0 || y > maxY {
+			maxY = y
+		}
+	}
+	return minX, maxX, minY, maxY
+}
+
 // Degree returns the out-degree of v (arc count).
 func (g *Graph) Degree(v int32) int { return int(g.off[v+1] - g.off[v]) }
 

@@ -19,15 +19,14 @@ import (
 	"mcfs/internal/graph"
 )
 
-// Options bounds the search.
+// Options bounds the search. The zero value is the public Improve's
+// budget; the AblSwap benchmark sets both fields.
 type Options struct {
 	// MaxMoves caps accepted swaps; 0 means 2·k.
 	MaxMoves int
 	// CandidatesPerFacility bounds how many nearby unselected candidates
 	// are tried as replacements for each selected facility; 0 means 5.
 	CandidatesPerFacility int
-	// Core configures the assignment solves.
-	Core core.Options
 }
 
 // Stats reports the work performed.
@@ -85,7 +84,7 @@ func ImproveCtx(ctx context.Context, inst *data.Instance, sol *data.Solution, op
 				}
 				trial := swap(best.Selected, out, in)
 				st.Evaluated++
-				cand, err := core.AssignToSelectionCtx(ctx, inst, trial, opt.Core)
+				cand, err := core.AssignToSelectionCtx(ctx, inst, trial)
 				if err != nil {
 					if errors.Is(err, data.ErrInfeasible) {
 						continue // swap breaks capacity coverage; skip

@@ -31,7 +31,7 @@ func TestImproveFixesBadSelection(t *testing.T) {
 		},
 		K: 1,
 	}
-	bad, err := core.AssignToSelectionCtx(context.Background(), inst, []int{2}, core.Options{}) // facility at node 9
+	bad, err := core.AssignToSelectionCtx(context.Background(), inst, []int{2}) // facility at node 9
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestImproveNeverWorsens(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Never better than the proven optimum.
-		opt, err := solver.ExhaustiveCtx(context.Background(), inst, 0)
+		opt, err := solver.ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

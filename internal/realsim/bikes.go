@@ -68,7 +68,7 @@ func Bikes(g *graph.Graph, cfg BikesConfig) (*BikesScenario, error) {
 	}
 
 	// Commute attractors with random weights.
-	minX, maxX, minY, maxY := coordExtent(g)
+	minX, maxX, minY, maxY := g.Extent()
 	type attractor struct{ x, y, w float64 }
 	atts := make([]attractor, cfg.Attractors)
 	for i := range atts {

@@ -162,7 +162,7 @@ func TestDistrictCustomers(t *testing.T) {
 	}
 	// Distribution must be district-skewed: not all districts equally hit.
 	counts := map[int]int{}
-	minX, maxX, minY, maxY := coordExtent(g)
+	minX, maxX, minY, maxY := g.Extent()
 	for _, c := range cust {
 		x, y := g.Coord(c)
 		counts[gridIndex(y, minY, maxY, 3)*3+gridIndex(x, minX, maxX, 3)]++

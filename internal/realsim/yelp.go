@@ -203,7 +203,7 @@ func DistrictCustomers(g *graph.Graph, cfg DistrictConfig) ([]int32, error) {
 		cfg.Districts = 4
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	minX, maxX, minY, maxY := coordExtent(g)
+	minX, maxX, minY, maxY := g.Extent()
 	d := cfg.Districts
 	pop := make([]float64, d*d)
 	for i := range pop {
@@ -231,23 +231,4 @@ func gridIndex(v, lo, hi float64, d int) int {
 		i = d - 1
 	}
 	return i
-}
-
-func coordExtent(g *graph.Graph) (minX, maxX, minY, maxY float64) {
-	for v := int32(0); v < int32(g.N()); v++ {
-		x, y := g.Coord(v)
-		if v == 0 || x < minX {
-			minX = x
-		}
-		if v == 0 || x > maxX {
-			maxX = x
-		}
-		if v == 0 || y < minY {
-			minY = y
-		}
-		if v == 0 || y > maxY {
-			maxY = y
-		}
-	}
-	return
 }

@@ -12,35 +12,19 @@ import (
 	"mcfs/internal/data"
 )
 
-// Style controls the rendered appearance. Zero values take defaults.
-type Style struct {
-	Width       int     // canvas width in px (default 900)
-	NodeRadius  float64 // base node radius (default 1.2)
-	DrawNetwork bool    // draw all network edges (default on via Default())
-	DrawLinks   bool    // draw customer→facility assignment links
-	Background  string  // css color (default white)
-}
-
-// Default returns the standard style.
-func Default() Style {
-	return Style{Width: 900, NodeRadius: 1.2, DrawNetwork: true, DrawLinks: true, Background: "#ffffff"}
-}
+// The rendered appearance.
+const (
+	canvasWidth = 900.0     // px
+	nodeRadius  = 1.2       // base node radius
+	background  = "#ffffff" // css color
+)
 
 // SVG renders the instance (and optionally its solution; sol may be nil)
 // into w. The network must carry coordinates.
-func SVG(w io.Writer, inst *data.Instance, sol *data.Solution, style Style) error {
+func SVG(w io.Writer, inst *data.Instance, sol *data.Solution) error {
 	g := inst.G
 	if !g.HasCoords() {
 		return fmt.Errorf("render: network has no coordinates")
-	}
-	if style.Width <= 0 {
-		style.Width = 900
-	}
-	if style.NodeRadius <= 0 {
-		style.NodeRadius = 1.2
-	}
-	if style.Background == "" {
-		style.Background = "#ffffff"
 	}
 
 	minX, maxX := math.Inf(1), math.Inf(-1)
@@ -57,7 +41,7 @@ func SVG(w io.Writer, inst *data.Instance, sol *data.Solution, style Style) erro
 	if spanY <= 0 {
 		spanY = 1
 	}
-	width := float64(style.Width)
+	width := canvasWidth
 	height := width * spanY / spanX
 	const pad = 12.0
 	sx := func(x float64) float64 { return pad + (x-minX)/spanX*(width-2*pad) }
@@ -71,29 +55,27 @@ func SVG(w io.Writer, inst *data.Instance, sol *data.Solution, style Style) erro
 		width, height+2*pad, width, height+2*pad); err != nil {
 		return err
 	}
-	pf(`<rect width="100%%" height="100%%" fill="%s"/>`+"\n", style.Background)
+	pf(`<rect width="100%%" height="100%%" fill="%s"/>`+"\n", background)
 
-	if style.DrawNetwork {
-		pf(`<g stroke="#c8c8c8" stroke-width="0.5">` + "\n")
-		for v := int32(0); v < int32(g.N()); v++ {
-			x1, y1 := g.Coord(v)
-			var err error
-			g.Neighbors(v, func(u int32, _ int64) bool {
-				if g.Directed() || v < u {
-					x2, y2 := g.Coord(u)
-					err = pf(`<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f"/>`+"\n",
-						sx(x1), sy(y1), sx(x2), sy(y2))
-				}
-				return err == nil
-			})
-			if err != nil {
-				return err
+	pf(`<g stroke="#c8c8c8" stroke-width="0.5">` + "\n")
+	for v := int32(0); v < int32(g.N()); v++ {
+		x1, y1 := g.Coord(v)
+		var err error
+		g.Neighbors(v, func(u int32, _ int64) bool {
+			if g.Directed() || v < u {
+				x2, y2 := g.Coord(u)
+				err = pf(`<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f"/>`+"\n",
+					sx(x1), sy(y1), sx(x2), sy(y2))
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
-		pf("</g>\n")
 	}
+	pf("</g>\n")
 
-	if sol != nil && style.DrawLinks {
+	if sol != nil {
 		pf(`<g stroke="#7a5fb5" stroke-width="0.8" stroke-opacity="0.6">` + "\n")
 		for i, j := range sol.Assignment {
 			x1, y1 := g.Coord(inst.Customers[i])
@@ -114,7 +96,7 @@ func SVG(w io.Writer, inst *data.Instance, sol *data.Solution, style Style) erro
 	pf(`<g>` + "\n")
 	for j, f := range inst.Facilities {
 		x, y := g.Coord(f.Node)
-		r := style.NodeRadius * 2
+		r := nodeRadius * 2
 		if selected[j] {
 			pf(`<circle cx="%.1f" cy="%.1f" r="%.1f" fill="#1f5fbf"/>`+"\n", sx(x), sy(y), r*1.4)
 		} else {
@@ -125,7 +107,7 @@ func SVG(w io.Writer, inst *data.Instance, sol *data.Solution, style Style) erro
 	pf("</g>\n<g>\n")
 	for _, s := range inst.Customers {
 		x, y := g.Coord(s)
-		pf(`<circle cx="%.1f" cy="%.1f" r="%.1f" fill="#c8321e"/>`+"\n", sx(x), sy(y), style.NodeRadius*1.6)
+		pf(`<circle cx="%.1f" cy="%.1f" r="%.1f" fill="#c8321e"/>`+"\n", sx(x), sy(y), nodeRadius*1.6)
 	}
 	pf("</g>\n")
 	return pf("</svg>\n")

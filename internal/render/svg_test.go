@@ -32,7 +32,7 @@ func coordInstance(t *testing.T) (*data.Instance, *data.Solution) {
 func TestSVGWellFormed(t *testing.T) {
 	inst, sol := coordInstance(t)
 	var buf bytes.Buffer
-	if err := SVG(&buf, inst, sol, Default()); err != nil {
+	if err := SVG(&buf, inst, sol); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -59,7 +59,7 @@ func TestSVGWellFormed(t *testing.T) {
 func TestSVGWithoutSolution(t *testing.T) {
 	inst, _ := coordInstance(t)
 	var buf bytes.Buffer
-	if err := SVG(&buf, inst, nil, Default()); err != nil {
+	if err := SVG(&buf, inst, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -77,27 +77,8 @@ func TestSVGNoCoords(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	g, _ := b.Build()
 	inst := &data.Instance{G: g, Customers: []int32{0}, Facilities: []data.Facility{{Node: 1, Capacity: 1}}, K: 1}
-	if err := SVG(&bytes.Buffer{}, inst, nil, Default()); err == nil {
+	if err := SVG(&bytes.Buffer{}, inst, nil); err == nil {
 		t.Fatal("coordinate-less network accepted")
-	}
-}
-
-func TestSVGStyleToggles(t *testing.T) {
-	inst, sol := coordInstance(t)
-	var buf bytes.Buffer
-	st := Style{Width: 400} // network and links off
-	if err := SVG(&buf, inst, sol, st); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if strings.Contains(out, `stroke="#c8c8c8"`) {
-		t.Fatal("network drawn though disabled")
-	}
-	if strings.Contains(out, `stroke="#7a5fb5"`) {
-		t.Fatal("links drawn though disabled")
-	}
-	if !strings.Contains(out, `width="400"`) {
-		t.Fatal("custom width ignored")
 	}
 }
 
@@ -113,7 +94,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestSVGWriteErrorPropagates(t *testing.T) {
 	inst, sol := coordInstance(t)
-	if err := SVG(&failWriter{n: 64}, inst, sol, Default()); err == nil {
+	if err := SVG(&failWriter{n: 64}, inst, sol); err == nil {
 		t.Fatal("write error swallowed")
 	}
 }

@@ -15,7 +15,7 @@ func TestExhaustiveCtxCancelled(t *testing.T) {
 	inst := testutil.RandomInstance(rng, smallParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ExhaustiveCtx(ctx, inst, 0)
+	_, err := ExhaustiveCtx(ctx, inst)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -29,11 +29,11 @@ func TestExhaustiveCtxBackgroundMatches(t *testing.T) {
 	defer cancel()
 	for trial := 0; trial < 10; trial++ {
 		inst := testutil.RandomInstance(rng, smallParams())
-		want, err := ExhaustiveCtx(context.Background(), inst, 0)
+		want, err := ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got, err := ExhaustiveCtx(live, inst, 0)
+		got, err := ExhaustiveCtx(live, inst)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -45,24 +45,24 @@ func timeoutErr(err error) error {
 }
 
 // ErrTooLarge is returned by ExhaustiveCtx when the number of subsets to
-// enumerate exceeds its limit.
+// enumerate exceeds subsetCap.
 var ErrTooLarge = errors.New("solver: instance too large for exhaustive enumeration")
+
+// subsetCap caps the subsets ExhaustiveCtx enumerates.
+const subsetCap = 1_000_000
 
 // ExhaustiveCtx computes the optimal solution by enumerating all
 // C(ℓ, min(k,ℓ)) facility subsets. It refuses instances with more than
-// maxSubsets combinations (default 1e6 when maxSubsets <= 0).
+// subsetCap combinations.
 // Cancellation is checked before each subset's assignment solve; on
 // cancellation it returns the best solution found so far (nil when none)
 // alongside ctx.Err(). Every uncancelled run is byte-identical.
-func ExhaustiveCtx(ctx context.Context, inst *data.Instance, maxSubsets int64) (*data.Solution, error) {
+func ExhaustiveCtx(ctx context.Context, inst *data.Instance) (*data.Solution, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	if ok, _ := inst.Feasible(); !ok {
 		return nil, data.ErrInfeasible
-	}
-	if maxSubsets <= 0 {
-		maxSubsets = 1_000_000
 	}
 	l := inst.L()
 	k := inst.K
@@ -73,7 +73,7 @@ func ExhaustiveCtx(ctx context.Context, inst *data.Instance, maxSubsets int64) (
 		return &data.Solution{Selected: []int{}, Assignment: []int{}}, nil
 	}
 	count := new(big.Int).Binomial(int64(l), int64(k))
-	if count.Cmp(big.NewInt(maxSubsets)) > 0 {
+	if count.Cmp(big.NewInt(subsetCap)) > 0 {
 		return nil, fmt.Errorf("%w: C(%d,%d) = %s subsets", ErrTooLarge, l, k, count)
 	}
 
@@ -88,7 +88,7 @@ func ExhaustiveCtx(ctx context.Context, inst *data.Instance, maxSubsets int64) (
 		if err := ctx.Err(); err != nil {
 			return best, err
 		}
-		sol, err := core.AssignToSelectionCtx(ctx, inst, append([]int(nil), subset...), core.Options{})
+		sol, err := core.AssignToSelectionCtx(ctx, inst, append([]int(nil), subset...))
 		if err == nil && (best == nil || sol.Objective < best.Objective) {
 			best = sol
 		} else if err != nil && !errors.Is(err, data.ErrInfeasible) {
@@ -120,16 +120,13 @@ func ExhaustiveCtx(ctx context.Context, inst *data.Instance, maxSubsets int64) (
 type Options struct {
 	// TimeBudget bounds the wall-clock search time; zero means no limit.
 	TimeBudget time.Duration
-	// NodeLimit bounds the number of explored search nodes; zero means no
-	// limit.
-	NodeLimit int
 }
 
 // Result carries the solution plus search diagnostics.
 type Result struct {
 	Solution *data.Solution
 	Nodes    int  // search-tree nodes explored
-	Optimal  bool // proven optimal (false only possible with limits)
+	Optimal  bool // proven optimal (false only when cut short)
 }
 
 // BranchAndBoundCtx computes the optimal MCFS solution via best-first
@@ -173,14 +170,14 @@ func BranchAndBoundCtx(ctx context.Context, inst *data.Instance, opt Options) (*
 	l := inst.L()
 	k := inst.K
 	if k >= l {
-		sol, err := core.AssignToSelectionCtx(ctx, inst, allIndexes(l), core.Options{})
+		sol, err := core.AssignToSelectionCtx(ctx, inst, allIndexes(l))
 		if err != nil {
 			return nil, timeoutErr(err)
 		}
 		return &Result{Solution: sol, Optimal: true}, nil
 	}
 
-	s := &search{ctx: ctx, inst: inst, k: k, opt: opt, rec: obs.From(ctx)}
+	s := &search{ctx: ctx, inst: inst, k: k, rec: obs.From(ctx)}
 	// Warm start: seed the incumbent with the WMA heuristic, exactly as
 	// MIP solvers accept a starting solution. This sharpens pruning and
 	// guarantees that a timed-out search never reports worse than the
@@ -202,9 +199,6 @@ func BranchAndBoundCtx(ctx context.Context, inst *data.Instance, opt Options) (*
 	for len(s.frontier) > 0 {
 		if err := ctx.Err(); err != nil {
 			return s.finish(timeoutErr(err))
-		}
-		if opt.NodeLimit > 0 && s.nodes >= opt.NodeLimit {
-			return s.finish(fmt.Errorf("solver: node limit %d reached", opt.NodeLimit))
 		}
 		n := s.popBest()
 		if s.incumbent != nil && n.bound >= s.incumbent.Objective {
@@ -236,7 +230,6 @@ type search struct {
 	ctx       context.Context
 	inst      *data.Instance
 	k         int
-	opt       Options
 	frontier  []*node // best-first by bound (simple slice scan: trees stay small)
 	incumbent *data.Solution
 	nodes     int
@@ -280,7 +273,7 @@ func (s *search) evaluate(n *node) error {
 			open = append(open, j)
 		}
 	}
-	relaxed, err := core.AssignToSelectionCtx(s.ctx, s.inst, open, core.Options{})
+	relaxed, err := core.AssignToSelectionCtx(s.ctx, s.inst, open)
 	if err != nil {
 		if errors.Is(err, data.ErrInfeasible) {
 			n.infeasible = true
@@ -374,7 +367,7 @@ func (s *search) dive(n *node, relaxed *data.Solution) {
 		selected = append(selected, j)
 	}
 	sort.Ints(selected)
-	sol, err := core.AssignToSelectionCtx(s.ctx, s.inst, selected, core.Options{})
+	sol, err := core.AssignToSelectionCtx(s.ctx, s.inst, selected)
 	if err != nil {
 		return
 	}
@@ -394,7 +387,7 @@ func (s *search) branch(n *node) error {
 		}
 		if len(inc.included) == s.k {
 			// Fully determined selection: evaluate exactly.
-			sol, err := core.AssignToSelectionCtx(s.ctx, s.inst, append([]int(nil), inc.included...), core.Options{})
+			sol, err := core.AssignToSelectionCtx(s.ctx, s.inst, append([]int(nil), inc.included...))
 			s.nodes++
 			s.rec.Add(obs.BnBNodesExpanded, 1)
 			if err == nil {

@@ -36,7 +36,7 @@ func TestExhaustiveTinyKnownOptimum(t *testing.T) {
 		},
 		K: 2,
 	}
-	sol, err := ExhaustiveCtx(context.Background(), inst, 0)
+	sol, err := ExhaustiveCtx(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestExhaustiveCapacityForcesSplit(t *testing.T) {
 		Facilities: []data.Facility{{Node: 1, Capacity: 1}, {Node: 3, Capacity: 1}},
 		K:          2,
 	}
-	sol, err := ExhaustiveCtx(context.Background(), inst, 0)
+	sol, err := ExhaustiveCtx(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestExhaustiveInfeasible(t *testing.T) {
 		Facilities: []data.Facility{{Node: 0, Capacity: 1}},
 		K:          1,
 	}
-	if _, err := ExhaustiveCtx(context.Background(), inst, 0); !errors.Is(err, data.ErrInfeasible) {
+	if _, err := ExhaustiveCtx(context.Background(), inst); !errors.Is(err, data.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestExhaustiveTooLarge(t *testing.T) {
 	for v := 0; v < 40; v++ {
 		inst.Facilities = append(inst.Facilities, data.Facility{Node: int32(v), Capacity: 1})
 	}
-	if _, err := ExhaustiveCtx(context.Background(), inst, 1000); !errors.Is(err, ErrTooLarge) {
+	if _, err := ExhaustiveCtx(context.Background(), inst); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestExhaustiveEmptyCustomers(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	g, _ := b.Build()
 	inst := &data.Instance{G: g, Facilities: []data.Facility{{Node: 0, Capacity: 1}}, K: 1}
-	sol, err := ExhaustiveCtx(context.Background(), inst, 0)
+	sol, err := ExhaustiveCtx(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
 		inst := testutil.RandomInstance(rng, smallParams())
-		want, err := ExhaustiveCtx(context.Background(), inst, 0)
+		want, err := ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
@@ -147,7 +147,7 @@ func TestBranchAndBoundMultiComponent(t *testing.T) {
 	p.MinNodes = 10
 	for trial := 0; trial < 20; trial++ {
 		inst := testutil.RandomInstance(rng, p)
-		want, err := ExhaustiveCtx(context.Background(), inst, 0)
+		want, err := ExhaustiveCtx(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
@@ -211,32 +211,6 @@ func TestBranchAndBoundTimeout(t *testing.T) {
 	}
 }
 
-func TestBranchAndBoundNodeLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	p := smallParams()
-	p.MaxFacilities = 8
-	p.MaxCustomers = 8
-	var limited bool
-	for trial := 0; trial < 10 && !limited; trial++ {
-		inst := testutil.RandomInstance(rng, p)
-		res, err := BranchAndBoundCtx(context.Background(), inst, Options{NodeLimit: 2})
-		if err != nil {
-			if res == nil {
-				continue // no incumbent found before the limit — also fine
-			}
-			if res.Optimal {
-				t.Fatal("limited result claims optimality")
-			}
-			limited = true
-			if res.Solution != nil {
-				if _, cerr := inst.CheckSolution(res.Solution); cerr != nil {
-					t.Fatalf("best-so-far invalid: %v", cerr)
-				}
-			}
-		}
-	}
-}
-
 // TestFeasiblePredicateMatchesExhaustive: the Feasible() pre-check must
 // agree exactly with whether an optimal solution exists, across random
 // instances including deliberately under-provisioned ones.
@@ -256,7 +230,7 @@ func TestFeasiblePredicateMatchesExhaustive(t *testing.T) {
 			inst.K = 0
 		}
 		feasible, _ := inst.Feasible()
-		_, err := ExhaustiveCtx(context.Background(), inst, 0)
+		_, err := ExhaustiveCtx(context.Background(), inst)
 		solvable := err == nil
 		if errors.Is(err, ErrTooLarge) {
 			continue

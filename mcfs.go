@@ -118,10 +118,8 @@ func NewGraphBuilder(n int, directed bool) *GraphBuilder {
 type Option func(*options)
 
 type options struct {
-	core core.Options
-	// exact-solver knobs
+	progress   func(IterationStats)
 	timeBudget time.Duration
-	nodeLimit  int
 	seed       int64
 	// err accumulates option-validation failures; buildOptions surfaces
 	// it so a bad knob fails the solve instead of being silently ignored.
@@ -132,36 +130,11 @@ type options struct {
 // loop (the paper's Fig. 12b statistics: covered customers, matching
 // time, set-cover time). Applies to Solve and SolveUniformFirst (which
 // run WMA directly). It has no effect on SolveHilbert, SolveBRNN,
-// SolveNaive, SolveExact, SolveExhaustive, AssignToSelection, Improve,
-// or NewReallocator — none of those run the instrumented loop (the exact
-// solver's WMA warm start is deliberately silent).
+// SolveNaive, SolveExact, AssignToSelection or Improve — none of those
+// run the instrumented loop (the exact solver's WMA warm start is
+// deliberately silent).
 func WithProgress(fn func(IterationStats)) Option {
-	return func(o *options) { o.core.Progress = fn }
-}
-
-// WithRaiseAllDemands switches WMA to raising every customer's demand
-// each iteration instead of only uncovered ones (an ablation of the
-// paper's §IV-F policy). Applies to Solve, SolveUniformFirst and the
-// WMA re-selections inside NewReallocator; other solvers ignore it.
-func WithRaiseAllDemands() Option {
-	return func(o *options) { o.core.Demand = core.DemandAll }
-}
-
-// WithArbitraryTieBreak disables the least-recently-used diversification
-// in the set-cover heuristic (ablation). Applies to Solve,
-// SolveUniformFirst, SolveNaive and NewReallocator — the solvers that
-// run CheckCover; other solvers ignore it.
-func WithArbitraryTieBreak() Option {
-	return func(o *options) { o.core.TieBreak = core.TieArbitrary }
-}
-
-// WithExhaustiveMatching disables the matcher's early-stop optimization;
-// results are identical, only more of the residual graph is scanned
-// (ablation/diagnostics). Applies to every solver that runs the optimal
-// bipartite matching: all except SolveNaive (whose point is to replace
-// that matching with a greedy one).
-func WithExhaustiveMatching() Option {
-	return func(o *options) { o.core.Exhaustive = true }
+	return func(o *options) { o.progress = fn }
 }
 
 // WithTimeBudget bounds a solve's wall-clock time. On SolveExact the
@@ -183,23 +156,6 @@ func WithTimeBudget(d time.Duration) Option {
 			return
 		}
 		o.timeBudget = d
-	}
-}
-
-// WithNodeLimit bounds the exact solver's search-tree size. Applies to
-// SolveExact only; other solvers have no notion of search nodes and
-// ignore it.
-//
-// The limit must be positive: a zero or negative limit is rejected at
-// solve time with a descriptive error rather than silently meaning
-// "unbounded" — callers that want no bound simply omit the option.
-func WithNodeLimit(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			o.err = errors.Join(o.err, fmt.Errorf("mcfs: WithNodeLimit(%d): limit must be positive (omit the option for an unbounded search)", n))
-			return
-		}
-		o.nodeLimit = n
 	}
 }
 
@@ -312,7 +268,7 @@ func SolveNaiveCtx(ctx context.Context, inst *Instance, opts ...Option) (*Soluti
 
 // ExactResult reports an exact solve: the solution, the number of
 // explored branch-and-bound nodes, and whether optimality was proven
-// (false only when a time or node budget cut the search short).
+// (false only when the time budget or the context cut the search short).
 type ExactResult struct {
 	Solution *Solution
 	Nodes    int
@@ -327,8 +283,7 @@ var ErrTimeout = solver.ErrTimeout
 // SolveExact computes the optimal solution by branch and bound — this
 // repository's stand-in for the paper's Gurobi runs. Like the paper's
 // MIP solves it is exact but intractable beyond small instances; bound
-// it with WithTimeBudget/WithNodeLimit to reproduce the "solver fails"
-// regime.
+// it with WithTimeBudget to reproduce the "solver fails" regime.
 func SolveExact(inst *Instance, opts ...Option) (*ExactResult, error) {
 	return SolveExactCtx(context.Background(), inst, opts...)
 }
@@ -345,10 +300,7 @@ func SolveExactCtx(ctx context.Context, inst *Instance, opts ...Option) (*ExactR
 	if err != nil {
 		return nil, err
 	}
-	res, err := solver.BranchAndBoundCtx(orBackground(ctx), inst, solver.Options{
-		TimeBudget: o.timeBudget,
-		NodeLimit:  o.nodeLimit,
-	})
+	res, err := solver.BranchAndBoundCtx(orBackground(ctx), inst, solver.Options{TimeBudget: o.timeBudget})
 	if res == nil {
 		return nil, err
 	}
@@ -356,17 +308,17 @@ func SolveExactCtx(ctx context.Context, inst *Instance, opts ...Option) (*ExactR
 }
 
 // SolveExhaustive enumerates every k-subset of facilities (feasible only
-// for tiny instances; maxSubsets <= 0 means the default 1e6 cap). Used
-// as the ground-truth yardstick in tests and sanity runs.
-func SolveExhaustive(inst *Instance, maxSubsets int64) (*Solution, error) {
-	return SolveExhaustiveCtx(context.Background(), inst, maxSubsets)
+// for tiny instances: more than 10^6 subsets is ErrTooLarge). Used as
+// the ground-truth yardstick in tests and sanity runs.
+func SolveExhaustive(inst *Instance) (*Solution, error) {
+	return SolveExhaustiveCtx(context.Background(), inst)
 }
 
 // SolveExhaustiveCtx is SolveExhaustive with cooperative cancellation,
 // checked between subsets. Like SolveExactCtx it returns the best
 // solution found before the cut (nil when none) alongside ctx.Err().
-func SolveExhaustiveCtx(ctx context.Context, inst *Instance, maxSubsets int64) (*Solution, error) {
-	return solver.ExhaustiveCtx(orBackground(ctx), inst, maxSubsets)
+func SolveExhaustiveCtx(ctx context.Context, inst *Instance) (*Solution, error) {
+	return solver.ExhaustiveCtx(orBackground(ctx), inst)
 }
 
 // AssignToSelection computes the optimal assignment of all customers to
@@ -395,7 +347,7 @@ func AssignToSelectionCtx(ctx context.Context, inst *Instance, selected []int, o
 	}
 	ctx, cancel := o.deadlineCtx(ctx)
 	defer cancel()
-	return core.AssignToSelectionCtx(ctx, inst, selected, o.core)
+	return core.AssignToSelectionCtx(ctx, inst, selected)
 }
 
 // --- generators -----------------------------------------------------------
@@ -491,8 +443,14 @@ func NewBikesScenario(g *Graph, cfg BikesConfig) (*BikesScenario, error) {
 
 // --- instance serialization -----------------------------------------------
 
-// WriteInstance serializes an instance in the module's text format.
-func WriteInstance(w io.Writer, inst *Instance) error { return data.WriteInstance(w, inst) }
+// WriteInstance serializes an instance in the module's text format. It
+// rejects a malformed instance (see Instance.Validate).
+func WriteInstance(w io.Writer, inst *Instance) error {
+	if err := inst.Validate(); err != nil {
+		return err
+	}
+	return data.WriteInstance(w, inst)
+}
 
 // ReadInstance parses the text format. Counts must lie in [0, 2^31-1],
 // and a graph of more than 2^16 nodes needs an edge per 16 nodes, so a
@@ -536,9 +494,10 @@ type ReallocatorStats = dynamic.Stats
 // Reallocator tracking it. driftFactor (>1) bounds the tolerated cost
 // drift before a full re-selection; 0 picks the default 1.5, negative
 // disables drift-triggered re-solves, and a value in (0, 1] is an
-// error.
-func NewReallocator(inst *Instance, driftFactor float64, opts ...Option) (*Reallocator, error) {
-	return NewReallocatorCtx(context.Background(), inst, driftFactor, opts...)
+// error. It takes no options: its WMA solves run the paper's
+// configuration, silently.
+func NewReallocator(inst *Instance, driftFactor float64) (*Reallocator, error) {
+	return NewReallocatorCtx(context.Background(), inst, driftFactor)
 }
 
 // NewReallocatorCtx is NewReallocator with cooperative cancellation. The
@@ -549,12 +508,8 @@ func NewReallocator(inst *Instance, driftFactor float64, opts ...Option) (*Reall
 // Reallocator stays usable and its reads (Objective, Publish, Snapshot)
 // succeed under any context: none of them rebuilds. A departure is
 // never cancelled: its repair does not poll the context.
-func NewReallocatorCtx(ctx context.Context, inst *Instance, driftFactor float64, opts ...Option) (*Reallocator, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return dynamic.NewCtx(orBackground(ctx), inst, dynamic.Options{Core: o.core, DriftFactor: driftFactor})
+func NewReallocatorCtx(ctx context.Context, inst *Instance, driftFactor float64) (*Reallocator, error) {
+	return dynamic.NewCtx(orBackground(ctx), inst, dynamic.Options{DriftFactor: driftFactor})
 }
 
 // ReallocatorSnapshot is a restartable JSON capture of a Reallocator's
@@ -584,33 +539,35 @@ func ReadReallocatorSnapshot(r io.Reader) (*ReallocatorSnapshot, error) {
 
 // RestoreReallocator reconstructs a Reallocator from a snapshot taken
 // against an identical instance; see NewReallocator for driftFactor.
-func RestoreReallocator(inst *Instance, s *ReallocatorSnapshot, driftFactor float64, opts ...Option) (*Reallocator, error) {
-	return RestoreReallocatorCtx(context.Background(), inst, s, driftFactor, opts...)
+func RestoreReallocator(inst *Instance, s *ReallocatorSnapshot, driftFactor float64) (*Reallocator, error) {
+	return RestoreReallocatorCtx(context.Background(), inst, s, driftFactor)
 }
 
 // RestoreReallocatorCtx is RestoreReallocator with cooperative
-// cancellation; the context is retained as in NewReallocatorCtx.
-func RestoreReallocatorCtx(ctx context.Context, inst *Instance, s *ReallocatorSnapshot, driftFactor float64, opts ...Option) (*Reallocator, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
+// cancellation; the context is retained as in NewReallocatorCtx. It
+// rejects a malformed instance (see Instance.Validate) and a nil
+// snapshot.
+func RestoreReallocatorCtx(ctx context.Context, inst *Instance, s *ReallocatorSnapshot, driftFactor float64) (*Reallocator, error) {
+	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	return dynamic.RestoreCtx(orBackground(ctx), inst, s, dynamic.Options{Core: o.core, DriftFactor: driftFactor})
+	if s == nil {
+		return nil, errors.New("mcfs: nil snapshot")
+	}
+	return dynamic.RestoreCtx(orBackground(ctx), inst, s, dynamic.Options{DriftFactor: driftFactor})
 }
 
 // --- rendering --------------------------------------------------------------
 
-// RenderStyle controls RenderSVG output.
-type RenderStyle = render.Style
-
-// DefaultRenderStyle returns the standard rendering style.
-func DefaultRenderStyle() RenderStyle { return render.Default() }
-
 // RenderSVG draws the instance — and, when sol is non-nil, its solution —
-// as a standalone SVG document (network grey, customers red, candidate
-// facilities blue, selected facilities solid, assignments linked).
-func RenderSVG(w io.Writer, inst *Instance, sol *Solution, style RenderStyle) error {
-	return render.SVG(w, inst, sol, style)
+// as a standalone SVG document, 900 px wide (network grey, customers
+// red, candidate facilities blue, selected facilities solid, assignments
+// linked). It rejects a malformed instance (see Instance.Validate).
+func RenderSVG(w io.Writer, inst *Instance, sol *Solution) error {
+	if err := inst.Validate(); err != nil {
+		return err
+	}
+	return render.SVG(w, inst, sol)
 }
 
 // --- local-search polish -----------------------------------------------------
@@ -620,11 +577,10 @@ type ImproveStats = localsearch.Stats
 
 // Improve post-optimizes a solution with single-swap local search
 // (exchange one open facility for a nearby unselected candidate,
-// rebuilding the optimal assignment; first-improvement, bounded moves).
-// maxMoves 0 picks the default budget of 2·k. The returned solution is
-// never worse than the input.
-func Improve(inst *Instance, sol *Solution, maxMoves int, opts ...Option) (*Solution, ImproveStats, error) {
-	return ImproveCtx(context.Background(), inst, sol, maxMoves, opts...)
+// rebuilding the optimal assignment; first-improvement, at most 2·k
+// accepted swaps). The returned solution is never worse than the input.
+func Improve(inst *Instance, sol *Solution, opts ...Option) (*Solution, ImproveStats, error) {
+	return ImproveCtx(context.Background(), inst, sol, opts...)
 }
 
 // ImproveCtx is Improve with cooperative cancellation, checked before
@@ -633,14 +589,14 @@ func Improve(inst *Instance, sol *Solution, maxMoves int, opts ...Option) (*Solu
 // cancelled run returns that incumbent alongside ctx.Err() — the polish
 // achieved up to the cut is kept. WithTimeBudget adds a deadline to
 // ctx, turning the search into an anytime polish pass.
-func ImproveCtx(ctx context.Context, inst *Instance, sol *Solution, maxMoves int, opts ...Option) (*Solution, ImproveStats, error) {
+func ImproveCtx(ctx context.Context, inst *Instance, sol *Solution, opts ...Option) (*Solution, ImproveStats, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, ImproveStats{}, err
 	}
 	ctx, cancel := o.deadlineCtx(ctx)
 	defer cancel()
-	return localsearch.ImproveCtx(ctx, inst, sol, localsearch.Options{MaxMoves: maxMoves, Core: o.core})
+	return localsearch.ImproveCtx(ctx, inst, sol, localsearch.Options{})
 }
 
 // --- DIMACS road-network interchange ----------------------------------------
@@ -661,7 +617,11 @@ func WriteDIMACSGraph(grW io.Writer, coW io.Writer, g *Graph) error {
 
 // WriteGeoJSON exports an instance and optional solution as a GeoJSON
 // FeatureCollection (customers and facilities as Points with properties,
-// assignments as LineStrings) for use in standard mapping tools.
+// assignments as LineStrings) for use in standard mapping tools. It
+// rejects a malformed instance (see Instance.Validate).
 func WriteGeoJSON(w io.Writer, inst *Instance, sol *Solution) error {
+	if err := inst.Validate(); err != nil {
+		return err
+	}
 	return render.GeoJSON(w, inst, sol)
 }

@@ -111,7 +111,7 @@ func TestPublicAPICtxPreCancelled(t *testing.T) {
 		}},
 		{"SolveExactCtx", func() error { _, err := mcfs.SolveExactCtx(ctx, inst); return err }},
 		{"ImproveCtx", func() error {
-			sol, _, err := mcfs.ImproveCtx(ctx, inst, base, 0)
+			sol, _, err := mcfs.ImproveCtx(ctx, inst, base)
 			// Local search holds its input as incumbent; a cancelled run
 			// keeps it rather than dropping to nil.
 			if err != nil && sol == nil {
@@ -131,10 +131,10 @@ func TestPublicAPICtxPreCancelled(t *testing.T) {
 func TestPublicAPICtxPreCancelledExhaustive(t *testing.T) {
 	inst := tinyInstance(t)
 	// Sanity: the instance really is exhaustible when uncancelled.
-	if _, err := mcfs.SolveExhaustive(inst, 0); err != nil {
+	if _, err := mcfs.SolveExhaustive(inst); err != nil {
 		t.Fatalf("uncancelled exhaustive: %v", err)
 	}
-	if _, err := mcfs.SolveExhaustiveCtx(cancelledCtx(), inst, 0); !errors.Is(err, context.Canceled) {
+	if _, err := mcfs.SolveExhaustiveCtx(cancelledCtx(), inst); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -303,7 +303,7 @@ func TestPublicAPIImproveCtxKeepsIncumbent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := mcfs.ImproveCtx(context.Background(), inst, base, 0, mcfs.WithTimeBudget(time.Nanosecond))
+	sol, _, err := mcfs.ImproveCtx(context.Background(), inst, base, mcfs.WithTimeBudget(time.Nanosecond))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -399,7 +399,7 @@ func TestPublicAPINilCtx(t *testing.T) {
 		keep("SolveHilbertCtx")(mcfs.SolveHilbertCtx(ctx, inst))
 		keep("SolveBRNNCtx")(mcfs.SolveBRNNCtx(ctx, inst))
 		keep("SolveNaiveCtx")(mcfs.SolveNaiveCtx(ctx, inst, mcfs.WithSeed(3)))
-		keep("SolveExhaustiveCtx")(mcfs.SolveExhaustiveCtx(ctx, inst, 0))
+		keep("SolveExhaustiveCtx")(mcfs.SolveExhaustiveCtx(ctx, inst))
 		keep("AssignToSelectionCtx")(mcfs.AssignToSelectionCtx(ctx, inst, base.Selected))
 		keep("NewReallocatorCtx")(settled(mcfs.NewReallocatorCtx(ctx, inst, 0)))
 		keep("RestoreReallocatorCtx")(settled(mcfs.RestoreReallocatorCtx(ctx, inst, snap, 0)))
@@ -408,7 +408,7 @@ func TestPublicAPINilCtx(t *testing.T) {
 			t.Fatalf("SolveExactCtx: %v", err)
 		}
 		keep("SolveExactCtx")(exact.Solution, nil)
-		improved, _, err := mcfs.ImproveCtx(ctx, inst, base, 0)
+		improved, _, err := mcfs.ImproveCtx(ctx, inst, base)
 		keep("ImproveCtx")(improved, err)
 		r, err := mcfs.NewReallocator(inst, 0)
 		if err == nil {

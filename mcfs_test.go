@@ -2,8 +2,10 @@ package mcfs_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +107,7 @@ func TestPublicAPIExactAndOrdering(t *testing.T) {
 	if !exact.Optimal {
 		t.Fatal("unbounded exact solve not optimal")
 	}
-	exh, err := mcfs.SolveExhaustive(inst, 0)
+	exh, err := mcfs.SolveExhaustive(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,22 +137,36 @@ func TestPublicAPIExactTimeout(t *testing.T) {
 	}
 }
 
+// TestPublicAPIProgressAndOptions pins what the options reach across
+// the registry (the option × solver table of DESIGN.md §9): WithProgress
+// fires on the WMA main loop, so for wma and uf only, and WithSeed
+// changes naive's output and no other algorithm's.
 func TestPublicAPIProgressAndOptions(t *testing.T) {
-	inst := buildInstance(t, 9)
-	calls := 0
-	_, err := mcfs.Solve(inst,
-		mcfs.WithProgress(func(mcfs.IterationStats) { calls++ }),
-		mcfs.WithExhaustiveMatching(),
-		mcfs.WithArbitraryTieBreak(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("progress callback not invoked")
-	}
-	if _, err := mcfs.Solve(inst, mcfs.WithRaiseAllDemands()); err != nil {
-		t.Fatal(err)
+	// Occupancy 0.8 (16 customers, k = 5 of 7 candidates of capacity 4),
+	// where Naive's random customer order shows in its solution.
+	inst := tinyInstance(t)
+	rng := rand.New(rand.NewSource(12))
+	pool := mcfs.LargestComponent(inst.G)
+	inst.Customers = mcfs.SampleCustomersFrom(pool, 16, rng)
+	inst.Facilities = mcfs.SampleFacilitiesFrom(pool, 7, rng, mcfs.UniformCapacity(4))
+	for _, a := range mcfs.Algorithms() {
+		calls := 0
+		progress := mcfs.WithProgress(func(mcfs.IterationStats) { calls++ })
+		one, _, err := a.Solve(context.Background(), inst, progress, mcfs.WithSeed(1))
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		two, _, err := a.Solve(context.Background(), inst, mcfs.WithSeed(2))
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		if fires := a == mcfs.AlgorithmWMA || a == mcfs.AlgorithmUniformFirst; (calls > 0) != fires {
+			t.Errorf("%s: WithProgress fired %d times, want it to fire: %v", a, calls, fires)
+		}
+		same := reflect.DeepEqual(one.Selected, two.Selected) && reflect.DeepEqual(one.Assignment, two.Assignment)
+		if seeded := a == mcfs.AlgorithmNaive; same == seeded {
+			t.Errorf("%s: seeds 1 and 2 give one solution: %v, want: %v", a, same, !seeded)
+		}
 	}
 }
 
@@ -310,6 +326,75 @@ func TestPublicAPIAssignToSelectionRejectsMalformedInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPublicAPINilInstance: every exported function that takes an
+// *Instance returns an error for a nil one rather than panicking, and
+// RestoreReallocator rejects a nil snapshot the same way.
+func TestPublicAPINilInstance(t *testing.T) {
+	inst := tinyInstance(t)
+	r, err := mcfs.NewReallocator(inst, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sol := &mcfs.Solution{Selected: []int{0}, Assignment: []int{}}
+	solved := func(_ *mcfs.Solution, err error) error { return err }
+	entries := map[string]func(*mcfs.Instance) error{
+		"Solve":                 func(in *mcfs.Instance) error { return solved(mcfs.Solve(in)) },
+		"SolveCtx":              func(in *mcfs.Instance) error { return solved(mcfs.SolveCtx(ctx, in)) },
+		"SolveUniformFirst":     func(in *mcfs.Instance) error { return solved(mcfs.SolveUniformFirst(in)) },
+		"SolveUniformFirstCtx":  func(in *mcfs.Instance) error { return solved(mcfs.SolveUniformFirstCtx(ctx, in)) },
+		"SolveHilbert":          func(in *mcfs.Instance) error { return solved(mcfs.SolveHilbert(in)) },
+		"SolveHilbertCtx":       func(in *mcfs.Instance) error { return solved(mcfs.SolveHilbertCtx(ctx, in)) },
+		"SolveBRNN":             func(in *mcfs.Instance) error { return solved(mcfs.SolveBRNN(in)) },
+		"SolveBRNNCtx":          func(in *mcfs.Instance) error { return solved(mcfs.SolveBRNNCtx(ctx, in)) },
+		"SolveNaive":            func(in *mcfs.Instance) error { return solved(mcfs.SolveNaive(in)) },
+		"SolveNaiveCtx":         func(in *mcfs.Instance) error { return solved(mcfs.SolveNaiveCtx(ctx, in)) },
+		"SolveExact":            func(in *mcfs.Instance) error { _, err := mcfs.SolveExact(in); return err },
+		"SolveExactCtx":         func(in *mcfs.Instance) error { _, err := mcfs.SolveExactCtx(ctx, in); return err },
+		"SolveExhaustive":       func(in *mcfs.Instance) error { return solved(mcfs.SolveExhaustive(in)) },
+		"SolveExhaustiveCtx":    func(in *mcfs.Instance) error { return solved(mcfs.SolveExhaustiveCtx(ctx, in)) },
+		"AssignToSelection":     func(in *mcfs.Instance) error { return solved(mcfs.AssignToSelection(in, []int{0})) },
+		"AssignToSelectionCtx":  func(in *mcfs.Instance) error { return solved(mcfs.AssignToSelectionCtx(ctx, in, []int{0})) },
+		"Improve":               func(in *mcfs.Instance) error { _, _, err := mcfs.Improve(in, sol); return err },
+		"ImproveCtx":            func(in *mcfs.Instance) error { _, _, err := mcfs.ImproveCtx(ctx, in, sol); return err },
+		"NewReallocator":        func(in *mcfs.Instance) error { _, err := mcfs.NewReallocator(in, 0); return err },
+		"NewReallocatorCtx":     func(in *mcfs.Instance) error { _, err := mcfs.NewReallocatorCtx(ctx, in, 0); return err },
+		"RestoreReallocator":    func(in *mcfs.Instance) error { _, err := mcfs.RestoreReallocator(in, snap, 0); return err },
+		"RestoreReallocatorCtx": func(in *mcfs.Instance) error { _, err := mcfs.RestoreReallocatorCtx(ctx, in, snap, 0); return err },
+		"WriteInstance":         func(in *mcfs.Instance) error { return mcfs.WriteInstance(&bytes.Buffer{}, in) },
+		"RenderSVG":             func(in *mcfs.Instance) error { return mcfs.RenderSVG(&bytes.Buffer{}, in, nil) },
+		"WriteGeoJSON":          func(in *mcfs.Instance) error { return mcfs.WriteGeoJSON(&bytes.Buffer{}, in, nil) },
+	}
+	for _, a := range mcfs.Algorithms() {
+		entries["Algorithm.Solve/"+a.String()] = func(in *mcfs.Instance) error {
+			_, _, err := a.Solve(ctx, in)
+			return err
+		}
+	}
+	check := func(name string, call func() error, want string) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s panicked: %v", name, p)
+			}
+		}()
+		if err := call(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want an error naming %q", name, err, want)
+		}
+	}
+	for name, call := range entries {
+		check(name+"(nil)", func() error { return call(nil) }, "nil instance")
+	}
+	check("RestoreReallocator(inst, nil)", func() error {
+		_, err := mcfs.RestoreReallocator(inst, nil, 0)
+		return err
+	}, "nil snapshot")
 }
 
 func TestPublicAPIQualityOrdering(t *testing.T) {

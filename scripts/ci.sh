@@ -67,6 +67,30 @@ if awk -v t="$total" -v b="$baseline" 'BEGIN { exit !(t < b) }'; then
 	exit 1
 fi
 
+# Experiment outputs: every experiment at scale 0.05, without exact rows
+# (their timeouts depend on load) or timings, must match the committed
+# CSV byte for byte, which pins every row's objective, note and work
+# counters. A deliberate trajectory or counter change re-records
+# results/experiments_scale005.csv in the same commit, as it does the
+# quick perf baseline below.
+benchbin=$(mktemp -t mcfsbench_XXXXXX)
+expcsv=$(mktemp -t experiments_XXXXXX.csv)
+explog=$(mktemp -t experiments_log_XXXXXX)
+go build -o "$benchbin" ./cmd/mcfsbench
+if ! "$benchbin" -exp all -noexact -notimes -scale 0.05 -csv "$expcsv" >/dev/null 2>"$explog"; then
+	cat "$explog" >&2
+	rm -f "$benchbin" "$expcsv" "$explog"
+	exit 1
+fi
+if ! cmp -s results/experiments_scale005.csv "$expcsv"; then
+	diff results/experiments_scale005.csv "$expcsv" | head -n 20 >&2
+	echo "experiments: output differs from results/experiments_scale005.csv (a deliberate trajectory or counter change re-records it in the same commit)" >&2
+	rm -f "$benchbin" "$expcsv" "$explog"
+	exit 1
+fi
+rm -f "$benchbin" "$expcsv" "$explog"
+echo "experiments: scale-0.05 CSV matches results/experiments_scale005.csv"
+
 # Bounded fuzz smoke: each fuzz target gets a few seconds of actual
 # fuzzing (not just the seed corpus) so a regression that only random
 # inputs can reach still trips CI. Findings are written to the package's
