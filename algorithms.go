@@ -7,37 +7,41 @@ import (
 
 	"mcfs/internal/baseline"
 	"mcfs/internal/core"
+	"mcfs/internal/solver"
 )
 
-// Algorithm names one of the package's solvers in the public registry.
-// The registry gives commands and experiment harnesses a single dispatch
-// point — parse a name with ParseAlgorithm, enumerate the catalogue with
-// Algorithms, and run any entry uniformly through Algorithm.Solve —
-// instead of each maintaining its own per-algorithm switch.
+// Algorithm names one of the package's solvers in the public registry,
+// the one way to choose a solver: parse a name with ParseAlgorithm,
+// enumerate the catalogue with Algorithms, and run any entry through
+// Algorithm.Solve. Solve and SolveExact remain as named entry points for
+// the paper's algorithm and for the exact solver's full result.
 type Algorithm string
 
 // The registered algorithms, in catalogue order.
 const (
-	// AlgorithmWMA is the Wide Matching Algorithm (Solve), the paper's
-	// primary contribution.
+	// AlgorithmWMA is the Wide Matching Algorithm, the paper's primary
+	// contribution; Solve runs it too.
 	AlgorithmWMA Algorithm = "wma"
 	// AlgorithmUniformFirst is WMA under the Uniform-First strategy for
-	// nonuniform capacities (SolveUniformFirst).
+	// nonuniform capacities (§VII-F): facility locations are first
+	// chosen as if all capacities equaled the average, then the
+	// assignment is rebuilt under the true capacities.
 	AlgorithmUniformFirst Algorithm = "uf"
 	// AlgorithmHilbert is the Hilbert space-filling-curve bucketing
-	// baseline (SolveHilbert); it requires node coordinates.
+	// baseline; it requires node coordinates.
 	AlgorithmHilbert Algorithm = "hilbert"
-	// AlgorithmBRNN is the bichromatic-reverse-nearest-neighbor placement
-	// baseline (SolveBRNN).
+	// AlgorithmBRNN is the iterative bichromatic-reverse-nearest-neighbor
+	// (MaxSum) placement baseline.
 	AlgorithmBRNN Algorithm = "brnn"
-	// AlgorithmNaive is WMA Naïve, the greedy no-rewiring ablation
-	// (SolveNaive); seed it with WithSeed.
+	// AlgorithmNaive is WMA Naïve, the WMA loop with greedy, no-rewiring
+	// assignment; seed it with WithSeed.
 	AlgorithmNaive Algorithm = "naive"
 	// AlgorithmExact is the branch-and-bound exact solver (SolveExact);
 	// bound it with WithTimeBudget.
 	AlgorithmExact Algorithm = "exact"
-	// AlgorithmExhaustive enumerates every k-subset (SolveExhaustive);
-	// tiny instances only.
+	// AlgorithmExhaustive enumerates every k-subset of facilities, for
+	// tiny instances only: more than 10^6 subsets is ErrTooLarge. It is
+	// the ground-truth yardstick in tests and sanity runs.
 	AlgorithmExhaustive Algorithm = "exhaustive"
 )
 
@@ -48,14 +52,14 @@ type algorithmEntry struct {
 	run func(ctx context.Context, inst *Instance, opts ...Option) (*Solution, string, error)
 }
 
-// heuristic adapts an internal heuristic solver to the uniform registry
-// shape: options are built (and validated) once, the WithTimeBudget
-// deadline is layered onto the caller's context, and the note is empty.
-// Together with the exact/exhaustive entries below this makes the table
-// the only place that binds public algorithm names to internal
-// implementations — the root Solve*Ctx wrappers all route through
-// Algorithm.Solve (enforced by mcfslint's api-parity rule).
-func heuristic(run func(ctx context.Context, inst *Instance, o options) (*Solution, error)) algorithmEntry {
+// withDeadline adapts an internal solver to the registry's shape: the
+// options are built (and validated) once, the WithTimeBudget deadline is
+// layered onto the caller's context, and the note is empty. Every entry
+// but exact, whose budget is the search's own deadline, is built with
+// it. Together with the exact entry this makes the table the only place
+// that binds public algorithm names to internal implementations
+// (enforced by mcfslint's api-parity rule).
+func withDeadline(run func(ctx context.Context, inst *Instance, o options) (*Solution, error)) algorithmEntry {
 	return algorithmEntry{run: func(ctx context.Context, inst *Instance, opts ...Option) (*Solution, string, error) {
 		o, err := buildOptions(opts)
 		if err != nil {
@@ -70,19 +74,19 @@ func heuristic(run func(ctx context.Context, inst *Instance, o options) (*Soluti
 
 // algorithmTable is the single dispatch table behind Algorithm.Solve.
 var algorithmTable = map[Algorithm]algorithmEntry{
-	AlgorithmWMA: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
+	AlgorithmWMA: withDeadline(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
 		return core.SolveCtx(ctx, inst, core.Options{Progress: o.progress})
 	}),
-	AlgorithmUniformFirst: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
+	AlgorithmUniformFirst: withDeadline(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
 		return core.SolveUniformFirstCtx(ctx, inst, core.Options{Progress: o.progress})
 	}),
-	AlgorithmHilbert: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
+	AlgorithmHilbert: withDeadline(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
 		return baseline.HilbertCtx(ctx, inst)
 	}),
-	AlgorithmBRNN: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
+	AlgorithmBRNN: withDeadline(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
 		return baseline.BRNNCtx(ctx, inst)
 	}),
-	AlgorithmNaive: heuristic(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
+	AlgorithmNaive: withDeadline(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
 		return baseline.NaiveCtx(ctx, inst, o.seed)
 	}),
 	AlgorithmExact: {run: func(ctx context.Context, inst *Instance, opts ...Option) (*Solution, string, error) {
@@ -102,10 +106,9 @@ var algorithmTable = map[Algorithm]algorithmEntry{
 		}
 		return res.Solution, fmt.Sprintf("proven optimal, %d nodes", res.Nodes), nil
 	}},
-	AlgorithmExhaustive: {run: func(ctx context.Context, inst *Instance, opts ...Option) (*Solution, string, error) {
-		sol, err := SolveExhaustiveCtx(ctx, inst)
-		return sol, "", err
-	}},
+	AlgorithmExhaustive: withDeadline(func(ctx context.Context, inst *Instance, o options) (*Solution, error) {
+		return solver.ExhaustiveCtx(ctx, inst)
+	}),
 }
 
 // algorithmOrder fixes the catalogue order returned by Algorithms.
@@ -144,14 +147,15 @@ func (a Algorithm) Valid() bool {
 // String returns the registry name.
 func (a Algorithm) String() string { return string(a) }
 
-// Solve dispatches to the named solver with uniform context, option, and
-// result handling. The note string qualifies the run ("" for plain
-// heuristic solves; "proven optimal, N nodes" or "timeout (best
-// incumbent)" for the exact solver — a timed-out exact run reports its
-// incumbent as a success with that note, mirroring how MIP solvers are
-// used in practice). Cancellation follows the per-solver Ctx contracts:
-// the error is ctx.Err() and the Solution is non-nil only for solvers
-// that hold incumbents (exact, exhaustive).
+// Solve runs the named solver with uniform context, option, and result
+// handling; a nil ctx means context.Background(). The note string
+// qualifies the run ("" for every solver but exact; "proven optimal, N
+// nodes" or "timeout (best incumbent)" for the exact solver — a
+// timed-out exact run reports its incumbent as a success with that
+// note, mirroring how MIP solvers are used in practice). When ctx fires
+// mid-solve the error is ctx.Err(), and the Solution is non-nil only
+// for the solvers that hold incumbents (exact, exhaustive): the best
+// found before the cut. An uncancelled run is deterministic.
 func (a Algorithm) Solve(ctx context.Context, inst *Instance, opts ...Option) (*Solution, string, error) {
 	e, ok := algorithmTable[a]
 	if !ok {

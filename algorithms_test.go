@@ -88,8 +88,11 @@ func TestOptionValidation(t *testing.T) {
 		{"negative budget", []mcfs.Option{mcfs.WithTimeBudget(-time.Second)}, "WithTimeBudget"},
 	}
 	for _, tc := range cases {
-		if _, err := mcfs.Solve(inst, tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s via Solve: err = %v, want mention of %s", tc.name, err, tc.want)
+		for _, a := range mcfs.Algorithms() {
+			sol, _, err := a.Solve(context.Background(), inst, tc.opts...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || sol != nil {
+				t.Fatalf("%s via %s: sol = %v, err = %v, want no solution and a mention of %s", tc.name, a, sol, err, tc.want)
+			}
 		}
 		if _, err := mcfs.SolveExact(inst, tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s via SolveExact: err = %v, want mention of %s", tc.name, err, tc.want)
@@ -108,16 +111,12 @@ func TestOptionValidation(t *testing.T) {
 
 func TestErrTooLargeSentinel(t *testing.T) {
 	inst := buildInstance(t, 43) // C(120,12) subsets — far over any cap
-	sol, err := mcfs.SolveExhaustive(inst)
+	sol, _, err := mcfs.AlgorithmExhaustive.Solve(context.Background(), inst)
 	if !errors.Is(err, mcfs.ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	if sol != nil {
 		t.Fatal("oversize enumeration returned a solution")
-	}
-	// And through the registry entry.
-	if _, _, err := mcfs.AlgorithmExhaustive.Solve(context.Background(), inst); !errors.Is(err, mcfs.ErrTooLarge) {
-		t.Fatalf("registry err = %v, want ErrTooLarge", err)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"mcfsgen", "mcfscli", "mcfsbench", "mcfscompare", "mcfslint", "mcfsd"} {
+	for _, tool := range []string{"mcfsgen", "mcfscli", "mcfsbench", "mcfslint", "mcfsd"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./"+tool)
 		cmd.Dir = "."
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -145,6 +145,10 @@ func TestGenDIMACSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompareTool: mcfscli given a list of algorithms prints a block
+// for each, names the best and exports it. An algorithm in the list that
+// fails (exhaustive: C(80, 8) subsets) is reported and the rest still
+// run; alone, its failure is the command's.
 func TestCompareTool(t *testing.T) {
 	dir := t.TempDir()
 	inst := filepath.Join(dir, "inst.mcfs")
@@ -153,14 +157,20 @@ func TestCompareTool(t *testing.T) {
 		"-m", "30", "-l", "80", "-cap", "5", "-k", "8", "-o", inst)
 	svg := filepath.Join(dir, "out.svg")
 	geo := filepath.Join(dir, "out.json")
-	out := run(t, "mcfscompare", "-in", inst, "-algos", "wma,hilbert", "-svg", svg, "-geojson", geo)
-	if !strings.Contains(out, "best: ") {
-		t.Fatalf("no best line:\n%s", out)
+	out := run(t, "mcfscli", "-algo", "wma,exhaustive,hilbert", "-in", inst, "-svg", svg, "-geojson", geo)
+	for _, want := range []string{"algorithm   wma\n", "algorithm   hilbert\n", "mcfscli: exhaustive: ", "best: "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
 	}
 	for _, f := range []string{svg, geo} {
 		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
 			t.Fatalf("export %s missing or empty", f)
 		}
+	}
+	out2, err := exec.Command(filepath.Join(binDir, "mcfscli"), "-algo", "exhaustive", "-in", inst).CombinedOutput()
+	if err == nil || strings.Count(string(out2), "\n") != 1 || !strings.HasPrefix(string(out2), "mcfscli: exhaustive: ") {
+		t.Fatalf("a lone failing algorithm: err = %v, want exit 1 and one error line:\n%s", err, out2)
 	}
 }
 

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -49,16 +50,16 @@ func main() {
 			fmt.Printf("%6d  infeasible at this budget\n", k)
 			continue
 		}
-		w := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.Solve(inst) })
-		uf := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.SolveUniformFirst(inst) })
-		h := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.SolveHilbert(inst) })
-		nv := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.SolveNaive(inst, mcfs.WithSeed(2)) })
+		w := mustSolve(inst, mcfs.AlgorithmWMA)
+		uf := mustSolve(inst, mcfs.AlgorithmUniformFirst)
+		h := mustSolve(inst, mcfs.AlgorithmHilbert)
+		nv := mustSolve(inst, mcfs.AlgorithmNaive, mcfs.WithSeed(2))
 		fmt.Printf("%6d  %12d  %12d  %12d  %12d\n", k, w.Objective, uf.Objective, h.Objective, nv.Objective)
 	}
 
 	// Station utilization under the chosen assignment.
 	inst := sc.Instance(g, 160)
-	sol := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.Solve(inst) })
+	sol := mustSolve(inst, mcfs.AlgorithmWMA)
 	load := map[int]int{}
 	for _, j := range sol.Assignment {
 		load[j]++
@@ -82,8 +83,8 @@ func main() {
 	}
 }
 
-func mustSolve(inst *mcfs.Instance, fn func() (*mcfs.Solution, error)) *mcfs.Solution {
-	sol, err := fn()
+func mustSolve(inst *mcfs.Instance, a mcfs.Algorithm, opts ...mcfs.Option) *mcfs.Solution {
+	sol, _, err := a.Solve(context.Background(), inst, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -50,7 +51,7 @@ func main() {
 		}
 		wTime := time.Since(wStart)
 		hStart := time.Now()
-		h, err := mcfs.SolveHilbert(inst)
+		h, _, err := mcfs.AlgorithmHilbert.Solve(context.Background(), inst)
 		if err != nil {
 			log.Fatal(err)
 		}

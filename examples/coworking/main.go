@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -51,9 +52,9 @@ func main() {
 			fmt.Printf("%6d  infeasible at this budget\n", k)
 			continue
 		}
-		direct := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.Solve(inst) })
-		uf := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.SolveUniformFirst(inst) })
-		hil := mustSolve(inst, func() (*mcfs.Solution, error) { return mcfs.SolveHilbert(inst) })
+		direct := mustSolve(inst, mcfs.AlgorithmWMA)
+		uf := mustSolve(inst, mcfs.AlgorithmUniformFirst)
+		hil := mustSolve(inst, mcfs.AlgorithmHilbert)
 		fmt.Printf("%6d  %12d  %12d  %12d\n", k, direct.Objective, uf.Objective, hil.Objective)
 	}
 
@@ -70,8 +71,8 @@ func main() {
 	}
 }
 
-func mustSolve(inst *mcfs.Instance, fn func() (*mcfs.Solution, error)) *mcfs.Solution {
-	sol, err := fn()
+func mustSolve(inst *mcfs.Instance, a mcfs.Algorithm) *mcfs.Solution {
+	sol, _, err := a.Solve(context.Background(), inst)
 	if err != nil {
 		log.Fatal(err)
 	}

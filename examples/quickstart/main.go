@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,21 +39,21 @@ func main() {
 	fmt.Printf("instance: m=%d customers, l=%d candidates, k=%d, occupancy %.2f\n\n",
 		inst.M(), inst.L(), inst.K, inst.Occupancy())
 
-	solve := func(name string, fn func() (*mcfs.Solution, error)) {
+	solve := func(a mcfs.Algorithm, opts ...mcfs.Option) {
 		start := time.Now()
-		sol, err := fn()
+		sol, _, err := a.Solve(context.Background(), inst, opts...)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", a, err)
 		}
 		if _, err := inst.CheckSolution(sol); err != nil {
-			log.Fatalf("%s produced an invalid solution: %v", name, err)
+			log.Fatalf("%s produced an invalid solution: %v", a, err)
 		}
-		fmt.Printf("%-10s objective %8d   runtime %8s\n", name, sol.Objective, time.Since(start).Round(time.Microsecond))
+		fmt.Printf("%-10s objective %8d   runtime %8s\n", a, sol.Objective, time.Since(start).Round(time.Microsecond))
 	}
 
-	solve("wma", func() (*mcfs.Solution, error) { return mcfs.Solve(inst) })
-	solve("hilbert", func() (*mcfs.Solution, error) { return mcfs.SolveHilbert(inst) })
-	solve("naive", func() (*mcfs.Solution, error) { return mcfs.SolveNaive(inst, mcfs.WithSeed(1)) })
+	solve(mcfs.AlgorithmWMA)
+	solve(mcfs.AlgorithmHilbert)
+	solve(mcfs.AlgorithmNaive, mcfs.WithSeed(1))
 
 	// Render the WMA solution as an SVG map (network grey, customers red,
 	// facilities blue, assignments linked).

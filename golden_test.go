@@ -120,7 +120,8 @@ func TestGoldenSolutionDigests(t *testing.T) {
 			return core.SolveCtx(context.Background(), inst, core.Options{Demand: core.DemandAll})
 		}},
 		{"naive", func(inst *mcfs.Instance) (*mcfs.Solution, error) {
-			return mcfs.SolveNaive(inst, mcfs.WithSeed(13))
+			sol, _, err := mcfs.AlgorithmNaive.Solve(context.Background(), inst, mcfs.WithSeed(13))
+			return sol, err
 		}},
 	}
 	for name, inst := range goldenInstances(t) {

@@ -202,6 +202,15 @@ func TestSamplers(t *testing.T) {
 			t.Fatalf("random capacity %d outside [1,10]", f.Capacity)
 		}
 	}
+
+	// A graph with no nodes has no component to sample from.
+	empty, err := graph.NewBuilder(0, false).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool := LargestComponent(empty); len(pool) != 0 {
+		t.Fatalf("LargestComponent of an empty graph = %v, want no nodes", pool)
+	}
 }
 
 func TestCityPresetsStats(t *testing.T) {

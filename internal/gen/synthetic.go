@@ -196,10 +196,13 @@ func RandomCapacity(lo, hi int, rng *rand.Rand) func(int) int {
 }
 
 // LargestComponent returns the nodes of g's largest connected component
-// (ascending ids). Experiments that need guaranteed feasibility sample
-// customers and facilities from it.
+// (ascending ids), none when g has no nodes. Experiments that need
+// guaranteed feasibility sample customers and facilities from it.
 func LargestComponent(g *graph.Graph) []int32 {
 	comp, count := g.Components()
+	if count == 0 {
+		return nil
+	}
 	sizes := graph.ComponentSizes(comp, count)
 	best := 0
 	for c := 1; c < count; c++ {

@@ -11,11 +11,14 @@
 //
 // The primary solver is the paper's Wide Matching Algorithm (Solve):
 // a scalable heuristic that interleaves an optimal incremental bipartite
-// matching with a lazy-greedy set-cover selection. The package also
-// provides the paper's baselines (SolveHilbert, SolveBRNN, SolveNaive),
-// the Uniform-First strategy for nonuniform capacities
-// (SolveUniformFirst), and exact solvers (SolveExact, SolveExhaustive)
-// standing in for the paper's use of the Gurobi optimizer.
+// matching with a lazy-greedy set-cover selection. The Algorithm
+// registry runs it beside the paper's baselines (AlgorithmHilbert,
+// AlgorithmBRNN, AlgorithmNaive), the Uniform-First strategy for
+// nonuniform capacities (AlgorithmUniformFirst), and the exact solvers
+// (AlgorithmExact, AlgorithmExhaustive) standing in for the paper's use
+// of the Gurobi optimizer: choose one by name with ParseAlgorithm and
+// run it with Algorithm.Solve. SolveExact returns the exact solver's
+// full result (node count, optimality proof).
 //
 // Workload generators reproduce the paper's evaluation data: synthetic
 // uniform/clustered networks (GenerateSynthetic), city-like road
@@ -90,19 +93,19 @@ const Inf = graph.Inf
 //   - ErrTimeout — SolveExact's time budget expired; also matches
 //     context.DeadlineExceeded. Heuristic solvers surface a budget
 //     expiry as plain context.DeadlineExceeded instead.
-//   - ErrTooLarge — SolveExhaustive's subset cap was exceeded; the
+//   - ErrTooLarge — AlgorithmExhaustive's subset cap was exceeded; the
 //     instance is too large for enumeration, pick another algorithm.
 //   - context.Canceled / context.DeadlineExceeded — the caller's context
-//     fired mid-solve (Ctx variants only).
+//     fired mid-solve (Ctx variants and Algorithm.Solve only).
 
 // ErrInfeasible is returned by every solver when no feasible solution
 // exists (insufficient capacity under budget k in some network
 // component).
 var ErrInfeasible = data.ErrInfeasible
 
-// ErrTooLarge is returned by SolveExhaustive (and AlgorithmExhaustive)
-// when the number of k-subsets exceeds the enumeration cap — the
-// instance is too large for exhaustive search.
+// ErrTooLarge is returned by AlgorithmExhaustive when the number of
+// k-subsets exceeds the enumeration cap (10^6) — the instance is too
+// large for exhaustive search.
 var ErrTooLarge = solver.ErrTooLarge
 
 // NewGraphBuilder returns a builder for a graph with n nodes; if
@@ -128,10 +131,10 @@ type options struct {
 
 // WithProgress installs a per-iteration callback on runs of the WMA main
 // loop (the paper's Fig. 12b statistics: covered customers, matching
-// time, set-cover time). Applies to Solve and SolveUniformFirst (which
-// run WMA directly). It has no effect on SolveHilbert, SolveBRNN,
-// SolveNaive, SolveExact, AssignToSelection or Improve — none of those
-// run the instrumented loop (the exact solver's WMA warm start is
+// time, set-cover time). Applies to AlgorithmWMA (and Solve) and
+// AlgorithmUniformFirst, which run WMA directly. It has no effect on the
+// other algorithms, AssignToSelection or Improve — none of those run
+// the instrumented loop (the exact solver's WMA warm start is
 // deliberately silent).
 func WithProgress(fn func(IterationStats)) Option {
 	return func(o *options) { o.progress = fn }
@@ -140,11 +143,13 @@ func WithProgress(fn func(IterationStats)) Option {
 // WithTimeBudget bounds a solve's wall-clock time. On SolveExact the
 // budget is the branch-and-bound deadline: on expiry it returns its best
 // incumbent alongside an error matching both ErrTimeout and
-// context.DeadlineExceeded. On every other solver (and on the Ctx
-// variants) the budget is sugar for a context deadline layered onto the
-// caller's context: on expiry the solve stops promptly and returns
-// context.DeadlineExceeded, with the incumbent semantics of the solver
-// at hand (see "Timeouts & cancellation" in the README).
+// context.DeadlineExceeded (AlgorithmExact reports that incumbent as a
+// success with a "timeout" note). On every other algorithm, and on
+// AssignToSelection and Improve, the budget is sugar for a context
+// deadline layered onto the caller's context: on expiry the solve stops
+// promptly and returns context.DeadlineExceeded, with the incumbent
+// semantics of the solver at hand (see "Timeouts & cancellation" in the
+// README).
 //
 // The budget must be positive: a zero or negative budget is rejected at
 // solve time with a descriptive error rather than silently meaning
@@ -159,9 +164,9 @@ func WithTimeBudget(d time.Duration) Option {
 	}
 }
 
-// WithSeed seeds the randomized Naive baseline. Applies to SolveNaive
-// only — every other solver in the package is deterministic by
-// construction and ignores it.
+// WithSeed seeds the randomized Naive baseline. Applies to
+// AlgorithmNaive only — every other solver in the package is
+// deterministic by construction and ignores it.
 func WithSeed(seed int64) Option {
 	return func(o *options) { o.seed = seed }
 }
@@ -212,60 +217,6 @@ func SolveCtx(ctx context.Context, inst *Instance, opts ...Option) (*Solution, e
 	return sol, err
 }
 
-// SolveUniformFirst runs WMA with the Uniform-First strategy (§VII-F):
-// facility locations are first chosen as if all capacities equaled the
-// average, then the assignment is rebuilt under the true capacities.
-func SolveUniformFirst(inst *Instance, opts ...Option) (*Solution, error) {
-	return SolveUniformFirstCtx(context.Background(), inst, opts...)
-}
-
-// SolveUniformFirstCtx is SolveUniformFirst with cooperative
-// cancellation; cancellation semantics match SolveCtx (nil Solution and
-// ctx.Err(); cancellation never triggers the Direct-strategy fallback).
-func SolveUniformFirstCtx(ctx context.Context, inst *Instance, opts ...Option) (*Solution, error) {
-	sol, _, err := AlgorithmUniformFirst.Solve(ctx, inst, opts...)
-	return sol, err
-}
-
-// SolveHilbert runs the Hilbert space-filling-curve bucketing baseline.
-// The network must carry coordinates.
-func SolveHilbert(inst *Instance, opts ...Option) (*Solution, error) {
-	return SolveHilbertCtx(context.Background(), inst, opts...)
-}
-
-// SolveHilbertCtx is SolveHilbert with cooperative cancellation;
-// cancellation semantics match SolveCtx (nil Solution and ctx.Err()).
-func SolveHilbertCtx(ctx context.Context, inst *Instance, opts ...Option) (*Solution, error) {
-	sol, _, err := AlgorithmHilbert.Solve(ctx, inst, opts...)
-	return sol, err
-}
-
-// SolveBRNN runs the iterative bichromatic-reverse-nearest-neighbor
-// (MaxSum) placement baseline.
-func SolveBRNN(inst *Instance, opts ...Option) (*Solution, error) {
-	return SolveBRNNCtx(context.Background(), inst, opts...)
-}
-
-// SolveBRNNCtx is SolveBRNN with cooperative cancellation; cancellation
-// semantics match SolveCtx (nil Solution and ctx.Err()).
-func SolveBRNNCtx(ctx context.Context, inst *Instance, opts ...Option) (*Solution, error) {
-	sol, _, err := AlgorithmBRNN.Solve(ctx, inst, opts...)
-	return sol, err
-}
-
-// SolveNaive runs WMA Naïve: the WMA loop with greedy, no-rewiring
-// assignment. Seed it with WithSeed for reproducibility.
-func SolveNaive(inst *Instance, opts ...Option) (*Solution, error) {
-	return SolveNaiveCtx(context.Background(), inst, opts...)
-}
-
-// SolveNaiveCtx is SolveNaive with cooperative cancellation;
-// cancellation semantics match SolveCtx (nil Solution and ctx.Err()).
-func SolveNaiveCtx(ctx context.Context, inst *Instance, opts ...Option) (*Solution, error) {
-	sol, _, err := AlgorithmNaive.Solve(ctx, inst, opts...)
-	return sol, err
-}
-
 // ExactResult reports an exact solve: the solution, the number of
 // explored branch-and-bound nodes, and whether optimality was proven
 // (false only when the time budget or the context cut the search short).
@@ -305,20 +256,6 @@ func SolveExactCtx(ctx context.Context, inst *Instance, opts ...Option) (*ExactR
 		return nil, err
 	}
 	return &ExactResult{Solution: res.Solution, Nodes: res.Nodes, Optimal: res.Optimal}, err
-}
-
-// SolveExhaustive enumerates every k-subset of facilities (feasible only
-// for tiny instances: more than 10^6 subsets is ErrTooLarge). Used as
-// the ground-truth yardstick in tests and sanity runs.
-func SolveExhaustive(inst *Instance) (*Solution, error) {
-	return SolveExhaustiveCtx(context.Background(), inst)
-}
-
-// SolveExhaustiveCtx is SolveExhaustive with cooperative cancellation,
-// checked between subsets. Like SolveExactCtx it returns the best
-// solution found before the cut (nil when none) alongside ctx.Err().
-func SolveExhaustiveCtx(ctx context.Context, inst *Instance) (*Solution, error) {
-	return solver.ExhaustiveCtx(orBackground(ctx), inst)
 }
 
 // AssignToSelection computes the optimal assignment of all customers to
@@ -457,8 +394,9 @@ func WriteInstance(w io.Writer, inst *Instance) error {
 // short file cannot make the reader allocate much.
 func ReadInstance(r io.Reader) (*Instance, error) { return data.ReadInstance(r) }
 
-// LargestComponent returns the nodes of the largest connected component;
-// sampling workloads from it guarantees mutual reachability.
+// LargestComponent returns the nodes of the largest connected component,
+// none when g has no nodes; sampling workloads from it guarantees mutual
+// reachability.
 func LargestComponent(g *Graph) []int32 { return gen.LargestComponent(g) }
 
 // SampleCustomersFrom draws m customers from a node pool.
@@ -562,12 +500,26 @@ func RestoreReallocatorCtx(ctx context.Context, inst *Instance, s *ReallocatorSn
 // RenderSVG draws the instance — and, when sol is non-nil, its solution —
 // as a standalone SVG document, 900 px wide (network grey, customers
 // red, candidate facilities blue, selected facilities solid, assignments
-// linked). It rejects a malformed instance (see Instance.Validate).
+// linked). It rejects a malformed instance (see Instance.Validate) and a
+// solution that Instance.CheckSolution rejects.
 func RenderSVG(w io.Writer, inst *Instance, sol *Solution) error {
-	if err := inst.Validate(); err != nil {
+	if err := checkDrawable(inst, sol); err != nil {
 		return err
 	}
 	return render.SVG(w, inst, sol)
+}
+
+// checkDrawable validates what RenderSVG and WriteGeoJSON draw: the
+// instance, and the solution when there is one.
+func checkDrawable(inst *Instance, sol *Solution) error {
+	if err := inst.Validate(); err != nil {
+		return err
+	}
+	if sol == nil {
+		return nil
+	}
+	_, err := inst.CheckSolution(sol)
+	return err
 }
 
 // --- local-search polish -----------------------------------------------------
@@ -618,9 +570,10 @@ func WriteDIMACSGraph(grW io.Writer, coW io.Writer, g *Graph) error {
 // WriteGeoJSON exports an instance and optional solution as a GeoJSON
 // FeatureCollection (customers and facilities as Points with properties,
 // assignments as LineStrings) for use in standard mapping tools. It
-// rejects a malformed instance (see Instance.Validate).
+// rejects a malformed instance (see Instance.Validate) and a solution
+// that Instance.CheckSolution rejects.
 func WriteGeoJSON(w io.Writer, inst *Instance, sol *Solution) error {
-	if err := inst.Validate(); err != nil {
+	if err := checkDrawable(inst, sol); err != nil {
 		return err
 	}
 	return render.GeoJSON(w, inst, sol)

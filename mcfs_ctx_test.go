@@ -69,8 +69,9 @@ func largeInstance(t *testing.T) *mcfs.Instance {
 	return largeInst
 }
 
-// TestPublicAPICtxPreCancelled: every Ctx entry point must notice an
-// already-cancelled context and return ctx.Err() without doing work.
+// TestPublicAPICtxPreCancelled: every Ctx entry point and every
+// algorithm must notice an already-cancelled context and return
+// ctx.Err() without doing work.
 func TestPublicAPICtxPreCancelled(t *testing.T) {
 	inst := buildInstance(t, 41)
 	base, err := mcfs.Solve(inst)
@@ -84,26 +85,6 @@ func TestPublicAPICtxPreCancelled(t *testing.T) {
 		run  func() error
 	}{
 		{"SolveCtx", func() error { sol, err := mcfs.SolveCtx(ctx, inst); mustNilSol(t, "SolveCtx", sol); return err }},
-		{"SolveUniformFirstCtx", func() error {
-			sol, err := mcfs.SolveUniformFirstCtx(ctx, inst)
-			mustNilSol(t, "SolveUniformFirstCtx", sol)
-			return err
-		}},
-		{"SolveHilbertCtx", func() error {
-			sol, err := mcfs.SolveHilbertCtx(ctx, inst)
-			mustNilSol(t, "SolveHilbertCtx", sol)
-			return err
-		}},
-		{"SolveBRNNCtx", func() error {
-			sol, err := mcfs.SolveBRNNCtx(ctx, inst)
-			mustNilSol(t, "SolveBRNNCtx", sol)
-			return err
-		}},
-		{"SolveNaiveCtx", func() error {
-			sol, err := mcfs.SolveNaiveCtx(ctx, inst, mcfs.WithSeed(3))
-			mustNilSol(t, "SolveNaiveCtx", sol)
-			return err
-		}},
 		{"AssignToSelectionCtx", func() error {
 			sol, err := mcfs.AssignToSelectionCtx(ctx, inst, base.Selected)
 			mustNilSol(t, "AssignToSelectionCtx", sol)
@@ -126,15 +107,27 @@ func TestPublicAPICtxPreCancelled(t *testing.T) {
 			t.Errorf("%s: err = %v, want context.Canceled", r.name, err)
 		}
 	}
+	for _, a := range mcfs.Algorithms() {
+		if a == mcfs.AlgorithmExhaustive {
+			continue // too large to enumerate; see TestPublicAPICtxPreCancelledExhaustive
+		}
+		sol, _, err := a.Solve(ctx, inst, mcfs.WithSeed(3))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", a, err)
+		}
+		if a != mcfs.AlgorithmExact {
+			mustNilSol(t, a.String(), sol)
+		}
+	}
 }
 
 func TestPublicAPICtxPreCancelledExhaustive(t *testing.T) {
 	inst := tinyInstance(t)
 	// Sanity: the instance really is exhaustible when uncancelled.
-	if _, err := mcfs.SolveExhaustive(inst); err != nil {
+	if _, _, err := mcfs.AlgorithmExhaustive.Solve(context.Background(), inst); err != nil {
 		t.Fatalf("uncancelled exhaustive: %v", err)
 	}
-	if _, err := mcfs.SolveExhaustiveCtx(cancelledCtx(), inst); !errors.Is(err, context.Canceled) {
+	if _, _, err := mcfs.AlgorithmExhaustive.Solve(cancelledCtx(), inst); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -146,82 +139,58 @@ func mustNilSol(t *testing.T, name string, sol *mcfs.Solution) {
 	}
 }
 
-// TestPublicAPICtxDeterminism: an uncancelled Ctx run must be
-// byte-identical to the legacy entry point, and the registry must match
-// both — context plumbing may not perturb any tie-break.
+// TestPublicAPICtxDeterminism: an uncancelled run under a live deadline
+// must be byte-identical to a run under context.Background(), through
+// every registry entry and the Ctx entry points — context plumbing may
+// not perturb any tie-break.
 func TestPublicAPICtxDeterminism(t *testing.T) {
 	inst := buildInstance(t, 42)
-	ctx := context.Background()
-	type variant struct {
-		name  string
-		plain func() (*mcfs.Solution, error)
-		ctxed func() (*mcfs.Solution, error)
-		reg   mcfs.Algorithm
+	// BRNN is the slow baseline, and exhaustive and exact enumerate;
+	// compare them on a smaller instance.
+	small := tinyInstance(t)
+	live, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+
+	wma, err := mcfs.Solve(inst)
+	if err != nil {
+		t.Fatal(err)
 	}
-	variants := []variant{
-		{"wma",
-			func() (*mcfs.Solution, error) { return mcfs.Solve(inst) },
-			func() (*mcfs.Solution, error) { return mcfs.SolveCtx(ctx, inst) },
-			mcfs.AlgorithmWMA},
-		{"uf",
-			func() (*mcfs.Solution, error) { return mcfs.SolveUniformFirst(inst) },
-			func() (*mcfs.Solution, error) { return mcfs.SolveUniformFirstCtx(ctx, inst) },
-			mcfs.AlgorithmUniformFirst},
-		{"hilbert",
-			func() (*mcfs.Solution, error) { return mcfs.SolveHilbert(inst) },
-			func() (*mcfs.Solution, error) { return mcfs.SolveHilbertCtx(ctx, inst) },
-			mcfs.AlgorithmHilbert},
-		{"naive",
-			func() (*mcfs.Solution, error) { return mcfs.SolveNaive(inst, mcfs.WithSeed(7)) },
-			func() (*mcfs.Solution, error) { return mcfs.SolveNaiveCtx(ctx, inst, mcfs.WithSeed(7)) },
-			mcfs.AlgorithmNaive},
+	got, err := mcfs.SolveCtx(live, inst)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range variants {
-		want, err := v.plain()
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+	if !reflect.DeepEqual(got, wma) {
+		t.Error("wma: SolveCtx result differs from Solve")
+	}
+	for _, a := range mcfs.Algorithms() {
+		in := inst
+		switch a {
+		case mcfs.AlgorithmBRNN, mcfs.AlgorithmExact, mcfs.AlgorithmExhaustive:
+			in = small
 		}
-		got, err := v.ctxed()
+		want, _, err := a.Solve(context.Background(), in, mcfs.WithSeed(7))
 		if err != nil {
-			t.Fatalf("%s ctx: %v", v.name, err)
+			t.Fatalf("%s: %v", a, err)
+		}
+		got, _, err := a.Solve(live, in, mcfs.WithSeed(7))
+		if err != nil {
+			t.Fatalf("%s under a live deadline: %v", a, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: SolveCtx result differs from Solve", v.name)
+			t.Errorf("%s: result under a live deadline differs from Background's", a)
 		}
-		var regOpts []mcfs.Option
-		if v.name == "naive" {
-			regOpts = append(regOpts, mcfs.WithSeed(7))
+		if a == mcfs.AlgorithmWMA && !reflect.DeepEqual(got, wma) {
+			t.Error("wma: registry result differs from Solve")
 		}
-		reg, _, err := v.reg.Solve(ctx, inst, regOpts...)
-		if err != nil {
-			t.Fatalf("%s registry: %v", v.name, err)
-		}
-		if !reflect.DeepEqual(reg, want) {
-			t.Errorf("%s: registry result differs from Solve", v.name)
-		}
-	}
-
-	// BRNN is the slow baseline; compare it on a smaller instance.
-	small := tinyInstance(t)
-	want, err := mcfs.SolveBRNN(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mcfs.SolveBRNNCtx(ctx, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("brnn: SolveBRNNCtx result differs from SolveBRNN")
 	}
 
 	// AssignToSelection under a fixed selection.
-	sel := want.Selected
-	wantA, err := mcfs.AssignToSelection(small, sel)
+	sel := wma.Selected
+	wantA, err := mcfs.AssignToSelection(inst, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA, err := mcfs.AssignToSelectionCtx(ctx, small, sel)
+	gotA, err := mcfs.AssignToSelectionCtx(live, inst, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,38 +212,26 @@ func TestPublicAPICtxMidRunDeadline(t *testing.T) {
 	// time, loose enough for -race and loaded CI machines.
 	const promptness = 5 * time.Second
 
-	solvers := []struct {
-		name string
-		run  func(ctx context.Context) (*mcfs.Solution, error)
-	}{
-		{"wma", func(ctx context.Context) (*mcfs.Solution, error) { return mcfs.SolveCtx(ctx, inst) }},
-		{"uf", func(ctx context.Context) (*mcfs.Solution, error) { return mcfs.SolveUniformFirstCtx(ctx, inst) }},
-		{"hilbert", func(ctx context.Context) (*mcfs.Solution, error) { return mcfs.SolveHilbertCtx(ctx, inst) }},
-		{"brnn", func(ctx context.Context) (*mcfs.Solution, error) { return mcfs.SolveBRNNCtx(ctx, inst) }},
-		{"naive", func(ctx context.Context) (*mcfs.Solution, error) {
-			return mcfs.SolveNaiveCtx(ctx, inst, mcfs.WithSeed(3))
-		}},
-	}
 	timedOut := 0
-	for _, s := range solvers {
+	for _, a := range []mcfs.Algorithm{mcfs.AlgorithmWMA, mcfs.AlgorithmUniformFirst, mcfs.AlgorithmHilbert, mcfs.AlgorithmBRNN, mcfs.AlgorithmNaive} {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		start := time.Now()
-		sol, err := s.run(ctx)
+		sol, _, err := a.Solve(ctx, inst, mcfs.WithSeed(3))
 		elapsed := time.Since(start)
 		cancel()
 		if err == nil {
-			t.Logf("%s finished in %s, under the deadline", s.name, elapsed)
+			t.Logf("%s finished in %s, under the deadline", a, elapsed)
 			continue
 		}
 		timedOut++
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: err = %v, want context.DeadlineExceeded", s.name, err)
+			t.Errorf("%s: err = %v, want context.DeadlineExceeded", a, err)
 		}
 		if sol != nil {
-			t.Errorf("%s: timed-out run returned a solution", s.name)
+			t.Errorf("%s: timed-out run returned a solution", a)
 		}
 		if elapsed > promptness {
-			t.Errorf("%s: returned after %s, want < %s", s.name, elapsed, promptness)
+			t.Errorf("%s: returned after %s, want < %s", a, elapsed, promptness)
 		}
 	}
 	if timedOut == 0 {
@@ -395,11 +352,6 @@ func TestPublicAPINilCtx(t *testing.T) {
 			return sol, err
 		}
 		keep("SolveCtx")(mcfs.SolveCtx(ctx, inst))
-		keep("SolveUniformFirstCtx")(mcfs.SolveUniformFirstCtx(ctx, inst))
-		keep("SolveHilbertCtx")(mcfs.SolveHilbertCtx(ctx, inst))
-		keep("SolveBRNNCtx")(mcfs.SolveBRNNCtx(ctx, inst))
-		keep("SolveNaiveCtx")(mcfs.SolveNaiveCtx(ctx, inst, mcfs.WithSeed(3)))
-		keep("SolveExhaustiveCtx")(mcfs.SolveExhaustiveCtx(ctx, inst))
 		keep("AssignToSelectionCtx")(mcfs.AssignToSelectionCtx(ctx, inst, base.Selected))
 		keep("NewReallocatorCtx")(settled(mcfs.NewReallocatorCtx(ctx, inst, 0)))
 		keep("RestoreReallocatorCtx")(settled(mcfs.RestoreReallocatorCtx(ctx, inst, snap, 0)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -47,19 +48,13 @@ func TestPublicAPISolveFlow(t *testing.T) {
 
 func TestPublicAPIAllSolvers(t *testing.T) {
 	inst := buildInstance(t, 2)
-	solvers := map[string]func() (*mcfs.Solution, error){
-		"wma":     func() (*mcfs.Solution, error) { return mcfs.Solve(inst) },
-		"uf":      func() (*mcfs.Solution, error) { return mcfs.SolveUniformFirst(inst) },
-		"hilbert": func() (*mcfs.Solution, error) { return mcfs.SolveHilbert(inst) },
-		"naive":   func() (*mcfs.Solution, error) { return mcfs.SolveNaive(inst, mcfs.WithSeed(3)) },
-	}
-	for name, run := range solvers {
-		sol, err := run()
+	for _, a := range []mcfs.Algorithm{mcfs.AlgorithmWMA, mcfs.AlgorithmUniformFirst, mcfs.AlgorithmHilbert, mcfs.AlgorithmNaive} {
+		sol, _, err := a.Solve(context.Background(), inst, mcfs.WithSeed(3))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", a, err)
 		}
 		if _, err := inst.CheckSolution(sol); err != nil {
-			t.Fatalf("%s: invalid solution: %v", name, err)
+			t.Fatalf("%s: invalid solution: %v", a, err)
 		}
 	}
 }
@@ -78,7 +73,7 @@ func TestPublicAPIBRNNSmall(t *testing.T) {
 		Facilities: mcfs.SampleFacilitiesFrom(pool, 40, rng, mcfs.UniformCapacity(5)),
 		K:          6,
 	}
-	sol, err := mcfs.SolveBRNN(inst)
+	sol, _, err := mcfs.AlgorithmBRNN.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +102,7 @@ func TestPublicAPIExactAndOrdering(t *testing.T) {
 	if !exact.Optimal {
 		t.Fatal("unbounded exact solve not optimal")
 	}
-	exh, err := mcfs.SolveExhaustive(inst)
+	exh, _, err := mcfs.AlgorithmExhaustive.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +323,53 @@ func TestPublicAPIAssignToSelectionRejectsMalformedInput(t *testing.T) {
 	}
 }
 
+// TestPublicAPIDrawRejectsMalformedSolution: RenderSVG and WriteGeoJSON
+// check a solution as CheckSolution does, so an assignment index out of
+// range, an assignment shorter than m and a selection holding −1 are
+// errors, never a panic or a drawing.
+func TestPublicAPIDrawRejectsMalformedSolution(t *testing.T) {
+	b := mcfs.NewGraphBuilder(6, false)
+	for v := int32(0); v < 5; v++ {
+		b.AddEdge(v, v+1, 1)
+	}
+	g, err := b.SetCoords([]float64{0, 1, 2, 3, 4, 5}, make([]float64, 6)).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := &mcfs.Instance{
+		G:          g,
+		Customers:  []int32{0, 5},
+		Facilities: []mcfs.Facility{{Node: 1, Capacity: 2}, {Node: 4, Capacity: 2}},
+		K:          2,
+	}
+	svg := func(sol *mcfs.Solution) error { return mcfs.RenderSVG(io.Discard, inst, sol) }
+	geo := func(sol *mcfs.Solution) error { return mcfs.WriteGeoJSON(io.Discard, inst, sol) }
+	for _, tc := range []struct {
+		name string
+		draw func(*mcfs.Solution) error
+		sol  mcfs.Solution
+		want string
+	}{
+		{"svg index past l", svg, mcfs.Solution{Selected: []int{0, 1}, Assignment: []int{9, 0}}, "invalid facility index 9"},
+		{"geojson negative index", geo, mcfs.Solution{Selected: []int{0, 1}, Assignment: []int{-3, 0}}, "invalid facility index -3"},
+		{"geojson short assignment", geo, mcfs.Solution{Selected: []int{0, 1}, Assignment: []int{0}}, "assignment covers 1 of 2 customers"},
+		{"svg selection -1", svg, mcfs.Solution{Selected: []int{-1}, Assignment: []int{0, 1}, Objective: 2}, "selected index -1 out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.draw(&tc.sol); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+	valid := &mcfs.Solution{Selected: []int{0, 1}, Assignment: []int{0, 1}, Objective: 2}
+	if err := svg(valid); err != nil {
+		t.Fatalf("RenderSVG of a valid solution: %v", err)
+	}
+	if err := geo(valid); err != nil {
+		t.Fatalf("WriteGeoJSON of a valid solution: %v", err)
+	}
+}
+
 // TestPublicAPINilInstance: every exported function that takes an
 // *Instance returns an error for a nil one rather than panicking, and
 // RestoreReallocator rejects a nil snapshot the same way.
@@ -347,18 +389,8 @@ func TestPublicAPINilInstance(t *testing.T) {
 	entries := map[string]func(*mcfs.Instance) error{
 		"Solve":                 func(in *mcfs.Instance) error { return solved(mcfs.Solve(in)) },
 		"SolveCtx":              func(in *mcfs.Instance) error { return solved(mcfs.SolveCtx(ctx, in)) },
-		"SolveUniformFirst":     func(in *mcfs.Instance) error { return solved(mcfs.SolveUniformFirst(in)) },
-		"SolveUniformFirstCtx":  func(in *mcfs.Instance) error { return solved(mcfs.SolveUniformFirstCtx(ctx, in)) },
-		"SolveHilbert":          func(in *mcfs.Instance) error { return solved(mcfs.SolveHilbert(in)) },
-		"SolveHilbertCtx":       func(in *mcfs.Instance) error { return solved(mcfs.SolveHilbertCtx(ctx, in)) },
-		"SolveBRNN":             func(in *mcfs.Instance) error { return solved(mcfs.SolveBRNN(in)) },
-		"SolveBRNNCtx":          func(in *mcfs.Instance) error { return solved(mcfs.SolveBRNNCtx(ctx, in)) },
-		"SolveNaive":            func(in *mcfs.Instance) error { return solved(mcfs.SolveNaive(in)) },
-		"SolveNaiveCtx":         func(in *mcfs.Instance) error { return solved(mcfs.SolveNaiveCtx(ctx, in)) },
 		"SolveExact":            func(in *mcfs.Instance) error { _, err := mcfs.SolveExact(in); return err },
 		"SolveExactCtx":         func(in *mcfs.Instance) error { _, err := mcfs.SolveExactCtx(ctx, in); return err },
-		"SolveExhaustive":       func(in *mcfs.Instance) error { return solved(mcfs.SolveExhaustive(in)) },
-		"SolveExhaustiveCtx":    func(in *mcfs.Instance) error { return solved(mcfs.SolveExhaustiveCtx(ctx, in)) },
 		"AssignToSelection":     func(in *mcfs.Instance) error { return solved(mcfs.AssignToSelection(in, []int{0})) },
 		"AssignToSelectionCtx":  func(in *mcfs.Instance) error { return solved(mcfs.AssignToSelectionCtx(ctx, in, []int{0})) },
 		"Improve":               func(in *mcfs.Instance) error { _, _, err := mcfs.Improve(in, sol); return err },
@@ -420,11 +452,11 @@ func TestPublicAPIQualityOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := mcfs.SolveHilbert(inst)
+		h, _, err := mcfs.AlgorithmHilbert.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := mcfs.SolveNaive(inst, mcfs.WithSeed(seed))
+		n, _, err := mcfs.AlgorithmNaive.Solve(context.Background(), inst, mcfs.WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

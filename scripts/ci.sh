@@ -95,7 +95,7 @@ echo "experiments: scale-0.05 CSV matches results/experiments_scale005.csv"
 # fuzzing (not just the seed corpus) so a regression that only random
 # inputs can reach still trips CI. Findings are written to the package's
 # testdata/fuzz corpus by the fuzzer and reproduce as regular tests.
-for target in FuzzMatcher=./internal/bipartite FuzzCoverer=./internal/core FuzzDijkstra=./internal/graph FuzzMonotoneQueues=./internal/pq FuzzReadInstance=./internal/data FuzzReadDIMACSGraph=./internal/data FuzzSnapshotRestore=./internal/dynamic FuzzChurnBodies=./internal/serve; do
+for target in FuzzPublicAPI=. FuzzMatcher=./internal/bipartite FuzzCoverer=./internal/core FuzzDijkstra=./internal/graph FuzzMonotoneQueues=./internal/pq FuzzReadInstance=./internal/data FuzzReadDIMACSGraph=./internal/data FuzzSnapshotRestore=./internal/dynamic FuzzChurnBodies=./internal/serve; do
 	name=${target%%=*}
 	pkg=${target#*=}
 	echo "fuzz smoke: $name"
